@@ -7,7 +7,7 @@
 //! IBM n2 q2 is left out: one regeneration takes 11–16 s (97 % verifier),
 //! longer than a run, so it cannot be repeated within one.
 
-use crate::metrics::{median, Report};
+use crate::metrics::{median, minimum, setup_seconds, time_reps, Report};
 use crate::sys::{cpu_seconds, RssSampler};
 use crate::trace::{self, span};
 use quartz_gen::{prune, GenConfig, Generator, LazyLibrary, Library};
@@ -50,7 +50,9 @@ const TARGETS: [Target; 2] = [
         probe: ("tof_3", 2, 128),
     },
 ];
-const SETUP_REPS: usize = 31;
+/// Set-ups timed before the first rebuild; one more is timed before every
+/// rebuild, so `setup_s` samples the host over the whole run.
+const SETUP_BURST: usize = 16;
 
 /// Generation statistics of one rebuild, for the traced run.
 #[derive(Default, PartialEq, Debug)]
@@ -152,24 +154,22 @@ fn probe_search(report: &mut Report, built: &[Vec<u8>]) -> f64 {
     total
 }
 
+/// Set-up: read and decode the committed artifacts; returns their bytes.
+fn load_committed() -> Vec<Vec<u8>> {
+    TARGETS
+        .iter()
+        .map(|target| {
+            let bytes = std::fs::read(target.artifact).expect("committed artifact is readable");
+            black_box(Library::from_bytes(&bytes).expect("committed artifact decodes"));
+            bytes
+        })
+        .collect()
+}
+
 pub fn run(seconds: f64, traced: bool) -> Report {
     let mut report = Report::default();
     let mut setup_s = Vec::new();
-    let mut committed = Vec::new();
-    for _ in 0..SETUP_REPS {
-        let t = Instant::now();
-        let fresh: Vec<Vec<u8>> = TARGETS
-            .iter()
-            .map(|target| {
-                let bytes = std::fs::read(target.artifact).expect("committed artifact is readable");
-                black_box(Library::from_bytes(&bytes).expect("committed artifact decodes"));
-                bytes
-            })
-            .collect();
-        setup_s.push(t.elapsed().as_secs_f64());
-        committed = fresh;
-    }
-    report.set("setup_s", median(&setup_s));
+    let committed = time_reps(&mut setup_s, SETUP_BURST, load_committed);
 
     if traced {
         report.absent_reason = Some("not exercised by library-build");
@@ -254,14 +254,15 @@ pub fn run(seconds: f64, traced: bool) -> Report {
     let sampler = RssSampler::start();
     let start = Instant::now();
     let mut spans = Vec::new();
-    let mut walls = Vec::new();
-    let cpu0 = cpu_seconds();
+    let (mut walls, mut cpus) = (Vec::new(), Vec::new());
     let mut first: Option<(Vec<Vec<u8>>, Counts)> = None;
     while walls.is_empty() || start.elapsed().as_secs_f64() + median(&walls) / 2.0 < seconds {
+        time_reps(&mut setup_s, 1, load_committed);
         let mut counts = Counts::default();
-        let t = Instant::now();
+        let (cpu0, t) = (cpu_seconds(), Instant::now());
         let built = rebuild(&mut counts, &mut Phases::default());
         walls.push(t.elapsed().as_secs_f64());
+        cpus.push(cpu_seconds() - cpu0);
         spans.push((t, Instant::now()));
         match &first {
             None => {
@@ -277,21 +278,17 @@ pub fn run(seconds: f64, traced: bool) -> Report {
             }
         }
     }
-    let cpu = cpu_seconds() - cpu0;
-    let reps = walls.len() as f64;
     let (built, _) = first.expect("at least one rebuild");
     let total = probe_search(&mut report, &built);
     report.set("total_best_cost", total);
-    report.set("wall_s", median(&walls));
-    report.set("cpu_s", cpu / reps);
+    report.set("setup_s", setup_seconds(&setup_s));
+    report.set("wall_s", minimum(&walls));
+    report.set("cpu_s", minimum(&cpus));
     let peak = sampler.finish();
     report.set(
         "peak_rss_mb",
         median(&spans.iter().map(|&(a, b)| peak(a, b)).collect::<Vec<_>>()),
     );
-    report.set(
-        "requests_per_s",
-        reps * TARGETS.len() as f64 / walls.iter().sum::<f64>(),
-    );
+    report.set("requests_per_s", TARGETS.len() as f64 / minimum(&walls));
     report
 }

@@ -39,12 +39,12 @@ fn def(
 /// End-to-end metrics: printed by every workload with `--trace 0`.
 pub fn end_to_end() -> Vec<Def> {
     vec![
-        def("setup_s", "s", "lower", false, "library load + index, daemon boot + bind, or reference load; median of several set-ups"),
-        def("wall_s", "s", "lower", false, "median wall time of one timed operation (serve-mixed: first due time to last terminal)"),
-        def("cpu_s", "s", "lower", false, "process user+sys CPU per timed operation"),
+        def("setup_s", "s", "lower", false, "library load + index, daemon boot + bind, or reference load; 10th percentile of set-ups timed throughout the run"),
+        def("wall_s", "s", "lower", false, "wall time of the fastest timed operation (serve-mixed: first due time to last terminal)"),
+        def("cpu_s", "s", "lower", false, "least process user+sys CPU of one timed operation (serve-mixed: of the open loop)"),
         def("peak_rss_mb", "MB", "lower", false, "median over operations of the sampled peak resident set"),
         def("total_best_cost", "count", "lower", true, "sum of best costs; pinned per workload"),
-        def("requests_per_s", "1/s", "higher", false, "circuits, requests or artifacts completed per second"),
+        def("requests_per_s", "1/s", "higher", false, "circuits or artifacts per second of the fastest operation (serve-mixed: requests per second of the open loop)"),
     ]
 }
 
@@ -433,6 +433,32 @@ impl Report {
 
 pub fn median(values: &[f64]) -> f64 {
     percentile(values, 0.5)
+}
+
+/// A run's `setup_s`: the 10th percentile of its set-ups. Interference from
+/// the host only adds time, so the low tail is the least disturbed; the very
+/// fastest millisecond set-up is not used, as it has rare outliers below the
+/// rest.
+pub fn setup_seconds(samples: &[f64]) -> f64 {
+    percentile(samples, 0.1)
+}
+
+pub fn minimum(values: &[f64]) -> f64 {
+    values.iter().copied().fold(f64::NAN, f64::min)
+}
+
+/// Calls `f` `reps` times, pushing each call's seconds onto `samples`, and
+/// returns the last result. Earlier results are dropped outside the timed
+/// interval.
+pub fn time_reps<T>(samples: &mut Vec<f64>, reps: usize, mut f: impl FnMut() -> T) -> T {
+    let mut last = None;
+    for _ in 0..reps.max(1) {
+        let t = std::time::Instant::now();
+        let value = std::hint::black_box(f());
+        samples.push(t.elapsed().as_secs_f64());
+        last = Some(value);
+    }
+    last.expect("at least one call")
 }
 
 /// Percentile with the "exclusive" interpolation of Python's

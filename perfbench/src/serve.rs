@@ -9,7 +9,7 @@
 //! included — counts against every request behind it.
 
 use crate::check;
-use crate::metrics::{median, percentile, Report};
+use crate::metrics::{median, percentile, setup_seconds, time_reps, Report};
 use crate::search::{probe_library_open, report_counters};
 use crate::sys::{cpu_seconds, memory_mb, Rng, RssSampler};
 use crate::trace::{self, span, span_for};
@@ -27,7 +27,9 @@ use std::time::{Duration, Instant};
 const RATE_PER_S: f64 = 7.5;
 /// Pause between two polling passes over the outstanding requests.
 const POLL_EVERY: Duration = Duration::from_millis(10);
-const SETUP_REPS: usize = 31;
+/// Boots timed before the open loop and again after it, so `setup_s`
+/// samples the host at both ends of the run.
+const SETUP_BURST: usize = 16;
 
 struct Entry {
     gate_set: &'static str,
@@ -428,18 +430,9 @@ pub fn run(seed: u64, seconds: f64, traced: bool) -> Report {
     let schedule = plan(seed, seconds, &qasm);
     let give_up = Duration::from_secs_f64(seconds * 4.0 + 30.0);
 
+    // Each replaced daemon shuts down outside the timed interval.
     let mut setup_s = Vec::new();
-    let mut booted = None;
-    for _ in 0..SETUP_REPS {
-        // The previous daemon shuts down outside the timed interval.
-        drop(booted.take());
-        let t = Instant::now();
-        let fresh = black_box(boot());
-        setup_s.push(t.elapsed().as_secs_f64());
-        booted = Some(fresh);
-    }
-    let mut server = booted.expect("at least one boot");
-    report.set("setup_s", median(&setup_s));
+    let mut server = time_reps(&mut setup_s, SETUP_BURST, boot);
 
     if traced {
         report.absent_reason = Some("not exercised by serve-mixed");
@@ -510,6 +503,8 @@ pub fn run(seed: u64, seconds: f64, traced: bool) -> Report {
     let end = Instant::now();
     let peak = sampler.finish();
     drop(server);
+    time_reps(&mut setup_s, SETUP_BURST, boot);
+    report.set("setup_s", setup_seconds(&setup_s));
     // Peak resident set per round of the mix, median over rounds.
     let start = stats.start.expect("open loop sets its start");
     let round = Duration::from_secs_f64(CATALOG.len() as f64 / RATE_PER_S);

@@ -1,22 +1,29 @@
-//! Process readings from Linux procfs, and the seeded generator every
-//! workload draws its inputs from.
+//! Process readings on Linux (the process CPU clock, procfs memory fields),
+//! and the seeded generator every workload draws its inputs from.
 
 /// User + system CPU seconds of this whole process: every thread, including
 /// the ones that already exited (the worker pool spawns short-lived threads).
-/// Resolution is one clock tick (10 ms), so callers sum it over long spans.
+/// Read from `CLOCK_PROCESS_CPUTIME_ID`, to the nanosecond, so a single
+/// short operation can be timed.
 pub fn cpu_seconds() -> f64 {
-    let stat = std::fs::read_to_string("/proc/self/stat").expect("procfs: /proc/self/stat");
-    // The command name may contain spaces; fields restart after its ')'.
-    let rest = &stat[stat.rfind(')').expect("stat has a command field") + 2..];
-    let fields: Vec<&str> = rest.split_whitespace().collect();
-    // Fields 14 (utime) and 15 (stime) of proc(5), counted from `state` = 3.
-    let ticks: u64 =
-        fields[11].parse::<u64>().expect("utime") + fields[12].parse::<u64>().expect("stime");
-    ticks as f64 / CLOCK_TICKS_PER_SEC
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: std::os::raw::c_long,
+        tv_nsec: std::os::raw::c_long,
+    }
+    extern "C" {
+        fn clock_gettime(clock: std::os::raw::c_int, ts: *mut Timespec) -> std::os::raw::c_int;
+    }
+    const CLOCK_PROCESS_CPUTIME_ID: std::os::raw::c_int = 2;
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `ts` is a valid, writable timespec for the call's duration.
+    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime(CLOCK_PROCESS_CPUTIME_ID) failed");
+    ts.tv_sec as f64 + ts.tv_nsec as f64 * 1e-9
 }
-
-/// `sysconf(_SC_CLK_TCK)`, fixed at 100 by the Linux user-space ABI.
-const CLOCK_TICKS_PER_SEC: f64 = 100.0;
 
 /// A `/proc/self/status` memory field (`VmRSS`, `VmHWM`, ...) in MiB.
 pub fn memory_mb(field: &str) -> f64 {
