@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for the optimizer (paper §6): preprocessing,
-//! the greedy baseline, short cost-based searches on benchmark circuits, the
-//! indexed-vs-linear dispatch comparison on QFT-8 (DESIGN.md §2.2), and the
-//! incremental-vs-rebuilt match-context comparison on QFT-8 (DESIGN.md §5).
+//! the greedy baseline, and short cost-based searches on a benchmark circuit
+//! and on QFT-8, where the dispatch index skips every X-bearing pattern
+//! (DESIGN.md §2.2).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use quartz_bench::{build_ecc_set, GateSetKind};
@@ -47,207 +47,34 @@ fn bench_search_iterations(c: &mut Criterion) {
     group.finish();
 }
 
-/// Indexed dispatch vs the full linear scan on QFT-8: same search outcome,
-/// strictly fewer pattern-match attempts (reported alongside the timings).
+/// An eight-iteration search on QFT-8, which contains no X gates: the
+/// dispatch index must skip transformations (reported alongside the
+/// timings).
 fn bench_dispatch_qft8(c: &mut Criterion) {
     let (ecc_set, _) = build_ecc_set(GateSetKind::Nam, 2, 2);
     let qft = approximate_qft(8);
-    let config = SearchConfig {
-        timeout: Duration::from_secs(120),
-        max_iterations: 8,
-        ..SearchConfig::default()
-    };
-    let indexed = Optimizer::from_ecc_set(&ecc_set, config.clone());
-    let linear = Optimizer::from_ecc_set(
+    let optimizer = Optimizer::from_ecc_set(
         &ecc_set,
         SearchConfig {
-            use_index: false,
-            ..config
+            timeout: Duration::from_secs(120),
+            max_iterations: 8,
+            ..SearchConfig::default()
         },
     );
-
-    let indexed_result = indexed.optimize(&qft);
-    let linear_result = linear.optimize(&qft);
+    let result = optimizer.optimize(&qft);
     println!(
-        "qft_8 dispatch: indexed {} attempts (+{} skipped, {:.1}% skip rate), \
-         linear {} attempts; best cost {} vs {}",
-        indexed_result.match_attempts,
-        indexed_result.match_skips,
-        100.0 * indexed_result.dispatch_skip_rate(),
-        linear_result.match_attempts,
-        indexed_result.best_cost,
-        linear_result.best_cost,
+        "qft_8 dispatch: {} attempts (+{} skipped, {:.1}% skip rate); best cost {}",
+        result.match_attempts,
+        result.match_skips,
+        100.0 * result.dispatch_skip_rate(),
+        result.best_cost,
     );
-    assert!(indexed_result.match_attempts < linear_result.match_attempts);
-    assert!(indexed_result.best_cost <= linear_result.best_cost);
+    assert!(result.match_skips > 0);
 
     let mut group = c.benchmark_group("dispatch_qft_8");
     group.sample_size(10);
     group.bench_function("indexed", |b| {
-        b.iter(|| std::hint::black_box(indexed.optimize(&qft).match_attempts))
-    });
-    group.bench_function("linear_scan", |b| {
-        b.iter(|| std::hint::black_box(linear.optimize(&qft).match_attempts))
-    });
-    group.finish();
-}
-
-/// Incremental vs rebuilt match contexts on QFT-8 (DESIGN.md §5): the same
-/// search, but per-iteration context cost drops from O(circuit) — rebuilding
-/// wire adjacency and gate buckets from the sequence form on every dequeue —
-/// to O(rewrite footprint) on top of a flat clone. The printed counters show
-/// the incremental run rebuilding only the frontier root.
-fn bench_incremental_contexts_qft8(c: &mut Criterion) {
-    let (ecc_set, _) = build_ecc_set(GateSetKind::Nam, 2, 2);
-    let qft = approximate_qft(8);
-    let config = SearchConfig {
-        timeout: Duration::from_secs(120),
-        max_iterations: 8,
-        ..SearchConfig::default()
-    };
-    let incremental = Optimizer::from_ecc_set(&ecc_set, config.clone());
-    let rebuild_all = Optimizer::from_ecc_set(
-        &ecc_set,
-        SearchConfig {
-            incremental_contexts: false,
-            ..config
-        },
-    );
-
-    let inc = incremental.optimize(&qft);
-    let reb = rebuild_all.optimize(&qft);
-    println!(
-        "qft_8 contexts: incremental {} rebuilds + {} derives over {} iterations \
-         ({:.1}% derived), rebuild-all {} rebuilds; best cost {} vs {}",
-        inc.ctx_rebuilds,
-        inc.ctx_derives,
-        inc.iterations,
-        100.0 * inc.ctx_derive_rate(),
-        reb.ctx_rebuilds,
-        inc.best_cost,
-        reb.best_cost,
-    );
-    assert_eq!(inc.ctx_rebuilds, 1);
-    assert!(inc.ctx_derives > 0);
-    assert_eq!(inc.best_cost, reb.best_cost);
-
-    let mut group = c.benchmark_group("contexts_qft_8");
-    group.sample_size(10);
-    group.bench_function("incremental", |b| {
-        b.iter(|| std::hint::black_box(incremental.optimize(&qft).ctx_derives))
-    });
-    group.bench_function("rebuild_all", |b| {
-        b.iter(|| std::hint::black_box(rebuild_all.optimize(&qft).ctx_rebuilds))
-    });
-    group.finish();
-}
-
-/// Cached vs full re-matching on QFT-8 (DESIGN.md §8): identical search
-/// outcomes, but the cached engine replaces per-dequeue full-circuit match
-/// passes with footprint-pinned micro-runs over the carried match sites.
-fn bench_cached_matches_qft8(c: &mut Criterion) {
-    let (ecc_set, _) = build_ecc_set(GateSetKind::Nam, 2, 2);
-    let qft = approximate_qft(8);
-    let config = SearchConfig {
-        timeout: Duration::from_secs(120),
-        max_iterations: 8,
-        ..SearchConfig::default()
-    };
-    let cached = Optimizer::from_ecc_set(&ecc_set, config.clone());
-    let uncached = Optimizer::from_ecc_set(
-        &ecc_set,
-        SearchConfig {
-            cached_matches: false,
-            ..config
-        },
-    );
-
-    let hit = cached.optimize(&qft);
-    let miss = uncached.optimize(&qft);
-    println!(
-        "qft_8 match cache: {} full passes + {} scoped micro-runs \
-         ({} cached / {} recomputed sites, {:.1}% hit rate) vs {} full passes; \
-         best cost {} vs {}",
-        hit.match_attempts,
-        hit.scoped_rematches,
-        hit.matches_cached,
-        hit.matches_recomputed,
-        100.0 * hit.cache_hit_rate(),
-        miss.match_attempts,
-        hit.best_cost,
-        miss.best_cost,
-    );
-    assert!(hit.match_attempts * 2 <= miss.match_attempts);
-    assert!(hit.cache_hit_rate() > 0.0);
-    assert_eq!(hit.best_cost, miss.best_cost);
-
-    let mut group = c.benchmark_group("match_cache_qft_8");
-    group.sample_size(10);
-    group.bench_function("cached", |b| {
-        b.iter(|| std::hint::black_box(cached.optimize(&qft).matches_cached))
-    });
-    group.bench_function("full_rematch", |b| {
-        b.iter(|| std::hint::black_box(uncached.optimize(&qft).match_attempts))
-    });
-    group.finish();
-}
-
-/// The incremental-fingerprint prefilter vs the materialize-everything
-/// engine on QFT-8, with the tentpole acceptance gates asserted inline:
-/// bit-identical outcomes, a majority of duplicate materializations avoided,
-/// and a zero `fp_confirm_mismatches` canary.
-fn bench_incremental_fingerprints_qft8(c: &mut Criterion) {
-    let (ecc_set, _) = build_ecc_set(GateSetKind::Nam, 2, 2);
-    let qft = approximate_qft(8);
-    let config = SearchConfig {
-        timeout: Duration::from_secs(120),
-        max_iterations: 8,
-        ..SearchConfig::default()
-    };
-    let fast = Optimizer::from_ecc_set(&ecc_set, config.clone());
-    let materializing = Optimizer::from_ecc_set(
-        &ecc_set,
-        SearchConfig {
-            incremental_fingerprints: false,
-            ..config
-        },
-    );
-
-    let on = fast.optimize(&qft);
-    let off = materializing.optimize(&qft);
-    println!(
-        "qft_8 incremental fingerprints: {} of {} duplicates fast-rejected \
-         ({:.1}%), {} materializations avoided, {} confirm mismatches; \
-         best cost {} vs {}",
-        on.fp_fast_rejects,
-        on.dedup_hits,
-        100.0 * on.fp_fast_reject_rate(),
-        on.materializations_avoided,
-        on.fp_confirm_mismatches,
-        on.best_cost,
-        off.best_cost,
-    );
-    assert_eq!(
-        (on.best_cost, on.iterations, on.circuits_seen, on.dedup_hits),
-        (
-            off.best_cost,
-            off.iterations,
-            off.circuits_seen,
-            off.dedup_hits
-        ),
-        "fingerprint engines must be bit-identical"
-    );
-    assert!(on.materializations_avoided * 2 >= on.dedup_hits);
-    assert_eq!(on.fp_confirm_mismatches, 0);
-    assert_eq!(off.fp_fast_rejects, 0);
-
-    let mut group = c.benchmark_group("incremental_fingerprints_qft_8");
-    group.sample_size(10);
-    group.bench_function("previewed", |b| {
-        b.iter(|| std::hint::black_box(fast.optimize(&qft).fp_fast_rejects))
-    });
-    group.bench_function("materialized", |b| {
-        b.iter(|| std::hint::black_box(materializing.optimize(&qft).dedup_hits))
+        b.iter(|| std::hint::black_box(optimizer.optimize(&qft).match_attempts))
     });
     group.finish();
 }
@@ -257,9 +84,6 @@ criterion_group!(
     bench_preprocessing,
     bench_greedy_baseline,
     bench_search_iterations,
-    bench_dispatch_qft8,
-    bench_incremental_contexts_qft8,
-    bench_cached_matches_qft8,
-    bench_incremental_fingerprints_qft8
+    bench_dispatch_qft8
 );
 criterion_main!(benches);

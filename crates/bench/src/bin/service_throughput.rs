@@ -7,37 +7,24 @@
 //!   construction at startup (the historical path);
 //! * *load*: read the committed `libraries/<set>_n<N>_q<Q>.qtzl` artifact —
 //!   ECC payload and prebuilt index — through the `LibraryCache`
-//!   (DESIGN.md §7);
+//!   (DESIGN.md §7).
 //!
-//! and the **match-site cache** (DESIGN.md §8) plus the **exact
-//! structural-hash dedup with deferred materialization** (DESIGN.md §9,
-//! §13): every configuration runs as three engines — `cached` (all
-//! defaults on, deferred), `uncached` (`cached_matches: false`), and
-//! `eager` (`deferred_materialization: false`) — asserting that all
-//! produce bit-identical per-circuit search outcomes while the cached
-//! engine performs at most half the full-circuit pattern match passes, the
-//! prefilter avoids at least half of the candidate materializations with a
-//! zero confirm-mismatch canary, and the deferred engine actually defers.
-//! With `--with-nofp` a fourth engine, `nofp`
-//! (`incremental_fingerprints: false`, every candidate materialized and
-//! hashed from scratch), joins the matrix — it costs more wall-clock than
-//! all other legs combined, so the PR-gating `--quick` CI job omits it and
-//! the scheduled/full job passes the flag.
-//!
-//! Search outcomes must be bit-identical across thread counts, startup
-//! paths, *and* engines (asserted below), so every column is an
-//! apples-to-apples comparison of the same search work.
+//! Search outcomes and effort counters must be bit-identical across thread
+//! counts and startup paths (asserted below), so every column is an
+//! apples-to-apples comparison of the same search work. The structural-hash
+//! dedup (DESIGN.md §13) must reject at least half of all duplicates on the
+//! worker, before any merge, with a zero confirm-mismatch canary.
 //!
 //! Results are also written to `BENCH_search.json` (see
 //! `quartz_bench::report`) so CI archives one machine-readable perf
 //! artifact per run and the trajectory is diffable across commits. With
-//! `--profile`, each engine's run additionally records a per-phase timing
-//! breakdown (match/delta/γ-precheck/preview/canonicalize/fingerprint/
-//! dedup) as `profile/<engine>` suites.
+//! `--profile`, the first run additionally records a per-phase timing
+//! breakdown (derive/match/delta/γ-precheck/preview/fingerprint/dedup) as
+//! the `profile` suite.
 //!
 //! Usage: `cargo run --release -p quartz-bench --bin service_throughput
 //! [-- --quick | --scale full] [--timeout <secs>] [--n <n>] [--q <q>]
-//! [--threads <t>] [--profile] [--with-nofp]`
+//! [--threads <t>] [--profile]`
 
 use quartz_bench::report::{BenchReport, BENCH_SEARCH_FILE};
 use quartz_bench::{build_ecc_set, library_artifact_path, GateSetKind, Scale};
@@ -48,9 +35,8 @@ use quartz_opt::{
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The engine-independent fields of a [`SearchResult`] — the search
-/// *outcome*, identical across thread counts, startup paths, and the
-/// cached/uncached engines (the improvement trace is kept as its cost
+/// The deterministic fields of a [`SearchResult`] — identical across thread
+/// counts and startup paths (the improvement trace is kept as its cost
 /// sequence, timestamps stripped).
 #[derive(Debug, PartialEq)]
 struct OutcomeSummary {
@@ -61,40 +47,10 @@ struct OutcomeSummary {
     circuits_seen: usize,
     dedup_hits: usize,
     trace_costs: Vec<usize>,
-}
-
-/// The matching-effort fields — identical across thread counts and startup
-/// paths *within* one engine, deliberately different between engines (the
-/// difference is the cache's whole point).
-#[derive(Debug, Clone, PartialEq)]
-struct EffortSummary {
     match_attempts: usize,
     match_skips: usize,
-    ctx_rebuilds: usize,
-    ctx_derives: usize,
-    matches_cached: usize,
-    matches_recomputed: usize,
-    cache_invalidate_nodes: usize,
-    scoped_rematches: usize,
     fp_fast_rejects: usize,
-    materializations_avoided: usize,
     fp_confirm_mismatches: usize,
-    dedup_hits_materialized: usize,
-    materializations_deferred: usize,
-    dequeue_materializations: usize,
-}
-
-/// Suite-wide structural-hash prefilter and deferral totals for one engine
-/// (DESIGN.md §9, §13).
-#[derive(Debug, Clone, Copy)]
-struct FpSummary {
-    dedup_hits: usize,
-    fp_fast_rejects: usize,
-    materializations_avoided: usize,
-    fp_confirm_mismatches: usize,
-    dedup_hits_materialized: usize,
-    materializations_deferred: usize,
-    dequeue_materializations: usize,
 }
 
 impl OutcomeSummary {
@@ -107,27 +63,10 @@ impl OutcomeSummary {
             circuits_seen: result.circuits_seen,
             dedup_hits: result.dedup_hits,
             trace_costs: result.improvement_trace.iter().map(|&(_, c)| c).collect(),
-        }
-    }
-}
-
-impl EffortSummary {
-    fn of(result: &SearchResult) -> Self {
-        EffortSummary {
             match_attempts: result.match_attempts,
             match_skips: result.match_skips,
-            ctx_rebuilds: result.ctx_rebuilds,
-            ctx_derives: result.ctx_derives,
-            matches_cached: result.matches_cached,
-            matches_recomputed: result.matches_recomputed,
-            cache_invalidate_nodes: result.cache_invalidate_nodes,
-            scoped_rematches: result.scoped_rematches,
             fp_fast_rejects: result.fp_fast_rejects,
-            materializations_avoided: result.materializations_avoided,
             fp_confirm_mismatches: result.fp_confirm_mismatches,
-            dedup_hits_materialized: result.dedup_hits_materialized,
-            materializations_deferred: result.materializations_deferred,
-            dequeue_materializations: result.dequeue_materializations,
         }
     }
 }
@@ -143,7 +82,6 @@ fn main() {
     // bench-smoke job passes); Scale::from_args handles the rest.
     let scale = Scale::from_args(kind, &args);
     let profile_enabled = args.iter().any(|a| a == "--profile");
-    let with_nofp = args.iter().any(|a| a == "--with-nofp");
     let max_threads = args
         .iter()
         .position(|a| a == "--threads")
@@ -305,32 +243,21 @@ fn main() {
         scale.max_iterations
     );
 
-    let config = |threads: usize, cached: bool, fp: bool, deferred: bool| -> SearchConfig {
+    let run = |index: &Arc<quartz_opt::TransformationIndex>,
+               threads: usize|
+     -> (Duration, Vec<SearchResult>) {
         // The iteration budget must be the binding constraint: runs cut off
         // by the wall clock are legitimately thread-count-dependent, which
         // would void the bit-identicality assertion below. Leave the timeout
         // an order of magnitude above the per-circuit budgets.
-        SearchConfig {
+        let config = SearchConfig {
             timeout: scale.search_timeout.saturating_mul(10 * batch.len() as u32),
             max_iterations: scale.max_iterations,
             num_threads: threads,
-            cached_matches: cached,
-            incremental_fingerprints: fp,
-            deferred_materialization: deferred,
             profile: profile_enabled,
             ..SearchConfig::default()
-        }
-    };
-    let run = |index: &Arc<quartz_opt::TransformationIndex>,
-               threads: usize,
-               cached: bool,
-               fp: bool,
-               deferred: bool|
-     -> (Duration, Vec<SearchResult>) {
-        let service = OptimizationService::new(Optimizer::with_index(
-            Arc::clone(index),
-            config(threads, cached, fp, deferred),
-        ));
+        };
+        let service = OptimizationService::new(Optimizer::with_index(Arc::clone(index), config));
         let start = Instant::now();
         let results = service.optimize_batch(&batch);
         (start.elapsed(), results)
@@ -342,37 +269,11 @@ fn main() {
         vec![1]
     };
     println!(
-        "{:>8} {:>10} {:>9} {:>12} {:>14} {:>10} {:>10} {:>8} {:>10}",
-        "Threads",
-        "Index",
-        "Engine",
-        "Elapsed",
-        "Circuits/sec",
-        "Attempts",
-        "HitRate",
-        "Gates",
-        "Speedup"
+        "{:>8} {:>10} {:>12} {:>14} {:>10} {:>8} {:>10}",
+        "Threads", "Index", "Elapsed", "Circuits/sec", "Attempts", "Gates", "Speedup"
     );
-    // Engine matrix: the default (deferred) engine, matching with the cache
-    // off, eager materialization, and — behind `--with-nofp` — dedup
-    // without the structural-hash preview (every candidate materialized and
-    // hashed from scratch; by far the slowest leg).
-    let mut engines: Vec<(&str, bool, bool, bool)> = vec![
-        ("cached", true, true, true),
-        ("uncached", false, true, true),
-        ("eager", true, true, false),
-    ];
-    if with_nofp {
-        engines.push(("nofp", true, false, true));
-    }
-    let num_engines = engines.len();
     let mut baseline_secs = 0.0;
-    let mut outcome_baseline: Option<Vec<OutcomeSummary>> = None;
-    let mut effort_baselines: Vec<Option<Vec<EffortSummary>>> = vec![None; num_engines];
-    let mut engine_secs: Vec<Option<f64>> = vec![None; num_engines];
-    let mut engine_attempts: Vec<Option<usize>> = vec![None; num_engines];
-    let mut engine_hit_rate: Vec<Option<f64>> = vec![None; num_engines];
-    let mut fp_totals: Vec<Option<FpSummary>> = vec![None; num_engines];
+    let mut first: Option<Vec<SearchResult>> = None;
     for &threads in &thread_counts {
         let mut indexes: Vec<(&str, Arc<quartz_opt::TransformationIndex>)> =
             vec![("generated", Arc::clone(&generated))];
@@ -380,266 +281,64 @@ fn main() {
             indexes.push(("loaded", library.shared_index()));
         }
         for (label, index) in indexes {
-            for (engine_id, (engine, cached, fp, deferred)) in engines.iter().enumerate() {
-                let (elapsed, results) = run(&index, threads, *cached, *fp, *deferred);
-                let secs = elapsed.as_secs_f64();
-                let total: usize = results.iter().map(|r| r.best_cost).sum();
-                let attempts = sum(&results, |r| r.match_attempts);
-                let cached_total = sum(&results, |r| r.matches_cached);
-                let recomputed_total = sum(&results, |r| r.matches_recomputed);
-                let hit_rate = if cached_total + recomputed_total == 0 {
-                    0.0
-                } else {
-                    cached_total as f64 / (cached_total + recomputed_total) as f64
-                };
-
-                // Outcomes are bit-identical across thread counts, startup
-                // paths, and engines; matching effort is identical across
-                // thread counts and startup paths *within* an engine.
-                let outcome: Vec<OutcomeSummary> = results.iter().map(OutcomeSummary::of).collect();
-                match &outcome_baseline {
-                    None => {
-                        baseline_secs = secs;
-                        outcome_baseline = Some(outcome);
-                    }
-                    Some(expected) => assert_eq!(
-                        expected, &outcome,
-                        "search outcomes must be identical across thread counts, \
-                         startup paths, and the cached/uncached engines"
-                    ),
-                }
-                let effort: Vec<EffortSummary> = results.iter().map(EffortSummary::of).collect();
-                match &effort_baselines[engine_id] {
-                    None => effort_baselines[engine_id] = Some(effort),
-                    Some(expected) => assert_eq!(
-                        expected, &effort,
-                        "{engine}: matching effort must be identical across thread \
-                         counts and startup paths"
-                    ),
-                }
-                if engine_secs[engine_id].is_none() {
-                    engine_secs[engine_id] = Some(secs);
-                    engine_attempts[engine_id] = Some(attempts);
-                    engine_hit_rate[engine_id] = Some(hit_rate);
-                    fp_totals[engine_id] = Some(FpSummary {
-                        dedup_hits: sum(&results, |r| r.dedup_hits),
-                        fp_fast_rejects: sum(&results, |r| r.fp_fast_rejects),
-                        materializations_avoided: sum(&results, |r| r.materializations_avoided),
-                        fp_confirm_mismatches: sum(&results, |r| r.fp_confirm_mismatches),
-                        dedup_hits_materialized: sum(&results, |r| r.dedup_hits_materialized),
-                        materializations_deferred: sum(&results, |r| r.materializations_deferred),
-                        dequeue_materializations: sum(&results, |r| r.dequeue_materializations),
-                    });
-                    if profile_enabled {
-                        let mut profile = quartz_opt::SearchProfile::default();
-                        for r in &results {
-                            profile.accumulate(&r.profile);
-                        }
-                        let suite = report.suite(&format!("profile/{engine}"));
-                        for (phase, phase_secs) in profile.phases() {
-                            suite.metric(&format!("{phase}_secs"), phase_secs);
-                        }
-                        suite.metric("total_secs", profile.total().as_secs_f64());
-                    }
-                }
-
-                println!(
-                    "{:>8} {:>10} {:>9} {:>12.2?} {:>14.2} {:>10} {:>9.1}% {:>8} {:>9.2}x",
-                    threads,
-                    label,
-                    engine,
-                    elapsed,
-                    batch.len() as f64 / secs,
-                    attempts,
-                    100.0 * hit_rate,
-                    total,
-                    baseline_secs / secs
-                );
-                report
-                    .suite(&format!("throughput/t{threads}/{label}/{engine}"))
-                    .metric("threads", threads as f64)
-                    .metric("wall_secs", secs)
-                    .metric("circuits_per_sec", batch.len() as f64 / secs)
-                    .metric("match_attempts", attempts as f64)
-                    .metric(
-                        "scoped_rematches",
-                        sum(&results, |r| r.scoped_rematches) as f64,
-                    )
-                    .metric("matches_cached", cached_total as f64)
-                    .metric("matches_recomputed", recomputed_total as f64)
-                    .metric("cache_hit_rate", hit_rate)
-                    .metric("dedup_hits", sum(&results, |r| r.dedup_hits) as f64)
-                    .metric(
-                        "fp_fast_rejects",
-                        sum(&results, |r| r.fp_fast_rejects) as f64,
-                    )
-                    .metric(
-                        "materializations_avoided",
-                        sum(&results, |r| r.materializations_avoided) as f64,
-                    )
-                    .metric(
-                        "fp_confirm_mismatches",
-                        sum(&results, |r| r.fp_confirm_mismatches) as f64,
-                    )
-                    .metric(
-                        "materializations_deferred",
-                        sum(&results, |r| r.materializations_deferred) as f64,
-                    )
-                    .metric(
-                        "dequeue_materializations",
-                        sum(&results, |r| r.dequeue_materializations) as f64,
-                    )
-                    .metric("total_best_cost", total as f64);
+            let (elapsed, results) = run(&index, threads);
+            let secs = elapsed.as_secs_f64();
+            let total: usize = results.iter().map(|r| r.best_cost).sum();
+            let attempts = sum(&results, |r| r.match_attempts);
+            if first.is_none() {
+                baseline_secs = secs;
+            }
+            println!(
+                "{:>8} {:>10} {:>12.2?} {:>14.2} {:>10} {:>8} {:>9.2}x",
+                threads,
+                label,
+                elapsed,
+                batch.len() as f64 / secs,
+                attempts,
+                total,
+                baseline_secs / secs
+            );
+            report
+                .suite(&format!("throughput/t{threads}/{label}"))
+                .metric("threads", threads as f64)
+                .metric("wall_secs", secs)
+                .metric("circuits_per_sec", batch.len() as f64 / secs)
+                .metric("iterations", sum(&results, |r| r.iterations) as f64)
+                .metric("circuits_seen", sum(&results, |r| r.circuits_seen) as f64)
+                .metric("match_attempts", attempts as f64)
+                .metric("dedup_hits", sum(&results, |r| r.dedup_hits) as f64)
+                .metric(
+                    "fp_fast_rejects",
+                    sum(&results, |r| r.fp_fast_rejects) as f64,
+                )
+                .metric(
+                    "fp_confirm_mismatches",
+                    sum(&results, |r| r.fp_confirm_mismatches) as f64,
+                )
+                .metric("total_best_cost", total as f64);
+            match &first {
+                None => first = Some(results),
+                Some(expected) => assert_eq!(
+                    expected.iter().map(OutcomeSummary::of).collect::<Vec<_>>(),
+                    results.iter().map(OutcomeSummary::of).collect::<Vec<_>>(),
+                    "search outcomes must be identical across thread counts and startup paths"
+                ),
             }
         }
     }
-
-    // Acceptance (ISSUE 5): the cached engine must attempt at most half the
-    // full-circuit pattern matches with a nonzero hit rate, for identical
-    // results; the wall-time ratio is recorded in the artifact.
-    let cached_attempts = engine_attempts[0].expect("cached engine ran");
-    let uncached_attempts = engine_attempts[1].expect("uncached engine ran");
-    let hit_rate = engine_hit_rate[0].expect("cached engine ran");
-    assert!(
-        cached_attempts * 2 <= uncached_attempts,
-        "match-site cache must at least halve full match passes over the suite: \
-         cached {cached_attempts} vs uncached {uncached_attempts}"
-    );
-    assert!(hit_rate > 0.0, "cache hit rate must be nonzero");
-    let match_speedup = engine_secs[1].unwrap_or(0.0) / engine_secs[0].unwrap_or(1.0).max(1e-9);
-    report
-        .suite("cache_acceptance")
-        .metric("cached_match_attempts", cached_attempts as f64)
-        .metric("uncached_match_attempts", uncached_attempts as f64)
-        .metric(
-            "attempts_reduction",
-            uncached_attempts as f64 / (cached_attempts as f64).max(1.0),
-        )
-        .metric("cache_hit_rate", hit_rate)
-        .metric("wall_time_speedup_1thread", match_speedup);
-    println!(
-        "\nMatch-site cache: {cached_attempts} vs {uncached_attempts} full match passes \
-         ({:.1}x fewer), {:.1}% hit rate, {match_speedup:.2}x wall-time speedup at 1 thread",
-        uncached_attempts as f64 / (cached_attempts as f64).max(1.0),
-        100.0 * hit_rate,
-    );
-
-    // Acceptance (ISSUE 6): the structural-hash prefilter must avoid at
-    // least half of the duplicate materializations for identical results,
-    // with a zero confirm-mismatch canary.
-    let fp_on = fp_totals[0].expect("default engine ran");
-    assert_eq!(
-        fp_on.dedup_hits,
-        fp_on.fp_fast_rejects + fp_on.dedup_hits_materialized,
-        "dedup accounting identity violated"
-    );
-    assert_eq!(
-        fp_on.fp_confirm_mismatches, 0,
-        "a structural-hash preview disagreed with its materialized confirmation"
-    );
-    assert!(
-        fp_on.materializations_avoided * 2 >= fp_on.dedup_hits,
-        "prefilter must avoid at least half of all duplicate materializations: \
-         avoided {} of {} dedup hits",
-        fp_on.materializations_avoided,
-        fp_on.dedup_hits
-    );
-
-    // Acceptance (ISSUE 10): the deferred default must actually defer —
-    // first-sight candidates are enqueued without circuits, only dequeued
-    // entries materialize — while the eager leg defers nothing and both
-    // legs' dequeue-time/admission-time confirmation canaries stay at zero.
-    let eager_totals = fp_totals[2].expect("eager engine ran");
-    assert!(
-        fp_on.materializations_deferred > 0,
-        "the deferred engine must enqueue circuit-less candidates"
-    );
-    assert!(
-        fp_on.dequeue_materializations <= fp_on.materializations_deferred,
-        "deferral can only materialize a subset of what it enqueued: \
-         {} dequeued vs {} deferred",
-        fp_on.dequeue_materializations,
-        fp_on.materializations_deferred
-    );
-    assert_eq!(
-        (
-            eager_totals.materializations_deferred,
-            eager_totals.dequeue_materializations,
-            eager_totals.fp_confirm_mismatches
-        ),
-        (0, 0, 0),
-        "the eager engine must materialize everything at admission"
-    );
-    let avoided_rate = if fp_on.dedup_hits == 0 {
-        0.0
-    } else {
-        fp_on.materializations_avoided as f64 / fp_on.dedup_hits as f64
-    };
-    let eager_speedup = engine_secs[2].unwrap_or(0.0) / engine_secs[0].unwrap_or(1.0).max(1e-9);
-    let fp_suite = report.suite("fp_acceptance");
-    fp_suite
-        .metric("dedup_hits", fp_on.dedup_hits as f64)
-        .metric("fp_fast_rejects", fp_on.fp_fast_rejects as f64)
-        .metric(
-            "materializations_avoided",
-            fp_on.materializations_avoided as f64,
-        )
-        .metric("fp_confirm_mismatches", fp_on.fp_confirm_mismatches as f64)
-        .metric("materializations_avoided_rate", avoided_rate)
-        .metric(
-            "materializations_deferred",
-            fp_on.materializations_deferred as f64,
-        )
-        .metric(
-            "dequeue_materializations",
-            fp_on.dequeue_materializations as f64,
-        )
-        .metric("eager_wall_time_ratio_1thread", eager_speedup);
-    println!(
-        "Structural-hash dedup: avoided {} of {} duplicate materializations \
-         ({:.1}%), 0 confirm mismatches; deferred {} admissions, materialized \
-         {} at dequeue ({:.2}x vs eager at 1 thread)",
-        fp_on.materializations_avoided,
-        fp_on.dedup_hits,
-        100.0 * avoided_rate,
-        fp_on.materializations_deferred,
-        fp_on.dequeue_materializations,
-        eager_speedup,
-    );
-
-    // The nofp leg (every candidate materialized and hashed from scratch)
-    // only runs under `--with-nofp`; its assertions pin the check-order
-    // parity that keeps its outcomes identical to the fast engines'.
-    if with_nofp {
-        let fp_off = fp_totals[3].expect("nofp engine ran");
-        assert_eq!(
-            (
-                fp_off.fp_fast_rejects,
-                fp_off.materializations_avoided,
-                fp_off.materializations_deferred,
-                fp_off.dequeue_materializations,
-            ),
-            (0, 0, 0, 0),
-            "the nofp engine must not touch the preview fast path or defer"
-        );
-        assert_eq!(
-            fp_off.dedup_hits_materialized, fp_off.dedup_hits,
-            "without the prefilter every dedup hit pays materialization"
-        );
-        assert_eq!(
-            fp_off.fp_confirm_mismatches, 0,
-            "the nofp engine performs no confirmations"
-        );
-        let nofp_speedup = engine_secs[3].unwrap_or(0.0) / engine_secs[0].unwrap_or(1.0).max(1e-9);
-        report
-            .suite("fp_acceptance")
-            .metric("nofp_wall_time_ratio_1thread", nofp_speedup);
-        println!(
-            "nofp reference leg: {} dedup hits, all materialized, \
-             {nofp_speedup:.2}x wall-time vs the deferred default at 1 thread",
-            fp_off.dedup_hits,
-        );
+    let first = first.expect("at least one run");
+    if profile_enabled {
+        let mut profile = quartz_opt::SearchProfile::default();
+        for r in &first {
+            profile.accumulate(&r.profile);
+        }
+        let suite = report.suite("profile");
+        for (phase, phase_secs) in profile.phases() {
+            suite.metric(&format!("{phase}_secs"), phase_secs);
+        }
+        suite.metric("total_secs", profile.total().as_secs_f64());
     }
+    fp_acceptance(&mut report, &first);
 
     // -- Seen-set probe cost: FxHash vs pass-through identity hashing ------
     // The seen-set keys are already finalized 64-bit hashes, so the set can
@@ -721,4 +420,34 @@ fn main() {
         Ok(()) => println!("Wrote {BENCH_SEARCH_FILE} ({} suites)", report.len()),
         Err(e) => println!("warning: could not write {BENCH_SEARCH_FILE}: {e}"),
     }
+}
+
+/// Acceptance for the structural-hash dedup (DESIGN.md §13): at least half
+/// of all duplicates die on the worker, by previewing the successor's hash
+/// without materializing it, and no dequeued entry's hash contradicts the
+/// preview that admitted it.
+fn fp_acceptance(report: &mut BenchReport, results: &[SearchResult]) {
+    let dedup_hits = sum(results, |r| r.dedup_hits);
+    let fast = sum(results, |r| r.fp_fast_rejects);
+    let mismatches = sum(results, |r| r.fp_confirm_mismatches);
+    assert_eq!(
+        mismatches, 0,
+        "a structural-hash preview disagreed with its dequeue-time confirmation"
+    );
+    assert!(
+        fast * 2 >= dedup_hits,
+        "the preview must reject at least half of all duplicates: {fast} of {dedup_hits}"
+    );
+    let rate = fast as f64 / (dedup_hits as f64).max(1.0);
+    report
+        .suite("fp_acceptance")
+        .metric("dedup_hits", dedup_hits as f64)
+        .metric("fp_fast_rejects", fast as f64)
+        .metric("fp_confirm_mismatches", mismatches as f64)
+        .metric("fp_fast_reject_rate", rate);
+    println!(
+        "Structural-hash dedup: {fast} of {dedup_hits} duplicates ({:.1}%) rejected \
+         before any merge, 0 confirm mismatches",
+        100.0 * rate
+    );
 }

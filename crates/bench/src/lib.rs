@@ -378,7 +378,7 @@ pub fn print_optimization_table(
         scale.search_timeout
     );
     println!(
-        "{:<16} {:>8} {:>14} {:>12} {:>12} {:>10} {:>10} {:>10} {:>10}",
+        "{:<16} {:>8} {:>14} {:>12} {:>12} {:>10} {:>10} {:>10}",
         "Circuit",
         "Orig.",
         "GreedyRules",
@@ -386,12 +386,11 @@ pub fn print_optimization_table(
         "Quartz",
         "Reduction",
         "IdxSkip%",
-        "DedupHits",
-        "CtxDrv%"
+        "DedupHits"
     );
     for r in rows {
         println!(
-            "{:<16} {:>8} {:>14} {:>12} {:>12} {:>9.1}% {:>9.1}% {:>10} {:>9.1}%",
+            "{:<16} {:>8} {:>14} {:>12} {:>12} {:>9.1}% {:>9.1}% {:>10}",
             r.name,
             r.original,
             r.greedy_baseline,
@@ -399,8 +398,7 @@ pub fn print_optimization_table(
             r.quartz,
             100.0 * (1.0 - r.quartz as f64 / r.original.max(1) as f64),
             100.0 * r.search.dispatch_skip_rate(),
-            r.search.dedup_hits,
-            100.0 * r.search.ctx_derive_rate()
+            r.search.dedup_hits
         );
     }
     let preprocess_red = geo_mean_reduction(rows, |r| r.preprocessed);
@@ -539,6 +537,10 @@ pub fn print_pruning_table(kind: GateSetKind, rows: &[GeneratorRow]) {
 }
 
 #[cfg(test)]
+#[path = "../../opt/tests/oracle/mod.rs"]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -579,18 +581,8 @@ mod tests {
             match_attempts: 0,
             match_skips: 0,
             dedup_hits: 0,
-            ctx_rebuilds: 0,
-            ctx_derives: 0,
-            matches_cached: 0,
-            matches_recomputed: 0,
-            cache_invalidate_nodes: 0,
-            scoped_rematches: 0,
             fp_fast_rejects: 0,
             fp_confirm_mismatches: 0,
-            materializations_avoided: 0,
-            dedup_hits_materialized: 0,
-            materializations_deferred: 0,
-            dequeue_materializations: 0,
             profile: Default::default(),
         };
         let rows = vec![CircuitRow {
@@ -613,174 +605,34 @@ mod tests {
         assert!(rows[1].possible_circuits > rows[0].possible_circuits);
     }
 
-    /// Acceptance check for the indexed dispatch layer: on QFT-8 (which
-    /// contains no X gates) the index must attempt strictly fewer pattern
-    /// matches than the linear scan while reaching the same best cost.
+    /// Acceptance check for the indexed dispatch layer on QFT-8 (which
+    /// contains no X gates): the engine reaches exactly the oracle's
+    /// outcome — the oracle scans every transformation on every dequeue and
+    /// rebuilds every match context — while attempting strictly fewer
+    /// pattern matches.
     #[test]
     fn indexed_dispatch_attempts_fewer_matches_on_qft8() {
         let (ecc_set, _) = build_ecc_set(GateSetKind::Nam, 2, 2);
         let qft = quartz_circuits::approximate_qft(8);
         let config = SearchConfig {
-            timeout: Duration::from_secs(120),
+            timeout: Duration::from_secs(600),
             max_iterations: 8,
             ..SearchConfig::default()
         };
-        let indexed = Optimizer::from_ecc_set(&ecc_set, config.clone()).optimize(&qft);
-        let linear = Optimizer::from_ecc_set(
-            &ecc_set,
-            SearchConfig {
-                use_index: false,
-                ..config
-            },
-        )
-        .optimize(&qft);
-        assert!(
-            indexed.best_cost <= linear.best_cost,
-            "indexed search found a worse circuit: {} vs {}",
-            indexed.best_cost,
-            linear.best_cost
-        );
+        let optimizer = Optimizer::from_ecc_set(&ecc_set, config.clone());
+        let indexed = optimizer.optimize(&qft);
+        let linear = oracle::run(optimizer.transformations(), &config, &qft);
+        oracle::assert_agrees(&indexed, &linear, "qft_8");
         assert!(
             indexed.match_attempts < linear.match_attempts,
             "index did not reduce match attempts: {} vs {}",
             indexed.match_attempts,
             linear.match_attempts
         );
-        assert!(indexed.match_skips > 0);
-        assert_eq!(linear.match_skips, 0);
-    }
-
-    /// Acceptance check for the incremental-context layer on QFT-8: the
-    /// incremental engine rebuilds a context only at the frontier root,
-    /// derives everywhere else, and is bit-identical to the engine that
-    /// rebuilds every context from the sequence form. Match caching is off
-    /// on both sides so even `match_attempts` must agree exactly (the
-    /// cached engine's attempt reduction is asserted separately).
-    #[test]
-    fn incremental_contexts_on_qft8_derive_everywhere_but_the_root() {
-        let (ecc_set, _) = build_ecc_set(GateSetKind::Nam, 2, 2);
-        let qft = quartz_circuits::approximate_qft(8);
-        let config = SearchConfig {
-            timeout: Duration::from_secs(120),
-            max_iterations: 8,
-            cached_matches: false,
-            ..SearchConfig::default()
-        };
-        let incremental = Optimizer::from_ecc_set(&ecc_set, config.clone()).optimize(&qft);
-        let rebuilt = Optimizer::from_ecc_set(
-            &ecc_set,
-            SearchConfig {
-                incremental_contexts: false,
-                ..config
-            },
-        )
-        .optimize(&qft);
-
-        // Context accounting.
         assert_eq!(
-            incremental.ctx_rebuilds, 1,
-            "only the frontier root may rebuild its context"
+            indexed.match_attempts + indexed.match_skips,
+            linear.match_attempts
         );
-        assert!(incremental.ctx_derives > 0);
-        assert_eq!(incremental.ctx_derives, incremental.iterations - 1);
-        assert_eq!(rebuilt.ctx_derives, 0);
-        assert_eq!(rebuilt.ctx_rebuilds, rebuilt.iterations);
-
-        // Bit-identical search outcomes.
-        assert_eq!(incremental.best_circuit, rebuilt.best_circuit);
-        assert_eq!(incremental.best_cost, rebuilt.best_cost);
-        assert_eq!(incremental.iterations, rebuilt.iterations);
-        assert_eq!(incremental.circuits_seen, rebuilt.circuits_seen);
-        assert_eq!(incremental.match_attempts, rebuilt.match_attempts);
-        assert_eq!(incremental.dedup_hits, rebuilt.dedup_hits);
-    }
-
-    /// Acceptance check for the match-site cache on QFT-8 (ISSUE 5): with
-    /// `cached_matches: true` (the default) the search must attempt at most
-    /// half the pattern matches of the full-re-match engine while producing
-    /// a bit-identical search outcome and a nonzero cache hit rate.
-    #[test]
-    fn cached_matches_on_qft8_halve_match_attempts() {
-        let (ecc_set, _) = build_ecc_set(GateSetKind::Nam, 2, 2);
-        let qft = quartz_circuits::approximate_qft(8);
-        let config = SearchConfig {
-            timeout: Duration::from_secs(120),
-            max_iterations: 8,
-            ..SearchConfig::default()
-        };
-        assert!(config.cached_matches);
-        let cached = Optimizer::from_ecc_set(&ecc_set, config.clone()).optimize(&qft);
-        let uncached = Optimizer::from_ecc_set(
-            &ecc_set,
-            SearchConfig {
-                cached_matches: false,
-                ..config
-            },
-        )
-        .optimize(&qft);
-
-        // Bit-identical search outcome.
-        assert_eq!(cached.best_circuit, uncached.best_circuit);
-        assert_eq!(cached.best_cost, uncached.best_cost);
-        assert_eq!(cached.iterations, uncached.iterations);
-        assert_eq!(cached.circuits_seen, uncached.circuits_seen);
-        assert_eq!(cached.dedup_hits, uncached.dedup_hits);
-        assert_eq!(cached.match_skips, uncached.match_skips);
-        let cached_trace: Vec<usize> = cached.improvement_trace.iter().map(|&(_, c)| c).collect();
-        let uncached_trace: Vec<usize> =
-            uncached.improvement_trace.iter().map(|&(_, c)| c).collect();
-        assert_eq!(cached_trace, uncached_trace);
-
-        // ≥ 2× fewer matcher runs, served from the carried cache instead.
-        assert!(
-            cached.match_attempts * 2 <= uncached.match_attempts,
-            "expected at least a 2x match_attempts reduction on QFT-8: \
-             cached {} vs uncached {}",
-            cached.match_attempts,
-            uncached.match_attempts
-        );
-        assert!(cached.matches_cached > 0);
-        assert!(cached.cache_hit_rate() > 0.0);
-        assert!(cached.cache_invalidate_nodes > 0);
-    }
-
-    /// The same acceptance on the preprocessed NAM quick-suite members: the
-    /// cached engine is outcome-identical and attempts at most half the
-    /// pattern matches, on every suite circuit.
-    #[test]
-    fn cached_matches_halve_match_attempts_on_nam_suite() {
-        let (ecc_set, _) = build_ecc_set(GateSetKind::Nam, 2, 2);
-        let config = SearchConfig {
-            timeout: Duration::from_secs(300),
-            max_iterations: 10,
-            ..SearchConfig::default()
-        };
-        let cached_opt = Optimizer::from_ecc_set(&ecc_set, config.clone());
-        let uncached_opt = Optimizer::from_ecc_set(
-            &ecc_set,
-            SearchConfig {
-                cached_matches: false,
-                ..config
-            },
-        );
-        for name in ["tof_3", "mod5_4"] {
-            let circuit = preprocess_nam(&suite::build_clifford_t(name).expect("known benchmark"));
-            let cached = cached_opt.optimize(&circuit);
-            let uncached = uncached_opt.optimize(&circuit);
-            assert_eq!(cached.best_circuit, uncached.best_circuit, "{name}");
-            assert_eq!(cached.best_cost, uncached.best_cost, "{name}");
-            assert_eq!(cached.iterations, uncached.iterations, "{name}");
-            assert_eq!(cached.circuits_seen, uncached.circuits_seen, "{name}");
-            assert_eq!(cached.dedup_hits, uncached.dedup_hits, "{name}");
-            assert!(
-                cached.match_attempts * 2 <= uncached.match_attempts,
-                "{name}: expected at least a 2x match_attempts reduction, \
-                 got cached {} vs uncached {}",
-                cached.match_attempts,
-                uncached.match_attempts
-            );
-            assert!(cached.cache_hit_rate() > 0.0, "{name}");
-        }
     }
 
     /// Determinism of the batched parallel engine: on the NAM (2,2) suite,

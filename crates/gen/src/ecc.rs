@@ -27,13 +27,12 @@
 //! ```
 
 use quartz_ir::Circuit;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::Path;
 
 /// An equivalence class of circuits. The first circuit is the representative
 /// (the ≺-minimal member).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ecc {
     circuits: Vec<Circuit>,
 }
@@ -120,7 +119,7 @@ impl fmt::Display for Ecc {
 
 /// A set of ECCs over a fixed number of qubits and parameters — the compact
 /// representation of a transformation library.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EccSet {
     /// Number of qubits every member circuit is defined over.
     pub num_qubits: usize,

@@ -1,4 +1,4 @@
-//! Indexed transformation dispatch (DESIGN.md §2.2, §8.2).
+//! Indexed transformation dispatch (DESIGN.md §2.2).
 //!
 //! The search dequeues a circuit and must decide which transformations to
 //! attempt. The naive approach — run the pattern matcher for *every*
@@ -28,15 +28,6 @@
 //! transformation order — produces exactly the same rewrites as the full
 //! linear scan, and the search explores an identical state space.
 //!
-//! For the optimizer's match-site cache (DESIGN.md §8) the index also
-//! answers the *dirty dispatch* query
-//! ([`TransformationIndex::dirty_candidates_into`]): given the local
-//! evidence a splice left behind — the inserted nodes' gate types and the
-//! wire adjacencies it created — which transformations could possibly have
-//! gained a match? Patterns are looked up by the ordered (predecessor,
-//! successor) gate-type pairs on their wires, so a rewrite dispatches only
-//! the handful of patterns that can actually straddle its footprint.
-//!
 //! The hot loop reuses an [`IndexScratch`] (an epoch-stamped visited set)
 //! across dequeues so candidate selection allocates nothing in steady state.
 //!
@@ -49,7 +40,7 @@
 //! metadata below is cheap and recomputed at load time.
 
 use crate::xform::Transformation;
-use quartz_ir::{FxHashMap, Gate, GateHistogram, ALL_GATES};
+use quartz_ir::{Gate, GateHistogram, ALL_GATES};
 
 /// Per-pattern metadata precomputed at index construction.
 #[derive(Debug, Clone)]
@@ -60,24 +51,11 @@ struct PatternMeta {
     qubit_span: u32,
     /// `true` when every pattern instruction after the first shares a wire
     /// with an earlier one — i.e. any match is a wire-connected subcircuit.
-    /// Multi-gate connected patterns are dirty-dispatched purely by
-    /// adjacency pairs; disconnected ones also answer to the inserted
-    /// gate-type lookup (a lone component can bind an inserted node with no
-    /// pattern-internal adjacency involved).
     connected: bool,
 }
 
-/// An ordered pair of gate types that are directly wire-adjacent somewhere
-/// in a target pattern (predecessor type, successor type).
-type GatePair = (u8, u8);
-
-fn gate_pair(pred: Gate, succ: Gate) -> GatePair {
-    (pred.index() as u8, succ.index() as u8)
-}
-
-/// Reusable scratch state for [`TransformationIndex::candidates_into`] /
-/// [`TransformationIndex::dirty_candidates_into`]: an epoch-stamped visited
-/// set plus a sort buffer, so the per-dequeue hot path allocates nothing
+/// Reusable scratch state for [`TransformationIndex::candidates_into`]: an
+/// epoch-stamped visited set plus a sort buffer, so the per-dequeue hot path allocates nothing
 /// once warm. One scratch per thread; any scratch works with any index of
 /// the same size (the visited stamps reset logically on every call).
 #[derive(Debug, Default)]
@@ -133,13 +111,6 @@ pub struct TransformationIndex {
     /// Transformation ids bucketed by every gate type their pattern uses
     /// (multi-membership), each bucket ascending. Derived, never serialized.
     gate_buckets: Vec<Vec<usize>>,
-    /// Transformation ids bucketed by every (predecessor, successor) gate
-    /// type pair that is directly wire-adjacent in their pattern, each
-    /// bucket ascending. The dirty-dispatch key for rewrites that bridge
-    /// two old nodes together. Derived, never serialized. Keyed with the
-    /// deterministic in-tree FxHash (`quartz_ir::fx`): this map sits on the
-    /// dirty-dispatch hot path and its keys are tiny fixed-width pairs.
-    pair_buckets: FxHashMap<GatePair, Vec<usize>>,
     /// Largest target-pattern gate count — an upper bound on how far (in
     /// wire hops) any match can extend from a node it binds.
     max_pattern_len: usize,
@@ -178,7 +149,6 @@ impl TransformationIndex {
     fn assemble(transformations: Vec<Transformation>, buckets: Vec<Vec<usize>>) -> Self {
         let mut metas = Vec::with_capacity(transformations.len());
         let mut gate_buckets: Vec<Vec<usize>> = vec![Vec::new(); Gate::COUNT];
-        let mut pair_buckets: FxHashMap<GatePair, Vec<usize>> = FxHashMap::default();
         let mut max_pattern_len = 0usize;
         for (id, xform) in transformations.iter().enumerate() {
             let target = &xform.target;
@@ -193,27 +163,11 @@ impl TransformationIndex {
                     }
                 }
             }
-            let preds = target.wire_predecessors();
-            let connected = preds
+            let connected = target
+                .wire_predecessors()
                 .iter()
-                .enumerate()
                 .skip(1)
-                .all(|(_, ps)| ps.iter().any(|p| p.is_some()));
-            let mut pairs: Vec<GatePair> = Vec::new();
-            for (j, ops) in preds.iter().enumerate() {
-                for i in ops.iter().flatten() {
-                    let pair = gate_pair(
-                        target.instructions()[*i].gate,
-                        target.instructions()[j].gate,
-                    );
-                    if !pairs.contains(&pair) {
-                        pairs.push(pair);
-                    }
-                }
-            }
-            for pair in pairs {
-                pair_buckets.entry(pair).or_default().push(id);
-            }
+                .all(|ps| ps.iter().any(|p| p.is_some()));
             for gate in ALL_GATES {
                 if gate_mask & (1 << gate.index()) != 0 {
                     gate_buckets[gate.index()].push(id);
@@ -231,7 +185,6 @@ impl TransformationIndex {
             metas,
             buckets,
             gate_buckets,
-            pair_buckets,
             max_pattern_len,
         }
     }
@@ -328,8 +281,7 @@ impl TransformationIndex {
     /// Largest target-pattern gate count in the index. Any match of a
     /// *connected* pattern lies within `max_pattern_len() - 1` undirected
     /// wire hops ([`quartz_ir::CircuitDag::neighborhood`]) of each of its
-    /// own nodes. Introspection only — dirty dispatch pins exact nodes
-    /// rather than bounding a search radius (DESIGN.md §8.2).
+    /// own nodes. Introspection only.
     pub fn max_pattern_len(&self) -> usize {
         self.max_pattern_len
     }
@@ -367,7 +319,7 @@ impl TransformationIndex {
     /// Present gate types are walked rarest-in-this-circuit first, so each
     /// transformation is examined exactly once, through its most selective
     /// pattern gate *for this circuit* (the per-circuit re-anchoring pass of
-    /// DESIGN.md §8.2), and a single count comparison on that gate rejects
+    /// DESIGN.md §2.2), and a single count comparison on that gate rejects
     /// most non-candidates before the full histogram subsumption check.
     pub fn candidates_into(
         &self,
@@ -405,77 +357,6 @@ impl TransformationIndex {
             }
         }
         scratch.rarity = rarity;
-        out.sort_unstable();
-    }
-
-    /// Fills `out` with the ids of every transformation that could have
-    /// *gained* a structural match from a splice, given the local evidence
-    /// the splice left behind: `inserted_mask` (a bitmask over
-    /// [`ALL_GATES`] indices of the inserted nodes' gate types) and
-    /// `dirty_pairs` — every ordered (predecessor, successor) gate-type
-    /// pair that is wire-adjacent *at* an inserted node in the spliced
-    /// circuit, plus the pairs of boundary nodes the splice bridged into
-    /// direct adjacency. Ascending; always a subset of
-    /// [`TransformationIndex::candidates_into`].
-    ///
-    /// Soundness (the dirty-dispatch argument of DESIGN.md §8.2): a
-    /// structural match that is new after a splice either
-    ///
-    /// * binds an inserted node `i` — then for a single-gate pattern its
-    ///   gate type is `i`'s (the `inserted_mask` lookup); for a
-    ///   wire-connected multi-gate pattern, some pattern wire edge at `i`'s
-    ///   position maps to a direct circuit adjacency at `i`, so the
-    ///   pattern contains one of `dirty_pairs`; disconnected patterns
-    ///   (where `i`'s component may be a lone gate) fall back to the
-    ///   `inserted_mask` type lookup; or
-    /// * avoids all inserted nodes — then it can only have become valid
-    ///   because a pattern wire edge now maps onto a *bridged* boundary
-    ///   adjacency, so the pattern contains that bridged pair.
-    pub fn dirty_candidates_into(
-        &self,
-        circuit_histogram: &GateHistogram,
-        num_qubits: usize,
-        inserted_mask: u32,
-        dirty_pairs: &[(Gate, Gate)],
-        scratch: &mut IndexScratch,
-        out: &mut Vec<usize>,
-    ) {
-        out.clear();
-        scratch.begin(self.transformations.len());
-        let consider =
-            |id: usize, metas: &[PatternMeta], scratch: &mut IndexScratch, out: &mut Vec<usize>| {
-                if !scratch.visit(id) {
-                    return;
-                }
-                let meta = &metas[id];
-                if meta.qubit_span as usize <= num_qubits
-                    && meta.histogram.is_subset_of(circuit_histogram)
-                {
-                    out.push(id);
-                }
-            };
-        for &(pred, succ) in dirty_pairs {
-            if let Some(bucket) = self.pair_buckets.get(&gate_pair(pred, succ)) {
-                for &id in bucket {
-                    consider(id, &self.metas, scratch, out);
-                }
-            }
-        }
-        if inserted_mask != 0 {
-            for gate in ALL_GATES {
-                if inserted_mask & (1 << gate.index()) == 0 {
-                    continue;
-                }
-                for &id in &self.gate_buckets[gate.index()] {
-                    let meta = &self.metas[id];
-                    // Multi-gate connected patterns are fully covered by the
-                    // dirty-pair lookup above.
-                    if meta.histogram.total() == 1 || !meta.connected {
-                        consider(id, &self.metas, scratch, out);
-                    }
-                }
-            }
-        }
         out.sort_unstable();
     }
 }
@@ -574,84 +455,6 @@ mod tests {
         // The scratch is reusable across calls (epoch reset, not realloc).
         index.candidates_into(c.gate_histogram(), 2, &mut scratch, &mut ids);
         assert_eq!(ids, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn dirty_candidates_dispatch_on_adjacency_pairs_and_inserted_types() {
-        let mut split = Circuit::new(2, 0);
-        split.push(instruction(Gate::H, &[0]));
-        split.push(instruction(Gate::X, &[1])); // disconnected H | X
-        let mut single = Circuit::new(1, 0);
-        single.push(instruction(Gate::H, &[0])); // lone H
-        let xforms = vec![
-            xform(&[(Gate::H, 0), (Gate::H, 0)], &[]), // 0: H–H wire pair
-            xform(&[(Gate::X, 0), (Gate::X, 0)], &[]), // 1: X–X wire pair
-            xform(&[(Gate::H, 0), (Gate::Cnot, 0)], &[]), // 2: H–CNOT wire pair
-            xform(&[(Gate::Cnot, 0), (Gate::Cnot, 0)], &[]), // 3: CNOT–CNOT wire pair
-            Transformation {
-                target: split,
-                rewrite: Circuit::new(2, 0),
-            }, // 4: disconnected
-            Transformation {
-                target: single,
-                rewrite: Circuit::new(1, 0),
-            }, // 5: single gate
-        ];
-        let index = TransformationIndex::new(xforms);
-        let mut c = Circuit::new(2, 0);
-        c.push(instruction(Gate::H, &[0]));
-        c.push(instruction(Gate::H, &[1]));
-        c.push(instruction(Gate::X, &[0]));
-        c.push(instruction(Gate::X, &[1]));
-        c.push(instruction(Gate::Cnot, &[0, 1]));
-        c.push(instruction(Gate::Cnot, &[0, 1]));
-
-        let mut scratch = IndexScratch::new();
-        let mut ids = Vec::new();
-        // An H → CNOT adjacency created by the splice concerns exactly the
-        // patterns with an H → CNOT wire edge.
-        index.dirty_candidates_into(
-            c.gate_histogram(),
-            2,
-            0,
-            &[(Gate::H, Gate::Cnot)],
-            &mut scratch,
-            &mut ids,
-        );
-        assert_eq!(ids, vec![2]);
-        // ... and the pair is ordered: CNOT → H adjacency matches nothing.
-        index.dirty_candidates_into(
-            c.gate_histogram(),
-            2,
-            0,
-            &[(Gate::Cnot, Gate::H)],
-            &mut scratch,
-            &mut ids,
-        );
-        assert!(ids.is_empty());
-        // An inserted H alone (no realized pairs, e.g. dropped onto an
-        // empty wire) dispatches the single-gate H pattern and the
-        // disconnected pattern — but *not* the connected multi-gate
-        // H-bearing patterns, which need a realized adjacency.
-        let h_mask = 1u32 << Gate::H.index();
-        index.dirty_candidates_into(c.gate_histogram(), 2, h_mask, &[], &mut scratch, &mut ids);
-        assert_eq!(ids, vec![4, 5]);
-        // Evidence combines, deduplicated, sorted — and always a subset of
-        // the full candidate list.
-        index.dirty_candidates_into(
-            c.gate_histogram(),
-            2,
-            h_mask,
-            &[(Gate::Cnot, Gate::Cnot), (Gate::H, Gate::H)],
-            &mut scratch,
-            &mut ids,
-        );
-        assert_eq!(ids, vec![0, 3, 4, 5]);
-        let full = index.candidates_for(c.gate_histogram());
-        assert!(ids.iter().all(|id| full.contains(id)));
-        // No evidence, no candidates.
-        index.dirty_candidates_into(c.gate_histogram(), 2, 0, &[], &mut scratch, &mut ids);
-        assert!(ids.is_empty());
     }
 
     #[test]

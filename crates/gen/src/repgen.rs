@@ -9,12 +9,11 @@
 use crate::ecc::{Ecc, EccSet};
 use quartz_ir::{Circuit, ExprSpec, FingerprintContext, GateSet};
 use quartz_verify::{Verifier, VerifierConfig};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 /// Configuration for a RepGen run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GenConfig {
     /// Maximum number of gates `n`.
     pub max_gates: usize,
@@ -49,7 +48,7 @@ impl GenConfig {
 }
 
 /// Statistics reported for a RepGen run (paper Tables 5, 6 and 8).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GenStats {
     /// Number of circuits (sequences) stored in the fingerprint database —
     /// the "RepGen" column of Table 6.

@@ -10,11 +10,10 @@
 
 use crate::ecc::EccSet;
 use quartz_ir::Circuit;
-use serde::{Deserialize, Serialize};
 
 /// A circuit transformation (C_T, C_R): replace a subcircuit matching the
 /// target pattern with the rewrite circuit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Transformation {
     /// The target pattern C_T.
     pub target: Circuit,

@@ -8,13 +8,12 @@
 
 use crate::gate::{Gate, GateHistogram};
 use crate::param::ParamExpr;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
 /// A single gate application: the gate, its qubit operands, and its
 /// parameter-expression arguments.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Instruction {
     /// The gate type.
     pub gate: Gate,
@@ -90,7 +89,7 @@ impl fmt::Display for Instruction {
 /// assert_eq!(c.gate_count(), 2);
 /// assert_eq!(c.to_string(), "h q0; cx q0, q1");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Circuit {
     num_qubits: usize,
     num_params: usize,

@@ -22,12 +22,11 @@
 use crate::dag::{CircuitDag, NodeId, SpliceDelta};
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::{Circuit, Gate};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// A cost model mapping circuits to a non-negative cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CostModel {
     /// Total number of gates (the metric used in the paper's evaluation).
     #[default]

@@ -76,10 +76,10 @@ pub struct SpliceDelta {
 /// matching state (instruction, wire predecessors, or wire successors)
 /// changed when the splice was performed.
 ///
-/// Consumers that cache per-node derived data (the optimizer's match-site
-/// cache) invalidate exactly this set: anything outside it kept its
-/// instruction *and* its wire adjacency bit-for-bit, so locally-checkable
-/// facts about it are still true in the spliced DAG.
+/// Consumers that cache per-node derived data invalidate exactly this set:
+/// anything outside it kept its instruction *and* its wire adjacency
+/// bit-for-bit, so locally-checkable facts about it are still true in the
+/// spliced DAG.
 #[derive(Debug, Clone, Default)]
 pub struct SpliceFootprint {
     /// The removed region's node ids. Dead in the spliced DAG — but their
@@ -93,14 +93,6 @@ pub struct SpliceFootprint {
     /// the entry predecessor and exit successor of the region on each
     /// touched wire. Deduplicated, in ascending id order.
     pub boundary: Vec<NodeId>,
-    /// Boundary pairs that became *directly* wire-adjacent because the
-    /// splice left their wire empty: `(entry predecessor, exit successor)`
-    /// per bypassed wire, in wire order. Any wire adjacency that is new in
-    /// the spliced DAG and does not involve an inserted node is one of
-    /// these — the key fact behind the optimizer's dirty-dispatch filter
-    /// (a new local pattern either binds an inserted node or straddles a
-    /// bridged pair).
-    pub bridged: Vec<(NodeId, NodeId)>,
 }
 
 impl SpliceFootprint {
@@ -483,8 +475,7 @@ impl CircuitDag {
 
     /// Like [`CircuitDag::splice`], additionally reporting the full
     /// [`SpliceFootprint`]: removed and inserted ids plus the boundary nodes
-    /// whose wire adjacency the splice rewired. Incremental consumers (the
-    /// optimizer's match-site cache) invalidate exactly this set.
+    /// whose wire adjacency the splice rewired.
     ///
     /// # Panics
     ///
@@ -600,14 +591,8 @@ impl CircuitDag {
         }
 
         // Close each touched wire: connect its current tail to its exit.
-        let mut bridged: Vec<(NodeId, NodeId)> = Vec::new();
         for q in 0..self.num_qubits {
             let Some(exit_succ) = exit[q] else { continue };
-            if tail[q].is_none() {
-                if let (Some(Some(p)), Some(s)) = (entry[q], exit_succ) {
-                    bridged.push((p, s));
-                }
-            }
             let tail_id = match tail[q] {
                 Some((id, op)) => {
                     self.slots[id.index()].as_mut().expect("live").succs[op] = exit_succ;
@@ -669,7 +654,6 @@ impl CircuitDag {
             removed: delta.region.clone(),
             inserted,
             boundary,
-            bridged,
         }
     }
 
@@ -677,10 +661,7 @@ impl CircuitDag {
     /// seed, seeds included. "Undirected" means both wire predecessors and
     /// wire successors count as one hop, so the ball bounds where any
     /// wire-connected subcircuit of diameter ≤ `radius` touching a seed can
-    /// live. A general locality query for footprint-anchored analyses; the
-    /// optimizer's match-site cache itself repairs matches by *pinning*
-    /// pattern positions onto footprint nodes instead (DESIGN.md §8.2),
-    /// which bounds the work even more tightly.
+    /// live. A general locality query for footprint-anchored analyses.
     ///
     /// # Panics
     ///
@@ -1022,8 +1003,6 @@ mod tests {
         assert_eq!(fp.inserted.len(), 1);
         // Boundary on wire 1: cnot(0,1) before and cnot(1,2) after.
         assert_eq!(fp.boundary, vec![ids[1], ids[3]]);
-        // The replacement occupies wire 1, so no boundary pair is bridged.
-        assert!(fp.bridged.is_empty());
         // The freed slot is reused, so the distinct-node count is 3, not 4.
         assert_eq!(fp.inserted, fp.removed);
         assert_eq!(fp.len(), 3);
@@ -1053,10 +1032,6 @@ mod tests {
         assert!(fp.inserted.is_empty());
         assert_eq!(fp.boundary, vec![ids[0], ids[2]]);
         assert_eq!(fp.live_dirty(), vec![ids[0], ids[2]]);
-        // Wire 0's boundary is bypassed h(0) → output (no exit successor),
-        // and wire 1's entry is the circuit input: the only *node* pair
-        // newly adjacent would need both sides, so nothing is bridged here.
-        assert!(fp.bridged.is_empty());
     }
 
     #[test]
@@ -1074,8 +1049,11 @@ mod tests {
             replacement: vec![],
         });
         dag.validate().unwrap();
-        assert_eq!(fp.bridged, vec![(ids[0], ids[2])]);
+        // Both ends of the bypassed wire are the footprint's boundary, and
+        // they are now directly adjacent.
+        assert_eq!(fp.boundary, vec![ids[0], ids[2]]);
         assert_eq!(dag.preds(ids[2]), &[Some(ids[0])]);
+        assert_eq!(dag.succs(ids[0]), &[Some(ids[2])]);
     }
 
     #[test]

@@ -16,7 +16,6 @@
 
 use crate::param::{ParamExpr, UnsupportedAngleError};
 use quartz_math::{Complex64, Cyclotomic, Matrix, Poly};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A quantum gate type.
@@ -24,7 +23,7 @@ use std::fmt;
 /// Parametric gates ([`Gate::Rx`], [`Gate::Ry`], [`Gate::Rz`], [`Gate::U1`],
 /// [`Gate::U2`], [`Gate::U3`]) take [`ParamExpr`] arguments when they appear
 /// in a circuit; all other gates are fixed unitaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Gate {
     /// Hadamard.
     H,

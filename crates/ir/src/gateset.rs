@@ -4,7 +4,6 @@
 use crate::circuit::{Circuit, Instruction};
 use crate::gate::Gate;
 use crate::param::{ExprSpec, ParamExpr};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A named set of gates available on a target device.
@@ -19,7 +18,7 @@ use std::fmt;
 /// assert!(!nam.contains(Gate::U3));
 /// assert_eq!(nam.name(), "Nam");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GateSet {
     name: String,
     gates: Vec<Gate>,

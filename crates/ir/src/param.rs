@@ -13,7 +13,6 @@
 //! merging over those inputs. The representation is exact, which is what
 //! allows the verifier to be a decision procedure.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error produced when an angle cannot be used in the exact symbolic
@@ -50,7 +49,7 @@ impl std::error::Error for UnsupportedAngleError {}
 /// assert_eq!(sum.to_string(), "p0 + 2*p1");
 /// assert_eq!(ParamExpr::constant_pi4(2).to_string(), "pi/2");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ParamExpr {
     /// Coefficient of each formal parameter `pᵢ`.
     coeffs: Vec<i32>,
@@ -323,7 +322,7 @@ impl fmt::Display for ParamExpr {
 /// The parameter-expression specification Σ (paper §2 and §7.1): the finite
 /// set of allowed expressions for parametric gate arguments, plus the
 /// restriction that each formal parameter is used at most once per circuit.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExprSpec {
     /// Number of formal parameters `m`.
     pub num_params: usize,

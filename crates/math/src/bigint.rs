@@ -10,13 +10,12 @@
 //! coefficients that arise while verifying circuit transformations are small
 //! (a handful of limbs), so schoolbook algorithms are more than adequate.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Rem, Sub, SubAssign};
 
 /// Sign of a [`BigInt`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Sign {
     /// Strictly negative.
     Negative,
@@ -47,7 +46,7 @@ impl Sign {
 /// let b = &a * &a;
 /// assert_eq!(b.to_string(), "1000000014000000049");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BigInt {
     sign: Sign,
     /// Little-endian limbs; no trailing zero limbs; empty iff sign == Zero.

@@ -1,7 +1,6 @@
 //! Double-precision complex numbers used for fast numeric circuit
 //! evaluation (state vectors, fingerprints, phase-factor candidate search).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
@@ -15,7 +14,7 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 /// let i = Complex64::i();
 /// assert!((i * i + Complex64::one()).norm() < 1e-15);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex64 {
     /// Real part.
     pub re: f64,

@@ -12,7 +12,6 @@
 //! [`Rational`] coefficients; the defining relation is ζ⁴ = −1.
 
 use crate::rational::Rational;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
@@ -31,7 +30,7 @@ use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 /// let h = Cyclotomic::inv_sqrt2();
 /// assert_eq!(&h * &h, Cyclotomic::from_rational(quartz_math::Rational::new(1, 2)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Cyclotomic {
     /// Coefficients of 1, ζ, ζ², ζ³.
     coeffs: [Rational; 4],

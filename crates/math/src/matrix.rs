@@ -3,7 +3,6 @@
 
 use crate::ring::Ring;
 use crate::Complex64;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense, row-major matrix over a ring `R`.
@@ -20,7 +19,7 @@ use std::fmt;
 /// let id = &x * &x;
 /// assert_eq!(id, Matrix::identity(2));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix<R> {
     rows: usize,
     cols: usize,

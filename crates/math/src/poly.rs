@@ -17,14 +17,13 @@ use crate::cyclotomic::Cyclotomic;
 use crate::rational::Rational;
 use crate::ring::Ring;
 use crate::Complex64;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A monomial: exponents of the variables, with trailing zeros trimmed.
 ///
 /// Variable `2i` is `c_i = cos(h_i)` and variable `2i+1` is `s_i = sin(h_i)`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Monomial(Vec<u16>);
 
 impl Monomial {
@@ -81,7 +80,7 @@ impl Monomial {
 /// let expr = &(&(&c * &c) + &(&s * &s)) - &Poly::one();
 /// assert!(expr.is_zero_mod_trig());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Poly {
     /// Terms keyed by monomial; no zero coefficients are stored.
     terms: BTreeMap<Monomial, Cyclotomic>,

@@ -1,7 +1,6 @@
 //! Exact rational numbers built on [`BigInt`](crate::BigInt).
 
 use crate::bigint::BigInt;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -19,7 +18,7 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 /// assert_eq!(&half + &third, Rational::new(5, 6));
 /// assert_eq!((&half * &third).to_string(), "1/6");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Rational {
     numer: BigInt,
     denom: BigInt,

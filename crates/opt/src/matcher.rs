@@ -78,8 +78,8 @@ pub struct MatchContext {
 
 impl MatchContext {
     /// Builds the context for a circuit by constructing its DAG and gate
-    /// buckets from scratch (O(circuit); the search layer counts these as
-    /// `ctx_rebuilds`).
+    /// buckets from scratch (O(circuit); the search does this only for the
+    /// frontier root).
     pub fn new(circuit: &Circuit) -> Self {
         let dag = CircuitDag::from_circuit(circuit);
         let mut by_gate: Vec<Vec<NodeId>> = vec![Vec::new(); Gate::COUNT];
@@ -102,92 +102,6 @@ impl MatchContext {
 
     /// Finds every match of `pattern` inside the circuit.
     pub fn find_matches(&self, pattern: &Circuit) -> Vec<Match> {
-        self.run_matcher(pattern, &[], true)
-    }
-
-    /// Finds every *structural* match of `pattern`: all matcher constraints
-    /// except the final convexity check. Structural validity is a purely
-    /// local property (gate types, wire order, qubit/parameter consistency
-    /// of the matched nodes and their immediate wire neighbors), which is
-    /// what makes it cacheable across rewrites: a splice can only create or
-    /// destroy structural matches that touch its footprint, whereas
-    /// convexity can flip for distant matches and so is re-checked at use
-    /// time ([`MatchContext::is_match_convex`]; DESIGN.md §8.1).
-    pub fn find_matches_structural(&self, pattern: &Circuit) -> Vec<Match> {
-        self.run_matcher(pattern, &[], false)
-    }
-
-    /// Like [`MatchContext::find_matches_structural`], but with pattern
-    /// positions *pinned* to specific circuit nodes: position `p` may only
-    /// be assigned node `n` for every `(p, n)` pin. This turns the matcher
-    /// into a footprint-anchored micro-search — the match-site cache pins
-    /// a pattern position onto each node a splice inserted (and pattern
-    /// wire edges onto each boundary adjacency it bridged) to enumerate
-    /// exactly the matches the splice could have created, in time bounded
-    /// by the pattern and its local bucket sizes rather than the circuit
-    /// (DESIGN.md §8.2).
-    pub fn find_matches_structural_pinned(
-        &self,
-        pattern: &Circuit,
-        pins: &[(usize, NodeId)],
-    ) -> Vec<Match> {
-        self.run_matcher(pattern, pins, false)
-    }
-
-    /// Whether a (structural) match is convex in the *current* DAG: no
-    /// dependency path leaves the matched set and re-enters it. The
-    /// convexity half of [`MatchContext::find_matches`], split out so
-    /// cached structural matches can be re-validated per use.
-    pub fn is_match_convex(&self, m: &Match) -> bool {
-        self.dag.is_convex(&m.instruction_map)
-    }
-
-    /// Re-checks the *wire-order* half of structural validity for a fixed
-    /// match assignment in O(pattern): every pattern-internal wire edge must
-    /// still map to a direct circuit adjacency, and every wire entering the
-    /// pattern must still come from an unmatched node.
-    ///
-    /// This is exactly the part of structural validity that a splice
-    /// *elsewhere* can break for a match whose nodes survived with their
-    /// instructions intact (only wire adjacency changes at the splice
-    /// boundary) — so the match-site cache revalidates boundary-touching
-    /// matches with this check instead of discarding and re-searching them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a matched node is not live; callers must have dropped
-    /// matches referencing removed nodes first.
-    pub fn match_wire_order_intact(&self, pattern: &Circuit, m: &Match) -> bool {
-        let pattern_preds = pattern.wire_predecessors();
-        for (p, ops) in pattern_preds.iter().enumerate() {
-            let ci = m.instruction_map[p];
-            for (op, pred) in ops.iter().enumerate() {
-                let circuit_pred = self.dag.preds(ci)[op];
-                match pred {
-                    Some(pattern_pred_idx) => {
-                        if circuit_pred != Some(m.instruction_map[*pattern_pred_idx]) {
-                            return false;
-                        }
-                    }
-                    None => {
-                        if let Some(cp) = circuit_pred {
-                            if m.instruction_map.contains(&cp) {
-                                return false;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    fn run_matcher(
-        &self,
-        pattern: &Circuit,
-        pins: &[(usize, NodeId)],
-        check_convexity: bool,
-    ) -> Vec<Match> {
         if pattern.is_empty() || pattern.gate_count() > self.dag.gate_count() {
             return Vec::new();
         }
@@ -195,8 +109,6 @@ impl MatchContext {
             ctx: self,
             pattern,
             pattern_preds: pattern.wire_predecessors(),
-            pins,
-            check_convexity,
         };
         state.search()
     }
@@ -253,16 +165,15 @@ impl MatchContext {
     /// Derives the child circuit's context from this one: a flat clone of
     /// the DAG and buckets, then an in-place splice and a bucket update
     /// touching only the rewrite footprint — no adjacency or bucket is ever
-    /// recomputed from the sequence form (the search layer counts these as
-    /// `ctx_derives`; DESIGN.md §5).
+    /// recomputed from the sequence form (DESIGN.md §5). The search derives
+    /// every dequeued entry's context this way except the root's.
     pub fn derive(&self, delta: &SpliceDelta) -> MatchContext {
         self.derive_with_footprint(delta).0
     }
 
     /// Like [`MatchContext::derive`], additionally reporting the splice's
     /// [`SpliceFootprint`] — the exact node set whose local matching state
-    /// changed, which is what the match-site cache invalidates
-    /// (DESIGN.md §8).
+    /// changed.
     pub fn derive_with_footprint(&self, delta: &SpliceDelta) -> (MatchContext, SpliceFootprint) {
         let mut dag = self.dag.clone();
         let mut by_gate = self.by_gate.clone();
@@ -334,12 +245,6 @@ struct MatchState<'a> {
     ctx: &'a MatchContext,
     pattern: &'a Circuit,
     pattern_preds: Vec<Vec<Option<usize>>>,
-    /// Pattern positions forced onto specific circuit nodes (the
-    /// footprint-anchored incremental re-match path).
-    pins: &'a [(usize, NodeId)],
-    /// When `false`, the final convexity check is skipped and *structural*
-    /// matches are returned (the cacheable superset).
-    check_convexity: bool,
 }
 
 /// Candidate nodes for one pattern position, alloc-free on the matcher hot
@@ -373,12 +278,6 @@ impl MatchState<'_> {
     /// arity); otherwise the instruction anchors a fresh wire and only nodes
     /// of its own gate type are candidates.
     fn candidates(&self, depth: usize, instruction_map: &[NodeId]) -> Candidates<'_> {
-        if let Some(&(_, pinned)) = self.pins.iter().find(|&&(p, _)| p == depth) {
-            return Candidates::Succs {
-                buf: [pinned; MAX_ARITY],
-                len: 1,
-            };
-        }
         for pred in self.pattern_preds[depth].iter().flatten() {
             if *pred < instruction_map.len() {
                 // Seed value is arbitrary — only `buf[..len]` is ever read.
@@ -422,7 +321,7 @@ impl MatchState<'_> {
     ) {
         let depth = instruction_map.len();
         if depth == self.pattern.gate_count() {
-            if !self.check_convexity || self.ctx.dag.is_convex(instruction_map) {
+            if self.ctx.dag.is_convex(instruction_map) {
                 results.push(Match {
                     instruction_map: instruction_map.clone(),
                     qubit_map: qubit_map.clone(),

@@ -1,54 +1,40 @@
 //! The cost-based backtracking search of the optimizer (paper §6,
-//! Algorithm 2), restructured as a batched, indexed, parallel frontier
-//! expansion with incremental match contexts (DESIGN.md §2.3, §5).
+//! Algorithm 2), run as a batched, indexed, parallel frontier expansion
+//! (DESIGN.md §2.3).
 //!
 //! Each step pops the best `batch_size` queue entries, expands them on worker
-//! threads (matching only the transformations the [`TransformationIndex`]
-//! says can possibly apply), and merges the resulting candidates
-//! sequentially in (cost, insertion order) priority order. Deduplication is
-//! keyed on the exact canonical-form-invariant [`StructuralHash`] (a
-//! complete invariant of the circuit DAG, DESIGN.md §13) — computed for a
-//! candidate in O(rewrite footprint) by previewing the parent's hash through
-//! the splice delta, with no materialization, canonicalization, or
-//! whole-circuit clone on the admission path.
+//! threads, and merges the resulting candidates sequentially in
+//! (cost, insertion order) priority order. There is one expansion path:
 //!
-//! With [`SearchConfig::deferred_materialization`] (the default), a
-//! first-sight candidate is enqueued as (cost, hash, delta) alone — its
-//! circuit is never built unless it is actually dequeued, at which point the
-//! ordinary context derivation materializes it and an O(num qubits) re-read
-//! of the derived DAG's maintained wire hashes confirms the admission-time
-//! preview ([`SearchResult::fp_confirm_mismatches`] counts disagreements;
-//! the suites assert it 0). Candidate *costs* are exact before
-//! materialization too, for every cost model: the additive models by delta
-//! bookkeeping and depth by boundary-seeded longest-path propagation
-//! ([`quartz_ir::DeltaCoster`]), so the γ filter runs ahead of
-//! materialization even for [`CostModel::Depth`].
+//! 1. **Derive the match context.** A dequeued entry carries the
+//!    [`SpliceDelta`] that created it plus a handle to its parent's
+//!    [`MatchContext`], so its own context is produced by
+//!    [`MatchContext::derive`] in O(rewrite footprint) of recomputation
+//!    (DESIGN.md §5); only the frontier root is built from the sequence form.
+//!    This is also the moment a candidate's circuit first exists: candidates
+//!    are enqueued as (cost, hash, delta) alone and are materialized only if
+//!    they are dequeued. An O(num qubits) read of the derived DAG's
+//!    maintained wire hashes confirms the admission-time hash preview
+//!    ([`SearchResult::fp_confirm_mismatches`] counts disagreements; the
+//!    suites assert it 0).
+//! 2. **Dispatch and match.** The [`TransformationIndex`] names the
+//!    transformations whose pattern gate multiset the circuit can cover, and
+//!    each is matched in full, anchored on the context's gate buckets.
+//! 3. **Filter without materializing.** Every match's successor is costed
+//!    exactly from the delta ([`quartz_ir::DeltaCoster`], depth included) for
+//!    the γ filter, then its exact canonical-invariant [`StructuralHash`] is
+//!    previewed off the parent's hash in O(rewrite footprint) and probed
+//!    against the seen-set (DESIGN.md §13). No candidate is applied,
+//!    canonicalized or cloned on this path.
 //!
-//! Matching state is *derived*, not rebuilt: a dequeued entry carries the
-//! [`SpliceDelta`] that created it plus a handle to its parent's
-//! [`MatchContext`], so its own context is produced by
-//! [`MatchContext::derive`] in O(rewrite footprint) of recomputation; only
-//! frontier roots pay the O(circuit) [`MatchContext::new`] rebuild
-//! ([`SearchResult::ctx_rebuilds`] vs [`SearchResult::ctx_derives`]).
-//! Match *sites* travel the same derivation chain (DESIGN.md §8): each
-//! expansion's [`MatchCache`] of structural matches is derived from its
-//! parent's — invalidated only around the splice footprint, topped up by
-//! footprint-pinned micro-matches — so a full-circuit pattern-match pass
-//! happens only at frontier roots ([`SearchResult::match_attempts`] vs
-//! [`SearchResult::scoped_rematches`], with the hit rate in
-//! [`SearchResult::cache_hit_rate`]).
 //! Candidates are ordered within each expansion by (cost, structural hash),
-//! which makes the exploration a function of the candidate
-//! *sets* alone — so the incremental engine is bit-identical to the
-//! rebuild-every-entry engine (`incremental_contexts: false`), the cached
-//! engine is bit-identical to the re-match-every-entry engine
-//! (`cached_matches: false`, matching-effort counters aside), the deferred
-//! engine is bit-identical to the eager one
-//! (`deferred_materialization: false`), and with
-//! `batch_size = 1` both visit exactly the states the sequential Algorithm 2
-//! visits. Larger batches trade strict best-first order for parallelism
-//! while remaining deterministic: worker results are merged in a fixed
-//! order, independent of thread scheduling.
+//! which makes the exploration a function of the candidate *sets* alone.
+//! With `batch_size = 1` the search visits exactly the states the sequential
+//! Algorithm 2 visits. Larger batches trade strict best-first order for
+//! parallelism while remaining deterministic: worker results are merged in a
+//! fixed order, independent of thread scheduling. The tests check every
+//! outcome field against a naive reference implementation of Algorithm 2
+//! (`tests/oracle`) that shares none of the steps above.
 //!
 //! # Determinism guarantee
 //!
@@ -60,20 +46,19 @@
 //! iteration budget or queue exhaustion (rather than by the timeout) are
 //! bit-identical.
 //!
-//! The per-frontier state (priority queue, fingerprint seen-set, incumbent
-//! best, counters) lives in the [`Frontier`] struct, which is also driven —
-//! one instance per circuit, over one shared [`TransformationIndex`] — by the
-//! multi-circuit [`crate::service::OptimizationService`].
+//! The per-frontier state (priority queue, structural-hash seen-set,
+//! incumbent best, counters) lives in the [`Frontier`] struct, which is also
+//! driven — one instance per circuit, over one shared
+//! [`TransformationIndex`] — by the multi-circuit
+//! [`crate::service::OptimizationService`].
 
 use crate::cache::LoadedLibrary;
 use crate::cost::CostModel;
-use crate::match_cache::{CacheStats, MatchCache};
-use crate::matcher::{Match, MatchContext};
+use crate::matcher::MatchContext;
 use crate::xform::{canonicalize, Transformation};
 use quartz_gen::{IndexScratch, TransformationIndex};
 use quartz_ir::{Circuit, CircuitDag, IdentityHashSet, SpliceDelta, StructuralHash};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -81,7 +66,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Configuration of the backtracking search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchConfig {
     /// The hyper-parameter γ: candidates whose cost exceeds γ times the best
     /// cost found so far are not enqueued. γ = 1.0001 (the paper's value)
@@ -106,57 +91,9 @@ pub struct SearchConfig {
     /// Worker threads for batch expansion; `0` (the default) uses one per
     /// available core. Irrelevant when `batch_size` is 1.
     pub num_threads: usize,
-    /// When `true` (the default), dispatch through the
-    /// [`TransformationIndex`], skipping transformations whose pattern
-    /// gate-multiset cannot be covered by the circuit. `false` forces the
-    /// full linear scan (same results, more work) — kept for benchmarking
-    /// the index and as a safety valve.
-    pub use_index: bool,
-    /// When `true` (the default), a dequeued entry's [`MatchContext`] is
-    /// derived from its parent's through the splice delta that created it
-    /// (O(rewrite footprint)); only frontier roots are rebuilt from the
-    /// sequence form. `false` rebuilds every context from scratch
-    /// (O(circuit) per dequeue) — same results, more work — kept for
-    /// benchmarking the derivation and as a safety valve.
-    pub incremental_contexts: bool,
-    /// When `true` (the default), match *sites* travel with the derivation
-    /// chain too: a [`MatchCache`] of structural matches is carried from
-    /// parent to child, invalidated only around the splice footprint, and
-    /// re-matching is restricted to transformations whose pattern uses a
-    /// footprint gate type (DESIGN.md §8). Only frontier roots run a full
-    /// match pass. `false` re-runs full pattern matching on every dequeue —
-    /// same results ([`SearchResult`]s are field-by-field identical apart
-    /// from the matching-effort counters), more work. Caching rides the
-    /// indexed incremental engine, so it is effective only when `use_index`
-    /// and `incremental_contexts` are both `true`.
-    pub cached_matches: bool,
-    /// When `true` (the default), a candidate's seen-set key — its exact
-    /// canonical-invariant [`StructuralHash`] — is computed by an O(rewrite
-    /// footprint) preview off the parent's hash ([`StructuralHash::preview`])
-    /// *before* the candidate is materialized, under every cost model
-    /// (DESIGN.md §13). `false` computes the same hash from scratch on the
-    /// materialized candidate instead — the same key probed in the same
-    /// order, so results are bit-identical, just with every candidate paying
-    /// the materialize + canonicalize + rehash cost. Kept for benchmarking
-    /// and as a safety valve; turning it off also disables
-    /// [`SearchConfig::deferred_materialization`].
-    pub incremental_fingerprints: bool,
-    /// When `true` (the default), first-sight candidates are enqueued as
-    /// (cost, hash, delta) without building their circuit at all: the
-    /// enqueue path runs no `apply_delta`, no `canonicalize`, and no clone.
-    /// A deferred entry is materialized only if it is actually dequeued —
-    /// through the same context derivation every dequeue performs anyway —
-    /// where an O(num qubits) read of the derived DAG's maintained wire
-    /// hashes confirms the admission-time preview (the
-    /// [`SearchResult::fp_confirm_mismatches`] canary). Outcomes are
-    /// bit-identical with the flag off; effective only when
-    /// [`SearchConfig::incremental_fingerprints`] and
-    /// [`SearchConfig::incremental_contexts`] are both on (a rebuilt context
-    /// needs the sequence form a deferred entry deliberately lacks).
-    pub deferred_materialization: bool,
-    /// When `true`, per-phase wall-clock timings (matching, delta
-    /// construction, γ-precheck, hash previews, canonicalization,
-    /// fingerprinting, deduplication) are accumulated into
+    /// When `true`, per-phase wall-clock timings (context derivation,
+    /// matching, delta construction, γ-precheck, hash previews, the
+    /// dequeue-time hash confirmation, deduplication) are accumulated into
     /// [`SearchResult::profile`].
     /// Default `false`: the hot path then executes no timing calls at all.
     pub profile: bool,
@@ -173,11 +110,6 @@ impl Default for SearchConfig {
             cost_model: CostModel::GateCount,
             batch_size: 1,
             num_threads: 0,
-            use_index: true,
-            incremental_contexts: true,
-            cached_matches: true,
-            incremental_fingerprints: true,
-            deferred_materialization: true,
             profile: false,
         }
     }
@@ -205,16 +137,14 @@ impl SearchConfig {
 
 /// Per-phase wall-clock breakdown of one search run, accumulated only when
 /// [`SearchConfig::profile`] is on (all-zero otherwise). The phases cover
-/// the per-candidate pipeline of `expand_entry`: finding matches, building
-/// splice deltas, the exact γ-precheck, the O(footprint) structural-hash
-/// previews, materializing + canonicalizing survivors, from-scratch hashes
-/// of materialized forms (the eager/nofp paths and the confirmation
-/// canaries), and the seen-set probes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// the per-entry pipeline of `expand_entry`: deriving the entry's match
+/// context, finding matches, building splice deltas, the exact γ-precheck,
+/// the O(footprint) structural-hash previews, the dequeue-time hash
+/// confirmation, and the seen-set probes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchProfile {
-    /// Enumerating structural matches: cache consultation, convexity
-    /// re-validation, and matcher runs (everything in the dispatch loop
-    /// that is not attributed to a finer phase below).
+    /// Enumerating matches: the matcher runs in the dispatch loop, minus
+    /// the finer phases below.
     pub matching: Duration,
     /// Building the instantiated [`SpliceDelta`] of each match.
     pub delta: Duration,
@@ -223,15 +153,13 @@ pub struct SearchProfile {
     pub gamma_precheck: Duration,
     /// O(footprint) structural-hash previews: computing candidates' exact
     /// seen-set keys from the parent hash and the delta, without
-    /// materializing them. Zero with `incremental_fingerprints: false`.
+    /// materializing them.
     pub preview: Duration,
-    /// Applying the delta and canonicalizing the successor circuit — the
-    /// work [`SearchResult::materializations_avoided`] counts as skipped
-    /// and [`SearchResult::materializations_deferred`] pushes past enqueue.
-    pub canonicalize: Duration,
-    /// From-scratch structural hashes of materialized forms: the
-    /// authoritative hashes of the non-incremental engine and the
-    /// eager/dequeue-time confirmation canaries of the incremental one.
+    /// Building each dequeued entry's [`MatchContext`]: the root's rebuild
+    /// and every other entry's derivation from its parent.
+    pub derive: Duration,
+    /// The dequeue-time structural hash of each derived DAG that confirms
+    /// the preview which admitted the entry.
     pub fingerprint: Duration,
     /// Seen-set probes.
     pub dedup: Duration,
@@ -244,7 +172,7 @@ impl SearchProfile {
         self.delta += other.delta;
         self.gamma_precheck += other.gamma_precheck;
         self.preview += other.preview;
-        self.canonicalize += other.canonicalize;
+        self.derive += other.derive;
         self.fingerprint += other.fingerprint;
         self.dedup += other.dedup;
     }
@@ -255,7 +183,7 @@ impl SearchProfile {
             + self.delta
             + self.gamma_precheck
             + self.preview
-            + self.canonicalize
+            + self.derive
             + self.fingerprint
             + self.dedup
     }
@@ -268,7 +196,7 @@ impl SearchProfile {
             ("delta", self.delta.as_secs_f64()),
             ("gamma_precheck", self.gamma_precheck.as_secs_f64()),
             ("preview", self.preview.as_secs_f64()),
-            ("canonicalize", self.canonicalize.as_secs_f64()),
+            ("derive", self.derive.as_secs_f64()),
             ("fingerprint", self.fingerprint.as_secs_f64()),
             ("dedup", self.dedup.as_secs_f64()),
         ]
@@ -276,7 +204,7 @@ impl SearchProfile {
 }
 
 /// Outcome of an optimization run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchResult {
     /// The best circuit found.
     pub best_circuit: Circuit,
@@ -303,72 +231,22 @@ pub struct SearchResult {
     /// (Candidates rejected by the γ threshold are dropped before the
     /// seen-probe and not counted.)
     pub dedup_hits: usize,
-    /// Match contexts rebuilt from the sequence form (O(circuit) each).
-    /// With incremental contexts enabled these are exactly the frontier
-    /// roots — one per `optimize` call.
-    pub ctx_rebuilds: usize,
-    /// Match contexts derived from a parent context through a splice delta
-    /// (O(rewrite footprint) of recomputation each; DESIGN.md §5).
-    pub ctx_derives: usize,
-    /// Structural matches served from the carried [`MatchCache`] without
-    /// re-running the pattern matcher (DESIGN.md §8). Always 0 with
-    /// `cached_matches: false`.
-    pub matches_cached: usize,
-    /// Structural matches discovered by actually running the matcher while
-    /// maintaining the cache: full passes at frontier roots plus
-    /// footprint-restricted re-matches on derived entries. Together with
-    /// [`SearchResult::matches_cached`] this yields the cache hit rate;
-    /// both are 0 with `cached_matches: false` (where matching effort shows
-    /// up in `match_attempts` alone).
-    pub matches_recomputed: usize,
-    /// Total size of the splice footprints (removed + inserted + boundary
-    /// nodes) that drove cache invalidation, summed over derived entries.
-    pub cache_invalidate_nodes: usize,
-    /// Footprint-pinned matcher micro-runs performed to maintain the cache
-    /// on derived entries — each bounded by the pattern and its local
-    /// bucket sizes, not the circuit, which is why they are accounted
-    /// separately from the full-circuit `match_attempts`.
-    pub scoped_rematches: usize,
-    /// Duplicate candidates rejected by the O(footprint) structural-hash
-    /// preview *before* materialization (DESIGN.md §9, §13). A subset of
-    /// [`SearchResult::dedup_hits`]; always 0 with
-    /// `incremental_fingerprints: false`.
+    /// The part of [`SearchResult::dedup_hits`] caught on the worker, by
+    /// probing the O(footprint) hash preview against the seen-set as it was
+    /// when the step began. The rest, `dedup_hits - fp_fast_rejects`, are
+    /// caught at merge time: duplicates of a candidate that an earlier
+    /// expansion of the same step (or an earlier match of the same
+    /// expansion) had just admitted.
     pub fp_fast_rejects: usize,
-    /// `canonicalize` + rehash materializations the fast-reject path
-    /// skipped — one per fast reject, the work a materializing engine would
-    /// have spent on the same candidate.
-    pub materializations_avoided: usize,
     /// Structural-hash previews contradicted by a from-scratch hash of the
-    /// materialized circuit — the eager engine checks every first-sight
-    /// candidate at admission, the deferred engine checks every dequeued
-    /// deferred entry against its derived DAG's maintained wire hashes. By
-    /// the exactness argument of DESIGN.md §13 (the preview algebra and the
+    /// materialized circuit: every dequeued entry checks the derived DAG's
+    /// maintained wire hashes against the preview that admitted it. By the
+    /// exactness argument of DESIGN.md §13 (the preview algebra and the
     /// maintained caches compute the same complete invariant) this cannot
     /// happen; the counter is a runtime canary and is asserted 0 by the
     /// benchmark suites. On a mismatch the search proceeds with the
     /// materialized (authoritative) hash.
     pub fp_confirm_mismatches: usize,
-    /// Duplicate candidates that were detected only at a seen-probe *after*
-    /// the preview stage: the non-incremental engine's materialized-hash
-    /// probes plus merge-time seen-set hits (duplicates enqueued earlier in
-    /// the same batch, counted here whether or not they were ever
-    /// materialized). Disjoint from [`SearchResult::fp_fast_rejects`] by
-    /// increment site, so `dedup_hits == fp_fast_rejects +
-    /// dedup_hits_materialized` is an accounting identity (asserted by
-    /// tests and the bench suites). With the fast path off, equals
-    /// `dedup_hits`.
-    pub dedup_hits_materialized: usize,
-    /// First-sight candidates enqueued *without* a circuit: the deferred
-    /// engine's (cost, hash, delta)-only pushes, each one an `apply_delta` +
-    /// `canonicalize` + clone that never ran. Always 0 with
-    /// `deferred_materialization: false` (or when deferral is ineffective
-    /// because the incremental fingerprint/context engines are off).
-    pub materializations_deferred: usize,
-    /// Deferred entries that were actually dequeued and materialized through
-    /// context derivation — the small minority of
-    /// [`SearchResult::materializations_deferred`] whose cost was ever paid
-    /// (each also runs the dequeue-time hash confirmation).
-    pub dequeue_materializations: usize,
     /// Per-phase timing breakdown; all-zero unless [`SearchConfig::profile`]
     /// was on.
     pub profile: SearchProfile,
@@ -385,7 +263,7 @@ impl SearchResult {
     }
 
     /// Fraction of pattern-match attempts the index dispatch avoided, in
-    /// [0, 1] (0 when nothing was skipped, e.g. with `use_index: false`).
+    /// [0, 1] (0 when nothing was skipped).
     pub fn dispatch_skip_rate(&self) -> f64 {
         let total = self.match_attempts + self.match_skips;
         if total == 0 {
@@ -395,34 +273,9 @@ impl SearchResult {
         }
     }
 
-    /// Fraction of dequeued entries whose match context was derived rather
-    /// than rebuilt, in [0, 1].
-    pub fn ctx_derive_rate(&self) -> f64 {
-        let total = self.ctx_rebuilds + self.ctx_derives;
-        if total == 0 {
-            0.0
-        } else {
-            self.ctx_derives as f64 / total as f64
-        }
-    }
-
-    /// Fraction of consulted structural matches that were served from the
-    /// carried match cache instead of being recomputed, in [0, 1] (0 when
-    /// nothing was consulted, e.g. on an empty run or with
-    /// `cached_matches: false`).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.matches_cached + self.matches_recomputed;
-        if total == 0 {
-            0.0
-        } else {
-            self.matches_cached as f64 / total as f64
-        }
-    }
-
-    /// Fraction of duplicate candidates rejected by the O(footprint)
-    /// structural-hash preview instead of after materialization, in [0, 1]
-    /// (0 when no duplicates were seen at all — e.g. an empty run — or with
-    /// `incremental_fingerprints: false`).
+    /// Fraction of duplicate candidates rejected on the worker by the
+    /// O(footprint) structural-hash preview rather than at merge time, in
+    /// [0, 1] (0 when no duplicates were seen at all, e.g. an empty run).
     pub fn fp_fast_reject_rate(&self) -> f64 {
         if self.dedup_hits == 0 {
             0.0
@@ -432,43 +285,28 @@ impl SearchResult {
     }
 }
 
-/// The matching state one expansion materialized and shares with any of its
-/// children that make it into the queue: the circuit's [`MatchContext`]
-/// plus, when `cached_matches` is on, its [`MatchCache`] of structural
-/// match sites (DESIGN.md §8).
-pub(crate) struct ExpandedState {
-    ctx: MatchContext,
-    cache: Option<MatchCache>,
-}
-
-/// Where a dequeued entry's match context comes from.
-enum CtxSource {
-    /// A frontier root: rebuild the context from the sequence form.
-    Root,
-    /// Derive from the parent entry's materialized state through the
-    /// splice delta that created this entry.
-    Derived {
-        parent: Arc<ExpandedState>,
+/// How a queued entry's match context — and with it its circuit — is built
+/// when the entry is dequeued.
+enum Source {
+    /// The frontier root: built from the canonicalized input circuit.
+    Root(Circuit),
+    /// Derived from the parent's match context through the splice delta that
+    /// created this entry. No circuit exists until then.
+    Child {
+        parent: Arc<MatchContext>,
         delta: SpliceDelta,
     },
 }
 
 /// A queued frontier entry: its cost, FIFO insertion order, the recipe for
-/// materializing its match context, its exact structural hash — and, unless
-/// the entry was deferred, its circuit.
+/// its match context, and its exact structural hash.
 pub(crate) struct QueueEntry {
     cost: usize,
     order: usize,
-    /// The candidate's canonicalized circuit. `None` for deferred entries
-    /// ([`SearchConfig::deferred_materialization`]): the circuit is rebuilt
-    /// on dequeue via context derivation from `ctx`, which every dequeue
-    /// performs anyway.
-    circuit: Option<Circuit>,
-    ctx: CtxSource,
-    /// The circuit's exact [`StructuralHash`] — its seen-set identity.
-    /// Threaded from the preview (or the materialized rehash) that admitted
-    /// it, so its own expansion previews *its* successors without an
-    /// O(circuit) rehash.
+    source: Source,
+    /// The circuit's exact [`StructuralHash`] — its seen-set identity —
+    /// as previewed when it was admitted, so its own expansion previews
+    /// *its* successors without an O(circuit) rehash.
     shash: StructuralHash,
 }
 
@@ -496,14 +334,10 @@ impl PartialOrd for QueueEntry {
     }
 }
 
-/// A first-sight successor produced by one expansion, with its exact cost
-/// and structural hash precomputed on the worker, and the splice delta kept
-/// so the successor's own context (and, for deferred candidates, its
-/// circuit) can be derived if it is dequeued.
+/// A first-sight successor produced by one expansion: its exact cost and
+/// structural hash, computed on the worker without building its circuit,
+/// and the splice delta that builds it if it is ever dequeued.
 struct Candidate {
-    /// The canonicalized successor circuit — `None` when the deferred
-    /// engine admitted the candidate on (cost, hash, delta) alone.
-    circuit: Option<Circuit>,
     cost: usize,
     delta: SpliceDelta,
     /// Exact structural hash of the successor: its seen-set identity and
@@ -513,24 +347,14 @@ struct Candidate {
 
 /// Everything a worker produced for one dequeued circuit.
 pub(crate) struct Expansion {
-    /// The entry's materialized matching state, shared with any children
-    /// that make it into the queue.
-    state: Arc<ExpandedState>,
-    /// Whether materializing it was a rebuild (true) or a derivation.
-    rebuilt: bool,
+    /// The entry's match context, shared with any children that make it
+    /// into the queue.
+    ctx: Arc<MatchContext>,
     candidates: Vec<Candidate>,
     attempts: usize,
     skips: usize,
-    dedup_hits: usize,
-    matches_cached: usize,
-    matches_recomputed: usize,
-    cache_invalidate_nodes: usize,
-    scoped_rematches: usize,
     fp_fast_rejects: usize,
     fp_confirm_mismatches: usize,
-    /// 1 when this expansion's entry arrived deferred (no circuit) and was
-    /// materialized — and hash-confirmed — at dequeue.
-    dequeue_materializations: usize,
     profile: SearchProfile,
 }
 
@@ -555,10 +379,9 @@ pub(crate) struct Frontier {
     /// Structural-hash values of every circuit ever enqueued — the
     /// deduplication identity. The hash is an exact invariant of the
     /// canonical form (DESIGN.md §13), so probing it is equivalent to
-    /// probing canonical fingerprints; the keys are already finalized, so
-    /// the set uses the no-op [`IdentityHashSet`] hasher. Workers probe a
-    /// frozen snapshot to reject duplicates in O(footprint) before
-    /// materializing them (DESIGN.md §9).
+    /// probing canonical forms; the keys are already finalized, so the set
+    /// uses the no-op [`IdentityHashSet`] hasher. Workers probe it as
+    /// frozen at the start of a step; merges probe and extend it live.
     seen: IdentityHashSet,
     best_circuit: Circuit,
     best_cost: usize,
@@ -568,17 +391,8 @@ pub(crate) struct Frontier {
     match_attempts: usize,
     match_skips: usize,
     dedup_hits: usize,
-    ctx_rebuilds: usize,
-    ctx_derives: usize,
-    matches_cached: usize,
-    matches_recomputed: usize,
-    cache_invalidate_nodes: usize,
-    scoped_rematches: usize,
     fp_fast_rejects: usize,
     fp_confirm_mismatches: usize,
-    dedup_hits_materialized: usize,
-    materializations_deferred: usize,
-    dequeue_materializations: usize,
     profile: SearchProfile,
     improvement_trace: Vec<(Duration, usize)>,
 }
@@ -590,7 +404,7 @@ impl Frontier {
         let initial_cost = cost_model.cost(input);
         let canonical_input = canonicalize(input);
         // Hash the root from scratch: O(circuit), once per search, like the
-        // root's context rebuild.
+        // root's context build.
         let root_shash = StructuralHash::of(&CircuitDag::from_circuit(&canonical_input));
         let mut seen = IdentityHashSet::default();
         seen.insert(root_shash.value());
@@ -598,8 +412,7 @@ impl Frontier {
         queue.push(QueueEntry {
             cost: initial_cost,
             order: 0,
-            circuit: Some(canonical_input.clone()),
-            ctx: CtxSource::Root,
+            source: Source::Root(canonical_input.clone()),
             shash: root_shash,
         });
         Frontier {
@@ -614,17 +427,8 @@ impl Frontier {
             match_attempts: 0,
             match_skips: 0,
             dedup_hits: 0,
-            ctx_rebuilds: 0,
-            ctx_derives: 0,
-            matches_cached: 0,
-            matches_recomputed: 0,
-            cache_invalidate_nodes: 0,
-            scoped_rematches: 0,
             fp_fast_rejects: 0,
             fp_confirm_mismatches: 0,
-            dedup_hits_materialized: 0,
-            materializations_deferred: 0,
-            dequeue_materializations: 0,
             profile: SearchProfile::default(),
             improvement_trace: vec![(Duration::ZERO, initial_cost)],
         }
@@ -672,9 +476,11 @@ impl Frontier {
         self.queue.peek().map(|e| (e.cost, e.order))
     }
 
-    /// Pops up to `take` best entries, counting them as iterations and
-    /// recording any incumbent improvement among the dequeued circuits.
-    pub(crate) fn pop_batch(&mut self, take: usize, start: Instant) -> Vec<QueueEntry> {
+    /// Pops up to `take` best entries, counting them as iterations. No
+    /// dequeued entry can beat the incumbent: [`Frontier::merge`] records
+    /// every improvement when the candidate is enqueued, and the best cost
+    /// only ever decreases.
+    pub(crate) fn pop_batch(&mut self, take: usize) -> Vec<QueueEntry> {
         let mut batch = Vec::with_capacity(take);
         while batch.len() < take {
             match self.queue.pop() {
@@ -683,20 +489,6 @@ impl Frontier {
             }
         }
         self.iterations += batch.len();
-        for entry in &batch {
-            // Merge already recorded any improvement when the entry was
-            // enqueued and `best_cost` only decreases, so a deferred
-            // (circuit-less) entry can never beat the incumbent here.
-            debug_assert!(entry.cost >= self.best_cost || entry.circuit.is_some());
-            if entry.cost < self.best_cost {
-                if let Some(circuit) = &entry.circuit {
-                    self.best_cost = entry.cost;
-                    self.best_circuit = circuit.clone();
-                    self.improvement_trace
-                        .push((start.elapsed(), self.best_cost));
-                }
-            }
-        }
         batch
     }
 
@@ -706,65 +498,34 @@ impl Frontier {
     pub(crate) fn merge(&mut self, expansion: Expansion, config: &SearchConfig, start: Instant) {
         self.match_attempts += expansion.attempts;
         self.match_skips += expansion.skips;
-        self.dedup_hits += expansion.dedup_hits;
-        self.matches_cached += expansion.matches_cached;
-        self.matches_recomputed += expansion.matches_recomputed;
-        self.cache_invalidate_nodes += expansion.cache_invalidate_nodes;
-        self.scoped_rematches += expansion.scoped_rematches;
+        self.dedup_hits += expansion.fp_fast_rejects;
         self.fp_fast_rejects += expansion.fp_fast_rejects;
         self.fp_confirm_mismatches += expansion.fp_confirm_mismatches;
-        self.dequeue_materializations += expansion.dequeue_materializations;
-        // Every worker-side dedup hit that was not a fast reject was
-        // detected on a materialized candidate (the accounting identity of
-        // DESIGN.md §9).
-        self.dedup_hits_materialized += expansion.dedup_hits - expansion.fp_fast_rejects;
         self.profile.accumulate(&expansion.profile);
-        if expansion.rebuilt {
-            self.ctx_rebuilds += 1;
-        } else {
-            self.ctx_derives += 1;
-        }
         for candidate in expansion.candidates {
             if self.seen.contains(&candidate.shash.value()) {
-                // A merge-time duplicate: enqueued by an earlier expansion
-                // of this batch. Counted as a materialized detection for
-                // accounting-name stability even when the deferred engine
-                // never built the circuit.
+                // A merge-time duplicate: admitted earlier in this step.
                 self.dedup_hits += 1;
-                self.dedup_hits_materialized += 1;
                 continue;
             }
             if (candidate.cost as f64) < config.gamma * self.best_cost as f64 {
                 if candidate.cost < self.best_cost {
                     self.best_cost = candidate.cost;
-                    // A deferred candidate that improves the incumbent must
-                    // be materialized now — the incumbent is the one place a
-                    // concrete circuit is non-negotiable.
-                    self.best_circuit = match &candidate.circuit {
-                        Some(circuit) => circuit.clone(),
-                        None => canonicalize(&expansion.state.ctx.apply_delta(&candidate.delta)),
-                    };
+                    // The incumbent is the one place a concrete circuit is
+                    // needed before the candidate is dequeued.
+                    self.best_circuit = canonicalize(&expansion.ctx.apply_delta(&candidate.delta));
                     self.improvement_trace
                         .push((start.elapsed(), self.best_cost));
                 }
                 self.order += 1;
                 self.seen.insert(candidate.shash.value());
-                if candidate.circuit.is_none() {
-                    self.materializations_deferred += 1;
-                }
-                let ctx = if config.incremental_contexts {
-                    CtxSource::Derived {
-                        parent: Arc::clone(&expansion.state),
-                        delta: candidate.delta,
-                    }
-                } else {
-                    CtxSource::Root
-                };
                 self.queue.push(QueueEntry {
                     cost: candidate.cost,
                     order: self.order,
-                    circuit: candidate.circuit,
-                    ctx,
+                    source: Source::Child {
+                        parent: Arc::clone(&expansion.ctx),
+                        delta: candidate.delta,
+                    },
                     shash: candidate.shash,
                 });
             }
@@ -797,18 +558,8 @@ impl Frontier {
             match_attempts: self.match_attempts,
             match_skips: self.match_skips,
             dedup_hits: self.dedup_hits,
-            ctx_rebuilds: self.ctx_rebuilds,
-            ctx_derives: self.ctx_derives,
-            matches_cached: self.matches_cached,
-            matches_recomputed: self.matches_recomputed,
-            cache_invalidate_nodes: self.cache_invalidate_nodes,
-            scoped_rematches: self.scoped_rematches,
             fp_fast_rejects: self.fp_fast_rejects,
-            materializations_avoided: self.fp_fast_rejects,
             fp_confirm_mismatches: self.fp_confirm_mismatches,
-            dedup_hits_materialized: self.dedup_hits_materialized,
-            materializations_deferred: self.materializations_deferred,
-            dequeue_materializations: self.dequeue_materializations,
             profile: self.profile,
         }
     }
@@ -856,8 +607,8 @@ where
 /// circuit.push(Instruction::new(Gate::Cnot, vec![0, 1], vec![]));
 /// let result = optimizer.optimize(&circuit);
 /// assert_eq!(result.best_cost, 1);
-/// // Only the frontier root rebuilt its match context from scratch.
-/// assert_eq!(result.ctx_rebuilds, 1);
+/// // Every dequeued entry's hash confirmed the preview that admitted it.
+/// assert_eq!(result.fp_confirm_mismatches, 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Optimizer {
@@ -936,7 +687,7 @@ impl Optimizer {
                 break;
             }
             let take = batch_size.min(frontier.remaining_budget());
-            let batch = frontier.pop_batch(take, start);
+            let batch = frontier.pop_batch(take);
             if batch.is_empty() {
                 break;
             }
@@ -954,7 +705,7 @@ impl Optimizer {
 
             // Deterministic merge in batch (priority) order; with
             // batch_size = 1 this interleaves with expansion exactly as the
-            // sequential algorithm did.
+            // sequential algorithm does.
             for expansion in expansions {
                 frontier.merge(expansion, &self.config, start);
             }
@@ -964,17 +715,14 @@ impl Optimizer {
         frontier.into_result(start.elapsed())
     }
 
-    /// Expands one dequeued circuit: materializes its [`MatchContext`] and
-    /// — with `cached_matches` — its [`MatchCache`] (both derived from the
-    /// parent's where possible, rebuilt at frontier roots), dispatches
-    /// through the index (or the full scan), obtains each surviving
-    /// transformation's match set (served from the cache, with a use-time
-    /// convexity check, or by matching anchored on the context), and
-    /// delta-costs/hashes every successor. Candidates are sorted by
-    /// (cost, structural hash) so the expansion's output is a function of
-    /// the candidate set alone — independent of the circuit's sequence
-    /// representation, of match enumeration order, of whether a match came
-    /// from the cache, and of wall-clock time (the timeout is checked
+    /// Expands one dequeued circuit: builds its [`MatchContext`] (derived
+    /// from the parent's, or from the sequence form at the root), confirms
+    /// its admission-time hash, dispatches through the index, matches every
+    /// surviving transformation, and delta-costs and previews every
+    /// successor. Candidates are sorted by (cost, structural hash) so the
+    /// expansion's output is a function of the candidate set alone —
+    /// independent of the circuit's sequence representation, of match
+    /// enumeration order, and of wall-clock time (the timeout is checked
     /// between dequeued entries, never mid-scan). Pure with respect to the
     /// search state — safe to run on worker threads; the only thread-local
     /// state is reusable scratch buffers that never influence results.
@@ -1005,160 +753,68 @@ impl Optimizer {
         index_scratch: &mut IndexScratch,
         ids: &mut Vec<usize>,
     ) -> Expansion {
-        // Caching rides the indexed incremental engine: without derived
-        // contexts there is no chain to carry the cache along, and without
-        // the index there is no dirty-dispatch query.
-        let caching =
-            self.config.cached_matches && self.config.use_index && self.config.incremental_contexts;
-        let (mut state, rebuilt, mut cache_stats) = match &entry.ctx {
-            CtxSource::Root => (
-                ExpandedState {
-                    ctx: MatchContext::new(
-                        entry
-                            .circuit
-                            .as_ref()
-                            .expect("root and eager entries are materialized"),
-                    ),
-                    cache: None,
-                },
-                true,
-                CacheStats::default(),
-            ),
-            CtxSource::Derived { parent, delta } => {
-                if caching {
-                    let (ctx, footprint) = parent.ctx.derive_with_footprint(delta);
-                    let (cache, stats) = match &parent.cache {
-                        Some(parent_cache) => {
-                            parent_cache.derive(&ctx, &self.index, &footprint, index_scratch)
-                        }
-                        // Unreachable in practice (within one run either
-                        // every expansion caches or none does), but a full
-                        // build is always a correct fallback.
-                        None => {
-                            let mut all = Vec::new();
-                            self.index.candidates_into(
-                                ctx.dag().gate_histogram(),
-                                ctx.dag().num_qubits(),
-                                index_scratch,
-                                &mut all,
-                            );
-                            MatchCache::build_for(&ctx, &self.index, &all)
-                        }
-                    };
-                    (
-                        ExpandedState {
-                            ctx,
-                            cache: Some(cache),
-                        },
-                        false,
-                        stats,
-                    )
-                } else {
-                    (
-                        ExpandedState {
-                            ctx: parent.ctx.derive(delta),
-                            cache: None,
-                        },
-                        false,
-                        CacheStats::default(),
-                    )
-                }
-            }
-        };
-        let total = self.index.len();
-        if self.config.use_index {
-            self.index.candidates_into(
-                state.ctx.dag().gate_histogram(),
-                state.ctx.dag().num_qubits(),
-                index_scratch,
-                ids,
-            );
-        } else {
-            ids.clear();
-            ids.extend(0..total);
-        }
-        if caching && state.cache.is_none() {
-            // Frontier root: one full structural match pass seeds the cache
-            // the whole derivation chain below this entry will reuse.
-            let (cache, stats) = MatchCache::build_for(&state.ctx, &self.index, ids);
-            state.cache = Some(cache);
-            cache_stats = stats;
-        }
-
-        let mut candidates: Vec<Candidate> = Vec::new();
-        let mut attempts = 0usize;
-        let skips = total - ids.len();
-        let mut dedup_hits = 0usize;
-        let mut matches_cached = 0usize;
-        let mut fp_fast_rejects = 0usize;
-        let mut fp_confirm_mismatches = 0usize;
         let profiling = self.config.profile;
         let mut profile = SearchProfile::default();
+        let t_derive = profiling.then(Instant::now);
+        let ctx = match &entry.source {
+            Source::Root(circuit) => MatchContext::new(circuit),
+            Source::Child { parent, delta } => parent.derive(delta),
+        };
+        if let Some(t) = t_derive {
+            profile.derive = t.elapsed();
+        }
+        // Hash the derived DAG from its maintained wire hashes and confirm it
+        // against the preview that admitted the entry — two independent
+        // computations (splice-maintained caches vs preview algebra) whose
+        // agreement is the runtime canary. The derived hash is authoritative
+        // on mismatch.
+        let t_fp = profiling.then(Instant::now);
+        let entry_shash = StructuralHash::of(ctx.dag());
+        let fp_confirm_mismatches = usize::from(entry_shash.value() != entry.shash.value());
+        if let Some(t) = t_fp {
+            profile.fingerprint = t.elapsed();
+        }
+
+        self.index.candidates_into(
+            ctx.dag().gate_histogram(),
+            ctx.dag().num_qubits(),
+            index_scratch,
+            ids,
+        );
+        let mut candidates: Vec<Candidate> = Vec::new();
+        let mut fp_fast_rejects = 0usize;
         let cost_model = self.config.cost_model;
         let gamma = self.config.gamma;
-        let incremental_fp = self.config.incremental_fingerprints;
-        // Deferral needs both incremental pillars: the preview (to admit on
-        // hash alone) and derived contexts (to rebuild a dequeued deferred
-        // entry's circuit from its parent + delta).
-        let deferred = self.config.deferred_materialization
-            && self.config.incremental_fingerprints
-            && self.config.incremental_contexts;
-        // A deferred entry carries no circuit: its matching state above was
-        // derived from the parent's context, and this is the moment it
-        // becomes concrete. Hash the derived DAG from scratch and confirm
-        // it against the preview that admitted the entry — two independent
-        // computations (splice-maintained caches vs preview algebra) whose
-        // agreement is the runtime canary. The materialized hash is
-        // authoritative on mismatch.
-        let mut dequeue_materializations = 0usize;
-        let mut confirm_time = Duration::ZERO;
-        let confirmed: Option<StructuralHash> = match &entry.circuit {
-            Some(_) => None,
-            None => {
-                dequeue_materializations = 1;
-                let t_fp = profiling.then(Instant::now);
-                let confirmed = StructuralHash::of(state.ctx.dag());
-                if let Some(t) = t_fp {
-                    confirm_time = t.elapsed();
-                }
-                if confirmed.value() != entry.shash.value() {
-                    fp_confirm_mismatches += 1;
-                }
-                Some(confirmed)
-            }
-        };
-        let entry_shash: &StructuralHash = confirmed.as_ref().unwrap_or(&entry.shash);
         // Exact O(footprint) successor costing for every model — additive
         // per-gate sums and critical-path depth alike — so the γ filter
-        // rejects cost-increasing rewrites *before* the O(circuit)
-        // materialize + canonicalize work, by far the dominant per-match
-        // cost on large circuits.
-        let coster = cost_model.delta_coster(state.ctx.dag());
-        let mut consider = |ctx: &MatchContext, xform: &Transformation, m: &Match| {
-            let t_delta = profiling.then(Instant::now);
-            let delta = ctx.delta_for(xform, m);
-            if let Some(t) = t_delta {
-                profile.delta += t.elapsed();
-            }
-            let Some(delta) = delta else {
-                return;
-            };
-            let t_gamma = profiling.then(Instant::now);
-            let cost = coster.cost_after(&delta);
-            let gamma_rejected = (cost as f64) >= gamma * frozen_best as f64;
-            if let Some(t) = t_gamma {
-                profile.gamma_precheck += t.elapsed();
-            }
-            if gamma_rejected {
-                return;
-            }
-            if incremental_fp {
+        // rejects cost-increasing rewrites without materializing them.
+        let coster = cost_model.delta_coster(ctx.dag());
+        let t_loop = profiling.then(Instant::now);
+        for &id in ids.iter() {
+            let xform = &self.index.transformations()[id];
+            for m in ctx.find_matches(&xform.target) {
+                let t_delta = profiling.then(Instant::now);
+                let delta = ctx.delta_for(xform, &m);
+                if let Some(t) = t_delta {
+                    profile.delta += t.elapsed();
+                }
+                let Some(delta) = delta else {
+                    continue;
+                };
+                let t_gamma = profiling.then(Instant::now);
+                let cost = coster.cost_after(&delta);
+                let gamma_rejected = (cost as f64) >= gamma * frozen_best as f64;
+                if let Some(t) = t_gamma {
+                    profile.gamma_precheck += t.elapsed();
+                }
+                if gamma_rejected {
+                    continue;
+                }
                 // O(footprint) duplicate rejection: preview the successor's
                 // exact structural hash straight off the parent DAG and the
                 // delta — without applying the rewrite — and probe the
                 // frozen seen-set. The hash is a complete invariant of the
-                // canonical form (DESIGN.md §13), so a hit *is* a duplicate
-                // and the candidate dies without ever being materialized.
+                // canonical form (DESIGN.md §13), so a hit *is* a duplicate.
                 let t_preview = profiling.then(Instant::now);
                 let value = entry_shash.preview(ctx.dag(), &delta);
                 if let Some(t) = t_preview {
@@ -1170,167 +826,48 @@ impl Optimizer {
                     profile.dedup += t.elapsed();
                 }
                 if seen_hit {
-                    dedup_hits += 1;
                     fp_fast_rejects += 1;
-                    return;
+                    continue;
                 }
-                if deferred {
-                    // First sight: promote the previewed value to a full
-                    // carryable hash (still O(footprint)) and admit the
-                    // candidate on (cost, hash, delta) alone — no circuit
-                    // is built until (and unless) the entry is dequeued.
-                    let t_preview = profiling.then(Instant::now);
-                    let full = entry_shash.previewed(ctx.dag(), &delta);
-                    if let Some(t) = t_preview {
-                        profile.preview += t.elapsed();
-                    }
-                    debug_assert_eq!(full.value(), value);
-                    // Debug builds re-derive the deferred admission from
-                    // the materialized successor: same cost, same hash.
-                    #[cfg(debug_assertions)]
-                    {
-                        let canonical = canonicalize(&ctx.apply_delta(&delta));
-                        debug_assert_eq!(cost, cost_model.cost(&canonical));
-                        debug_assert_eq!(
-                            full.value(),
-                            StructuralHash::of(&CircuitDag::from_circuit(&canonical)).value(),
-                            "structural-hash preview diverged from the materialized circuit"
-                        );
-                    }
-                    candidates.push(Candidate {
-                        circuit: None,
-                        cost,
-                        delta,
-                        shash: full,
-                    });
-                } else {
-                    // Eager reference engine: materialize, then confirm the
-                    // preview against a from-scratch hash of the canonical
-                    // form — the runtime canary the deferred engine moves
-                    // to dequeue time.
-                    let t_canon = profiling.then(Instant::now);
+                // First sight: promote the previewed value to a full
+                // carryable hash (still O(footprint)) and admit the candidate
+                // on (cost, hash, delta) alone.
+                let t_preview = profiling.then(Instant::now);
+                let shash = entry_shash.previewed(ctx.dag(), &delta);
+                if let Some(t) = t_preview {
+                    profile.preview += t.elapsed();
+                }
+                debug_assert_eq!(shash.value(), value);
+                // Debug builds re-derive the admission from the materialized
+                // successor: same cost, same hash.
+                #[cfg(debug_assertions)]
+                {
                     let canonical = canonicalize(&ctx.apply_delta(&delta));
-                    if let Some(t) = t_canon {
-                        profile.canonicalize += t.elapsed();
-                    }
                     debug_assert_eq!(cost, cost_model.cost(&canonical));
-                    let t_fp = profiling.then(Instant::now);
-                    let materialized = StructuralHash::of(&CircuitDag::from_circuit(&canonical));
-                    if let Some(t) = t_fp {
-                        profile.fingerprint += t.elapsed();
-                    }
-                    if materialized.value() != value {
-                        // Counted as a canary, asserted 0 by the suites;
-                        // the materialized hash is authoritative, so
-                        // re-probe the seen-set with it.
-                        fp_confirm_mismatches += 1;
-                        let t_dedup = profiling.then(Instant::now);
-                        let seen_hit = seen.contains(&materialized.value());
-                        if let Some(t) = t_dedup {
-                            profile.dedup += t.elapsed();
-                        }
-                        if seen_hit {
-                            dedup_hits += 1;
-                            return;
-                        }
-                    }
-                    candidates.push(Candidate {
-                        circuit: Some(canonical),
-                        cost,
-                        delta,
-                        shash: materialized,
-                    });
+                    debug_assert_eq!(
+                        shash.value(),
+                        StructuralHash::of(&CircuitDag::from_circuit(&canonical)).value(),
+                        "structural-hash preview diverged from the materialized circuit"
+                    );
                 }
-            } else {
-                // No incremental fingerprints: materialize and hash from
-                // scratch, then probe the same seen-set with the same exact
-                // identity. The check order (γ precheck, then hash probe)
-                // matches the fast path, so every engine configuration sees
-                // identical dedup_hits.
-                let t_canon = profiling.then(Instant::now);
-                let canonical = canonicalize(&ctx.apply_delta(&delta));
-                if let Some(t) = t_canon {
-                    profile.canonicalize += t.elapsed();
-                }
-                debug_assert_eq!(cost, cost_model.cost(&canonical));
-                let t_fp = profiling.then(Instant::now);
-                let shash = StructuralHash::of(&CircuitDag::from_circuit(&canonical));
-                if let Some(t) = t_fp {
-                    profile.fingerprint += t.elapsed();
-                }
-                let t_dedup = profiling.then(Instant::now);
-                let seen_hit = seen.contains(&shash.value());
-                if let Some(t) = t_dedup {
-                    profile.dedup += t.elapsed();
-                }
-                if seen_hit {
-                    dedup_hits += 1;
-                    return;
-                }
-                candidates.push(Candidate {
-                    circuit: Some(canonical),
-                    cost,
-                    delta,
-                    shash,
-                });
-            }
-        };
-        let t_loop = profiling.then(Instant::now);
-        for &id in ids.iter() {
-            let xform = &self.index.transformations()[id];
-            match &state.cache {
-                Some(cache) => {
-                    // Matches come from the cache; convexity — the one
-                    // non-local match property — is re-validated against the
-                    // current DAG, exactly where the uncached matcher checks
-                    // it (at full depth).
-                    matches_cached += cache.carried(id);
-                    for m in cache.matches(id) {
-                        if state.ctx.is_match_convex(m) {
-                            consider(&state.ctx, xform, m);
-                        }
-                    }
-                }
-                None => {
-                    attempts += 1;
-                    for m in state.ctx.find_matches(&xform.target) {
-                        consider(&state.ctx, xform, &m);
-                    }
-                }
+                candidates.push(Candidate { cost, delta, shash });
             }
         }
         if let Some(t) = t_loop {
             // Everything in the dispatch loop not claimed by a finer phase
             // is match-enumeration work.
-            profile.matching += t.elapsed().saturating_sub(
-                profile.delta
-                    + profile.gamma_precheck
-                    + profile.preview
-                    + profile.canonicalize
-                    + profile.fingerprint
-                    + profile.dedup,
+            profile.matching = t.elapsed().saturating_sub(
+                profile.delta + profile.gamma_precheck + profile.preview + profile.dedup,
             );
         }
-        // The dequeue-time confirmation hash ran before the dispatch loop;
-        // account for it only now so the matching residual above stays a
-        // pure measurement of the loop.
-        profile.fingerprint += confirm_time;
-        attempts += cache_stats.full_passes;
         candidates.sort_by_key(|c| (c.cost, c.shash.value()));
         Expansion {
-            state: Arc::new(state),
-            rebuilt,
+            ctx: Arc::new(ctx),
             candidates,
-            attempts,
-            skips,
-            dedup_hits,
-            matches_cached,
-            matches_recomputed: cache_stats.matches_recomputed,
-            cache_invalidate_nodes: cache_stats.dirty_nodes,
-            scoped_rematches: cache_stats.scoped_runs,
+            attempts: ids.len(),
+            skips: self.index.len() - ids.len(),
             fp_fast_rejects,
             fp_confirm_mismatches,
-            dequeue_materializations,
             profile,
         }
     }
@@ -1339,6 +876,7 @@ impl Optimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
     use crate::xform::instruction;
     use quartz_gen::{GenConfig, Generator};
     use quartz_ir::{equivalent_up_to_phase, Gate, GateSet, Instruction, ParamExpr};
@@ -1478,37 +1016,31 @@ mod tests {
 
     #[test]
     fn indexed_and_linear_dispatch_agree_and_index_skips_work() {
-        let base = nam_optimizer(2, 2, 0);
+        let opt = nam_optimizer(2, 2, 0);
         let mut c = Circuit::new(2, 0);
         c.push(instruction(Gate::H, &[0]));
         c.push(instruction(Gate::H, &[0]));
         c.push(instruction(Gate::Cnot, &[0, 1]));
-        let indexed = base.optimize(&c);
-        let linear = Optimizer::new(
-            base.transformations().to_vec(),
-            SearchConfig {
-                use_index: false,
-                ..base.config().clone()
-            },
-        )
-        .optimize(&c);
+        let indexed = opt.optimize(&c);
+        // The oracle scans every transformation on every dequeue.
+        let linear = oracle::run(opt.transformations(), opt.config(), &c);
+        oracle::assert_agrees(&indexed, &linear, "H H CNOT");
         // Same search outcome, strictly fewer pattern-match attempts: the
         // circuit contains no X, so every X-bearing pattern is skipped.
-        assert_eq!(indexed.best_cost, linear.best_cost);
-        assert_eq!(indexed.iterations, linear.iterations);
-        assert_eq!(indexed.circuits_seen, linear.circuits_seen);
-        assert_eq!(linear.match_skips, 0);
+        assert_eq!(
+            indexed.match_attempts + indexed.match_skips,
+            linear.match_attempts
+        );
         assert!(indexed.match_skips > 0, "index should skip X-only patterns");
         assert!(indexed.match_attempts < linear.match_attempts);
         assert!(indexed.dispatch_skip_rate() > 0.0);
-        assert_eq!(linear.dispatch_skip_rate(), 0.0);
     }
 
     #[test]
     fn dedup_hits_are_counted() {
         // Four H's on one qubit: many transformation paths reach the same
-        // two-gate and zero-gate circuits, so the fingerprint seen-set must
-        // report hits.
+        // two-gate and zero-gate circuits, so the structural-hash seen-set
+        // must report hits.
         let opt = nam_optimizer(2, 2, 0);
         let mut c = Circuit::new(2, 0);
         for _ in 0..4 {
@@ -1520,21 +1052,6 @@ mod tests {
             result.dedup_hits > 0,
             "expected duplicate candidates to be dropped"
         );
-    }
-
-    /// Asserts the *search-outcome* fields of two results coincide — every
-    /// field except the matching-effort counters, which legitimately differ
-    /// between engines (that difference is the point of the cache).
-    fn assert_same_outcome(a: &SearchResult, b: &SearchResult) {
-        assert_eq!(a.best_circuit, b.best_circuit);
-        assert_eq!(a.best_cost, b.best_cost);
-        assert_eq!(a.initial_cost, b.initial_cost);
-        assert_eq!(a.iterations, b.iterations);
-        assert_eq!(a.circuits_seen, b.circuits_seen);
-        assert_eq!(a.dedup_hits, b.dedup_hits);
-        let trace_a: Vec<usize> = a.improvement_trace.iter().map(|(_, c)| *c).collect();
-        let trace_b: Vec<usize> = b.improvement_trace.iter().map(|(_, c)| *c).collect();
-        assert_eq!(trace_a, trace_b);
     }
 
     fn redundant_three_qubit_circuit() -> Circuit {
@@ -1549,93 +1066,40 @@ mod tests {
         c
     }
 
-    /// The incremental engine must be bit-identical to the rebuild-every-
-    /// entry engine, and must rebuild only at frontier roots. Run with the
-    /// match cache off so even `match_attempts` must agree exactly.
-    #[test]
-    fn incremental_contexts_are_bit_identical_to_rebuilds() {
-        let base = nam_optimizer(2, 2, 0);
-        let incremental_uncached = Optimizer::new(
-            base.transformations().to_vec(),
-            SearchConfig {
-                cached_matches: false,
-                ..base.config().clone()
-            },
-        );
-        let rebuild_all = Optimizer::new(
-            base.transformations().to_vec(),
-            SearchConfig {
-                incremental_contexts: false,
-                cached_matches: false,
-                ..base.config().clone()
-            },
-        );
-        let c = redundant_three_qubit_circuit();
-        let incremental = incremental_uncached.optimize(&c);
-        let rebuilt = rebuild_all.optimize(&c);
-
-        assert_same_outcome(&incremental, &rebuilt);
-        assert_eq!(incremental.match_attempts, rebuilt.match_attempts);
-
-        // Context accounting: the incremental run rebuilds only the root;
-        // the rebuild-all run never derives.
-        assert_eq!(incremental.ctx_rebuilds, 1);
-        assert_eq!(
-            incremental.ctx_derives,
-            incremental.iterations - 1,
-            "every non-root dequeue must derive its context"
-        );
-        assert_eq!(rebuilt.ctx_derives, 0);
-        assert_eq!(rebuilt.ctx_rebuilds, rebuilt.iterations);
-        assert!(incremental.ctx_derives > 0);
-        assert!(incremental.ctx_derive_rate() > 0.0);
-        assert_eq!(rebuilt.ctx_derive_rate(), 0.0);
+    /// The default configuration under an iteration budget the wall clock
+    /// never cuts short, so engine and oracle runs are comparable.
+    fn bounded() -> SearchConfig {
+        SearchConfig {
+            max_iterations: 60,
+            timeout: Duration::from_secs(600),
+            ..SearchConfig::default()
+        }
     }
 
-    /// The cached-match engine (the default) must produce the same search
-    /// outcome as the engine that re-matches everything on every dequeue —
-    /// while actually attempting far fewer pattern matches.
-    #[test]
-    fn cached_matches_are_bit_identical_to_full_rematching() {
-        let cached = nam_optimizer(2, 2, 0);
-        assert!(cached.config().cached_matches, "caching must default on");
-        let uncached = Optimizer::new(
-            cached.transformations().to_vec(),
-            SearchConfig {
-                cached_matches: false,
-                ..cached.config().clone()
-            },
-        );
-        let c = redundant_three_qubit_circuit();
-        let with_cache = cached.optimize(&c);
-        let without_cache = uncached.optimize(&c);
+    /// Runs the engine and the oracle under one configuration and asserts
+    /// they agree on every outcome field.
+    fn engine_against_oracle(config: SearchConfig, circuit: &Circuit) -> SearchResult {
+        let base = nam_optimizer(2, 2, 0);
+        let engine = Optimizer::new(base.transformations().to_vec(), config.clone());
+        let result = engine.optimize(circuit);
+        let reference = oracle::run(engine.transformations(), &config, circuit);
+        oracle::assert_agrees(&result, &reference, &format!("{config:?}"));
+        result
+    }
 
-        assert_same_outcome(&with_cache, &without_cache);
-        // Same index filter, same dispatch skips.
-        assert_eq!(with_cache.match_skips, without_cache.match_skips);
-        // Caching means strictly less matching work and a nonzero hit rate.
-        assert!(
-            with_cache.match_attempts < without_cache.match_attempts,
-            "cache did not reduce matcher runs: {} vs {}",
-            with_cache.match_attempts,
-            without_cache.match_attempts
-        );
-        assert!(with_cache.matches_cached > 0);
-        assert!(with_cache.matches_recomputed > 0); // at least the root pass
-        assert!(with_cache.cache_invalidate_nodes > 0);
-        assert!(with_cache.cache_hit_rate() > 0.0);
-        // The uncached engine reports no cache activity.
-        assert_eq!(without_cache.matches_cached, 0);
-        assert_eq!(without_cache.matches_recomputed, 0);
-        assert_eq!(without_cache.cache_invalidate_nodes, 0);
-        assert_eq!(without_cache.cache_hit_rate(), 0.0);
+    /// The engine derives every non-root context from its parent's through
+    /// a splice delta; the oracle builds a fresh context for every dequeued
+    /// circuit. They must visit the same states.
+    #[test]
+    fn derived_contexts_are_bit_identical_to_rebuilds() {
+        let result = engine_against_oracle(bounded(), &redundant_three_qubit_circuit());
+        assert!(result.iterations > 1, "the run must derive some contexts");
     }
 
     /// The rate accessors must return 0 (not NaN) when their denominators
     /// are zero: `reduction` on a zero-cost input, `dispatch_skip_rate` /
-    /// `cache_hit_rate` / `ctx_derive_rate` / `fp_fast_reject_rate` on a run
-    /// that did no matching work at all (an empty transformation library on
-    /// an empty circuit).
+    /// `fp_fast_reject_rate` on a run that did no matching work at all (an
+    /// empty transformation library on an empty circuit).
     #[test]
     fn rates_are_zero_not_nan_on_empty_runs() {
         let opt = Optimizer::new(Vec::new(), SearchConfig::default());
@@ -1646,7 +1110,6 @@ mod tests {
         assert_eq!(result.dedup_hits, 0);
         assert_eq!(result.reduction(), 0.0);
         assert_eq!(result.dispatch_skip_rate(), 0.0);
-        assert_eq!(result.cache_hit_rate(), 0.0);
         assert_eq!(result.fp_fast_reject_rate(), 0.0);
 
         // A populated optimizer on the empty circuit exercises the
@@ -1659,8 +1122,6 @@ mod tests {
         for rate in [
             empty.reduction(),
             empty.dispatch_skip_rate(),
-            empty.ctx_derive_rate(),
-            empty.cache_hit_rate(),
             empty.fp_fast_reject_rate(),
         ] {
             assert!(rate.is_finite());
@@ -1668,184 +1129,77 @@ mod tests {
         }
     }
 
-    /// Asserts the accounting identity of DESIGN.md §9 on one result:
-    /// every duplicate was rejected either by the fast path or after
-    /// materialization, by disjoint increment sites.
-    fn assert_dedup_accounting(r: &SearchResult) {
-        assert_eq!(
-            r.dedup_hits,
-            r.fp_fast_rejects + r.dedup_hits_materialized,
-            "dedup accounting identity violated"
-        );
-        assert_eq!(r.materializations_avoided, r.fp_fast_rejects);
-        assert_eq!(r.fp_confirm_mismatches, 0, "invariance canary fired");
-    }
-
-    /// The incremental-fingerprint engine (the default) must produce
-    /// bit-identical outcomes to the materializing engine, while actually
-    /// fast-rejecting a substantial share of the duplicates before they are
-    /// materialized — and never disagreeing with the authoritative
-    /// fingerprint (the confirm-mismatch canary).
+    /// The engine keys deduplication on hashes previewed from the parent
+    /// and the delta; the oracle materializes every candidate and hashes it
+    /// from scratch. Same outcome — with most duplicates rejected on the
+    /// worker, before any merge.
     #[test]
-    fn incremental_fingerprints_are_bit_identical_to_materializing_engine() {
-        let fp = nam_optimizer(2, 2, 0);
+    fn previewed_hashes_are_bit_identical_to_materializing_oracle() {
+        let result = engine_against_oracle(bounded(), &redundant_three_qubit_circuit());
         assert!(
-            fp.config().incremental_fingerprints,
-            "incremental fingerprints must default on"
-        );
-        let nofp = Optimizer::new(
-            fp.transformations().to_vec(),
-            SearchConfig {
-                incremental_fingerprints: false,
-                ..fp.config().clone()
-            },
-        );
-        let c = redundant_three_qubit_circuit();
-        let with_fp = fp.optimize(&c);
-        let without_fp = nofp.optimize(&c);
-
-        assert_same_outcome(&with_fp, &without_fp);
-        // Matching effort is untouched by the fast path: the engines differ
-        // only in *when* a duplicate is detected.
-        assert_eq!(with_fp.match_attempts, without_fp.match_attempts);
-        assert_eq!(with_fp.match_skips, without_fp.match_skips);
-
-        assert!(
-            with_fp.fp_fast_rejects > 0,
+            result.fp_fast_rejects > 0,
             "expected duplicate candidates to be rejected before materialization"
         );
-        assert!(with_fp.fp_fast_reject_rate() > 0.0);
-        assert_dedup_accounting(&with_fp);
-
-        // The materializing engine reports no fast-path activity; all of
-        // its dedup hits are materialized.
-        assert_eq!(without_fp.fp_fast_rejects, 0);
-        assert_eq!(without_fp.materializations_avoided, 0);
-        assert_eq!(without_fp.fp_confirm_mismatches, 0);
-        assert_eq!(without_fp.dedup_hits_materialized, without_fp.dedup_hits);
-        assert_eq!(without_fp.fp_fast_reject_rate(), 0.0);
+        assert!(result.fp_fast_rejects <= result.dedup_hits);
+        assert!(result.fp_fast_reject_rate() > 0.0);
     }
 
-    /// The fast path composes with every engine configuration: rebuilt
-    /// contexts, uncached matches, linear dispatch, and batched parallel
-    /// expansion must all stay bit-identical to their materializing
-    /// counterparts.
+    /// The preview path composes with the engine's remaining settings:
+    /// batched parallel expansion (workers filter against the state frozen
+    /// at the start of the step, merges run in pop order) at several thread
+    /// counts matches the oracle's batched steps exactly.
     #[test]
-    fn incremental_fingerprints_compose_with_other_engine_switches() {
-        let base = nam_optimizer(2, 2, 0);
-        let c = redundant_three_qubit_circuit();
-        for (incremental_contexts, cached_matches, use_index, batch_size) in [
-            (false, false, true, 1),
-            (true, false, false, 1),
-            (true, true, true, 4),
-        ] {
-            let variant = |incremental_fingerprints: bool| {
-                Optimizer::new(
-                    base.transformations().to_vec(),
-                    SearchConfig {
-                        incremental_contexts,
-                        cached_matches,
-                        use_index,
-                        batch_size,
-                        incremental_fingerprints,
-                        ..base.config().clone()
-                    },
-                )
-                .optimize(&c)
-            };
-            let with_fp = variant(true);
-            let without_fp = variant(false);
-            assert_same_outcome(&with_fp, &without_fp);
-            assert!(
-                with_fp.fp_fast_rejects > 0,
-                "fast path inactive for contexts={incremental_contexts} \
-                 cached={cached_matches} index={use_index} batch={batch_size}"
+    fn batched_expansion_matches_the_batched_oracle() {
+        for (batch_size, num_threads) in [(4, 2), (3, 1)] {
+            let result = engine_against_oracle(
+                SearchConfig {
+                    batch_size,
+                    num_threads,
+                    ..bounded()
+                },
+                &redundant_three_qubit_circuit(),
             );
-            assert_dedup_accounting(&with_fp);
-            assert_dedup_accounting(&without_fp);
+            assert!(result.fp_fast_rejects > 0);
         }
     }
 
     /// Delta-costing makes the γ precheck exact for the non-additive Depth
-    /// model, so the fast path stays *active* there: duplicates are
-    /// fast-rejected before materialization and the outcomes are
-    /// bit-identical to the materializing engine's.
+    /// model, so the preview path stays *active* there: duplicates are
+    /// rejected before materialization and the outcome matches the oracle,
+    /// which costs every materialized candidate from scratch.
     #[test]
     fn depth_cost_keeps_the_prefilter_active() {
-        let base = nam_optimizer(2, 2, 0);
-        let c = redundant_three_qubit_circuit();
-        let run = |incremental_fingerprints: bool| {
-            Optimizer::new(
-                base.transformations().to_vec(),
-                SearchConfig {
-                    cost_model: CostModel::Depth,
-                    incremental_fingerprints,
-                    ..base.config().clone()
-                },
-            )
-            .optimize(&c)
-        };
-        let on = run(true);
-        let off = run(false);
-        assert_same_outcome(&on, &off);
+        let result = engine_against_oracle(
+            SearchConfig {
+                cost_model: CostModel::Depth,
+                ..bounded()
+            },
+            &redundant_three_qubit_circuit(),
+        );
         assert!(
-            on.fp_fast_rejects > 0,
+            result.fp_fast_rejects > 0,
             "depth-shaped search must fast-reject duplicates before materialization"
         );
-        assert_dedup_accounting(&on);
-        assert_dedup_accounting(&off);
-        assert_eq!(off.fp_fast_rejects, 0);
-        assert_eq!(off.dedup_hits_materialized, off.dedup_hits);
     }
 
-    /// The deferred engine (the default) admits first-sight candidates on
-    /// (cost, hash, delta) alone and only materializes the few that are
-    /// dequeued — and must stay bit-identical to the eager engine in every
-    /// outcome field, for every cost model.
+    /// The engine enqueues candidates as (cost, hash, delta) and builds a
+    /// circuit only on dequeue; the oracle materializes every candidate at
+    /// admission. They must agree under every cost model.
     #[test]
-    fn deferred_materialization_is_bit_identical_to_eager() {
-        let base = nam_optimizer(2, 2, 0);
-        assert!(
-            base.config().deferred_materialization,
-            "deferred materialization must default on"
-        );
-        let c = redundant_three_qubit_circuit();
+    fn deferral_is_bit_identical_to_the_eager_oracle_under_every_cost_model() {
         for cost_model in [
             CostModel::GateCount,
             CostModel::MultiQubitGateCount,
+            CostModel::TCount,
             CostModel::Depth,
         ] {
-            let run = |deferred_materialization: bool| {
-                Optimizer::new(
-                    base.transformations().to_vec(),
-                    SearchConfig {
-                        cost_model,
-                        deferred_materialization,
-                        ..base.config().clone()
-                    },
-                )
-                .optimize(&c)
-            };
-            let deferred = run(true);
-            let eager = run(false);
-            assert_same_outcome(&deferred, &eager);
-            assert_eq!(deferred.fp_fast_rejects, eager.fp_fast_rejects);
-            assert_eq!(deferred.match_attempts, eager.match_attempts);
-            assert_dedup_accounting(&deferred);
-            assert_dedup_accounting(&eager);
-            assert!(
-                deferred.materializations_deferred > 0,
-                "deferred engine must enqueue circuit-less candidates ({cost_model:?})"
+            engine_against_oracle(
+                SearchConfig {
+                    cost_model,
+                    ..bounded()
+                },
+                &redundant_three_qubit_circuit(),
             );
-            assert!(
-                deferred.dequeue_materializations > 0,
-                "some deferred entries must materialize at dequeue ({cost_model:?})"
-            );
-            // Deferral never *adds* work: at most the enqueued-but-dequeued
-            // entries materialize.
-            assert!(deferred.dequeue_materializations <= deferred.materializations_deferred);
-            assert_eq!(eager.materializations_deferred, 0);
-            assert_eq!(eager.dequeue_materializations, 0);
         }
     }
 
@@ -1867,9 +1221,17 @@ mod tests {
             },
         )
         .optimize(&c);
-        assert_same_outcome(&profiled, &unprofiled);
-        assert_eq!(profiled.dedup_hits, unprofiled.dedup_hits);
-        assert_eq!(profiled.fp_fast_rejects, unprofiled.fp_fast_rejects);
+        let strip = |r: &SearchResult| SearchResult {
+            elapsed: Duration::ZERO,
+            improvement_trace: r
+                .improvement_trace
+                .iter()
+                .map(|&(_, c)| (Duration::ZERO, c))
+                .collect(),
+            profile: SearchProfile::default(),
+            ..r.clone()
+        };
+        assert_eq!(strip(&profiled), strip(&unprofiled));
         assert!(
             profiled.profile.total() > Duration::ZERO,
             "profiling must record phase time"
@@ -1877,8 +1239,9 @@ mod tests {
         let phases = profiled.profile.phases();
         assert_eq!(phases.len(), 7);
         assert!(phases.iter().all(|(_, secs)| *secs >= 0.0));
-        // The preview phase ran (the deferred default previews every
-        // first-sight candidate; canonicalize may be all but idle).
+        // Every dequeue derives a context and every first-sight candidate
+        // is previewed.
+        assert!(profiled.profile.derive > Duration::ZERO);
         assert!(profiled.profile.preview > Duration::ZERO);
     }
 }

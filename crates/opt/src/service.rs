@@ -9,9 +9,9 @@
 //! fingerprint seen-set, iteration budget, and γ threshold — while the
 //! transformation indexes, loaded or built once, are shared by every
 //! request that uses them and never cloned. Frontier entries are
-//! self-contained `(circuit, parent context Arc, splice delta)` triples
-//! (PR 2), so any worker thread can materialize any entry's match context;
-//! that is what lets a single worker pool serve every frontier.
+//! self-contained `(parent context Arc, splice delta, hash)` recipes, so any
+//! worker thread can materialize any entry's match context; that is what
+//! lets a single worker pool serve every frontier.
 //!
 //! # Work stealing, admission, and determinism
 //!
@@ -462,7 +462,7 @@ impl ServiceScheduler {
 
     /// Cancels a running request: its partial [`SearchResult`] (best circuit
     /// so far, counters, trace) is finalized and retained, and its frontier
-    /// — queue, seen-sets, match caches — is freed immediately. Co-tenants
+    /// — queue, seen-set, match contexts — is freed immediately. Co-tenants
     /// are untouched: frontiers share no mutable state, so their remaining
     /// trajectories are bit-for-bit what they would have been.
     ///
@@ -606,7 +606,7 @@ impl ServiceScheduler {
             let frontier = slot.frontier.as_mut().expect("selected slots are running");
             let trace_len_before = frontier.improvement_trace().len();
             let take = batch_size.min(frontier.remaining_budget());
-            let popped = frontier.pop_batch(take, slot.admitted_at);
+            let popped = frontier.pop_batch(take);
             let frozen_best = frontier.best_cost();
             groups.push((id, popped.len(), trace_len_before));
             work.extend(popped.into_iter().map(|entry| (id, frozen_best, entry)));
@@ -849,11 +849,8 @@ mod tests {
             assert_eq!(batched.match_attempts, solo.match_attempts);
             assert_eq!(batched.match_skips, solo.match_skips);
             assert_eq!(batched.dedup_hits, solo.dedup_hits);
-            assert_eq!(batched.ctx_rebuilds, solo.ctx_rebuilds);
-            assert_eq!(batched.ctx_derives, solo.ctx_derives);
-            assert_eq!(batched.matches_cached, solo.matches_cached);
-            assert_eq!(batched.matches_recomputed, solo.matches_recomputed);
-            assert_eq!(batched.cache_invalidate_nodes, solo.cache_invalidate_nodes);
+            assert_eq!(batched.fp_fast_rejects, solo.fp_fast_rejects);
+            assert_eq!(batched.fp_confirm_mismatches, solo.fp_confirm_mismatches);
         }
     }
 
@@ -883,58 +880,28 @@ mod tests {
             assert_eq!(batched.circuits_seen, solo.circuits_seen);
             assert_eq!(batched.match_attempts, solo.match_attempts);
             assert_eq!(batched.dedup_hits, solo.dedup_hits);
-            assert_eq!(batched.ctx_rebuilds, solo.ctx_rebuilds);
-            assert_eq!(batched.ctx_derives, solo.ctx_derives);
-            assert_eq!(batched.matches_cached, solo.matches_cached);
-            assert_eq!(batched.matches_recomputed, solo.matches_recomputed);
-            assert_eq!(batched.cache_invalidate_nodes, solo.cache_invalidate_nodes);
+            assert_eq!(batched.fp_fast_rejects, solo.fp_fast_rejects);
+            assert_eq!(batched.fp_confirm_mismatches, solo.fp_confirm_mismatches);
         }
     }
 
-    /// Deferred materialization is invisible in service outcomes too: a
-    /// co-tenant batch under the deferred default is field-by-field
-    /// identical to the same batch on an eager service, while actually
-    /// deferring work.
+    /// Deferred materialization is invisible in service outcomes too: every
+    /// request of a co-tenant batch, whose candidates are built only when
+    /// dequeued, matches the naive oracle, which builds every candidate
+    /// eagerly.
     #[test]
     fn deferred_service_batches_match_eager_batches() {
-        let (set, _) = Generator::new(GateSet::nam(), GenConfig::standard(2, 2, 0)).run();
-        let config = SearchConfig {
-            timeout: Duration::from_secs(120),
-            max_iterations: 10,
-            num_threads: 3,
-            ..SearchConfig::default()
-        };
-        assert!(config.deferred_materialization, "deferral must default on");
-        let deferred = OptimizationService::from_ecc_set(&set, config.clone());
-        let eager = OptimizationService::from_ecc_set(
-            &set,
-            SearchConfig {
-                deferred_materialization: false,
-                ..config
-            },
-        );
+        let service = nam_service(10, 3);
         let batch = vec![h_ladder(6), cnot_pairs(4), h_ladder(3)];
-        let a = deferred.optimize_batch(&batch);
-        let b = eager.optimize_batch(&batch);
-        let mut deferred_total = 0;
-        for (da, ea) in a.iter().zip(&b) {
-            assert_eq!(da.best_circuit, ea.best_circuit);
-            assert_eq!(da.best_cost, ea.best_cost);
-            assert_eq!(da.iterations, ea.iterations);
-            assert_eq!(da.circuits_seen, ea.circuits_seen);
-            assert_eq!(da.match_attempts, ea.match_attempts);
-            assert_eq!(da.dedup_hits, ea.dedup_hits);
-            assert_eq!(da.fp_fast_rejects, ea.fp_fast_rejects);
-            assert_eq!(da.fp_confirm_mismatches, 0);
-            assert_eq!(ea.fp_confirm_mismatches, 0);
-            assert!(da.dequeue_materializations <= da.materializations_deferred);
-            assert_eq!(ea.materializations_deferred, 0);
-            deferred_total += da.materializations_deferred;
+        let results = service.optimize_batch(&batch);
+        for (i, (circuit, result)) in batch.iter().zip(&results).enumerate() {
+            let eager = crate::oracle::run(
+                service.optimizer().transformations(),
+                service.optimizer().config(),
+                circuit,
+            );
+            crate::oracle::assert_agrees(result, &eager, &format!("request {i}"));
         }
-        assert!(
-            deferred_total > 0,
-            "the deferred service must defer some materializations"
-        );
     }
 
     #[test]

@@ -14,6 +14,8 @@ use quartz_opt::{
 use std::sync::Arc;
 use std::time::Duration;
 
+mod oracle;
+
 fn arb_clifford_t_instruction(nq: usize) -> impl Strategy<Value = Instruction> {
     let gates = prop_oneof![
         Just(Gate::H),
@@ -200,113 +202,42 @@ proptest! {
         prop_assert_eq!(a.match_attempts, b.match_attempts);
         prop_assert_eq!(a.match_skips, b.match_skips);
         prop_assert_eq!(a.dedup_hits, b.dedup_hits);
-        prop_assert_eq!(a.ctx_rebuilds, b.ctx_rebuilds);
-        prop_assert_eq!(a.ctx_derives, b.ctx_derives);
+        prop_assert_eq!(a.fp_fast_rejects, b.fp_fast_rejects);
         let trace_a: Vec<usize> = a.improvement_trace.iter().map(|&(_, c)| c).collect();
         let trace_b: Vec<usize> = b.improvement_trace.iter().map(|&(_, c)| c).collect();
         prop_assert_eq!(trace_a, trace_b);
     }
 
-    /// The match-site cache (DESIGN.md §8) must be invisible in search
-    /// outcomes: walking the random rewrite chains a real search performs,
-    /// the cached engine's `SearchResult` is field-by-field identical to
-    /// `cached_matches: false` — same best circuit, same trajectory, same
-    /// dedup/context counters — while doing no worse on full match passes.
-    #[test]
-    fn cached_match_engine_is_bit_identical_to_full_rematching(
-        input in arb_clifford_t_circuit(3, 10),
-    ) {
-        let nam = quartz_opt::clifford_t_to_nam(&input);
-        let config = SearchConfig {
-            timeout: Duration::from_secs(60),
-            max_iterations: 8,
-            ..SearchConfig::default()
-        };
-        prop_assert!(config.cached_matches, "caching must default on");
-        let cached = Optimizer::with_index(shared_nam_index(), config.clone());
-        let uncached = Optimizer::with_index(
-            shared_nam_index(),
-            SearchConfig { cached_matches: false, ..config },
-        );
-        let a = cached.optimize(&nam);
-        let b = uncached.optimize(&nam);
-        prop_assert_eq!(&a.best_circuit, &b.best_circuit);
-        prop_assert_eq!(a.best_cost, b.best_cost);
-        prop_assert_eq!(a.initial_cost, b.initial_cost);
-        prop_assert_eq!(a.iterations, b.iterations);
-        prop_assert_eq!(a.circuits_seen, b.circuits_seen);
-        prop_assert_eq!(a.dedup_hits, b.dedup_hits);
-        prop_assert_eq!(a.match_skips, b.match_skips);
-        prop_assert_eq!(a.ctx_rebuilds, b.ctx_rebuilds);
-        prop_assert_eq!(a.ctx_derives, b.ctx_derives);
-        let trace_a: Vec<usize> = a.improvement_trace.iter().map(|&(_, c)| c).collect();
-        let trace_b: Vec<usize> = b.improvement_trace.iter().map(|&(_, c)| c).collect();
-        prop_assert_eq!(trace_a, trace_b);
-        // Matching effort: only roots pay full passes under caching.
-        prop_assert!(a.match_attempts <= b.match_attempts);
-        prop_assert_eq!(b.matches_cached, 0);
-        prop_assert_eq!(b.scoped_rematches, 0);
-        if a.iterations > 1 {
-            prop_assert!(a.match_attempts < b.match_attempts);
-            prop_assert!(a.matches_cached > 0 || a.matches_recomputed > 0);
-        }
-    }
-
-    /// The incremental structural-hash prefilter (DESIGN.md §9) must be
-    /// invisible in search outcomes: with `incremental_fingerprints` on, the
-    /// `SearchResult` is field-by-field identical to the materializing
-    /// engine — same best circuit, trajectory, and dedup counters — while
-    /// the dedup accounting identity holds and the confirm-mismatch canary
-    /// stays at zero.
+    /// The structural-hash preview (DESIGN.md §13) must be invisible in
+    /// search outcomes: the engine, which keys deduplication on hashes
+    /// previewed from the parent and the delta, agrees field by field with
+    /// the oracle, which materializes every candidate and hashes it from
+    /// scratch — and the dequeue-time confirmation canary stays at zero.
     #[test]
     fn incremental_fingerprint_engine_is_bit_identical_to_materializing(
         input in arb_clifford_t_circuit(3, 10),
     ) {
         let nam = quartz_opt::clifford_t_to_nam(&input);
         let config = SearchConfig {
-            timeout: Duration::from_secs(60),
+            timeout: Duration::from_secs(600),
             max_iterations: 8,
             ..SearchConfig::default()
         };
-        prop_assert!(config.incremental_fingerprints, "prefilter must default on");
-        let fast = Optimizer::with_index(shared_nam_index(), config.clone());
-        let slow = Optimizer::with_index(
-            shared_nam_index(),
-            SearchConfig { incremental_fingerprints: false, ..config },
-        );
-        let a = fast.optimize(&nam);
-        let b = slow.optimize(&nam);
-        prop_assert_eq!(&a.best_circuit, &b.best_circuit);
-        prop_assert_eq!(a.best_cost, b.best_cost);
-        prop_assert_eq!(a.initial_cost, b.initial_cost);
-        prop_assert_eq!(a.iterations, b.iterations);
-        prop_assert_eq!(a.circuits_seen, b.circuits_seen);
-        prop_assert_eq!(a.dedup_hits, b.dedup_hits);
-        prop_assert_eq!(a.match_attempts, b.match_attempts);
-        prop_assert_eq!(a.match_skips, b.match_skips);
-        prop_assert_eq!(a.ctx_rebuilds, b.ctx_rebuilds);
-        prop_assert_eq!(a.ctx_derives, b.ctx_derives);
-        let trace_a: Vec<usize> = a.improvement_trace.iter().map(|&(_, c)| c).collect();
-        let trace_b: Vec<usize> = b.improvement_trace.iter().map(|&(_, c)| c).collect();
-        prop_assert_eq!(trace_a, trace_b);
-        // Dedup accounting: every hit is either a fast reject or a
-        // materialized confirmation, and nothing slips past the canary.
-        prop_assert_eq!(a.dedup_hits, a.fp_fast_rejects + a.dedup_hits_materialized);
-        prop_assert_eq!(a.materializations_avoided, a.fp_fast_rejects);
-        prop_assert_eq!(a.fp_confirm_mismatches, 0);
-        // The materializing engine never touches the fast path.
-        prop_assert_eq!(b.fp_fast_rejects, 0);
-        prop_assert_eq!(b.materializations_avoided, 0);
-        prop_assert_eq!(b.fp_confirm_mismatches, 0);
-        prop_assert_eq!(b.dedup_hits_materialized, b.dedup_hits);
+        let engine = Optimizer::with_index(shared_nam_index(), config.clone());
+        let a = engine.optimize(&nam);
+        let b = oracle::run(engine.transformations(), &config, &nam);
+        oracle::assert_agrees(&a, &b, "gate count");
+        prop_assert!(a.fp_fast_rejects <= a.dedup_hits);
+        // The index skips only transformations the oracle tries in vain.
+        prop_assert_eq!(a.match_attempts + a.match_skips, b.match_attempts);
     }
 
-    /// The deferred-materialization engine (DESIGN.md §13) must be invisible
-    /// in search outcomes: admitting first-sight candidates on
-    /// (cost, hash, delta) alone and materializing only at dequeue produces
-    /// a `SearchResult` field-by-field identical to the eager engine — for
-    /// random circuits, every cost model (including non-additive depth), and
-    /// both sequential and batched-parallel expansion.
+    /// Deferred materialization (DESIGN.md §13) must be invisible in search
+    /// outcomes: admitting first-sight candidates on (cost, hash, delta)
+    /// alone and materializing only at dequeue agrees field by field with
+    /// the oracle, which materializes every candidate eagerly — for random
+    /// circuits, every cost model (including non-additive depth), and both
+    /// sequential and batched-parallel expansion.
     #[test]
     fn deferred_engine_is_bit_identical_to_eager(
         input in arb_clifford_t_circuit(3, 10),
@@ -323,44 +254,17 @@ proptest! {
         ][model_pick];
         let nam = quartz_opt::clifford_t_to_nam(&input);
         let config = SearchConfig {
-            timeout: Duration::from_secs(60),
+            timeout: Duration::from_secs(600),
             max_iterations: 8,
             cost_model,
             num_threads: threads,
             batch_size,
             ..SearchConfig::default()
         };
-        prop_assert!(config.deferred_materialization, "deferral must default on");
-        let deferred = Optimizer::with_index(shared_nam_index(), config.clone());
-        let eager = Optimizer::with_index(
-            shared_nam_index(),
-            SearchConfig { deferred_materialization: false, ..config },
-        );
-        let a = deferred.optimize(&nam);
-        let b = eager.optimize(&nam);
-        prop_assert_eq!(&a.best_circuit, &b.best_circuit);
-        prop_assert_eq!(a.best_cost, b.best_cost);
-        prop_assert_eq!(a.initial_cost, b.initial_cost);
-        prop_assert_eq!(a.iterations, b.iterations);
-        prop_assert_eq!(a.circuits_seen, b.circuits_seen);
-        prop_assert_eq!(a.dedup_hits, b.dedup_hits);
-        prop_assert_eq!(a.fp_fast_rejects, b.fp_fast_rejects);
-        prop_assert_eq!(a.match_attempts, b.match_attempts);
-        prop_assert_eq!(a.match_skips, b.match_skips);
-        prop_assert_eq!(a.ctx_rebuilds, b.ctx_rebuilds);
-        prop_assert_eq!(a.ctx_derives, b.ctx_derives);
-        let trace_a: Vec<usize> = a.improvement_trace.iter().map(|&(_, c)| c).collect();
-        let trace_b: Vec<usize> = b.improvement_trace.iter().map(|&(_, c)| c).collect();
-        prop_assert_eq!(trace_a, trace_b);
-        // Canaries and accounting on both engines.
-        prop_assert_eq!(a.fp_confirm_mismatches, 0);
-        prop_assert_eq!(b.fp_confirm_mismatches, 0);
-        prop_assert_eq!(a.dedup_hits, a.fp_fast_rejects + a.dedup_hits_materialized);
-        // Deferral only ever materializes a subset of what it enqueued; the
-        // eager engine defers nothing.
-        prop_assert!(a.dequeue_materializations <= a.materializations_deferred);
-        prop_assert_eq!(b.materializations_deferred, 0);
-        prop_assert_eq!(b.dequeue_materializations, 0);
+        let engine = Optimizer::with_index(shared_nam_index(), config.clone());
+        let a = engine.optimize(&nam);
+        let b = oracle::run(engine.transformations(), &config, &nam);
+        oracle::assert_agrees(&a, &b, &format!("{cost_model:?}, batch {batch_size}"));
     }
 
     #[test]
@@ -460,7 +364,7 @@ fn derived_contexts_match_rebuilt_contexts_along_a_search_run() {
 /// the search threads it through `QueueEntry::shash`) must agree at every
 /// step with a hash computed from scratch — and, because the hash is
 /// order-invariant, with the hash of the freshly *canonicalized* child
-/// circuit, which is exactly what the materializing engine would key on.
+/// circuit, which is exactly what the oracle keys on.
 #[test]
 fn incremental_hashes_track_fresh_hashes_along_a_derive_chain() {
     let index = shared_nam_index();
@@ -561,8 +465,7 @@ fn transformations_from_generated_sets_preserve_semantics_when_applied() {
 /// outcome field set — everything except wall-clock measurements. Two
 /// results with equal summaries are "bit-identical" in the sense of the
 /// service determinism contract (DESIGN.md §6/§10).
-#[allow(clippy::type_complexity)]
-fn outcome_fields(r: &quartz_opt::SearchResult) -> (Circuit, [usize; 5], Vec<usize>, [usize; 12]) {
+fn outcome_fields(r: &quartz_opt::SearchResult) -> (Circuit, [usize; 5], Vec<usize>, [usize; 4]) {
     (
         r.best_circuit.clone(),
         [
@@ -576,16 +479,8 @@ fn outcome_fields(r: &quartz_opt::SearchResult) -> (Circuit, [usize; 5], Vec<usi
         [
             r.match_attempts,
             r.match_skips,
-            r.ctx_rebuilds,
-            r.ctx_derives,
-            r.matches_cached,
-            r.matches_recomputed,
-            r.cache_invalidate_nodes,
-            r.scoped_rematches,
             r.fp_fast_rejects,
-            r.materializations_avoided,
             r.fp_confirm_mismatches,
-            r.dedup_hits_materialized,
         ],
     )
 }

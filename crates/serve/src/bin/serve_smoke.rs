@@ -6,7 +6,7 @@
 //!
 //! 1. The NAM quick suite (budget 40 — the same binding constraint the
 //!    throughput bench uses) must sum to `BENCH_baseline.json`'s
-//!    `throughput/t1/generated/cached` → `total_best_cost`. The daemon
+//!    `throughput/t1/generated` → `total_best_cost`. The daemon
 //!    serves from the *loaded* artifact; agreement with the *generated*
 //!    baseline is exactly the loaded-vs-generated identity the bench
 //!    asserts, now checked across the wire.
@@ -134,10 +134,10 @@ fn main() -> ExitCode {
         }
     };
     let expected = baseline
-        .get_suite("throughput/t1/generated/cached")
+        .get_suite("throughput/t1/generated")
         .and_then(|suite| suite.get("total_best_cost"));
     let Some(expected) = expected else {
-        eprintln!("serve_smoke: baseline lacks throughput/t1/generated/cached total_best_cost");
+        eprintln!("serve_smoke: baseline lacks throughput/t1/generated total_best_cost");
         return ExitCode::FAILURE;
     };
     if total_best_cost as f64 != expected {

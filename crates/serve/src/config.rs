@@ -18,7 +18,7 @@ pub struct DaemonConfig {
     /// Cap on accepted request bodies (HTTP 413 beyond it).
     pub max_body_bytes: usize,
     /// Base search knobs shared by every request: γ, queue pruning, batch
-    /// size, worker threads, and the engine toggles. The `timeout` and
+    /// size, worker threads, and the cost model. The `timeout` and
     /// `max_iterations` members are ignored — per-request deadlines and
     /// budgets replace them in the daemon.
     pub search: SearchConfig,

@@ -31,6 +31,7 @@ use quartz_opt::{
     AdmissionError, LibraryCache, LoadedLibrary, Optimizer, RequestId, RequestState,
     ServiceRequest, ServiceScheduler,
 };
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
@@ -87,6 +88,11 @@ struct State {
 
 struct Shared {
     state: Mutex<State>,
+    /// Callers blocked in [`Daemon::lock`]. The stepper lets them all in
+    /// before it takes its next step: `Mutex` is not fair, and a stepper
+    /// that re-locks straight after unlocking wins every time, starving
+    /// status queries and cancels for as long as a request keeps running.
+    waiting: AtomicUsize,
     /// Signaled when work arrives or shutdown begins.
     work: Condvar,
     /// Signaled after every scheduler step and every terminal transition.
@@ -135,6 +141,7 @@ impl Daemon {
                 events: Vec::new(),
                 stop: false,
             }),
+            waiting: AtomicUsize::new(0),
             work: Condvar::new(),
             progress: Condvar::new(),
         });
@@ -297,7 +304,10 @@ impl Daemon {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, State> {
-        self.shared.state.lock().expect("daemon lock poisoned")
+        self.shared.waiting.fetch_add(1, Ordering::SeqCst);
+        let state = self.shared.state.lock().expect("daemon lock poisoned");
+        self.shared.waiting.fetch_sub(1, Ordering::SeqCst);
+        state
     }
 }
 
@@ -342,8 +352,12 @@ fn stepper_loop(shared: &Shared) {
         });
         shared.progress.notify_all();
         // Release the lock between steps so admissions, cancels, and
-        // status queries land on step boundaries; re-acquire for the next.
+        // status queries land on step boundaries; let every caller already
+        // waiting for it through, then re-acquire for the next step.
         drop(state);
+        while shared.waiting.load(Ordering::SeqCst) > 0 {
+            thread::yield_now();
+        }
         state = shared.state.lock().expect("daemon lock poisoned");
     }
 }

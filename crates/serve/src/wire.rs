@@ -302,27 +302,11 @@ pub struct Outcome {
     pub match_skips: usize,
     /// Seen-set dedup hits.
     pub dedup_hits: usize,
-    /// Match contexts rebuilt from scratch.
-    pub ctx_rebuilds: usize,
-    /// Match contexts derived incrementally.
-    pub ctx_derives: usize,
-    /// Matches served from the match cache.
-    pub matches_cached: usize,
-    /// Matches recomputed while maintaining the cache.
-    pub matches_recomputed: usize,
-    /// Total splice-footprint nodes driving cache invalidation.
-    pub cache_invalidate_nodes: usize,
-    /// Footprint-pinned matcher micro-runs.
-    pub scoped_rematches: usize,
-    /// Duplicates rejected before materialization.
+    /// Dedup hits caught on the worker by the hash preview.
     pub fp_fast_rejects: usize,
-    /// Materializations the fast-reject path skipped.
-    pub materializations_avoided: usize,
-    /// Fast-path first-sight claims contradicted after materialization
+    /// Hash previews contradicted when the entry was dequeued
     /// (invariant: always 0).
     pub fp_confirm_mismatches: usize,
-    /// Duplicates detected after materialization.
-    pub dedup_hits_materialized: usize,
 }
 
 impl Outcome {
@@ -338,16 +322,8 @@ impl Outcome {
             match_attempts: result.match_attempts,
             match_skips: result.match_skips,
             dedup_hits: result.dedup_hits,
-            ctx_rebuilds: result.ctx_rebuilds,
-            ctx_derives: result.ctx_derives,
-            matches_cached: result.matches_cached,
-            matches_recomputed: result.matches_recomputed,
-            cache_invalidate_nodes: result.cache_invalidate_nodes,
-            scoped_rematches: result.scoped_rematches,
             fp_fast_rejects: result.fp_fast_rejects,
-            materializations_avoided: result.materializations_avoided,
             fp_confirm_mismatches: result.fp_confirm_mismatches,
-            dedup_hits_materialized: result.dedup_hits_materialized,
         }
     }
 
@@ -384,44 +360,12 @@ impl Outcome {
             ),
             ("dedup_hits".to_string(), Json::Int(self.dedup_hits as i128)),
             (
-                "ctx_rebuilds".to_string(),
-                Json::Int(self.ctx_rebuilds as i128),
-            ),
-            (
-                "ctx_derives".to_string(),
-                Json::Int(self.ctx_derives as i128),
-            ),
-            (
-                "matches_cached".to_string(),
-                Json::Int(self.matches_cached as i128),
-            ),
-            (
-                "matches_recomputed".to_string(),
-                Json::Int(self.matches_recomputed as i128),
-            ),
-            (
-                "cache_invalidate_nodes".to_string(),
-                Json::Int(self.cache_invalidate_nodes as i128),
-            ),
-            (
-                "scoped_rematches".to_string(),
-                Json::Int(self.scoped_rematches as i128),
-            ),
-            (
                 "fp_fast_rejects".to_string(),
                 Json::Int(self.fp_fast_rejects as i128),
             ),
             (
-                "materializations_avoided".to_string(),
-                Json::Int(self.materializations_avoided as i128),
-            ),
-            (
                 "fp_confirm_mismatches".to_string(),
                 Json::Int(self.fp_confirm_mismatches as i128),
-            ),
-            (
-                "dedup_hits_materialized".to_string(),
-                Json::Int(self.dedup_hits_materialized as i128),
             ),
         ])
     }
@@ -450,16 +394,8 @@ impl Outcome {
             match_attempts: require_usize(json, "match_attempts")?,
             match_skips: require_usize(json, "match_skips")?,
             dedup_hits: require_usize(json, "dedup_hits")?,
-            ctx_rebuilds: require_usize(json, "ctx_rebuilds")?,
-            ctx_derives: require_usize(json, "ctx_derives")?,
-            matches_cached: require_usize(json, "matches_cached")?,
-            matches_recomputed: require_usize(json, "matches_recomputed")?,
-            cache_invalidate_nodes: require_usize(json, "cache_invalidate_nodes")?,
-            scoped_rematches: require_usize(json, "scoped_rematches")?,
             fp_fast_rejects: require_usize(json, "fp_fast_rejects")?,
-            materializations_avoided: require_usize(json, "materializations_avoided")?,
             fp_confirm_mismatches: require_usize(json, "fp_confirm_mismatches")?,
-            dedup_hits_materialized: require_usize(json, "dedup_hits_materialized")?,
         })
     }
 }

@@ -53,19 +53,29 @@ fn standalone_outcome(qasm: &str, budget: usize) -> Outcome {
     Outcome::from_result(&optimizer.optimize_with_budget(&preprocessed, budget))
 }
 
-/// Four copies of the reducible motif on independent qubit pairs, twice
-/// over: guaranteed to improve under the test index (each motif reduces
-/// 4 -> 0), with a search space far too large to exhaust mid-test — the
-/// workload for requests that must still be running when a fault lands.
-fn multi_motif_qasm() -> String {
-    let mut qasm = String::from("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[8];\n");
-    for _ in 0..2 {
-        for pair in 0..4 {
-            let (a, b) = (2 * pair, 2 * pair + 1);
-            qasm.push_str(&format!(
-                "cx q[{a}],q[{b}];\nx q[{b}];\ncx q[{a}],q[{b}];\nx q[{b}];\n"
-            ));
-        }
+/// Independent commutation sites of [`endless_qasm`]: `x` on a CNOT's
+/// target, then the CNOT, each on its own qubit pair. Under the test index a
+/// site has exactly two equal-cost forms (the `x` on either side of the
+/// CNOT) and cannot shrink, so the sites span 2^PLATEAU_SITES distinct
+/// circuits of the same cost, and the search dequeues each of them once
+/// before its queue can empty.
+const PLATEAU_SITES: usize = 24;
+
+/// The workload for requests that must still be running when a fault
+/// lands: a reducible motif (`cx x cx x` -> nothing, so an improvement is
+/// streamed within the first few dozen steps) beside [`PLATEAU_SITES`]
+/// commutation sites, whose 16.7M equal-cost circuits no test comes close
+/// to dequeuing. Without a budget or deadline such a request ends only when
+/// it is cancelled — however fast the engine is.
+fn endless_qasm() -> String {
+    let mut qasm = format!(
+        "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[{}];\n\
+         cx q[0],q[1];\nx q[1];\ncx q[0],q[1];\nx q[1];\n",
+        2 + 2 * PLATEAU_SITES
+    );
+    for site in 1..=PLATEAU_SITES {
+        let (a, b) = (2 * site, 2 * site + 1);
+        qasm.push_str(&format!("x q[{b}];\ncx q[{a}],q[{b}];\n"));
     }
     qasm
 }
@@ -186,7 +196,7 @@ fn queue_full_backpressure_is_typed_and_recoverable() {
     let client = Client::new(server.addr());
 
     // Fill the only slot with an unbudgeted request (runs until cancelled).
-    let mut hog = SubmitRequest::new(multi_motif_qasm());
+    let mut hog = SubmitRequest::new(endless_qasm());
     hog.deadline_ms = None;
     let hog_id = client.submit(&hog).expect("first submit fits");
 
@@ -200,6 +210,11 @@ fn queue_full_backpressure_is_typed_and_recoverable() {
         }
         other => panic!("expected 429 queue_full, got {other:?}"),
     }
+    assert_eq!(
+        client.status(hog_id).expect("hog status").state,
+        RequestState::Running,
+        "the hog must still hold the slot the 429 reported"
+    );
 
     // Cancelling the hog frees the slot; admission works again.
     let cancel = client.cancel(hog_id).expect("cancel");
@@ -213,10 +228,10 @@ fn client_disconnect_mid_stream_does_not_poison_the_run() {
     let server = test_server(16);
     let client = Client::new(server.addr());
 
-    // The streamed request: unbudgeted so it is still running when the
-    // streaming client walks away.
+    // The streamed request: unbudgeted over an endless plateau, so it is
+    // still running when the streaming client walks away.
     let streamed_id = client
-        .submit(&SubmitRequest::new(multi_motif_qasm()))
+        .submit(&SubmitRequest::new(endless_qasm()))
         .expect("submit streamed request");
     let victim = submit_victim(&client);
 
@@ -224,7 +239,8 @@ fn client_disconnect_mid_stream_does_not_poison_the_run() {
     // the streamer disconnects.
     loop {
         let status = client.status(streamed_id).expect("status");
-        if status.best_cost < status.initial_cost || status.state != RequestState::Running {
+        assert_eq!(status.state, RequestState::Running);
+        if status.best_cost < status.initial_cost {
             break;
         }
         std::thread::sleep(std::time::Duration::from_millis(1));
@@ -246,17 +262,9 @@ fn client_disconnect_mid_stream_does_not_poison_the_run() {
     // events remain replayable from the start by a fresh stream call, and
     // two replays observe the identical sequence.
     let status = client.status(streamed_id).expect("status after disconnect");
-    assert!(
-        status.state == RequestState::Running || status.state == RequestState::Done,
-        "unexpected state {:?}",
-        status.state
-    );
+    assert_eq!(status.state, RequestState::Running);
     let cancel = client.cancel(streamed_id).expect("cancel");
-    assert!(
-        cancel.state == RequestState::Cancelled || cancel.state == RequestState::Done,
-        "unexpected terminal state {:?}",
-        cancel.state
-    );
+    assert_eq!(cancel.state, RequestState::Cancelled);
     let events = client.stream(streamed_id).expect("replay events");
     assert!(!events.is_empty());
     let replay = client.stream(streamed_id).expect("second replay");
@@ -301,9 +309,9 @@ fn deadline_expiry_finalizes_between_steps_without_poisoning_cotenants() {
     let victim = submit_victim(&client);
 
     // Unbudgeted but deadlined: the request must settle as
-    // deadline_expired (it cannot exhaust the motif circuit's search space in
-    // 30ms) with a partial outcome served.
-    let mut request = SubmitRequest::new(multi_motif_qasm());
+    // deadline_expired (its queue never empties) with a partial outcome
+    // served.
+    let mut request = SubmitRequest::new(endless_qasm());
     request.deadline_ms = Some(30);
     let id = client.submit(&request).expect("submit deadlined");
     let result = client.wait_result(id).expect("deadlined result");

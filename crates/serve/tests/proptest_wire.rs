@@ -97,7 +97,7 @@ fn arb_outcome() -> impl Strategy<Value = Outcome> {
             any::<u32>(),
             prop::collection::vec(any::<u32>().prop_map(|c| c as usize), 0..6),
         ),
-        prop::collection::vec(any::<u32>().prop_map(|c| c as usize), 13),
+        prop::collection::vec(any::<u32>().prop_map(|c| c as usize), 5),
     )
         .prop_map(|((best_qasm, bc, ic, it, seen, trace), counters)| Outcome {
             best_qasm,
@@ -109,16 +109,8 @@ fn arb_outcome() -> impl Strategy<Value = Outcome> {
             match_attempts: counters[0],
             match_skips: counters[1],
             dedup_hits: counters[2],
-            ctx_rebuilds: counters[3],
-            ctx_derives: counters[4],
-            matches_cached: counters[5],
-            matches_recomputed: counters[6],
-            cache_invalidate_nodes: counters[7],
-            scoped_rematches: counters[8],
-            fp_fast_rejects: counters[9],
-            materializations_avoided: counters[10],
-            fp_confirm_mismatches: counters[11],
-            dedup_hits_materialized: counters[12],
+            fp_fast_rejects: counters[3],
+            fp_confirm_mismatches: counters[4],
         })
 }
 

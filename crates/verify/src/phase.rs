@@ -8,11 +8,10 @@
 
 use quartz_ir::{Circuit, FingerprintContext};
 use quartz_math::Poly;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A linear phase factor β(p⃗) = Σᵢ aᵢ·pᵢ + b·π/4.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PhaseFactor {
     /// Integer coefficients a⃗ of the formal parameters.
     pub param_coeffs: Vec<i64>,

@@ -14,11 +14,10 @@ use crate::phase::{candidate_phases, PhaseFactor};
 use crate::symsem;
 use quartz_ir::{Circuit, FingerprintContext, UnsupportedAngleError};
 use quartz_math::{Matrix, Poly};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Configuration of the verifier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VerifierConfig {
     /// Maximum absolute value of the per-parameter coefficients a⃗ in the
     /// phase factor β(p⃗) = a⃗·p⃗ + b. The paper uses 2; 0 restricts the search
@@ -98,7 +97,7 @@ impl From<UnsupportedAngleError> for VerifyError {
 }
 
 /// Outcome of a verification query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Verdict {
     /// The circuits are equivalent; the witness phase factor is recorded.
     Equivalent(PhaseFactor),
@@ -157,7 +156,7 @@ impl ClassReport {
 }
 
 /// Statistics accumulated by a [`Verifier`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VerifierStats {
     /// Total number of equivalence queries.
     pub queries: usize,

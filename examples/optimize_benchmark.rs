@@ -9,8 +9,8 @@
 //! Run with
 //! `cargo run --release --example optimize_benchmark [-- <circuit_name>] [--profile]`.
 //! `--profile` adds a per-phase wall-time breakdown of the search (matching,
-//! delta, γ-precheck, canonicalize, fingerprint, dedup) to the console output
-//! and the report.
+//! delta, γ-precheck, preview, derive, fingerprint, dedup) to the console
+//! output and the report.
 
 use quartz::circuits::suite;
 use quartz::gen::{GenConfig, Generator};
@@ -94,30 +94,11 @@ fn main() {
         result.circuits_seen
     );
     println!(
-        "Match contexts: {} rebuilt from the sequence form (frontier roots), \
-         {} derived in-place from their parent ({:.1}% derived)",
-        result.ctx_rebuilds,
-        result.ctx_derives,
-        100.0 * result.ctx_derive_rate()
-    );
-    println!(
-        "Match cache: {} sites served from the carried cache, {} recomputed \
-         ({:.1}% hit rate), {} scoped re-match micro-runs, {} footprint nodes \
-         invalidated",
-        result.matches_cached,
-        result.matches_recomputed,
-        100.0 * result.cache_hit_rate(),
-        result.scoped_rematches,
-        result.cache_invalidate_nodes
-    );
-    println!(
-        "Incremental fingerprints: {} of {} duplicates rejected by the \
-         structural-hash preview ({:.1}% fast), {} materializations avoided, \
-         {} confirm mismatches",
+        "Structural-hash dedup: {} of {} duplicates rejected by the preview \
+         before any merge ({:.1}%), {} confirm mismatches",
         result.fp_fast_rejects,
         result.dedup_hits,
         100.0 * result.fp_fast_reject_rate(),
-        result.materializations_avoided,
         result.fp_confirm_mismatches
     );
     if profile {
@@ -137,17 +118,9 @@ fn main() {
         .metric("iterations", result.iterations as f64)
         .metric("best_cost", result.best_cost as f64)
         .metric("match_attempts", result.match_attempts as f64)
-        .metric("scoped_rematches", result.scoped_rematches as f64)
-        .metric("matches_cached", result.matches_cached as f64)
-        .metric("matches_recomputed", result.matches_recomputed as f64)
-        .metric("cache_hit_rate", result.cache_hit_rate())
         .metric("dispatch_skip_rate", result.dispatch_skip_rate())
         .metric("dedup_hits", result.dedup_hits as f64)
         .metric("fp_fast_rejects", result.fp_fast_rejects as f64)
-        .metric(
-            "materializations_avoided",
-            result.materializations_avoided as f64,
-        )
         .metric("fp_confirm_mismatches", result.fp_confirm_mismatches as f64);
     if profile {
         let suite = report.suite(&format!("optimize/{name}/profile"));

@@ -78,18 +78,9 @@ fn main() {
         result.match_attempts, result.match_skips, result.dedup_hits
     );
     println!(
-        "Contexts: {} rebuilt (frontier roots), {} derived incrementally ({:.1}% derived)",
-        result.ctx_rebuilds,
-        result.ctx_derives,
-        100.0 * result.ctx_derive_rate()
-    );
-    println!(
-        "Match cache: {} sites served from the carried cache, {} recomputed \
-         ({:.1}% hit rate), {} footprint nodes invalidated",
-        result.matches_cached,
-        result.matches_recomputed,
-        100.0 * result.cache_hit_rate(),
-        result.cache_invalidate_nodes
+        "Structural-hash dedup: {} of {} duplicates rejected before any merge, \
+         {} confirm mismatches",
+        result.fp_fast_rejects, result.dedup_hits, result.fp_confirm_mismatches
     );
 
     // 4. Double-check the result numerically.
