@@ -340,59 +340,6 @@ fn main() {
     }
     fp_acceptance(&mut report, &first);
 
-    // -- Seen-set probe cost: FxHash vs pass-through identity hashing ------
-    // The seen-set keys are already finalized 64-bit hashes, so the set can
-    // skip rehashing entirely (`IdentityHashSet`). Measure the probe cost of
-    // both hashers over the same pre-mixed keys (half hits, half misses).
-    {
-        const KEYS: usize = 1 << 16;
-        const PROBES: usize = 1 << 20;
-        // splitmix64-style sequence: statistically mixed, deterministic.
-        let key = |i: u64| -> u64 {
-            let mut z = (i.wrapping_add(1)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        let mut fx: quartz_ir::FxHashSet<u64> = Default::default();
-        let mut identity = quartz_ir::IdentityHashSet::default();
-        for i in 0..KEYS as u64 {
-            fx.insert(key(i));
-            identity.insert(key(i));
-        }
-        let bench = |name: &str, hits: &dyn Fn(u64) -> bool| -> f64 {
-            let start = Instant::now();
-            let mut found = 0usize;
-            for p in 0..PROBES as u64 {
-                // Even probes hit (key in range), odd probes miss.
-                let i = if p % 2 == 0 {
-                    p % KEYS as u64
-                } else {
-                    KEYS as u64 + p
-                };
-                if std::hint::black_box(hits(key(i))) {
-                    found += 1;
-                }
-            }
-            assert_eq!(found, PROBES / 2, "{name}: probe mix must be half hits");
-            start.elapsed().as_secs_f64() / PROBES as f64
-        };
-        let fx_secs = bench("fx", &|k| fx.contains(&k));
-        let id_secs = bench("identity", &|k| identity.contains(&k));
-        println!(
-            "\nSeen-set probe cost ({KEYS} keys, {PROBES} probes): \
-             fx {:.1} ns, identity {:.1} ns ({:.2}x)",
-            fx_secs * 1e9,
-            id_secs * 1e9,
-            fx_secs / id_secs.max(1e-12),
-        );
-        report
-            .suite("seen_probe")
-            .metric("fx_probe_secs", fx_secs)
-            .metric("identity_probe_secs", id_secs)
-            .metric("identity_speedup", fx_secs / id_secs.max(1e-12));
-    }
-
     // Verifier query timings (paper §4): the same representative identities
     // `benches/verifier.rs` measures, recorded so the committed perf
     // artifact carries verification cost next to search cost. Keys are

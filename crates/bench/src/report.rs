@@ -6,11 +6,11 @@
 //! run and regressions show up as diffs between artifacts rather than as
 //! anecdotes in log output.
 //!
-//! The workspace builds offline (no `serde_json`), and a report is a flat
-//! two-level structure — named suites of named numeric metrics — so the
-//! writer is a direct, dependency-free encoder. Keys keep insertion order;
-//! values are JSON numbers (non-finite values are encoded as `null` rather
-//! than producing invalid JSON).
+//! A report is a flat two-level structure — named suites of named numeric
+//! metrics — written and read as a shape mapping over the workspace's one
+//! JSON codec ([`quartz_ir::json`]). Keys keep insertion order; integral
+//! values print as integers, and non-finite values are encoded as `null`
+//! rather than producing invalid JSON.
 //!
 //! ```
 //! use quartz_bench::report::BenchReport;
@@ -24,7 +24,7 @@
 //! assert!(json.contains("\"generate_secs\": 1.25"));
 //! ```
 
-use std::fmt::Write as _;
+use quartz_ir::json::{self, Json};
 use std::io;
 use std::path::Path;
 
@@ -97,32 +97,24 @@ impl BenchReport {
 
     /// Encodes the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"source\": {},", json_string(&self.source));
-        out.push_str("  \"schema_version\": 1,\n");
-        out.push_str("  \"suites\": {");
-        for (i, (name, suite)) in self.suites.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    {}: {{", json_string(name));
-            for (j, (key, value)) in suite.metrics.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\n      {}: {}", json_string(key), json_number(*value));
-            }
-            if !suite.metrics.is_empty() {
-                out.push_str("\n    ");
-            }
-            out.push('}');
-        }
-        if !self.suites.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("}\n}\n");
-        out
+        let suites = self
+            .suites
+            .iter()
+            .map(|(name, suite)| {
+                let metrics = suite
+                    .metrics
+                    .iter()
+                    .map(|(key, value)| (key.clone(), metric_json(*value)))
+                    .collect();
+                (name.clone(), Json::Object(metrics))
+            })
+            .collect();
+        Json::Object(vec![
+            ("source".to_string(), Json::Str(self.source.clone())),
+            ("schema_version".to_string(), Json::Int(1)),
+            ("suites".to_string(), Json::Object(suites)),
+        ])
+        .pretty()
     }
 
     /// The driver name the report is attributed to.
@@ -147,65 +139,48 @@ impl BenchReport {
     /// mirroring the encoder. Rejects anything structurally different with a
     /// positioned error message; unknown top-level keys are an error too, so
     /// a schema bump is loud rather than silently lossy.
-    pub fn parse(json: &str) -> Result<BenchReport, String> {
-        let mut p = Parser {
-            bytes: json.as_bytes(),
-            pos: 0,
+    pub fn parse(text: &str) -> Result<BenchReport, String> {
+        let value = json::parse(text).map_err(|e| e.to_string())?;
+        // A shape error is reported at the value its child-index path reaches.
+        let fail = |path: &[usize], message: String| json::locate(text, path, message).to_string();
+        let Json::Object(members) = &value else {
+            return Err(fail(&[], "expected the report to be an object".into()));
         };
         let mut source: Option<String> = None;
         let mut suites: Vec<(String, BenchSuite)> = Vec::new();
-        p.expect(b'{')?;
-        loop {
-            let key = p.string()?;
-            p.expect(b':')?;
-            match key.as_str() {
-                "source" => source = Some(p.string()?),
-                "schema_version" => {
-                    let version = p.number()?;
-                    if version != 1.0 {
-                        return Err(format!("unsupported schema_version {version}"));
-                    }
+        for (i, (key, value)) in members.iter().enumerate() {
+            match (key.as_str(), value) {
+                ("source", Json::Str(s)) => source = Some(s.clone()),
+                ("schema_version", v) if metric_value(v) == Some(1.0) => {}
+                ("schema_version", v) => {
+                    return Err(fail(&[i], format!("unsupported schema_version {v}")))
                 }
-                "suites" => {
-                    p.expect(b'{')?;
-                    if !p.try_expect(b'}') {
-                        loop {
-                            let name = p.string()?;
-                            p.expect(b':')?;
-                            let mut suite = BenchSuite::default();
-                            p.expect(b'{')?;
-                            if !p.try_expect(b'}') {
-                                loop {
-                                    let metric = p.string()?;
-                                    p.expect(b':')?;
-                                    suite.metric(&metric, p.number()?);
-                                    if !p.try_expect(b',') {
-                                        break;
-                                    }
-                                }
-                                p.expect(b'}')?;
-                            }
-                            suites.push((name, suite));
-                            if !p.try_expect(b',') {
-                                break;
-                            }
+                ("suites", Json::Object(named)) => {
+                    for (j, (name, suite_value)) in named.iter().enumerate() {
+                        let Json::Object(metrics) = suite_value else {
+                            return Err(fail(&[i, j], format!("suite {name:?} is not an object")));
+                        };
+                        let mut suite = BenchSuite::default();
+                        for (k, (metric, v)) in metrics.iter().enumerate() {
+                            let Some(v) = metric_value(v) else {
+                                return Err(fail(
+                                    &[i, j, k],
+                                    format!("metric {name}/{metric} is not a number or null"),
+                                ));
+                            };
+                            suite.metric(metric, v);
                         }
-                        p.expect(b'}')?;
+                        suites.push((name.clone(), suite));
                     }
                 }
-                other => return Err(format!("unknown top-level key {other:?}")),
+                ("source" | "suites", _) => {
+                    return Err(fail(&[i], format!("{key:?} has the wrong type")))
+                }
+                (other, _) => return Err(fail(&[i], format!("unknown top-level key {other:?}"))),
             }
-            if !p.try_expect(b',') {
-                break;
-            }
-        }
-        p.expect(b'}')?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
         }
         Ok(BenchReport {
-            source: source.ok_or("missing \"source\"")?,
+            source: source.ok_or_else(|| fail(&[], "missing \"source\"".into()))?,
             suites,
         })
     }
@@ -222,148 +197,24 @@ impl BenchReport {
     }
 }
 
-/// Cursor over the byte shape [`BenchReport::to_json`] produces: strings,
-/// numbers, `null`, and `{` `}` `:` `,` punctuation, whitespace-insensitive.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    /// Consumes `token` after whitespace, or errors with the position.
-    fn expect(&mut self, token: u8) -> Result<(), String> {
-        if self.try_expect(token) {
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", token as char, self.pos))
-        }
-    }
-
-    /// Consumes `token` after whitespace if present; reports whether it did.
-    fn try_expect(&mut self, token: u8) -> bool {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&token) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    let escape = self.bytes.get(self.pos + 1);
-                    self.pos += 2;
-                    match escape {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32)
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                            out.push(hex);
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                }
-                Some(_) => {
-                    // Strings are valid UTF-8 (the input is &str); copy the
-                    // whole code point.
-                    let rest = &self.bytes[self.pos..];
-                    let c = std::str::from_utf8(rest)
-                        .map_err(|_| "invalid UTF-8".to_string())?
-                        .chars()
-                        .next()
-                        .expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-                None => return Err("unterminated string".to_string()),
-            }
-        }
-    }
-
-    /// A JSON number, or `null` (decoded as NaN, mirroring the encoder).
-    fn number(&mut self) -> Result<f64, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(b"null") {
-            self.pos += 4;
-            return Ok(f64::NAN);
-        }
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|&b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("ascii")
-            .parse::<f64>()
-            .map_err(|_| format!("expected a number at byte {start}"))
-    }
-}
-
-/// Encodes a string as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Encodes a number as a JSON value (`null` for non-finite inputs — JSON
-/// has no NaN/Infinity).
-fn json_number(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".to_string();
-    }
-    // Integral values print without a fraction; `{}` on f64 is the shortest
-    // round-trippable form otherwise.
+/// A metric as a JSON value: integral values (below 1e15) as integers,
+/// others as floats (non-finite ones print as `null`).
+fn metric_json(v: f64) -> Json {
     if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
+        Json::Int(v as i128)
     } else {
-        format!("{v}")
+        Json::Float(v)
+    }
+}
+
+/// A metric read back: any JSON number, or `null` as NaN (mirroring the
+/// encoder).
+fn metric_value(v: &Json) -> Option<f64> {
+    match v {
+        Json::Int(i) => Some(*i as f64),
+        Json::Float(f) => Some(*f),
+        Json::Null => Some(f64::NAN),
+        _ => None,
     }
 }
 
@@ -451,6 +302,51 @@ mod tests {
                 .is_err(),
             "future schema versions are loud"
         );
+    }
+
+    #[test]
+    fn parse_reads_the_pre_codec_layout() {
+        // A fragment in the layout of the hand-rolled encoder the shared
+        // codec replaced: integral metrics as integers, fractions in `{}`
+        // decimal form (no exponent), `null` for non-finite values.
+        let old = r#"{
+  "source": "service_throughput",
+  "schema_version": 1,
+  "suites": {
+    "throughput/t1/generated": {
+      "threads": 1,
+      "total_best_cost": 844,
+      "circuits_per_sec": 1.6361489001979574
+    },
+    "seen_probe": {
+      "fx_probe_secs": 0.00000001384284496307373,
+      "identity_speedup": null
+    },
+    "empty": {}
+  }
+}
+"#;
+        let report = BenchReport::parse(old).unwrap();
+        assert_eq!(report.source(), "service_throughput");
+        assert_eq!(report.len(), 3);
+        let t1 = report.get_suite("throughput/t1/generated").unwrap();
+        assert_eq!(t1.get("threads"), Some(1.0));
+        assert_eq!(t1.get("total_best_cost"), Some(844.0));
+        assert_eq!(t1.get("circuits_per_sec"), Some(1.6361489001979574));
+        let probe = report.get_suite("seen_probe").unwrap();
+        assert_eq!(probe.get("fx_probe_secs"), Some(1.384284496307373e-8));
+        assert!(probe.get("identity_speedup").unwrap().is_nan());
+        assert!(report
+            .get_suite("empty")
+            .unwrap()
+            .metrics()
+            .next()
+            .is_none());
+        // Shape errors are positioned at the offending value.
+        let err = BenchReport::parse("{\"source\": \"x\",\n \"suites\": {\"s\": {\"k\": \"v\"}}}")
+            .unwrap_err();
+        assert!(err.contains("s/k"), "{err}");
+        assert!(err.contains("line 2, column 24 (byte 39)"), "{err}");
     }
 
     #[test]

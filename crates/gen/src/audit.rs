@@ -21,8 +21,8 @@
 //!    parameter slots, duplicate and no-op transformations, non-canonical
 //!    pattern circuits, prebuilt-index anomalies, and *dead rules* that can
 //!    never fire under any additive cost model (γ-precheck-unreachable).
-//! 3. **Reporting** — a machine-readable JSON report (hand-rolled codec,
-//!    per the offline-deps policy) and a human-readable summary with an
+//! 3. **Reporting** — a machine-readable JSON report (the shared
+//!    [`quartz_ir::json`] codec) and a human-readable summary with an
 //!    exit-code policy of "errors fail, warnings don't".
 //!
 //! A clean audit can be recorded as an [`AuditStamp`] sidecar next to the
@@ -30,11 +30,13 @@
 //! be told to refuse artifacts without a matching stamp
 //! (`--require-audited`).
 
+use crate::json::{int, object, Node, ShapeError};
 use crate::library::{checksum64, encode_circuit};
 use crate::{
     transformations_from_ecc_set, Ecc, EccSet, LibraryError, LibraryReader, Transformation,
     TransformationIndex, GENERATOR_VERSION,
 };
+use quartz_ir::json::{self, Json};
 use quartz_ir::{canonicalize, Circuit, CostModel, GateSet};
 use quartz_verify::{MemberFailure, Verifier, VerifierConfig};
 use rayon::IntoParallelRefIterator;
@@ -322,59 +324,41 @@ impl AuditReport {
         })
     }
 
-    /// The machine-readable JSON form of the report (hand-rolled codec,
-    /// per the offline-deps policy). 64-bit digests are hex strings so no
-    /// consumer is tempted to round-trip them through a double.
+    /// The machine-readable JSON form of the report (pretty-printed by the
+    /// shared [`quartz_ir::json`] codec). 64-bit digests are hex strings so
+    /// no consumer is tempted to round-trip them through a double.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512 + self.diagnostics.len() * 128);
-        out.push_str("{\n");
-        out.push_str(&format!(
-            "  \"artifact\": {},\n",
-            json_string(&self.artifact)
-        ));
-        out.push_str(&format!(
-            "  \"gate_set\": {},\n",
-            json_string(&self.gate_set)
-        ));
-        out.push_str(&format!(
-            "  \"artifact_checksum\": \"{:#018x}\",\n",
-            self.artifact_checksum
-        ));
-        out.push_str(&format!(
-            "  \"generator_version\": {},\n",
-            self.generator_version
-        ));
-        out.push_str(&format!(
-            "  \"verifier_digest\": \"{:#018x}\",\n",
-            self.verifier_digest
-        ));
-        out.push_str(&format!("  \"classes\": {},\n", self.classes));
-        out.push_str(&format!("  \"cache_hits\": {},\n", self.cache_hits));
-        out.push_str(&format!("  \"errors\": {},\n", self.errors()));
-        out.push_str(&format!("  \"warnings\": {},\n", self.warnings()));
-        out.push_str("  \"diagnostics\": [");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            out.push_str(&format!("\"rule\": \"{}\", ", d.rule));
-            out.push_str(&format!("\"severity\": \"{}\", ", d.severity));
-            let loc = |name: &str, v: Option<usize>| match v {
-                Some(v) => format!("\"{name}\": {v}, "),
-                None => format!("\"{name}\": null, "),
-            };
-            out.push_str(&loc("ecc", d.location.ecc));
-            out.push_str(&loc("circuit", d.location.circuit));
-            out.push_str(&loc("instruction", d.location.instruction));
-            out.push_str(&format!("\"message\": {}", json_string(&d.message)));
-            out.push('}');
-        }
-        if !self.diagnostics.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
+        let location = |v: Option<usize>| v.map_or(Json::Null, int);
+        let diagnostics = self
+            .diagnostics
+            .iter()
+            .map(|d| {
+                object([
+                    ("rule", Json::Str(d.rule.to_string())),
+                    ("severity", Json::Str(d.severity.to_string())),
+                    ("ecc", location(d.location.ecc)),
+                    ("circuit", location(d.location.circuit)),
+                    ("instruction", location(d.location.instruction)),
+                    ("message", Json::Str(d.message.clone())),
+                ])
+            })
+            .collect();
+        object([
+            ("artifact", Json::Str(self.artifact.clone())),
+            ("gate_set", Json::Str(self.gate_set.clone())),
+            ("artifact_checksum", hex(self.artifact_checksum)),
+            (
+                "generator_version",
+                Json::Int(self.generator_version.into()),
+            ),
+            ("verifier_digest", hex(self.verifier_digest)),
+            ("classes", int(self.classes)),
+            ("cache_hits", int(self.cache_hits)),
+            ("errors", int(self.errors())),
+            ("warnings", int(self.warnings())),
+            ("diagnostics", Json::Array(diagnostics)),
+        ])
+        .pretty()
     }
 }
 
@@ -475,237 +459,76 @@ impl AuditStamp {
         std::fs::write(Self::sidecar_path(artifact), self.to_json())
     }
 
-    /// The sidecar JSON (hand-rolled; 64-bit values as hex strings).
+    /// The sidecar JSON (pretty-printed; 64-bit values as hex strings).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128 + self.class_digests.len() * 24);
-        out.push_str("{\n");
-        out.push_str(&format!(
-            "  \"schema_version\": {AUDIT_STAMP_SCHEMA_VERSION},\n"
-        ));
-        out.push_str(&format!(
-            "  \"artifact_checksum\": \"{:#018x}\",\n",
-            self.artifact_checksum
-        ));
-        out.push_str(&format!(
-            "  \"generator_version\": {},\n",
-            self.generator_version
-        ));
-        out.push_str(&format!(
-            "  \"verifier_digest\": \"{:#018x}\",\n",
-            self.verifier_digest
-        ));
-        out.push_str(&format!("  \"errors\": {},\n", self.errors));
-        out.push_str(&format!("  \"warnings\": {},\n", self.warnings));
-        out.push_str("  \"class_digests\": [");
-        for (i, d) in self.class_digests.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{d:#018x}\""));
-        }
-        out.push_str("]\n}\n");
-        out
+        object([
+            (
+                "schema_version",
+                Json::Int(AUDIT_STAMP_SCHEMA_VERSION.into()),
+            ),
+            ("artifact_checksum", hex(self.artifact_checksum)),
+            (
+                "generator_version",
+                Json::Int(self.generator_version.into()),
+            ),
+            ("verifier_digest", hex(self.verifier_digest)),
+            ("errors", int(self.errors)),
+            ("warnings", int(self.warnings)),
+            (
+                "class_digests",
+                Json::Array(self.class_digests.iter().map(|&d| hex(d)).collect()),
+            ),
+        ])
+        .pretty()
     }
 
     /// Parses sidecar JSON produced by [`AuditStamp::to_json`].
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed construct.
+    /// Returns a description of the first malformed construct, with the
+    /// line, column and byte offset of the offending value.
     pub fn parse(text: &str) -> Result<AuditStamp, String> {
-        let mut fields = StampScanner::new(text).scan()?;
-        let schema = fields.take_u64("schema_version")?;
-        if schema != u64::from(AUDIT_STAMP_SCHEMA_VERSION) {
-            return Err(format!("unsupported sidecar schema version {schema}"));
+        let value = json::parse(text).map_err(|e| e.to_string())?;
+        Self::decode(Node::root(&value)).map_err(|e| e.render(text))
+    }
+
+    fn decode(stamp: Node<'_>) -> Result<AuditStamp, ShapeError> {
+        stamp.object("sidecar")?;
+        let schema = stamp.field("schema_version")?;
+        let schema_version = schema.usize("schema_version")?;
+        if schema_version != AUDIT_STAMP_SCHEMA_VERSION as usize {
+            return Err(schema.error(format!(
+                "unsupported sidecar schema version {schema_version}"
+            )));
         }
+        let generator = stamp.field("generator_version")?;
         Ok(AuditStamp {
-            artifact_checksum: fields.take_u64("artifact_checksum")?,
-            generator_version: u32::try_from(fields.take_u64("generator_version")?)
-                .map_err(|_| "generator_version out of range".to_string())?,
-            verifier_digest: fields.take_u64("verifier_digest")?,
-            errors: fields.take_u64("errors")? as usize,
-            warnings: fields.take_u64("warnings")? as usize,
-            class_digests: fields.take_array("class_digests")?,
+            artifact_checksum: parse_hex(&stamp.field("artifact_checksum")?)?,
+            generator_version: u32::try_from(generator.usize("generator_version")?)
+                .map_err(|_| generator.error("generator_version out of range"))?,
+            verifier_digest: parse_hex(&stamp.field("verifier_digest")?)?,
+            errors: stamp.field("errors")?.usize("errors")?,
+            warnings: stamp.field("warnings")?.usize("warnings")?,
+            class_digests: stamp
+                .field("class_digests")?
+                .items("class_digests")?
+                .map(|d| parse_hex(&d))
+                .collect::<Result<_, _>>()?,
         })
     }
 }
 
-/// Escapes a string as a JSON literal (the report contains artifact paths
-/// and lint messages, which may hold quotes or backslashes).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// A 64-bit value as a `0x`-prefixed, zero-padded hex string.
+fn hex(v: u64) -> Json {
+    Json::Str(format!("{v:#018x}"))
 }
 
-/// A minimal scanner for the sidecar's flat JSON object: string values are
-/// hex-encoded u64s, numeric values are decimal u64s, and the only array
-/// holds hex strings. Anything else is rejected.
-struct StampScanner<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-/// The scanned field set, consumed by name.
-struct StampFields {
-    scalars: HashMap<String, u64>,
-    arrays: HashMap<String, Vec<u64>>,
-}
-
-impl StampFields {
-    fn take_u64(&mut self, name: &str) -> Result<u64, String> {
-        self.scalars
-            .remove(name)
-            .ok_or_else(|| format!("sidecar is missing field \"{name}\""))
-    }
-
-    fn take_array(&mut self, name: &str) -> Result<Vec<u64>, String> {
-        self.arrays
-            .remove(name)
-            .ok_or_else(|| format!("sidecar is missing field \"{name}\""))
-    }
-}
-
-impl<'a> StampScanner<'a> {
-    fn new(text: &'a str) -> Self {
-        StampScanner {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn scan(mut self) -> Result<StampFields, String> {
-        let mut fields = StampFields {
-            scalars: HashMap::new(),
-            arrays: HashMap::new(),
-        };
-        self.expect(b'{')?;
-        loop {
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                break;
-            }
-            let key = self.string()?;
-            self.expect(b':')?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b'[') => {
-                    self.pos += 1;
-                    let mut values = Vec::new();
-                    self.skip_ws();
-                    if self.peek() == Some(b']') {
-                        self.pos += 1;
-                    } else {
-                        loop {
-                            let s = self.string()?;
-                            values.push(parse_hex_u64(&s)?);
-                            self.skip_ws();
-                            match self.peek() {
-                                Some(b',') => self.pos += 1,
-                                Some(b']') => {
-                                    self.pos += 1;
-                                    break;
-                                }
-                                _ => return Err("expected ',' or ']' in array".into()),
-                            }
-                        }
-                    }
-                    fields.arrays.insert(key, values);
-                }
-                Some(b'"') => {
-                    let s = self.string()?;
-                    fields.scalars.insert(key, parse_hex_u64(&s)?);
-                }
-                Some(c) if c.is_ascii_digit() => {
-                    fields.scalars.insert(key, self.number()?);
-                }
-                _ => return Err(format!("unexpected value for field \"{key}\"")),
-            }
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    break;
-                }
-                _ => return Err("expected ',' or '}' after field".into()),
-            }
-        }
-        Ok(fields)
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .peek()
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b == b'"' {
-                let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| "invalid UTF-8 in sidecar string".to_string())?
-                    .to_string();
-                self.pos += 1;
-                return Ok(s);
-            }
-            if b == b'\\' {
-                return Err("escape sequences are not used in sidecar strings".into());
-            }
-            self.pos += 1;
-        }
-        Err("unterminated string in sidecar".into())
-    }
-
-    fn number(&mut self) -> Result<u64, String> {
-        let start = self.pos;
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("malformed number at byte {start}"))
-    }
-}
-
-fn parse_hex_u64(s: &str) -> Result<u64, String> {
-    let hex = s
-        .strip_prefix("0x")
-        .ok_or_else(|| format!("expected 0x-prefixed hex value, got \"{s}\""))?;
-    u64::from_str_radix(hex, 16).map_err(|e| format!("malformed hex value \"{s}\": {e}"))
+fn parse_hex(node: &Node<'_>) -> Result<u64, ShapeError> {
+    let s = node.str("digest")?;
+    s.strip_prefix("0x")
+        .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+        .ok_or_else(|| node.error(format!("expected a 0x-prefixed hex value, got {s:?}")))
 }
 
 /// The content digest of one equivalence class: a checksum over the
@@ -1244,6 +1067,44 @@ mod tests {
     }
 
     #[test]
+    fn stamp_parser_reads_the_pre_codec_layout() {
+        // The sidecar layout of the hand-rolled writer the shared codec
+        // replaced: every class digest on one line.
+        let old = r#"{
+  "schema_version": 1,
+  "artifact_checksum": "0x32f4f60b0811aaf9",
+  "generator_version": 1,
+  "verifier_digest": "0x17d9e2592a3aed6f",
+  "errors": 0,
+  "warnings": 62,
+  "class_digests": ["0x3fb3d1ce46c60fc1", "0xcbf0241afb1c85f3", "0x0bc188fd0e243b31"]
+}
+"#;
+        let stamp = AuditStamp::parse(old).unwrap();
+        assert_eq!(
+            stamp,
+            AuditStamp {
+                artifact_checksum: 0x32f4_f60b_0811_aaf9,
+                generator_version: 1,
+                verifier_digest: 0x17d9_e259_2a3a_ed6f,
+                errors: 0,
+                warnings: 62,
+                class_digests: vec![
+                    0x3fb3_d1ce_46c6_0fc1,
+                    0xcbf0_241a_fb1c_85f3,
+                    0x0bc1_88fd_0e24_3b31
+                ],
+            }
+        );
+        // The new layout differs from the old in whitespace only.
+        let strip = |s: &str| s.split_whitespace().collect::<String>();
+        assert_eq!(strip(&stamp.to_json()), strip(old));
+        // Shape errors are positioned at the offending value.
+        let err = AuditStamp::parse(&old.replace("\"0xcbf0241afb1c85f3\"", "7")).unwrap_err();
+        assert!(err.contains("line 8, column 43 (byte 214)"), "{err}");
+    }
+
+    #[test]
     fn certification_requires_clean_matching_stamp() {
         let stamp = sample_stamp();
         assert!(stamp.certifies(stamp.artifact_checksum, stamp.verifier_digest));
@@ -1293,12 +1154,5 @@ mod tests {
             };
             assert_eq!(rule.severity(), expected, "{rule}");
         }
-    }
-
-    #[test]
-    fn json_string_escapes_control_characters() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_string("x\n\t\u{1}"), "\"x\\n\\t\\u0001\"");
     }
 }

@@ -49,9 +49,6 @@ struct PatternMeta {
     histogram: GateHistogram,
     /// Number of distinct qubits the pattern touches.
     qubit_span: u32,
-    /// `true` when every pattern instruction after the first shares a wire
-    /// with an earlier one — i.e. any match is a wire-connected subcircuit.
-    connected: bool,
 }
 
 /// Reusable scratch state for [`TransformationIndex::candidates_into`]: an
@@ -111,9 +108,6 @@ pub struct TransformationIndex {
     /// Transformation ids bucketed by every gate type their pattern uses
     /// (multi-membership), each bucket ascending. Derived, never serialized.
     gate_buckets: Vec<Vec<usize>>,
-    /// Largest target-pattern gate count — an upper bound on how far (in
-    /// wire hops) any match can extend from a node it binds.
-    max_pattern_len: usize,
 }
 
 impl TransformationIndex {
@@ -149,7 +143,6 @@ impl TransformationIndex {
     fn assemble(transformations: Vec<Transformation>, buckets: Vec<Vec<usize>>) -> Self {
         let mut metas = Vec::with_capacity(transformations.len());
         let mut gate_buckets: Vec<Vec<usize>> = vec![Vec::new(); Gate::COUNT];
-        let mut max_pattern_len = 0usize;
         for (id, xform) in transformations.iter().enumerate() {
             let target = &xform.target;
             let histogram = *target.gate_histogram();
@@ -163,21 +156,14 @@ impl TransformationIndex {
                     }
                 }
             }
-            let connected = target
-                .wire_predecessors()
-                .iter()
-                .skip(1)
-                .all(|ps| ps.iter().any(|p| p.is_some()));
             for gate in ALL_GATES {
                 if gate_mask & (1 << gate.index()) != 0 {
                     gate_buckets[gate.index()].push(id);
                 }
             }
-            max_pattern_len = max_pattern_len.max(target.gate_count());
             metas.push(PatternMeta {
                 histogram,
                 qubit_span: qubits_used.len() as u32,
-                connected,
             });
         }
         TransformationIndex {
@@ -185,7 +171,6 @@ impl TransformationIndex {
             metas,
             buckets,
             gate_buckets,
-            max_pattern_len,
         }
     }
 
@@ -276,21 +261,6 @@ impl TransformationIndex {
     /// Returns `true` when the index holds no transformations.
     pub fn is_empty(&self) -> bool {
         self.transformations.is_empty()
-    }
-
-    /// Largest target-pattern gate count in the index. Any match of a
-    /// *connected* pattern lies within `max_pattern_len() - 1` undirected
-    /// wire hops ([`quartz_ir::CircuitDag::neighborhood`]) of each of its
-    /// own nodes. Introspection only.
-    pub fn max_pattern_len(&self) -> usize {
-        self.max_pattern_len
-    }
-
-    /// Whether the target pattern of transformation `id` is wire-connected
-    /// (every instruction after the first shares a wire with an earlier
-    /// one). Matches of connected patterns are wire-connected subcircuits.
-    pub fn pattern_connected(&self, id: usize) -> bool {
-        self.metas[id].connected
     }
 
     /// Ids of the transformations that can possibly match a circuit with the
@@ -455,35 +425,6 @@ mod tests {
         // The scratch is reusable across calls (epoch reset, not realloc).
         index.candidates_into(c.gate_histogram(), 2, &mut scratch, &mut ids);
         assert_eq!(ids, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn pattern_connectivity_and_max_len_are_recorded() {
-        // H(0); H(1) on distinct wires is disconnected; H then CNOT sharing
-        // wire 0 is connected.
-        let mut split = Circuit::new(2, 0);
-        split.push(instruction(Gate::H, &[0]));
-        split.push(instruction(Gate::H, &[1]));
-        let connected = {
-            let mut c = Circuit::new(2, 0);
-            c.push(instruction(Gate::H, &[0]));
-            c.push(instruction(Gate::Cnot, &[0, 1]));
-            c.push(instruction(Gate::H, &[1]));
-            c
-        };
-        let index = TransformationIndex::new(vec![
-            Transformation {
-                target: split,
-                rewrite: Circuit::new(2, 0),
-            },
-            Transformation {
-                target: connected,
-                rewrite: Circuit::new(2, 0),
-            },
-        ]);
-        assert!(!index.pattern_connected(0));
-        assert!(index.pattern_connected(1));
-        assert_eq!(index.max_pattern_len(), 3);
     }
 
     #[test]

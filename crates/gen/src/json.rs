@@ -1,17 +1,17 @@
-//! Hand-written JSON codec for [`EccSet`].
+//! JSON interchange for [`EccSet`]: a shape mapping over the workspace's one
+//! JSON codec, [`quartz_ir::json`].
 //!
-//! The workspace builds fully offline, so `serde_json` is unavailable; ECC
-//! sets are the only artifact that needs durable *textual* serialization
-//! (they are the product of expensive generation runs, and JSON is the
-//! interchange format the original Quartz tooling reads), and their shape is
-//! small and fixed, so a direct codec is both simpler and faster than a
-//! generic framework. For the compact binary format services load at
-//! startup, see [`crate::library`] (`quartz-lib pack` converts between the
-//! two).
+//! ECC sets are the only artifact that needs durable *textual*
+//! serialization (they are the product of expensive generation runs, and
+//! JSON is the interchange format the original Quartz tooling reads). For
+//! the compact binary format services load at startup, see
+//! [`crate::library`] (`quartz-lib pack` converts between the two).
 //!
 //! Decoding errors carry source context: every syntax *and* shape error is
-//! reported with the line, column, and byte offset of the offending token,
-//! e.g. `unknown gate "nope" at line 3, column 18 (byte 57)`.
+//! reported with the line, column, and byte offset of the offending value,
+//! e.g. `unknown gate "nope" at line 3, column 18 (byte 57)`. Syntax errors
+//! come from the parser; shape errors are found on the parsed tree by a
+//! [`Node`] walk and positioned with [`json::locate`].
 //!
 //! The format matches what `serde_json` would produce for the derive
 //! annotations on these types:
@@ -25,569 +25,317 @@
 //! ```
 
 use crate::ecc::{Ecc, EccSet};
+use quartz_ir::json::{self, Json};
 use quartz_ir::{Circuit, Gate, Instruction, ParamExpr};
-use std::fmt::Write as _;
 
 // ---------------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------------
 
-/// Serializes an ECC set to a JSON string.
+/// Serializes an ECC set to compact JSON.
 pub fn ecc_set_to_json(set: &EccSet) -> String {
-    let mut out = String::new();
-    write!(
-        out,
-        "{{\"num_qubits\":{},\"num_params\":{},\"eccs\":[",
-        set.num_qubits, set.num_params
-    )
-    .unwrap();
-    for (i, ecc) in set.eccs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"circuits\":[");
-        for (j, circuit) in ecc.circuits().iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            write_circuit(&mut out, circuit);
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
+    let eccs = set
+        .eccs
+        .iter()
+        .map(|ecc| {
+            let circuits = ecc.circuits().iter().map(circuit_to_json).collect();
+            object([("circuits", Json::Array(circuits))])
+        })
+        .collect();
+    object([
+        ("num_qubits", int(set.num_qubits)),
+        ("num_params", int(set.num_params)),
+        ("eccs", Json::Array(eccs)),
+    ])
+    .to_string()
 }
 
-fn write_circuit(out: &mut String, circuit: &Circuit) {
-    write!(
-        out,
-        "{{\"num_qubits\":{},\"num_params\":{},\"instructions\":[",
-        circuit.num_qubits(),
-        circuit.num_params()
-    )
-    .unwrap();
-    for (i, instr) in circuit.instructions().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write!(out, "{{\"gate\":\"{}\",\"qubits\":[", instr.gate.name()).unwrap();
-        for (j, q) in instr.qubits.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            write!(out, "{q}").unwrap();
-        }
-        out.push_str("],\"params\":[");
-        for (j, p) in instr.params.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"coeffs\":[");
-            for (k, c) in p.coeffs().iter().enumerate() {
-                if k > 0 {
-                    out.push(',');
-                }
-                write!(out, "{c}").unwrap();
-            }
-            write!(out, "],\"const_pi4\":{}}}", p.const_pi4()).unwrap();
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
+fn circuit_to_json(circuit: &Circuit) -> Json {
+    let instructions = circuit
+        .instructions()
+        .iter()
+        .map(|instr| {
+            let params = instr
+                .params
+                .iter()
+                .map(|p| {
+                    object([
+                        (
+                            "coeffs",
+                            Json::Array(p.coeffs().iter().map(|&c| Json::Int(c.into())).collect()),
+                        ),
+                        ("const_pi4", Json::Int(p.const_pi4().into())),
+                    ])
+                })
+                .collect();
+            object([
+                ("gate", Json::Str(instr.gate.name().to_string())),
+                (
+                    "qubits",
+                    Json::Array(instr.qubits.iter().map(|&q| int(q)).collect()),
+                ),
+                ("params", Json::Array(params)),
+            ])
+        })
+        .collect();
+    object([
+        ("num_qubits", int(circuit.num_qubits())),
+        ("num_params", int(circuit.num_params())),
+        ("instructions", Json::Array(instructions)),
+    ])
+}
+
+/// An object with the given members, in order.
+pub(crate) fn object<const N: usize>(members: [(&str, Json); N]) -> Json {
+    Json::Object(members.map(|(k, v)| (k.to_string(), v)).into())
+}
+
+/// A count or index as a JSON integer.
+pub(crate) fn int(n: usize) -> Json {
+    Json::Int(n as i128)
 }
 
 // ---------------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// An error with an optional byte offset into the source, rendered with
-/// line/column context once the whole decode fails.
-#[derive(Debug)]
-struct JsonError {
-    message: String,
-    offset: Option<usize>,
-}
-
-impl JsonError {
-    fn at(offset: usize, message: impl Into<String>) -> Self {
-        JsonError {
-            message: message.into(),
-            offset: Some(offset),
-        }
-    }
-
-    /// Formats the error with 1-based line/column derived from `source`.
-    /// The column counts *characters*, not bytes (non-ASCII text before the
-    /// offending token must not shift it), while the raw byte offset is
-    /// reported alongside.
-    fn render(&self, source: &str) -> String {
-        match self.offset {
-            Some(offset) => {
-                let clamped = offset.min(source.len());
-                let prefix = &source.as_bytes()[..clamped];
-                let line = 1 + prefix.iter().filter(|&&b| b == b'\n').count();
-                let line_start = prefix
-                    .iter()
-                    .rposition(|&b| b == b'\n')
-                    .map(|p| p + 1)
-                    .unwrap_or(0);
-                let column = String::from_utf8_lossy(&prefix[line_start..])
-                    .chars()
-                    .count()
-                    + 1;
-                format!(
-                    "{} at line {line}, column {column} (byte {offset})",
-                    self.message
-                )
-            }
-            None => self.message.clone(),
-        }
-    }
-}
-
 /// Deserializes an ECC set from a JSON string.
 ///
 /// # Errors
 ///
 /// Returns a description of the first syntax or shape error encountered,
-/// including the line, column, and byte offset of the offending token.
-pub fn ecc_set_from_json(json: &str) -> Result<EccSet, String> {
-    ecc_set_from_json_inner(json).map_err(|e| e.render(json))
+/// including the line, column, and byte offset of the offending value.
+pub fn ecc_set_from_json(input: &str) -> Result<EccSet, String> {
+    let value = json::parse(input).map_err(|e| e.to_string())?;
+    decode_set(Node::root(&value)).map_err(|e| e.render(input))
 }
 
-fn ecc_set_from_json_inner(json: &str) -> Result<EccSet, JsonError> {
-    let value = Parser::new(json).parse_document()?;
-    let obj = value.as_object("ECC set")?;
-    let num_qubits = obj.field("num_qubits")?.as_usize("num_qubits")?;
-    let num_params = obj.field("num_params")?.as_usize("num_params")?;
-    let mut set = EccSet::new(num_qubits, num_params);
-    for ecc_value in obj.field("eccs")?.as_array("eccs")? {
-        let ecc_obj = ecc_value.as_object("ECC")?;
-        let mut circuits = Vec::new();
-        for circuit_value in ecc_obj.field("circuits")?.as_array("circuits")? {
-            circuits.push(circuit_from_value(circuit_value)?);
-        }
+fn decode_set(set: Node<'_>) -> Result<EccSet, ShapeError> {
+    set.object("ECC set")?;
+    let num_qubits = set.field("num_qubits")?.usize("num_qubits")?;
+    let num_params = set.field("num_params")?.usize("num_params")?;
+    let mut out = EccSet::new(num_qubits, num_params);
+    for ecc in set.field("eccs")?.items("eccs")? {
+        ecc.object("ECC")?;
+        let circuits = ecc
+            .field("circuits")?
+            .items("circuits")?
+            .map(|c| decode_circuit(&c))
+            .collect::<Result<Vec<_>, _>>()?;
         if circuits.is_empty() {
-            return Err(JsonError::at(
-                ecc_value.offset,
-                "an ECC must contain at least one circuit",
-            ));
+            return Err(ecc.error("an ECC must contain at least one circuit"));
         }
-        set.eccs.push(Ecc::new(circuits));
+        out.eccs.push(Ecc::new(circuits));
     }
-    Ok(set)
+    Ok(out)
 }
 
-fn circuit_from_value(value: &Spanned) -> Result<Circuit, JsonError> {
-    let obj = value.as_object("circuit")?;
-    let num_qubits = obj.field("num_qubits")?.as_usize("num_qubits")?;
-    let num_params = obj.field("num_params")?.as_usize("num_params")?;
+fn decode_circuit(node: &Node<'_>) -> Result<Circuit, ShapeError> {
+    node.object("circuit")?;
+    let num_qubits = node.field("num_qubits")?.usize("num_qubits")?;
+    let num_params = node.field("num_params")?.usize("num_params")?;
     let mut circuit = Circuit::new(num_qubits, num_params);
-    for instr_value in obj.field("instructions")?.as_array("instructions")? {
-        let instr = obj_to_instruction(instr_value, num_qubits, num_params)?;
-        circuit.push(instr);
+    for instr in node.field("instructions")?.items("instructions")? {
+        circuit.push(decode_instruction(&instr, num_qubits, num_params)?);
     }
     Ok(circuit)
 }
 
-fn obj_to_instruction(
-    value: &Spanned,
+fn decode_instruction(
+    node: &Node<'_>,
     num_qubits: usize,
     num_params: usize,
-) -> Result<Instruction, JsonError> {
-    let obj = value.as_object("instruction")?;
-    let gate_field = obj.field("gate")?;
-    let gate_name = gate_field.as_str("gate")?;
+) -> Result<Instruction, ShapeError> {
+    node.object("instruction")?;
+    let gate_node = node.field("gate")?;
+    let gate_name = gate_node.str("gate")?;
     let gate = Gate::from_name(gate_name)
-        .ok_or_else(|| JsonError::at(gate_field.offset, format!("unknown gate {gate_name:?}")))?;
+        .ok_or_else(|| gate_node.error(format!("unknown gate {gate_name:?}")))?;
     let mut qubits = Vec::new();
-    for q_value in obj.field("qubits")?.as_array("qubits")? {
-        let q = q_value.as_usize("qubit operand")?;
+    for q_node in node.field("qubits")?.items("qubits")? {
+        let q = q_node.usize("qubit operand")?;
         if q >= num_qubits {
-            return Err(JsonError::at(
-                q_value.offset,
-                format!("qubit {q} out of range for circuit with {num_qubits} qubits"),
-            ));
+            return Err(q_node.error(format!(
+                "qubit {q} out of range for circuit with {num_qubits} qubits"
+            )));
         }
         if qubits.contains(&q) {
-            return Err(JsonError::at(
-                q_value.offset,
-                format!("repeated qubit operand {q} for gate {gate_name}"),
-            ));
+            return Err(q_node.error(format!("repeated qubit operand {q} for gate {gate_name}")));
         }
         qubits.push(q);
     }
     if qubits.len() != gate.num_qubits() {
-        return Err(JsonError::at(
-            value.offset,
-            format!(
-                "gate {gate_name} expects {} qubit operands, got {}",
-                gate.num_qubits(),
-                qubits.len()
-            ),
-        ));
+        return Err(node.error(format!(
+            "gate {gate_name} expects {} qubit operands, got {}",
+            gate.num_qubits(),
+            qubits.len()
+        )));
     }
     let mut params = Vec::new();
-    for p in obj.field("params")?.as_array("params")? {
-        let p_obj = p.as_object("parameter expression")?;
-        let mut coeffs = Vec::new();
-        for c in p_obj.field("coeffs")?.as_array("coeffs")? {
-            coeffs.push(c.as_i32("parameter coefficient")?);
-        }
+    for p in node.field("params")?.items("params")? {
+        p.object("parameter expression")?;
+        let coeffs = p
+            .field("coeffs")?
+            .items("coeffs")?
+            .map(|c| c.i32("parameter coefficient"))
+            .collect::<Result<Vec<_>, _>>()?;
         if coeffs.len() != num_params {
-            return Err(JsonError::at(
-                p.offset,
-                format!(
-                    "parameter expression has {} coefficients, circuit has {num_params} parameters",
-                    coeffs.len()
-                ),
-            ));
+            return Err(p.error(format!(
+                "parameter expression has {} coefficients, circuit has {num_params} parameters",
+                coeffs.len()
+            )));
         }
-        let const_pi4 = p_obj.field("const_pi4")?.as_i32("const_pi4")?;
+        let const_pi4 = p.field("const_pi4")?.i32("const_pi4")?;
         params.push(ParamExpr::from_parts(coeffs, const_pi4));
     }
     if params.len() != gate.num_params() {
-        return Err(JsonError::at(
-            value.offset,
-            format!(
-                "gate {gate_name} expects {} parameters, got {}",
-                gate.num_params(),
-                params.len()
-            ),
-        ));
+        return Err(node.error(format!(
+            "gate {gate_name} expects {} parameters, got {}",
+            gate.num_params(),
+            params.len()
+        )));
     }
     Ok(Instruction::new(gate, qubits, params))
 }
 
 // ---------------------------------------------------------------------------
-// A minimal JSON value tree and recursive-descent parser
+// Positioned shape checks over a parsed tree
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
-    Object(Vec<(String, Spanned)>),
-    Array(Vec<Spanned>),
-    String(String),
-    Int(i64),
+/// A value of a parsed document together with the chain of child indices
+/// that reached it (each node borrows its parent, so the walk allocates
+/// nothing). A shape error records that path; [`ShapeError::render`] turns
+/// it into a line/column/byte position with [`json::locate`].
+#[derive(Clone, Copy)]
+pub(crate) struct Node<'a> {
+    value: &'a Json,
+    step: usize,
+    parent: Option<&'a Node<'a>>,
 }
 
-impl JsonValue {
-    fn describe(&self) -> String {
-        match self {
-            JsonValue::Object(_) => "an object".to_string(),
-            JsonValue::Array(_) => "an array".to_string(),
-            JsonValue::String(s) => format!("string {s:?}"),
-            JsonValue::Int(n) => format!("integer {n}"),
-        }
-    }
+/// What is wrong with a decoded document, and the path to the value it is
+/// wrong about.
+pub(crate) struct ShapeError {
+    message: String,
+    path: Vec<usize>,
 }
 
-/// A parsed value together with the byte offset where it began — the anchor
-/// for shape-error messages.
-#[derive(Debug, Clone, PartialEq)]
-struct Spanned {
-    offset: usize,
-    value: JsonValue,
-}
-
-struct JsonObject<'a> {
-    offset: usize,
-    fields: &'a [(String, Spanned)],
-}
-
-impl Spanned {
-    fn as_object(&self, what: &str) -> Result<JsonObject<'_>, JsonError> {
-        match &self.value {
-            JsonValue::Object(fields) => Ok(JsonObject {
-                offset: self.offset,
-                fields,
-            }),
-            other => Err(JsonError::at(
-                self.offset,
-                format!(
-                    "expected {what} to be an object, found {}",
-                    other.describe()
-                ),
-            )),
-        }
-    }
-
-    fn as_array(&self, what: &str) -> Result<&[Spanned], JsonError> {
-        match &self.value {
-            JsonValue::Array(items) => Ok(items),
-            other => Err(JsonError::at(
-                self.offset,
-                format!("expected {what} to be an array, found {}", other.describe()),
-            )),
-        }
-    }
-
-    fn as_str(&self, what: &str) -> Result<&str, JsonError> {
-        match &self.value {
-            JsonValue::String(s) => Ok(s),
-            other => Err(JsonError::at(
-                self.offset,
-                format!("expected {what} to be a string, found {}", other.describe()),
-            )),
-        }
-    }
-
-    fn as_usize(&self, what: &str) -> Result<usize, JsonError> {
-        match &self.value {
-            JsonValue::Int(n) if *n >= 0 => Ok(*n as usize),
-            other => Err(JsonError::at(
-                self.offset,
-                format!(
-                    "expected {what} to be a non-negative integer, found {}",
-                    other.describe()
-                ),
-            )),
-        }
-    }
-
-    fn as_i32(&self, what: &str) -> Result<i32, JsonError> {
-        match &self.value {
-            JsonValue::Int(n) => i32::try_from(*n)
-                .map_err(|_| JsonError::at(self.offset, format!("{what} out of i32 range: {n}"))),
-            other => Err(JsonError::at(
-                self.offset,
-                format!(
-                    "expected {what} to be an integer, found {}",
-                    other.describe()
-                ),
-            )),
-        }
+impl ShapeError {
+    /// The error as text, positioned in `input` (the text the tree was
+    /// parsed from).
+    pub(crate) fn render(self, input: &str) -> String {
+        json::locate(input, &self.path, self.message).to_string()
     }
 }
 
-impl JsonObject<'_> {
-    fn field(&self, name: &str) -> Result<&Spanned, JsonError> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
-            .ok_or_else(|| JsonError::at(self.offset, format!("missing field {name:?}")))
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(input: &'a str) -> Self {
-        Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
+impl<'a> Node<'a> {
+    /// The document root.
+    pub(crate) fn root(value: &'a Json) -> Self {
+        Node {
+            value,
+            step: 0,
+            parent: None,
         }
     }
 
-    fn parse_document(mut self) -> Result<Spanned, JsonError> {
-        let value = self.parse_value()?;
-        self.skip_whitespace();
-        if self.pos != self.bytes.len() {
-            return Err(JsonError::at(self.pos, "trailing characters"));
+    /// An error about this value.
+    pub(crate) fn error(&self, message: impl Into<String>) -> ShapeError {
+        let mut path = Vec::new();
+        let mut node = self;
+        while let Some(parent) = node.parent {
+            path.push(node.step);
+            node = parent;
         }
-        Ok(value)
-    }
-
-    fn skip_whitespace(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        path.reverse();
+        ShapeError {
+            message: message.into(),
+            path,
         }
     }
 
-    fn peek(&mut self) -> Result<u8, JsonError> {
-        self.skip_whitespace();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| JsonError::at(self.pos, "unexpected end of input"))
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        let got = self.peek()?;
-        if got != b {
-            return Err(JsonError::at(
-                self.pos,
-                format!("expected {:?}, found {:?}", b as char, got as char),
-            ));
-        }
-        self.pos += 1;
-        Ok(())
-    }
-
-    fn parse_value(&mut self) -> Result<Spanned, JsonError> {
-        let b = self.peek()?;
-        let offset = self.pos;
-        let value = match b {
-            b'{' => self.parse_object()?,
-            b'[' => self.parse_array()?,
-            b'"' => JsonValue::String(self.parse_string()?),
-            b'-' | b'0'..=b'9' => self.parse_int()?,
-            other => {
-                return Err(JsonError::at(
-                    self.pos,
-                    format!("unexpected character {:?}", other as char),
-                ))
-            }
+    fn expected(&self, what: &str, kind: &str) -> ShapeError {
+        let found = match self.value {
+            Json::Null => "null".to_string(),
+            Json::Bool(b) => format!("boolean {b}"),
+            Json::Int(n) => format!("integer {n}"),
+            Json::Float(f) => format!("number {f}"),
+            Json::Str(s) => format!("string {s:?}"),
+            Json::Array(_) => "an array".to_string(),
+            Json::Object(_) => "an object".to_string(),
         };
-        Ok(Spanned { offset, value })
+        self.error(format!("expected {what} to be {kind}, found {found}"))
     }
 
-    fn parse_object(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(JsonValue::Object(fields));
+    /// Checks that this value is an object.
+    pub(crate) fn object(&self, what: &str) -> Result<(), ShapeError> {
+        match self.value {
+            Json::Object(_) => Ok(()),
+            _ => Err(self.expected(what, "an object")),
         }
-        loop {
-            self.peek()?;
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(fields));
-                }
-                other => {
-                    return Err(JsonError::at(
-                        self.pos,
-                        format!("expected ',' or '}}', found {:?}", other as char),
-                    ))
-                }
+    }
+
+    /// The first member named `name` of this object (an error positioned
+    /// at the object when it is missing).
+    pub(crate) fn field<'b>(&'b self, name: &str) -> Result<Node<'b>, ShapeError> {
+        let members: &'b [(String, Json)] = match self.value {
+            Json::Object(members) => members,
+            _ => &[],
+        };
+        match members.iter().position(|(k, _)| k == name) {
+            Some(step) => Ok(Node {
+                value: &members[step].1,
+                step,
+                parent: Some(self),
+            }),
+            None => Err(self.error(format!("missing field {name:?}"))),
+        }
+    }
+
+    /// The items of this array.
+    pub(crate) fn items<'b>(
+        &'b self,
+        what: &str,
+    ) -> Result<impl Iterator<Item = Node<'b>> + 'b, ShapeError> {
+        let this: &'b Node<'b> = self;
+        match this.value {
+            Json::Array(items) => Ok(items.iter().enumerate().map(move |(step, value)| Node {
+                value,
+                step,
+                parent: Some(this),
+            })),
+            _ => Err(self.expected(what, "an array")),
+        }
+    }
+
+    /// This value as a string.
+    pub(crate) fn str(&self, what: &str) -> Result<&'a str, ShapeError> {
+        match self.value {
+            Json::Str(s) => Ok(s),
+            _ => Err(self.expected(what, "a string")),
+        }
+    }
+
+    /// This value as a non-negative integer.
+    pub(crate) fn usize(&self, what: &str) -> Result<usize, ShapeError> {
+        match self.value.as_usize() {
+            Some(n) => Ok(n),
+            None => Err(self.expected(what, "a non-negative integer")),
+        }
+    }
+
+    fn i32(&self, what: &str) -> Result<i32, ShapeError> {
+        match self.value {
+            Json::Int(n) => {
+                i32::try_from(*n).map_err(|_| self.error(format!("{what} out of i32 range: {n}")))
             }
+            _ => Err(self.expected(what, "an integer")),
         }
-    }
-
-    fn parse_array(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                other => {
-                    return Err(JsonError::at(
-                        self.pos,
-                        format!("expected ',' or ']', found {:?}", other as char),
-                    ))
-                }
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        let mut segment_start = self.pos;
-        loop {
-            let b = *self
-                .bytes
-                .get(self.pos)
-                .ok_or_else(|| JsonError::at(self.pos, "unterminated string"))?;
-            match b {
-                b'"' | b'\\' => {
-                    // `"` and `\` are ASCII, so the segment boundaries fall on
-                    // UTF-8 character boundaries of the (already valid) input
-                    // and multi-byte characters pass through losslessly.
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[segment_start..self.pos])
-                            .expect("slices of a str between ASCII delimiters are valid UTF-8"),
-                    );
-                    self.pos += 1;
-                    if b == b'"' {
-                        return Ok(out);
-                    }
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| JsonError::at(self.pos, "unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        other => {
-                            return Err(JsonError::at(
-                                self.pos - 1,
-                                format!("unsupported escape \\{}", other as char),
-                            ));
-                        }
-                    }
-                    segment_start = self.pos;
-                }
-                _ => self.pos += 1,
-            }
-        }
-    }
-
-    fn parse_int(&mut self) -> Result<JsonValue, JsonError> {
-        self.skip_whitespace();
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
-        text.parse::<i64>()
-            .map(JsonValue::Int)
-            .map_err(|_| JsonError::at(start, format!("invalid integer {text:?}")))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn parse(input: &str) -> Result<Spanned, String> {
-        Parser::new(input)
-            .parse_document()
-            .map_err(|e| e.render(input))
-    }
-
-    #[test]
-    fn parser_handles_nesting_and_rejects_garbage() {
-        let v = parse(r#"{"a":[1,-2,{"b":"x"}],"c":3}"#).unwrap();
-        let obj = v.as_object("root").unwrap();
-        assert_eq!(obj.field("c").unwrap().as_usize("c").unwrap(), 3);
-        let arr = obj.field("a").unwrap().as_array("a").unwrap();
-        assert_eq!(arr[1].as_i32("x").unwrap(), -2);
-        assert!(parse("not json").is_err());
-        assert!(parse("{\"a\":1").is_err());
-        assert!(parse("{\"a\":1} trailing").is_err());
-    }
-
-    #[test]
-    fn strings_preserve_escapes_and_non_ascii() {
-        let v = parse(r#"{"k":"π/4 → rz\n\"quoted\""}"#).unwrap();
-        let obj = v.as_object("root").unwrap();
-        let s = obj.field("k").unwrap().as_str("k").unwrap().to_string();
-        assert_eq!(s, "π/4 → rz\n\"quoted\"");
-        assert!(parse(r#""bad \A escape""#).is_err());
-    }
 
     #[test]
     fn malformed_shapes_are_reported() {

@@ -170,49 +170,6 @@ impl Circuit {
         &self.histogram
     }
 
-    /// A cheap 64-bit structural fingerprint of the circuit: FNV-1a over the
-    /// exact sequence form (qubit/parameter counts, gate types, operands, and
-    /// parameter expressions).
-    ///
-    /// Two circuits are equal **as sequences** iff their encodings are equal,
-    /// so equal circuits always have equal fingerprints and distinct circuits
-    /// collide with probability ≈ 2⁻⁶⁴. Different sequence representations of
-    /// the same circuit DAG hash differently — canonicalize first (see
-    /// `quartz-opt`'s `canonicalize`) to fingerprint circuits up to
-    /// commuting-gate reordering. The optimizer's seen-set stores these
-    /// fingerprints instead of whole circuit clones (DESIGN.md §2.1).
-    pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        #[inline]
-        fn mix(h: &mut u64, word: u64) {
-            for byte in word.to_le_bytes() {
-                *h ^= byte as u64;
-                *h = h.wrapping_mul(PRIME);
-            }
-        }
-        let mut h = OFFSET;
-        mix(&mut h, self.num_qubits as u64);
-        mix(&mut h, self.num_params as u64);
-        mix(&mut h, self.instructions.len() as u64);
-        for instr in &self.instructions {
-            mix(&mut h, instr.gate.index() as u64);
-            for &q in &instr.qubits {
-                mix(&mut h, q as u64);
-            }
-            for p in &instr.params {
-                mix(&mut h, p.const_pi4() as i64 as u64);
-                // Length-prefix the variable-length coefficient list so the
-                // whole encoding stays injective.
-                mix(&mut h, p.coeffs().len() as u64);
-                for &c in p.coeffs() {
-                    mix(&mut h, c as i64 as u64);
-                }
-            }
-        }
-        h
-    }
-
     /// Returns a new circuit equal to this one with `instr` appended
     /// (the `L.(g ι)` operation of the paper).
     pub fn appended(&self, instr: Instruction) -> Circuit {
@@ -589,43 +546,5 @@ mod tests {
         assert!(!big.gate_histogram().is_subset_of(small.gate_histogram()));
         let present: Vec<Gate> = big.gate_histogram().present_gates().collect();
         assert_eq!(present, vec![Gate::H, Gate::Cnot]);
-    }
-
-    #[test]
-    fn fingerprint_separates_structure_and_respects_equality() {
-        let mut a = Circuit::new(2, 0);
-        a.push(h(0));
-        a.push(cnot(0, 1));
-        let b = a.clone();
-        assert_eq!(a.fingerprint(), b.fingerprint());
-
-        // Operand, gate-type, order and arity changes all change the hash.
-        let mut flipped = Circuit::new(2, 0);
-        flipped.push(h(1));
-        flipped.push(cnot(0, 1));
-        assert_ne!(a.fingerprint(), flipped.fingerprint());
-        let mut reordered = Circuit::new(2, 0);
-        reordered.push(cnot(0, 1));
-        reordered.push(h(0));
-        assert_ne!(a.fingerprint(), reordered.fingerprint());
-        assert_ne!(
-            Circuit::new(2, 0).fingerprint(),
-            Circuit::new(3, 0).fingerprint()
-        );
-
-        // Parameter expressions are part of the structure.
-        let mut rz1 = Circuit::new(1, 0);
-        rz1.push(Instruction::new(
-            Gate::Rz,
-            vec![0],
-            vec![ParamExpr::constant_pi4(1)],
-        ));
-        let mut rz2 = Circuit::new(1, 0);
-        rz2.push(Instruction::new(
-            Gate::Rz,
-            vec![0],
-            vec![ParamExpr::constant_pi4(2)],
-        ));
-        assert_ne!(rz1.fingerprint(), rz2.fingerprint());
     }
 }

@@ -1,8 +1,8 @@
 //! The graph representation of circuits (paper §3.1, Figure 5): a DAG whose
 //! nodes are gate instances and whose edges are qubit wires.
 //!
-//! The sequence form ([`Circuit`]) is what RepGen enumerates and what the
-//! seen-set fingerprints; the DAG form is what the optimizer *rewrites*. A
+//! The sequence form ([`Circuit`]) is what RepGen enumerates; the DAG form
+//! is what the optimizer *rewrites*. A
 //! [`CircuitDag`] gives every gate instance a stable [`NodeId`] (slab-style,
 //! with a free list so ids survive unrelated rewrites) and supports in-place
 //! [`CircuitDag::splice`]: replacing a convex region with new instructions by
@@ -13,9 +13,9 @@
 //!
 //! Conversion is lossless: [`CircuitDag::from_circuit`] followed by
 //! [`CircuitDag::to_circuit`] reproduces the sequence bit-for-bit (same
-//! instruction order, same [`Circuit::fingerprint`], same
-//! [`GateHistogram`]) because the DAG caches a topological order seeded with
-//! the original sequence and maintained across splices.
+//! instruction order, same [`GateHistogram`]) because the DAG caches a
+//! topological order seeded with the original sequence and maintained across
+//! splices.
 //!
 //! The DAG also carries the wire-hash caches behind
 //! [`crate::StructuralHash`]'s O(footprint) previews (DESIGN.md §13): a
@@ -93,42 +93,6 @@ pub struct SpliceFootprint {
     /// the entry predecessor and exit successor of the region on each
     /// touched wire. Deduplicated, in ascending id order.
     pub boundary: Vec<NodeId>,
-}
-
-impl SpliceFootprint {
-    /// The live nodes of the footprint (inserted ∪ boundary), deduplicated:
-    /// every node of the spliced DAG whose local state differs from the
-    /// pre-splice DAG. New locally-checkable facts can only involve these.
-    pub fn live_dirty(&self) -> Vec<NodeId> {
-        let mut out = self.inserted.clone();
-        for &id in &self.boundary {
-            if !out.contains(&id) {
-                out.push(id);
-            }
-        }
-        out
-    }
-
-    /// Total number of distinct nodes in the footprint (removed slots that
-    /// were reused by an insertion count once).
-    pub fn len(&self) -> usize {
-        let mut all: Vec<NodeId> = self
-            .removed
-            .iter()
-            .chain(&self.inserted)
-            .chain(&self.boundary)
-            .copied()
-            .collect();
-        all.sort_unstable();
-        all.dedup();
-        all.len()
-    }
-
-    /// Returns `true` when the footprint is empty (never the case for a
-    /// footprint produced by an actual splice: the region is non-empty).
-    pub fn is_empty(&self) -> bool {
-        self.removed.is_empty() && self.inserted.is_empty() && self.boundary.is_empty()
-    }
 }
 
 /// One gate instance and its wire endpoints.
@@ -657,39 +621,6 @@ impl CircuitDag {
         }
     }
 
-    /// Every live node within `radius` undirected wire-adjacency hops of a
-    /// seed, seeds included. "Undirected" means both wire predecessors and
-    /// wire successors count as one hop, so the ball bounds where any
-    /// wire-connected subcircuit of diameter ≤ `radius` touching a seed can
-    /// live. A general locality query for footprint-anchored analyses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a seed is not live.
-    pub fn neighborhood(&self, seeds: &[NodeId], radius: usize) -> HashSet<NodeId> {
-        let mut out: HashSet<NodeId> = seeds.iter().copied().collect();
-        for &seed in seeds {
-            assert!(self.contains(seed), "neighborhood seed {seed} is not live");
-        }
-        let mut frontier: Vec<NodeId> = seeds.to_vec();
-        for _ in 0..radius {
-            let mut next = Vec::new();
-            for &u in &frontier {
-                let node = self.node(u);
-                for &v in node.preds.iter().chain(node.succs.iter()).flatten() {
-                    if out.insert(v) {
-                        next.push(v);
-                    }
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            frontier = next;
-        }
-        out
-    }
-
     /// Re-folds wire `q`'s chain hash and node cursors from the node after
     /// `start_after` (the whole wire when `None`) to the wire tail, and
     /// refreshes [`CircuitDag::wire_chain`] / [`CircuitDag::wire_len`].
@@ -872,7 +803,6 @@ mod tests {
         dag.validate().unwrap();
         let back = dag.to_circuit();
         assert_eq!(back, c);
-        assert_eq!(back.fingerprint(), c.fingerprint());
         assert_eq!(back.gate_histogram(), c.gate_histogram());
     }
 
@@ -1003,15 +933,8 @@ mod tests {
         assert_eq!(fp.inserted.len(), 1);
         // Boundary on wire 1: cnot(0,1) before and cnot(1,2) after.
         assert_eq!(fp.boundary, vec![ids[1], ids[3]]);
-        // The freed slot is reused, so the distinct-node count is 3, not 4.
+        // The freed slot is reused by the insertion.
         assert_eq!(fp.inserted, fp.removed);
-        assert_eq!(fp.len(), 3);
-        assert!(!fp.is_empty());
-        // live_dirty = inserted ∪ boundary, deduplicated.
-        let live = fp.live_dirty();
-        assert_eq!(live.len(), 3);
-        assert!(live.contains(&fp.inserted[0]));
-        assert!(live.contains(&ids[1]) && live.contains(&ids[3]));
     }
 
     #[test]
@@ -1031,7 +954,6 @@ mod tests {
         dag.validate().unwrap();
         assert!(fp.inserted.is_empty());
         assert_eq!(fp.boundary, vec![ids[0], ids[2]]);
-        assert_eq!(fp.live_dirty(), vec![ids[0], ids[2]]);
     }
 
     #[test]
@@ -1054,26 +976,6 @@ mod tests {
         assert_eq!(fp.boundary, vec![ids[0], ids[2]]);
         assert_eq!(dag.preds(ids[2]), &[Some(ids[0])]);
         assert_eq!(dag.succs(ids[0]), &[Some(ids[2])]);
-    }
-
-    #[test]
-    fn neighborhood_walks_wires_both_ways() {
-        let dag = CircuitDag::from_circuit(&sample());
-        let ids = dag.topo_order().to_vec();
-        // Radius 0: just the seed.
-        assert_eq!(
-            dag.neighborhood(&[ids[2]], 0),
-            [ids[2]].into_iter().collect()
-        );
-        // Radius 1 around rz(1): both CNOTs.
-        assert_eq!(
-            dag.neighborhood(&[ids[2]], 1),
-            [ids[1], ids[2], ids[3]].into_iter().collect()
-        );
-        // Radius 2 reaches everything in this 5-gate chain.
-        assert_eq!(dag.neighborhood(&[ids[2]], 2).len(), 5);
-        // A huge radius saturates at the live node set.
-        assert_eq!(dag.neighborhood(&[ids[0]], 100).len(), 5);
     }
 
     #[test]

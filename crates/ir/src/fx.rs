@@ -1,7 +1,7 @@
 //! A vendored, deterministic FxHash-style 64-bit hasher.
 //!
 //! The optimizer's seen-set and the transformation index's dispatch buckets
-//! hash small fixed-width keys (`u64` fingerprints, gate-pair tags) millions
+//! hash small fixed-width keys (`u64` structural hashes, gate-pair tags) millions
 //! of times per search. `std`'s default SipHash is keyed per-process and
 //! DoS-resistant — properties those interior hash tables do not need — and
 //! measurably slower on tiny keys. This module vendors the multiply-rotate
@@ -19,8 +19,8 @@
 //!   loop, no finalization rounds.
 //!
 //! Not a cryptographic hash and not collision-resistant against adversarial
-//! keys; the seen-set stores 64-bit FNV fingerprints which are already
-//! uniformly spread, so table behavior stays good.
+//! keys; the seen-set stores splitmix64-finalized structural hashes which
+//! are already uniformly spread, so table behavior stays good.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -128,79 +128,6 @@ pub fn fx_hash_u64(word: u64) -> u64 {
     h.finish()
 }
 
-/// A no-op [`Hasher`] for keys that are *already* uniformly mixed 64-bit
-/// values — the optimizer's seen-set stores splitmix64-finalized structural
-/// hashes, and re-mixing them through [`FxHasher`] on every probe/insert is
-/// pure overhead. The key's own bits become the table hash directly.
-///
-/// Only meaningful for `u64`-shaped keys whose distribution is already
-/// avalanche-quality (a finalized hash). Do **not** use it for raw integers
-/// such as ids or counters: their low bits are sequential and the table
-/// degenerates into collision chains. Multi-word writes fall back to an
-/// xor-rotate fold so the hasher stays *correct* for any key type, just not
-/// profitable.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IdentityHasher {
-    hash: u64,
-}
-
-impl Hasher for IdentityHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        // Generic fallback (never hit for u64 keys): fold so that multi-write
-        // keys still distribute, if poorly compared to a real hash.
-        for &b in bytes {
-            self.hash = self.hash.rotate_left(8) ^ b as u64;
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, i: u64) {
-        // The intended path: the pre-mixed key *is* the hash. Folding with
-        // xor keeps compound keys (tuples of u64) from collapsing to the
-        // last word.
-        self.hash ^= i;
-    }
-
-    #[inline]
-    fn write_u8(&mut self, i: u8) {
-        self.write(&[i]);
-    }
-
-    #[inline]
-    fn write_u16(&mut self, i: u16) {
-        self.write(&i.to_le_bytes());
-    }
-
-    #[inline]
-    fn write_u32(&mut self, i: u32) {
-        self.write(&i.to_le_bytes());
-    }
-
-    #[inline]
-    fn write_u128(&mut self, i: u128) {
-        self.write_u64(i as u64);
-        self.write_u64((i >> 64) as u64);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, i: usize) {
-        self.write_u64(i as u64);
-    }
-}
-
-/// [`std::hash::BuildHasher`] producing [`IdentityHasher`]s.
-pub type IdentityBuildHasher = BuildHasherDefault<IdentityHasher>;
-
-/// A [`std::collections::HashSet`] of pre-mixed `u64` keys probed through
-/// [`IdentityHasher`] — the optimizer's seen-set type (DESIGN.md §13).
-pub type IdentityHashSet = std::collections::HashSet<u64, IdentityBuildHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,21 +168,6 @@ mod tests {
         assert_eq!(hash_bytes(b"abcdefgh"), hash_bytes(b"abcdefgh"));
         assert_ne!(hash_bytes(b"ab"), hash_bytes(b"ab\0"));
         assert_ne!(hash_bytes(b"abcdefgh"), hash_bytes(b"abcdefg"));
-    }
-
-    /// The identity hasher passes a pre-mixed u64 straight through, and a
-    /// set built on it deduplicates exactly like the Fx-backed one.
-    #[test]
-    fn identity_hasher_is_a_passthrough_for_u64() {
-        let mut h = IdentityHasher::default();
-        h.write_u64(0xdead_beef_cafe_f00d);
-        assert_eq!(h.finish(), 0xdead_beef_cafe_f00d);
-
-        let mut set: IdentityHashSet = IdentityHashSet::default();
-        assert!(set.insert(1 << 63));
-        assert!(set.insert(0));
-        assert!(!set.insert(1 << 63));
-        assert_eq!(set.len(), 2);
     }
 
     /// Sets and maps built on the aliases behave like the std ones.

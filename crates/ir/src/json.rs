@@ -1,18 +1,23 @@
-//! Minimal JSON value model, parser, and writer for the wire protocol.
+//! The workspace's one JSON codec: a value model, a strict parser, and a
+//! compact and a pretty writer.
 //!
 //! The workspace builds fully offline (no `serde_json`; DESIGN.md §4), and
-//! the daemon's wire shapes are small and fixed, so — like the ECC codec in
-//! `quartz_gen::json` — a direct implementation is simpler and faster than
-//! a generic framework. Unlike that codec this one is *generic over
-//! values*: request bodies arrive from untrusted clients, so the parser
-//! must reject arbitrary garbage with a useful diagnostic rather than
-//! decode one known shape.
+//! every JSON shape it speaks is small and fixed — ECC-set interchange
+//! (`quartz_gen::json`), audit sidecars and reports (`quartz_gen::audit`),
+//! bench reports (`quartz_bench::report`) and the daemon wire protocol
+//! (`quartz_serve::wire`). Each of those is a shape mapping over [`Json`];
+//! this module is the only place JSON text is read or written. The parser
+//! is *generic over values* because request bodies arrive from untrusted
+//! clients: it must reject arbitrary garbage with a useful diagnostic, and
+//! it bounds nesting depth so a hostile body cannot overflow a stack.
 //!
 //! Every parse error carries the **position** of the offending byte (line,
-//! column, byte offset) — including truncation errors, which point at the
-//! end of the input ("unexpected end of input at …"). The round-trip
-//! property `parse(write(v)) == v` holds for every value this module can
-//! represent and is enforced by proptests.
+//! column, byte offset; the column counts characters, not bytes) —
+//! including truncation errors, which point at the end of the input
+//! ("unexpected end of input at …"). Shape errors found after parsing are
+//! positioned the same way through [`locate`]. The round-trip property
+//! `parse(write(v)) == v` holds for every value this module can represent
+//! and is enforced by proptests.
 //!
 //! Object member order is preserved (members are a `Vec`, not a map), which
 //! keeps encoding deterministic: the same value always serializes to the
@@ -83,6 +88,49 @@ impl Json {
         }
     }
 
+    /// Serializes to pretty-printed JSON, newline-terminated: 2-space
+    /// indent, `"key": value` members, one member or item per line, and
+    /// `{}` / `[]` for empty containers. Scalars print as in the compact
+    /// form.
+    pub fn pretty(&self) -> String {
+        let mut out = String::new();
+        self.write_pretty(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write_pretty(&self, out: &mut String, indent: usize) {
+        match self {
+            Json::Array(items) if !items.is_empty() => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline(out, indent + 2);
+                    item.write_pretty(out, indent + 2);
+                }
+                newline(out, indent);
+                out.push(']');
+            }
+            Json::Object(members) if !members.is_empty() => {
+                out.push('{');
+                for (i, (key, value)) in members.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline(out, indent + 2);
+                    write_json_string(out, key);
+                    out.push_str(": ");
+                    value.write_pretty(out, indent + 2);
+                }
+                newline(out, indent);
+                out.push('}');
+            }
+            _ => self.write(out),
+        }
+    }
+
     fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
@@ -136,6 +184,13 @@ impl std::fmt::Display for Json {
     }
 }
 
+fn newline(out: &mut String, indent: usize) {
+    out.push('\n');
+    for _ in 0..indent {
+        out.push(' ');
+    }
+}
+
 fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
@@ -163,7 +218,7 @@ pub struct JsonError {
     pub message: String,
     /// 1-based line of the offending byte.
     pub line: usize,
-    /// 1-based column of the offending byte.
+    /// 1-based column of the offending byte, in characters.
     pub column: usize,
     /// 0-based byte offset of the offending byte.
     pub offset: usize,
@@ -197,6 +252,44 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
     Ok(value)
 }
 
+/// Positions a shape error found *after* parsing: `message` reported at the
+/// value reached from the root of `input` by `path`, where each step is a
+/// child index (an array item, or an object member in document order).
+///
+/// [`Json`] carries no spans, so decoders that walk a parsed tree record the
+/// path they took and, on the error path only, re-walk the text with the
+/// same parser to find the value's first byte. `input` must be the text the
+/// tree was parsed from; a path that runs off the document reports the
+/// position where the walk stopped.
+pub fn locate(input: &str, path: &[usize], message: impl Into<String>) -> JsonError {
+    let mut parser = Parser {
+        bytes: input.as_bytes(),
+        pos: 0,
+    };
+    parser.skip_ws();
+    for &step in path {
+        let in_object = parser.peek() == Some(b'{');
+        parser.pos += 1;
+        for i in 0..=step {
+            parser.skip_ws();
+            if in_object {
+                // The input already parsed, so the key, ':' and ','
+                // delimiters are where the grammar puts them.
+                let _ = parser.string();
+                parser.skip_ws();
+                parser.pos += 1;
+                parser.skip_ws();
+            }
+            if i < step {
+                let _ = parser.value(0);
+                parser.skip_ws();
+                parser.pos += 1;
+            }
+        }
+    }
+    parser.error(message)
+}
+
 /// Nesting bound: deeper inputs are rejected (a flat wire protocol never
 /// comes close; unbounded recursion would let a hostile body overflow the
 /// connection thread's stack).
@@ -215,7 +308,9 @@ impl<'a> Parser<'a> {
             if b == b'\n' {
                 line += 1;
                 column = 1;
-            } else {
+            } else if b & 0xC0 != 0x80 {
+                // Columns count characters: UTF-8 continuation bytes
+                // (0b10xx_xxxx) do not start a new one.
                 column += 1;
             }
         }
@@ -568,6 +663,83 @@ mod tests {
         assert_eq!(parse(&v.to_string()).unwrap(), v);
         // Escaped surrogate pair decodes to the astral char.
         assert_eq!(parse("\"\\ud834\\udd1e\"").unwrap(), Json::Str("𝄞".into()));
+        // The exact escape table: quotes and backslashes are escaped, the
+        // common control characters get their short forms, the rest \u00XX.
+        let encode = |s: &str| Json::Str(s.into()).to_string();
+        assert_eq!(encode("plain"), "\"plain\"");
+        assert_eq!(encode("a\"b\\c"), "\"a\\\"b\\\\c\"");
+        assert_eq!(encode("x\n\t\u{1}"), "\"x\\n\\t\\u0001\"");
+    }
+
+    #[test]
+    fn parser_handles_nesting_and_rejects_garbage() {
+        let v = parse(r#"{"a":[1,-2,{"b":"x"}],"c":3}"#).unwrap();
+        assert_eq!(v.get("c").and_then(Json::as_u64), Some(3));
+        let a = v.get("a").and_then(Json::as_array).unwrap();
+        assert_eq!(a[1], Json::Int(-2));
+        assert_eq!(a[2].get("b").and_then(Json::as_str), Some("x"));
+        assert!(parse("not json").is_err());
+        assert!(parse("{\"a\":1").is_err());
+        assert!(parse("{\"a\":1} trailing").is_err());
+    }
+
+    #[test]
+    fn strings_preserve_escapes_and_non_ascii() {
+        let v = parse(r#"{"k":"π/4 → rz\n\"quoted\""}"#).unwrap();
+        assert_eq!(
+            v.get("k").and_then(Json::as_str),
+            Some("π/4 → rz\n\"quoted\"")
+        );
+        assert!(parse(r#""bad \A escape""#).is_err());
+    }
+
+    #[test]
+    fn pretty_layout_is_fixed() {
+        let v = Json::Object(vec![
+            ("name".into(), Json::Str("x".into())),
+            ("threads".into(), Json::Int(4)),
+            ("rate".into(), Json::Float(12.5)),
+            ("nan".into(), Json::Float(f64::NAN)),
+            ("empty_object".into(), Json::Object(vec![])),
+            ("empty_array".into(), Json::Array(vec![])),
+            (
+                "items".into(),
+                Json::Array(vec![Json::Str("0x01".into()), Json::Null]),
+            ),
+            (
+                "nested".into(),
+                Json::Object(vec![("k".into(), Json::Bool(true))]),
+            ),
+        ]);
+        let expected = "{\n  \"name\": \"x\",\n  \"threads\": 4,\n  \"rate\": 12.5,\n  \
+            \"nan\": null,\n  \"empty_object\": {},\n  \"empty_array\": [],\n  \
+            \"items\": [\n    \"0x01\",\n    null\n  ],\n  \
+            \"nested\": {\n    \"k\": true\n  }\n}\n";
+        assert_eq!(v.pretty(), expected);
+        // Pretty and compact text parse back to the same value (NaN aside,
+        // which is written as null).
+        let finite = Json::Object(match v {
+            Json::Object(members) => members.into_iter().filter(|(k, _)| k != "nan").collect(),
+            _ => unreachable!(),
+        });
+        assert_eq!(parse(&finite.pretty()).unwrap(), finite);
+        assert_eq!(Json::Array(vec![]).pretty(), "[]\n");
+    }
+
+    #[test]
+    fn locate_points_at_the_value_a_path_reaches() {
+        let text = "{\"a\": 1,\n \"ππ\": [true, {\"x\": \"y\"}]}";
+        // Root.
+        assert_eq!(locate(text, &[], "root").offset, 0);
+        // Member 0 ("a") -> the `1`.
+        let err = locate(text, &[0], "bad a");
+        assert_eq!((err.offset, err.line, err.column), (6, 1, 7));
+        assert_eq!(err.message, "bad a");
+        // Member 1, item 1, member 0 -> the `"y"`, after two 2-byte chars.
+        let err = locate(text, &[1, 1, 0], "bad x");
+        assert_eq!(&text[err.offset..err.offset + 3], "\"y\"");
+        assert_eq!((err.line, err.column, err.offset), (2, 21, 31));
+        assert_eq!(err.to_string(), "bad x at line 2, column 21 (byte 31)");
     }
 
     #[test]
@@ -599,6 +771,12 @@ mod tests {
         assert_eq!(err.offset, 6);
         let err = parse("{\"a\":1} trailing").unwrap_err();
         assert!(err.message.contains("trailing"));
+        // Columns count characters, not bytes: the two-byte 'π' before the
+        // offending '!' (byte 6 but the 6th character) must not shift it.
+        let err = parse("{\"π\":!}").unwrap_err();
+        assert_eq!((err.line, err.column, err.offset), (1, 6, 6));
+        let err = parse("{\"ππ\":!}").unwrap_err();
+        assert_eq!((err.line, err.column, err.offset), (1, 7, 8));
     }
 
     #[test]

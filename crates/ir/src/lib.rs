@@ -33,6 +33,9 @@
 //!   library auditor's canonicality lint;
 //! * [`fx`] — a vendored deterministic FxHash-style hasher for interior
 //!   hash tables on the search hot path;
+//! * [`json`] — the workspace's one JSON codec (strict, depth-bounded,
+//!   position-carrying parser; compact and pretty writers), which the ECC,
+//!   audit, bench-report and daemon-wire shapes all map onto;
 //! * [`semantics`] — state-vector simulation, full unitaries, equivalence up
 //!   to global phase, and the fingerprinting of eq. (3);
 //! * [`qasm`] — an OpenQASM 2.0 subset parser and printer.
@@ -68,6 +71,7 @@ pub mod dag;
 pub mod fx;
 mod gate;
 mod gateset;
+pub mod json;
 mod param;
 pub mod qasm;
 pub mod semantics;
@@ -77,10 +81,7 @@ pub use canon::canonicalize;
 pub use circuit::{Circuit, Instruction};
 pub use cost::{CostModel, DeltaCoster};
 pub use dag::{CircuitDag, NodeId, SpliceDelta, SpliceFootprint};
-pub use fx::{
-    FxBuildHasher, FxHashMap, FxHashSet, FxHasher, IdentityBuildHasher, IdentityHashSet,
-    IdentityHasher,
-};
+pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use gate::{Gate, GateHistogram, ALL_GATES};
 pub use gateset::GateSet;
 pub use param::{ExprSpec, ParamExpr, UnsupportedAngleError};

@@ -443,7 +443,6 @@ cx q[0], q[1];
         let qasm = to_qasm(&c);
         let back = parse_qasm(&qasm).unwrap();
         assert_eq!(back, c);
-        assert_eq!(back.fingerprint(), c.fingerprint());
         assert_eq!(back.gate_histogram(), c.gate_histogram());
     }
 

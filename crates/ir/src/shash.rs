@@ -71,9 +71,9 @@
 use crate::circuit::Instruction;
 use crate::dag::{CircuitDag, NodeId, SpliceDelta, SpliceFootprint};
 
-/// FNV-1a offset basis (matches `Circuit::fingerprint`).
+/// FNV-1a offset basis.
 const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime (matches `Circuit::fingerprint`).
+/// FNV-1a prime.
 const PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// The polynomial base of the per-wire chain hashes: a fixed odd constant,
@@ -108,9 +108,8 @@ fn finalize(mut x: u64) -> u64 {
     x
 }
 
-/// FNV-1a hash of one instruction's content, byte-compatible in spirit with
-/// the per-instruction section of `Circuit::fingerprint`: gate index, qubit
-/// operands, then each parameter as (constant, length-prefixed coefficients).
+/// FNV-1a hash of one instruction's content: gate index, qubit operands,
+/// then each parameter as (constant, length-prefixed coefficients).
 fn content_hash(instr: &Instruction) -> u64 {
     let mut h = OFFSET;
     mix(&mut h, instr.gate.index() as u64);

@@ -57,7 +57,7 @@ use crate::cost::CostModel;
 use crate::matcher::MatchContext;
 use crate::xform::{canonicalize, Transformation};
 use quartz_gen::{IndexScratch, TransformationIndex};
-use quartz_ir::{Circuit, CircuitDag, IdentityHashSet, SpliceDelta, StructuralHash};
+use quartz_ir::{Circuit, CircuitDag, FxHashSet, SpliceDelta, StructuralHash};
 use rayon::prelude::*;
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -379,10 +379,9 @@ pub(crate) struct Frontier {
     /// Structural-hash values of every circuit ever enqueued — the
     /// deduplication identity. The hash is an exact invariant of the
     /// canonical form (DESIGN.md §13), so probing it is equivalent to
-    /// probing canonical forms; the keys are already finalized, so the set
-    /// uses the no-op [`IdentityHashSet`] hasher. Workers probe it as
-    /// frozen at the start of a step; merges probe and extend it live.
-    seen: IdentityHashSet,
+    /// probing canonical forms. Workers probe it as frozen at the start of
+    /// a step; merges probe and extend it live.
+    seen: FxHashSet<u64>,
     best_circuit: Circuit,
     best_cost: usize,
     initial_cost: usize,
@@ -406,7 +405,7 @@ impl Frontier {
         // Hash the root from scratch: O(circuit), once per search, like the
         // root's context build.
         let root_shash = StructuralHash::of(&CircuitDag::from_circuit(&canonical_input));
-        let mut seen = IdentityHashSet::default();
+        let mut seen = FxHashSet::default();
         seen.insert(root_shash.value());
         let mut queue = BinaryHeap::new();
         queue.push(QueueEntry {
@@ -460,7 +459,7 @@ impl Frontier {
     }
 
     /// The structural-hash values of every circuit ever enqueued.
-    pub(crate) fn seen(&self) -> &IdentityHashSet {
+    pub(crate) fn seen(&self) -> &FxHashSet<u64> {
         &self.seen
     }
 
@@ -730,7 +729,7 @@ impl Optimizer {
         &self,
         entry: &QueueEntry,
         frozen_best: usize,
-        seen: &IdentityHashSet,
+        seen: &FxHashSet<u64>,
     ) -> Expansion {
         // Per-thread scratch: the index dispatch's visited set and the
         // candidate-id buffer, reused across dequeues so the hot loop
@@ -749,7 +748,7 @@ impl Optimizer {
         &self,
         entry: &QueueEntry,
         frozen_best: usize,
-        seen: &IdentityHashSet,
+        seen: &FxHashSet<u64>,
         index_scratch: &mut IndexScratch,
         ids: &mut Vec<usize>,
     ) -> Expansion {

@@ -9,8 +9,9 @@
 //!
 //! Layers, transport-free first:
 //!
-//! * [`json`] — a generic JSON parser/writer with position-carrying
-//!   errors (`parse(write(v)) == v` proptested).
+//! * [`json`] — the workspace's JSON codec, re-exported from
+//!   [`quartz_ir::json`] (position-carrying errors, `parse(write(v)) == v`
+//!   proptested).
 //! * [`http`] — an HTTP/1.1 request/response codec with typed, bounded
 //!   errors (400 malformed/truncated, 413 oversized).
 //! * [`wire`] — the typed protocol messages; [`wire::Outcome`] is the
@@ -52,9 +53,10 @@ mod client;
 mod config;
 mod daemon;
 pub mod http;
-pub mod json;
 mod server;
 pub mod wire;
+
+pub use quartz_ir::json;
 
 pub use client::{Client, ClientError};
 pub use config::DaemonConfig;

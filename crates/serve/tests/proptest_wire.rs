@@ -169,6 +169,16 @@ proptest! {
     }
 
     #[test]
+    fn json_values_round_trip_through_the_pretty_writer(v in arb_json(3)) {
+        // The pretty layout (files: audit sidecars, bench reports) reads
+        // back to the same value as the compact one (the wire).
+        let text = v.pretty();
+        let parsed = json::parse(&text).expect("own pretty encoding must parse");
+        prop_assert!(parsed == v, "pretty round trip changed value: {text}");
+        prop_assert!(text.ends_with('\n'));
+    }
+
+    #[test]
     fn truncated_json_objects_are_rejected_with_a_position(
         members in prop::collection::vec((arb_string(6), arb_json_leaf()), 1..4),
         cut_seed in any::<u32>(),
