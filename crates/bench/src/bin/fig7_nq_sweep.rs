@@ -7,20 +7,17 @@
 //! `--max-n` / `--max-q` to widen the sweep (the paper sweeps n ≤ 7, q ≤ 4
 //! with 24-hour searches).
 
-use quartz_bench::{geo_mean_reduction, run_optimization_experiment, GateSetKind, Scale};
+use quartz_bench::{
+    geo_mean_reduction, numeric_flag, or_exit, run_optimization_experiment, GateSetKind, Scale,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let get = |flag: &str, default: usize| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(default)
-    };
+    let get = |flag: &str, default: usize| or_exit(numeric_flag(&args, flag)).unwrap_or(default);
+    let kind = GateSetKind::Nam;
     let max_n = get("--max-n", 3);
     let max_q = get("--max-q", 3);
-    let kind = GateSetKind::Nam;
+    let base = or_exit(Scale::from_args(kind, &args));
 
     println!("Figure 7 (Nam gate set): geo. mean reduction vs (n, q) of the ECC set");
     println!(
@@ -33,7 +30,7 @@ fn main() {
     );
     for q in 1..=max_q {
         for n in 0..=max_n {
-            let mut scale = Scale::from_args(kind, &args);
+            let mut scale = base.clone();
             scale.ecc_n = n;
             scale.ecc_q = q;
             let rows = run_optimization_experiment(kind, &scale);

@@ -2,24 +2,20 @@
 //! Nam gate set at q = 3 and varying n, using the improvement trace recorded
 //! by the search.
 
-use quartz_bench::{run_optimization_experiment, GateSetKind, Scale};
+use quartz_bench::{numeric_flag, or_exit, run_optimization_experiment, GateSetKind, Scale};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let kind = GateSetKind::Nam;
-    let max_n = args
-        .iter()
-        .position(|a| a == "--max-n")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(3);
+    let max_n = or_exit(numeric_flag(&args, "--max-n")).unwrap_or(3);
+    let base = or_exit(Scale::from_args(kind, &args));
 
     println!("Figure 8 (Nam gate set, q fixed): best cost over time per ECC size n");
     println!("Paper reference: an initial burst of improvement followed by a slow tail;");
     println!("small n saturates early, large n starts slower but catches up given time.");
     println!();
     for n in 2..=max_n {
-        let mut scale = Scale::from_args(kind, &args);
+        let mut scale = base.clone();
         scale.ecc_n = n;
         let rows = run_optimization_experiment(kind, &scale);
         println!("-- n = {n} --");

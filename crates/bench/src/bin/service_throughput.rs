@@ -27,7 +27,9 @@
 //! [--threads <t>] [--profile]`
 
 use quartz_bench::report::{BenchReport, BENCH_SEARCH_FILE};
-use quartz_bench::{build_ecc_set, library_artifact_path, GateSetKind, Scale};
+use quartz_bench::{
+    build_ecc_set, library_artifact_path, numeric_flag, or_exit, GateSetKind, Scale,
+};
 use quartz_ir::Circuit;
 use quartz_opt::{
     LibraryCache, LoadedLibrary, OptimizationService, Optimizer, SearchConfig, SearchResult,
@@ -80,18 +82,13 @@ fn main() {
     let kind = GateSetKind::Nam;
     // `--quick` is the explicit spelling of the default scale (what the CI
     // bench-smoke job passes); Scale::from_args handles the rest.
-    let scale = Scale::from_args(kind, &args);
+    let scale = or_exit(Scale::from_args(kind, &args));
     let profile_enabled = args.iter().any(|a| a == "--profile");
-    let max_threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        });
+    let max_threads = or_exit(numeric_flag(&args, "--threads")).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    });
     let mut report = BenchReport::new("service_throughput");
 
     // -- Startup: generate-at-startup vs. load-a-committed-artifact --------

@@ -6,15 +6,13 @@
 //! pass `--max-n <n>` to raise the per-gate-set ceiling (the paper uses
 //! n ≤ 7 for Nam, n ≤ 5 for IBM, n ≤ 6 for Rigetti on a 128-core machine).
 
-use quartz_bench::{print_generator_table, run_generator_experiment, GateSetKind};
+use quartz_bench::{
+    numeric_flag, or_exit, print_generator_table, run_generator_experiment, GateSetKind,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let max_n = args
-        .iter()
-        .position(|a| a == "--max-n")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok());
+    let max_n: Option<usize> = or_exit(numeric_flag(&args, "--max-n"));
     let q = 3;
     let plans: [(GateSetKind, usize); 3] = [
         (GateSetKind::Nam, max_n.unwrap_or(3)),

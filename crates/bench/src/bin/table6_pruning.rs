@@ -2,15 +2,13 @@
 //! without the pruning passes, compared against the count of all possible
 //! sequences.
 
-use quartz_bench::{print_pruning_table, run_generator_experiment, GateSetKind};
+use quartz_bench::{
+    numeric_flag, or_exit, print_pruning_table, run_generator_experiment, GateSetKind,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let max_n = args
-        .iter()
-        .position(|a| a == "--max-n")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok());
+    let max_n: Option<usize> = or_exit(numeric_flag(&args, "--max-n"));
     let q = 3;
     println!("Paper reference (Table 6, Nam, q=3): possible 604 / 11,404 / 198,028 for n = 2/3/4;");
     println!(

@@ -2,20 +2,15 @@
 //! gate count of every benchmark circuit for each (n, q) setting of the ECC
 //! set, for the Nam gate set.
 
-use quartz_bench::{run_optimization_experiment, GateSetKind, Scale};
+use quartz_bench::{numeric_flag, or_exit, run_optimization_experiment, GateSetKind, Scale};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let kind = GateSetKind::Nam;
-    let get = |flag: &str, default: usize| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(default)
-    };
+    let get = |flag: &str, default: usize| or_exit(numeric_flag(&args, flag)).unwrap_or(default);
     let max_n = get("--max-n", 3);
     let max_q = get("--max-q", 2);
+    let base = or_exit(Scale::from_args(kind, &args));
 
     println!("Table 7 (Nam gate set): per-circuit gate counts for varying (n, q)");
     println!("Paper reference: q=3 with 3 ≤ n ≤ 6 covers the best result for every circuit.");
@@ -28,7 +23,7 @@ fn main() {
     }
     let mut all_rows = Vec::new();
     for &(n, q) in &settings {
-        let mut scale = Scale::from_args(kind, &args);
+        let mut scale = base.clone();
         scale.ecc_n = n;
         scale.ecc_q = q;
         all_rows.push(run_optimization_experiment(kind, &scale));

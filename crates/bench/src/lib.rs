@@ -181,42 +181,70 @@ impl Scale {
     }
 
     /// Parses `--scale full|quick`, `--timeout <secs>`, `--n <n>`, `--q <q>`
-    /// from command-line arguments, starting from the quick scale.
-    pub fn from_args(kind: GateSetKind, args: &[String]) -> Scale {
+    /// from command-line arguments, starting from the quick scale. Other
+    /// arguments are left to the caller.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the flag when `--scale` is neither `full` nor
+    /// `quick`, or a numeric flag's value is missing or malformed.
+    pub fn from_args(kind: GateSetKind, args: &[String]) -> Result<Scale, String> {
         let mut scale = Scale::quick(kind);
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--scale" if i + 1 < args.len() => {
-                    if args[i + 1] == "full" {
-                        scale = Scale::full(kind);
-                    }
-                    i += 1;
+        if let Some(i) = args.iter().rposition(|a| a == "--scale") {
+            match args.get(i + 1).map(String::as_str) {
+                Some("quick") => {}
+                Some("full") => scale = Scale::full(kind),
+                other => {
+                    return Err(format!(
+                        "--scale expects full or quick, got {}",
+                        other.map_or("nothing".to_string(), |v| format!("{v:?}"))
+                    ))
                 }
-                "--timeout" if i + 1 < args.len() => {
-                    if let Ok(secs) = args[i + 1].parse::<u64>() {
-                        scale.search_timeout = Duration::from_secs(secs);
-                    }
-                    i += 1;
-                }
-                "--n" if i + 1 < args.len() => {
-                    if let Ok(n) = args[i + 1].parse::<usize>() {
-                        scale.ecc_n = n;
-                    }
-                    i += 1;
-                }
-                "--q" if i + 1 < args.len() => {
-                    if let Ok(q) = args[i + 1].parse::<usize>() {
-                        scale.ecc_q = q;
-                    }
-                    i += 1;
-                }
-                _ => {}
             }
-            i += 1;
         }
-        scale
+        if let Some(secs) = numeric_flag(args, "--timeout")? {
+            scale.search_timeout = Duration::from_secs(secs);
+        }
+        if let Some(n) = numeric_flag(args, "--n")? {
+            scale.ecc_n = n;
+        }
+        if let Some(q) = numeric_flag(args, "--q")? {
+            scale.ecc_q = q;
+        }
+        Ok(scale)
     }
+}
+
+/// The value of the numeric flag `flag` in `args` (the last occurrence
+/// wins), or `None` when the flag is absent.
+///
+/// # Errors
+///
+/// A message naming the flag when its value is missing or is not a
+/// non-negative integer.
+pub fn numeric_flag<T: std::str::FromStr>(
+    args: &[String],
+    flag: &str,
+) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().rposition(|a| a == flag) else {
+        return Ok(None);
+    };
+    let value = args
+        .get(i + 1)
+        .ok_or_else(|| format!("{flag} expects a number, got nothing"))?;
+    value
+        .parse()
+        .map(Some)
+        .map_err(|_| format!("{flag} expects a number, got {value:?}"))
+}
+
+/// The parsed command-line value, or — on a parse error — the error
+/// printed to stderr and exit status 2.
+pub fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|message| {
+        eprintln!("error: {message}");
+        std::process::exit(2)
+    })
 }
 
 /// Generates (and prunes) the ECC set for a gate set at the given scale,
@@ -562,10 +590,38 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let scale = Scale::from_args(GateSetKind::Nam, &args);
+        let scale = Scale::from_args(GateSetKind::Nam, &args).unwrap();
         assert_eq!(scale.search_timeout, Duration::from_secs(7));
         assert_eq!(scale.ecc_n, 4);
         assert_eq!(scale.ecc_q, 2);
+        // Flags this parser does not own are left alone.
+        let args: Vec<String> = ["--quick", "--threads", "2", "--scale", "quick"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(
+            Scale::from_args(GateSetKind::Nam, &args).unwrap().label,
+            "quick"
+        );
+
+        // Malformed values are rejected with the flag's name.
+        for (bad, flag) in [
+            (&["--timeout", "abc"][..], "--timeout"),
+            (&["--n", "-1"], "--n"),
+            (&["--q", "2.5"], "--q"),
+            (&["--timeout"], "--timeout"),
+            (&["--scale", "huge"], "--scale"),
+            (&["--scale"], "--scale"),
+        ] {
+            let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
+            let err = Scale::from_args(GateSetKind::Nam, &args).unwrap_err();
+            assert!(err.starts_with(flag), "{bad:?}: {err}");
+        }
+        let args = vec!["--max-n".to_string(), "x".to_string()];
+        assert!(numeric_flag::<usize>(&args, "--max-n")
+            .unwrap_err()
+            .contains("--max-n"));
+        assert_eq!(numeric_flag::<usize>(&args, "--max-q"), Ok(None));
     }
 
     #[test]

@@ -24,7 +24,6 @@ use quartz_gen::Transformation;
 use quartz_ir::{
     Circuit, CircuitDag, Gate, Instruction, NodeId, ParamExpr, SpliceDelta, SpliceFootprint,
 };
-use std::collections::HashSet;
 
 /// A successful match of a pattern against a circuit.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,15 +37,6 @@ pub struct Match {
     pub qubit_map: Vec<Option<usize>>,
     /// For each pattern parameter, the bound circuit-side expression.
     pub param_bindings: Vec<Option<ParamExpr>>,
-}
-
-/// Finds every match of `pattern` inside `circuit`.
-///
-/// Convenience wrapper building a throwaway [`MatchContext`]; when several
-/// patterns are matched against the same circuit (the optimizer's hot path),
-/// build one context and reuse it.
-pub fn find_matches(circuit: &Circuit, pattern: &Circuit) -> Vec<Match> {
-    MatchContext::new(circuit).find_matches(pattern)
 }
 
 /// Matching state for one circuit, reusable across patterns and derivable
@@ -105,12 +95,17 @@ impl MatchContext {
         if pattern.is_empty() || pattern.gate_count() > self.dag.gate_count() {
             return Vec::new();
         }
-        let state = MatchState {
+        let mut state = MatchState {
             ctx: self,
             pattern,
             pattern_preds: pattern.wire_predecessors(),
+            instruction_map: Vec::with_capacity(pattern.gate_count()),
+            qubit_map: vec![None; pattern.num_qubits()],
+            param_bindings: vec![None; pattern.num_params()],
+            results: Vec::new(),
         };
-        state.search()
+        state.extend();
+        state.results
     }
 
     /// Instantiates the transformation's rewrite at a match, producing the
@@ -143,11 +138,10 @@ impl MatchContext {
     /// splicing invariant of DESIGN.md §2.4 — convexity of the matched
     /// region guarantees this is a topological order of the new DAG).
     pub fn apply_delta(&self, delta: &SpliceDelta) -> Circuit {
-        let region: HashSet<NodeId> = delta.region.iter().copied().collect();
         let descendants = self.dag.descendants(&delta.region);
         let mut out = Circuit::new(self.dag.num_qubits(), self.dag.num_params());
         for (id, instr) in self.dag.nodes() {
-            if !region.contains(&id) && !descendants.contains(&id) {
+            if !delta.region.contains(&id) && !descendants.contains(&id) {
                 out.push(instr.clone());
             }
         }
@@ -207,23 +201,6 @@ impl MatchContext {
     }
 }
 
-/// Applies a transformation at a specific match, producing the rewritten
-/// circuit, or `None` when the rewrite cannot be instantiated.
-///
-/// The match must come from a context freshly built for `circuit` (as
-/// [`find_matches`] does), so its node ids name this circuit's gates.
-pub fn apply_at(circuit: &Circuit, xform: &Transformation, m: &Match) -> Option<Circuit> {
-    let ctx = MatchContext::new(circuit);
-    let delta = ctx.delta_for(xform, m)?;
-    Some(ctx.apply_delta(&delta))
-}
-
-/// Computes `Apply(C, T)`: every circuit obtainable by applying the
-/// transformation at some match (paper §6).
-pub fn apply_all(circuit: &Circuit, xform: &Transformation) -> Vec<Circuit> {
-    MatchContext::new(circuit).apply_all(xform)
-}
-
 /// Substitutes parameter bindings into a pattern-side expression.
 fn instantiate(
     expr: &ParamExpr,
@@ -241,10 +218,34 @@ fn instantiate(
     Some(acc)
 }
 
+/// The matcher's backtracking state. The partial match lives in place:
+/// each candidate binds into `qubit_map` and `param_bindings` and records
+/// what it bound in a [`Trail`], and backtracking unbinds exactly that.
 struct MatchState<'a> {
     ctx: &'a MatchContext,
     pattern: &'a Circuit,
     pattern_preds: Vec<Vec<Option<usize>>>,
+    instruction_map: Vec<NodeId>,
+    qubit_map: Vec<Option<usize>>,
+    param_bindings: Vec<Option<ParamExpr>>,
+    results: Vec<Match>,
+}
+
+/// Upper bound on gate arity (the largest gates, CCX and CCZ, have 3
+/// operands).
+const MAX_ARITY: usize = 4;
+
+/// Upper bound on a gate's parameter count (U3 has 3).
+const MAX_PARAMS: usize = 3;
+
+/// What one candidate bound: each operand binds at most one pattern qubit
+/// and each angle at most one parameter, so fixed arrays suffice.
+#[derive(Default)]
+struct Trail {
+    qubits: [usize; MAX_ARITY],
+    num_qubits: usize,
+    params: [usize; MAX_PARAMS],
+    num_params: usize,
 }
 
 /// Candidate nodes for one pattern position, alloc-free on the matcher hot
@@ -258,9 +259,6 @@ enum Candidates<'a> {
     },
 }
 
-/// Upper bound on gate arity (the largest gate, CCX, has 3 operands).
-const MAX_ARITY: usize = 4;
-
 impl Candidates<'_> {
     fn as_slice(&self) -> &[NodeId] {
         match self {
@@ -270,20 +268,21 @@ impl Candidates<'_> {
     }
 }
 
-impl MatchState<'_> {
+impl<'a> MatchState<'a> {
     /// Candidate DAG nodes for the pattern instruction at `depth`: when the
     /// pattern instruction depends on an already-matched one, only the wire
     /// successors of that matched node can possibly satisfy the wire-order
     /// constraint, so the search is narrowed to them (at most the node's
     /// arity); otherwise the instruction anchors a fresh wire and only nodes
     /// of its own gate type are candidates.
-    fn candidates(&self, depth: usize, instruction_map: &[NodeId]) -> Candidates<'_> {
-        for pred in self.pattern_preds[depth].iter().flatten() {
-            if *pred < instruction_map.len() {
+    fn candidates(&self, depth: usize) -> Candidates<'a> {
+        let ctx: &'a MatchContext = self.ctx;
+        for &pred in self.pattern_preds[depth].iter().flatten() {
+            if let Some(&matched) = self.instruction_map.get(pred) {
                 // Seed value is arbitrary — only `buf[..len]` is ever read.
-                let mut buf = [instruction_map[*pred]; MAX_ARITY];
+                let mut buf = [matched; MAX_ARITY];
                 let mut len = 0;
-                for &s in self.ctx.dag.succs(instruction_map[*pred]).iter().flatten() {
+                for &s in ctx.dag.succs(matched).iter().flatten() {
                     if !buf[..len].contains(&s) {
                         buf[len] = s;
                         len += 1;
@@ -292,186 +291,123 @@ impl MatchState<'_> {
                 return Candidates::Succs { buf, len };
             }
         }
-        Candidates::Bucket(&self.ctx.by_gate[self.pattern.instructions()[depth].gate.index()])
+        Candidates::Bucket(&ctx.by_gate[self.pattern.instructions()[depth].gate.index()])
     }
 
-    fn search(&self) -> Vec<Match> {
-        let mut results = Vec::new();
-        let mut instruction_map: Vec<NodeId> = Vec::new();
-        let mut qubit_map: Vec<Option<usize>> = vec![None; self.pattern.num_qubits()];
-        let mut used_circuit_qubits: HashSet<usize> = HashSet::new();
-        let mut param_bindings: Vec<Option<ParamExpr>> = vec![None; self.pattern.num_params()];
-        self.extend(
-            &mut instruction_map,
-            &mut qubit_map,
-            &mut used_circuit_qubits,
-            &mut param_bindings,
-            &mut results,
-        );
-        results
-    }
-
-    fn extend(
-        &self,
-        instruction_map: &mut Vec<NodeId>,
-        qubit_map: &mut Vec<Option<usize>>,
-        used_circuit_qubits: &mut HashSet<usize>,
-        param_bindings: &mut Vec<Option<ParamExpr>>,
-        results: &mut Vec<Match>,
-    ) {
-        let depth = instruction_map.len();
+    fn extend(&mut self) {
+        let depth = self.instruction_map.len();
         if depth == self.pattern.gate_count() {
-            if self.ctx.dag.is_convex(instruction_map) {
-                results.push(Match {
-                    instruction_map: instruction_map.clone(),
-                    qubit_map: qubit_map.clone(),
-                    param_bindings: param_bindings.clone(),
+            if self.ctx.dag.is_convex(&self.instruction_map) {
+                self.results.push(Match {
+                    instruction_map: self.instruction_map.clone(),
+                    qubit_map: self.qubit_map.clone(),
+                    param_bindings: self.param_bindings.clone(),
                 });
             }
             return;
         }
-        let pattern_instr = &self.pattern.instructions()[depth];
-        let candidates = self.candidates(depth, instruction_map);
-        'candidates: for &ci in candidates.as_slice() {
-            let circuit_instr = self.ctx.dag.instruction(ci);
-            if circuit_instr.gate != pattern_instr.gate {
-                continue;
+        let candidates = self.candidates(depth);
+        for &ci in candidates.as_slice() {
+            let mut trail = Trail::default();
+            if self.bind(depth, ci, &mut trail) {
+                self.instruction_map.push(ci);
+                self.extend();
+                self.instruction_map.pop();
             }
-            if instruction_map.contains(&ci) {
-                continue;
+            for &pq in &trail.qubits[..trail.num_qubits] {
+                self.qubit_map[pq] = None;
             }
-            // Save state for backtracking.
-            let saved_qubit_map = qubit_map.clone();
-            let saved_used = used_circuit_qubits.clone();
-            let saved_bindings = param_bindings.clone();
-
-            // Qubit consistency.
-            for (op, &pq) in pattern_instr.qubits.iter().enumerate() {
-                let cq = circuit_instr.qubits[op];
-                match qubit_map[pq] {
-                    Some(existing) if existing != cq => {
-                        *qubit_map = saved_qubit_map;
-                        *used_circuit_qubits = saved_used;
-                        *param_bindings = saved_bindings;
-                        continue 'candidates;
-                    }
-                    Some(_) => {}
-                    None => {
-                        if used_circuit_qubits.contains(&cq) {
-                            *qubit_map = saved_qubit_map;
-                            *used_circuit_qubits = saved_used;
-                            *param_bindings = saved_bindings;
-                            continue 'candidates;
-                        }
-                        qubit_map[pq] = Some(cq);
-                        used_circuit_qubits.insert(cq);
-                    }
-                }
+            for &p in &trail.params[..trail.num_params] {
+                self.param_bindings[p] = None;
             }
-
-            // Wire-order consistency: the circuit predecessor of this node
-            // on each shared wire must be exactly the match of the pattern
-            // predecessor (or a node outside the match when the pattern wire
-            // starts here).
-            for (op, pred) in self.pattern_preds[depth].iter().enumerate() {
-                let circuit_pred = self.ctx.dag.preds(ci)[op];
-                match pred {
-                    Some(pattern_pred_idx) => {
-                        let expected = instruction_map[*pattern_pred_idx];
-                        // The pattern predecessor's operand position may
-                        // differ; compare nodes only.
-                        if circuit_pred != Some(expected) {
-                            *qubit_map = saved_qubit_map;
-                            *used_circuit_qubits = saved_used;
-                            *param_bindings = saved_bindings;
-                            continue 'candidates;
-                        }
-                    }
-                    None => {
-                        // The wire enters the pattern here: the circuit-side
-                        // predecessor (if any) must not be a matched node,
-                        // otherwise the matched gates would not be
-                        // consecutive on the wire.
-                        if let Some(cp) = circuit_pred {
-                            if instruction_map.contains(&cp) {
-                                *qubit_map = saved_qubit_map;
-                                *used_circuit_qubits = saved_used;
-                                *param_bindings = saved_bindings;
-                                continue 'candidates;
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Parameter binding.
-            let mut ok = true;
-            for (p_expr, c_expr) in pattern_instr.params.iter().zip(circuit_instr.params.iter()) {
-                if !bind_params(p_expr, c_expr, param_bindings, self.ctx.dag.num_params()) {
-                    ok = false;
-                    break;
-                }
-            }
-            if !ok {
-                *qubit_map = saved_qubit_map;
-                *used_circuit_qubits = saved_used;
-                *param_bindings = saved_bindings;
-                continue 'candidates;
-            }
-
-            instruction_map.push(ci);
-            self.extend(
-                instruction_map,
-                qubit_map,
-                used_circuit_qubits,
-                param_bindings,
-                results,
-            );
-            instruction_map.pop();
-            *qubit_map = saved_qubit_map;
-            *used_circuit_qubits = saved_used;
-            *param_bindings = saved_bindings;
         }
+    }
+
+    /// Checks node `ci` as the match of the pattern instruction at `depth`,
+    /// binding its new pattern qubits and parameters in place and recording
+    /// them in `trail`. Returns `false` at the first failed check; the
+    /// caller unbinds `trail` either way.
+    fn bind(&mut self, depth: usize, ci: NodeId, trail: &mut Trail) -> bool {
+        let (dag, pattern_instr) = (&self.ctx.dag, &self.pattern.instructions()[depth]);
+        let circuit_instr = dag.instruction(ci);
+        if circuit_instr.gate != pattern_instr.gate || self.instruction_map.contains(&ci) {
+            return false;
+        }
+        // Wire order: on each wire the circuit predecessor must be the match
+        // of the pattern predecessor (operand positions may differ, so nodes
+        // are compared), or, where the pattern wire starts here, not a
+        // matched node — otherwise the matched gates would not be
+        // consecutive on the wire.
+        for (op, pred) in self.pattern_preds[depth].iter().enumerate() {
+            let circuit_pred = dag.preds(ci)[op];
+            let in_order = match pred {
+                Some(p) => circuit_pred == Some(self.instruction_map[*p]),
+                None => circuit_pred.is_none_or(|cp| !self.instruction_map.contains(&cp)),
+            };
+            if !in_order {
+                return false;
+            }
+        }
+        // Qubits: consistent with earlier bindings and injective, checked by
+        // a scan of the (≤ q-entry) qubit map.
+        for (&pq, &cq) in pattern_instr.qubits.iter().zip(&circuit_instr.qubits) {
+            match self.qubit_map[pq] {
+                Some(existing) if existing != cq => return false,
+                Some(_) => {}
+                None if self.qubit_map.contains(&Some(cq)) => return false,
+                None => {
+                    self.qubit_map[pq] = Some(cq);
+                    trail.qubits[trail.num_qubits] = pq;
+                    trail.num_qubits += 1;
+                }
+            }
+        }
+        for (p_expr, c_expr) in pattern_instr.params.iter().zip(&circuit_instr.params) {
+            match bind_params(p_expr, c_expr, &mut self.param_bindings, dag.num_params()) {
+                None => return false,
+                Some(None) => {}
+                Some(Some(bound)) => {
+                    trail.params[trail.num_params] = bound;
+                    trail.num_params += 1;
+                }
+            }
+        }
+        true
     }
 }
 
-/// Attempts to bind the pattern expression to the circuit expression,
-/// updating `bindings`. Supports expressions with at most one unbound
-/// parameter (which covers the paper's Σ: pᵢ, 2pᵢ, pᵢ+pⱼ).
+/// Matches the pattern expression against the circuit expression under
+/// `bindings`. Supports expressions with at most one unbound parameter
+/// (which covers the paper's Σ: pᵢ, 2pᵢ, pᵢ+pⱼ), binding it in place.
+/// Returns `None` on a mismatch, otherwise the index it bound, if any.
 fn bind_params(
     pattern_expr: &ParamExpr,
     circuit_expr: &ParamExpr,
     bindings: &mut [Option<ParamExpr>],
     circuit_num_params: usize,
-) -> bool {
+) -> Option<Option<usize>> {
     // residual = circuit_expr − (const + Σ_bound k_i·binding_i)
     let mut residual = circuit_expr.sub(&ParamExpr::constant_pi4_with_params(
         pattern_expr.const_pi4(),
         circuit_num_params,
     ));
-    let mut unbound: Vec<(usize, i32)> = Vec::new();
+    let mut unbound = None;
     for (i, &k) in pattern_expr.coeffs().iter().enumerate() {
         if k == 0 {
             continue;
         }
         match &bindings[i] {
             Some(b) => residual = residual.sub(&b.scale(k)),
-            None => unbound.push((i, k)),
+            None if unbound.is_none() => unbound = Some((i, k)),
+            None => return None,
         }
     }
-    match unbound.len() {
-        0 => residual.is_zero(),
-        1 => {
-            let (idx, k) = unbound[0];
-            match residual.div_exact(k) {
-                Some(value) => {
-                    bindings[idx] = Some(value);
-                    true
-                }
-                None => false,
-            }
+    match unbound {
+        None => residual.is_zero().then_some(None),
+        Some((i, k)) => {
+            bindings[i] = Some(residual.div_exact(k)?);
+            Some(Some(i))
         }
-        _ => false,
     }
 }
 
@@ -502,9 +438,10 @@ mod tests {
         c.push(h(0));
         c.push(h(1));
         let t = hh_to_empty();
-        let matches = find_matches(&c, &t.target);
+        let ctx = MatchContext::new(&c);
+        let matches = ctx.find_matches(&t.target);
         assert_eq!(matches.len(), 1);
-        let rewritten = apply_at(&c, &t, &matches[0]).unwrap();
+        let rewritten = ctx.apply_delta(&ctx.delta_for(&t, &matches[0]).unwrap());
         assert_eq!(rewritten.gate_count(), 1);
         assert!(equivalent_up_to_phase(&rewritten, &c, &[], 1e-10));
     }
@@ -517,7 +454,7 @@ mod tests {
         c.push(instruction(Gate::X, &[0]));
         c.push(h(0));
         let t = hh_to_empty();
-        assert!(find_matches(&c, &t.target).is_empty());
+        assert!(MatchContext::new(&c).find_matches(&t.target).is_empty());
     }
 
     #[test]
@@ -529,11 +466,11 @@ mod tests {
         let mut c = Circuit::new(3, 0);
         c.push(instruction(Gate::Cnot, &[0, 1]));
         c.push(instruction(Gate::Cnot, &[0, 2]));
-        assert!(find_matches(&c, &pattern).is_empty());
+        assert!(MatchContext::new(&c).find_matches(&pattern).is_empty());
         let mut c2 = Circuit::new(3, 0);
         c2.push(instruction(Gate::Cnot, &[0, 1]));
         c2.push(instruction(Gate::Cnot, &[0, 1]));
-        assert_eq!(find_matches(&c2, &pattern).len(), 1);
+        assert_eq!(MatchContext::new(&c2).find_matches(&pattern).len(), 1);
     }
 
     #[test]
@@ -548,7 +485,7 @@ mod tests {
         c.push(instruction(Gate::Cnot, &[0, 1]));
         c.push(h(1));
         c.push(instruction(Gate::Cnot, &[0, 1]));
-        assert!(find_matches(&c, &pattern).is_empty());
+        assert!(MatchContext::new(&c).find_matches(&pattern).is_empty());
     }
 
     #[test]
@@ -585,7 +522,7 @@ mod tests {
             vec![0],
             vec![ParamExpr::constant_pi4(2)],
         ));
-        let outs = apply_all(&c, &xform);
+        let outs = MatchContext::new(&c).apply_all(&xform);
         assert!(!outs.is_empty());
         let merged = &outs[0];
         assert_eq!(merged.gate_count(), 1);
@@ -610,14 +547,19 @@ mod tests {
             vec![0],
             vec![ParamExpr::constant_pi4(2)],
         ));
-        assert_eq!(find_matches(&even, &xform.target).len(), 1);
+        assert_eq!(
+            MatchContext::new(&even).find_matches(&xform.target).len(),
+            1
+        );
         let mut odd = Circuit::new(1, 0);
         odd.push(Instruction::new(
             Gate::Rz,
             vec![0],
             vec![ParamExpr::constant_pi4(1)],
         ));
-        assert!(find_matches(&odd, &xform.target).is_empty());
+        assert!(MatchContext::new(&odd)
+            .find_matches(&xform.target)
+            .is_empty());
     }
 
     #[test]
@@ -643,7 +585,7 @@ mod tests {
         c.push(h(1));
         c.push(instruction(Gate::T, &[2]));
 
-        let outs = apply_all(&c, &xform);
+        let outs = MatchContext::new(&c).apply_all(&xform);
         assert_eq!(outs.len(), 1);
         let out = &outs[0];
         assert_eq!(out.gate_count(), 3);
@@ -658,10 +600,53 @@ mod tests {
         c.push(h(0));
         c.push(h(0));
         c.push(instruction(Gate::Cnot, &[0, 1]));
-        let outs = apply_all(&c, &t);
+        let outs = MatchContext::new(&c).apply_all(&t);
         assert_eq!(outs.len(), 1);
         assert!(equivalent_up_to_phase(&outs[0], &c, &[], 1e-10));
         assert_eq!(outs[0].gate_count(), 2);
+    }
+
+    /// Backtracking must unbind what a failed candidate bound. The first Rz
+    /// binds pattern qubit 0 to wire 0 and p0 to π/4, then fails one level
+    /// deeper (no H follows it); the second Rz matches only if both
+    /// bindings were undone.
+    #[test]
+    fn failed_candidate_unbinds_its_qubit_and_parameter() {
+        let m = 1;
+        let mut pattern = Circuit::new(1, m);
+        pattern.push(Instruction::new(
+            Gate::Rz,
+            vec![0],
+            vec![ParamExpr::var(0, m)],
+        ));
+        pattern.push(h(0));
+        let mut c = Circuit::new(2, 0);
+        c.push(Instruction::new(
+            Gate::Rz,
+            vec![0],
+            vec![ParamExpr::constant_pi4(1)],
+        ));
+        c.push(Instruction::new(
+            Gate::Rz,
+            vec![1],
+            vec![ParamExpr::constant_pi4(2)],
+        ));
+        c.push(h(1));
+        let matches = MatchContext::new(&c).find_matches(&pattern);
+        assert_eq!(matches.len(), 1);
+        assert_eq!(matches[0].qubit_map, vec![Some(1)]);
+        assert_eq!(
+            matches[0].param_bindings,
+            vec![Some(ParamExpr::constant_pi4(2))]
+        );
+    }
+
+    #[test]
+    fn trail_bounds_cover_every_gate() {
+        for gate in quartz_ir::ALL_GATES {
+            assert!(gate.num_qubits() <= MAX_ARITY, "{gate:?} arity");
+            assert!(gate.num_params() <= MAX_PARAMS, "{gate:?} parameters");
+        }
     }
 
     /// A derived context must behave exactly like a context rebuilt from the

@@ -448,11 +448,6 @@ impl Frontier {
         self.iterations
     }
 
-    /// This frontier's total iteration budget.
-    pub(crate) fn budget(&self) -> usize {
-        self.budget
-    }
-
     /// Dequeues still allowed under this frontier's budget.
     pub(crate) fn remaining_budget(&self) -> usize {
         self.budget.saturating_sub(self.iterations)

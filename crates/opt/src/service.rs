@@ -321,11 +321,35 @@ struct Slot {
     /// configuration. Cloning an [`Optimizer`] clones an `Arc` and a config
     /// struct — the index itself is never duplicated.
     optimizer: Optimizer,
+    /// The iteration budget the request was admitted with.
+    budget: usize,
     /// Live search state; `None` once the slot is terminal (the frontier is
     /// freed the moment the request ends, whatever the reason).
     frontier: Option<Frontier>,
+    /// The frontier's progress as of admission, refreshed at finalization:
+    /// what status reports once the frontier is gone, even after
+    /// [`ServiceScheduler::take_result`].
+    summary: Progress,
     state: RequestState,
     result: Option<SearchResult>,
+}
+
+/// The status fields a frontier owns.
+#[derive(Debug, Clone, Copy)]
+struct Progress {
+    best_cost: usize,
+    initial_cost: usize,
+    iterations: usize,
+}
+
+impl Progress {
+    fn of(frontier: &Frontier) -> Progress {
+        Progress {
+            best_cost: frontier.best_cost(),
+            initial_cost: frontier.initial_cost(),
+            iterations: frontier.iterations(),
+        }
+    }
 }
 
 /// An always-on, admission-capable optimization scheduler: the core of the
@@ -453,6 +477,8 @@ impl ServiceScheduler {
             admitted_at,
             deadline: request.deadline.map(|d| admitted_at + d),
             optimizer,
+            budget: request.budget,
+            summary: Progress::of(&frontier),
             frontier: Some(frontier),
             state: RequestState::Running,
             result: None,
@@ -487,28 +513,15 @@ impl ServiceScheduler {
     /// Point-in-time snapshot of a request, or `None` for unknown ids.
     pub fn status(&self, id: RequestId) -> Option<RequestStatus> {
         let slot = self.slots.get(id.index())?;
-        let (best_cost, initial_cost, iterations, budget) = match (&slot.frontier, &slot.result) {
-            (Some(f), _) => (f.best_cost(), f.initial_cost(), f.iterations(), f.budget()),
-            (None, Some(r)) => (
-                r.best_cost,
-                r.initial_cost,
-                r.iterations,
-                // Terminal slots report the budget they ran under via the
-                // result's iteration count bound; the exact original budget
-                // is not kept past finalization, so report iterations (the
-                // spent budget) — callers only use this field while running.
-                r.iterations,
-            ),
-            (None, None) => unreachable!("terminal slots always retain a result"),
-        };
+        let progress = slot.frontier.as_ref().map_or(slot.summary, Progress::of);
         Some(RequestStatus {
             id,
             state: slot.state,
             priority: slot.priority,
-            best_cost,
-            initial_cost,
-            iterations,
-            budget,
+            best_cost: progress.best_cost,
+            initial_cost: progress.initial_cost,
+            iterations: progress.iterations,
+            budget: slot.budget,
         })
     }
 
@@ -662,6 +675,7 @@ impl ServiceScheduler {
             .frontier
             .take()
             .expect("running slots have frontiers to finalize");
+        slot.summary = Progress::of(&frontier);
         slot.result = Some(frontier.into_result(slot.admitted_at.elapsed()));
         slot.state = state;
     }
@@ -1171,6 +1185,39 @@ mod tests {
         assert_eq!(served.best_cost, solo.best_cost);
         assert_eq!(served.iterations, solo.iterations);
         assert_eq!(served.circuits_seen, solo.circuits_seen);
+    }
+
+    #[test]
+    fn terminal_status_reports_the_admitted_budget() {
+        let mut scheduler = nam_scheduler(1, 4);
+        let id = scheduler
+            .admit(ServiceRequest::new(h_ladder(4)).with_budget(1000))
+            .unwrap();
+        run_to_completion(&mut scheduler);
+        let status = scheduler.status(id).unwrap();
+        assert_eq!(status.state, RequestState::Done);
+        assert!(status.iterations < 1000, "ends by queue exhaustion");
+        assert_eq!(status.budget, 1000);
+    }
+
+    #[test]
+    fn status_keeps_answering_after_take_result() {
+        let mut scheduler = nam_scheduler(1, 4);
+        let id = scheduler
+            .admit(ServiceRequest::new(cnot_pairs(4)).with_budget(3))
+            .unwrap();
+        run_to_completion(&mut scheduler);
+        let before = scheduler.status(id).unwrap();
+        let result = scheduler.take_result(id).unwrap();
+        assert!(scheduler.result(id).is_none());
+        let after = scheduler.status(id).unwrap();
+        assert_eq!(after, before);
+        assert_eq!(after.state, RequestState::Done);
+        assert_eq!(
+            (after.best_cost, after.initial_cost, after.iterations),
+            (result.best_cost, result.initial_cost, result.iterations)
+        );
+        assert_eq!(after.budget, 3);
     }
 
     #[test]

@@ -298,6 +298,86 @@ fn reachable_rewrites(ctx: &MatchContext, xforms: &[Transformation]) -> Vec<Circ
     out
 }
 
+/// Every transformation of the committed NAM (3, 2, 2) library, parametric
+/// ones included, loaded once per process.
+fn committed_nam_transformations() -> &'static [Transformation] {
+    use std::sync::OnceLock;
+    static XFORMS: OnceLock<Vec<Transformation>> = OnceLock::new();
+    XFORMS.get_or_init(|| {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../libraries/nam_n3_q2.qtzl"
+        );
+        let (_, index) = Library::load(path).unwrap().into_parts();
+        index.unwrap().transformations().to_vec()
+    })
+}
+
+/// A NAM gate (H, X, Rz, CNOT) whose Rz angle is a constant or an
+/// expression over two symbolic circuit parameters, so that bindings and
+/// instantiated rewrites carry nonzero coefficients.
+fn arb_nam_instruction(nq: usize) -> impl Strategy<Value = Instruction> {
+    let m = 2;
+    let angles = prop_oneof![
+        (-4i32..=4).prop_map(ParamExpr::constant_pi4),
+        (0..m, -2i32..=2).prop_map(
+            move |(i, r)| ParamExpr::var(i, m).add(&ParamExpr::constant_pi4_with_params(r, m))
+        ),
+        (0..m).prop_map(move |i| ParamExpr::scaled_var(i, 2, m)),
+        Just(ParamExpr::sum_vars(0, 1, m)),
+    ];
+    let gates = prop_oneof![
+        Just(Gate::H),
+        Just(Gate::X),
+        Just(Gate::Rz),
+        Just(Gate::Rz),
+        Just(Gate::Cnot),
+    ];
+    (gates, 0..nq, 1..nq, angles).prop_map(move |(gate, q, shift, angle)| match gate {
+        Gate::Cnot => Instruction::new(gate, vec![q, (q + shift) % nq], vec![]),
+        Gate::Rz => Instruction::new(gate, vec![q], vec![angle]),
+        _ => Instruction::new(gate, vec![q], vec![]),
+    })
+}
+
+fn arb_nam_circuit(nq: usize, max_len: usize) -> impl Strategy<Value = Circuit> {
+    prop::collection::vec(arb_nam_instruction(nq), 1..max_len).prop_map(move |instrs| {
+        let mut c = Circuit::new(nq, 2);
+        for i in instrs {
+            c.push(i);
+        }
+        c
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The engine's matcher against the oracle's independent `Apply(C, T)`:
+    /// for every transformation of the committed library, matching, then
+    /// instantiating and applying each match, must yield the same multiset
+    /// of canonical circuits. Duplicates count, since `dedup_hits` does.
+    #[test]
+    fn matcher_agrees_with_the_oracle_matcher_on_the_committed_library(
+        c in arb_nam_circuit(3, 12),
+    ) {
+        let ctx = MatchContext::new(&c);
+        for xform in committed_nam_transformations() {
+            let mut engine: Vec<Circuit> = ctx
+                .find_matches(&xform.target)
+                .iter()
+                .filter_map(|m| ctx.delta_for(xform, m))
+                .map(|delta| canonicalize(&ctx.apply_delta(&delta)))
+                .collect();
+            let mut reference: Vec<Circuit> =
+                oracle::apply(&c, xform).iter().map(canonicalize).collect();
+            engine.sort_by(|a, b| a.precedence_cmp(b));
+            reference.sort_by(|a, b| a.precedence_cmp(b));
+            prop_assert_eq!(engine, reference);
+        }
+    }
+}
+
 /// Equivalence of derived and freshly-built match contexts along a search
 /// run: starting from a redundant circuit, repeatedly apply the first
 /// available rewrite through `MatchContext::derive` and assert after *every*
@@ -445,7 +525,7 @@ fn transformations_from_generated_sets_preserve_semantics_when_applied() {
     circuit.push(Instruction::new(Gate::Cnot, vec![0, 1], vec![]));
     let mut applications = 0;
     for xform in &xforms {
-        for rewritten in quartz_opt::apply_all(&circuit, xform) {
+        for rewritten in MatchContext::new(&circuit).apply_all(xform) {
             applications += 1;
             assert!(
                 equivalent_up_to_phase(&rewritten, &circuit, &[], 1e-8),
