@@ -89,8 +89,9 @@ pub enum RuleCode {
     /// Two classes induce the same (target, rewrite) transformation up to
     /// commutation — duplicated matching work for the optimizer.
     DuplicateTransformation,
-    /// A class contains two circuits equal up to commutation: the induced
-    /// transformation rewrites a circuit to itself.
+    /// A class contains two circuits equal up to commutation. Extraction
+    /// drops the pair, so the member induces no transformation; the class
+    /// still stores a redundant circuit.
     NoOpTransformation,
     /// A stored pattern circuit is not in canonical sequence form.
     NonCanonicalPattern,
@@ -899,8 +900,8 @@ fn lint_transformation_overlap(set: &EccSet) -> Vec<Diagnostic> {
                 out.push(Diagnostic::new(
                     RuleCode::NoOpTransformation,
                     Location::circuit(e, c),
-                    "circuit equals the representative up to commutation; the induced \
-                     transformation rewrites circuits to themselves"
+                    "circuit equals the representative up to commutation; it induces no \
+                     transformation"
                         .to_string(),
                 ));
                 continue;

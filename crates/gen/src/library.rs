@@ -100,7 +100,7 @@ pub const FORMAT_VERSION_V2: u16 = 2;
 /// `(gate set, n, q, m)` would produce a different artifact; `quartz-lib
 /// verify-checksum` fails artifacts whose recorded generator version is
 /// stale.
-pub const GENERATOR_VERSION: u32 = 1;
+pub const GENERATOR_VERSION: u32 = 2;
 
 /// Fixed size of the artifact header in bytes.
 pub const HEADER_LEN: usize = 72;

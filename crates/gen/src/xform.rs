@@ -9,7 +9,7 @@
 //! and its prebuilt index — without a dependency cycle.
 
 use crate::ecc::EccSet;
-use quartz_ir::Circuit;
+use quartz_ir::{canonicalize, Circuit};
 
 /// A circuit transformation (C_T, C_R): replace a subcircuit matching the
 /// target pattern with the rewrite circuit.
@@ -31,7 +31,12 @@ impl Transformation {
 
 /// Extracts the transformation list from an ECC set, as the optimizer does
 /// (paper §6): for each class with representative C₁ and members C₂..Cₓ it
-/// yields C₁→Cᵢ and Cᵢ→C₁ — 2(x−1) transformations per class.
+/// yields C₁→Cᵢ and Cᵢ→C₁ — at most 2(x−1) transformations per class.
+///
+/// A member Cᵢ with `canonicalize(Cᵢ) == canonicalize(C₁)` — the same gate
+/// DAG, e.g. two gates on disjoint qubits in swapped order — yields
+/// nothing: both of its rules would rewrite every match into the circuit
+/// it came from, a child the search has always seen already.
 ///
 /// Transformations whose target pattern is empty are dropped (an empty
 /// pattern matches everywhere and only ever increases cost), and when
@@ -77,8 +82,12 @@ pub fn transformations_with_provenance(
         };
     for (class, ecc) in set.eccs.iter().enumerate() {
         let rep = ecc.representative().clone();
+        let rep_canon = canonicalize(&rep);
         for other in ecc.circuits().iter().skip(1) {
             if prune_common_subcircuits && shares_boundary_gate(&rep, other) {
+                continue;
+            }
+            if canonicalize(other) == rep_canon {
                 continue;
             }
             if !other.is_empty() {
@@ -143,6 +152,31 @@ mod tests {
         set.eccs.push(Ecc::new(vec![a, b]));
         let xforms = transformations_from_ecc_set(&set, false);
         assert_eq!(xforms.len(), 2);
+    }
+
+    #[test]
+    fn members_equal_to_the_representative_up_to_commutation_are_skipped() {
+        let mut h01 = Circuit::new(2, 0);
+        h01.push(h(0));
+        h01.push(h(1));
+        let mut h10 = Circuit::new(2, 0);
+        h10.push(h(1));
+        h10.push(h(0));
+        let mut set = EccSet::new(2, 0);
+        set.eccs.push(Ecc::new(vec![h01.clone(), h10]));
+        assert!(transformations_from_ecc_set(&set, false).is_empty());
+
+        // A genuinely different member of the same class still yields both
+        // directions; only the commuted copy is skipped.
+        let mut other = h01.clone();
+        other.push(instruction(Gate::X, &[0]));
+        other.push(instruction(Gate::X, &[0]));
+        set.eccs[0].insert(other.clone());
+        let rep = set.eccs[0].representative();
+        let xforms = transformations_from_ecc_set(&set, false);
+        assert_eq!(xforms.len(), 2);
+        assert_eq!((&xforms[0].target, &xforms[0].rewrite), (&other, rep));
+        assert_eq!((&xforms[1].target, &xforms[1].rewrite), (rep, &other));
     }
 
     #[test]

@@ -211,8 +211,8 @@ fn duplicate_and_noop_and_noncanonical_lints_fire() {
 
     let mut set = EccSet::new(2, 0);
     // Class 0: the same circuit stored twice up to commutation — one copy
-    // non-canonical — induces a self-rewrite (W102) and a non-canonical
-    // pattern (W103).
+    // non-canonical — induces no transformation (W102) and is a
+    // non-canonical pattern (W103).
     set.eccs.push(Ecc::new(vec![h01, h10]));
     // Classes 1 and 2 are identical, so class 2 re-induces class 1's
     // transformations (W101).
@@ -226,6 +226,17 @@ fn duplicate_and_noop_and_noncanonical_lints_fire() {
     assert!(fired.contains("W101"), "{report}");
     assert!(fired.contains("W102"), "{report}");
     assert!(fired.contains("W103"), "{report}");
+    let w102 = report
+        .diagnostics
+        .iter()
+        .find(|d| d.rule == RuleCode::NoOpTransformation)
+        .unwrap();
+    assert_eq!(w102.severity, Severity::Warning);
+    assert!(
+        w102.message.contains("induces no transformation"),
+        "{}",
+        w102.message
+    );
 }
 
 #[test]
@@ -282,6 +293,32 @@ fn stale_prebuilt_index_is_flagged() {
         .expect("stale index is flagged");
     assert_eq!(e006.severity, Severity::Error);
     assert_eq!(e006.location.to_string(), "artifact");
+
+    // An index packed before extraction dropped self-rewrites: the class
+    // {H0;H1, H1;H0} is one DAG stored twice, so today's payload induces
+    // no rule from it, but the stale index still carries both directions.
+    let mut h01 = Circuit::new(2, 0);
+    h01.push(instr(Gate::H, &[0]));
+    h01.push(instr(Gate::H, &[1]));
+    let mut h10 = Circuit::new(2, 0);
+    h10.push(instr(Gate::H, &[1]));
+    h10.push(instr(Gate::H, &[0]));
+    let mut set = clean_set();
+    set.eccs.push(Ecc::new(vec![h01.clone(), h10.clone()]));
+    let mut old_rules = quartz_gen::transformations_from_ecc_set(&set, true);
+    assert_eq!(old_rules.len(), 1, "only HH → empty survives extraction");
+    for (target, rewrite) in [(h10.clone(), h01.clone()), (h01, h10)] {
+        old_rules.push(quartz_gen::Transformation { target, rewrite });
+    }
+    let stale = quartz_gen::TransformationIndex::new(old_rules);
+    let report = Auditor::default().audit_set(&set, "Nam", Some(&stale), None);
+    assert!(
+        report
+            .diagnostics
+            .iter()
+            .any(|d| d.rule == RuleCode::StaleIndex && d.severity == Severity::Error),
+        "an index carrying self-rewriting rules is stale: {report}"
+    );
 }
 
 #[test]

@@ -1060,6 +1060,18 @@ mod tests {
         c
     }
 
+    /// `CNOT(0,1) X(1) CNOT(0,1) X(1)`: X on the target commutes through
+    /// the CNOT and cancels, so distinct rewrites reach the same child and
+    /// later steps revisit circuits an earlier step already admitted.
+    fn x_through_cnot_circuit() -> Circuit {
+        let mut c = Circuit::new(2, 0);
+        for _ in 0..2 {
+            c.push(instruction(Gate::Cnot, &[0, 1]));
+            c.push(instruction(Gate::X, &[1]));
+        }
+        c
+    }
+
     /// The default configuration under an iteration budget the wall clock
     /// never cuts short, so engine and oracle runs are comparable.
     fn bounded() -> SearchConfig {
@@ -1151,7 +1163,7 @@ mod tests {
                     num_threads,
                     ..bounded()
                 },
-                &redundant_three_qubit_circuit(),
+                &x_through_cnot_circuit(),
             );
             assert!(result.fp_fast_rejects > 0);
         }
@@ -1168,7 +1180,7 @@ mod tests {
                 cost_model: CostModel::Depth,
                 ..bounded()
             },
-            &redundant_three_qubit_circuit(),
+            &x_through_cnot_circuit(),
         );
         assert!(
             result.fp_fast_rejects > 0,

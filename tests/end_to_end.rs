@@ -3,7 +3,9 @@
 
 use quartz::circuits::suite;
 use quartz::gen::{prune, GenConfig, Generator};
-use quartz::ir::{equivalent_up_to_phase, Circuit, Gate, GateSet, Instruction, ParamExpr};
+use quartz::ir::{
+    canonicalize, equivalent_up_to_phase, Circuit, Gate, GateSet, Instruction, ParamExpr,
+};
 use quartz::opt::{
     greedy_optimize, preprocess_ibm, preprocess_nam, preprocess_rigetti, OptimizationService,
     Optimizer, SearchConfig,
@@ -220,22 +222,25 @@ fn service_batch_is_bit_identical_to_standalone_optimizer_runs() {
 }
 
 /// The search engine against the naive Algorithm 2 oracle on the whole NAM
-/// quick suite, served as one batch over a (2, 2, 1) NAM library — small
-/// enough for the oracle's linear scan in a debug build: every circuit's
-/// outcome — best circuit and cost, iterations, circuits seen,
-/// dedup hits, improvement trace — must match the oracle's, which shares
-/// none of the engine's index, derived contexts, delta costing, hash
-/// previews or deferred materialization.
+/// quick suite, served as one batch over the committed production library
+/// `libraries/nam_n3_q2.qtzl`: every circuit's outcome — best circuit and
+/// cost, iterations, circuits seen, dedup hits, improvement trace — must
+/// match the oracle's, which shares none of the engine's index, derived
+/// contexts, delta costing, hash previews or deferred materialization.
 #[test]
 fn service_batch_matches_the_oracle_on_the_nam_quick_suite() {
-    let set = nam_ecc_set(2, 2, 1);
+    let artifact =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("libraries/nam_n3_q2.qtzl");
+    let library = quartz::opt::LibraryCache::new()
+        .get_or_load(&artifact)
+        .expect("committed artifact must load");
     let config = SearchConfig {
         timeout: Duration::from_secs(3600),
         max_iterations: 4,
         num_threads: 2,
         ..SearchConfig::default()
     };
-    let service = OptimizationService::from_ecc_set(&set, config.clone());
+    let service = OptimizationService::from_library(&library, config.clone());
     let suite = quartz_bench::Scale::quick(quartz_bench::GateSetKind::Nam).suite;
     let batch: Vec<Circuit> = suite.iter().map(|(_, c)| preprocess_nam(c)).collect();
     let results = service.optimize_batch(&batch);
@@ -247,6 +252,31 @@ fn service_batch_matches_the_oracle_on_the_nam_quick_suite() {
         // does its work.
         assert_eq!(result.iterations, 4, "{name} must spend its whole budget");
         assert!(result.dedup_hits > 0, "{name} must revisit some circuit");
+    }
+}
+
+/// Extraction drops every pair whose two circuits are one DAG, so no
+/// committed artifact may index a rule that rewrites a circuit into
+/// itself.
+#[test]
+fn committed_libraries_index_no_self_rewriting_rules() {
+    for (name, expected) in [
+        ("nam_n3_q2", 108),
+        ("ibm_n2_q2", 228),
+        ("rigetti_n2_q2", 41),
+    ] {
+        let path =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("libraries/{name}.qtzl"));
+        let library = quartz::gen::Library::load(&path).unwrap();
+        let index = library.index().expect("artifact embeds its index");
+        assert_eq!(index.len(), expected, "{name}");
+        for (i, xform) in index.transformations().iter().enumerate() {
+            assert_ne!(
+                canonicalize(&xform.target),
+                canonicalize(&xform.rewrite),
+                "{name} rule #{i} rewrites a circuit into itself"
+            );
+        }
     }
 }
 
