@@ -39,8 +39,10 @@
 //! anchor buckets) is unchanged since format version 1: the per-circuit
 //! metadata below is cheap and recomputed at load time.
 
+use crate::automaton::MatchAutomaton;
 use crate::xform::Transformation;
-use quartz_ir::{Gate, GateHistogram, ALL_GATES};
+use quartz_ir::{EpochSet, Gate, GateHistogram, ALL_GATES};
+use std::sync::OnceLock;
 
 /// Per-pattern metadata precomputed at index construction.
 #[derive(Debug, Clone)]
@@ -57,8 +59,7 @@ struct PatternMeta {
 /// the same size (the visited stamps reset logically on every call).
 #[derive(Debug, Default)]
 pub struct IndexScratch {
-    epoch: u32,
-    stamp: Vec<u32>,
+    visited: EpochSet,
     /// (circuit count, gate) pairs, sorted ascending — the per-circuit
     /// rarity order of the present gate types.
     rarity: Vec<(u32, Gate)>,
@@ -68,29 +69,6 @@ impl IndexScratch {
     /// Creates an empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         IndexScratch::default()
-    }
-
-    /// Starts a new visit epoch over `n` transformation ids.
-    fn begin(&mut self, n: usize) {
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Wrapped: clear stale stamps that might collide with epoch 0.
-            self.stamp.fill(0);
-            self.epoch = 1;
-        }
-    }
-
-    /// Marks `id` visited; returns `true` on first visit this epoch.
-    fn visit(&mut self, id: usize) -> bool {
-        if self.stamp[id] == self.epoch {
-            false
-        } else {
-            self.stamp[id] = self.epoch;
-            true
-        }
     }
 }
 
@@ -108,6 +86,9 @@ pub struct TransformationIndex {
     /// Transformation ids bucketed by every gate type their pattern uses
     /// (multi-membership), each bucket ascending. Derived, never serialized.
     gate_buckets: Vec<Vec<usize>>,
+    /// The target patterns compiled into one prefix tree, built on first
+    /// use so loading a library or booting a daemon never pays for it.
+    automaton: OnceLock<MatchAutomaton>,
 }
 
 impl TransformationIndex {
@@ -171,6 +152,7 @@ impl TransformationIndex {
             metas,
             buckets,
             gate_buckets,
+            automaton: OnceLock::new(),
         }
     }
 
@@ -253,6 +235,18 @@ impl TransformationIndex {
         &self.buckets
     }
 
+    /// The transformations' target patterns as one prefix-sharing match
+    /// automaton (DESIGN.md §2.6), rule ids being transformation ids.
+    ///
+    /// Compiled on the first call and kept for the index's lifetime, so
+    /// every optimizer, service slot and worker thread sharing this index
+    /// shares one copy, and only an index that is actually searched with
+    /// builds one.
+    pub fn automaton(&self) -> &MatchAutomaton {
+        self.automaton
+            .get_or_init(|| MatchAutomaton::new(self.transformations.iter().map(|x| &x.target)))
+    }
+
     /// Number of indexed transformations.
     pub fn len(&self) -> usize {
         self.transformations.len()
@@ -299,7 +293,7 @@ impl TransformationIndex {
         out: &mut Vec<usize>,
     ) {
         out.clear();
-        scratch.begin(self.transformations.len());
+        scratch.visited.reset(self.transformations.len());
         scratch.rarity.clear();
         for gate in circuit_histogram.present_gates() {
             scratch
@@ -312,7 +306,7 @@ impl TransformationIndex {
         let rarity = std::mem::take(&mut scratch.rarity);
         for &(count, gate) in &rarity {
             for &id in &self.gate_buckets[gate.index()] {
-                if !scratch.visit(id) {
+                if !scratch.visited.insert(id) {
                     continue;
                 }
                 let meta = &self.metas[id];

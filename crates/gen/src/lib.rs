@@ -11,7 +11,9 @@
 //! * [`prune`] applies ECC simplification and common-subcircuit pruning.
 //! * [`transformations_from_ecc_set`] extracts the optimizer's rewrite-rule
 //!   list from a set, and [`TransformationIndex`] is the anchor-bucket +
-//!   histogram dispatch index built over it (DESIGN.md §2.2).
+//!   histogram dispatch index built over it (DESIGN.md §2.2); its
+//!   [`MatchAutomaton`] compiles the target patterns into one prefix tree
+//!   for library-wide matching (DESIGN.md §2.6).
 //! * [`Library`] persists a set — and optionally its prebuilt index — as a
 //!   versioned, checksummed `QTZL` binary artifact (DESIGN.md §7) that
 //!   loads in milliseconds; the `quartz-lib` CLI
@@ -47,6 +49,7 @@
 #![forbid(unsafe_code)]
 
 pub mod audit;
+mod automaton;
 mod count;
 mod ecc;
 mod index;
@@ -62,6 +65,7 @@ pub use audit::{
     class_digest, AuditConfig, AuditReport, AuditStamp, Auditor, Diagnostic, Location, RuleCode,
     Severity,
 };
+pub use automaton::{AutomatonNode, MatchAutomaton};
 pub use count::{count_possible_circuits, count_sequences_by_size};
 pub use ecc::{Ecc, EccSet};
 pub use index::{IndexScratch, TransformationIndex};

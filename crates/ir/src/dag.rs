@@ -26,6 +26,7 @@
 //! maintained through [`CircuitDag::splice_with_footprint`].
 
 use crate::circuit::{Circuit, Instruction};
+use crate::epoch::EpochSet;
 use crate::gate::GateHistogram;
 use crate::shash;
 use std::collections::HashSet;
@@ -93,6 +94,14 @@ pub struct SpliceFootprint {
     /// the entry predecessor and exit successor of the region on each
     /// touched wire. Deduplicated, in ascending id order.
     pub boundary: Vec<NodeId>,
+}
+
+/// Reusable visited buffer for [`CircuitDag::is_convex_with`], so repeated
+/// checks allocate nothing once warm. Any scratch works with any DAG.
+#[derive(Debug, Default)]
+pub struct ConvexityScratch {
+    visited: EpochSet,
+    stack: Vec<NodeId>,
 }
 
 /// One gate instance and its wire endpoints.
@@ -383,35 +392,43 @@ impl CircuitDag {
     /// position *window* instead of the whole reachable set — for the
     /// wire-local regions the matcher produces this is near-constant, where
     /// the naive descendants ∩ ancestors intersection walks O(circuit).
-    /// This check sits on the optimizer's hottest path (once per cached or
-    /// enumerated structural match).
+    /// This check sits on the optimizer's hottest path (once per complete
+    /// structural match), which calls [`CircuitDag::is_convex_with`] with a
+    /// reused [`ConvexityScratch`]; this convenience form allocates a fresh
+    /// one.
     pub fn is_convex(&self, region: &[NodeId]) -> bool {
+        self.is_convex_with(region, &mut ConvexityScratch::default())
+    }
+
+    /// [`CircuitDag::is_convex`] over a caller-owned visited buffer, so the
+    /// check allocates nothing once `scratch` has grown to this DAG's slab.
+    pub fn is_convex_with(&self, region: &[NodeId], scratch: &mut ConvexityScratch) -> bool {
         let hi = region
             .iter()
             .map(|id| self.position[id.index()])
             .max()
             .unwrap_or(0);
+        scratch.visited.reset(self.slots.len());
         // Walk forward from the region's outside successors, bounded by the
         // window; reaching any region node means a path left and re-entered.
-        let mut visited: HashSet<NodeId> = HashSet::new();
-        let mut stack: Vec<NodeId> = Vec::new();
         for &id in region {
             for &s in self.node(id).succs.iter().flatten() {
                 if region.contains(&s) {
                     continue;
                 }
-                if self.position[s.index()] < hi && visited.insert(s) {
-                    stack.push(s);
+                if self.position[s.index()] < hi && scratch.visited.insert(s.index()) {
+                    scratch.stack.push(s);
                 }
             }
         }
-        while let Some(u) = stack.pop() {
+        while let Some(u) = scratch.stack.pop() {
             for &v in self.node(u).succs.iter().flatten() {
                 if region.contains(&v) {
+                    scratch.stack.clear();
                     return false;
                 }
-                if self.position[v.index()] < hi && visited.insert(v) {
-                    stack.push(v);
+                if self.position[v.index()] < hi && scratch.visited.insert(v.index()) {
+                    scratch.stack.push(v);
                 }
             }
         }

@@ -32,7 +32,8 @@
 //!   a circuit's gate DAG, shared by the optimizer's seen-set and the
 //!   library auditor's canonicality lint;
 //! * [`fx`] — a vendored deterministic FxHash-style hasher for interior
-//!   hash tables on the search hot path;
+//!   hash tables on the search hot path, and [`EpochSet`], the O(1)-cleared
+//!   visited set its scratch buffers reuse;
 //! * [`json`] — the workspace's one JSON codec (strict, depth-bounded,
 //!   position-carrying parser; compact and pretty writers), which the ECC,
 //!   audit, bench-report and daemon-wire shapes all map onto;
@@ -68,6 +69,7 @@ mod canon;
 mod circuit;
 mod cost;
 pub mod dag;
+mod epoch;
 pub mod fx;
 mod gate;
 mod gateset;
@@ -80,7 +82,8 @@ pub mod shash;
 pub use canon::canonicalize;
 pub use circuit::{Circuit, Instruction};
 pub use cost::{CostModel, DeltaCoster};
-pub use dag::{CircuitDag, NodeId, SpliceDelta, SpliceFootprint};
+pub use dag::{CircuitDag, ConvexityScratch, NodeId, SpliceDelta, SpliceFootprint};
+pub use epoch::EpochSet;
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use gate::{Gate, GateHistogram, ALL_GATES};
 pub use gateset::GateSet;

@@ -12,6 +12,14 @@
 //!   are consecutive, and no dependency path leaves the matched set and
 //!   re-enters it (the graph-representation convexity of Figure 5).
 //!
+//! There is one matcher: a backtracking walk of a [`MatchAutomaton`], the
+//! prefix tree of a whole library's target patterns (DESIGN.md §2.6).
+//! [`MatchContext::for_each_match`] walks it once for every dispatched rule,
+//! binding an instruction prefix that several rules share once for all of
+//! them, skipping subtrees that hold no dispatched rule, and streaming
+//! `(rule id, match)` to a callback. [`MatchContext::find_matches`] is the
+//! same walk over a one-pattern automaton.
+//!
 //! Applying a match yields a [`SpliceDelta`]: the matched region plus the
 //! instantiated rewrite instructions. The delta can be turned into a
 //! rewritten sequence without mutating anything
@@ -20,13 +28,14 @@
 //! proportional to the rewrite footprint ([`MatchContext::derive`]) — the
 //! incremental path the search layer rides (DESIGN.md §5).
 
-use quartz_gen::Transformation;
+use quartz_gen::{AutomatonNode, MatchAutomaton, Transformation};
 use quartz_ir::{
-    Circuit, CircuitDag, Gate, Instruction, NodeId, ParamExpr, SpliceDelta, SpliceFootprint,
+    Circuit, CircuitDag, ConvexityScratch, EpochSet, Gate, Instruction, NodeId, ParamExpr,
+    SpliceDelta, SpliceFootprint,
 };
 
 /// A successful match of a pattern against a circuit.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Match {
     /// For each pattern instruction (in pattern order), the matched DAG
     /// node. For a context freshly built by [`MatchContext::new`], node
@@ -43,12 +52,12 @@ pub struct Match {
 /// across rewrites.
 ///
 /// The context owns the circuit's [`CircuitDag`] (wire adjacency comes
-/// straight from the graph) plus a gate-type → node-id table.
-/// [`MatchContext::find_matches`] *anchors* each pattern: the first pattern
-/// instruction only tries nodes of the same gate type (instead of scanning
-/// the whole circuit), and subsequent pattern instructions only try wire
-/// successors of already-matched nodes. This is the anchored entry point the
-/// indexed dispatch layer (DESIGN.md §2.2) drives.
+/// straight from the graph) plus a gate-type → node-id table. The walk
+/// *anchors* each pattern instruction: one that starts all of its pattern
+/// wires only tries nodes of the same gate type (instead of scanning the
+/// whole circuit), and any other only tries the one wire successor of its
+/// pattern predecessor's match. The indexed dispatch layer (DESIGN.md §2.2)
+/// names the rules to walk for.
 ///
 /// Contexts come from two places:
 ///
@@ -90,22 +99,41 @@ impl MatchContext {
         self.dag.to_circuit()
     }
 
-    /// Finds every match of `pattern` inside the circuit.
+    /// Finds every match of `pattern` inside the circuit: the library-wide
+    /// walk of [`MatchContext::for_each_match`] over a one-pattern
+    /// automaton.
     pub fn find_matches(&self, pattern: &Circuit) -> Vec<Match> {
-        if pattern.is_empty() || pattern.gate_count() > self.dag.gate_count() {
-            return Vec::new();
-        }
-        let mut state = MatchState {
+        let automaton = MatchAutomaton::new([pattern]);
+        let mut matches = Vec::new();
+        self.for_each_match(&automaton, &[0], &mut MatchScratch::new(), |_, m| {
+            matches.push(m.clone())
+        });
+        matches
+    }
+
+    /// Streams every match of every rule in `rules` (ids into `automaton`)
+    /// to `emit` as `(rule id, match)`, in one walk over the automaton.
+    ///
+    /// An instruction prefix shared by several dispatched rules is bound
+    /// once for all of them; subtrees holding no rule of `rules` are never
+    /// entered, and a rule outside `rules` is never emitted. Each match
+    /// equals one that [`MatchContext::find_matches`] returns for the rule's
+    /// target; the order of the stream is unspecified.
+    pub fn for_each_match(
+        &self,
+        automaton: &MatchAutomaton,
+        rules: &[usize],
+        scratch: &mut MatchScratch,
+        emit: impl FnMut(usize, &Match),
+    ) {
+        scratch.begin(automaton, rules);
+        Walk {
             ctx: self,
-            pattern,
-            pattern_preds: pattern.wire_predecessors(),
-            instruction_map: Vec::with_capacity(pattern.gate_count()),
-            qubit_map: vec![None; pattern.num_qubits()],
-            param_bindings: vec![None; pattern.num_params()],
-            results: Vec::new(),
-        };
-        state.extend();
-        state.results
+            automaton,
+            scratch,
+            emit,
+        }
+        .descend(automaton.roots());
     }
 
     /// Instantiates the transformation's rewrite at a match, producing the
@@ -218,17 +246,60 @@ fn instantiate(
     Some(acc)
 }
 
-/// The matcher's backtracking state. The partial match lives in place:
-/// each candidate binds into `qubit_map` and `param_bindings` and records
-/// what it bound in a [`Trail`], and backtracking unbinds exactly that.
-struct MatchState<'a> {
+/// Reusable state for [`MatchContext::for_each_match`], one per thread:
+/// the epoch-stamped mask of dispatched rules and of the automaton nodes on
+/// their root paths, the partial match the walk binds in place, and the
+/// convexity check's visited buffer. Any scratch works with any automaton
+/// and context; the walk allocates nothing once it is warm.
+#[derive(Debug, Default)]
+pub struct MatchScratch {
+    live_nodes: EpochSet,
+    live_rules: EpochSet,
+    partial: Match,
+    convexity: ConvexityScratch,
+}
+
+impl MatchScratch {
+    /// Creates an empty scratch; buffers grow on first use.
+    pub fn new() -> Self {
+        MatchScratch::default()
+    }
+
+    /// Starts a walk: marks the dispatched `rules` and every node on the
+    /// path from each one's terminal to the root, so the walk skips every
+    /// subtree that holds no dispatched rule, and empties the partial match.
+    fn begin(&mut self, automaton: &MatchAutomaton, rules: &[usize]) {
+        self.live_nodes.reset(automaton.num_nodes());
+        self.live_rules.reset(automaton.num_rules());
+        for &rule in rules {
+            self.live_rules.insert(rule);
+            let mut at = automaton.terminal(rule);
+            while let Some(node) = at {
+                if !self.live_nodes.insert(node) {
+                    break;
+                }
+                at = automaton.node(node).parent();
+            }
+        }
+        let (num_qubits, num_params) = automaton.max_shape();
+        let partial = &mut self.partial;
+        partial.instruction_map.clear();
+        partial.qubit_map.clear();
+        partial.qubit_map.resize(num_qubits, None);
+        partial.param_bindings.clear();
+        partial.param_bindings.resize(num_params, None);
+    }
+}
+
+/// One library-wide walk: a depth-first descent of the automaton in which
+/// each node extends the partial match by one bound circuit gate. Each
+/// candidate binds into the scratch's partial match and records what it
+/// bound in a [`Trail`], and backtracking unbinds exactly that.
+struct Walk<'a, F> {
     ctx: &'a MatchContext,
-    pattern: &'a Circuit,
-    pattern_preds: Vec<Vec<Option<usize>>>,
-    instruction_map: Vec<NodeId>,
-    qubit_map: Vec<Option<usize>>,
-    param_bindings: Vec<Option<ParamExpr>>,
-    results: Vec<Match>,
+    automaton: &'a MatchAutomaton,
+    scratch: &'a mut MatchScratch,
+    emit: F,
 }
 
 /// Upper bound on gate arity (the largest gates, CCX and CCZ, have 3
@@ -248,89 +319,94 @@ struct Trail {
     num_params: usize,
 }
 
-/// Candidate nodes for one pattern position, alloc-free on the matcher hot
-/// path: gate buckets are borrowed, wire successors (bounded by gate arity)
-/// live in a fixed inline buffer.
-enum Candidates<'a> {
-    Bucket(&'a [NodeId]),
-    Succs {
-        buf: [NodeId; MAX_ARITY],
-        len: usize,
-    },
-}
-
-impl Candidates<'_> {
-    fn as_slice(&self) -> &[NodeId] {
-        match self {
-            Candidates::Bucket(ids) => ids,
-            Candidates::Succs { buf, len } => &buf[..*len],
-        }
-    }
-}
-
-impl<'a> MatchState<'a> {
-    /// Candidate DAG nodes for the pattern instruction at `depth`: when the
-    /// pattern instruction depends on an already-matched one, only the wire
-    /// successors of that matched node can possibly satisfy the wire-order
-    /// constraint, so the search is narrowed to them (at most the node's
-    /// arity); otherwise the instruction anchors a fresh wire and only nodes
-    /// of its own gate type are candidates.
-    fn candidates(&self, depth: usize) -> Candidates<'a> {
+impl<'a, F: FnMut(usize, &Match)> Walk<'a, F> {
+    /// Tries every live node in `nodes` against its candidate circuit
+    /// gates. A node anchored on a wire edge has exactly one candidate: the
+    /// circuit successor, on that wire, of its pattern predecessor's match.
+    /// A node that starts all of its wires tries every gate of its type.
+    fn descend(&mut self, nodes: &'a [usize]) {
         let ctx: &'a MatchContext = self.ctx;
-        for &pred in self.pattern_preds[depth].iter().flatten() {
-            if let Some(&matched) = self.instruction_map.get(pred) {
-                // Seed value is arbitrary — only `buf[..len]` is ever read.
-                let mut buf = [matched; MAX_ARITY];
-                let mut len = 0;
-                for &s in ctx.dag.succs(matched).iter().flatten() {
-                    if !buf[..len].contains(&s) {
-                        buf[len] = s;
-                        len += 1;
+        for &id in nodes {
+            if !self.scratch.live_nodes.contains(id) {
+                continue;
+            }
+            let node = self.automaton.node(id);
+            match node.anchor() {
+                Some((depth, op)) => {
+                    let pred = self.scratch.partial.instruction_map[depth];
+                    if let Some(ci) = ctx.dag.succs(pred)[op] {
+                        self.extend(node, ci);
                     }
                 }
-                return Candidates::Succs { buf, len };
-            }
-        }
-        Candidates::Bucket(&ctx.by_gate[self.pattern.instructions()[depth].gate.index()])
-    }
-
-    fn extend(&mut self) {
-        let depth = self.instruction_map.len();
-        if depth == self.pattern.gate_count() {
-            if self.ctx.dag.is_convex(&self.instruction_map) {
-                self.results.push(Match {
-                    instruction_map: self.instruction_map.clone(),
-                    qubit_map: self.qubit_map.clone(),
-                    param_bindings: self.param_bindings.clone(),
-                });
-            }
-            return;
-        }
-        let candidates = self.candidates(depth);
-        for &ci in candidates.as_slice() {
-            let mut trail = Trail::default();
-            if self.bind(depth, ci, &mut trail) {
-                self.instruction_map.push(ci);
-                self.extend();
-                self.instruction_map.pop();
-            }
-            for &pq in &trail.qubits[..trail.num_qubits] {
-                self.qubit_map[pq] = None;
-            }
-            for &p in &trail.params[..trail.num_params] {
-                self.param_bindings[p] = None;
+                None => {
+                    for &ci in &ctx.by_gate[node.instruction().gate.index()] {
+                        self.extend(node, ci);
+                    }
+                }
             }
         }
     }
 
-    /// Checks node `ci` as the match of the pattern instruction at `depth`,
+    /// Binds `ci` as the match of `node`; on success emits the rules ending
+    /// at `node` and descends into its children, then unbinds.
+    fn extend(&mut self, node: &'a AutomatonNode, ci: NodeId) {
+        let mut trail = Trail::default();
+        if self.bind(node, ci, &mut trail) {
+            self.scratch.partial.instruction_map.push(ci);
+            if !node.rules().is_empty() {
+                self.emit_rules(node);
+            }
+            self.descend(node.children());
+            self.scratch.partial.instruction_map.pop();
+        }
+        let partial = &mut self.scratch.partial;
+        for &pq in &trail.qubits[..trail.num_qubits] {
+            partial.qubit_map[pq] = None;
+        }
+        for &p in &trail.params[..trail.num_params] {
+            partial.param_bindings[p] = None;
+        }
+    }
+
+    /// Emits the complete match to every dispatched rule ending at `node`,
+    /// after one convexity check shared by all of them. Each rule sees its
+    /// own qubit and parameter map widths; the entries past them are unbound
+    /// for a rule that ends here, so narrowing and re-widening loses nothing.
+    fn emit_rules(&mut self, node: &AutomatonNode) {
+        let mut convex = None;
+        for &rule in node.rules() {
+            let scratch = &mut *self.scratch;
+            if !scratch.live_rules.contains(rule) {
+                continue;
+            }
+            let convex = *convex.get_or_insert_with(|| {
+                self.ctx
+                    .dag
+                    .is_convex_with(&scratch.partial.instruction_map, &mut scratch.convexity)
+            });
+            if !convex {
+                return;
+            }
+            let (num_qubits, num_params) = self.automaton.rule_shape(rule);
+            let (max_qubits, max_params) = self.automaton.max_shape();
+            let partial = &mut scratch.partial;
+            partial.qubit_map.truncate(num_qubits);
+            partial.param_bindings.truncate(num_params);
+            (self.emit)(rule, partial);
+            partial.qubit_map.resize(max_qubits, None);
+            partial.param_bindings.resize(max_params, None);
+        }
+    }
+
+    /// Checks node `ci` as the match of the pattern instruction at `node`,
     /// binding its new pattern qubits and parameters in place and recording
     /// them in `trail`. Returns `false` at the first failed check; the
     /// caller unbinds `trail` either way.
-    fn bind(&mut self, depth: usize, ci: NodeId, trail: &mut Trail) -> bool {
-        let (dag, pattern_instr) = (&self.ctx.dag, &self.pattern.instructions()[depth]);
+    fn bind(&mut self, node: &AutomatonNode, ci: NodeId, trail: &mut Trail) -> bool {
+        let (dag, pattern_instr) = (&self.ctx.dag, node.instruction());
+        let partial = &mut self.scratch.partial;
         let circuit_instr = dag.instruction(ci);
-        if circuit_instr.gate != pattern_instr.gate || self.instruction_map.contains(&ci) {
+        if circuit_instr.gate != pattern_instr.gate || partial.instruction_map.contains(&ci) {
             return false;
         }
         // Wire order: on each wire the circuit predecessor must be the match
@@ -338,11 +414,11 @@ impl<'a> MatchState<'a> {
         // are compared), or, where the pattern wire starts here, not a
         // matched node — otherwise the matched gates would not be
         // consecutive on the wire.
-        for (op, pred) in self.pattern_preds[depth].iter().enumerate() {
+        for (op, pred) in node.wire_preds().iter().enumerate() {
             let circuit_pred = dag.preds(ci)[op];
             let in_order = match pred {
-                Some(p) => circuit_pred == Some(self.instruction_map[*p]),
-                None => circuit_pred.is_none_or(|cp| !self.instruction_map.contains(&cp)),
+                Some(p) => circuit_pred == Some(partial.instruction_map[*p]),
+                None => circuit_pred.is_none_or(|cp| !partial.instruction_map.contains(&cp)),
             };
             if !in_order {
                 return false;
@@ -351,19 +427,24 @@ impl<'a> MatchState<'a> {
         // Qubits: consistent with earlier bindings and injective, checked by
         // a scan of the (≤ q-entry) qubit map.
         for (&pq, &cq) in pattern_instr.qubits.iter().zip(&circuit_instr.qubits) {
-            match self.qubit_map[pq] {
+            match partial.qubit_map[pq] {
                 Some(existing) if existing != cq => return false,
                 Some(_) => {}
-                None if self.qubit_map.contains(&Some(cq)) => return false,
+                None if partial.qubit_map.contains(&Some(cq)) => return false,
                 None => {
-                    self.qubit_map[pq] = Some(cq);
+                    partial.qubit_map[pq] = Some(cq);
                     trail.qubits[trail.num_qubits] = pq;
                     trail.num_qubits += 1;
                 }
             }
         }
         for (p_expr, c_expr) in pattern_instr.params.iter().zip(&circuit_instr.params) {
-            match bind_params(p_expr, c_expr, &mut self.param_bindings, dag.num_params()) {
+            match bind_params(
+                p_expr,
+                c_expr,
+                &mut partial.param_bindings,
+                dag.num_params(),
+            ) {
                 None => return false,
                 Some(None) => {}
                 Some(Some(bound)) => {
@@ -647,6 +728,137 @@ mod tests {
             assert!(gate.num_qubits() <= MAX_ARITY, "{gate:?} arity");
             assert!(gate.num_params() <= MAX_PARAMS, "{gate:?} parameters");
         }
+    }
+
+    /// `n` Hadamards on one wire.
+    fn hs(n: usize) -> Circuit {
+        let mut c = Circuit::new(1, 0);
+        for _ in 0..n {
+            c.push(h(0));
+        }
+        c
+    }
+
+    /// The context's nodes at sequence positions `positions`.
+    fn nodes(ctx: &MatchContext, positions: &[usize]) -> Vec<NodeId> {
+        positions
+            .iter()
+            .map(|&i| ctx.dag().topo_order()[i])
+            .collect()
+    }
+
+    /// The regions of every match the library walk emits over `rules`,
+    /// grouped by rule id, each group sorted.
+    fn walk(ctx: &MatchContext, automaton: &MatchAutomaton, rules: &[usize]) -> Vec<Vec<Match>> {
+        let mut out = vec![Vec::new(); automaton.num_rules()];
+        ctx.for_each_match(automaton, rules, &mut MatchScratch::new(), |rule, m| {
+            out[rule].push(m.clone())
+        });
+        for matches in &mut out {
+            matches.sort_by(|a: &Match, b: &Match| a.instruction_map.cmp(&b.instruction_map));
+        }
+        out
+    }
+
+    fn regions(matches: &[Match]) -> Vec<Vec<NodeId>> {
+        matches.iter().map(|m| m.instruction_map.clone()).collect()
+    }
+
+    #[test]
+    fn a_target_that_prefixes_another_ends_at_an_interior_node() {
+        let automaton = MatchAutomaton::new([&hs(3), &hs(2)]);
+        let ctx = MatchContext::new(&hs(3));
+        let got = walk(&ctx, &automaton, &[0, 1]);
+        assert_eq!(regions(&got[0]), vec![nodes(&ctx, &[0, 1, 2])]);
+        assert_eq!(
+            regions(&got[1]),
+            vec![nodes(&ctx, &[0, 1]), nodes(&ctx, &[1, 2])]
+        );
+    }
+
+    #[test]
+    fn identical_targets_both_get_every_match() {
+        let automaton = MatchAutomaton::new([&hs(2), &hs(2)]);
+        let ctx = MatchContext::new(&hs(3));
+        let got = walk(&ctx, &automaton, &[0, 1]);
+        assert_eq!(
+            regions(&got[0]),
+            vec![nodes(&ctx, &[0, 1]), nodes(&ctx, &[1, 2])]
+        );
+        assert_eq!(got[0], got[1]);
+    }
+
+    #[test]
+    fn an_undispatched_rule_on_a_dispatched_path_is_not_emitted() {
+        let hhx = hs(2).appended(instruction(Gate::X, &[0]));
+        let automaton = MatchAutomaton::new([&hs(2), &hhx]);
+        let ctx = MatchContext::new(&hhx);
+        // H H ends inside H H X's path, but only H H X is dispatched.
+        let got = walk(&ctx, &automaton, &[1]);
+        assert!(got[0].is_empty());
+        assert_eq!(regions(&got[1]), vec![nodes(&ctx, &[0, 1, 2])]);
+        // And the other way round: H H X's subtree is not entered.
+        let got = walk(&ctx, &automaton, &[0]);
+        assert_eq!(regions(&got[0]), vec![nodes(&ctx, &[0, 1])]);
+        assert!(got[1].is_empty());
+        assert!(walk(&ctx, &automaton, &[]).iter().all(Vec::is_empty));
+    }
+
+    #[test]
+    fn a_target_longer_than_the_circuit_never_matches() {
+        let automaton = MatchAutomaton::new([&hs(3), &hs(2)]);
+        let ctx = MatchContext::new(&hs(2));
+        let got = walk(&ctx, &automaton, &[0, 1]);
+        assert!(got[0].is_empty());
+        assert_eq!(regions(&got[1]), vec![nodes(&ctx, &[0, 1])]);
+        assert!(ctx.find_matches(&hs(3)).is_empty());
+        assert!(ctx.find_matches(&Circuit::new(1, 0)).is_empty());
+    }
+
+    /// Rules of different widths share a prefix; each sees its own qubit
+    /// and parameter map widths, exactly as `find_matches` reports them.
+    #[test]
+    fn find_matches_equals_the_walk_restricted_to_one_rule() {
+        let rz = |q: usize, p: ParamExpr| Instruction::new(Gate::Rz, vec![q], vec![p]);
+        let mut narrow = Circuit::new(1, 1);
+        narrow.push(rz(0, ParamExpr::var(0, 1)));
+        narrow.push(h(0));
+        let mut wide = Circuit::new(2, 2);
+        wide.push(rz(0, ParamExpr::var(0, 2)));
+        wide.push(h(0));
+        wide.push(instruction(Gate::Cnot, &[0, 1]));
+        let mut wide_same_prefix = Circuit::new(2, 1);
+        wide_same_prefix.push(rz(0, ParamExpr::var(0, 1)));
+        wide_same_prefix.push(h(0));
+        wide_same_prefix.push(instruction(Gate::Cnot, &[1, 0]));
+        let rules = [&narrow, &wide, &wide_same_prefix];
+        let automaton = MatchAutomaton::new(rules);
+
+        let mut c = Circuit::new(3, 0);
+        c.push(rz(2, ParamExpr::constant_pi4(1)));
+        c.push(h(2));
+        c.push(instruction(Gate::Cnot, &[2, 0]));
+        c.push(rz(1, ParamExpr::constant_pi4(3)));
+        c.push(h(1));
+        c.push(instruction(Gate::Cnot, &[0, 1]));
+        let ctx = MatchContext::new(&c);
+        let got = walk(&ctx, &automaton, &[0, 1, 2]);
+        for (rule, pattern) in rules.iter().enumerate() {
+            let mut single = ctx.find_matches(pattern);
+            single.sort_by(|a, b| a.instruction_map.cmp(&b.instruction_map));
+            assert_eq!(got[rule], single, "rule {rule}");
+        }
+        assert_eq!(got[0].len(), 2);
+        assert_eq!(got[0][0].qubit_map, vec![Some(2)]);
+        assert_eq!(
+            got[0][0].param_bindings,
+            vec![Some(ParamExpr::constant_pi4(1))]
+        );
+        assert_eq!(got[1].len(), 1);
+        assert_eq!(got[1][0].qubit_map, vec![Some(2), Some(0)]);
+        assert_eq!(got[1][0].param_bindings.len(), 2);
+        assert_eq!(got[2].len(), 1);
+        assert_eq!(got[2][0].qubit_map, vec![Some(1), Some(0)]);
     }
 
     /// A derived context must behave exactly like a context rebuilt from the

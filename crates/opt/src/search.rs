@@ -19,7 +19,8 @@
 //!    suites assert it 0).
 //! 2. **Dispatch and match.** The [`TransformationIndex`] names the
 //!    transformations whose pattern gate multiset the circuit can cover, and
-//!    each is matched in full, anchored on the context's gate buckets.
+//!    one walk of the index's shared match automaton matches all of them,
+//!    binding each pattern prefix they share once (DESIGN.md §2.6).
 //! 3. **Filter without materializing.** Every match's successor is costed
 //!    exactly from the delta ([`quartz_ir::DeltaCoster`], depth included) for
 //!    the γ filter, then its exact canonical-invariant [`StructuralHash`] is
@@ -54,7 +55,7 @@
 
 use crate::cache::LoadedLibrary;
 use crate::cost::CostModel;
-use crate::matcher::MatchContext;
+use crate::matcher::{MatchContext, MatchScratch};
 use crate::xform::{canonicalize, Transformation};
 use quartz_gen::{IndexScratch, TransformationIndex};
 use quartz_ir::{Circuit, CircuitDag, FxHashSet, SpliceDelta, StructuralHash};
@@ -712,11 +713,11 @@ impl Optimizer {
     /// Expands one dequeued circuit: builds its [`MatchContext`] (derived
     /// from the parent's, or from the sequence form at the root), confirms
     /// its admission-time hash, dispatches through the index, matches every
-    /// surviving transformation, and delta-costs and previews every
-    /// successor. Candidates are sorted by (cost, structural hash) so the
-    /// expansion's output is a function of the candidate set alone —
-    /// independent of the circuit's sequence representation, of match
-    /// enumeration order, and of wall-clock time (the timeout is checked
+    /// surviving transformation in one automaton walk, and delta-costs and
+    /// previews every successor. Candidates are sorted by (cost, structural
+    /// hash) so the expansion's output is a function of the candidate set
+    /// alone — independent of the circuit's sequence representation, of
+    /// match enumeration order, and of wall-clock time (the timeout is checked
     /// between dequeued entries, never mid-scan). Pure with respect to the
     /// search state — safe to run on worker threads; the only thread-local
     /// state is reusable scratch buffers that never influence results.
@@ -726,16 +727,23 @@ impl Optimizer {
         frozen_best: usize,
         seen: &FxHashSet<u64>,
     ) -> Expansion {
-        // Per-thread scratch: the index dispatch's visited set and the
-        // candidate-id buffer, reused across dequeues so the hot loop
-        // allocates nothing in steady state.
+        // Per-thread scratch: the index dispatch's visited set, the
+        // candidate-id buffer and the matcher's walk state, reused across
+        // dequeues so the hot loop allocates nothing in steady state.
         thread_local! {
-            static SCRATCH: RefCell<(IndexScratch, Vec<usize>)> =
-                RefCell::new((IndexScratch::new(), Vec::new()));
+            static SCRATCH: RefCell<(IndexScratch, Vec<usize>, MatchScratch)> =
+                RefCell::new((IndexScratch::new(), Vec::new(), MatchScratch::new()));
         }
         SCRATCH.with(|scratch| {
-            let (index_scratch, ids) = &mut *scratch.borrow_mut();
-            self.expand_entry_with_scratch(entry, frozen_best, seen, index_scratch, ids)
+            let (index_scratch, ids, match_scratch) = &mut *scratch.borrow_mut();
+            self.expand_entry_with_scratch(
+                entry,
+                frozen_best,
+                seen,
+                index_scratch,
+                ids,
+                match_scratch,
+            )
         })
     }
 
@@ -746,6 +754,7 @@ impl Optimizer {
         seen: &FxHashSet<u64>,
         index_scratch: &mut IndexScratch,
         ids: &mut Vec<usize>,
+        match_scratch: &mut MatchScratch,
     ) -> Expansion {
         let profiling = self.config.profile;
         let mut profile = SearchProfile::default();
@@ -784,69 +793,71 @@ impl Optimizer {
         // rejects cost-increasing rewrites without materializing them.
         let coster = cost_model.delta_coster(ctx.dag());
         let t_loop = profiling.then(Instant::now);
-        for &id in ids.iter() {
+        // One walk over the library's shared match automaton binds every
+        // dispatched rule's matches, a shared pattern prefix once for all
+        // the rules that start with it (DESIGN.md §2.6).
+        let automaton = self.index.automaton();
+        ctx.for_each_match(automaton, ids, match_scratch, |id, m| {
             let xform = &self.index.transformations()[id];
-            for m in ctx.find_matches(&xform.target) {
-                let t_delta = profiling.then(Instant::now);
-                let delta = ctx.delta_for(xform, &m);
-                if let Some(t) = t_delta {
-                    profile.delta += t.elapsed();
-                }
-                let Some(delta) = delta else {
-                    continue;
-                };
-                let t_gamma = profiling.then(Instant::now);
-                let cost = coster.cost_after(&delta);
-                let gamma_rejected = (cost as f64) >= gamma * frozen_best as f64;
-                if let Some(t) = t_gamma {
-                    profile.gamma_precheck += t.elapsed();
-                }
-                if gamma_rejected {
-                    continue;
-                }
-                // O(footprint) duplicate rejection: preview the successor's
-                // exact structural hash straight off the parent DAG and the
-                // delta — without applying the rewrite — and probe the
-                // frozen seen-set. The hash is a complete invariant of the
-                // canonical form (DESIGN.md §13), so a hit *is* a duplicate.
-                let t_preview = profiling.then(Instant::now);
-                let value = entry_shash.preview(ctx.dag(), &delta);
-                if let Some(t) = t_preview {
-                    profile.preview += t.elapsed();
-                }
-                let t_dedup = profiling.then(Instant::now);
-                let seen_hit = seen.contains(&value);
-                if let Some(t) = t_dedup {
-                    profile.dedup += t.elapsed();
-                }
-                if seen_hit {
-                    fp_fast_rejects += 1;
-                    continue;
-                }
-                // First sight: promote the previewed value to a full
-                // carryable hash (still O(footprint)) and admit the candidate
-                // on (cost, hash, delta) alone.
-                let t_preview = profiling.then(Instant::now);
-                let shash = entry_shash.previewed(ctx.dag(), &delta);
-                if let Some(t) = t_preview {
-                    profile.preview += t.elapsed();
-                }
-                debug_assert_eq!(shash.value(), value);
-                // Debug builds re-derive the admission from the materialized
-                // successor: same cost, same hash.
-                #[cfg(debug_assertions)]
-                {
-                    let canonical = canonicalize(&ctx.apply_delta(&delta));
-                    debug_assert_eq!(cost, cost_model.cost(&canonical));
-                    debug_assert_eq!(
-                        shash.value(),
-                        StructuralHash::of(&CircuitDag::from_circuit(&canonical)).value(),
-                        "structural-hash preview diverged from the materialized circuit"
-                    );
-                }
-                candidates.push(Candidate { cost, delta, shash });
+            let t_delta = profiling.then(Instant::now);
+            let delta = ctx.delta_for(xform, m);
+            if let Some(t) = t_delta {
+                profile.delta += t.elapsed();
             }
-        }
+            let Some(delta) = delta else {
+                return;
+            };
+            let t_gamma = profiling.then(Instant::now);
+            let cost = coster.cost_after(&delta);
+            let gamma_rejected = (cost as f64) >= gamma * frozen_best as f64;
+            if let Some(t) = t_gamma {
+                profile.gamma_precheck += t.elapsed();
+            }
+            if gamma_rejected {
+                return;
+            }
+            // O(footprint) duplicate rejection: preview the successor's
+            // exact structural hash straight off the parent DAG and the
+            // delta — without applying the rewrite — and probe the
+            // frozen seen-set. The hash is a complete invariant of the
+            // canonical form (DESIGN.md §13), so a hit *is* a duplicate.
+            let t_preview = profiling.then(Instant::now);
+            let value = entry_shash.preview(ctx.dag(), &delta);
+            if let Some(t) = t_preview {
+                profile.preview += t.elapsed();
+            }
+            let t_dedup = profiling.then(Instant::now);
+            let seen_hit = seen.contains(&value);
+            if let Some(t) = t_dedup {
+                profile.dedup += t.elapsed();
+            }
+            if seen_hit {
+                fp_fast_rejects += 1;
+                return;
+            }
+            // First sight: promote the previewed value to a full
+            // carryable hash (still O(footprint)) and admit the candidate
+            // on (cost, hash, delta) alone.
+            let t_preview = profiling.then(Instant::now);
+            let shash = entry_shash.previewed(ctx.dag(), &delta);
+            if let Some(t) = t_preview {
+                profile.preview += t.elapsed();
+            }
+            debug_assert_eq!(shash.value(), value);
+            // Debug builds re-derive the admission from the materialized
+            // successor: same cost, same hash.
+            #[cfg(debug_assertions)]
+            {
+                let canonical = canonicalize(&ctx.apply_delta(&delta));
+                debug_assert_eq!(cost, cost_model.cost(&canonical));
+                debug_assert_eq!(
+                    shash.value(),
+                    StructuralHash::of(&CircuitDag::from_circuit(&canonical)).value(),
+                    "structural-hash preview diverged from the materialized circuit"
+                );
+            }
+            candidates.push(Candidate { cost, delta, shash });
+        });
         if let Some(t) = t_loop {
             // Everything in the dispatch loop not claimed by a finer phase
             // is match-enumeration work.

@@ -9,7 +9,8 @@ use quartz_ir::{
 };
 use quartz_opt::{
     cancel_adjacent_inverses, canonicalize, greedy_optimize, merge_rotations, preprocess_nam,
-    transformations_from_ecc_set, CostModel, MatchContext, Optimizer, SearchConfig, Transformation,
+    transformations_from_ecc_set, CostModel, Match, MatchContext, MatchScratch, Optimizer,
+    SearchConfig, Transformation, TransformationIndex,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -298,27 +299,57 @@ fn reachable_rewrites(ctx: &MatchContext, xforms: &[Transformation]) -> Vec<Circ
     out
 }
 
-/// Every transformation of the committed NAM (3, 2, 2) library, parametric
-/// ones included, loaded once per process.
-fn committed_nam_transformations() -> &'static [Transformation] {
+/// The committed libraries, one per gate set, with the gates their
+/// arbitrary test circuits draw from (parametric gates listed twice, so
+/// that bindings get exercised often).
+const COMMITTED: [(&str, &[Gate]); 3] = [
+    (
+        "nam_n3_q2",
+        &[Gate::H, Gate::X, Gate::Rz, Gate::Rz, Gate::Cnot],
+    ),
+    (
+        "ibm_n2_q2",
+        &[Gate::U1, Gate::U2, Gate::U2, Gate::U3, Gate::U3, Gate::Cnot],
+    ),
+    (
+        "rigetti_n2_q2",
+        &[
+            Gate::Rx90,
+            Gate::Rx90Neg,
+            Gate::Rx180,
+            Gate::Rz,
+            Gate::Rz,
+            Gate::Cz,
+        ],
+    ),
+];
+
+/// The dispatch index of `COMMITTED[which]`, parametric rules included,
+/// loaded once per process.
+fn committed_index(which: usize) -> &'static TransformationIndex {
     use std::sync::OnceLock;
-    static XFORMS: OnceLock<Vec<Transformation>> = OnceLock::new();
-    XFORMS.get_or_init(|| {
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../libraries/nam_n3_q2.qtzl"
-        );
-        let (_, index) = Library::load(path).unwrap().into_parts();
-        index.unwrap().transformations().to_vec()
-    })
+    static INDEXES: OnceLock<Vec<TransformationIndex>> = OnceLock::new();
+    &INDEXES.get_or_init(|| {
+        COMMITTED
+            .iter()
+            .map(|(name, _)| {
+                let path = format!("{}/../../libraries/{name}.qtzl", env!("CARGO_MANIFEST_DIR"));
+                let (_, index) = Library::load(&path).unwrap().into_parts();
+                index.unwrap()
+            })
+            .collect()
+    })[which]
 }
 
-/// A NAM gate (H, X, Rz, CNOT) whose Rz angle is a constant or an
-/// expression over two symbolic circuit parameters, so that bindings and
+/// A gate of `gates` on distinct qubits whose angles are constants or
+/// expressions over two symbolic circuit parameters, so that bindings and
 /// instantiated rewrites carry nonzero coefficients.
-fn arb_nam_instruction(nq: usize) -> impl Strategy<Value = Instruction> {
+fn arb_library_instruction(
+    gates: &'static [Gate],
+    nq: usize,
+) -> impl Strategy<Value = Instruction> {
     let m = 2;
-    let angles = prop_oneof![
+    let angle = prop_oneof![
         (-4i32..=4).prop_map(ParamExpr::constant_pi4),
         (0..m, -2i32..=2).prop_map(
             move |(i, r)| ParamExpr::var(i, m).add(&ParamExpr::constant_pi4_with_params(r, m))
@@ -326,22 +357,25 @@ fn arb_nam_instruction(nq: usize) -> impl Strategy<Value = Instruction> {
         (0..m).prop_map(move |i| ParamExpr::scaled_var(i, 2, m)),
         Just(ParamExpr::sum_vars(0, 1, m)),
     ];
-    let gates = prop_oneof![
-        Just(Gate::H),
-        Just(Gate::X),
-        Just(Gate::Rz),
-        Just(Gate::Rz),
-        Just(Gate::Cnot),
-    ];
-    (gates, 0..nq, 1..nq, angles).prop_map(move |(gate, q, shift, angle)| match gate {
-        Gate::Cnot => Instruction::new(gate, vec![q, (q + shift) % nq], vec![]),
-        Gate::Rz => Instruction::new(gate, vec![q], vec![angle]),
-        _ => Instruction::new(gate, vec![q], vec![]),
-    })
+    let gate = (0..gates.len()).prop_map(move |i| gates[i]);
+    (gate, 0..nq, 1..nq, prop::collection::vec(angle, 3)).prop_map(
+        move |(gate, q, shift, angles)| {
+            let qubits = if gate.num_qubits() == 2 {
+                vec![q, (q + shift) % nq]
+            } else {
+                vec![q]
+            };
+            Instruction::new(gate, qubits, angles[..gate.num_params()].to_vec())
+        },
+    )
 }
 
-fn arb_nam_circuit(nq: usize, max_len: usize) -> impl Strategy<Value = Circuit> {
-    prop::collection::vec(arb_nam_instruction(nq), 1..max_len).prop_map(move |instrs| {
+fn arb_library_circuit(
+    gates: &'static [Gate],
+    nq: usize,
+    max_len: usize,
+) -> impl Strategy<Value = Circuit> {
+    prop::collection::vec(arb_library_instruction(gates, nq), 1..max_len).prop_map(move |instrs| {
         let mut c = Circuit::new(nq, 2);
         for i in instrs {
             c.push(i);
@@ -350,31 +384,78 @@ fn arb_nam_circuit(nq: usize, max_len: usize) -> impl Strategy<Value = Circuit> 
     })
 }
 
+/// The engine's matcher against the oracle's independent `Apply(C, T)` on
+/// one committed library, rule by rule. The library-wide walk runs over the
+/// rules the index dispatches, as the search runs it; each dispatched rule's
+/// matches must yield the oracle's multiset of canonical circuits
+/// (duplicates count, since `dedup_hits` does) and equal the single-pattern
+/// `find_matches`, and an undispatched rule must have no oracle match.
+fn walk_agrees_with_the_oracle(which: usize, c: &Circuit) -> Result<(), TestCaseError> {
+    let index = committed_index(which);
+    let xforms = index.transformations();
+    let ctx = MatchContext::new(c);
+    let dispatched = index.candidates_for(c.gate_histogram());
+    let mut walked: Vec<Vec<Match>> = vec![Vec::new(); xforms.len()];
+    ctx.for_each_match(
+        index.automaton(),
+        &dispatched,
+        &mut MatchScratch::new(),
+        |id, m| walked[id].push(m.clone()),
+    );
+    let by_region = |a: &Match, b: &Match| a.instruction_map.cmp(&b.instruction_map);
+    for (id, xform) in xforms.iter().enumerate() {
+        let mut reference: Vec<Circuit> =
+            oracle::apply(c, xform).iter().map(canonicalize).collect();
+        reference.sort_by(|a, b| a.precedence_cmp(b));
+        let mut engine: Vec<Circuit> = walked[id]
+            .iter()
+            .filter_map(|m| ctx.delta_for(xform, m))
+            .map(|delta| canonicalize(&ctx.apply_delta(&delta)))
+            .collect();
+        engine.sort_by(|a, b| a.precedence_cmp(b));
+        let library = COMMITTED[which].0;
+        prop_assert!(
+            engine == reference,
+            "{library} rule {id}: walk {engine:?}, oracle {reference:?}"
+        );
+        if dispatched.binary_search(&id).is_ok() {
+            let mut single = ctx.find_matches(&xform.target);
+            single.sort_by(by_region);
+            walked[id].sort_by(by_region);
+            prop_assert!(
+                single == walked[id],
+                "{library} rule {id}: find_matches {single:?}, walk {:?}",
+                walked[id]
+            );
+        } else {
+            prop_assert!(walked[id].is_empty());
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The engine's matcher against the oracle's independent `Apply(C, T)`:
-    /// for every transformation of the committed library, matching, then
-    /// instantiating and applying each match, must yield the same multiset
-    /// of canonical circuits. Duplicates count, since `dedup_hits` does.
     #[test]
     fn matcher_agrees_with_the_oracle_matcher_on_the_committed_library(
-        c in arb_nam_circuit(3, 12),
+        c in arb_library_circuit(COMMITTED[0].1, 3, 12),
     ) {
-        let ctx = MatchContext::new(&c);
-        for xform in committed_nam_transformations() {
-            let mut engine: Vec<Circuit> = ctx
-                .find_matches(&xform.target)
-                .iter()
-                .filter_map(|m| ctx.delta_for(xform, m))
-                .map(|delta| canonicalize(&ctx.apply_delta(&delta)))
-                .collect();
-            let mut reference: Vec<Circuit> =
-                oracle::apply(&c, xform).iter().map(canonicalize).collect();
-            engine.sort_by(|a, b| a.precedence_cmp(b));
-            reference.sort_by(|a, b| a.precedence_cmp(b));
-            prop_assert_eq!(engine, reference);
-        }
+        walk_agrees_with_the_oracle(0, &c)?;
+    }
+
+    #[test]
+    fn matcher_agrees_with_the_oracle_matcher_on_the_committed_ibm_library(
+        c in arb_library_circuit(COMMITTED[1].1, 3, 12),
+    ) {
+        walk_agrees_with_the_oracle(1, &c)?;
+    }
+
+    #[test]
+    fn matcher_agrees_with_the_oracle_matcher_on_the_committed_rigetti_library(
+        c in arb_library_circuit(COMMITTED[2].1, 3, 12),
+    ) {
+        walk_agrees_with_the_oracle(2, &c)?;
     }
 }
 

@@ -92,7 +92,8 @@ impl Drop for Server {
 }
 
 fn accept_loop(listener: &TcpListener, daemon: &Arc<Daemon>, stop: &Arc<AtomicBool>) {
-    for stream in listener.incoming() {
+    loop {
+        let stream = accept(listener);
         if stop.load(Ordering::SeqCst) {
             return;
         }
@@ -106,9 +107,21 @@ fn accept_loop(listener: &TcpListener, daemon: &Arc<Daemon>, stop: &Arc<AtomicBo
     }
 }
 
+/// How long a connection thread waits on one blocked read or write before
+/// it gives the connection up.
+const IO_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Accepts one connection with both directions bounded: a torn request
+/// (no more bytes coming) and a client that stops reading a large response
+/// (a full send buffer) must not hold the connection thread forever.
+fn accept(listener: &TcpListener) -> std::io::Result<TcpStream> {
+    let (stream, _) = listener.accept()?;
+    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
+    Ok(stream)
+}
+
 fn handle_connection(mut stream: TcpStream, daemon: &Daemon) {
-    // A torn request must not hold the thread forever.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
     let request = match read_request(&mut stream, daemon.config().max_body_bytes) {
         Ok(request) => request,
         Err(error) => {
@@ -324,5 +337,16 @@ mod tests {
             Some(Err("abc"))
         );
         assert_eq!(parse_id_route("/v1/other/17", "/v1/status/"), None);
+    }
+
+    /// The accept loop's connections carry both timeouts, checked on the
+    /// socket options themselves rather than by waiting for one to fire.
+    #[test]
+    fn accepted_connections_bound_reads_and_writes() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let accepted = accept(&listener).unwrap();
+        assert_eq!(accepted.read_timeout().unwrap(), Some(IO_TIMEOUT));
+        assert_eq!(accepted.write_timeout().unwrap(), Some(IO_TIMEOUT));
     }
 }
