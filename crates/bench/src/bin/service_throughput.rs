@@ -154,31 +154,20 @@ fn main() {
     }
     println!();
 
-    // -- Startup: v2 lazy open vs eager decode (DESIGN.md §12) -------------
-    // Repack the committed artifact to the v2 container and time the two
-    // ways of bringing it up cold: a full eager decode of every class and
-    // the index, vs. mapping the file and parsing only the header + class
-    // table (what `LibraryCache::with_registry` does per shard). The lazy
-    // open must be at least 10x faster and decode zero classes.
+    // -- Startup: lazy open vs eager decode (DESIGN.md §12) ----------------
+    // Time the two ways of bringing the committed artifact up cold: a full
+    // eager decode of every class and the index, vs. opening the file and
+    // parsing only the header + class table (the first step of every
+    // `LibraryCache` load). The lazy open must be at least 10x faster and
+    // decode zero classes.
     if loaded.is_some() {
-        let v1 = quartz_gen::Library::load(&artifact).expect("committed artifact decodes");
-        let v2 = quartz_gen::Library::with_format(
-            v1.header().gate_set.clone(),
-            v1.ecc_set().clone(),
-            v1.header().has_index(),
-            quartz_gen::FORMAT_VERSION_V2,
-        );
-        let v2_path =
-            std::env::temp_dir().join(format!("quartz_bench_v2_{}.qtzl", std::process::id()));
-        v2.save(&v2_path).expect("write v2 repack");
-
         // Best-of-N cold starts: process-fresh I/O effects are not the
         // subject here, decode work is.
         const REPS: usize = 10;
         let mut eager_secs = f64::MAX;
         for _ in 0..REPS {
             let start = Instant::now();
-            let eager = quartz_gen::Library::load(&v2_path).expect("eager v2 load");
+            let eager = quartz_gen::Library::load(&artifact).expect("eager load");
             std::hint::black_box(&eager);
             eager_secs = eager_secs.min(start.elapsed().as_secs_f64());
         }
@@ -187,14 +176,14 @@ fn main() {
         let mut classes_decoded = 0usize;
         for _ in 0..REPS {
             let start = Instant::now();
-            let lazy = quartz_gen::LazyLibrary::open(&v2_path).expect("lazy v2 open");
+            let lazy = quartz_gen::LazyLibrary::open(&artifact).expect("lazy open");
             std::hint::black_box(lazy.class_table());
             lazy_secs = lazy_secs.min(start.elapsed().as_secs_f64());
             classes_total = lazy.num_classes();
             classes_decoded = lazy.decoded_classes();
         }
         let lazy_speedup = eager_secs / lazy_secs.max(1e-12);
-        println!("== Service startup: v2 eager decode vs lazy open ==");
+        println!("== Service startup: eager decode vs lazy open ==");
         println!(
             "{:>10} {:>12.2?}   full decode ({classes_total} classes + index)",
             "eager",
@@ -211,7 +200,7 @@ fn main() {
         );
         assert!(
             lazy_secs * 10.0 <= eager_secs,
-            "lazy v2 open ({lazy_secs:.6}s) must be at least 10x faster than the eager \
+            "lazy open ({lazy_secs:.6}s) must be at least 10x faster than the eager \
              decode ({eager_secs:.6}s)"
         );
         assert_eq!(classes_decoded, 0, "opening lazily must decode no classes");
@@ -222,7 +211,6 @@ fn main() {
             .metric("lazy_speedup", lazy_speedup)
             .metric("classes_total", classes_total as f64)
             .metric("classes_decoded", classes_decoded as f64);
-        let _ = std::fs::remove_file(&v2_path);
     }
 
     let batch: Vec<Circuit> = scale

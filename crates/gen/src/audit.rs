@@ -33,13 +33,12 @@
 use crate::json::{int, object, Node, ShapeError};
 use crate::library::{checksum64, encode_circuit};
 use crate::{
-    transformations_from_ecc_set, Ecc, EccSet, LibraryError, LibraryReader, Transformation,
+    transformations_from_ecc_set, Ecc, EccSet, LazyLibrary, LibraryError, Transformation,
     TransformationIndex, GENERATOR_VERSION,
 };
 use quartz_ir::json::{self, Json};
 use quartz_ir::{canonicalize, Circuit, CostModel, GateSet};
 use quartz_verify::{MemberFailure, Verifier, VerifierConfig};
-use rayon::IntoParallelRefIterator;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -580,14 +579,11 @@ impl Auditor {
         path: &Path,
         use_cache: bool,
     ) -> Result<AuditReport, LibraryError> {
-        let bytes =
-            std::fs::read(path).map_err(|e| LibraryError::Io(crate::path_io_error(path, e)))?;
-        let reader = LibraryReader::new(&bytes)?;
-        reader.verify_checksum()?;
-        let set = reader.decode_ecc_set()?;
+        let library = LazyLibrary::open(path)?;
+        let set = library.ecc_set()?;
         // An undecodable prebuilt index is a *finding*, not an abort: the
         // payload can still be fully audited.
-        let (index, index_diag) = match reader.decode_index() {
+        let (index, index_diag) = match library.index() {
             Ok(index) => (index, None),
             Err(e) => (
                 None,
@@ -601,19 +597,19 @@ impl Auditor {
         let stamp = use_cache
             .then(|| AuditStamp::load_for(path))
             .flatten()
-            .filter(|s| s.certifies(reader.header().checksum, self.config.verifier.digest()));
+            .filter(|s| s.certifies(library.header().checksum, self.config.verifier.digest()));
         let mut report = self.audit_set(
             &set,
-            &reader.header().gate_set,
-            index.as_ref(),
+            &library.header().gate_set,
+            index.as_deref(),
             stamp.as_ref(),
         );
         if let Some(d) = index_diag {
             report.diagnostics.insert(0, d);
         }
         report.artifact = path.display().to_string();
-        report.artifact_checksum = reader.header().checksum;
-        report.generator_version = reader.header().generator_version;
+        report.artifact_checksum = library.header().checksum;
+        report.generator_version = library.header().generator_version;
         Ok(report)
     }
 
@@ -657,9 +653,9 @@ impl Auditor {
             .filter_map(|d| d.location.ecc)
             .collect();
 
-        // Pass 1: semantic re-verification, parallel over classes. The
-        // vendored rayon stand-in collects in input order, so diagnostics
-        // come out deterministic regardless of thread count.
+        // Pass 1: semantic re-verification, parallel over classes. Results
+        // come back in input order, so diagnostics are deterministic
+        // regardless of thread count.
         let work: Vec<(usize, &Ecc)> = set
             .eccs
             .iter()
@@ -673,20 +669,12 @@ impl Auditor {
                 !hit
             })
             .collect();
-        let threads = if self.config.threads == 0 {
-            rayon::current_num_threads()
-        } else {
-            self.config.threads
-        };
-        let verifier_config = self.config.verifier.clone();
-        let class_reports: Vec<(usize, quartz_verify::ClassReport)> = work
-            .par_iter()
-            .with_max_threads(threads)
-            .map(|(i, ecc)| {
+        let verifier_config = &self.config.verifier;
+        let class_reports: Vec<(usize, quartz_verify::ClassReport)> =
+            quartz_ir::par::map_in_order(&work, self.config.threads, |(i, ecc)| {
                 let mut verifier = Verifier::new(verifier_config.clone());
                 (*i, verifier.verify_class(ecc.circuits()))
-            })
-            .collect();
+            });
         for (ecc_idx, class_report) in &class_reports {
             for (member, failure) in &class_report.failures {
                 let (rule, message) = match failure {

@@ -14,10 +14,11 @@
 //!     Convert a binary artifact back to interchange JSON.
 //!
 //! quartz-lib inspect FILE
-//!     Dump the header and payload statistics of an artifact.
+//!     Dump the header, class table and index statistics of an artifact.
 //!
 //! quartz-lib verify-checksum FILE [--deep]
-//!     Validate the header, artifact checksum, and generator version. With
+//!     Validate the header, the artifact checksum (header and class table),
+//!     every class and index digest, and the generator version. With
 //!     --deep, additionally decode the payload, re-pack it with the current
 //!     generator pipeline, and require byte-identical output (catches a
 //!     stale prebuilt index or a stale encoder).
@@ -40,11 +41,6 @@
 //!     seeded-mutation check greps the printed location out of the audit
 //!     report).
 //!
-//! quartz-lib repack --in FILE --out FILE [--format 1|2]
-//!     Re-encode an artifact in another format version (default: v2, the
-//!     lazy-loadable class-table format of DESIGN.md §12). Shards cannot be
-//!     repacked — merge them first.
-//!
 //! quartz-lib shard --in FILE --count K --out-prefix PREFIX
 //!     Split a whole artifact into K shard artifacts
 //!     (PREFIX.shard0.qtzl … PREFIX.shard{K-1}.qtzl), each owning whole
@@ -66,7 +62,7 @@
 //!                         [--generator-version V]
 //!     Resolve a key to its verified blob paths (printed on stdout, one
 //!     per line, shard-sequence order). Every blob is re-verified —
-//!     header, checksum, and all v2 digests — before it is reported.
+//!     header, checksum, and every section digest — before it is reported.
 //!
 //! quartz-lib registry list --root DIR
 //!     List every published key with its blob layout.
@@ -80,8 +76,7 @@
 
 use quartz_gen::{
     merge_shards, prune, shard_library, AuditConfig, AuditStamp, Auditor, Ecc, EccSet, GenConfig,
-    Generator, Library, LibraryReader, Registry, RegistryKey, FORMAT_VERSION, FORMAT_VERSION_V2,
-    GENERATOR_VERSION,
+    Generator, LazyLibrary, Library, Registry, RegistryKey, GENERATOR_VERSION,
 };
 use quartz_ir::{Circuit, GateSet, Instruction, ALL_GATES};
 use quartz_verify::Verifier;
@@ -102,7 +97,6 @@ fn main() -> ExitCode {
         "verify-checksum" => verify_checksum(rest),
         "audit" => audit(rest),
         "mutate" => mutate(rest),
-        "repack" => repack(rest),
         "shard" => shard(rest),
         "merge" => merge(rest),
         "registry" => registry_command(rest),
@@ -136,7 +130,6 @@ const USAGE: &str = "usage:
   quartz-lib verify-checksum FILE [--deep]
   quartz-lib audit FILE [--json] [--no-cache] [--write-stamp] [--expect-full-cache] [--threads N]
   quartz-lib mutate --in FILE --out FILE
-  quartz-lib repack --in FILE --out FILE [--format 1|2]
   quartz-lib shard --in FILE --count K --out-prefix PREFIX
   quartz-lib merge --out FILE SHARD...
   quartz-lib registry add --root DIR FILE...
@@ -329,9 +322,8 @@ fn inspect(args: &[String]) -> Result<(), Failure> {
         .to_string();
     args.finish()?;
 
-    let bytes = std::fs::read(&path).map_err(|e| runtime(format!("{path}: {e}")))?;
-    let reader = LibraryReader::new(&bytes).map_err(runtime)?;
-    let h = reader.header();
+    let library = LazyLibrary::open(&path).map_err(runtime)?;
+    let h = library.header();
     println!("{path}: quartz transformation library (QTZL)");
     println!("  format version:     {}", h.format_version);
     println!("  generator version:  {}", h.generator_version);
@@ -353,27 +345,25 @@ fn inspect(args: &[String]) -> Result<(), Failure> {
         }
     );
     println!("  checksum:           {:#018x}", h.checksum);
-    if let Some(table) = reader.class_table() {
+    let table = library.class_table();
+    println!(
+        "  class table:        {} entries ({} bytes)",
+        table.classes.len(),
+        table.encoded_len()
+    );
+    if table.is_shard() {
         println!(
-            "  class table:        {} entries ({} bytes, lazy-loadable)",
-            table.classes.len(),
-            table.encoded_len()
+            "  shard:              {} of {} (parent: {} classes, {} transformations, \
+             checksum {:#018x})",
+            table.shard_seq + 1,
+            table.shard_count,
+            table.parent_num_eccs,
+            table.parent_num_xforms,
+            table.parent_checksum
         );
-        if table.is_shard() {
-            println!(
-                "  shard:              {} of {} (parent: {} classes, {} transformations, \
-                 checksum {:#018x})",
-                table.shard_seq + 1,
-                table.shard_count,
-                table.parent_num_eccs,
-                table.parent_num_xforms,
-                table.parent_checksum
-            );
-            println!("  index slice:        {} parent ids", table.xform_ids.len());
-        }
+        println!("  index slice:        {} parent ids", table.xform_ids.len());
     }
-    reader.verify_checksum().map_err(runtime)?;
-    if let Some(index) = reader.decode_index().map_err(runtime)? {
+    if let Some(index) = library.index().map_err(runtime)? {
         println!("  transformations:    {}", index.len());
         let populated = index
             .anchor_buckets()
@@ -533,43 +523,6 @@ fn mutate(args: &[String]) -> Result<(), Failure> {
     Err(runtime(format!(
         "{input}: found no instruction whose mutation the verifier can prove unsound"
     )))
-}
-
-fn repack(args: &[String]) -> Result<(), Failure> {
-    let mut args = Args::new(args);
-    let input = args.required("--in")?.to_string();
-    let out = args.required("--out")?.to_string();
-    let format = match args.value_of("--format")? {
-        None => FORMAT_VERSION_V2,
-        Some("1") => FORMAT_VERSION,
-        Some("2") => FORMAT_VERSION_V2,
-        Some(other) => return Err(usage(format!("--format must be 1 or 2, got {other:?}"))),
-    };
-    args.finish()?;
-
-    let bytes = std::fs::read(&input).map_err(|e| runtime(format!("{input}: {e}")))?;
-    let reader = LibraryReader::new(&bytes).map_err(runtime)?;
-    if reader.class_table().is_some_and(|t| t.is_shard()) {
-        return Err(runtime(format!(
-            "{input}: shards carry a slice of their parent's index and cannot be repacked \
-             standalone — `quartz-lib merge` the group first"
-        )));
-    }
-    let library = Library::from_bytes(&bytes).map_err(runtime)?;
-    let header = library.header().clone();
-    let repacked = Library::with_format(
-        header.gate_set.clone(),
-        library.into_parts().0,
-        header.has_index(),
-        format,
-    );
-    repacked.save(&out).map_err(runtime)?;
-    eprintln!(
-        "repacked {input} (v{}) -> {out} (v{format}, {} bytes)",
-        header.format_version,
-        repacked.byte_len()
-    );
-    Ok(())
 }
 
 fn shard(args: &[String]) -> Result<(), Failure> {
@@ -736,10 +689,9 @@ fn verify_checksum(args: &[String]) -> Result<(), Failure> {
         .to_string();
     args.finish()?;
 
-    let bytes = std::fs::read(&path).map_err(|e| runtime(format!("{path}: {e}")))?;
-    let reader = LibraryReader::new(&bytes).map_err(runtime)?;
-    reader.verify_checksum().map_err(runtime)?;
-    let header = reader.header().clone();
+    let library = LazyLibrary::open(&path).map_err(runtime)?;
+    library.verify_all().map_err(runtime)?;
+    let header = library.header();
     if header.generator_version != GENERATOR_VERSION {
         return Err(runtime(format!(
             "{path}: artifact was produced by generator version {} but this build is version \
@@ -754,9 +706,9 @@ fn verify_checksum(args: &[String]) -> Result<(), Failure> {
     }
     println!("{path}: checksum {:#018x} ok", header.checksum);
     if deep {
-        let set = reader.decode_ecc_set().map_err(runtime)?;
-        reader.decode_index().map_err(runtime)?;
-        if reader.class_table().is_some_and(|t| t.is_shard()) {
+        let set = library.ecc_set().map_err(runtime)?;
+        library.index().map_err(runtime)?;
+        if library.class_table().is_shard() {
             // A shard's index section is a slice of its parent's, so whole-
             // artifact re-packing can't reproduce it. Decoding above already
             // re-hashed every class payload and the index section against
@@ -768,17 +720,12 @@ fn verify_checksum(args: &[String]) -> Result<(), Failure> {
                 set.eccs.len()
             );
         } else {
-            let repacked = Library::with_format(
-                header.gate_set.clone(),
-                set,
-                header.has_index(),
-                header.format_version,
-            )
-            .to_bytes();
-            if repacked != bytes {
+            let bytes = std::fs::read(&path).map_err(|e| runtime(format!("{path}: {e}")))?;
+            let repacked = Library::new(header.gate_set.clone(), set, header.has_index());
+            if repacked.to_bytes() != bytes {
                 return Err(runtime(format!(
                     "{path}: artifact is stale — re-packing its own payload with the current \
-                     pipeline produces different bytes (regenerate or re-pack it)"
+                     pipeline produces different bytes (regenerate it)"
                 )));
             }
             println!("{path}: deep verification ok (payload decodes, re-pack is byte-identical)");

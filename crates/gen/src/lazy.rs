@@ -1,17 +1,18 @@
-//! Lazy, mmap-backed access to format-v2 library artifacts, and the
+//! The one reader of library artifacts — lazy and file-backed — and the
 //! shard/merge machinery built on top of it (DESIGN.md §12).
 //!
-//! [`crate::LibraryReader`] validates v2 artifacts zero-copy but its
-//! `decode_*` entry points still materialize whole sections.
-//! [`LazyLibrary`] goes one step further: open validates only the header
-//! and the class table (O(header + table) work and memory), and each ECC
-//! class is decoded — and digest-verified — the first time it is touched.
-//! A server that routes traffic for a handful of gate sets over paper-scale
-//! artifacts therefore pays O(used classes), not O(library), in both
-//! startup latency and resident memory.
+//! [`LazyLibrary`] validates only the header and the class table at open
+//! (O(header + table) work and memory), and each ECC class is decoded — and
+//! digest-verified — the first time it is touched. A server that routes
+//! traffic for a handful of gate sets over paper-scale artifacts therefore
+//! pays O(used classes), not O(library), in both startup latency and
+//! resident memory. Every other way of reading an artifact goes through
+//! it: [`Library::from_bytes`] decodes everything up front, and the
+//! optimizer's library cache, the registry, the auditor and `quartz-lib`
+//! open artifacts with it.
 //!
 //! The same class table powers **sharding**: [`shard_library`] splits one
-//! indexed artifact into `k` v2 shards along whole anchor buckets, each
+//! indexed artifact into `k` shards along whole anchor buckets, each
 //! carrying its slice of the parent's prebuilt index together with the
 //! parent transformation ids, so [`assemble_index`] can rebuild a dispatch
 //! index from any subset of shards — and exactly the parent's index when
@@ -19,34 +20,37 @@
 //! the parent artifact and proves byte-identity via the parent checksum
 //! recorded in every shard.
 //!
-//! Integrity model (the lazy-decode safety argument, DESIGN.md §12.3): the
-//! v2 artifact checksum covers the header prefix and the class table; the
+//! Integrity model (the lazy-decode safety argument, DESIGN.md §12.2): the
+//! artifact checksum covers the header prefix and the class table; the
 //! table's per-class digests and index digest cover every remaining body
 //! byte. Open verifies the former; every class/index access verifies the
 //! latter before decoding. A flipped byte anywhere in the file is therefore
 //! caught at open or at first touch of the section it lives in — never
-//! silently decoded — and [`LazyLibrary::verify_all`] (used by
-//! `quartz-lib verify-checksum --deep` and registry `get`) hashes every
-//! section without decoding for the classes a lazy reader never touched.
+//! silently decoded — and [`LazyLibrary::verify_all`] (run by the library
+//! cache before it caches an artifact, by registry `add`/`get`, and by
+//! `quartz-lib verify-checksum`) hashes every section without decoding for
+//! the classes a lazy reader never touched.
 
 use crate::ecc::{Ecc, EccSet};
 use crate::index::TransformationIndex;
 use crate::library::{
-    artifact_checksum, checksum64, class_payload_digest, decode_class_payload,
-    decode_index_section, encode_ecc_class, encode_index_section, path_io_error,
-    verify_class_payload, verify_index_section, ClassEntry, ClassTable, Cursor, Library,
-    LibraryError, LibraryHeader, FORMAT_VERSION_V2, GENERATOR_VERSION, HEADER_LEN,
+    artifact_checksum, check_payload_totals, checksum64, class_payload_digest,
+    decode_class_payload, decode_index_section, encode_artifact, encode_ecc_class,
+    encode_index_section, path_io_error, verify_class_payload, verify_index_section, ClassEntry,
+    ClassTable, Cursor, Library, LibraryError, LibraryHeader, FORMAT_VERSION_V2, GENERATOR_VERSION,
+    HEADER_LEN,
 };
 use crate::xform::transformations_with_provenance;
 use quartz_ir::Gate;
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// The byte source behind a [`LazyLibrary`]: a positioned-read file "map"
-/// (the vendored `mmap` shim, DESIGN.md §4) or an owned in-memory buffer,
-/// so every existing byte-slice test path runs unchanged.
+/// (the vendored `mmap` shim, DESIGN.md §4) or an owned in-memory buffer.
 #[derive(Debug)]
 enum MmapBody {
     Mapped { map: mmap::Mmap, path: PathBuf },
@@ -61,43 +65,40 @@ impl MmapBody {
         }
     }
 
-    /// Reads `range` (absolute file offsets), failing with a path-annotated
+    /// Reads `range` (absolute file offsets) — copied out of a mapped file,
+    /// borrowed from an in-memory buffer — failing with a path-annotated
     /// [`LibraryError::Io`] when the source cannot serve it.
-    fn read_range(&self, range: std::ops::Range<usize>) -> Result<Vec<u8>, LibraryError> {
+    fn read_range(&self, range: Range<usize>) -> Result<Cow<'_, [u8]>, LibraryError> {
         match self {
             MmapBody::Mapped { map, path } => map
                 .read_range(range)
+                .map(Cow::Owned)
                 .map_err(|e| LibraryError::Io(path_io_error(path, e))),
             MmapBody::Bytes(bytes) => {
-                if range.end > bytes.len() || range.start > range.end {
-                    return Err(LibraryError::Truncated {
+                bytes
+                    .get(range)
+                    .map(Cow::Borrowed)
+                    .ok_or(LibraryError::Truncated {
                         context: "lazy byte range",
-                    });
-                }
-                Ok(bytes[range].to_vec())
+                    })
             }
         }
     }
 }
 
-/// A lazily-decoding handle over one library artifact.
-///
-/// * v2 artifacts: open reads and validates the header and class table
-///   only; [`LazyLibrary::class`] decodes (and digest-verifies) a class on
-///   first touch and caches the decoded form; [`LazyLibrary::index`] does
-///   the same for the prebuilt index section.
-/// * v1 artifacts: open falls back to the existing eager path
-///   ([`Library::from_bytes`], full checksum verification and decode), so
-///   every artifact ever published keeps loading through this one type.
+/// A lazily-decoding handle over one library artifact: open reads and
+/// validates the header and class table only; [`LazyLibrary::class`]
+/// decodes (and digest-verifies) a class on first touch and caches the
+/// decoded form; [`LazyLibrary::index`] does the same for the prebuilt
+/// index section.
 ///
 /// All accessors are `&self` and thread-safe; concurrent first touches of
 /// the same class decode at most twice and cache once.
 #[derive(Debug)]
 pub struct LazyLibrary {
     header: LibraryHeader,
-    /// `None` for v1 artifacts (eagerly decoded at open).
-    table: Option<ClassTable>,
-    body: Option<MmapBody>,
+    table: ClassTable,
+    body: MmapBody,
     /// Absolute file offset where the ECC payload section starts.
     ecc_start: usize,
     /// Prefix sums of class payload lengths: class `i` occupies
@@ -110,17 +111,15 @@ pub struct LazyLibrary {
 }
 
 impl LazyLibrary {
-    /// Opens an artifact file through the mmap shim.
-    ///
-    /// For v2 this reads O(header + class table) bytes and verifies the v2
-    /// checksum over exactly those; the payload and index sections stay on
-    /// disk until touched. For v1 it reads and verifies the whole file
-    /// eagerly.
+    /// Opens an artifact file through the mmap shim, reading and verifying
+    /// O(header + class table) bytes; the payload and index sections stay
+    /// on disk until touched.
     ///
     /// # Errors
     ///
-    /// Any header, table, or checksum validation failure; I/O errors name
-    /// `path`.
+    /// Any header, table, or checksum validation failure
+    /// ([`LibraryError::UnsupportedVersion`] for any format version but
+    /// [`FORMAT_VERSION_V2`]); I/O errors name `path`.
     pub fn open(path: impl AsRef<Path>) -> Result<LazyLibrary, LibraryError> {
         let path = path.as_ref();
         let map = mmap::Mmap::open(path).map_err(|e| LibraryError::Io(path_io_error(path, e)))?;
@@ -131,8 +130,8 @@ impl LazyLibrary {
         LazyLibrary::from_body(body, Some(path.to_path_buf()))
     }
 
-    /// Opens an artifact from an in-memory buffer (the byte-slice fallback;
-    /// identical validation and laziness, no file behind it).
+    /// Opens an artifact from an in-memory buffer (identical validation and
+    /// laziness, no file behind it).
     ///
     /// # Errors
     ///
@@ -145,38 +144,6 @@ impl LazyLibrary {
         let file_len = body.len();
         let head = body.read_range(0..file_len.min(HEADER_LEN))?;
         let header = LibraryHeader::decode(&head)?;
-        if header.format_version != FORMAT_VERSION_V2 {
-            // v1: the existing eager path, through the same handle type.
-            let bytes = body.read_range(0..file_len)?;
-            let library = Library::from_bytes(&bytes)?;
-            let num_eccs = library.ecc_set().eccs.len();
-            let (set, index) = library.into_parts();
-            let classes: Vec<OnceLock<Arc<Ecc>>> = set
-                .eccs
-                .into_iter()
-                .map(|ecc| {
-                    let cell = OnceLock::new();
-                    cell.set(Arc::new(ecc)).expect("fresh cell");
-                    cell
-                })
-                .collect();
-            let index_cache = OnceLock::new();
-            index_cache
-                .set(index.map(Arc::new))
-                .expect("fresh index cell");
-            return Ok(LazyLibrary {
-                header,
-                table: None,
-                body: None,
-                ecc_start: HEADER_LEN,
-                class_offsets: Vec::new(),
-                classes,
-                index_cache,
-                decoded: AtomicUsize::new(num_eccs),
-                path,
-            });
-        }
-        // v2: read and verify the class table, nothing else.
         let preamble_end = HEADER_LEN + 32;
         if file_len < preamble_end {
             return Err(LibraryError::Truncated {
@@ -207,8 +174,12 @@ impl LazyLibrary {
                 found,
             });
         }
-        let expected_len =
-            HEADER_LEN + table_len + header.ecc_len as usize + header.index_len as usize;
+        let expected_len = (HEADER_LEN + table_len)
+            .checked_add(header.ecc_len as usize)
+            .and_then(|l| l.checked_add(header.index_len as usize))
+            .ok_or(LibraryError::Malformed(
+                "section lengths overflow".to_string(),
+            ))?;
         if file_len < expected_len {
             return Err(LibraryError::Truncated { context: "body" });
         }
@@ -228,8 +199,8 @@ impl LazyLibrary {
         let classes = (0..table.classes.len()).map(|_| OnceLock::new()).collect();
         Ok(LazyLibrary {
             header,
-            table: Some(table),
-            body: Some(body),
+            table,
+            body,
             ecc_start: HEADER_LEN + table_len,
             class_offsets,
             classes,
@@ -244,9 +215,9 @@ impl LazyLibrary {
         &self.header
     }
 
-    /// The class table (v2 artifacts only).
-    pub fn class_table(&self) -> Option<&ClassTable> {
-        self.table.as_ref()
+    /// The class table.
+    pub fn class_table(&self) -> &ClassTable {
+        &self.table
     }
 
     /// The path the artifact was opened from, when it came from a file.
@@ -260,10 +231,27 @@ impl LazyLibrary {
     }
 
     /// Number of *distinct* classes decoded so far — the O(used classes)
-    /// counter surfaced by the `startup/v2_lazy` bench suite. `num_classes`
-    /// immediately after a v1 open (eager), 0 after a v2 open.
+    /// counter surfaced by the `startup/v2_lazy` bench suite; 0 after open.
     pub fn decoded_classes(&self) -> usize {
         self.decoded.load(Ordering::Relaxed)
+    }
+
+    /// Absolute file range of class `i`'s payload.
+    fn class_range(&self, i: usize) -> Range<usize> {
+        self.ecc_start + self.class_offsets[i]..self.ecc_start + self.class_offsets[i + 1]
+    }
+
+    /// Absolute file range of the index section (empty when absent).
+    fn index_range(&self) -> Range<usize> {
+        let start = self.ecc_start + self.header.ecc_len as usize;
+        start..start + self.header.index_len as usize
+    }
+
+    /// Reads, digest-verifies and decodes class `i`, without caching it.
+    fn decode_class(&self, i: usize) -> Result<Ecc, LibraryError> {
+        let payload = self.body.read_range(self.class_range(i))?;
+        verify_class_payload(&self.header, i, &self.table.classes[i], &payload)?;
+        decode_class_payload(i, &payload)
     }
 
     /// Returns class `i`, decoding (and digest-verifying) it on first
@@ -282,16 +270,7 @@ impl LazyLibrary {
         if let Some(ecc) = cell.get() {
             return Ok(Arc::clone(ecc));
         }
-        let table = self
-            .table
-            .as_ref()
-            .expect("v1 classes are pre-decoded at open");
-        let body = self.body.as_ref().expect("v2 handles keep their body");
-        let start = self.ecc_start + self.class_offsets[i];
-        let end = self.ecc_start + self.class_offsets[i + 1];
-        let payload = body.read_range(start..end)?;
-        verify_class_payload(&self.header, i, &table.classes[i], &payload)?;
-        let ecc = Arc::new(decode_class_payload(i, &payload)?);
+        let ecc = Arc::new(self.decode_class(i)?);
         if cell.set(Arc::clone(&ecc)).is_ok() {
             self.decoded.fetch_add(1, Ordering::Relaxed);
             Ok(ecc)
@@ -299,6 +278,17 @@ impl LazyLibrary {
             // A racing thread won; use its copy so every caller shares one.
             Ok(Arc::clone(cell.get().expect("cell was just set")))
         }
+    }
+
+    /// Reads, digest-verifies and decodes the index section, without
+    /// caching it.
+    fn decode_index(&self) -> Result<Option<TransformationIndex>, LibraryError> {
+        if !self.header.has_index() {
+            return Ok(None);
+        }
+        let bytes = self.body.read_range(self.index_range())?;
+        verify_index_section(&self.table, &bytes)?;
+        decode_index_section(&bytes).map(Some)
     }
 
     /// The prebuilt dispatch index, decoded (and digest-verified) on first
@@ -312,63 +302,85 @@ impl LazyLibrary {
         if let Some(cached) = self.index_cache.get() {
             return Ok(cached.clone());
         }
-        let decoded = if self.header.has_index() {
-            let table = self.table.as_ref().expect("v1 indexes are pre-decoded");
-            let body = self.body.as_ref().expect("v2 handles keep their body");
-            let start = self.ecc_start + self.header.ecc_len as usize;
-            let bytes = body.read_range(start..start + self.header.index_len as usize)?;
-            verify_index_section(table, &bytes)?;
-            Some(Arc::new(decode_index_section(&bytes)?))
-        } else {
-            None
-        };
+        let decoded = self.decode_index()?.map(Arc::new);
         Ok(self.index_cache.get_or_init(|| decoded).clone())
     }
 
-    /// Decodes every class into an owned [`EccSet`] (the eager escape
-    /// hatch: backward-compat tests, merge, `quartz-lib unpack`).
-    ///
-    /// # Errors
-    ///
-    /// The first class that fails its digest or decode.
-    pub fn ecc_set(&self) -> Result<EccSet, LibraryError> {
+    /// Collects every class through `class` into an [`EccSet`], checking
+    /// the totals against the header.
+    fn collect_set(
+        &self,
+        class: impl Fn(usize) -> Result<Ecc, LibraryError>,
+    ) -> Result<EccSet, LibraryError> {
         let mut set = EccSet::new(
             self.header.num_qubits as usize,
             self.header.num_params as usize,
         );
         for i in 0..self.num_classes() {
-            set.eccs.push((*self.class(i)?).clone());
+            set.eccs.push(class(i)?);
         }
+        check_payload_totals(&self.header, &set)?;
         Ok(set)
     }
 
-    /// Verifies every byte of the artifact *without* decoding anything: each
-    /// class payload and the index section are re-hashed against the
-    /// table's digests. This is how a corrupted class a lazy reader never
-    /// touched is still caught — `quartz-lib verify-checksum --deep` and
-    /// registry `get` both call it.
+    /// Decodes every class into an owned [`EccSet`] (merge, `quartz-lib
+    /// unpack`, index construction for artifacts without one).
     ///
-    /// On v1 handles this is a no-op: the whole-body checksum was already
-    /// verified at open.
+    /// # Errors
+    ///
+    /// The first class that fails its digest or decode, or a payload that
+    /// disagrees with the header's counts.
+    pub fn ecc_set(&self) -> Result<EccSet, LibraryError> {
+        self.collect_set(|i| self.class(i).map(|ecc| (*ecc).clone()))
+    }
+
+    /// Decodes everything into an owned [`Library`] (the eager path behind
+    /// [`Library::from_bytes`]), without caching any of it in the handle.
+    pub(crate) fn into_library(self) -> Result<Library, LibraryError> {
+        let ecc_set = self.collect_set(|i| self.decode_class(i))?;
+        let index = self.decode_index()?;
+        let bytes = match self.body {
+            MmapBody::Bytes(bytes) => bytes,
+            MmapBody::Mapped { map, path } => map
+                .read_range(0..map.len())
+                .map_err(|e| LibraryError::Io(path_io_error(&path, e)))?,
+        };
+        Ok(Library::from_decoded(self.header, ecc_set, index, bytes))
+    }
+
+    /// Verifies every byte of the artifact *without* decoding anything: the
+    /// sections are read once and each class payload and the index section
+    /// are re-hashed against the table's digests. This is how a corrupted
+    /// class a lazy reader never touched is still caught — the library
+    /// cache runs it before caching an artifact, and registry `add`/`get`
+    /// and `quartz-lib verify-checksum` run it too.
+    ///
+    /// A class or index this handle has already decoded was verified when
+    /// it was read and is served from memory from then on, so its bytes are
+    /// not hashed again: together with the check at open, a fresh handle
+    /// that decodes its index and then calls this has hashed every byte of
+    /// the file exactly once.
     ///
     /// # Errors
     ///
     /// The first digest mismatch or I/O failure found.
     pub fn verify_all(&self) -> Result<(), LibraryError> {
-        let Some(table) = self.table.as_ref() else {
-            return Ok(());
+        let index_range = self.index_range();
+        let index_pending = self.header.has_index() && self.index_cache.get().is_none();
+        let end = if index_pending {
+            index_range.end
+        } else {
+            index_range.start
         };
-        let body = self.body.as_ref().expect("v2 handles keep their body");
-        for (i, entry) in table.classes.iter().enumerate() {
-            let start = self.ecc_start + self.class_offsets[i];
-            let end = self.ecc_start + self.class_offsets[i + 1];
-            let payload = body.read_range(start..end)?;
-            verify_class_payload(&self.header, i, entry, &payload)?;
+        let sections = self.body.read_range(self.ecc_start..end)?;
+        for (i, entry) in self.table.classes.iter().enumerate() {
+            if self.classes[i].get().is_none() {
+                let payload = &sections[self.class_offsets[i]..self.class_offsets[i + 1]];
+                verify_class_payload(&self.header, i, entry, payload)?;
+            }
         }
-        if self.header.has_index() {
-            let start = self.ecc_start + self.header.ecc_len as usize;
-            let bytes = body.read_range(start..start + self.header.index_len as usize)?;
-            verify_index_section(table, &bytes)?;
+        if index_pending {
+            verify_index_section(&self.table, &sections[self.header.ecc_len as usize..])?;
         }
         Ok(())
     }
@@ -378,7 +390,7 @@ impl LazyLibrary {
 // Sharding: split one indexed artifact along whole anchor buckets
 // ---------------------------------------------------------------------------
 
-/// Splits an indexed library into `shard_count` v2 shard artifacts along
+/// Splits an indexed library into `shard_count` shard artifacts along
 /// whole anchor buckets: shard `j` owns every transformation anchored on a
 /// gate `g` with `g.index() % shard_count == j`, carries that slice of the
 /// parent's prebuilt index (with the parent transformation ids recorded in
@@ -529,18 +541,12 @@ pub fn shard_library(parent: &Library, shard_count: usize) -> Result<Vec<Vec<u8>
             index_len: index_section.len() as u64,
             checksum: 0,
         };
-        let mut table_bytes = Vec::with_capacity(table.encoded_len());
-        table.encode(&mut table_bytes);
-        shard_header.checksum =
-            artifact_checksum(&shard_header.encode()[..HEADER_LEN - 8], &table_bytes);
-        let mut bytes = Vec::with_capacity(
-            HEADER_LEN + table_bytes.len() + payload.len() + index_section.len(),
-        );
-        bytes.extend_from_slice(&shard_header.encode());
-        bytes.extend_from_slice(&table_bytes);
-        bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&index_section);
-        shards.push(bytes);
+        shards.push(encode_artifact(
+            &mut shard_header,
+            &table,
+            &payload,
+            &index_section,
+        ));
     }
     Ok(shards)
 }
@@ -561,19 +567,17 @@ pub fn merge_shards(shards: &[Vec<u8>]) -> Result<Library, LibraryError> {
     }
     let mut group: Vec<(LibraryHeader, ClassTable, EccSet)> = Vec::with_capacity(shards.len());
     for bytes in shards {
-        let reader = crate::library::LibraryReader::new(bytes)?;
-        reader.verify_checksum()?;
+        let shard = LazyLibrary::from_bytes(bytes.clone())?;
         // A shard records its parent's checksum; a group of one (is_shard()
         // false) is still a valid, mergeable group.
-        let table = reader
-            .class_table()
-            .filter(|t| t.is_shard() || t.parent_checksum != 0)
-            .ok_or_else(|| {
-                LibraryError::Malformed("merge input is not a shard artifact".to_string())
-            })?
-            .clone();
-        let set = reader.decode_ecc_set()?;
-        group.push((reader.header().clone(), table, set));
+        let table = shard.class_table();
+        if !table.is_shard() && table.parent_checksum == 0 {
+            return Err(LibraryError::Malformed(
+                "merge input is not a shard artifact".to_string(),
+            ));
+        }
+        let set = shard.ecc_set()?;
+        group.push((shard.header().clone(), table.clone(), set));
     }
     let first_header = group[0].0.clone();
     let first_table = group[0].1.clone();
@@ -589,7 +593,6 @@ pub fn merge_shards(shards: &[Vec<u8>]) -> Result<Library, LibraryError> {
         if table.shard_count != first_table.shard_count
             || table.parent_checksum != first_table.parent_checksum
             || table.parent_num_eccs != first_table.parent_num_eccs
-            || table.parent_format_version != first_table.parent_format_version
             || table.parent_num_xforms != first_table.parent_num_xforms
             || header.gate_set != first_header.gate_set
             || header.num_qubits != first_header.num_qubits
@@ -638,13 +641,10 @@ pub fn merge_shards(shards: &[Vec<u8>]) -> Result<Library, LibraryError> {
             LibraryError::Malformed(format!("no shard carries parent class {i}"))
         })?);
     }
-    let parent_version = u16::try_from(first_table.parent_format_version)
-        .map_err(|_| LibraryError::Malformed("parent format version out of range".to_string()))?;
-    let library = Library::with_format(
+    let library = Library::new(
         first_header.gate_set.clone(),
         merged,
         first_header.has_index(),
-        parent_version,
     );
     if library.header().checksum != first_table.parent_checksum {
         return Err(LibraryError::Malformed(format!(
@@ -675,16 +675,12 @@ pub fn assemble_index(shards: &[&LazyLibrary]) -> Result<TransformationIndex, Li
             "no shards to assemble an index from".to_string(),
         ));
     }
-    let first = shards[0].class_table().ok_or_else(|| {
-        LibraryError::Malformed("index assembly needs v2 shard artifacts".to_string())
-    })?;
+    let first = shards[0].class_table();
     // orig id → transformation, plus per-gate buckets in parent id order.
     let mut by_orig: HashMap<u32, crate::xform::Transformation> = HashMap::new();
     let mut buckets_orig: Vec<Vec<u32>> = vec![Vec::new(); Gate::COUNT];
     for shard in shards {
-        let table = shard.class_table().ok_or_else(|| {
-            LibraryError::Malformed("index assembly needs v2 shard artifacts".to_string())
-        })?;
+        let table = shard.class_table();
         if table.parent_checksum != first.parent_checksum || table.shard_count != first.shard_count
         {
             return Err(LibraryError::Malformed(
@@ -769,10 +765,10 @@ mod tests {
     #[test]
     fn v2_round_trips_and_lazy_decode_counts_used_classes() {
         let set = sample_set();
-        let library = Library::with_format("Nam", set.clone(), true, FORMAT_VERSION_V2);
+        let library = Library::new("Nam", set.clone(), true);
         let bytes = library.to_bytes();
 
-        // Eager v2 decode matches the source set.
+        // Eager decode matches the source set.
         let eager = Library::from_bytes(&bytes).unwrap();
         assert_eq!(eager.ecc_set(), &set);
         assert_eq!(eager.to_bytes(), bytes);
@@ -794,27 +790,13 @@ mod tests {
     }
 
     #[test]
-    fn v1_artifacts_load_through_the_lazy_handle_eagerly() {
-        let set = sample_set();
-        let library = Library::new("Ibm", set.clone(), true);
-        let lazy = LazyLibrary::from_bytes(library.to_bytes()).unwrap();
-        assert_eq!(lazy.decoded_classes(), set.eccs.len());
-        assert_eq!(&lazy.ecc_set().unwrap(), &set);
-        assert!(lazy.index().unwrap().is_some());
-        lazy.verify_all().unwrap();
-    }
-
-    #[test]
     fn shard_merge_round_trips_byte_identically() {
-        let set = sample_set();
-        for parent_version in [crate::library::FORMAT_VERSION, FORMAT_VERSION_V2] {
-            let parent = Library::with_format("Nam", set.clone(), true, parent_version);
-            for shard_count in [1usize, 2, 3] {
-                let shards = shard_library(&parent, shard_count).unwrap();
-                assert_eq!(shards.len(), shard_count);
-                let merged = merge_shards(&shards).unwrap();
-                assert_eq!(merged.to_bytes(), parent.to_bytes());
-            }
+        let parent = Library::new("Nam", sample_set(), true);
+        for shard_count in [1usize, 2, 3] {
+            let shards = shard_library(&parent, shard_count).unwrap();
+            assert_eq!(shards.len(), shard_count);
+            let merged = merge_shards(&shards).unwrap();
+            assert_eq!(merged.to_bytes(), parent.to_bytes());
         }
     }
 

@@ -72,8 +72,7 @@ pub use index::{IndexScratch, TransformationIndex};
 pub use lazy::{assemble_index, merge_shards, shard_library, LazyLibrary};
 pub use library::{
     artifact_checksum, checksum64, class_payload_digest, path_io_error, ClassEntry, ClassTable,
-    Library, LibraryError, LibraryHeader, LibraryReader, FORMAT_VERSION, FORMAT_VERSION_V2,
-    GENERATOR_VERSION, HEADER_LEN, MAGIC,
+    Library, LibraryError, LibraryHeader, FORMAT_VERSION_V2, GENERATOR_VERSION, HEADER_LEN, MAGIC,
 };
 pub use prune::{prune, prune_common_subcircuits, simplify_eccs, PruneStats};
 pub use registry::{Registry, RegistryEntry, RegistryKey};

@@ -10,22 +10,22 @@
 //! * a fixed 72-byte header ([`LibraryHeader`]) carrying the format version,
 //!   gate set, `(n, q, m)` parameters, payload counts, the generator
 //!   version, section lengths, and an FNV-1a 64-bit checksum covering the
-//!   header prefix and the body;
-//! * format v2 only: a **class offset table** ([`ClassTable`], DESIGN.md
-//!   §12) between the header and the payload — per-class byte ranges and
-//!   content digests plus shard provenance — which is what lets
-//!   [`crate::LazyLibrary`] decode classes on first touch instead of at
-//!   load;
+//!   header prefix and the class table;
+//! * a **class offset table** ([`ClassTable`], DESIGN.md §12) — per-class
+//!   byte ranges and content digests, an index-section digest, and shard
+//!   provenance — so every body byte is covered by a digest the checksum
+//!   seals, and [`crate::LazyLibrary`] can decode classes on first touch
+//!   instead of at load;
 //! * an **ECC payload** section: the lossless binary encoding of the
-//!   [`EccSet`];
+//!   [`EccSet`], one class after another;
 //! * an optional **prebuilt index** section: the extracted
 //!   [`Transformation`] list plus the anchor buckets and pattern histograms
 //!   of its [`TransformationIndex`], so loaders skip both generation *and*
 //!   index construction.
 //!
-//! [`LibraryReader`] validates the header (magic, version, section lengths)
-//! before touching the body, borrows section bytes zero-copy from the input
-//! buffer, and verifies the checksum before decoding. The `quartz-lib` CLI
+//! There is one container format ([`FORMAT_VERSION_V2`]) and one reader,
+//! [`crate::LazyLibrary`]: [`Library::from_bytes`] is that reader decoding
+//! every class and the index up front. The `quartz-lib` CLI
 //! (`crates/gen/src/bin/quartz-lib.rs`) wraps this module for the
 //! generate → pack → inspect workflow; committed artifacts live under
 //! `libraries/` at the workspace root.
@@ -83,16 +83,11 @@ use std::path::Path;
 /// The four magic bytes every artifact starts with.
 pub const MAGIC: [u8; 4] = *b"QTZL";
 
-/// The original (eager) artifact format version. Readers accept versions
-/// [`FORMAT_VERSION`] and [`FORMAT_VERSION_V2`] and reject everything else
-/// (see DESIGN.md §7 and §12 for the compatibility rules).
-pub const FORMAT_VERSION: u16 = 1;
-
-/// Format version 2: identical header and section encodings, plus a
-/// [`ClassTable`] between the header and the ECC payload carrying per-class
-/// byte ranges, per-class content digests, an index-section digest, and
-/// shard provenance. v2 is what makes lazy per-class decoding and sharding
-/// possible; v1 artifacts keep loading through the eager path unchanged.
+/// The artifact format version, and the only one readers accept: a header,
+/// then a [`ClassTable`] carrying per-class byte ranges, per-class content
+/// digests, an index-section digest, and shard provenance, then the
+/// sections. Any other version is refused with
+/// [`LibraryError::UnsupportedVersion`] (DESIGN.md §7.3).
 pub const FORMAT_VERSION_V2: u16 = 2;
 
 /// Version of the generation pipeline (RepGen + pruning + transformation
@@ -156,7 +151,7 @@ pub fn path_io_error(path: &Path, e: io::Error) -> io::Error {
 pub enum LibraryError {
     /// The buffer does not start with the `QTZL` magic.
     NotALibrary,
-    /// The artifact's format version is not [`FORMAT_VERSION`].
+    /// The artifact's format version is not [`FORMAT_VERSION_V2`].
     UnsupportedVersion(u16),
     /// The buffer ended before the structure it claims to contain.
     Truncated {
@@ -172,7 +167,7 @@ pub enum LibraryError {
     },
     /// The body decoded to something structurally invalid.
     Malformed(String),
-    /// A v2 class payload's bytes do not hash to the digest recorded for it
+    /// A class payload's bytes do not hash to the digest recorded for it
     /// in the artifact's class table — the class was corrupted after pack
     /// (or the table entry was cooked to point at the wrong range).
     ClassDigestMismatch {
@@ -183,7 +178,7 @@ pub enum LibraryError {
         /// Digest recomputed over the class's payload bytes.
         found: u64,
     },
-    /// A v2 index section's bytes do not hash to the digest recorded in the
+    /// An index section's bytes do not hash to the digest recorded in the
     /// class table.
     IndexDigestMismatch {
         /// Digest recorded in the class table.
@@ -210,8 +205,8 @@ impl fmt::Display for LibraryError {
             }
             LibraryError::UnsupportedVersion(v) => write!(
                 f,
-                "unsupported library format version {v} (this build reads versions \
-                 {FORMAT_VERSION} and {FORMAT_VERSION_V2})"
+                "unsupported library format version {v} (this build reads version \
+                 {FORMAT_VERSION_V2} only)"
             ),
             LibraryError::Truncated { context } => {
                 write!(f, "artifact truncated while reading {context}")
@@ -256,7 +251,7 @@ impl From<io::Error> for LibraryError {
 /// The decoded fixed-size header of a library artifact (DESIGN.md §7.1).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LibraryHeader {
-    /// Artifact format version (currently always [`FORMAT_VERSION`]).
+    /// Artifact format version (always [`FORMAT_VERSION_V2`]).
     pub format_version: u16,
     /// Name of the gate set the library was generated for (≤ 12 ASCII
     /// bytes; informational).
@@ -280,7 +275,7 @@ pub struct LibraryHeader {
     /// Byte length of the prebuilt index section (0 = absent).
     pub index_len: u64,
     /// FNV-1a 64 checksum of the header prefix (bytes 0–63) followed by the
-    /// body — see [`artifact_checksum`].
+    /// class table — see [`artifact_checksum`].
     pub checksum: u64,
 }
 
@@ -327,7 +322,7 @@ impl LibraryHeader {
             u64::from_le_bytes(b)
         };
         let format_version = u16_at(4);
-        if format_version != FORMAT_VERSION && format_version != FORMAT_VERSION_V2 {
+        if format_version != FORMAT_VERSION_V2 {
             return Err(LibraryError::UnsupportedVersion(format_version));
         }
         let header_len = u16_at(6) as usize;
@@ -409,21 +404,13 @@ pub(crate) fn encode_circuit(out: &mut Vec<u8>, circuit: &Circuit) {
 
 /// Encodes one equivalence class exactly as it appears inside the ECC
 /// payload section: a `u32` circuit count followed by the encoded circuits.
-/// v1's payload is the concatenation of these, and v2 keeps the encoding
-/// byte-identical — the class table only records where each one starts.
+/// The payload is the concatenation of these; the class table records
+/// where each one starts.
 pub(crate) fn encode_ecc_class(out: &mut Vec<u8>, ecc: &Ecc) {
     put_u32(out, ecc.len() as u32);
     for circuit in ecc.circuits() {
         encode_circuit(out, circuit);
     }
-}
-
-fn encode_ecc_payload(set: &EccSet) -> Vec<u8> {
-    let mut out = Vec::new();
-    for ecc in &set.eccs {
-        encode_ecc_class(&mut out, ecc);
-    }
-    out
 }
 
 pub(crate) fn encode_index_section(index: &TransformationIndex) -> Vec<u8> {
@@ -492,10 +479,6 @@ impl<'a> Cursor<'a> {
 
     fn i32(&mut self, context: &'static str) -> Result<i32, LibraryError> {
         Ok(self.u32(context)? as i32)
-    }
-
-    pub(crate) fn position(&self) -> usize {
-        self.pos
     }
 
     pub(crate) fn finished(&self) -> bool {
@@ -568,11 +551,19 @@ pub(crate) fn decode_ecc_class(cur: &mut Cursor<'_>) -> Result<Ecc, LibraryError
     Ok(Ecc::new(circuits))
 }
 
-fn check_payload_totals(
+/// Checks that the decoded classes add up to the header's circuit and
+/// instruction counts.
+pub(crate) fn check_payload_totals(
     header: &LibraryHeader,
-    total_circuits: usize,
-    total_instructions: usize,
+    set: &EccSet,
 ) -> Result<(), LibraryError> {
+    let total_circuits = set.total_circuits();
+    let total_instructions: usize = set
+        .eccs
+        .iter()
+        .flat_map(|e| e.circuits())
+        .map(Circuit::gate_count)
+        .sum();
     if total_circuits != header.total_circuits as usize
         || total_instructions != header.total_instructions as usize
     {
@@ -583,30 +574,6 @@ fn check_payload_totals(
         )));
     }
     Ok(())
-}
-
-fn decode_ecc_payload(bytes: &[u8], header: &LibraryHeader) -> Result<EccSet, LibraryError> {
-    let mut cur = Cursor::new(bytes);
-    let mut set = EccSet::new(header.num_qubits as usize, header.num_params as usize);
-    let mut total_circuits = 0usize;
-    let mut total_instructions = 0usize;
-    for _ in 0..header.num_eccs {
-        let ecc = decode_ecc_class(&mut cur)?;
-        total_circuits += ecc.len();
-        total_instructions += ecc
-            .circuits()
-            .iter()
-            .map(Circuit::gate_count)
-            .sum::<usize>();
-        set.eccs.push(ecc);
-    }
-    if !cur.finished() {
-        return Err(LibraryError::Malformed(
-            "trailing bytes after the last ECC of the payload".to_string(),
-        ));
-    }
-    check_payload_totals(header, total_circuits, total_instructions)?;
-    Ok(set)
 }
 
 pub(crate) fn decode_index_section(bytes: &[u8]) -> Result<TransformationIndex, LibraryError> {
@@ -657,25 +624,23 @@ pub(crate) fn decode_index_section(bytes: &[u8]) -> Result<TransformationIndex, 
 }
 
 // ---------------------------------------------------------------------------
-// Format v2: the class offset table (DESIGN.md §12)
+// The class offset table (DESIGN.md §12)
 // ---------------------------------------------------------------------------
 
-/// Content digest of one class's payload bytes, as recorded in a v2
+/// Content digest of one class's payload bytes, as recorded in the
 /// [`ClassTable`]. Same recipe as the audit sidecar's
 /// [`crate::audit::class_digest`] minus the verifier-configuration digest
 /// (integrity needs no verifier): [`GENERATOR_VERSION`] and the set shape
 /// are folded in so a digest can never validate a payload reinterpreted
 /// under different `(q, m)` or a different generation pipeline.
 pub fn class_payload_digest(num_qubits: u32, num_params: u32, payload: &[u8]) -> u64 {
-    let mut buf = Vec::with_capacity(24 + payload.len());
-    buf.extend_from_slice(&GENERATOR_VERSION.to_le_bytes());
-    buf.extend_from_slice(&u64::from(num_qubits).to_le_bytes());
-    buf.extend_from_slice(&u64::from(num_params).to_le_bytes());
-    buf.extend_from_slice(payload);
-    checksum64(&buf)
+    let mut hash = fnv1a64(FNV_OFFSET_BASIS, &GENERATOR_VERSION.to_le_bytes());
+    hash = fnv1a64(hash, &u64::from(num_qubits).to_le_bytes());
+    hash = fnv1a64(hash, &u64::from(num_params).to_le_bytes());
+    fnv1a64(hash, payload)
 }
 
-/// One row of a v2 class table: where a class's payload lives and what it
+/// One row of the class table: where a class's payload lives and what it
 /// must hash to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClassEntry {
@@ -690,16 +655,16 @@ pub struct ClassEntry {
     pub digest: u64,
 }
 
-/// The v2 class offset table (DESIGN.md §12): shard provenance preamble,
-/// one [`ClassEntry`] per class, the shard's original transformation ids,
-/// and a digest of the index section.
+/// The class offset table (DESIGN.md §12): shard provenance preamble, one
+/// [`ClassEntry`] per class, the shard's original transformation ids, and a
+/// digest of the index section.
 ///
-/// The v2 artifact checksum covers the header prefix *and* the encoded
-/// table, so every byte of the table is validated at open; every byte of
-/// the payload and index sections is in turn covered by a digest stored in
-/// the table — integrity of the whole file is transitive without hashing
-/// the body at open, which is what makes lazy loading sound (see the
-/// DESIGN.md §12 safety argument).
+/// The artifact checksum covers the header prefix *and* the encoded table,
+/// so every byte of the table is validated at open; every byte of the
+/// payload and index sections is in turn covered by a digest stored in the
+/// table — integrity of the whole file is transitive without hashing the
+/// body at open, which is what makes lazy loading sound (see the DESIGN.md
+/// §12 safety argument).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ClassTable {
     /// This shard's position in its group (0 for whole artifacts).
@@ -709,8 +674,9 @@ pub struct ClassTable {
     /// `num_eccs` of the parent artifact the group was split from (0 for
     /// whole artifacts).
     pub parent_num_eccs: u32,
-    /// Format version of the parent artifact (0 for whole artifacts) — the
-    /// version a merge must repack in to reproduce the parent bytes.
+    /// Format version of the parent artifact (0 for whole artifacts,
+    /// [`FORMAT_VERSION_V2`] for shards). Kept for the layout; merges always
+    /// re-pack in the one format.
     pub parent_format_version: u32,
     /// Transformation count of the parent's prebuilt index (0 for whole
     /// artifacts).
@@ -742,12 +708,6 @@ impl ClassTable {
     /// Encoded byte length of the table.
     pub fn encoded_len(&self) -> usize {
         CLASS_TABLE_PREAMBLE_LEN + 16 * self.classes.len() + 4 * self.xform_ids.len() + 8
-    }
-
-    /// Byte range of class `i`'s payload within the ECC payload section.
-    pub fn class_range(&self, i: usize) -> std::ops::Range<usize> {
-        let start: usize = self.classes[..i].iter().map(|e| e.len as usize).sum();
-        start..start + self.classes[i].len as usize
     }
 
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
@@ -831,184 +791,10 @@ impl ClassTable {
 }
 
 // ---------------------------------------------------------------------------
-// Reader and owned library
+// Section checks and the owned library
 // ---------------------------------------------------------------------------
 
-/// A validating, zero-copy-friendly reader over library-artifact bytes.
-///
-/// Construction parses and validates only the fixed-size header (magic,
-/// version, section lengths); the body is untouched until a section is
-/// decoded, and section byte slices are borrowed straight from the input
-/// buffer.
-pub struct LibraryReader<'a> {
-    header: LibraryHeader,
-    /// Header bytes 0–63 — everything but the checksum field, which is what
-    /// the artifact checksum covers together with the body (v1) or the
-    /// class table (v2).
-    header_prefix: &'a [u8],
-    body: &'a [u8],
-    /// v2 only: the decoded class table and its encoded length (the table
-    /// sits at the start of the body; the sections follow it).
-    table: Option<ClassTable>,
-    sections_start: usize,
-}
-
-impl<'a> LibraryReader<'a> {
-    /// Parses and validates the header — and, for v2 artifacts, the class
-    /// table.
-    ///
-    /// # Errors
-    ///
-    /// Fails on a bad magic, an unsupported format version, a buffer
-    /// shorter than the header's section lengths claim, or a structurally
-    /// invalid class table.
-    pub fn new(bytes: &'a [u8]) -> Result<Self, LibraryError> {
-        let header = LibraryHeader::decode(bytes)?;
-        let body = &bytes[HEADER_LEN..];
-        let (table, sections_start) = if header.format_version == FORMAT_VERSION_V2 {
-            let mut cur = Cursor::new(body);
-            let table = ClassTable::decode(&mut cur, &header)?;
-            let len = cur.position();
-            (Some(table), len)
-        } else {
-            (None, 0)
-        };
-        let body_len = header
-            .ecc_len
-            .checked_add(header.index_len)
-            .and_then(|l| usize::try_from(l).ok())
-            .and_then(|l| l.checked_add(sections_start))
-            .ok_or(LibraryError::Malformed(
-                "section lengths overflow".to_string(),
-            ))?;
-        if body.len() < body_len {
-            return Err(LibraryError::Truncated { context: "body" });
-        }
-        if body.len() > body_len {
-            return Err(LibraryError::Malformed(format!(
-                "{} trailing bytes after the last section",
-                body.len() - body_len
-            )));
-        }
-        Ok(LibraryReader {
-            header,
-            header_prefix: &bytes[..HEADER_LEN - 8],
-            body,
-            table,
-            sections_start,
-        })
-    }
-
-    /// The decoded header.
-    pub fn header(&self) -> &LibraryHeader {
-        &self.header
-    }
-
-    /// The decoded class table (v2 artifacts only).
-    pub fn class_table(&self) -> Option<&ClassTable> {
-        self.table.as_ref()
-    }
-
-    /// Recomputes the artifact checksum and compares it to the header's.
-    ///
-    /// For v1 the checksum covers the header prefix and the whole body; for
-    /// v2 it covers the header prefix and the class table only — each body
-    /// byte is instead covered by a per-class or index digest *stored in
-    /// that table*, so full-file integrity still holds transitively (and
-    /// lazily: see [`crate::LazyLibrary`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LibraryError::ChecksumMismatch`] when they differ.
-    pub fn verify_checksum(&self) -> Result<(), LibraryError> {
-        let covered = if self.table.is_some() {
-            &self.body[..self.sections_start]
-        } else {
-            self.body
-        };
-        let found = artifact_checksum(self.header_prefix, covered);
-        if found != self.header.checksum {
-            return Err(LibraryError::ChecksumMismatch {
-                expected: self.header.checksum,
-                found,
-            });
-        }
-        Ok(())
-    }
-
-    /// The raw ECC payload section, borrowed from the input buffer.
-    pub fn ecc_bytes(&self) -> &'a [u8] {
-        let start = self.sections_start;
-        &self.body[start..start + self.header.ecc_len as usize]
-    }
-
-    /// The raw prebuilt index section (`None` when absent), borrowed from
-    /// the input buffer.
-    pub fn index_bytes(&self) -> Option<&'a [u8]> {
-        if self.header.has_index() {
-            Some(&self.body[self.sections_start + self.header.ecc_len as usize..])
-        } else {
-            None
-        }
-    }
-
-    /// Decodes the ECC payload. On v2 artifacts every class payload is
-    /// checked against its table digest first.
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncated or structurally invalid payload bytes, a class
-    /// digest mismatch (v2), or when the payload disagrees with the
-    /// header's counts.
-    pub fn decode_ecc_set(&self) -> Result<EccSet, LibraryError> {
-        let Some(table) = &self.table else {
-            return decode_ecc_payload(self.ecc_bytes(), &self.header);
-        };
-        let payload = self.ecc_bytes();
-        let mut set = EccSet::new(
-            self.header.num_qubits as usize,
-            self.header.num_params as usize,
-        );
-        let mut offset = 0usize;
-        let mut total_circuits = 0usize;
-        let mut total_instructions = 0usize;
-        for (i, entry) in table.classes.iter().enumerate() {
-            let class_bytes = &payload[offset..offset + entry.len as usize];
-            offset += entry.len as usize;
-            verify_class_payload(&self.header, i, entry, class_bytes)?;
-            let ecc = decode_class_payload(i, class_bytes)?;
-            total_circuits += ecc.len();
-            total_instructions += ecc
-                .circuits()
-                .iter()
-                .map(Circuit::gate_count)
-                .sum::<usize>();
-            set.eccs.push(ecc);
-        }
-        check_payload_totals(&self.header, total_circuits, total_instructions)?;
-        Ok(set)
-    }
-
-    /// Decodes the prebuilt index section, if present. On v2 artifacts the
-    /// section bytes are checked against the table's index digest first.
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncated bytes, an index digest mismatch (v2), or on an
-    /// index that is structurally inconsistent (see
-    /// [`TransformationIndex::from_parts`]).
-    pub fn decode_index(&self) -> Result<Option<TransformationIndex>, LibraryError> {
-        let Some(bytes) = self.index_bytes() else {
-            return Ok(None);
-        };
-        if let Some(table) = &self.table {
-            verify_index_section(table, bytes)?;
-        }
-        decode_index_section(bytes).map(Some)
-    }
-}
-
-/// Checks one class payload against its v2 table entry.
+/// Checks one class payload against its table entry.
 pub(crate) fn verify_class_payload(
     header: &LibraryHeader,
     class: usize,
@@ -1026,9 +812,9 @@ pub(crate) fn verify_class_payload(
     Ok(())
 }
 
-/// Decodes one class payload, requiring it to be exactly consumed (a class
-/// that decodes short would silently shift every later class in v1; in v2
-/// the ranges are explicit, so a short decode is a malformed class).
+/// Decodes one class payload, requiring it to be exactly consumed (the
+/// class table makes every range explicit, so a short decode is a
+/// malformed class).
 pub(crate) fn decode_class_payload(class: usize, payload: &[u8]) -> Result<Ecc, LibraryError> {
     let mut cur = Cursor::new(payload);
     let ecc = decode_ecc_class(&mut cur)?;
@@ -1040,7 +826,7 @@ pub(crate) fn decode_class_payload(class: usize, payload: &[u8]) -> Result<Ecc, 
     Ok(ecc)
 }
 
-/// Checks the index section bytes against the v2 table's digest.
+/// Checks the index section bytes against the table's digest.
 pub(crate) fn verify_index_section(table: &ClassTable, bytes: &[u8]) -> Result<(), LibraryError> {
     let found = checksum64(bytes);
     if found != table.index_digest {
@@ -1059,10 +845,10 @@ pub struct Library {
     header: LibraryHeader,
     ecc_set: EccSet,
     index: Option<TransformationIndex>,
-    /// The encoded body (both sections), kept from construction/decoding so
-    /// sections are serialized exactly once per library, not once per
-    /// `to_bytes`/`save` call.
-    body: Vec<u8>,
+    /// The encoded artifact, kept from construction/decoding so it is
+    /// serialized exactly once per library, not once per `to_bytes`/`save`
+    /// call.
+    bytes: Vec<u8>,
 }
 
 impl Library {
@@ -1080,30 +866,6 @@ impl Library {
     /// or classes — rather than silently truncating into a checksum-valid
     /// artifact that encodes a different library.
     pub fn new(gate_set: impl Into<String>, ecc_set: EccSet, with_index: bool) -> Library {
-        Library::with_format(gate_set, ecc_set, with_index, FORMAT_VERSION)
-    }
-
-    /// [`Library::new`] with an explicit artifact format version:
-    /// [`FORMAT_VERSION`] (v1, eager) or [`FORMAT_VERSION_V2`] (v2, with a
-    /// [`ClassTable`] enabling lazy per-class decoding). Both encode the
-    /// same ECC payload and index sections byte-identically; v2 inserts the
-    /// class table between header and payload and moves the checksum's
-    /// coverage to header + table (see [`LibraryReader::verify_checksum`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown format version, and on the same size limits as
-    /// [`Library::new`].
-    pub fn with_format(
-        gate_set: impl Into<String>,
-        ecc_set: EccSet,
-        with_index: bool,
-        format_version: u16,
-    ) -> Library {
-        assert!(
-            format_version == FORMAT_VERSION || format_version == FORMAT_VERSION_V2,
-            "unknown library format version {format_version}"
-        );
         let index = with_index
             .then(|| TransformationIndex::new(transformations_from_ecc_set(&ecc_set, true)));
         let mut gate_set = gate_set.into();
@@ -1120,53 +882,34 @@ impl Library {
         let num_qubits = count_u32("qubit count", ecc_set.num_qubits);
         let num_params = count_u32("parameter count", ecc_set.num_params);
         let index_section = index.as_ref().map(encode_index_section).unwrap_or_default();
-        let mut body = Vec::new();
-        let table = (format_version == FORMAT_VERSION_V2).then(|| {
-            let mut classes = Vec::with_capacity(ecc_set.eccs.len());
-            let mut payload = Vec::new();
-            for (i, ecc) in ecc_set.eccs.iter().enumerate() {
-                let start = payload.len();
-                encode_ecc_class(&mut payload, ecc);
-                classes.push(ClassEntry {
-                    orig_class_index: count_u32("class index", i),
-                    len: count_u32("class payload length", payload.len() - start),
-                    digest: class_payload_digest(num_qubits, num_params, &payload[start..]),
-                });
-            }
-            let table = ClassTable {
-                shard_seq: 0,
-                shard_count: 1,
-                parent_num_eccs: 0,
-                parent_format_version: 0,
-                parent_num_xforms: 0,
-                parent_checksum: 0,
-                classes,
-                xform_ids: Vec::new(),
-                index_digest: if index_section.is_empty() {
-                    0
-                } else {
-                    checksum64(&index_section)
-                },
-            };
-            table.encode(&mut body);
-            (table, payload)
-        });
-        let table_len = body.len();
-        let ecc_len;
-        match table {
-            Some((_, payload)) => {
-                ecc_len = payload.len() as u64;
-                body.extend_from_slice(&payload);
-            }
-            None => {
-                let payload = encode_ecc_payload(&ecc_set);
-                ecc_len = payload.len() as u64;
-                body.extend_from_slice(&payload);
-            }
+        let mut classes = Vec::with_capacity(ecc_set.eccs.len());
+        let mut payload = Vec::new();
+        for (i, ecc) in ecc_set.eccs.iter().enumerate() {
+            let start = payload.len();
+            encode_ecc_class(&mut payload, ecc);
+            classes.push(ClassEntry {
+                orig_class_index: count_u32("class index", i),
+                len: count_u32("class payload length", payload.len() - start),
+                digest: class_payload_digest(num_qubits, num_params, &payload[start..]),
+            });
         }
-        body.extend_from_slice(&index_section);
+        let table = ClassTable {
+            shard_seq: 0,
+            shard_count: 1,
+            parent_num_eccs: 0,
+            parent_format_version: 0,
+            parent_num_xforms: 0,
+            parent_checksum: 0,
+            classes,
+            xform_ids: Vec::new(),
+            index_digest: if index_section.is_empty() {
+                0
+            } else {
+                checksum64(&index_section)
+            },
+        };
         let mut header = LibraryHeader {
-            format_version,
+            format_version: FORMAT_VERSION_V2,
             gate_set,
             max_gates: ecc_set
                 .eccs
@@ -1189,23 +932,32 @@ impl Library {
                     .sum::<usize>(),
             ),
             generator_version: GENERATOR_VERSION,
-            ecc_len,
+            ecc_len: payload.len() as u64,
             index_len: index_section.len() as u64,
             checksum: 0,
         };
-        // v1: checksum over header prefix + whole body. v2: header prefix +
-        // class table only (the table's digests cover the rest).
-        let covered = if format_version == FORMAT_VERSION_V2 {
-            &body[..table_len]
-        } else {
-            &body[..]
-        };
-        header.checksum = artifact_checksum(&header.encode()[..HEADER_LEN - 8], covered);
+        let bytes = encode_artifact(&mut header, &table, &payload, &index_section);
         Library {
             header,
             ecc_set,
             index,
-            body,
+            bytes,
+        }
+    }
+
+    /// Assembles a library from a decoded artifact (the eager end of
+    /// [`crate::LazyLibrary`]).
+    pub(crate) fn from_decoded(
+        header: LibraryHeader,
+        ecc_set: EccSet,
+        index: Option<TransformationIndex>,
+        bytes: Vec<u8>,
+    ) -> Library {
+        Library {
+            header,
+            ecc_set,
+            index,
+            bytes,
         }
     }
 
@@ -1229,37 +981,25 @@ impl Library {
         (self.ecc_set, self.index)
     }
 
-    /// Total size of the encoded artifact in bytes (header + body).
+    /// Total size of the encoded artifact in bytes.
     pub fn byte_len(&self) -> usize {
-        HEADER_LEN + self.body.len()
+        self.bytes.len()
     }
 
     /// Serializes the library to artifact bytes (deterministic: the same
     /// library always encodes to the same bytes).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.byte_len());
-        out.extend_from_slice(&self.header.encode());
-        out.extend_from_slice(&self.body);
-        out
+        self.bytes.clone()
     }
 
-    /// Validates and decodes an artifact: header, checksum, then both
-    /// sections.
+    /// Validates and decodes an artifact: header, class table and checksum,
+    /// then every class and the index section, each against its digest.
     ///
     /// # Errors
     ///
-    /// Any header, checksum, or body validation failure.
+    /// Any header, checksum, digest, or body validation failure.
     pub fn from_bytes(bytes: &[u8]) -> Result<Library, LibraryError> {
-        let reader = LibraryReader::new(bytes)?;
-        reader.verify_checksum()?;
-        let ecc_set = reader.decode_ecc_set()?;
-        let index = reader.decode_index()?;
-        Ok(Library {
-            header: reader.header().clone(),
-            ecc_set,
-            index,
-            body: reader.body.to_vec(),
-        })
+        crate::LazyLibrary::from_bytes(bytes.to_vec())?.into_library()
     }
 
     /// Writes the artifact to a file.
@@ -1269,7 +1009,7 @@ impl Library {
     /// Propagates I/O errors, with `path` included in the error message.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let path = path.as_ref();
-        std::fs::write(path, self.to_bytes()).map_err(|e| path_io_error(path, e))
+        std::fs::write(path, &self.bytes).map_err(|e| path_io_error(path, e))
     }
 
     /// Reads and decodes an artifact from a file.
@@ -1283,6 +1023,26 @@ impl Library {
         let bytes = std::fs::read(path).map_err(|e| path_io_error(path, e))?;
         Library::from_bytes(&bytes)
     }
+}
+
+/// Seals `header` (its checksum over header prefix ‖ encoded table) and
+/// lays out the artifact: header, class table, ECC payload, index section.
+pub(crate) fn encode_artifact(
+    header: &mut LibraryHeader,
+    table: &ClassTable,
+    payload: &[u8],
+    index_section: &[u8],
+) -> Vec<u8> {
+    let mut table_bytes = Vec::with_capacity(table.encoded_len());
+    table.encode(&mut table_bytes);
+    header.checksum = artifact_checksum(&header.encode()[..HEADER_LEN - 8], &table_bytes);
+    let mut bytes =
+        Vec::with_capacity(HEADER_LEN + table_bytes.len() + payload.len() + index_section.len());
+    bytes.extend_from_slice(&header.encode());
+    bytes.extend_from_slice(&table_bytes);
+    bytes.extend_from_slice(payload);
+    bytes.extend_from_slice(index_section);
+    bytes
 }
 
 #[cfg(test)]
@@ -1338,7 +1098,7 @@ mod tests {
         let library = Library::new("Nam", sample_set(), true);
         let h = library.header();
         assert_eq!(h.gate_set, "Nam");
-        assert_eq!(h.format_version, FORMAT_VERSION);
+        assert_eq!(h.format_version, FORMAT_VERSION_V2);
         assert_eq!(h.generator_version, GENERATOR_VERSION);
         assert_eq!(h.max_gates, 2);
         assert_eq!(h.num_qubits, 2);
@@ -1409,16 +1169,20 @@ mod tests {
     #[test]
     fn reader_validates_header_without_decoding_the_body() {
         let library = Library::new("Rigetti", sample_set(), true);
-        let bytes = library.to_bytes();
-        let reader = LibraryReader::new(&bytes).unwrap();
-        assert_eq!(reader.header().gate_set, "Rigetti");
-        assert_eq!(reader.ecc_bytes().len() as u64, reader.header().ecc_len);
+        let reader = crate::LazyLibrary::from_bytes(library.to_bytes()).unwrap();
+        assert_eq!(reader.header(), library.header());
+        assert_eq!(reader.decoded_classes(), 0);
+        let table = reader.class_table();
+        let class_bytes: u64 = table.classes.iter().map(|e| u64::from(e.len)).sum();
+        assert_eq!(class_bytes, reader.header().ecc_len);
+        assert_ne!(table.index_digest, 0);
+        reader.verify_all().unwrap();
         assert_eq!(
-            reader.index_bytes().unwrap().len() as u64,
-            reader.header().index_len
+            reader.decoded_classes(),
+            0,
+            "the digest sweep decodes nothing"
         );
-        reader.verify_checksum().unwrap();
-        assert_eq!(reader.decode_ecc_set().unwrap(), *library.ecc_set());
+        assert_eq!(reader.ecc_set().unwrap(), *library.ecc_set());
     }
 
     #[test]

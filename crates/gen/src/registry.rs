@@ -21,7 +21,7 @@
 //! wins harmlessly; the key's `MANIFEST` is renamed last, so a reader
 //! either sees the previous complete state or the new complete state,
 //! never a torn one. [`Registry::get`] re-verifies every blob's integrity
-//! (header, checksum, and — for v2 — every class and index digest, via
+//! (header, checksum, and every class and index digest, via
 //! [`LazyLibrary::verify_all`]) before returning it, and retries once if a
 //! concurrent `gc` swept a blob between the manifest read and the open.
 //!
@@ -175,7 +175,7 @@ impl Registry {
 
     /// Publishes one whole artifact or one complete shard group under its
     /// derived key. Every input is fully verified first (header, checksum,
-    /// and all v2 digests); shard groups must be complete and
+    /// and every section digest); shard groups must be complete and
     /// mutually-consistent. Audit sidecars sitting next to the inputs are
     /// published alongside their blobs, so `--require-audited` loaders can
     /// fetch from the registry too.
@@ -212,9 +212,11 @@ impl Registry {
                     )));
                 }
             }
-            let (seq, count, parent) = match lazy.class_table() {
-                Some(t) if t.is_shard() => (t.shard_seq, t.shard_count, t.parent_checksum),
-                _ => (0, 1, 0),
+            let table = lazy.class_table();
+            let (seq, count, parent) = if table.is_shard() {
+                (table.shard_seq, table.shard_count, table.parent_checksum)
+            } else {
+                (0, 1, 0)
             };
             match parent_checksum {
                 None => parent_checksum = Some(parent),

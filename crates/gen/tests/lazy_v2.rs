@@ -4,9 +4,7 @@
 //! must still be caught by the digest sweep, and I/O failures must name the
 //! offending path.
 
-use quartz_gen::{
-    Ecc, EccSet, LazyLibrary, Library, LibraryError, Registry, FORMAT_VERSION_V2, HEADER_LEN,
-};
+use quartz_gen::{Ecc, EccSet, LazyLibrary, Library, LibraryError, Registry, HEADER_LEN};
 use quartz_ir::{Circuit, Gate, Instruction};
 
 fn pair(gate: Gate, qubits: &[usize]) -> Circuit {
@@ -16,8 +14,7 @@ fn pair(gate: Gate, qubits: &[usize]) -> Circuit {
     c
 }
 
-/// Three classes with distinct anchors, packed as a v2 artifact with a
-/// prebuilt index.
+/// Three classes with distinct anchors, packed with a prebuilt index.
 fn sample_v2() -> Library {
     let mut set = EccSet::new(2, 0);
     set.eccs
@@ -28,7 +25,7 @@ fn sample_v2() -> Library {
         pair(Gate::Cnot, &[0, 1]),
         Circuit::new(2, 0),
     ]));
-    Library::with_format("Nam", set, true, FORMAT_VERSION_V2)
+    Library::new("Nam", set, true)
 }
 
 #[test]
@@ -36,7 +33,7 @@ fn truncation_at_every_section_boundary_is_a_typed_error() {
     let library = sample_v2();
     let bytes = library.to_bytes();
     let lazy = LazyLibrary::from_bytes(bytes.clone()).unwrap();
-    let table = lazy.class_table().unwrap();
+    let table = lazy.class_table();
     let sections_start = HEADER_LEN + table.encoded_len();
     let ecc_len = library.header().ecc_len as usize;
 
@@ -81,14 +78,14 @@ fn corruption_in_an_untouched_class_is_caught_by_the_digest_sweep() {
     let library = sample_v2();
     let bytes = library.to_bytes();
     let lazy = LazyLibrary::from_bytes(bytes.clone()).unwrap();
-    let table = lazy.class_table().unwrap().clone();
+    let table = lazy.class_table();
     let sections_start = HEADER_LEN + table.encoded_len();
 
-    // Flip one byte inside class 2's payload.
+    // Flip the first byte of class 2's payload.
     let victim = 2usize;
-    let range = table.class_range(victim);
+    let victim_start: usize = table.classes[..victim].iter().map(|e| e.len as usize).sum();
     let mut corrupt = bytes;
-    corrupt[sections_start + range.start] ^= 0x01;
+    corrupt[sections_start + victim_start] ^= 0x01;
 
     // Open succeeds (the flip is outside the checksum-sealed prefix), and a
     // reader that only ever touches classes 0 and 1 — or the index — never
@@ -112,29 +109,41 @@ fn corruption_in_an_untouched_class_is_caught_by_the_digest_sweep() {
     ));
 }
 
+/// Both container versions get their version printed: version 2 in the
+/// header dump, version 1 in the refusal.
 #[test]
 fn inspect_prints_the_format_version_for_both_container_versions() {
     let dir = std::env::temp_dir().join(format!("quartz_inspect_fmt_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
-    let v2 = sample_v2();
-    let v1 = Library::new("Nam", v2.ecc_set().clone(), true);
-    for (library, expected) in [
-        (&v1, "format version:     1"),
-        (&v2, "format version:     2"),
+    let bytes = sample_v2().to_bytes();
+    let mut v1 = bytes.clone();
+    v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+    for (name, bytes, expected) in [
+        ("v2.qtzl", bytes, Ok("format version:     2")),
+        ("v1.qtzl", v1, Err("unsupported library format version 1")),
     ] {
-        let path = dir.join(format!("v{}.qtzl", library.header().format_version));
-        library.save(&path).unwrap();
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
         let output = std::process::Command::new(env!("CARGO_BIN_EXE_quartz-lib"))
             .args(["inspect", path.to_str().unwrap()])
             .output()
             .unwrap();
-        assert!(output.status.success(), "inspect failed: {output:?}");
-        let stdout = String::from_utf8(output.stdout).unwrap();
+        let (stream, text) = match expected {
+            Ok(text) => {
+                assert!(output.status.success(), "inspect failed: {output:?}");
+                (output.stdout, text)
+            }
+            Err(text) => {
+                assert_eq!(output.status.code(), Some(1), "{output:?}");
+                (output.stderr, text)
+            }
+        };
+        let stream = String::from_utf8(stream).unwrap();
         assert!(
-            stdout.contains(expected),
-            "inspect output lacks '{expected}':\n{stdout}"
+            stream.contains(text),
+            "inspect {name} output lacks '{text}':\n{stream}"
         );
     }
 

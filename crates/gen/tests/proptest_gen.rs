@@ -3,10 +3,7 @@
 //! and artifact validation must reject every corruption.
 
 use proptest::prelude::*;
-use quartz_gen::{
-    checksum64, Ecc, EccSet, LazyLibrary, Library, TransformationIndex, FORMAT_VERSION_V2,
-    HEADER_LEN,
-};
+use quartz_gen::{checksum64, Ecc, EccSet, LazyLibrary, Library, TransformationIndex, HEADER_LEN};
 use quartz_ir::{Circuit, Gate, Instruction, ParamExpr};
 
 /// Strategy producing a random instruction over `nq` qubits and `m ≥ 1`
@@ -110,8 +107,8 @@ proptest! {
     fn every_single_byte_flip_is_detected(set in arb_ecc_set(2, 1), seed in 0u64..u64::MAX) {
         // Any one-byte corruption — header *or* body — must be rejected:
         // the artifact checksum covers the header prefix chained into the
-        // body, and a flip inside the checksum field itself mismatches the
-        // recomputation.
+        // class table, the table's digests cover every body byte, and a flip
+        // inside the checksum field itself mismatches the recomputation.
         let bytes = Library::new("Nam", set, true).to_bytes();
         let pos = (seed % bytes.len() as u64) as usize;
         let mut corrupt = bytes.clone();
@@ -129,7 +126,7 @@ proptest! {
     #[test]
     fn v2_artifacts_round_trip_losslessly(set in arb_ecc_set(2, 1), with_index_raw in 0u32..2) {
         let with_index = with_index_raw == 1;
-        let library = Library::with_format("Nam", set.clone(), with_index, FORMAT_VERSION_V2);
+        let library = Library::new("Nam", set.clone(), with_index);
         let bytes = library.to_bytes();
         // Eagerly...
         let back = Library::from_bytes(&bytes).unwrap();
@@ -151,7 +148,7 @@ proptest! {
         set in arb_ecc_set(2, 1),
         seed in 0u64..u64::MAX,
     ) {
-        let library = Library::with_format("Nam", set, true, FORMAT_VERSION_V2);
+        let library = Library::new("Nam", set, true);
         let bytes = library.to_bytes();
         let pos = (seed % bytes.len() as u64) as usize;
         let mut corrupt = bytes.clone();
@@ -168,7 +165,6 @@ proptest! {
         let table = LazyLibrary::from_bytes(bytes.clone())
             .unwrap()
             .class_table()
-            .expect("v2 artifacts carry a class table")
             .clone();
         let sections_start = HEADER_LEN + table.encoded_len();
         let ecc_len: usize = table.classes.iter().map(|e| e.len as usize).sum();
@@ -186,10 +182,13 @@ proptest! {
                      prefix of {sections_start} bytes"
                 );
                 if pos < sections_start + ecc_len {
-                    let touched = (0..table.classes.len())
-                        .find(|&i| {
-                            let r = table.class_range(i);
-                            (sections_start + r.start..sections_start + r.end).contains(&pos)
+                    let mut class_end = sections_start;
+                    let touched = table
+                        .classes
+                        .iter()
+                        .position(|entry| {
+                            class_end += entry.len as usize;
+                            pos < class_end
                         })
                         .expect("the flip is inside some class payload");
                     for i in 0..table.classes.len() {

@@ -3,10 +3,10 @@
 //! readers racing publishers and the garbage collector must only ever see
 //! a key as *absent* or *fully intact* — never torn.
 
-use quartz_gen::{Ecc, EccSet, Library, LibraryError, Registry, RegistryKey, FORMAT_VERSION_V2};
+use quartz_gen::{Ecc, EccSet, Library, LibraryError, Registry, RegistryKey};
 use quartz_ir::{Circuit, Gate, Instruction};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn pair(gate: Gate, qubits: &[usize]) -> Circuit {
@@ -16,7 +16,7 @@ fn pair(gate: Gate, qubits: &[usize]) -> Circuit {
     c
 }
 
-/// A small Nam-legal v2 library; `with_index` toggles the trailing index
+/// A small Nam-legal library; `with_index` toggles the trailing index
 /// section, which changes the artifact checksum but not its registry key.
 fn sample_library(with_index: bool) -> Library {
     let mut set = EccSet::new(2, 0);
@@ -26,7 +26,7 @@ fn sample_library(with_index: bool) -> Library {
         pair(Gate::Cnot, &[0, 1]),
         Circuit::new(2, 0),
     ]));
-    Library::with_format("Nam", set, with_index, FORMAT_VERSION_V2)
+    Library::new("Nam", set, with_index)
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -108,20 +108,36 @@ fn concurrent_gets_during_adds_and_gcs_see_absent_or_intact_only() {
 
     let root = dir.join("registry");
     Registry::open(&root).unwrap();
+    const READERS: usize = 3;
     let done = Arc::new(AtomicBool::new(false));
+    let readers_with_intact = Arc::new(AtomicUsize::new(0));
 
     std::thread::scope(|scope| {
         // The writer: flip between the two versions, sweeping after each
-        // publish so the superseded blob actually vanishes mid-run.
+        // publish so the superseded blob actually vanishes mid-run. It keeps
+        // flipping past its 24 rounds until every reader has resolved an
+        // intact artifact mid-race (or 30 s pass), so a reader scheduled
+        // late on a loaded host still races the writer.
         let writer_root = root.clone();
         let writer_done = Arc::clone(&done);
+        let writer_sees = Arc::clone(&readers_with_intact);
         let (path_a, path_b) = (path_a.clone(), path_b.clone());
         scope.spawn(move || {
             let registry = Registry::open(writer_root).unwrap();
-            for round in 0..24 {
-                let src = if round % 2 == 0 { &path_a } else { &path_b };
+            let start = std::time::Instant::now();
+            let mut round = 0usize;
+            while round < 24
+                || (writer_sees.load(Ordering::Acquire) < READERS
+                    && start.elapsed() < std::time::Duration::from_secs(30))
+            {
+                let src = if round.is_multiple_of(2) {
+                    &path_a
+                } else {
+                    &path_b
+                };
                 registry.add(std::slice::from_ref(src)).unwrap();
                 registry.gc().unwrap();
+                round += 1;
             }
             writer_done.store(true, Ordering::Release);
         });
@@ -129,9 +145,10 @@ fn concurrent_gets_during_adds_and_gcs_see_absent_or_intact_only() {
         // The readers: every successful resolve must be one of the two
         // intact versions, bit-for-bit. A miss (NotFound) is the only
         // acceptable failure — that's "absent", racing the sweep.
-        for _ in 0..3 {
+        for _ in 0..READERS {
             let reader_root = root.clone();
             let reader_done = Arc::clone(&done);
+            let reader_sees = Arc::clone(&readers_with_intact);
             let (bytes_a, bytes_b) = (bytes_a.clone(), bytes_b.clone());
             let reader_key = key.clone();
             scope.spawn(move || {
@@ -148,6 +165,9 @@ fn concurrent_gets_during_adds_and_gcs_see_absent_or_intact_only() {
                                     blobs[0].len()
                                 );
                                 intact += 1;
+                                if intact == 1 {
+                                    reader_sees.fetch_add(1, Ordering::Release);
+                                }
                             }
                         }
                         Err(LibraryError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}

@@ -37,6 +37,8 @@
 //! * [`json`] — the workspace's one JSON codec (strict, depth-bounded,
 //!   position-carrying parser; compact and pretty writers), which the ECC,
 //!   audit, bench-report and daemon-wire shapes all map onto;
+//! * [`par`] — the order-preserving parallel map on scoped threads behind
+//!   the search's batch expansion and the auditor's class re-verification;
 //! * [`semantics`] — state-vector simulation, full unitaries, equivalence up
 //!   to global phase, and the fingerprinting of eq. (3);
 //! * [`qasm`] — an OpenQASM 2.0 subset parser and printer.
@@ -74,6 +76,7 @@ pub mod fx;
 mod gate;
 mod gateset;
 pub mod json;
+pub mod par;
 mod param;
 pub mod qasm;
 pub mod semantics;

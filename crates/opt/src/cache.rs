@@ -1,16 +1,22 @@
 //! Load-once caching of persisted transformation libraries (DESIGN.md §7).
 //!
 //! Generation is offline; a service process should pay for a library at most
-//! once, as a cold file read. [`LibraryCache`] maps artifact paths to
-//! [`LoadedLibrary`] entries — the decoded header plus the dispatch index
-//! behind an [`Arc`] — so any number of [`crate::Optimizer`]s and
-//! [`crate::OptimizationService`]s share one in-memory index per artifact,
-//! exactly as batches already share one index per service (DESIGN.md §6).
+//! once, as a cold file read. [`LibraryCache`] maps artifact paths (and, with
+//! a registry, registry keys) to [`LoadedLibrary`] entries — the header plus
+//! the dispatch index behind an [`Arc`] — so any number of
+//! [`crate::Optimizer`]s and [`crate::OptimizationService`]s share one
+//! in-memory index per artifact, exactly as batches already share one index
+//! per service (DESIGN.md §6).
 //!
-//! When the artifact carries a prebuilt index section the index is decoded
-//! directly (zero construction work); otherwise it is built once from the
-//! ECC payload and cached all the same
-//! ([`LoadedLibrary::index_was_prebuilt`] records which happened).
+//! Path loads and registry-key loads share one routine: open each artifact
+//! lazily ([`LazyLibrary::open`]), decode its prebuilt index section, verify
+//! every other byte against the class-table digests
+//! ([`LazyLibrary::verify_all`]) before anything is cached, apply the audit
+//! gate, and serve the prebuilt index — reassembled from the slices of a
+//! shard group, or, when the artifact carries none, built once from the ECC
+//! payload ([`LoadedLibrary::index_was_prebuilt`] records which happened).
+//! Every byte of the file is hashed once per load, and classes stay
+//! undecoded unless the index has to be built.
 //!
 //! # Examples
 //!
@@ -30,6 +36,7 @@
 //! // The second request is served from memory: same Arc, no file read.
 //! assert!(Arc::ptr_eq(&first, &second));
 //! assert!(first.index_was_prebuilt());
+//! assert_eq!(first.decoded_classes(), 0);
 //!
 //! let optimizer = Optimizer::from_library(&first, SearchConfig::default());
 //! assert_eq!(optimizer.transformations().len(), 0);
@@ -38,7 +45,7 @@
 use quartz_gen::TransformationIndex;
 use quartz_gen::{
     assemble_index, transformations_from_ecc_set, AuditStamp, LazyLibrary, LibraryError,
-    LibraryHeader, LibraryReader, Registry, RegistryKey,
+    LibraryHeader, Registry, RegistryKey,
 };
 use quartz_verify::VerifierConfig;
 use std::collections::HashMap;
@@ -55,8 +62,8 @@ pub struct LoadedLibrary {
     index: Arc<TransformationIndex>,
     index_was_prebuilt: bool,
     load_time: Duration,
-    /// Lazy handles behind a registry-served entry (one per shard); empty
-    /// for direct path loads, which decode eagerly.
+    /// The lazy handles behind this entry: one for a path load or a whole
+    /// registry artifact, one per shard for a sharded registry entry.
     shards: Vec<Arc<LazyLibrary>>,
 }
 
@@ -83,36 +90,35 @@ impl LoadedLibrary {
         self.index_was_prebuilt
     }
 
-    /// Wall-clock time the read + validate + decode took.
+    /// Wall-clock time the open + verify + index decode took.
     pub fn load_time(&self) -> Duration {
         self.load_time
     }
 
-    /// Number of artifacts backing this entry: 1 for a direct path load or
-    /// a whole registry artifact, the group size for a sharded registry
+    /// Number of artifacts backing this entry: 1 for a path load or a
+    /// whole registry artifact, the group size for a sharded registry
     /// entry.
     pub fn shard_count(&self) -> usize {
-        self.shards.len().max(1)
+        self.shards.len()
     }
 
-    /// The lazy per-shard handles behind a registry-served entry, in shard
-    /// order. Empty for direct path loads.
+    /// The lazy per-artifact handles behind this entry, in shard order.
     pub fn lazy_shards(&self) -> &[Arc<LazyLibrary>] {
         &self.shards
     }
 
     /// Equivalence classes decoded so far across the lazy handles — the
-    /// registry-served memory footprint is proportional to this, not to
-    /// the library size. Zero for direct path loads (they never route
-    /// through a lazy handle) and for registry entries whose prebuilt
-    /// index made class decoding unnecessary.
+    /// entry's memory footprint is proportional to this, not to the
+    /// library size. Zero for artifacts whose prebuilt index made class
+    /// decoding unnecessary.
     pub fn decoded_classes(&self) -> usize {
         self.shards.iter().map(|s| s.decoded_classes()).sum()
     }
 }
 
 /// A load-once, share-everywhere cache of library artifacts, keyed by
-/// canonical path. See the module-level docs for an example.
+/// canonical path (and by registry key). See the module-level docs for an
+/// example.
 #[derive(Debug, Default)]
 pub struct LibraryCache {
     entries: Mutex<HashMap<PathBuf, Arc<LoadedLibrary>>>,
@@ -122,69 +128,51 @@ pub struct LibraryCache {
 }
 
 impl LibraryCache {
-    /// Creates an empty cache.
+    /// Creates an empty cache with no registry that loads unaudited
+    /// artifacts.
     pub fn new() -> Self {
         LibraryCache::default()
     }
 
-    /// Creates an empty cache that refuses artifacts without a live audit
-    /// stamp: the `<artifact>.audit` sidecar written by
-    /// `quartz-lib audit --write-stamp` must exist and
-    /// [certify](quartz_gen::AuditStamp::certifies) the artifact's checksum
-    /// under the default verifier configuration. Loads of unstamped (or
-    /// stale-stamped) artifacts fail with
-    /// [`LibraryError::NotAudited`] and nothing is cached.
-    pub fn requiring_audit() -> Self {
-        LibraryCache {
-            require_audit: true,
-            ..LibraryCache::default()
-        }
-    }
-
-    /// Creates a cache backed by the content-addressed registry at `root`
-    /// (DESIGN.md §12.4): [`LibraryCache::get_for_key`] resolves keys
-    /// through it, lazily mapping each blob (or shard group) on the first
-    /// request and serving every later request from memory. Path-based
-    /// [`LibraryCache::get_or_load`] keeps working alongside.
+    /// Creates an empty cache with both settings:
+    ///
+    /// * `registry_root`: back [`LibraryCache::get_for_key`] with the
+    ///   content-addressed registry at that directory (DESIGN.md §12.4),
+    ///   mapping each key's blob (or shard group) on its first request and
+    ///   serving every later request from memory; path loads keep working
+    ///   alongside.
+    /// * `require_audit`: refuse artifacts without a live audit stamp — the
+    ///   `<artifact>.audit` sidecar written by `quartz-lib audit
+    ///   --write-stamp` must exist and
+    ///   [certify](quartz_gen::AuditStamp::certifies) the artifact's
+    ///   checksum under the default verifier configuration. This applies
+    ///   to path loads and to every registry blob (each shard of a group
+    ///   individually); refused loads fail with
+    ///   [`LibraryError::NotAudited`] and nothing is cached.
     ///
     /// # Errors
     ///
     /// I/O errors creating the registry layout.
-    pub fn with_registry(root: impl Into<PathBuf>) -> Result<Self, LibraryError> {
+    pub fn open(registry_root: Option<&Path>, require_audit: bool) -> Result<Self, LibraryError> {
         Ok(LibraryCache {
-            registry: Some(Registry::open(root)?),
+            registry: registry_root.map(Registry::open).transpose()?,
+            require_audit,
             ..LibraryCache::default()
         })
     }
 
-    /// [`LibraryCache::with_registry`] + [`LibraryCache::requiring_audit`]:
-    /// every registry blob — each shard of a group individually — must
-    /// carry a live audit stamp published alongside it, and path loads are
-    /// gated the same way.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors creating the registry layout.
-    pub fn with_registry_requiring_audit(root: impl Into<PathBuf>) -> Result<Self, LibraryError> {
-        Ok(LibraryCache {
-            registry: Some(Registry::open(root)?),
-            require_audit: true,
-            ..LibraryCache::default()
-        })
-    }
-
-    /// The backing registry, when this cache was built with
-    /// [`LibraryCache::with_registry`].
+    /// The backing registry, when this cache was opened with a registry
+    /// root.
     pub fn registry(&self) -> Option<&Registry> {
         self.registry.as_ref()
     }
 
-    /// Whether this cache was built with [`LibraryCache::requiring_audit`].
+    /// Whether this cache refuses artifacts without a live audit stamp.
     pub fn requires_audit(&self) -> bool {
         self.require_audit
     }
 
-    /// Returns the library at `path`, reading and validating the artifact on
+    /// Returns the library at `path`, opening and verifying the artifact on
     /// the first request and serving every later request from memory.
     ///
     /// # Errors
@@ -200,7 +188,7 @@ impl LibraryCache {
         if let Some(entry) = self.lock().get(&key) {
             return Ok(Arc::clone(entry));
         }
-        let loaded = Arc::new(Self::load(path, &key, self.require_audit)?);
+        let loaded = Arc::new(self.load(&[path.to_path_buf()], key.clone())?);
         // A concurrent load of the same artifact may have won the race;
         // keep the incumbent so every caller sees one shared index.
         let mut entries = self.lock();
@@ -208,71 +196,33 @@ impl LibraryCache {
         Ok(Arc::clone(entry))
     }
 
-    /// Resolves `key` through the backing registry, lazily mapping its
-    /// blob — or its complete shard group — on the first request and
-    /// serving every later request from memory.
+    /// Resolves `key` through the backing registry, loading its blob — or
+    /// its complete shard group — on the first request and serving every
+    /// later request from memory.
     ///
-    /// Whole artifacts use their prebuilt index when present (decoded
-    /// straight from the mapped section; classes stay on disk); shard
-    /// groups get their parent's index reassembled from the per-shard
-    /// slices ([`quartz_gen::assemble_index`]), bit-identical to the index
-    /// a direct load of the unsharded parent produces. Every blob was
-    /// already fully re-verified by [`Registry::get`] before it is mapped.
+    /// Shard groups get their parent's index reassembled from the
+    /// per-shard slices ([`quartz_gen::assemble_index`]), bit-identical to
+    /// the index a direct load of the unsharded parent produces.
     ///
     /// # Errors
     ///
     /// [`LibraryError::Malformed`] when the cache has no registry;
-    /// resolution and integrity errors from [`Registry::get`];
-    /// [`LibraryError::NotAudited`] for any blob — each shard of a group
-    /// individually — without a live stamp when auditing is required.
+    /// resolution and integrity errors from [`Registry::get`] and the
+    /// load; [`LibraryError::NotAudited`] for any blob — each shard of a
+    /// group individually — without a live stamp when auditing is
+    /// required.
     pub fn get_for_key(&self, key: &RegistryKey) -> Result<Arc<LoadedLibrary>, LibraryError> {
         let registry = self.registry.as_ref().ok_or_else(|| {
             LibraryError::Malformed(
-                "this cache has no registry — build it with LibraryCache::with_registry"
-                    .to_string(),
+                "this cache has no registry — open it with a registry root".to_string(),
             )
         })?;
         if let Some(entry) = self.lock_keys().get(key) {
             return Ok(Arc::clone(entry));
         }
-        let start = Instant::now();
         let paths = registry.get(key)?;
-        let mut shards = Vec::with_capacity(paths.len());
-        for path in &paths {
-            let lazy = LazyLibrary::open(path)?;
-            if self.require_audit {
-                let certified = AuditStamp::load_for(path).is_some_and(|stamp| {
-                    stamp.certifies(lazy.header().checksum, VerifierConfig::default().digest())
-                });
-                if !certified {
-                    return Err(LibraryError::NotAudited {
-                        path: path.display().to_string(),
-                    });
-                }
-            }
-            shards.push(Arc::new(lazy));
-        }
-        let (index, index_was_prebuilt) = if shards.len() > 1 {
-            let refs: Vec<&LazyLibrary> = shards.iter().map(|s| s.as_ref()).collect();
-            (Arc::new(assemble_index(&refs)?), true)
-        } else {
-            match shards[0].index()? {
-                Some(index) => (index, true),
-                None => {
-                    let set = shards[0].ecc_set()?;
-                    let index = TransformationIndex::new(transformations_from_ecc_set(&set, true));
-                    (Arc::new(index), false)
-                }
-            }
-        };
-        let loaded = Arc::new(LoadedLibrary {
-            path: registry.root().join("keys").join(key.dir_name()),
-            header: group_header(&shards),
-            index,
-            index_was_prebuilt,
-            load_time: start.elapsed(),
-            shards,
-        });
+        let entry_path = registry.root().join("keys").join(key.dir_name());
+        let loaded = Arc::new(self.load(&paths, entry_path)?);
         let mut entries = self.lock_keys();
         let entry = entries.entry(key.clone()).or_insert(loaded);
         Ok(Arc::clone(entry))
@@ -301,54 +251,65 @@ impl LibraryCache {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    fn load(path: &Path, key: &Path, require_audit: bool) -> Result<LoadedLibrary, LibraryError> {
+    /// The one load routine: opens every artifact of the entry (one, or a
+    /// shard group) lazily, decodes its index section and verifies all of
+    /// its other bytes, applies the audit gate, then serves the prebuilt
+    /// index — or builds one.
+    fn load(&self, paths: &[PathBuf], entry_path: PathBuf) -> Result<LoadedLibrary, LibraryError> {
         let start = Instant::now();
-        let bytes = std::fs::read(path)
-            .map_err(|e| LibraryError::Io(quartz_gen::path_io_error(path, e)))?;
-        let reader = LibraryReader::new(&bytes)?;
-        reader.verify_checksum()?;
-        if require_audit {
-            let certified = AuditStamp::load_for(path).is_some_and(|stamp| {
-                stamp.certifies(reader.header().checksum, VerifierConfig::default().digest())
-            });
-            if !certified {
-                return Err(LibraryError::NotAudited {
-                    path: path.display().to_string(),
+        let mut shards = Vec::with_capacity(paths.len());
+        for path in paths {
+            let lazy = LazyLibrary::open(path)?;
+            // Decoding the index verifies its digest; the sweep then hashes
+            // every byte not yet verified, so each byte is hashed once.
+            lazy.index()?;
+            lazy.verify_all()?;
+            if self.require_audit {
+                let certified = AuditStamp::load_for(path).is_some_and(|stamp| {
+                    stamp.certifies(lazy.header().checksum, VerifierConfig::default().digest())
                 });
+                if !certified {
+                    return Err(LibraryError::NotAudited {
+                        path: path.display().to_string(),
+                    });
+                }
             }
+            shards.push(Arc::new(lazy));
         }
-        let (index, index_was_prebuilt) = match reader.decode_index()? {
-            Some(index) => (index, true),
-            None => {
-                let set = reader.decode_ecc_set()?;
-                (
-                    TransformationIndex::new(transformations_from_ecc_set(&set, true)),
-                    false,
-                )
+        let (index, index_was_prebuilt) = if shards.len() > 1 {
+            let refs: Vec<&LazyLibrary> = shards.iter().map(|s| s.as_ref()).collect();
+            (Arc::new(assemble_index(&refs)?), true)
+        } else {
+            match shards[0].index()? {
+                Some(index) => (index, true),
+                None => {
+                    let set = shards[0].ecc_set()?;
+                    let index = TransformationIndex::new(transformations_from_ecc_set(&set, true));
+                    (Arc::new(index), false)
+                }
             }
         };
         Ok(LoadedLibrary {
-            path: key.to_path_buf(),
-            header: reader.header().clone(),
-            index: Arc::new(index),
+            path: entry_path,
+            header: group_header(&shards),
+            index,
             index_was_prebuilt,
             load_time: start.elapsed(),
-            shards: Vec::new(),
+            shards,
         })
     }
 }
 
-/// The header a registry entry reports: the artifact's own header for a
-/// whole library; for a shard group, the parent's identity reassembled
-/// from the uniform shard headers and the parent provenance the class
-/// tables carry (the parent's class count and checksum, section sums
-/// across the group).
+/// The header an entry reports: the artifact's own header for a whole
+/// library; for a shard group, the parent's identity reassembled from the
+/// uniform shard headers and the parent provenance the class tables carry
+/// (the parent's class count and checksum, section sums across the group).
 fn group_header(shards: &[Arc<LazyLibrary>]) -> LibraryHeader {
     let mut header = shards[0].header().clone();
-    if let Some(t) = shards[0].class_table().filter(|t| t.is_shard()) {
-        header.format_version = t.parent_format_version as u16;
-        header.num_eccs = t.parent_num_eccs;
-        header.checksum = t.parent_checksum;
+    let table = shards[0].class_table();
+    if table.is_shard() {
+        header.num_eccs = table.parent_num_eccs;
+        header.checksum = table.parent_checksum;
         header.total_circuits = shards.iter().map(|s| s.header().total_circuits).sum();
         header.total_instructions = shards.iter().map(|s| s.header().total_instructions).sum();
         header.ecc_len = shards.iter().map(|s| s.header().ecc_len).sum();
@@ -413,15 +374,27 @@ mod tests {
         assert!(err.to_string().contains("definitely_missing.qtzl"));
         assert!(cache.is_empty());
 
-        // A corrupted artifact is rejected by the checksum.
+        // A corrupted class table is rejected by the checksum at open...
         let path = temp_artifact("corrupt.qtzl", true);
-        let mut bytes = std::fs::read(&path).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        let mut bytes = good.clone();
+        bytes[quartz_gen::HEADER_LEN + 40] ^= 0xFF;
+        std::fs::write(&path, bytes).unwrap();
+        assert!(matches!(
+            cache.get_or_load(&path),
+            Err(LibraryError::ChecksumMismatch { .. })
+        ));
+        assert!(cache.is_empty());
+
+        // ...and a corrupted body byte by its section digest before
+        // anything is cached, even though the load decodes no class.
+        let mut bytes = good;
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         std::fs::write(&path, bytes).unwrap();
         assert!(matches!(
             cache.get_or_load(&path),
-            Err(LibraryError::ChecksumMismatch { .. })
+            Err(LibraryError::IndexDigestMismatch { .. })
         ));
         assert!(cache.is_empty());
     }
@@ -430,7 +403,7 @@ mod tests {
     fn requiring_audit_rejects_unstamped_artifacts() {
         let path = temp_artifact("unstamped.qtzl", true);
         let _ = std::fs::remove_file(AuditStamp::sidecar_path(&path));
-        let cache = LibraryCache::requiring_audit();
+        let cache = LibraryCache::open(None, true).unwrap();
         assert!(cache.requires_audit());
         assert!(!LibraryCache::new().requires_audit());
         let err = cache.get_or_load(&path).unwrap_err();
@@ -465,10 +438,10 @@ mod tests {
 
     #[test]
     fn registry_shard_groups_resolve_to_the_parent_index_without_decoding_classes() {
-        use quartz_gen::{shard_library, Registry, RegistryKey, FORMAT_VERSION_V2};
+        use quartz_gen::{shard_library, Registry, RegistryKey};
 
         let root = temp_registry_dir("shards");
-        let parent = Library::with_format("Nam", shardable_set(), true, FORMAT_VERSION_V2);
+        let parent = Library::new("Nam", shardable_set(), true);
         let shard_dir = root.join("staging");
         std::fs::create_dir_all(&shard_dir).unwrap();
         let mut paths = Vec::new();
@@ -479,7 +452,7 @@ mod tests {
         }
         Registry::open(&root).unwrap().add(&paths).unwrap();
 
-        let cache = LibraryCache::with_registry(&root).unwrap();
+        let cache = LibraryCache::open(Some(&root), false).unwrap();
         assert!(cache.registry().is_some());
         let key = RegistryKey::from_header(parent.header());
         let loaded = cache.get_for_key(&key).unwrap();
@@ -507,16 +480,16 @@ mod tests {
 
     #[test]
     fn registry_whole_artifacts_resolve_lazily_and_keyless_caches_refuse_keys() {
-        use quartz_gen::{Registry, RegistryKey, FORMAT_VERSION_V2};
+        use quartz_gen::{Registry, RegistryKey};
 
         let root = temp_registry_dir("whole");
-        let library = Library::with_format("Nam", shardable_set(), true, FORMAT_VERSION_V2);
+        let library = Library::new("Nam", shardable_set(), true);
         Registry::open(&root)
             .unwrap()
             .add_library(&library)
             .unwrap();
 
-        let cache = LibraryCache::with_registry(&root).unwrap();
+        let cache = LibraryCache::open(Some(&root), false).unwrap();
         let key = RegistryKey::from_header(library.header());
         let loaded = cache.get_for_key(&key).unwrap();
         assert_eq!(loaded.shard_count(), 1);
@@ -533,18 +506,17 @@ mod tests {
 
         let keyless = LibraryCache::new();
         let err = keyless.get_for_key(&key).unwrap_err();
-        assert!(err.to_string().contains("with_registry"), "{err}");
+        assert!(err.to_string().contains("registry root"), "{err}");
 
         let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn registry_audit_gating_is_per_shard() {
-        use quartz_gen::FORMAT_VERSION_V2;
         use quartz_gen::{shard_library, AuditConfig, Auditor, Registry, RegistryKey};
 
         let root = temp_registry_dir("audit");
-        let parent = Library::with_format("Nam", shardable_set(), true, FORMAT_VERSION_V2);
+        let parent = Library::new("Nam", shardable_set(), true);
         let shard_dir = root.join("staging");
         std::fs::create_dir_all(&shard_dir).unwrap();
         let mut paths = Vec::new();
@@ -565,7 +537,7 @@ mod tests {
             .unwrap();
         Registry::open(&root).unwrap().add(&paths).unwrap();
 
-        let cache = LibraryCache::with_registry_requiring_audit(&root).unwrap();
+        let cache = LibraryCache::open(Some(&root), true).unwrap();
         assert!(cache.requires_audit());
         let key = RegistryKey::from_header(parent.header());
         let err = cache.get_for_key(&key).unwrap_err();
@@ -599,7 +571,7 @@ mod tests {
         let stamp = report.stamp().expect("the sample set audits clean");
         stamp.save_for(&path).unwrap();
 
-        let cache = LibraryCache::requiring_audit();
+        let cache = LibraryCache::open(None, true).unwrap();
         let loaded = cache.get_or_load(&path).unwrap();
         assert_eq!(loaded.header().gate_set, "Nam");
 
@@ -612,7 +584,7 @@ mod tests {
         grown.eccs.push(Ecc::new(vec![xx, Circuit::new(2, 0)]));
         Library::new("Nam", grown, true).save(&path).unwrap();
 
-        let fresh = LibraryCache::requiring_audit();
+        let fresh = LibraryCache::open(None, true).unwrap();
         assert!(matches!(
             fresh.get_or_load(&path),
             Err(LibraryError::NotAudited { .. })

@@ -59,7 +59,6 @@ use crate::matcher::{MatchContext, MatchScratch};
 use crate::xform::{canonicalize, Transformation};
 use quartz_gen::{IndexScratch, TransformationIndex};
 use quartz_ir::{Circuit, CircuitDag, FxHashSet, SpliceDelta, StructuralHash};
-use rayon::prelude::*;
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -129,7 +128,7 @@ impl SearchConfig {
     /// Effective worker-thread count for batch expansion.
     pub(crate) fn effective_threads(&self) -> usize {
         if self.num_threads == 0 {
-            rayon::current_num_threads()
+            quartz_ir::par::available_threads()
         } else {
             self.num_threads
         }
@@ -560,27 +559,6 @@ impl Frontier {
     }
 }
 
-/// Runs `expand` over every work item — inline for a single item, on up to
-/// `threads` workers otherwise — returning results in input order regardless
-/// of thread scheduling. The single determinism-critical expansion dispatch,
-/// shared by [`Optimizer::optimize`] and the multi-circuit
-/// [`crate::service::OptimizationService`] so the two drivers cannot drift.
-pub(crate) fn expand_in_order<T, F>(items: &[T], threads: usize, expand: F) -> Vec<Expansion>
-where
-    T: Sync,
-    F: Fn(&T) -> Expansion + Sync,
-{
-    if items.len() <= 1 {
-        items.iter().map(expand).collect()
-    } else {
-        items
-            .par_iter()
-            .with_max_threads(threads)
-            .map(expand)
-            .collect()
-    }
-}
-
 /// The cost-based backtracking optimizer.
 ///
 /// # Examples
@@ -694,7 +672,7 @@ impl Optimizer {
             // any (only ever lower) merge-time best, and a hash in the
             // frozen seen-set is still in it at merge time.
             let frozen_best = frontier.best_cost();
-            let expansions = expand_in_order(&batch, num_threads, |entry| {
+            let expansions = quartz_ir::par::map_in_order(&batch, num_threads, |entry| {
                 self.expand_entry(entry, frozen_best, frontier.seen())
             });
 

@@ -631,13 +631,12 @@ impl ServiceScheduler {
         // is how one step expands entries of different gate-set indexes side
         // by side.
         let slots = &self.slots;
-        let expansions =
-            crate::search::expand_in_order(&work, steal, |(id, frozen_best, entry)| {
-                let slot = &slots[*id];
-                let frontier = slot.frontier.as_ref().expect("selected slots are running");
-                slot.optimizer
-                    .expand_entry(entry, *frozen_best, frontier.seen())
-            });
+        let expansions = quartz_ir::par::map_in_order(&work, steal, |(id, frozen_best, entry)| {
+            let slot = &slots[*id];
+            let frontier = slot.frontier.as_ref().expect("selected slots are running");
+            slot.optimizer
+                .expand_entry(entry, *frozen_best, frontier.seen())
+        });
 
         // Merge in the global key order — fixed before expansion, so the
         // outcome is independent of thread scheduling.

@@ -718,17 +718,18 @@ proptest! {
 }
 
 /// The same NAM (2, 2) library resolved through a sharded content-addressed
-/// registry (DESIGN.md §12.4): packed as a v2 artifact, split into two
-/// shards, published, and loaded back through [`LibraryCache::with_registry`]
+/// registry (DESIGN.md §12.4): packed as an artifact, split into two
+/// shards, published, and loaded back through a registry-backed
+/// [`LibraryCache`]
 /// — so the returned index went through the whole lazy shard-routing path.
 fn registry_nam_index() -> Arc<quartz_opt::TransformationIndex> {
-    use quartz_gen::{shard_library, Registry, RegistryKey, FORMAT_VERSION_V2};
+    use quartz_gen::{shard_library, Registry, RegistryKey};
     use quartz_opt::LibraryCache;
     use std::sync::OnceLock;
     static INDEX: OnceLock<Arc<quartz_opt::TransformationIndex>> = OnceLock::new();
     Arc::clone(INDEX.get_or_init(|| {
         let (set, _) = Generator::new(GateSet::nam(), GenConfig::standard(2, 2, 1)).run();
-        let library = Library::with_format("Nam", set, true, FORMAT_VERSION_V2);
+        let library = Library::new("Nam", set, true);
         let key = RegistryKey::from_header(library.header());
         let dir =
             std::env::temp_dir().join(format!("quartz_proptest_registry_{}", std::process::id()));
@@ -746,7 +747,7 @@ fn registry_nam_index() -> Arc<quartz_opt::TransformationIndex> {
             .collect();
         let registry = Registry::open(dir.join("registry")).unwrap();
         registry.add(&paths).unwrap();
-        let cache = LibraryCache::with_registry(dir.join("registry")).unwrap();
+        let cache = LibraryCache::open(Some(&dir.join("registry")), false).unwrap();
         cache.get_for_key(&key).unwrap().shared_index()
     }))
 }

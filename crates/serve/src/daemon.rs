@@ -116,14 +116,8 @@ impl Daemon {
     /// the content-addressed registry instead — each key's blob or shard
     /// group is mapped lazily on its first request.
     pub fn new(config: DaemonConfig) -> Result<Daemon, SubmitError> {
-        let cache = match (&config.registry_root, config.require_audited) {
-            (Some(root), true) => LibraryCache::with_registry_requiring_audit(root)
-                .map_err(|e| SubmitError::Library(format!("{}: {e}", root.display())))?,
-            (Some(root), false) => LibraryCache::with_registry(root)
-                .map_err(|e| SubmitError::Library(format!("{}: {e}", root.display())))?,
-            (None, true) => LibraryCache::requiring_audit(),
-            (None, false) => LibraryCache::new(),
-        };
+        let cache = LibraryCache::open(config.registry_root.as_deref(), config.require_audited)
+            .map_err(|e| SubmitError::Library(e.to_string()))?;
         let library = library_for(&cache, &config, GateSetKind::Nam)?;
         let optimizer = Optimizer::with_index(library.shared_index(), config.search.clone());
         let mut daemon = Daemon::with_optimizer(optimizer, config);

@@ -408,110 +408,109 @@ fn committed_artifact_is_bit_identical_to_generate_at_startup() {
     }
 }
 
-/// Backward-compat acceptance for the v2 format (DESIGN.md §12): every
-/// committed v1 artifact loads through the new lazy reader, repacks to v2,
-/// and the repack drives bit-identical `SearchResult`s — with the same
-/// per-class audit digests the committed sidecar certifies, since the
-/// digests are a function of the decoded classes, not the container format.
+/// Every committed artifact loads through the library cache without
+/// decoding a single class, serves exactly the index an eager decode
+/// produces, and its lazily decoded classes hash to the per-class digests
+/// the committed audit sidecar certifies.
 #[test]
-fn committed_v1_artifacts_repack_to_v2_with_identical_results_and_audits() {
-    use quartz::gen::{
-        class_digest, AuditStamp, LazyLibrary, Library, FORMAT_VERSION, FORMAT_VERSION_V2,
-    };
+fn committed_artifacts_load_lazily_with_identical_indexes_and_audits() {
+    use quartz::gen::{class_digest, AuditStamp, LazyLibrary, Library};
     use quartz::opt::LibraryCache;
 
     let libraries = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("libraries");
-    let temp = std::env::temp_dir().join(format!("quartz_v1_compat_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&temp);
-    std::fs::create_dir_all(&temp).unwrap();
+    for file in ["nam_n3_q2.qtzl", "ibm_n2_q2.qtzl", "rigetti_n2_q2.qtzl"] {
+        let path = libraries.join(file);
 
-    let mut toy = Circuit::new(2, 0);
-    toy.push(Instruction::new(Gate::H, vec![0], vec![]));
-    toy.push(Instruction::new(Gate::H, vec![0], vec![]));
-    toy.push(Instruction::new(Gate::Cnot, vec![0, 1], vec![]));
-
-    for (file, preprocess) in [
-        ("nam_n3_q2.qtzl", preprocess_nam as fn(&Circuit) -> Circuit),
-        ("ibm_n2_q2.qtzl", preprocess_ibm),
-        ("rigetti_n2_q2.qtzl", preprocess_rigetti),
-    ] {
-        let v1_path = libraries.join(file);
-
-        // The committed v1 artifact loads through the *new* reader.
-        let lazy_v1 = LazyLibrary::open(&v1_path).unwrap();
-        assert_eq!(lazy_v1.header().format_version, FORMAT_VERSION, "{file}");
-        assert!(lazy_v1.class_table().is_none(), "{file}: v1 has no table");
-        let set = lazy_v1.ecc_set().unwrap();
-
-        // Repack to v2 and read it back both lazily and eagerly.
-        let header = lazy_v1.header();
-        let v2 = Library::with_format(
-            header.gate_set.clone(),
-            set.clone(),
-            header.has_index(),
-            FORMAT_VERSION_V2,
+        let loaded = LibraryCache::new().get_or_load(&path).unwrap();
+        assert_eq!(
+            loaded.decoded_classes(),
+            0,
+            "{file}: a path load decodes no class"
         );
-        let v2_path = temp.join(file);
-        v2.save(&v2_path).unwrap();
-        let lazy_v2 = LazyLibrary::open(&v2_path).unwrap();
-        assert_eq!(lazy_v2.header().format_version, FORMAT_VERSION_V2, "{file}");
-        assert_eq!(lazy_v2.ecc_set().unwrap(), set, "{file}: repack lost data");
+        assert!(loaded.index_was_prebuilt(), "{file}");
+        let eager = Library::load(&path).unwrap();
+        let (lazy_index, eager_index) = (loaded.shared_index(), eager.index().unwrap());
+        assert_eq!(
+            lazy_index.transformations(),
+            eager_index.transformations(),
+            "{file}"
+        );
+        assert_eq!(
+            lazy_index.anchor_buckets(),
+            eager_index.anchor_buckets(),
+            "{file}"
+        );
 
-        // The committed audit sidecar's class digests are reproduced
-        // exactly by the v2 repack (only the container checksum differs).
-        let stamp = AuditStamp::load_for(&v1_path)
+        let stamp = AuditStamp::load_for(&path)
             .expect("committed artifacts carry audit sidecars (quartz-lib audit --write-stamp)");
+        let header = eager.header();
         assert!(
             stamp.certifies(header.checksum, stamp.verifier_digest),
             "{file}: stale committed sidecar"
         );
-        let v2_digests: Vec<u64> = v2
-            .ecc_set()
-            .eccs
-            .iter()
-            .map(|ecc| {
+        let lazy = LazyLibrary::open(&path).unwrap();
+        let digests: Vec<u64> = (0..lazy.num_classes())
+            .map(|i| {
                 class_digest(
-                    ecc,
+                    &lazy.class(i).unwrap(),
                     header.num_qubits as usize,
                     header.num_params as usize,
                     stamp.verifier_digest,
                 )
             })
             .collect();
-        assert_eq!(
-            v2_digests, stamp.class_digests,
-            "{file}: v2 repack changed the audited class content"
-        );
-
-        // Both containers drive bit-identical searches.
-        let config = SearchConfig {
-            timeout: Duration::from_secs(300),
-            max_iterations: 8,
-            ..SearchConfig::default()
-        };
-        let cache = LibraryCache::new();
-        let from_v1 = OptimizationService::from_library(
-            &cache.get_or_load(&v1_path).unwrap(),
-            config.clone(),
-        );
-        let from_v2 =
-            OptimizationService::from_library(&cache.get_or_load(&v2_path).unwrap(), config);
-        let circuit = preprocess(&toy);
-        let a = from_v1.optimizer().optimize_with_budget(&circuit, 8);
-        let b = from_v2.optimizer().optimize_with_budget(&circuit, 8);
-        assert_eq!(a.best_circuit, b.best_circuit, "{file}");
-        assert_eq!(a.best_cost, b.best_cost, "{file}");
-        assert_eq!(a.initial_cost, b.initial_cost, "{file}");
-        assert_eq!(a.iterations, b.iterations, "{file}");
-        assert_eq!(a.circuits_seen, b.circuits_seen, "{file}");
-        assert_eq!(a.match_attempts, b.match_attempts, "{file}");
-        assert_eq!(a.dedup_hits, b.dedup_hits, "{file}");
-        let trace_a: Vec<usize> = a.improvement_trace.iter().map(|&(_, c)| c).collect();
-        let trace_b: Vec<usize> = b.improvement_trace.iter().map(|&(_, c)| c).collect();
-        assert_eq!(trace_a, trace_b, "{file}");
+        assert_eq!(digests, stamp.class_digests, "{file}");
     }
+}
 
-    let _ = std::fs::remove_dir_all(&temp);
+/// Format version 1 is gone: a committed artifact with its version field
+/// set to 1 is refused with the typed `UnsupportedVersion` by every entry
+/// point that reads artifacts.
+#[test]
+fn version_1_artifacts_are_refused_by_every_entry_point() {
+    use quartz::gen::{LazyLibrary, Library, LibraryError, Registry};
+    use quartz::opt::LibraryCache;
+
+    let committed =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("libraries/nam_n3_q2.qtzl");
+    let mut bytes = std::fs::read(committed).unwrap();
+    bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+    let dir = std::env::temp_dir().join(format!("quartz_v1_refused_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("nam_n3_q2.qtzl");
+    std::fs::write(&path, &bytes).unwrap();
+
+    type Entry<'a> = (&'a str, Box<dyn Fn() -> Result<(), LibraryError> + 'a>);
+    let entries: Vec<Entry> = vec![
+        (
+            "Library::from_bytes",
+            Box::new(|| Library::from_bytes(&bytes).map(drop)),
+        ),
+        (
+            "LazyLibrary::from_bytes",
+            Box::new(|| LazyLibrary::from_bytes(bytes.clone()).map(drop)),
+        ),
+        (
+            "LibraryCache::get_or_load",
+            Box::new(|| LibraryCache::new().get_or_load(&path).map(drop)),
+        ),
+        (
+            "Registry::add",
+            Box::new(|| {
+                Registry::open(dir.join("registry"))?
+                    .add(std::slice::from_ref(&path))
+                    .map(drop)
+            }),
+        ),
+    ];
+    for (name, read) in entries {
+        match read() {
+            Err(LibraryError::UnsupportedVersion(1)) => {}
+            other => panic!("{name} accepted or misreported a version-1 artifact: {other:?}"),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// PR 7 acceptance (DESIGN.md §10): the daemon's response outcomes are
