@@ -690,52 +690,4 @@ mod tests {
             linear.match_attempts
         );
     }
-
-    /// Determinism of the batched parallel engine: on the NAM (2,2) suite,
-    /// sequential (`batch_size = 1`) and parallel runs reach the same best
-    /// cost, and repeating a parallel run reproduces it exactly.
-    #[test]
-    fn parallel_batched_search_matches_sequential_on_nam_suite() {
-        let (ecc_set, _) = build_ecc_set(GateSetKind::Nam, 2, 2);
-        let sequential_config = SearchConfig {
-            timeout: Duration::from_secs(300),
-            max_iterations: 8,
-            ..SearchConfig::default()
-        };
-        let parallel_config = SearchConfig {
-            batch_size: 4,
-            num_threads: 4,
-            ..sequential_config.clone()
-        };
-        let sequential = Optimizer::from_ecc_set(&ecc_set, sequential_config);
-        let parallel = Optimizer::from_ecc_set(&ecc_set, parallel_config);
-        let suite_subset = ["tof_3", "mod5_4"].map(|name| {
-            (
-                name,
-                suite::build_clifford_t(name).expect("known benchmark"),
-            )
-        });
-        for (name, clifford_t) in suite_subset {
-            let circuit = preprocess_nam(&clifford_t);
-            let seq = sequential.optimize(&circuit);
-            let par_a = parallel.optimize(&circuit);
-            let par_b = parallel.optimize(&circuit);
-            assert_eq!(
-                seq.best_cost, par_a.best_cost,
-                "{name}: sequential and parallel best costs diverged"
-            );
-            assert_eq!(
-                par_a.best_cost, par_b.best_cost,
-                "{name}: parallel run not reproducible"
-            );
-            assert_eq!(
-                par_a.best_circuit, par_b.best_circuit,
-                "{name}: parallel run not reproducible"
-            );
-            assert_eq!(
-                par_a.circuits_seen, par_b.circuits_seen,
-                "{name}: parallel run not reproducible"
-            );
-        }
-    }
 }

@@ -130,6 +130,22 @@ impl LazyLibrary {
         LazyLibrary::from_body(body, Some(path.to_path_buf()))
     }
 
+    /// Opens an artifact and verifies every byte of it: the index section
+    /// is decoded (which checks its digest), then
+    /// [`LazyLibrary::verify_all`] hashes the rest, so each byte of the
+    /// file is hashed exactly once. Classes stay undecoded. This is how the
+    /// registry's `get` and the library cache open artifacts.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`LazyLibrary::open`], plus the first digest mismatch.
+    pub fn open_verified(path: impl AsRef<Path>) -> Result<LazyLibrary, LibraryError> {
+        let lazy = LazyLibrary::open(path)?;
+        lazy.index()?;
+        lazy.verify_all()?;
+        Ok(lazy)
+    }
+
     /// Opens an artifact from an in-memory buffer (identical validation and
     /// laziness, no file behind it).
     ///

@@ -301,11 +301,27 @@ impl Registry {
     /// An unknown key surfaces as [`LibraryError::Io`] (`NotFound`, naming
     /// the manifest path); corrupt blobs surface as their integrity error.
     pub fn get(&self, key: &RegistryKey) -> Result<Vec<PathBuf>, LibraryError> {
+        let blobs = self.get_verified(key)?;
+        Ok(blobs.into_iter().map(|(path, _)| path).collect())
+    }
+
+    /// [`Registry::get`], also handing back the handle each blob was
+    /// verified through ([`LazyLibrary::open_verified`]: index decoded,
+    /// every byte hashed once), so a loader serves the blobs without
+    /// opening or hashing them again.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Registry::get`].
+    pub fn get_verified(
+        &self,
+        key: &RegistryKey,
+    ) -> Result<Vec<(PathBuf, LazyLibrary)>, LibraryError> {
         let mut last_err = None;
         for _attempt in 0..2 {
             let entry = self.read_entry(key)?;
             match self.verify_entry_blobs(&entry) {
-                Ok(paths) => return Ok(paths),
+                Ok(blobs) => return Ok(blobs),
                 // Retry only on a vanished blob (a gc/republish race); real
                 // corruption must be reported immediately.
                 Err(LibraryError::Io(e)) if e.kind() == io::ErrorKind::NotFound => {
@@ -317,12 +333,14 @@ impl Registry {
         Err(last_err.expect("retry loop always records an error before exiting"))
     }
 
-    fn verify_entry_blobs(&self, entry: &RegistryEntry) -> Result<Vec<PathBuf>, LibraryError> {
-        let mut paths = Vec::with_capacity(entry.blobs.len());
+    fn verify_entry_blobs(
+        &self,
+        entry: &RegistryEntry,
+    ) -> Result<Vec<(PathBuf, LazyLibrary)>, LibraryError> {
+        let mut blobs = Vec::with_capacity(entry.blobs.len());
         for blob in &entry.blobs {
             let path = self.blob_path(blob);
-            let lazy = LazyLibrary::open(&path)?;
-            lazy.verify_all()?;
+            let lazy = LazyLibrary::open_verified(&path)?;
             let named: Option<u64> = blob
                 .strip_suffix(".qtzl")
                 .and_then(|h| u64::from_str_radix(h, 16).ok());
@@ -334,9 +352,9 @@ impl Registry {
                     lazy.header().checksum
                 )));
             }
-            paths.push(path);
+            blobs.push((path, lazy));
         }
-        Ok(paths)
+        Ok(blobs)
     }
 
     /// Lists every key currently published, with its blob layout.

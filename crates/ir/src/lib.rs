@@ -21,9 +21,8 @@
 //! * [`StructuralHash`] — an order-invariant polynomial per-wire chain hash
 //!   of [`CircuitDag`]s, a complete invariant of the labeled DAG and
 //!   therefore an *exact* commitment to the canonical form, with strict
-//!   O(footprint) [`StructuralHash::preview`] / [`StructuralHash::updated`]
-//!   paths off the DAG's maintained wire caches — the optimizer's dedup
-//!   identity (DESIGN.md §13);
+//!   O(footprint) [`StructuralHash::preview`] off the DAG's maintained wire
+//!   caches — the optimizer's dedup identity (DESIGN.md §13);
 //! * [`CostModel`] — the cost metrics of the search (gate count,
 //!   multi-qubit gate count, T count, depth), with [`DeltaCoster`] making
 //!   delta-based costing exact for every model (depth included) so the
@@ -38,7 +37,8 @@
 //!   position-carrying parser; compact and pretty writers), which the ECC,
 //!   audit, bench-report and daemon-wire shapes all map onto;
 //! * [`par`] — the order-preserving parallel map on scoped threads behind
-//!   the search's batch expansion and the auditor's class re-verification;
+//!   the search step's per-frontier expansion and the auditor's class
+//!   re-verification;
 //! * [`semantics`] — state-vector simulation, full unitaries, equivalence up
 //!   to global phase, and the fingerprinting of eq. (3);
 //! * [`qasm`] — an OpenQASM 2.0 subset parser and printer.

@@ -1,12 +1,12 @@
 //! Order-preserving parallel map on scoped threads.
 //!
-//! The one parallel primitive the workspace needs: the search expands a
-//! batch of queue entries and the auditor re-verifies a list of classes,
-//! each as `items → results` where the results must come back in input
-//! order so outcomes never depend on thread scheduling. [`map_in_order`]
-//! splits the items into one contiguous chunk per worker, runs the chunks
-//! on [`std::thread::scope`] threads spawned for the call, and concatenates
-//! the chunk results in order.
+//! The one parallel primitive the workspace needs: a search step expands
+//! one entry of each selected frontier and the auditor re-verifies a list
+//! of classes, each as `items → results` where the results must come back
+//! in input order so outcomes never depend on thread scheduling.
+//! [`map_in_order`] splits the items into one contiguous chunk per worker,
+//! runs the chunks on [`std::thread::scope`] threads spawned for the call,
+//! and concatenates the chunk results in order.
 //!
 //! # Examples
 //!

@@ -60,16 +60,18 @@
 //! canonicalize path it stands in for. The per-wire chains are themselves
 //! combined as a wrapping *sum* of per-wire finalized commitments (wire
 //! index, chain, length), so patching a wire's contribution is O(1) too.
+//! The old commitment of a touched wire is read off the same caches, so a
+//! [`StructuralHash`] is that 64-bit sum alone: it copies no per-wire state.
 //!
-//! [`StructuralHash::previewed`] returns the same result as a full
-//! carryable hash, [`StructuralHash::previewed_rewalk`] recomputes a
-//! preview by re-walking the touched wires end-to-end (the reference
-//! implementation the O(footprint) algebra is property-tested against), and
-//! [`StructuralHash::updated`] re-derives the hash of an already-spliced
-//! child from its maintained caches.
+//! [`StructuralHash::previewed`] returns the same result as a carryable
+//! hash, and [`StructuralHash::previewed_rewalk`] recomputes a preview by
+//! re-walking the touched wires end-to-end (the reference implementation
+//! the O(footprint) algebra is property-tested against). The hash of an
+//! already-spliced DAG is [`StructuralHash::of`], a read of its maintained
+//! caches.
 
 use crate::circuit::Instruction;
-use crate::dag::{CircuitDag, NodeId, SpliceDelta, SpliceFootprint};
+use crate::dag::{CircuitDag, NodeId, SpliceDelta};
 
 /// FNV-1a offset basis.
 const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -157,6 +159,7 @@ fn shape_term(num_qubits: usize, num_params: usize) -> u64 {
 
 /// One wire's post-splice replacement chain, as computed by the preview
 /// algebra or the reference rewalk.
+#[derive(Debug, PartialEq, Eq)]
 struct WirePatch {
     q: usize,
     chain: u64,
@@ -184,49 +187,29 @@ struct WirePatch {
 /// let hb = StructuralHash::of(&CircuitDag::from_circuit(&b));
 /// assert_eq!(ha.value(), hb.value());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StructuralHash {
-    /// Polynomial chain hash of each qubit wire's content sequence.
-    wires: Vec<u64>,
-    /// Instruction count of each qubit wire.
-    lens: Vec<u32>,
-    num_params: usize,
     /// Wrapping sum of the shape term and every wire commitment — the
     /// pre-finalization state, kept so previews can patch it in O(1) per
     /// touched wire.
     inner: u64,
-    /// `finalize(inner)`: the exported 64-bit value.
-    total: u64,
 }
 
 impl StructuralHash {
-    fn from_parts(wires: Vec<u64>, lens: Vec<u32>, num_params: usize) -> Self {
-        let mut inner = shape_term(wires.len(), num_params);
-        for (q, (&w, &l)) in wires.iter().zip(&lens).enumerate() {
-            inner = inner.wrapping_add(wire_term(q, w, l));
-        }
-        let total = finalize(inner);
-        StructuralHash {
-            wires,
-            lens,
-            num_params,
-            inner,
-            total,
-        }
-    }
-
     /// Reads the hash off a DAG's maintained wire caches: O(num qubits),
     /// no traversal. ([`CircuitDag::from_circuit`] builds the caches;
     /// `splice_with_footprint` maintains them.)
     pub fn of(dag: &CircuitDag) -> Self {
-        let wires: Vec<u64> = (0..dag.num_qubits()).map(|q| dag.wire_chain(q)).collect();
-        let lens: Vec<u32> = (0..dag.num_qubits()).map(|q| dag.wire_len(q)).collect();
-        StructuralHash::from_parts(wires, lens, dag.num_params())
+        let mut inner = shape_term(dag.num_qubits(), dag.num_params());
+        for q in 0..dag.num_qubits() {
+            inner = inner.wrapping_add(wire_term(q, dag.wire_chain(q), dag.wire_len(q)));
+        }
+        StructuralHash { inner }
     }
 
     /// The 64-bit hash value.
     pub fn value(&self) -> u64 {
-        self.total
+        finalize(self.inner)
     }
 
     /// The post-splice `(wire, chain, len)` of every wire `delta` touches,
@@ -332,13 +315,7 @@ impl StructuralHash {
     ///
     /// Panics if a region node of `delta` is not live in `dag`.
     pub fn preview(&self, dag: &CircuitDag, delta: &SpliceDelta) -> u64 {
-        let mut inner = self.inner;
-        for p in StructuralHash::patches(dag, delta) {
-            inner = inner
-                .wrapping_sub(wire_term(p.q, self.wires[p.q], self.lens[p.q]))
-                .wrapping_add(wire_term(p.q, p.chain, p.len));
-        }
-        finalize(inner)
+        self.previewed(dag, delta).value()
     }
 
     /// The full successor hash [`StructuralHash::preview`] is the value of:
@@ -346,23 +323,20 @@ impl StructuralHash {
     /// successor's own previews need no rehash. Same cost and contract as
     /// `preview`.
     pub fn previewed(&self, dag: &CircuitDag, delta: &SpliceDelta) -> StructuralHash {
-        let mut wires = self.wires.clone();
-        let mut lens = self.lens.clone();
+        self.patched(dag, StructuralHash::patches(dag, delta))
+    }
+
+    /// `self` with each patched wire's commitment replaced: the old one is
+    /// read off `dag`'s wire caches, which `self` hashes.
+    fn patched(&self, dag: &CircuitDag, patches: Vec<WirePatch>) -> StructuralHash {
+        debug_assert_eq!(*self, StructuralHash::of(dag), "self must hash dag");
         let mut inner = self.inner;
-        for p in StructuralHash::patches(dag, delta) {
+        for p in patches {
             inner = inner
-                .wrapping_sub(wire_term(p.q, wires[p.q], lens[p.q]))
+                .wrapping_sub(wire_term(p.q, dag.wire_chain(p.q), dag.wire_len(p.q)))
                 .wrapping_add(wire_term(p.q, p.chain, p.len));
-            wires[p.q] = p.chain;
-            lens[p.q] = p.len;
         }
-        StructuralHash {
-            wires,
-            lens,
-            num_params: self.num_params,
-            inner,
-            total: finalize(inner),
-        }
+        StructuralHash { inner }
     }
 
     /// Reference implementation of [`StructuralHash::previewed`]: re-walks
@@ -371,6 +345,13 @@ impl StructuralHash {
     /// wires), no reliance on the cached prefix algebra. The O(footprint)
     /// paths are property-tested against this.
     pub fn previewed_rewalk(&self, dag: &CircuitDag, delta: &SpliceDelta) -> StructuralHash {
+        self.patched(dag, StructuralHash::rewalk_patches(dag, delta))
+    }
+
+    /// The per-wire result of [`StructuralHash::previewed_rewalk`]: the
+    /// same `(wire, chain, len)` list [`StructuralHash::patches`] computes
+    /// algebraically, folded from a walk of each touched wire.
+    fn rewalk_patches(dag: &CircuitDag, delta: &SpliceDelta) -> Vec<WirePatch> {
         let in_region = |id: NodeId| delta.region.contains(&id);
         // The touched wires, each with one region node on it to anchor the
         // wire walk.
@@ -391,8 +372,7 @@ impl StructuralHash {
                 .position(|&iq| iq == q)
                 .expect("node is on the wire it was reached from")
         };
-        let mut wires = self.wires.clone();
-        let mut lens = self.lens.clone();
+        let mut patches = Vec::with_capacity(anchors.len());
         for (q, anchor) in anchors {
             // Back up from the anchor to the head of wire q, then walk the
             // wire front to back, substituting the replacement's
@@ -429,26 +409,9 @@ impl StructuralHash {
                 }
                 cursor = dag.succs(id)[operand(id, q)];
             }
-            wires[q] = chain;
-            lens[q] = len;
+            patches.push(WirePatch { q, chain, len });
         }
-        StructuralHash::from_parts(wires, lens, self.num_params)
-    }
-
-    /// The hash of `child`, given that `child` was produced from `parent`
-    /// (whose hash is `self`) by a splice reporting `footprint`. Since the
-    /// child's own wire caches are maintained through the splice, this is a
-    /// cache read — equal to [`StructuralHash::of`] on `child`; the
-    /// signature is kept for callers that thread parent hashes along
-    /// derivation chains and as the seam the equivalence proptests drive.
-    pub fn updated(
-        &self,
-        _parent: &CircuitDag,
-        child: &CircuitDag,
-        _footprint: &SpliceFootprint,
-    ) -> StructuralHash {
-        debug_assert_eq!(self.num_params, child.num_params());
-        StructuralHash::of(child)
+        patches
     }
 }
 
@@ -566,10 +529,11 @@ mod tests {
         );
     }
 
-    /// Exercises `preview`, `previewed`, `previewed_rewalk`, and `updated`
-    /// against from-scratch hashes of the actually spliced DAG, across a
-    /// chain of splices that cover slot reuse, multi-wire regions, empty
-    /// replacements, and bridged wires.
+    /// Exercises `preview`, `previewed` and `previewed_rewalk` against the
+    /// actually spliced DAG, across a chain of splices that cover slot
+    /// reuse, multi-wire regions, empty replacements, and bridged wires.
+    /// The prefix algebra and the rewalk must agree wire by wire, and each
+    /// patched wire must equal the spliced DAG's maintained wire cache.
     fn check_splice(
         dag: &mut CircuitDag,
         hash: StructuralHash,
@@ -578,15 +542,26 @@ mod tests {
         let previewed = hash.preview(dag, delta);
         let full = hash.previewed(dag, delta);
         let rewalk = hash.previewed_rewalk(dag, delta);
-        let parent = dag.clone();
-        let footprint = dag.splice_with_footprint(delta);
+        let algebra = StructuralHash::patches(dag, delta);
+        assert_eq!(
+            algebra,
+            StructuralHash::rewalk_patches(dag, delta),
+            "prefix algebra and rewalk disagree on a wire"
+        );
+        dag.splice_with_footprint(delta);
         dag.validate().unwrap();
+        for p in &algebra {
+            assert_eq!(
+                (p.chain, p.len),
+                (dag.wire_chain(p.q), dag.wire_len(p.q)),
+                "patched wire q{} diverged from the spliced DAG",
+                p.q
+            );
+        }
         let from_scratch = StructuralHash::of(dag);
         assert_eq!(previewed, from_scratch.value(), "preview diverged");
         assert_eq!(full, from_scratch, "previewed diverged");
         assert_eq!(rewalk, from_scratch, "rewalk reference diverged");
-        let updated = hash.updated(&parent, dag, &footprint);
-        assert_eq!(updated, from_scratch, "updated diverged");
         from_scratch
     }
 

@@ -9,14 +9,15 @@
 //! per service (DESIGN.md §6).
 //!
 //! Path loads and registry-key loads share one routine: open each artifact
-//! lazily ([`LazyLibrary::open`]), decode its prebuilt index section, verify
-//! every other byte against the class-table digests
-//! ([`LazyLibrary::verify_all`]) before anything is cached, apply the audit
-//! gate, and serve the prebuilt index — reassembled from the slices of a
-//! shard group, or, when the artifact carries none, built once from the ECC
-//! payload ([`LoadedLibrary::index_was_prebuilt`] records which happened).
-//! Every byte of the file is hashed once per load, and classes stay
-//! undecoded unless the index has to be built.
+//! lazily, decode its prebuilt index section and verify every other byte
+//! against the class-table digests ([`LazyLibrary::open_verified`]; a
+//! registry load takes the handles [`Registry::get_verified`] verified)
+//! before anything is cached, apply the audit gate, and serve the prebuilt
+//! index — reassembled from the slices of a shard group, or, when the
+//! artifact carries none, built once from the ECC payload
+//! ([`LoadedLibrary::index_was_prebuilt`] records which happened). Every
+//! byte of the file is hashed once per load, and classes stay undecoded
+//! unless the index has to be built.
 //!
 //! # Examples
 //!
@@ -188,7 +189,9 @@ impl LibraryCache {
         if let Some(entry) = self.lock().get(&key) {
             return Ok(Arc::clone(entry));
         }
-        let loaded = Arc::new(self.load(&[path.to_path_buf()], key.clone())?);
+        let start = Instant::now();
+        let blob = (path.to_path_buf(), LazyLibrary::open_verified(path)?);
+        let loaded = Arc::new(self.load(vec![blob], key.clone(), start)?);
         // A concurrent load of the same artifact may have won the race;
         // keep the incumbent so every caller sees one shared index.
         let mut entries = self.lock();
@@ -207,10 +210,9 @@ impl LibraryCache {
     /// # Errors
     ///
     /// [`LibraryError::Malformed`] when the cache has no registry;
-    /// resolution and integrity errors from [`Registry::get`] and the
-    /// load; [`LibraryError::NotAudited`] for any blob — each shard of a
-    /// group individually — without a live stamp when auditing is
-    /// required.
+    /// resolution and integrity errors from [`Registry::get_verified`];
+    /// [`LibraryError::NotAudited`] for any blob — each shard of a group
+    /// individually — without a live stamp when auditing is required.
     pub fn get_for_key(&self, key: &RegistryKey) -> Result<Arc<LoadedLibrary>, LibraryError> {
         let registry = self.registry.as_ref().ok_or_else(|| {
             LibraryError::Malformed(
@@ -220,9 +222,10 @@ impl LibraryCache {
         if let Some(entry) = self.lock_keys().get(key) {
             return Ok(Arc::clone(entry));
         }
-        let paths = registry.get(key)?;
+        let start = Instant::now();
+        let blobs = registry.get_verified(key)?;
         let entry_path = registry.root().join("keys").join(key.dir_name());
-        let loaded = Arc::new(self.load(&paths, entry_path)?);
+        let loaded = Arc::new(self.load(blobs, entry_path, start)?);
         let mut entries = self.lock_keys();
         let entry = entries.entry(key.clone()).or_insert(loaded);
         Ok(Arc::clone(entry))
@@ -251,21 +254,20 @@ impl LibraryCache {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// The one load routine: opens every artifact of the entry (one, or a
-    /// shard group) lazily, decodes its index section and verifies all of
-    /// its other bytes, applies the audit gate, then serves the prebuilt
-    /// index — or builds one.
-    fn load(&self, paths: &[PathBuf], entry_path: PathBuf) -> Result<LoadedLibrary, LibraryError> {
-        let start = Instant::now();
-        let mut shards = Vec::with_capacity(paths.len());
-        for path in paths {
-            let lazy = LazyLibrary::open(path)?;
-            // Decoding the index verifies its digest; the sweep then hashes
-            // every byte not yet verified, so each byte is hashed once.
-            lazy.index()?;
-            lazy.verify_all()?;
+    /// The one load routine: takes every verified artifact of the entry
+    /// (one, or a shard group) with its path, applies the audit gate, then
+    /// serves the prebuilt index — or builds one. `start` is when opening
+    /// the artifacts began.
+    fn load(
+        &self,
+        blobs: Vec<(PathBuf, LazyLibrary)>,
+        entry_path: PathBuf,
+        start: Instant,
+    ) -> Result<LoadedLibrary, LibraryError> {
+        let mut shards = Vec::with_capacity(blobs.len());
+        for (path, lazy) in blobs {
             if self.require_audit {
-                let certified = AuditStamp::load_for(path).is_some_and(|stamp| {
+                let certified = AuditStamp::load_for(&path).is_some_and(|stamp| {
                     stamp.certifies(lazy.header().checksum, VerifierConfig::default().digest())
                 });
                 if !certified {

@@ -1,10 +1,9 @@
 //! The cost-based backtracking search of the optimizer (paper §6,
-//! Algorithm 2), run as a batched, indexed, parallel frontier expansion
-//! (DESIGN.md §2.3).
+//! Algorithm 2), run as an indexed frontier expansion (DESIGN.md §2.3).
 //!
-//! Each step pops the best `batch_size` queue entries, expands them on worker
-//! threads, and merges the resulting candidates sequentially in
-//! (cost, insertion order) priority order. There is one expansion path:
+//! Each step pops the best queue entry, expands it, and merges the resulting
+//! candidates into the queue, which is ordered by (cost, insertion order).
+//! There is one expansion path:
 //!
 //! 1. **Derive the match context.** A dequeued entry carries the
 //!    [`SpliceDelta`] that created it plus a handle to its parent's
@@ -29,13 +28,11 @@
 //!    canonicalized or cloned on this path.
 //!
 //! Candidates are ordered within each expansion by (cost, structural hash),
-//! which makes the exploration a function of the candidate *sets* alone.
-//! With `batch_size = 1` the search visits exactly the states the sequential
-//! Algorithm 2 visits. Larger batches trade strict best-first order for
-//! parallelism while remaining deterministic: worker results are merged in a
-//! fixed order, independent of thread scheduling. The tests check every
-//! outcome field against a naive reference implementation of Algorithm 2
-//! (`tests/oracle`) that shares none of the steps above.
+//! which makes the exploration a function of the candidate *sets* alone, so
+//! the search visits exactly the states the sequential Algorithm 2 visits.
+//! The tests check every outcome field against a naive reference
+//! implementation of Algorithm 2 (`tests/oracle`) that shares none of the
+//! steps above.
 //!
 //! # Determinism guarantee
 //!
@@ -48,14 +45,15 @@
 //! bit-identical.
 //!
 //! The per-frontier state (priority queue, structural-hash seen-set,
-//! incumbent best, counters) lives in the [`Frontier`] struct, which is also
-//! driven — one instance per circuit, over one shared
-//! [`TransformationIndex`] — by the multi-circuit
-//! [`crate::service::OptimizationService`].
+//! incumbent best, counters) lives in the [`Frontier`] struct. One driver
+//! steps frontiers: the [`ServiceScheduler`], one frontier per request over
+//! shared [`TransformationIndex`]es. A standalone [`Optimizer::optimize`] run
+//! is a scheduler with one request.
 
 use crate::cache::LoadedLibrary;
 use crate::cost::CostModel;
 use crate::matcher::{MatchContext, MatchScratch};
+use crate::service::{ServiceRequest, ServiceScheduler};
 use crate::xform::{canonicalize, Transformation};
 use quartz_gen::{IndexScratch, TransformationIndex};
 use quartz_ir::{Circuit, CircuitDag, FxHashSet, SpliceDelta, StructuralHash};
@@ -72,7 +70,7 @@ pub struct SearchConfig {
     /// cost found so far are not enqueued. γ = 1.0001 (the paper's value)
     /// admits cost-preserving rewrites but not cost-increasing ones.
     pub gamma: f64,
-    /// Wall-clock budget for the search.
+    /// Wall-clock budget for the search, checked only between steps.
     pub timeout: Duration,
     /// Upper bound on the number of search iterations (circuit dequeues);
     /// `usize::MAX` means unlimited. The paper bounds the search only by
@@ -84,12 +82,10 @@ pub struct SearchConfig {
     pub queue_keep: usize,
     /// The cost model to minimize.
     pub cost_model: CostModel,
-    /// Number of queue entries expanded per search step. `1` (the default)
-    /// reproduces the exact sequential semantics of Algorithm 2; larger
-    /// values expand the frontier in parallel.
-    pub batch_size: usize,
-    /// Worker threads for batch expansion; `0` (the default) uses one per
-    /// available core. Irrelevant when `batch_size` is 1.
+    /// How many frontiers one scheduling step expands in parallel, one
+    /// entry each; `0` (the default) uses one per available core. A
+    /// standalone run has one frontier, so this matters only to services
+    /// with several requests running.
     pub num_threads: usize,
     /// When `true`, per-phase wall-clock timings (context derivation,
     /// matching, delta construction, γ-precheck, hash previews, the
@@ -108,7 +104,6 @@ impl Default for SearchConfig {
             queue_prune_threshold: 2000,
             queue_keep: 1000,
             cost_model: CostModel::GateCount,
-            batch_size: 1,
             num_threads: 0,
             profile: false,
         }
@@ -125,7 +120,7 @@ impl SearchConfig {
         }
     }
 
-    /// Effective worker-thread count for batch expansion.
+    /// How many frontiers one scheduling step expands.
     pub(crate) fn effective_threads(&self) -> usize {
         if self.num_threads == 0 {
             quartz_ir::par::available_threads()
@@ -234,9 +229,8 @@ pub struct SearchResult {
     /// The part of [`SearchResult::dedup_hits`] caught on the worker, by
     /// probing the O(footprint) hash preview against the seen-set as it was
     /// when the step began. The rest, `dedup_hits - fp_fast_rejects`, are
-    /// caught at merge time: duplicates of a candidate that an earlier
-    /// expansion of the same step (or an earlier match of the same
-    /// expansion) had just admitted.
+    /// caught at merge time: duplicates of a candidate that an earlier match
+    /// of the same expansion had just admitted.
     pub fp_fast_rejects: usize,
     /// Structural-hash previews contradicted by a from-scratch hash of the
     /// materialized circuit: every dequeued entry checks the derived DAG's
@@ -362,18 +356,17 @@ pub(crate) struct Expansion {
 /// structural-hash seen-set, the incumbent best circuit, the FIFO insertion
 /// counter, and the run statistics.
 ///
-/// Extracted from [`Optimizer::optimize`] so that the single-circuit driver
-/// and the multi-circuit [`crate::service::OptimizationService`] (one
-/// `Frontier` per request, all sharing one [`TransformationIndex`]) execute
-/// exactly the same pop → expand → merge → prune code, which is what keeps
-/// per-circuit service results bit-identical to standalone runs.
+/// The [`ServiceScheduler`] holds one `Frontier` per request, all sharing
+/// the request's [`TransformationIndex`], and steps every one through the
+/// same pop → expand → merge → prune code. A standalone run is a one-request
+/// scheduler, which is what keeps per-circuit service results bit-identical
+/// to standalone runs.
 pub(crate) struct Frontier {
     /// Iteration budget of *this* frontier (dequeues allowed over its whole
-    /// lifetime). Standalone runs seed it from
-    /// [`SearchConfig::max_iterations`]; service requests carry their own
-    /// budget, which is what makes a co-tenant mix deterministic per
-    /// request: the budget travels with the frontier, not with the shared
-    /// configuration.
+    /// lifetime). Every request carries its own budget (standalone runs seed
+    /// it from [`SearchConfig::max_iterations`]), which is what makes a
+    /// co-tenant mix deterministic per request: the budget travels with the
+    /// frontier, not with the shared configuration.
     budget: usize,
     queue: BinaryHeap<QueueEntry>,
     /// Structural-hash values of every circuit ever enqueued — the
@@ -470,20 +463,14 @@ impl Frontier {
         self.queue.peek().map(|e| (e.cost, e.order))
     }
 
-    /// Pops up to `take` best entries, counting them as iterations. No
-    /// dequeued entry can beat the incumbent: [`Frontier::merge`] records
-    /// every improvement when the candidate is enqueued, and the best cost
-    /// only ever decreases.
-    pub(crate) fn pop_batch(&mut self, take: usize) -> Vec<QueueEntry> {
-        let mut batch = Vec::with_capacity(take);
-        while batch.len() < take {
-            match self.queue.pop() {
-                Some(entry) => batch.push(entry),
-                None => break,
-            }
-        }
-        self.iterations += batch.len();
-        batch
+    /// Pops the best entry, counting it as an iteration; `None` when the
+    /// queue is exhausted. No dequeued entry can beat the incumbent:
+    /// [`Frontier::merge`] records every improvement when the candidate is
+    /// enqueued, and the best cost only ever decreases.
+    pub(crate) fn pop(&mut self) -> Option<QueueEntry> {
+        let entry = self.queue.pop()?;
+        self.iterations += 1;
+        Some(entry)
     }
 
     /// Merges one expansion into the frontier: accumulates its statistics
@@ -498,7 +485,8 @@ impl Frontier {
         self.profile.accumulate(&expansion.profile);
         for candidate in expansion.candidates {
             if self.seen.contains(&candidate.shash.value()) {
-                // A merge-time duplicate: admitted earlier in this step.
+                // A merge-time duplicate: an earlier candidate of this
+                // expansion was just admitted.
                 self.dedup_hits += 1;
                 continue;
             }
@@ -644,48 +632,27 @@ impl Optimizer {
     }
 
     /// Runs Algorithm 2 with an explicit per-run iteration budget, overriding
-    /// [`SearchConfig::max_iterations`]. This is the standalone twin of a
-    /// service request with the same budget: under an iteration budget the
-    /// two produce bit-identical [`SearchResult`]s (wall-clock fields aside)
-    /// no matter what else the service is running — the acceptance check of
-    /// the `quartz-serve` daemon.
+    /// [`SearchConfig::max_iterations`]. The run is a one-request
+    /// [`ServiceScheduler`]: the request carries `budget` and a deadline of
+    /// [`SearchConfig::timeout`], and the scheduler steps until it ends. So
+    /// a standalone run and a service request with the same budget execute
+    /// the same steps, and under an iteration budget they produce
+    /// bit-identical [`SearchResult`]s (wall-clock fields aside) no matter
+    /// what else the service is running — the acceptance check of the
+    /// `quartz-serve` daemon.
     pub fn optimize_with_budget(&self, input: &Circuit, budget: usize) -> SearchResult {
-        let start = Instant::now();
-        let mut frontier = Frontier::new(input, self.config.cost_model, budget);
-        let batch_size = self.config.batch_size.max(1);
-        let num_threads = self.config.effective_threads();
-
-        loop {
-            if start.elapsed() > self.config.timeout || frontier.remaining_budget() == 0 {
-                break;
-            }
-            let take = batch_size.min(frontier.remaining_budget());
-            let batch = frontier.pop_batch(take);
-            if batch.is_empty() {
-                break;
-            }
-
-            // Expand the batch. Workers only read state frozen before the
-            // batch (the seen-set and best cost), so their pre-filters are
-            // conservative and the sequential merge below remains exact: a
-            // candidate failing γ against the frozen best also fails against
-            // any (only ever lower) merge-time best, and a hash in the
-            // frozen seen-set is still in it at merge time.
-            let frozen_best = frontier.best_cost();
-            let expansions = quartz_ir::par::map_in_order(&batch, num_threads, |entry| {
-                self.expand_entry(entry, frozen_best, frontier.seen())
-            });
-
-            // Deterministic merge in batch (priority) order; with
-            // batch_size = 1 this interleaves with expansion exactly as the
-            // sequential algorithm does.
-            for expansion in expansions {
-                frontier.merge(expansion, &self.config, start);
-            }
-            frontier.prune_queue(&self.config);
-        }
-
-        frontier.into_result(start.elapsed())
+        let mut scheduler = ServiceScheduler::new(self.clone(), 1);
+        let id = scheduler
+            .admit(
+                ServiceRequest::new(input.clone())
+                    .with_budget(budget)
+                    .with_deadline(self.config.timeout),
+            )
+            .expect("an empty scheduler admits one request");
+        while scheduler.step(|_| {}) {}
+        scheduler
+            .take_result(id)
+            .expect("a finished request keeps its result")
     }
 
     /// Expands one dequeued circuit: builds its [`MatchContext`] (derived
@@ -800,12 +767,12 @@ impl Optimizer {
             // frozen seen-set. The hash is a complete invariant of the
             // canonical form (DESIGN.md §13), so a hit *is* a duplicate.
             let t_preview = profiling.then(Instant::now);
-            let value = entry_shash.preview(ctx.dag(), &delta);
+            let shash = entry_shash.previewed(ctx.dag(), &delta);
             if let Some(t) = t_preview {
                 profile.preview += t.elapsed();
             }
             let t_dedup = profiling.then(Instant::now);
-            let seen_hit = seen.contains(&value);
+            let seen_hit = seen.contains(&shash.value());
             if let Some(t) = t_dedup {
                 profile.dedup += t.elapsed();
             }
@@ -813,17 +780,9 @@ impl Optimizer {
                 fp_fast_rejects += 1;
                 return;
             }
-            // First sight: promote the previewed value to a full
-            // carryable hash (still O(footprint)) and admit the candidate
-            // on (cost, hash, delta) alone.
-            let t_preview = profiling.then(Instant::now);
-            let shash = entry_shash.previewed(ctx.dag(), &delta);
-            if let Some(t) = t_preview {
-                profile.preview += t.elapsed();
-            }
-            debug_assert_eq!(shash.value(), value);
-            // Debug builds re-derive the admission from the materialized
-            // successor: same cost, same hash.
+            // First sight: admit the candidate on (cost, hash, delta)
+            // alone. Debug builds re-derive the admission from the
+            // materialized successor: same cost, same hash.
             #[cfg(debug_assertions)]
             {
                 let canonical = canonicalize(&ctx.apply_delta(&delta));
@@ -958,28 +917,6 @@ mod tests {
         }
         let result = opt.optimize(&c);
         assert!(result.iterations <= 1);
-    }
-
-    #[test]
-    fn batched_iteration_budget_is_respected_too() {
-        let opt = Optimizer::new(
-            nam_optimizer(2, 2, 0).transformations().to_vec(),
-            SearchConfig {
-                max_iterations: 5,
-                batch_size: 4,
-                ..SearchConfig::default()
-            },
-        );
-        let mut c = Circuit::new(2, 0);
-        for _ in 0..6 {
-            c.push(instruction(Gate::H, &[0]));
-        }
-        let result = opt.optimize(&c);
-        assert!(
-            result.iterations <= 5,
-            "batched dequeues exceeded the budget: {}",
-            result.iterations
-        );
     }
 
     #[test]
@@ -1139,25 +1076,6 @@ mod tests {
         assert!(result.fp_fast_reject_rate() > 0.0);
     }
 
-    /// The preview path composes with the engine's remaining settings:
-    /// batched parallel expansion (workers filter against the state frozen
-    /// at the start of the step, merges run in pop order) at several thread
-    /// counts matches the oracle's batched steps exactly.
-    #[test]
-    fn batched_expansion_matches_the_batched_oracle() {
-        for (batch_size, num_threads) in [(4, 2), (3, 1)] {
-            let result = engine_against_oracle(
-                SearchConfig {
-                    batch_size,
-                    num_threads,
-                    ..bounded()
-                },
-                &x_through_cnot_circuit(),
-            );
-            assert!(result.fp_fast_rejects > 0);
-        }
-    }
-
     /// Delta-costing makes the γ precheck exact for the non-additive Depth
     /// model, so the preview path stays *active* there: duplicates are
     /// rejected before materialization and the outcome matches the oracle,
@@ -1198,6 +1116,67 @@ mod tests {
         }
     }
 
+    /// `r` with its wall-clock fields zeroed: the elapsed time and the
+    /// improvement-trace timestamps.
+    fn without_wall_clock(r: &SearchResult) -> SearchResult {
+        SearchResult {
+            elapsed: Duration::ZERO,
+            improvement_trace: r
+                .improvement_trace
+                .iter()
+                .map(|&(_, c)| (Duration::ZERO, c))
+                .collect(),
+            ..r.clone()
+        }
+    }
+
+    /// A zero timeout has expired before the first step: the run returns
+    /// the canonicalized input without dequeuing anything.
+    #[test]
+    fn zero_timeout_returns_the_canonical_input_unsearched() {
+        let base = nam_optimizer(2, 2, 0);
+        let opt = Optimizer::new(
+            base.transformations().to_vec(),
+            SearchConfig::with_timeout(Duration::ZERO),
+        );
+        let c = redundant_three_qubit_circuit();
+        let result = opt.optimize(&c);
+        assert_eq!(result.iterations, 0);
+        assert_eq!(result.best_circuit, canonicalize(&c));
+        assert_eq!(result.best_cost, result.initial_cost);
+        assert_eq!(result.circuits_seen, 1);
+        assert_eq!(result.match_attempts + result.match_skips, 0);
+        let costs: Vec<usize> = result.improvement_trace.iter().map(|&(_, c)| c).collect();
+        assert_eq!(costs, vec![result.initial_cost]);
+    }
+
+    /// `Duration::MAX` means no deadline (it must not overflow the clock):
+    /// under an iteration budget the run equals a 600 s run field by field.
+    #[test]
+    fn unbounded_timeout_matches_a_long_timeout_field_by_field() {
+        let base = nam_optimizer(2, 2, 0);
+        // Two copies of the redundant circuit: enough states that the
+        // budget, not queue exhaustion, ends the run.
+        let mut c = redundant_three_qubit_circuit();
+        for instr in redundant_three_qubit_circuit().instructions() {
+            c.push(instr.clone());
+        }
+        let run = |timeout: Duration| {
+            Optimizer::new(
+                base.transformations().to_vec(),
+                SearchConfig {
+                    max_iterations: 20,
+                    ..SearchConfig::with_timeout(timeout)
+                },
+            )
+            .optimize(&c)
+        };
+        let unbounded = run(Duration::MAX);
+        let long = run(Duration::from_secs(600));
+        assert_eq!(unbounded.iterations, 20);
+        assert_eq!(without_wall_clock(&unbounded), without_wall_clock(&long));
+    }
+
     /// Profiling off (the default) leaves the breakdown all-zero; profiling
     /// on fills it without changing any outcome or counter field.
     #[test]
@@ -1217,14 +1196,8 @@ mod tests {
         )
         .optimize(&c);
         let strip = |r: &SearchResult| SearchResult {
-            elapsed: Duration::ZERO,
-            improvement_trace: r
-                .improvement_trace
-                .iter()
-                .map(|&(_, c)| (Duration::ZERO, c))
-                .collect(),
             profile: SearchProfile::default(),
-            ..r.clone()
+            ..without_wall_clock(r)
         };
         assert_eq!(strip(&profiled), strip(&unprofiled));
         assert!(

@@ -3,28 +3,28 @@
 //! deadlines, priority classes, backpressure, and graceful cancellation
 //! (DESIGN.md §6, §10).
 //!
-//! [`Optimizer::optimize`] runs Algorithm 2 on one circuit at a time. The
-//! [`ServiceScheduler`] runs it on an *open set* of requests: one
-//! [`Frontier`] per admitted request — each with its own priority queue,
-//! fingerprint seen-set, iteration budget, and γ threshold — while the
-//! transformation indexes, loaded or built once, are shared by every
-//! request that uses them and never cloned. Frontier entries are
-//! self-contained `(parent context Arc, splice delta, hash)` recipes, so any
-//! worker thread can materialize any entry's match context; that is what
-//! lets a single worker pool serve every frontier.
+//! The [`ServiceScheduler`] is the one driver of Algorithm 2. It runs an
+//! *open set* of requests: one [`Frontier`] per admitted request — each
+//! with its own priority queue, fingerprint seen-set, iteration budget, and
+//! γ threshold — while the transformation indexes, loaded or built once,
+//! are shared by every request that uses them and never cloned. Frontier
+//! entries are self-contained `(parent context Arc, splice delta, hash)`
+//! recipes, so any worker thread can materialize any entry's match context;
+//! that is what lets a single worker pool serve every frontier.
+//! [`Optimizer::optimize`] is a scheduler with one request whose deadline
+//! is the configured timeout.
 //!
 //! # Work stealing, admission, and determinism
 //!
 //! Each scheduling step ranks the queue heads of all running frontiers by
 //! the global key `(priority, cost, request id, order)` and selects the best
-//! `steal` frontiers; each selected frontier pops exactly the
-//! (budget-capped) `batch_size` batch the standalone driver would pop, every
-//! popped entry is expanded on the shared worker pool, and the expansions
-//! merge back into their frontiers in exactly the ranked key order. Worker
-//! time therefore flows to whichever requests currently have the cheapest
-//! open candidates within the highest present priority class, yet every
-//! individual frontier still steps through exactly the pop → freeze →
-//! expand → merge → prune sequence of the standalone driver.
+//! [`SearchConfig::num_threads`] frontiers; each selected frontier pops its
+//! best entry, the popped entries are expanded in parallel, and the
+//! expansions merge back into their frontiers in exactly the ranked key
+//! order. Worker time therefore flows to whichever requests currently have
+//! the cheapest open candidates within the highest present priority class,
+//! yet every individual frontier steps through the same pop → freeze →
+//! expand → merge → prune sequence it would step through alone.
 //!
 //! **Admission is a queue insert.** Because the scheduler re-ranks queue
 //! heads every step, admitting a request mid-run just adds one more frontier
@@ -37,15 +37,15 @@
 //! worker threads the service uses, which co-tenants it shares them with,
 //! when it was admitted, or what faults (cancellations, deadline expiries,
 //! malformed submissions) its co-tenants suffer. Cancellation drops exactly
-//! one frontier; deadlines are checked only *between* steps, so like the
-//! standalone timeout they bound how many steps a request executes without
-//! ever changing the outcome of a step.
+//! one frontier; deadlines (the standalone timeout among them) are checked
+//! only *between* steps, so they bound how many steps a request executes
+//! without ever changing the outcome of a step.
 //!
 //! [`OptimizationService`] keeps the original closed-batch API; it is now a
 //! thin wrapper that admits the whole batch up front and steps the
 //! scheduler until every request finishes.
 
-use crate::search::{Frontier, Optimizer, SearchConfig, SearchResult};
+use crate::search::{Frontier, Optimizer, QueueEntry, SearchConfig, SearchResult};
 use quartz_gen::TransformationIndex;
 use quartz_ir::Circuit;
 use std::sync::Arc;
@@ -146,7 +146,8 @@ pub struct ServiceRequest {
     pub budget: usize,
     /// Optional wall-clock deadline, measured from admission. Checked only
     /// between scheduling steps (never mid-step), so expiry changes how many
-    /// steps the request executes, never the outcome of a step.
+    /// steps the request executes, never the outcome of a step. A deadline
+    /// too far out for the clock to represent means no deadline.
     pub deadline: Option<Duration>,
     /// Scheduling class.
     pub priority: Priority,
@@ -334,6 +335,15 @@ struct Slot {
     result: Option<SearchResult>,
 }
 
+/// One frontier's share of a scheduling step: the entry it popped, its best
+/// cost frozen at the pop, and its trace length before the step.
+struct Work {
+    id: usize,
+    trace_len_before: usize,
+    frozen_best: usize,
+    entry: QueueEntry,
+}
+
 /// The status fields a frontier owns.
 #[derive(Debug, Clone, Copy)]
 struct Progress {
@@ -475,7 +485,8 @@ impl ServiceScheduler {
         self.slots.push(Slot {
             priority: request.priority,
             admitted_at,
-            deadline: request.deadline.map(|d| admitted_at + d),
+            // A deadline past the end of the clock is no deadline.
+            deadline: request.deadline.and_then(|d| admitted_at.checked_add(d)),
             optimizer,
             budget: request.budget,
             summary: Progress::of(&frontier),
@@ -538,20 +549,10 @@ impl ServiceScheduler {
         self.slots.get_mut(id.index())?.result.take()
     }
 
-    /// Finalizes every still-running request as [`RequestState::Done`] with
-    /// whatever it has found — the drain used by closed-batch drivers when
-    /// their overall timeout fires, and by daemon shutdown.
-    pub fn drain(&mut self) {
-        for slot in &mut self.slots {
-            if slot.state == RequestState::Running {
-                Self::finalize(slot, RequestState::Done);
-            }
-        }
-    }
-
-    /// Executes one scheduling step — deadline sweep, global ranking, pop,
-    /// parallel expansion, ranked merge — streaming a [`ServiceEvent`] to
-    /// `progress` for every per-request improvement the step produced.
+    /// Executes one scheduling step — deadline sweep, global ranking, one pop
+    /// per selected frontier, parallel expansion, ranked merge — streaming a
+    /// [`ServiceEvent`] to `progress` for every per-request improvement the
+    /// step produced.
     /// Returns `true` while work remains after the step.
     ///
     /// Every step is a pure function of the admitted frontiers (the deadline
@@ -563,9 +564,7 @@ impl ServiceScheduler {
         F: FnMut(ServiceEvent),
     {
         self.step += 1;
-        let config = self.optimizer.config().clone();
-        let steal = config.effective_threads().max(1);
-        let batch_size = config.batch_size.max(1);
+        let config = self.optimizer.config();
 
         // Deadline sweep + terminal sweep: a request whose deadline has
         // passed, whose budget is spent, or whose queue is exhausted ends
@@ -589,7 +588,8 @@ impl ServiceScheduler {
         }
 
         // Rank the queue heads of every running frontier by the global
-        // scheduling key and select the best `steal` frontiers.
+        // scheduling key and select the best `threads` frontiers.
+        let threads = config.effective_threads();
         let mut tops: Vec<(u8, usize, usize, usize)> = self
             .slots
             .iter()
@@ -605,59 +605,64 @@ impl ServiceScheduler {
             return self.has_work();
         }
         tops.sort_unstable();
-        tops.truncate(steal);
+        tops.truncate(threads);
 
-        // Each selected frontier pops exactly the (budget-capped) batch the
-        // standalone driver would pop and freezes its own best cost, so every
-        // frontier follows its standalone trajectory step for step. The
-        // trace length is snapshotted first so the events streamed below
-        // cover the whole step, pops included.
-        let mut groups: Vec<(usize, usize, usize)> = Vec::with_capacity(tops.len());
-        let mut work: Vec<(usize, usize, crate::search::QueueEntry)> = Vec::new();
-        for &(_, _, id, _) in &tops {
-            let slot = &mut self.slots[id];
-            let frontier = slot.frontier.as_mut().expect("selected slots are running");
-            let trace_len_before = frontier.improvement_trace().len();
-            let take = batch_size.min(frontier.remaining_budget());
-            let popped = frontier.pop_batch(take);
-            let frozen_best = frontier.best_cost();
-            groups.push((id, popped.len(), trace_len_before));
-            work.extend(popped.into_iter().map(|entry| (id, frozen_best, entry)));
-        }
+        // Each selected frontier pops its best entry and freezes its best
+        // cost. The trace length is snapshotted first so the events
+        // streamed below cover the whole step.
+        let work: Vec<Work> = tops
+            .iter()
+            .map(|&(_, _, id, _)| {
+                let frontier = self.slots[id]
+                    .frontier
+                    .as_mut()
+                    .expect("selected slots are running");
+                let trace_len_before = frontier.improvement_trace().len();
+                let entry = frontier
+                    .pop()
+                    .expect("selected frontiers have a queue head");
+                Work {
+                    id,
+                    trace_len_before,
+                    frozen_best: frontier.best_cost(),
+                    entry,
+                }
+            })
+            .collect();
 
-        // Expand every popped entry on the shared worker pool. Workers read
-        // only per-frontier state frozen before the step (each frontier's
-        // best cost and seen-sets) through each request's own engine — which
-        // is how one step expands entries of different gate-set indexes side
-        // by side.
+        // Expand the popped entries in parallel, one per selected frontier.
+        // Workers read only per-frontier state frozen before the step (each
+        // frontier's best cost and seen-set) through each request's own
+        // engine — which is how one step expands entries of different
+        // gate-set indexes side by side. The filters are exact, not
+        // heuristic: a candidate failing γ against the frozen best also
+        // fails against any (only ever lower) merge-time best, and a hash in
+        // the frozen seen-set is still in it at merge time.
         let slots = &self.slots;
-        let expansions = quartz_ir::par::map_in_order(&work, steal, |(id, frozen_best, entry)| {
-            let slot = &slots[*id];
+        let expansions = quartz_ir::par::map_in_order(&work, threads, |w| {
+            let slot = &slots[w.id];
             let frontier = slot.frontier.as_ref().expect("selected slots are running");
             slot.optimizer
-                .expand_entry(entry, *frozen_best, frontier.seen())
+                .expand_entry(&w.entry, w.frozen_best, frontier.seen())
         });
 
         // Merge in the global key order — fixed before expansion, so the
         // outcome is independent of thread scheduling.
         let step = self.step;
-        let mut expansions = expansions.into_iter();
-        for (id, count, trace_len_before) in groups {
-            let slot = &mut self.slots[id];
+        for (w, expansion) in work.iter().zip(expansions) {
+            let slot = &mut self.slots[w.id];
             let frontier = slot.frontier.as_mut().expect("selected slots are running");
-            for expansion in expansions.by_ref().take(count) {
-                frontier.merge(expansion, &config, slot.admitted_at);
-            }
+            frontier.merge(expansion, config, slot.admitted_at);
             let iterations = frontier.iterations();
-            for &(_, best_cost) in &frontier.improvement_trace()[trace_len_before..] {
+            for &(_, best_cost) in &frontier.improvement_trace()[w.trace_len_before..] {
                 progress(ServiceEvent {
-                    request: RequestId(id as u64),
+                    request: RequestId(w.id as u64),
                     step,
                     best_cost,
                     iterations,
                 });
             }
-            frontier.prune_queue(&config);
+            frontier.prune_queue(config);
             // A request that just spent its budget or emptied its queue is
             // finalized immediately so its frontier memory is released and
             // its state flips to `Done` without waiting for the next step.
@@ -752,12 +757,12 @@ impl OptimizationService {
     /// Optimizes every circuit of the batch concurrently, returning one
     /// [`SearchResult`] per input circuit, in input order.
     ///
-    /// The configuration's `timeout` bounds the whole batch; `max_iterations`
-    /// and `batch_size` apply per circuit, exactly as in the standalone
-    /// driver. Each circuit's result is bit-identical (wall-clock fields
-    /// aside) to a standalone [`Optimizer::optimize`] run with the same
-    /// configuration whenever the run ends by iteration budget or queue
-    /// exhaustion.
+    /// Every circuit is admitted up front with the configuration's
+    /// `max_iterations` as its budget and its `timeout` as its deadline, so
+    /// the timeout bounds the whole batch. Each circuit's result is
+    /// bit-identical (wall-clock fields aside) to a standalone
+    /// [`Optimizer::optimize`] run with the same configuration whenever the
+    /// run ends by iteration budget or queue exhaustion.
     pub fn optimize_batch(&self, circuits: &[Circuit]) -> Vec<SearchResult> {
         self.optimize_batch_with_progress(circuits, |_| {})
     }
@@ -777,7 +782,6 @@ impl OptimizationService {
         F: FnMut(ServiceEvent),
     {
         let config = self.optimizer.config();
-        let start = Instant::now();
         // A closed batch admits everything up front, so capacity (the
         // admission-time backpressure bound) does not apply.
         let mut scheduler = ServiceScheduler::new(self.optimizer.clone(), usize::MAX);
@@ -785,21 +789,20 @@ impl OptimizationService {
             .iter()
             .map(|circuit| {
                 scheduler
-                    .admit(ServiceRequest::new(circuit.clone()).with_budget(config.max_iterations))
+                    .admit(
+                        ServiceRequest::new(circuit.clone())
+                            .with_budget(config.max_iterations)
+                            .with_deadline(config.timeout),
+                    )
                     .expect("unbounded scheduler never refuses admission")
             })
             .collect();
-        while scheduler.has_work() && start.elapsed() <= config.timeout {
-            scheduler.step(&mut progress);
-        }
-        // Timeout drain: finalize whatever is still running, exactly as the
-        // standalone driver returns its best-so-far when its timeout fires.
-        scheduler.drain();
+        while scheduler.step(&mut progress) {}
         ids.into_iter()
             .map(|id| {
                 scheduler
                     .take_result(id)
-                    .expect("drained schedulers retain every result")
+                    .expect("finished requests keep their result")
             })
             .collect()
     }
@@ -861,37 +864,6 @@ mod tests {
             assert_eq!(batched.circuits_seen, solo.circuits_seen);
             assert_eq!(batched.match_attempts, solo.match_attempts);
             assert_eq!(batched.match_skips, solo.match_skips);
-            assert_eq!(batched.dedup_hits, solo.dedup_hits);
-            assert_eq!(batched.fp_fast_rejects, solo.fp_fast_rejects);
-            assert_eq!(batched.fp_confirm_mismatches, solo.fp_confirm_mismatches);
-        }
-    }
-
-    /// The bit-identity guarantee holds for `batch_size > 1` too: each
-    /// selected frontier pops the same multi-entry batches the standalone
-    /// driver pops.
-    #[test]
-    fn batched_config_results_match_standalone_runs_too() {
-        let (set, _) = Generator::new(GateSet::nam(), GenConfig::standard(2, 2, 0)).run();
-        let service = OptimizationService::from_ecc_set(
-            &set,
-            SearchConfig {
-                timeout: Duration::from_secs(120),
-                max_iterations: 10,
-                num_threads: 2,
-                batch_size: 3,
-                ..SearchConfig::default()
-            },
-        );
-        let batch = vec![h_ladder(6), cnot_pairs(4), h_ladder(3)];
-        let results = service.optimize_batch(&batch);
-        for (circuit, batched) in batch.iter().zip(&results) {
-            let solo = service.optimizer().optimize(circuit);
-            assert_eq!(batched.best_circuit, solo.best_circuit);
-            assert_eq!(batched.best_cost, solo.best_cost);
-            assert_eq!(batched.iterations, solo.iterations);
-            assert_eq!(batched.circuits_seen, solo.circuits_seen);
-            assert_eq!(batched.match_attempts, solo.match_attempts);
             assert_eq!(batched.dedup_hits, solo.dedup_hits);
             assert_eq!(batched.fp_fast_rejects, solo.fp_fast_rejects);
             assert_eq!(batched.fp_confirm_mismatches, solo.fp_confirm_mismatches);
@@ -1182,6 +1154,28 @@ mod tests {
             .optimize_with_budget(&cnot_pairs(4), 8);
         let served = scheduler.result(survivor).unwrap();
         assert_eq!(served.best_cost, solo.best_cost);
+        assert_eq!(served.iterations, solo.iterations);
+        assert_eq!(served.circuits_seen, solo.circuits_seen);
+    }
+
+    /// A deadline too far out for the clock to represent is no deadline:
+    /// admission must not overflow, and the request runs to `Done` exactly
+    /// as a request without a deadline does.
+    #[test]
+    fn unrepresentable_deadline_means_no_deadline() {
+        let mut scheduler = nam_scheduler(1, 4);
+        let id = scheduler
+            .admit(
+                ServiceRequest::new(h_ladder(4))
+                    .with_budget(8)
+                    .with_deadline(Duration::MAX),
+            )
+            .unwrap();
+        run_to_completion(&mut scheduler);
+        assert_eq!(scheduler.state(id), Some(RequestState::Done));
+        let served = scheduler.result(id).unwrap();
+        let solo = scheduler.optimizer().optimize_with_budget(&h_ladder(4), 8);
+        assert_eq!(served.best_circuit, solo.best_circuit);
         assert_eq!(served.iterations, solo.iterations);
         assert_eq!(served.circuits_seen, solo.circuits_seen);
     }

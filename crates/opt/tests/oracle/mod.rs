@@ -11,8 +11,9 @@
 //! the IR types and `ParamExpr` arithmetic. What it does share is the search
 //! policy the engine must implement: γ, the queue prune, the (cost,
 //! insertion order) priority, the (cost, hash) candidate order within one
-//! expansion, and batched steps that filter against the state frozen at the
-//! start of the step and merge against the live state.
+//! expansion, and steps that dequeue one circuit, filter its successors
+//! against the state as it was at the dequeue, and merge them against the
+//! live state.
 //!
 //! Included with `#[path]` by every test suite that compares against it.
 
@@ -82,46 +83,34 @@ pub fn run_with_budget(
     let admits = |c: usize, best: usize| (c as f64) < config.gamma * best as f64;
 
     while out.iterations < budget {
-        let take = config.batch_size.max(1).min(budget - out.iterations);
-        let mut popped = Vec::new();
-        while popped.len() < take {
-            match queue.pop() {
-                Some(Reverse((_, order))) => popped.push(order),
-                None => break,
-            }
-        }
-        if popped.is_empty() {
+        let Some(Reverse((_, order))) = queue.pop() else {
             break;
-        }
-        out.iterations += popped.len();
+        };
+        out.iterations += 1;
 
-        // Expand every popped circuit against the state frozen before the step.
-        let frozen_best = out.best_cost;
-        let mut expansions = Vec::new();
-        for order in popped {
-            let circuit = circuits[order].take().expect("popped once");
-            let mut successors: Vec<(usize, u64, Circuit)> = Vec::new();
-            for xform in transformations {
-                out.match_attempts += 1;
-                for next in apply(&circuit, xform) {
-                    let next_cost = cost(&next);
-                    if !admits(next_cost, frozen_best) {
-                        continue;
-                    }
-                    let hash = hash_of(&next);
-                    if seen.contains(&hash) {
-                        out.dedup_hits += 1;
-                        continue;
-                    }
-                    successors.push((next_cost, hash, canonicalize(&next)));
+        // Expand the dequeued circuit against the state as of the dequeue.
+        let circuit = circuits[order].take().expect("popped once");
+        let mut successors: Vec<(usize, u64, Circuit)> = Vec::new();
+        for xform in transformations {
+            out.match_attempts += 1;
+            for next in apply(&circuit, xform) {
+                let next_cost = cost(&next);
+                if !admits(next_cost, out.best_cost) {
+                    continue;
                 }
+                let hash = hash_of(&next);
+                if seen.contains(&hash) {
+                    out.dedup_hits += 1;
+                    continue;
+                }
+                successors.push((next_cost, hash, canonicalize(&next)));
             }
-            successors.sort_by_key(|&(c, h, _)| (c, h));
-            expansions.push(successors);
         }
+        successors.sort_by_key(|&(c, h, _)| (c, h));
 
-        // Merge in pop order against the live state.
-        for (next_cost, hash, next) in expansions.into_iter().flatten() {
+        // Merge in (cost, hash) order against the live state, which the
+        // successors merged before have already changed.
+        for (next_cost, hash, next) in successors {
             if seen.contains(&hash) {
                 out.dedup_hits += 1;
                 continue;

@@ -17,8 +17,9 @@ pub struct DaemonConfig {
     pub default_budget: usize,
     /// Cap on accepted request bodies (HTTP 413 beyond it).
     pub max_body_bytes: usize,
-    /// Base search knobs shared by every request: γ, queue pruning, batch
-    /// size, worker threads, and the cost model. The `timeout` and
+    /// Base search knobs shared by every request: γ, queue pruning, worker
+    /// threads (how many requests one step expands in parallel), and the
+    /// cost model. The `timeout` and
     /// `max_iterations` members are ignored — per-request deadlines and
     /// budgets replace them in the daemon.
     pub search: SearchConfig,

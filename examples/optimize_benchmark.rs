@@ -59,9 +59,8 @@ fn main() {
         preprocessed.gate_count()
     );
 
-    // Quartz search with a small learned transformation library, using the
-    // batched parallel engine (batch_size > 1 expands the frontier on worker
-    // threads; dispatch goes through the transformation index).
+    // Quartz search with a small learned transformation library (dispatch
+    // goes through the transformation index).
     println!("Generating a (3, 2)-complete ECC set for the Nam gate set...");
     let (ecc_set, _) = Generator::new(GateSet::nam(), GenConfig::standard(3, 2, 2)).run();
     let optimizer = Optimizer::from_ecc_set(
@@ -69,7 +68,6 @@ fn main() {
         SearchConfig {
             timeout: Duration::from_secs(10),
             max_iterations: 100,
-            batch_size: 8,
             profile,
             ..SearchConfig::default()
         },

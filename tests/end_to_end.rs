@@ -552,12 +552,13 @@ fn serve_outcomes_are_identical_across_threads_orders_and_faults() {
         (motif(6, 1), 8, Priority::Normal),
     ];
 
-    // batch_size > 1 makes `num_threads` load-bearing: parallel expansion
-    // with ordered merge is exactly the mechanism the thread-invariance
-    // claim rests on.
+    // `num_threads` is load-bearing through the number of frontiers one
+    // step expands: with several requests running, a 4-thread server
+    // expands up to four frontiers per step in parallel and merges them in
+    // ranked order, which is the mechanism the thread-invariance claim
+    // rests on.
     let search = |threads: usize| SearchConfig {
         timeout: Duration::from_secs(600),
-        batch_size: 4,
         num_threads: threads,
         ..SearchConfig::default()
     };
