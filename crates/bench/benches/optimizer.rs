@@ -1,12 +1,14 @@
 //! Criterion micro-benchmarks for the optimizer (paper §6): preprocessing,
-//! the greedy baseline, one library-wide match walk per search root, and
+//! the greedy baseline, one library-wide match walk per search root, the
+//! derive and hash-preview layers over those roots' matches, and
 //! short cost-based searches on a benchmark circuit and on QFT-8, where the
 //! dispatch index skips every X-bearing pattern (DESIGN.md §2.2).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use quartz_bench::{build_ecc_set, GateSetKind};
 use quartz_circuits::{approximate_qft, suite};
-use quartz_gen::{IndexScratch, Library};
+use quartz_gen::{IndexScratch, Library, TransformationIndex};
+use quartz_ir::{SpliceDelta, StructuralHash};
 use quartz_opt::{
     canonicalize, greedy_optimize, preprocess_nam, MatchContext, MatchScratch, Optimizer,
     SearchConfig,
@@ -32,11 +34,10 @@ fn bench_greedy_baseline(c: &mut Criterion) {
     });
 }
 
-/// The matcher layer alone: one dispatch and one library-wide automaton
-/// walk over the committed NAM library for each quick-suite search root (the
-/// canonicalized, preprocessed circuit a search starts from), counting
-/// matches.
-fn bench_matcher(c: &mut Criterion) {
+/// The committed NAM library's index and the match context of each
+/// quick-suite search root (the canonicalized, preprocessed circuit a search
+/// starts from).
+fn nam_quick_roots() -> (TransformationIndex, Vec<MatchContext>) {
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../libraries/nam_n3_q2.qtzl"
@@ -45,10 +46,33 @@ fn bench_matcher(c: &mut Criterion) {
         .expect("committed NAM library")
         .into_parts();
     let index = index.expect("the committed library embeds its index");
-    let contexts: Vec<MatchContext> = suite::quick_suite()
+    let contexts = suite::quick_suite()
         .iter()
         .map(|(_, circuit)| MatchContext::new(&canonicalize(&preprocess_nam(circuit))))
         .collect();
+    (index, contexts)
+}
+
+/// Every instantiable match of every dispatched rule on `ctx`, as deltas.
+fn root_deltas(index: &TransformationIndex, ctx: &MatchContext) -> Vec<SpliceDelta> {
+    let ids = index.candidates_for(ctx.dag().gate_histogram());
+    let mut deltas = Vec::new();
+    ctx.for_each_match(
+        index.automaton(),
+        &ids,
+        &mut MatchScratch::new(),
+        |id, m| {
+            deltas.extend(ctx.delta_for(&index.transformations()[id], m));
+        },
+    );
+    deltas
+}
+
+/// The matcher layer alone: one dispatch and one library-wide automaton
+/// walk over the committed NAM library for each quick-suite search root,
+/// counting matches.
+fn bench_matcher(c: &mut Criterion) {
+    let (index, contexts) = nam_quick_roots();
     let (mut index_scratch, mut ids, mut scratch) =
         (IndexScratch::new(), Vec::new(), MatchScratch::new());
     let mut sweep = || {
@@ -75,6 +99,55 @@ fn bench_matcher(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("nam_quick_roots", |b| {
         b.iter(|| std::hint::black_box(sweep()))
+    });
+    group.finish();
+}
+
+/// The derive layer alone: for each quick-suite search root, clone its
+/// match context and splice its first match's rewrite into the clone — the
+/// step that builds every dequeued entry's context (DESIGN.md §5).
+fn bench_derive(c: &mut Criterion) {
+    let (index, contexts) = nam_quick_roots();
+    let firsts: Vec<(&MatchContext, SpliceDelta)> = contexts
+        .iter()
+        .filter_map(|ctx| Some((ctx, root_deltas(&index, ctx).into_iter().next()?)))
+        .collect();
+    println!("derive: one delta on each of {} roots", firsts.len());
+    let mut group = c.benchmark_group("derive");
+    group.sample_size(20);
+    group.bench_function("nam_quick_roots", |b| {
+        b.iter(|| {
+            for (ctx, delta) in &firsts {
+                std::hint::black_box(ctx.derive(delta));
+            }
+        })
+    });
+    group.finish();
+}
+
+/// The hash-preview layer alone: the O(footprint) structural-hash preview
+/// of every match's successor on each quick-suite search root (DESIGN.md
+/// §13).
+fn bench_preview(c: &mut Criterion) {
+    let (index, contexts) = nam_quick_roots();
+    let per_root: Vec<(&MatchContext, StructuralHash, Vec<SpliceDelta>)> = contexts
+        .iter()
+        .map(|ctx| (ctx, StructuralHash::of(ctx.dag()), root_deltas(&index, ctx)))
+        .collect();
+    println!(
+        "preview: {} deltas over the nam-quick roots",
+        per_root.iter().map(|(_, _, d)| d.len()).sum::<usize>()
+    );
+    let mut group = c.benchmark_group("preview");
+    group.sample_size(20);
+    group.bench_function("nam_quick_roots", |b| {
+        b.iter(|| {
+            for (ctx, hash, deltas) in &per_root {
+                for delta in deltas {
+                    std::hint::black_box(hash.previewed(ctx.dag(), delta));
+                }
+            }
+        })
     });
     group.finish();
 }
@@ -135,6 +208,8 @@ criterion_group!(
     bench_preprocessing,
     bench_greedy_baseline,
     bench_matcher,
+    bench_derive,
+    bench_preview,
     bench_search_iterations,
     bench_dispatch_qft8
 );

@@ -14,7 +14,8 @@
 //! Usage: `bench_diff <baseline.json> <fresh.json>`. Exits non-zero iff an
 //! outcome field differs (or a file fails to parse). Only suites present in
 //! both reports are compared, so a baseline generated at one scale can
-//! gate runs that add extra suites.
+//! gate runs that add extra suites. A metric only the fresh report has (a
+//! new profile phase, say) is listed as new and never fails the diff.
 
 use quartz_bench::report::BenchReport;
 use std::process::ExitCode;
@@ -60,10 +61,17 @@ fn main() -> ExitCode {
     let mut compared = 0usize;
     let mut regressions = 0usize;
     let mut warnings = 0usize;
+    let mut added = 0usize;
     for (name, base_suite) in baseline.suites() {
         let Some(fresh_suite) = fresh.get_suite(name) else {
             continue;
         };
+        for (key, _) in fresh_suite.metrics() {
+            if base_suite.get(key).is_none() {
+                println!("new      {name}/{key}: absent from {baseline_path}");
+                added += 1;
+            }
+        }
         for (key, base_value) in base_suite.metrics() {
             if is_timing(key) {
                 continue;
@@ -91,7 +99,7 @@ fn main() -> ExitCode {
 
     println!(
         "bench_diff: {compared} metrics compared, {regressions} outcome regressions, \
-         {warnings} effort warnings"
+         {warnings} effort warnings, {added} new metrics"
     );
     if regressions > 0 {
         eprintln!(

@@ -65,7 +65,7 @@ pub use audit::{
     class_digest, AuditConfig, AuditReport, AuditStamp, Auditor, Diagnostic, Location, RuleCode,
     Severity,
 };
-pub use automaton::{AutomatonNode, MatchAutomaton};
+pub use automaton::{AutomatonNode, MatchAutomaton, RuleLabels};
 pub use count::{count_possible_circuits, count_sequences_by_size};
 pub use ecc::{Ecc, EccSet};
 pub use index::{IndexScratch, TransformationIndex};

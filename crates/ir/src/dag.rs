@@ -11,6 +11,12 @@
 //! child circuit's matching state from its parent's through exactly this
 //! operation (DESIGN.md §5).
 //!
+//! A node keeps its wire predecessors, successors and hash cursors in
+//! inline arrays of the largest gate arity and shares its immutable
+//! [`Instruction`] through an `Arc`, so cloning a DAG — the first step of
+//! every derivation — copies its slab without one allocation per node
+//! (DESIGN.md §5.1).
+//!
 //! Conversion is lossless: [`CircuitDag::from_circuit`] followed by
 //! [`CircuitDag::to_circuit`] reproduces the sequence bit-for-bit (same
 //! instruction order, same [`GateHistogram`]) because the DAG caches a
@@ -31,6 +37,7 @@ use crate::gate::GateHistogram;
 use crate::shash;
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Stable identifier of a gate instance inside a [`CircuitDag`].
 ///
@@ -63,7 +70,7 @@ impl fmt::Display for NodeId {
 /// `MatchContext::delta_for` builds deltas from pattern matches; the delta is
 /// also the unit the search layer threads from parent to child frontier
 /// entries so contexts can be derived instead of rebuilt.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpliceDelta {
     /// Nodes to remove. Must be non-empty, live, convex, and contiguous on
     /// every wire they touch.
@@ -104,18 +111,55 @@ pub struct ConvexityScratch {
     stack: Vec<NodeId>,
 }
 
-/// One gate instance and its wire endpoints.
+/// Upper bound on gate arity: the largest gates, CCX and CCZ, have 3
+/// operands. A node's per-operand arrays have this many entries.
+const MAX_ARITY: usize = 3;
+
+/// One gate instance and its wire endpoints. Everything but the instruction
+/// lives inline, so cloning a DAG copies its slab without one allocation
+/// per node.
 #[derive(Debug, Clone)]
 struct Node {
-    instr: Instruction,
+    /// The gate instance. A live node's instruction never changes, so it is
+    /// shared by every clone of the DAG rather than copied.
+    instr: Arc<Instruction>,
+    /// Number of qubit operands: the used prefix of the arrays below.
+    arity: u8,
     /// Previous node on each operand's wire (`None` at the circuit input).
-    preds: Vec<Option<NodeId>>,
+    preds: [Option<NodeId>; MAX_ARITY],
     /// Next node on each operand's wire (`None` at the circuit output).
-    succs: Vec<Option<NodeId>>,
+    succs: [Option<NodeId>; MAX_ARITY],
     /// Per operand wire: this node's 0-based position on the wire and the
     /// wire's polynomial chain hash up to and *including* this node (the
     /// prefix hash the structural-hash preview algebra cuts at).
-    cursors: Vec<(u32, u64)>,
+    cursors: [(u32, u64); MAX_ARITY],
+}
+
+impl Node {
+    /// A node for `instr` with no wire endpoints and zeroed cursors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `instr` has more than [`MAX_ARITY`] qubit operands.
+    fn new(instr: Arc<Instruction>) -> Self {
+        let arity = instr.qubits.len();
+        assert!(arity <= MAX_ARITY, "{} has {arity} operands", instr.gate);
+        Node {
+            instr,
+            arity: arity as u8,
+            preds: [None; MAX_ARITY],
+            succs: [None; MAX_ARITY],
+            cursors: [(0, 0); MAX_ARITY],
+        }
+    }
+
+    fn preds(&self) -> &[Option<NodeId>] {
+        &self.preds[..self.arity as usize]
+    }
+
+    fn succs(&self) -> &[Option<NodeId>] {
+        &self.succs[..self.arity as usize]
+    }
 }
 
 /// A circuit in graph representation: nodes are gate instances, edges are
@@ -184,9 +228,8 @@ impl CircuitDag {
             let id = NodeId(i as u32);
             debug_assert!(!instr.qubits.is_empty(), "instruction touches no wire");
             let term = shash::term(instr);
-            let mut preds = Vec::with_capacity(instr.qubits.len());
-            let mut cursors = Vec::with_capacity(instr.qubits.len());
-            for &q in &instr.qubits {
+            let mut node = Node::new(Arc::new(instr.clone()));
+            for (op, &q) in instr.qubits.iter().enumerate() {
                 let pred = last_on_qubit[q];
                 if let Some(p) = pred {
                     let op = slots[p.index()]
@@ -201,19 +244,13 @@ impl CircuitDag {
                 } else {
                     first_on_qubit[q] = Some(id);
                 }
-                preds.push(pred);
+                node.preds[op] = pred;
                 last_on_qubit[q] = Some(id);
                 wire_chain[q] = wire_chain[q].wrapping_mul(shash::BASE).wrapping_add(term);
-                cursors.push((wire_len[q], wire_chain[q]));
+                node.cursors[op] = (wire_len[q], wire_chain[q]);
                 wire_len[q] += 1;
             }
-            let arity = instr.qubits.len();
-            slots.push(Some(Node {
-                instr: instr.clone(),
-                preds,
-                succs: vec![None; arity],
-                cursors,
-            }));
+            slots.push(Some(node));
         }
         CircuitDag {
             num_qubits: circuit.num_qubits(),
@@ -238,7 +275,7 @@ impl CircuitDag {
     pub fn to_circuit(&self) -> Circuit {
         let mut out = Circuit::new(self.num_qubits, self.num_params);
         for &id in &self.topo {
-            out.push(self.node(id).instr.clone());
+            out.push(Instruction::clone(&self.node(id).instr));
         }
         out
     }
@@ -293,13 +330,13 @@ impl CircuitDag {
     /// Wire predecessors of a node, one per qubit operand (`None` where the
     /// wire comes straight from the circuit input).
     pub fn preds(&self, id: NodeId) -> &[Option<NodeId>] {
-        &self.node(id).preds
+        self.node(id).preds()
     }
 
     /// Wire successors of a node, one per qubit operand (`None` where the
     /// wire runs straight to the circuit output).
     pub fn succs(&self, id: NodeId) -> &[Option<NodeId>] {
-        &self.node(id).succs
+        self.node(id).succs()
     }
 
     /// The cached topological order of the live nodes.
@@ -345,19 +382,19 @@ impl CircuitDag {
 
     /// Live nodes with their instructions, in topological order.
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &Instruction)> {
-        self.topo.iter().map(|&id| (id, &self.node(id).instr))
+        self.topo.iter().map(|&id| (id, &*self.node(id).instr))
     }
 
     /// Every live node reachable from `region` along wire successors,
     /// excluding the region itself.
     pub fn descendants(&self, region: &[NodeId]) -> HashSet<NodeId> {
-        self.closure(region, |dag, id| dag.node(id).succs.iter().flatten())
+        self.closure(region, |dag, id| dag.node(id).succs().iter().flatten())
     }
 
     /// Every live node reaching `region` along wire predecessors, excluding
     /// the region itself.
     pub fn ancestors(&self, region: &[NodeId]) -> HashSet<NodeId> {
-        self.closure(region, |dag, id| dag.node(id).preds.iter().flatten())
+        self.closure(region, |dag, id| dag.node(id).preds().iter().flatten())
     }
 
     fn closure<'a, I>(
@@ -412,7 +449,7 @@ impl CircuitDag {
         // Walk forward from the region's outside successors, bounded by the
         // window; reaching any region node means a path left and re-entered.
         for &id in region {
-            for &s in self.node(id).succs.iter().flatten() {
+            for &s in self.node(id).succs().iter().flatten() {
                 if region.contains(&s) {
                     continue;
                 }
@@ -422,7 +459,7 @@ impl CircuitDag {
             }
         }
         while let Some(u) = scratch.stack.pop() {
-            for &v in self.node(u).succs.iter().flatten() {
+            for &v in self.node(u).succs().iter().flatten() {
                 if region.contains(&v) {
                     scratch.stack.clear();
                     return false;
@@ -463,7 +500,6 @@ impl CircuitDag {
     /// Same conditions as [`CircuitDag::splice`].
     pub fn splice_with_footprint(&mut self, delta: &SpliceDelta) -> SpliceFootprint {
         assert!(!delta.region.is_empty(), "cannot splice an empty region");
-        let region: HashSet<NodeId> = delta.region.iter().copied().collect();
         for &id in &delta.region {
             assert!(self.contains(id), "splice region node {id} is not live");
         }
@@ -471,8 +507,27 @@ impl CircuitDag {
             self.is_convex(&delta.region),
             "splice region must be convex"
         );
-        // Descendants must be computed before any unlinking.
-        let descendants = self.descendants(&delta.region);
+        // Regions are a handful of nodes: a scan beats hashing.
+        let in_region = |id: NodeId| delta.region.contains(&id);
+        // Descendants, slab-indexed, must be marked before any unlinking.
+        let mut descendant = vec![false; self.slots.len()];
+        let mut stack = delta.region.clone();
+        while let Some(u) = stack.pop() {
+            for &v in self.node(u).succs().iter().flatten() {
+                if !in_region(v) && !descendant[v.index()] {
+                    descendant[v.index()] = true;
+                    stack.push(v);
+                }
+            }
+        }
+        // The region's first position in the cached order: nothing before
+        // it is in the region or below it, so the order changes only after.
+        let lo = delta
+            .region
+            .iter()
+            .map(|id| self.position[id.index()] as usize)
+            .min()
+            .expect("non-empty region");
 
         // Boundary of the region per wire: the last node before it and the
         // first node after it. Contiguity means each touched wire has
@@ -483,7 +538,7 @@ impl CircuitDag {
             let node = self.node(id);
             for (op, &q) in node.instr.qubits.iter().enumerate() {
                 let pred = node.preds[op];
-                if pred.is_none_or(|p| !region.contains(&p)) {
+                if pred.is_none_or(|p| !in_region(p)) {
                     assert!(
                         entry[q].is_none(),
                         "splice region is not contiguous on wire q{q}"
@@ -491,7 +546,7 @@ impl CircuitDag {
                     entry[q] = Some(pred);
                 }
                 let succ = node.succs[op];
-                if succ.is_none_or(|s| !region.contains(&s)) {
+                if succ.is_none_or(|s| !in_region(s)) {
                     assert!(
                         exit[q].is_none(),
                         "splice region is not contiguous on wire q{q}"
@@ -531,8 +586,9 @@ impl CircuitDag {
                     NodeId((self.slots.len() - 1) as u32)
                 }
             };
-            let arity = instr.qubits.len();
-            let mut preds = Vec::with_capacity(arity);
+            // The wire-hash cursors stay zeroed until the touched-wire
+            // rewalk below, once the wires are fully reconnected.
+            let mut node = Node::new(Arc::new(instr.clone()));
             for (op, &q) in instr.qubits.iter().enumerate() {
                 assert!(
                     entry[q].is_some(),
@@ -555,19 +611,12 @@ impl CircuitDag {
                         pred
                     }
                 };
-                preds.push(pred);
+                node.preds[op] = pred;
                 tail[q] = Some((id, op));
             }
-            debug_assert!(arity > 0, "instruction touches no wire");
+            debug_assert!(node.arity > 0, "instruction touches no wire");
             self.histogram.add(instr.gate);
-            self.slots[id.index()] = Some(Node {
-                instr: instr.clone(),
-                preds,
-                succs: vec![None; arity],
-                // Placeholder; the touched-wire rewalk below fills these in
-                // once the wires are fully reconnected.
-                cursors: vec![(0, 0); arity],
-            });
+            self.slots[id.index()] = Some(node);
             inserted.push(id);
         }
 
@@ -612,23 +661,18 @@ impl CircuitDag {
 
         // Maintain the topological order (DESIGN.md §5): non-descendants
         // keep their relative order, then the replacement, then descendants.
-        let mut new_topo = Vec::with_capacity(self.topo.len() + inserted.len());
-        new_topo.extend(
-            self.topo
-                .iter()
+        // The tail holds old ids only, so the marks still apply to it.
+        let tail = self.topo.split_off(lo);
+        self.topo.extend(
+            tail.iter()
                 .copied()
-                .filter(|id| !region.contains(id) && !descendants.contains(id)),
+                .filter(|&id| !in_region(id) && !descendant[id.index()]),
         );
-        new_topo.extend(inserted.iter().copied());
-        new_topo.extend(
-            self.topo
-                .iter()
-                .copied()
-                .filter(|id| descendants.contains(id)),
-        );
-        self.topo = new_topo;
+        self.topo.extend_from_slice(&inserted);
+        self.topo
+            .extend(tail.iter().copied().filter(|&id| descendant[id.index()]));
         self.position.resize(self.slots.len(), 0);
-        for (pos, &id) in self.topo.iter().enumerate() {
+        for (pos, &id) in self.topo.iter().enumerate().skip(lo) {
             self.position[id.index()] = pos as u32;
         }
         SpliceFootprint {
@@ -709,10 +753,7 @@ impl CircuitDag {
         for &id in &self.topo {
             let node = self.node(id);
             recount.add(node.instr.gate);
-            if node.preds.len() != node.instr.qubits.len()
-                || node.succs.len() != node.instr.qubits.len()
-                || node.cursors.len() != node.instr.qubits.len()
-            {
+            if node.arity as usize != node.instr.qubits.len() {
                 return Err(format!("node {id} has mismatched edge arity"));
             }
             let term = shash::term(&node.instr);
@@ -1054,11 +1095,12 @@ mod tests {
     }
 
     // Non-contiguity on a wire always implies non-convexity (the skipped
-    // node is both ancestor and descendant of the region), so the convexity
-    // debug-assert fires first; the contiguity assert remains as the
-    // release-build guard.
+    // node is both ancestor and descendant of the region), so with debug
+    // assertions on the convexity debug-assert fires first; without them the
+    // contiguity assert is the guard that fires.
     #[test]
-    #[should_panic(expected = "convex")]
+    #[cfg_attr(debug_assertions, should_panic(expected = "convex"))]
+    #[cfg_attr(not(debug_assertions), should_panic(expected = "not contiguous"))]
     fn splice_rejects_non_contiguous_regions() {
         let mut c = Circuit::new(1, 0);
         c.push(h(0));
@@ -1081,6 +1123,40 @@ mod tests {
             region: vec![first],
             replacement: vec![h(2)],
         });
+    }
+
+    /// A clone shares every node's instruction with its original, and
+    /// splicing the clone leaves the original valid and unchanged.
+    #[test]
+    fn a_clone_shares_instructions_and_splices_independently() {
+        let c = sample();
+        let original = CircuitDag::from_circuit(&c);
+        let mut clone = original.clone();
+        for (a, b) in original.slots.iter().zip(&clone.slots) {
+            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+            assert!(Arc::ptr_eq(&a.instr, &b.instr));
+        }
+        let ids = clone.topo_order().to_vec();
+        clone.splice(&SpliceDelta {
+            region: vec![ids[1], ids[2]],
+            replacement: vec![cnot(1, 0), rz(1, 1)],
+        });
+        clone.validate().unwrap();
+        original.validate().unwrap();
+        assert_eq!(original.to_circuit(), c);
+        assert_ne!(clone.to_circuit(), c);
+        // Nodes outside the region still share their instructions.
+        for id in [ids[0], ids[3], ids[4]] {
+            let (a, b) = (original.node(id), clone.node(id));
+            assert!(Arc::ptr_eq(&a.instr, &b.instr));
+        }
+    }
+
+    #[test]
+    fn node_arrays_cover_every_gate() {
+        for gate in crate::ALL_GATES {
+            assert!(gate.num_qubits() <= MAX_ARITY, "{gate:?} arity");
+        }
     }
 
     #[test]

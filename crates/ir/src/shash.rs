@@ -212,10 +212,12 @@ impl StructuralHash {
         finalize(self.inner)
     }
 
-    /// The post-splice `(wire, chain, len)` of every wire `delta` touches,
-    /// computed algebraically from the DAG's cached per-node wire cursors in
-    /// O(footprint): only the region's boundary nodes and the replacement
-    /// instructions are visited, never the wire interiors.
+    /// Calls `f` with the post-splice `(wire, chain, len)` of every wire
+    /// `delta` touches, computed algebraically from the DAG's cached
+    /// per-node wire cursors in O(footprint): only the region, its boundary
+    /// nodes and the replacement instructions are visited, never the wire
+    /// interiors, and nothing is allocated. Wires come in the order the
+    /// region enters them.
     ///
     /// # Panics
     ///
@@ -223,48 +225,50 @@ impl StructuralHash {
     /// per-wire contiguity, replacement wires ⊆ region wires) is
     /// debug-asserted; callers uphold it the same way they do for
     /// [`CircuitDag::splice`].
-    fn patches(dag: &CircuitDag, delta: &SpliceDelta) -> Vec<WirePatch> {
-        // Per touched wire: the entry predecessor (last node before the
-        // region; `None` at the wire head) and the exit node (last region
-        // node on the wire). O(region).
+    fn for_each_patch(dag: &CircuitDag, delta: &SpliceDelta, mut f: impl FnMut(WirePatch)) {
         let in_region = |id: NodeId| delta.region.contains(&id);
-        let mut entries: Vec<(usize, Option<NodeId>)> = Vec::new();
-        let mut exits: Vec<(usize, NodeId)> = Vec::new();
-        for &id in &delta.region {
-            let instr = dag.instruction(id);
-            for (op, &q) in instr.qubits.iter().enumerate() {
-                let pred = dag.preds(id)[op];
-                if pred.is_none_or(|p| !in_region(p)) {
-                    debug_assert!(
-                        entries.iter().all(|&(eq, _)| eq != q),
-                        "splice region is not contiguous on wire q{q}"
-                    );
-                    entries.push((q, pred));
-                }
-                let succ = dag.succs(id)[op];
-                if succ.is_none_or(|s| !in_region(s)) {
-                    debug_assert!(
-                        exits.iter().all(|&(eq, _)| eq != q),
-                        "splice region is not contiguous on wire q{q}"
-                    );
-                    exits.push((q, id));
-                }
-            }
-        }
-        entries.sort_unstable_by_key(|&(q, _)| q);
+        // Operand position of wire `q` in `id`, if `id` acts on it.
+        let operand =
+            |id: NodeId, q: usize| dag.instruction(id).qubits.iter().position(|&w| w == q);
         #[cfg(debug_assertions)]
         for instr in &delta.replacement {
             for &q in &instr.qubits {
                 debug_assert!(
-                    entries.iter().any(|&(eq, _)| eq == q),
+                    delta.region.iter().any(|&id| operand(id, q).is_some()),
                     "replacement uses wire q{q} outside the spliced region"
                 );
             }
         }
-        let rep_terms: Vec<u64> = delta.replacement.iter().map(term).collect();
-        entries
-            .into_iter()
-            .map(|(q, pred)| {
+        for &id in &delta.region {
+            for (op, &q) in dag.instruction(id).qubits.iter().enumerate() {
+                // The entry predecessor: the last node before the region on
+                // wire q (`None` at the wire head).
+                let pred = dag.preds(id)[op];
+                if pred.is_some_and(in_region) {
+                    continue;
+                }
+                // Contiguity: the region enters and leaves wire q once each.
+                #[cfg(debug_assertions)]
+                {
+                    let crossings = |step: fn(&CircuitDag, NodeId) -> &[Option<NodeId>]| {
+                        let leaves = |r: NodeId| {
+                            operand(r, q)
+                                .is_some_and(|o| step(dag, r)[o].is_none_or(|n| !in_region(n)))
+                        };
+                        delta.region.iter().filter(|&&r| leaves(r)).count()
+                    };
+                    debug_assert!(
+                        crossings(CircuitDag::preds) == 1 && crossings(CircuitDag::succs) == 1,
+                        "splice region is not contiguous on wire q{q}"
+                    );
+                }
+                // The exit: the last region node on wire q, reached by
+                // following the wire through the region.
+                let (mut exit, mut exit_op) = (id, op);
+                while let Some(next) = dag.succs(exit)[exit_op].filter(|&s| in_region(s)) {
+                    exit_op = operand(next, q).expect("a wire successor acts on the wire");
+                    exit = next;
+                }
                 let (entry_prefix, before_len) = match pred {
                     Some(p) => {
                         let (pos, prefix) = dag.wire_cursor(p, q);
@@ -272,11 +276,6 @@ impl StructuralHash {
                     }
                     None => (0, 0),
                 };
-                let exit = exits
-                    .iter()
-                    .find(|&&(eq, _)| eq == q)
-                    .expect("every touched wire has an exit")
-                    .1;
                 let (exit_pos, exit_prefix) = dag.wire_cursor(exit, q);
                 // Cut the suffix after the region off the full chain ...
                 let suffix_len = dag.wire_len(q) - exit_pos - 1;
@@ -288,19 +287,17 @@ impl StructuralHash {
                 // prefix, and reattach the suffix.
                 let mut chain = entry_prefix;
                 let mut rep_len = 0u32;
-                for (instr, &t) in delta.replacement.iter().zip(&rep_terms) {
-                    if instr.qubits.contains(&q) {
-                        chain = chain.wrapping_mul(BASE).wrapping_add(t);
-                        rep_len += 1;
-                    }
+                for instr in delta.replacement.iter().filter(|r| r.qubits.contains(&q)) {
+                    chain = chain.wrapping_mul(BASE).wrapping_add(term(instr));
+                    rep_len += 1;
                 }
-                WirePatch {
+                f(WirePatch {
                     q,
                     chain: chain.wrapping_mul(shift).wrapping_add(suffix),
                     len: before_len + rep_len + suffix_len,
-                }
-            })
-            .collect()
+                });
+            }
+        }
     }
 
     /// The hash value the DAG *would* have after applying `delta` — computed
@@ -321,22 +318,21 @@ impl StructuralHash {
     /// The full successor hash [`StructuralHash::preview`] is the value of:
     /// the hash the DAG would have after applying `delta`, carryable so the
     /// successor's own previews need no rehash. Same cost and contract as
-    /// `preview`.
+    /// `preview`; allocates nothing.
     pub fn previewed(&self, dag: &CircuitDag, delta: &SpliceDelta) -> StructuralHash {
-        self.patched(dag, StructuralHash::patches(dag, delta))
+        debug_assert_eq!(*self, StructuralHash::of(dag), "self must hash dag");
+        let mut hash = *self;
+        StructuralHash::for_each_patch(dag, delta, |p| hash.patch(dag, &p));
+        hash
     }
 
-    /// `self` with each patched wire's commitment replaced: the old one is
-    /// read off `dag`'s wire caches, which `self` hashes.
-    fn patched(&self, dag: &CircuitDag, patches: Vec<WirePatch>) -> StructuralHash {
-        debug_assert_eq!(*self, StructuralHash::of(dag), "self must hash dag");
-        let mut inner = self.inner;
-        for p in patches {
-            inner = inner
-                .wrapping_sub(wire_term(p.q, dag.wire_chain(p.q), dag.wire_len(p.q)))
-                .wrapping_add(wire_term(p.q, p.chain, p.len));
-        }
-        StructuralHash { inner }
+    /// Replaces the commitment of patched wire `p.q`: the old one is read
+    /// off `dag`'s wire caches, which `self` hashes.
+    fn patch(&mut self, dag: &CircuitDag, p: &WirePatch) {
+        self.inner = self
+            .inner
+            .wrapping_sub(wire_term(p.q, dag.wire_chain(p.q), dag.wire_len(p.q)))
+            .wrapping_add(wire_term(p.q, p.chain, p.len));
     }
 
     /// Reference implementation of [`StructuralHash::previewed`]: re-walks
@@ -345,12 +341,18 @@ impl StructuralHash {
     /// wires), no reliance on the cached prefix algebra. The O(footprint)
     /// paths are property-tested against this.
     pub fn previewed_rewalk(&self, dag: &CircuitDag, delta: &SpliceDelta) -> StructuralHash {
-        self.patched(dag, StructuralHash::rewalk_patches(dag, delta))
+        debug_assert_eq!(*self, StructuralHash::of(dag), "self must hash dag");
+        let mut hash = *self;
+        for p in StructuralHash::rewalk_patches(dag, delta) {
+            hash.patch(dag, &p);
+        }
+        hash
     }
 
     /// The per-wire result of [`StructuralHash::previewed_rewalk`]: the
-    /// same `(wire, chain, len)` list [`StructuralHash::patches`] computes
-    /// algebraically, folded from a walk of each touched wire.
+    /// same `(wire, chain, len)` list [`StructuralHash::for_each_patch`]
+    /// computes algebraically, folded from a walk of each touched wire, in
+    /// ascending wire order.
     fn rewalk_patches(dag: &CircuitDag, delta: &SpliceDelta) -> Vec<WirePatch> {
         let in_region = |id: NodeId| delta.region.contains(&id);
         // The touched wires, each with one region node on it to anchor the
@@ -542,7 +544,9 @@ mod tests {
         let previewed = hash.preview(dag, delta);
         let full = hash.previewed(dag, delta);
         let rewalk = hash.previewed_rewalk(dag, delta);
-        let algebra = StructuralHash::patches(dag, delta);
+        let mut algebra = Vec::new();
+        StructuralHash::for_each_patch(dag, delta, |p| algebra.push(p));
+        algebra.sort_unstable_by_key(|p| p.q);
         assert_eq!(
             algebra,
             StructuralHash::rewalk_patches(dag, delta),

@@ -75,7 +75,7 @@ mod oracle;
 pub use baseline::{greedy_optimize, BaselineStats};
 pub use cache::{LibraryCache, LoadedLibrary};
 pub use cost::{CostModel, DeltaCoster};
-pub use matcher::{Match, MatchContext, MatchScratch};
+pub use matcher::{DeltaScratch, Match, MatchContext, MatchScratch};
 pub use preprocess::{
     cancel_adjacent_inverses, clifford_t_to_nam, decompose_toffolis, merge_rotations, nam_to_ibm,
     nam_to_rigetti, preprocess_ibm, preprocess_nam, preprocess_rigetti, toffoli_decomposition,

@@ -13,16 +13,22 @@
 //!   re-enters it (the graph-representation convexity of Figure 5).
 //!
 //! There is one matcher: a backtracking walk of a [`MatchAutomaton`], the
-//! prefix tree of a whole library's target patterns (DESIGN.md §2.6).
-//! [`MatchContext::for_each_match`] walks it once for every dispatched rule,
-//! binding an instruction prefix that several rules share once for all of
+//! prefix tree of a whole library's target patterns under canonical labels
+//! (DESIGN.md §2.6). [`MatchContext::for_each_match`] walks it once for
+//! every dispatched rule, binding an instruction prefix that several rules
+//! share — up to a renaming of qubits and parameters — once for all of
 //! them, skipping subtrees that hold no dispatched rule, and streaming
-//! `(rule id, match)` to a callback. [`MatchContext::find_matches`] is the
-//! same walk over a one-pattern automaton.
+//! `(rule id, match)` to a callback. The walk binds canonical labels and
+//! relabels each emitted match through the rule's
+//! [`quartz_gen::RuleLabels`], so the callback sees it in the rule's own
+//! labels. [`MatchContext::find_matches`] is the same walk over a
+//! one-pattern automaton.
 //!
 //! Applying a match yields a [`SpliceDelta`]: the matched region plus the
-//! instantiated rewrite instructions. The delta can be turned into a
-//! rewritten sequence without mutating anything
+//! instantiated rewrite instructions. [`MatchContext::delta_into`] builds
+//! it into a reused [`DeltaScratch`], which is what the search does per
+//! match; [`MatchContext::delta_for`] returns an owned one. The delta can
+//! be turned into a rewritten sequence without mutating anything
 //! ([`MatchContext::apply_delta`]), or spliced into a clone of the DAG to
 //! *derive* the child circuit's matching state from its parent's in time
 //! proportional to the rewrite footprint ([`MatchContext::derive`]) — the
@@ -138,26 +144,42 @@ impl MatchContext {
 
     /// Instantiates the transformation's rewrite at a match, producing the
     /// splice plan, or `None` when the rewrite cannot be instantiated (for
-    /// example because it uses a parameter the target never bound).
+    /// example because it uses a parameter the target never bound). The
+    /// owned form of [`MatchContext::delta_into`].
     pub fn delta_for(&self, xform: &Transformation, m: &Match) -> Option<SpliceDelta> {
-        let mut replacement = Vec::with_capacity(xform.rewrite.gate_count());
+        let mut scratch = DeltaScratch::new();
+        self.delta_into(xform, m, &mut scratch)
+            .then_some(scratch.delta)
+    }
+
+    /// Instantiates the transformation's rewrite at a match into
+    /// `scratch`'s reused [`SpliceDelta`], returning `false` when the
+    /// rewrite cannot be instantiated (the delta is then unspecified). The
+    /// search's per-match path: once `scratch` is warm, this allocates
+    /// nothing for a circuit without symbolic parameters.
+    pub fn delta_into(
+        &self,
+        xform: &Transformation,
+        m: &Match,
+        scratch: &mut DeltaScratch,
+    ) -> bool {
+        let DeltaScratch { delta, spare } = scratch;
+        delta.region.clear();
+        delta.region.extend_from_slice(&m.instruction_map);
+        spare.append(&mut delta.replacement);
         for instr in xform.rewrite.instructions() {
-            let qubits: Option<Vec<usize>> = instr
-                .qubits
-                .iter()
-                .map(|&q| m.qubit_map.get(q).copied().flatten())
-                .collect();
-            let qubits = qubits?;
-            let mut params = Vec::with_capacity(instr.params.len());
-            for p in &instr.params {
-                params.push(instantiate(p, &m.param_bindings, self.dag.num_params())?);
+            let mut out = spare.pop().unwrap_or_else(|| Instruction {
+                gate: instr.gate,
+                qubits: Vec::new(),
+                params: Vec::new(),
+            });
+            if instantiate_instruction(instr, m, self.dag.num_params(), &mut out).is_none() {
+                spare.push(out);
+                return false;
             }
-            replacement.push(Instruction::new(instr.gate, qubits, params));
+            delta.replacement.push(out);
         }
-        Some(SpliceDelta {
-            region: m.instruction_map.clone(),
-            replacement,
-        })
+        true
     }
 
     /// Emits the rewritten circuit a delta describes, without mutating the
@@ -229,6 +251,28 @@ impl MatchContext {
     }
 }
 
+/// Overwrites `out` with the rewrite instruction `instr` instantiated at
+/// match `m`, reusing `out`'s operand buffers; `None` when `instr` uses a
+/// qubit or parameter `m` did not bind.
+fn instantiate_instruction(
+    instr: &Instruction,
+    m: &Match,
+    circuit_num_params: usize,
+    out: &mut Instruction,
+) -> Option<()> {
+    out.gate = instr.gate;
+    out.qubits.clear();
+    for &q in &instr.qubits {
+        out.qubits.push(m.qubit_map.get(q).copied().flatten()?);
+    }
+    out.params.clear();
+    for p in &instr.params {
+        out.params
+            .push(instantiate(p, &m.param_bindings, circuit_num_params)?);
+    }
+    Some(())
+}
+
 /// Substitutes parameter bindings into a pattern-side expression.
 fn instantiate(
     expr: &ParamExpr,
@@ -248,14 +292,17 @@ fn instantiate(
 
 /// Reusable state for [`MatchContext::for_each_match`], one per thread:
 /// the epoch-stamped mask of dispatched rules and of the automaton nodes on
-/// their root paths, the partial match the walk binds in place, and the
-/// convexity check's visited buffer. Any scratch works with any automaton
-/// and context; the walk allocates nothing once it is warm.
+/// their root paths, the partial match the walk binds in place (in the
+/// automaton's canonical labels), the match it reports to the callback (in
+/// the rule's own labels), and the convexity check's visited buffer. Any
+/// scratch works with any automaton and context; the walk allocates nothing
+/// once it is warm.
 #[derive(Debug, Default)]
 pub struct MatchScratch {
     live_nodes: EpochSet,
     live_rules: EpochSet,
     partial: Match,
+    emitted: Match,
     convexity: ConvexityScratch,
 }
 
@@ -288,6 +335,27 @@ impl MatchScratch {
         partial.qubit_map.resize(num_qubits, None);
         partial.param_bindings.clear();
         partial.param_bindings.resize(num_params, None);
+    }
+}
+
+/// A reusable [`SpliceDelta`] for [`MatchContext::delta_into`], one per
+/// thread. Replacement instructions the current delta does not need are
+/// kept, with their operand buffers, for the next one.
+#[derive(Debug, Default)]
+pub struct DeltaScratch {
+    delta: SpliceDelta,
+    spare: Vec<Instruction>,
+}
+
+impl DeltaScratch {
+    /// Creates an empty scratch; buffers grow on first use.
+    pub fn new() -> Self {
+        DeltaScratch::default()
+    }
+
+    /// The delta the last successful [`MatchContext::delta_into`] built.
+    pub fn delta(&self) -> &SpliceDelta {
+        &self.delta
     }
 }
 
@@ -369,9 +437,11 @@ impl<'a, F: FnMut(usize, &Match)> Walk<'a, F> {
     }
 
     /// Emits the complete match to every dispatched rule ending at `node`,
-    /// after one convexity check shared by all of them. Each rule sees its
-    /// own qubit and parameter map widths; the entries past them are unbound
-    /// for a rule that ends here, so narrowing and re-widening loses nothing.
+    /// after one convexity check shared by all of them. The walk binds
+    /// canonical labels; each rule sees the match relabeled through its
+    /// [`quartz_gen::RuleLabels`], with its own qubit and parameter map
+    /// widths. The bindings are moved into the emitted match and back, so
+    /// relabeling allocates nothing.
     fn emit_rules(&mut self, node: &AutomatonNode) {
         let mut convex = None;
         for &rule in node.rules() {
@@ -387,14 +457,30 @@ impl<'a, F: FnMut(usize, &Match)> Walk<'a, F> {
             if !convex {
                 return;
             }
-            let (num_qubits, num_params) = self.automaton.rule_shape(rule);
-            let (max_qubits, max_params) = self.automaton.max_shape();
-            let partial = &mut scratch.partial;
-            partial.qubit_map.truncate(num_qubits);
-            partial.param_bindings.truncate(num_params);
-            (self.emit)(rule, partial);
-            partial.qubit_map.resize(max_qubits, None);
-            partial.param_bindings.resize(max_params, None);
+            let labels = self.automaton.rule_labels(rule);
+            let (partial, emitted) = (&mut scratch.partial, &mut scratch.emitted);
+            emitted.qubit_map.clear();
+            emitted.qubit_map.extend(
+                labels
+                    .qubits
+                    .iter()
+                    .map(|label| label.and_then(|c| partial.qubit_map[c])),
+            );
+            emitted.param_bindings.clear();
+            emitted.param_bindings.extend(
+                labels
+                    .params
+                    .iter()
+                    .map(|label| label.and_then(|c| partial.param_bindings[c].take())),
+            );
+            std::mem::swap(&mut emitted.instruction_map, &mut partial.instruction_map);
+            (self.emit)(rule, emitted);
+            std::mem::swap(&mut emitted.instruction_map, &mut partial.instruction_map);
+            for (label, bound) in labels.params.iter().zip(&mut emitted.param_bindings) {
+                if let Some(c) = *label {
+                    partial.param_bindings[c] = bound.take();
+                }
+            }
         }
     }
 
@@ -859,6 +945,105 @@ mod tests {
         assert_eq!(got[1][0].param_bindings.len(), 2);
         assert_eq!(got[2].len(), 1);
         assert_eq!(got[2][0].qubit_map, vec![Some(1), Some(0)]);
+    }
+
+    /// A rule whose target starts on q1 with p1 is compiled under canonical
+    /// labels (q1 and p1 become label 0), sharing every node with a rule on
+    /// q0 and p0, yet it is reported in its own labels: its qubit map and
+    /// bindings have the rule's widths and positions, so its rewrite
+    /// instantiates exactly as the oracle's `Apply(C, T)` does.
+    #[test]
+    fn a_rule_starting_on_q1_with_p1_is_emitted_in_its_own_labels() {
+        let rz =
+            |q: usize, p: usize| Instruction::new(Gate::Rz, vec![q], vec![ParamExpr::var(p, 2)]);
+        let mut plain = Circuit::new(2, 2);
+        plain.push(rz(0, 0));
+        plain.push(instruction(Gate::Cnot, &[0, 1]));
+        plain.push(rz(1, 1));
+        let mut target = Circuit::new(2, 2);
+        target.push(rz(1, 1));
+        target.push(instruction(Gate::Cnot, &[1, 0]));
+        target.push(rz(0, 0));
+        // Rz on the control commutes through the CNOT.
+        let mut rewrite = Circuit::new(2, 2);
+        rewrite.push(instruction(Gate::Cnot, &[1, 0]));
+        rewrite.push(rz(1, 1));
+        rewrite.push(rz(0, 0));
+        let xform = Transformation { target, rewrite };
+        let automaton = MatchAutomaton::new([&plain, &xform.target]);
+        assert_eq!(automaton.num_nodes(), 3);
+        assert_eq!(automaton.terminal(0), automaton.terminal(1));
+
+        let angle = |quarters: i32| {
+            Instruction::new(Gate::Rz, vec![2], vec![ParamExpr::constant_pi4(quarters)])
+        };
+        let mut c = Circuit::new(3, 0);
+        c.push(h(1));
+        c.push(angle(1));
+        c.push(instruction(Gate::Cnot, &[2, 0]));
+        c.push(Instruction::new(
+            Gate::Rz,
+            vec![0],
+            vec![ParamExpr::constant_pi4(2)],
+        ));
+        let ctx = MatchContext::new(&c);
+        let got = walk(&ctx, &automaton, &[0, 1]);
+        assert_eq!(got[0].len(), 1);
+        assert_eq!(got[0][0].qubit_map, vec![Some(2), Some(0)]);
+        assert_eq!(
+            got[0][0].param_bindings,
+            vec![
+                Some(ParamExpr::constant_pi4(1)),
+                Some(ParamExpr::constant_pi4(2))
+            ]
+        );
+        assert_eq!(got[1].len(), 1);
+        assert_eq!(got[1][0].instruction_map, got[0][0].instruction_map);
+        assert_eq!(got[1][0].qubit_map, vec![Some(0), Some(2)]);
+        assert_eq!(
+            got[1][0].param_bindings,
+            vec![
+                Some(ParamExpr::constant_pi4(2)),
+                Some(ParamExpr::constant_pi4(1))
+            ]
+        );
+        assert_eq!(ctx.find_matches(&xform.target), got[1]);
+
+        let rewritten: Vec<Circuit> = got[1]
+            .iter()
+            .map(|m| canonicalize(&ctx.apply_delta(&ctx.delta_for(&xform, m).unwrap())))
+            .collect();
+        let reference: Vec<Circuit> = crate::oracle::apply(&c, &xform)
+            .iter()
+            .map(canonicalize)
+            .collect();
+        assert_eq!(rewritten, reference);
+        assert!(equivalent_up_to_phase(&rewritten[0], &c, &[], 1e-10));
+    }
+
+    /// A qubit or parameter the target never uses stays unbound in the
+    /// reported match, at the rule's own position.
+    #[test]
+    fn unused_qubits_and_parameters_are_reported_unbound() {
+        let mut target = Circuit::new(3, 2);
+        target.push(Instruction::new(
+            Gate::Rz,
+            vec![2],
+            vec![ParamExpr::var(1, 2)],
+        ));
+        let mut c = Circuit::new(1, 0);
+        c.push(Instruction::new(
+            Gate::Rz,
+            vec![0],
+            vec![ParamExpr::constant_pi4(3)],
+        ));
+        let matches = MatchContext::new(&c).find_matches(&target);
+        assert_eq!(matches.len(), 1);
+        assert_eq!(matches[0].qubit_map, vec![None, None, Some(0)]);
+        assert_eq!(
+            matches[0].param_bindings,
+            vec![None, Some(ParamExpr::constant_pi4(3))]
+        );
     }
 
     /// A derived context must behave exactly like a context rebuilt from the

@@ -52,7 +52,7 @@
 
 use crate::cache::LoadedLibrary;
 use crate::cost::CostModel;
-use crate::matcher::{MatchContext, MatchScratch};
+use crate::matcher::{DeltaScratch, MatchContext, MatchScratch};
 use crate::service::{ServiceRequest, ServiceScheduler};
 use crate::xform::{canonicalize, Transformation};
 use quartz_gen::{IndexScratch, TransformationIndex};
@@ -87,8 +87,8 @@ pub struct SearchConfig {
     /// standalone run has one frontier, so this matters only to services
     /// with several requests running.
     pub num_threads: usize,
-    /// When `true`, per-phase wall-clock timings (context derivation,
-    /// matching, delta construction, γ-precheck, hash previews, the
+    /// When `true`, per-phase wall-clock timings (context derivation, index
+    /// dispatch, matching, delta construction, γ-precheck, hash previews, the
     /// dequeue-time hash confirmation, deduplication) are accumulated into
     /// [`SearchResult::profile`].
     /// Default `false`: the hot path then executes no timing calls at all.
@@ -133,18 +133,23 @@ impl SearchConfig {
 /// Per-phase wall-clock breakdown of one search run, accumulated only when
 /// [`SearchConfig::profile`] is on (all-zero otherwise). The phases cover
 /// the per-entry pipeline of `expand_entry`: deriving the entry's match
-/// context, finding matches, building splice deltas, the exact γ-precheck,
-/// the O(footprint) structural-hash previews, the dequeue-time hash
-/// confirmation, and the seen-set probes.
+/// context, the index dispatch, finding matches, building splice deltas,
+/// the exact γ-precheck, the O(footprint) structural-hash previews, the
+/// dequeue-time hash confirmation, and the seen-set probes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchProfile {
-    /// Enumerating matches: the matcher runs in the dispatch loop, minus
-    /// the finer phases below.
+    /// Naming the rules to match: the index's histogram dispatch
+    /// (`candidates_into`), plus the match automaton's build on the
+    /// index's first dispatch.
+    pub dispatch: Duration,
+    /// Enumerating matches: the automaton walk, minus the finer phases
+    /// its callback runs (delta, γ-precheck, preview, dedup).
     pub matching: Duration,
     /// Building the instantiated [`SpliceDelta`] of each match.
     pub delta: Duration,
     /// The exact delta-cost γ-precheck that rejects cost-increasing
-    /// rewrites before materialization (all cost models, depth included).
+    /// rewrites before materialization (all cost models, depth included),
+    /// and building its per-entry coster.
     pub gamma_precheck: Duration,
     /// O(footprint) structural-hash previews: computing candidates' exact
     /// seen-set keys from the parent hash and the delta, without
@@ -163,6 +168,7 @@ pub struct SearchProfile {
 impl SearchProfile {
     /// Adds another profile's phase times into this one.
     pub fn accumulate(&mut self, other: &SearchProfile) {
+        self.dispatch += other.dispatch;
         self.matching += other.matching;
         self.delta += other.delta;
         self.gamma_precheck += other.gamma_precheck;
@@ -174,7 +180,8 @@ impl SearchProfile {
 
     /// Sum of all phase times.
     pub fn total(&self) -> Duration {
-        self.matching
+        self.dispatch
+            + self.matching
             + self.delta
             + self.gamma_precheck
             + self.preview
@@ -185,8 +192,9 @@ impl SearchProfile {
 
     /// (name, seconds) pairs for every phase, in pipeline order — the shape
     /// benchmark reports emit.
-    pub fn phases(&self) -> [(&'static str, f64); 7] {
+    pub fn phases(&self) -> [(&'static str, f64); 8] {
         [
+            ("dispatch", self.dispatch.as_secs_f64()),
             ("matching", self.matching.as_secs_f64()),
             ("delta", self.delta.as_secs_f64()),
             ("gamma_precheck", self.gamma_precheck.as_secs_f64()),
@@ -337,6 +345,15 @@ struct Candidate {
     /// Exact structural hash of the successor: its seen-set identity and
     /// its deterministic tie-break in the candidate order.
     shash: StructuralHash,
+}
+
+/// One worker thread's reusable buffers for [`Optimizer::expand_entry`].
+#[derive(Default)]
+struct ExpandScratch {
+    index: IndexScratch,
+    ids: Vec<usize>,
+    matches: MatchScratch,
+    delta: DeltaScratch,
 }
 
 /// Everything a worker produced for one dequeued circuit.
@@ -673,22 +690,14 @@ impl Optimizer {
         seen: &FxHashSet<u64>,
     ) -> Expansion {
         // Per-thread scratch: the index dispatch's visited set, the
-        // candidate-id buffer and the matcher's walk state, reused across
-        // dequeues so the hot loop allocates nothing in steady state.
+        // candidate-id buffer, the matcher's walk state and the per-match
+        // splice delta, reused across dequeues so the per-match path
+        // allocates nothing in steady state.
         thread_local! {
-            static SCRATCH: RefCell<(IndexScratch, Vec<usize>, MatchScratch)> =
-                RefCell::new((IndexScratch::new(), Vec::new(), MatchScratch::new()));
+            static SCRATCH: RefCell<ExpandScratch> = RefCell::default();
         }
         SCRATCH.with(|scratch| {
-            let (index_scratch, ids, match_scratch) = &mut *scratch.borrow_mut();
-            self.expand_entry_with_scratch(
-                entry,
-                frozen_best,
-                seen,
-                index_scratch,
-                ids,
-                match_scratch,
-            )
+            self.expand_entry_with_scratch(entry, frozen_best, seen, &mut scratch.borrow_mut())
         })
     }
 
@@ -697,10 +706,14 @@ impl Optimizer {
         entry: &QueueEntry,
         frozen_best: usize,
         seen: &FxHashSet<u64>,
-        index_scratch: &mut IndexScratch,
-        ids: &mut Vec<usize>,
-        match_scratch: &mut MatchScratch,
+        scratch: &mut ExpandScratch,
     ) -> Expansion {
+        let ExpandScratch {
+            index: index_scratch,
+            ids,
+            matches: match_scratch,
+            delta: delta_scratch,
+        } = scratch;
         let profiling = self.config.profile;
         let mut profile = SearchProfile::default();
         let t_derive = profiling.then(Instant::now);
@@ -723,12 +736,18 @@ impl Optimizer {
             profile.fingerprint = t.elapsed();
         }
 
+        let t_dispatch = profiling.then(Instant::now);
         self.index.candidates_into(
             ctx.dag().gate_histogram(),
             ctx.dag().num_qubits(),
             index_scratch,
             ids,
         );
+        // Built on the index's first dispatch, then shared.
+        let automaton = self.index.automaton();
+        if let Some(t) = t_dispatch {
+            profile.dispatch = t.elapsed();
+        }
         let mut candidates: Vec<Candidate> = Vec::new();
         let mut fp_fast_rejects = 0usize;
         let cost_model = self.config.cost_model;
@@ -736,24 +755,26 @@ impl Optimizer {
         // Exact O(footprint) successor costing for every model — additive
         // per-gate sums and critical-path depth alike — so the γ filter
         // rejects cost-increasing rewrites without materializing them.
+        let t_coster = profiling.then(Instant::now);
         let coster = cost_model.delta_coster(ctx.dag());
+        let coster_time = t_coster.map(|t| t.elapsed());
         let t_loop = profiling.then(Instant::now);
         // One walk over the library's shared match automaton binds every
         // dispatched rule's matches, a shared pattern prefix once for all
         // the rules that start with it (DESIGN.md §2.6).
-        let automaton = self.index.automaton();
         ctx.for_each_match(automaton, ids, match_scratch, |id, m| {
             let xform = &self.index.transformations()[id];
             let t_delta = profiling.then(Instant::now);
-            let delta = ctx.delta_for(xform, m);
+            let instantiated = ctx.delta_into(xform, m, delta_scratch);
             if let Some(t) = t_delta {
                 profile.delta += t.elapsed();
             }
-            let Some(delta) = delta else {
+            if !instantiated {
                 return;
-            };
+            }
+            let delta = delta_scratch.delta();
             let t_gamma = profiling.then(Instant::now);
-            let cost = coster.cost_after(&delta);
+            let cost = coster.cost_after(delta);
             let gamma_rejected = (cost as f64) >= gamma * frozen_best as f64;
             if let Some(t) = t_gamma {
                 profile.gamma_precheck += t.elapsed();
@@ -767,7 +788,7 @@ impl Optimizer {
             // frozen seen-set. The hash is a complete invariant of the
             // canonical form (DESIGN.md §13), so a hit *is* a duplicate.
             let t_preview = profiling.then(Instant::now);
-            let shash = entry_shash.previewed(ctx.dag(), &delta);
+            let shash = entry_shash.previewed(ctx.dag(), delta);
             if let Some(t) = t_preview {
                 profile.preview += t.elapsed();
             }
@@ -781,11 +802,12 @@ impl Optimizer {
                 return;
             }
             // First sight: admit the candidate on (cost, hash, delta)
-            // alone. Debug builds re-derive the admission from the
-            // materialized successor: same cost, same hash.
+            // alone, the one place the delta is copied out of the scratch.
+            // Debug builds re-derive the admission from the materialized
+            // successor: same cost, same hash.
             #[cfg(debug_assertions)]
             {
-                let canonical = canonicalize(&ctx.apply_delta(&delta));
+                let canonical = canonicalize(&ctx.apply_delta(delta));
                 debug_assert_eq!(cost, cost_model.cost(&canonical));
                 debug_assert_eq!(
                     shash.value(),
@@ -793,14 +815,21 @@ impl Optimizer {
                     "structural-hash preview diverged from the materialized circuit"
                 );
             }
-            candidates.push(Candidate { cost, delta, shash });
+            candidates.push(Candidate {
+                cost,
+                delta: delta.clone(),
+                shash,
+            });
         });
         if let Some(t) = t_loop {
-            // Everything in the dispatch loop not claimed by a finer phase
-            // is match-enumeration work.
+            // Everything in the walk not claimed by a finer phase is
+            // match-enumeration work.
             profile.matching = t.elapsed().saturating_sub(
                 profile.delta + profile.gamma_precheck + profile.preview + profile.dedup,
             );
+        }
+        if let Some(t) = coster_time {
+            profile.gamma_precheck += t;
         }
         candidates.sort_by_key(|c| (c.cost, c.shash.value()));
         Expansion {
@@ -1205,11 +1234,12 @@ mod tests {
             "profiling must record phase time"
         );
         let phases = profiled.profile.phases();
-        assert_eq!(phases.len(), 7);
+        assert_eq!(phases.len(), 8);
         assert!(phases.iter().all(|(_, secs)| *secs >= 0.0));
-        // Every dequeue derives a context and every first-sight candidate
-        // is previewed.
+        // Every dequeue derives a context and dispatches, and every
+        // first-sight candidate is previewed.
         assert!(profiled.profile.derive > Duration::ZERO);
+        assert!(profiled.profile.dispatch > Duration::ZERO);
         assert!(profiled.profile.preview > Duration::ZERO);
     }
 }

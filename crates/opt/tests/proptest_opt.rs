@@ -9,8 +9,8 @@ use quartz_ir::{
 };
 use quartz_opt::{
     cancel_adjacent_inverses, canonicalize, greedy_optimize, merge_rotations, preprocess_nam,
-    transformations_from_ecc_set, CostModel, Match, MatchContext, MatchScratch, Optimizer,
-    SearchConfig, Transformation, TransformationIndex,
+    transformations_from_ecc_set, CostModel, Match, MatchContext, MatchScratch,
+    OptimizationService, Optimizer, SearchConfig, Transformation, TransformationIndex,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -236,10 +236,13 @@ proptest! {
     /// alone and materializing only at dequeue agrees field by field with
     /// the oracle, which materializes every candidate eagerly — for random
     /// circuits, every cost model (including non-additive depth), and any
-    /// thread count.
+    /// thread count. Two circuits run as one batch, so with two threads two
+    /// frontiers expand at once over the shared index and automaton, and
+    /// their derived DAGs share instructions with their parents'.
     #[test]
     fn deferred_engine_is_bit_identical_to_eager(
         input in arb_clifford_t_circuit(3, 10),
+        second in arb_clifford_t_circuit(3, 10),
         model_pick in 0usize..4,
         threads in 1usize..3,
     ) {
@@ -249,7 +252,10 @@ proptest! {
             CostModel::TCount,
             CostModel::Depth,
         ][model_pick];
-        let nam = quartz_opt::clifford_t_to_nam(&input);
+        let batch = [
+            quartz_opt::clifford_t_to_nam(&input),
+            quartz_opt::clifford_t_to_nam(&second),
+        ];
         let config = SearchConfig {
             timeout: Duration::from_secs(600),
             max_iterations: 8,
@@ -257,10 +263,14 @@ proptest! {
             num_threads: threads,
             ..SearchConfig::default()
         };
-        let engine = Optimizer::with_index(shared_nam_index(), config.clone());
-        let a = engine.optimize(&nam);
-        let b = oracle::run(engine.transformations(), &config, &nam);
-        oracle::assert_agrees(&a, &b, &format!("{cost_model:?}, {threads} threads"));
+        let service =
+            OptimizationService::new(Optimizer::with_index(shared_nam_index(), config.clone()));
+        let results = service.optimize_batch(&batch);
+        prop_assert_eq!(results.len(), batch.len());
+        for (i, (circuit, a)) in batch.iter().zip(&results).enumerate() {
+            let b = oracle::run(service.optimizer().transformations(), &config, circuit);
+            oracle::assert_agrees(a, &b, &format!("{cost_model:?}, {threads} threads, circuit {i}"));
+        }
     }
 
     #[test]
@@ -336,6 +346,23 @@ fn committed_index(which: usize) -> &'static TransformationIndex {
             })
             .collect()
     })[which]
+}
+
+/// The committed libraries' automata under canonical labels: node and root
+/// counts pinned, so a change to how targets are compiled shows here.
+#[test]
+fn committed_automata_have_the_pinned_node_and_root_counts() {
+    let counts: Vec<(usize, usize, usize)> = (0..COMMITTED.len())
+        .map(|which| {
+            let automaton = committed_index(which).automaton();
+            (
+                automaton.num_rules(),
+                automaton.num_nodes(),
+                automaton.roots().len(),
+            )
+        })
+        .collect();
+    assert_eq!(counts, [(108, 78, 6), (228, 133, 29), (41, 33, 7)]);
 }
 
 /// A gate of `gates` on distinct qubits whose angles are constants or
