@@ -40,47 +40,18 @@
 //!     every integrity check and must be caught by `audit` alone (the CI
 //!     seeded-mutation check greps the printed location out of the audit
 //!     report).
-//!
-//! quartz-lib shard --in FILE --count K --out-prefix PREFIX
-//!     Split a whole artifact into K shard artifacts
-//!     (PREFIX.shard0.qtzl … PREFIX.shard{K-1}.qtzl), each owning whole
-//!     anchor buckets of the parent's prebuilt index. Prints the written
-//!     paths on stdout.
-//!
-//! quartz-lib merge --out FILE SHARD...
-//!     Reassemble a complete shard group into the parent artifact and
-//!     verify the result against the parent checksum recorded in the
-//!     shards — the output is byte-identical to the original.
-//!
-//! quartz-lib registry add --root DIR FILE...
-//!     Verify and publish one whole artifact (or one complete shard group)
-//!     into the content-addressed registry at DIR, keyed by
-//!     (gate set, n, q, m, generator version). Audit sidecars next to the
-//!     inputs are published too.
-//!
-//! quartz-lib registry get --root DIR --gate-set NAME --n N --q Q [--m M]
-//!                         [--generator-version V]
-//!     Resolve a key to its verified blob paths (printed on stdout, one
-//!     per line, shard-sequence order). Every blob is re-verified —
-//!     header, checksum, and every section digest — before it is reported.
-//!
-//! quartz-lib registry list --root DIR
-//!     List every published key with its blob layout.
-//!
-//! quartz-lib registry gc --root DIR
-//!     Remove unreferenced blobs and leftover staging files.
 //! ```
 //!
 //! Exits 0 on success, 1 on any validation or I/O failure, 2 on a usage
 //! error.
 
 use quartz_gen::{
-    merge_shards, prune, shard_library, AuditConfig, AuditStamp, Auditor, Ecc, EccSet, GenConfig,
-    Generator, LazyLibrary, Library, Registry, RegistryKey, GENERATOR_VERSION,
+    prune, AuditConfig, AuditStamp, Auditor, Ecc, EccSet, GenConfig, Generator, LazyLibrary,
+    Library, GENERATOR_VERSION,
 };
 use quartz_ir::{Circuit, GateSet, Instruction, ALL_GATES};
 use quartz_verify::Verifier;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -97,9 +68,6 @@ fn main() -> ExitCode {
         "verify-checksum" => verify_checksum(rest),
         "audit" => audit(rest),
         "mutate" => mutate(rest),
-        "shard" => shard(rest),
-        "merge" => merge(rest),
-        "registry" => registry_command(rest),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             return ExitCode::SUCCESS;
@@ -129,13 +97,7 @@ const USAGE: &str = "usage:
   quartz-lib inspect FILE
   quartz-lib verify-checksum FILE [--deep]
   quartz-lib audit FILE [--json] [--no-cache] [--write-stamp] [--expect-full-cache] [--threads N]
-  quartz-lib mutate --in FILE --out FILE
-  quartz-lib shard --in FILE --count K --out-prefix PREFIX
-  quartz-lib merge --out FILE SHARD...
-  quartz-lib registry add --root DIR FILE...
-  quartz-lib registry get --root DIR --gate-set NAME --n N --q Q [--m M] [--generator-version V]
-  quartz-lib registry list --root DIR
-  quartz-lib registry gc --root DIR";
+  quartz-lib mutate --in FILE --out FILE";
 
 enum Failure {
     Usage(String),
@@ -351,18 +313,6 @@ fn inspect(args: &[String]) -> Result<(), Failure> {
         table.classes.len(),
         table.encoded_len()
     );
-    if table.is_shard() {
-        println!(
-            "  shard:              {} of {} (parent: {} classes, {} transformations, \
-             checksum {:#018x})",
-            table.shard_seq + 1,
-            table.shard_count,
-            table.parent_num_eccs,
-            table.parent_num_xforms,
-            table.parent_checksum
-        );
-        println!("  index slice:        {} parent ids", table.xform_ids.len());
-    }
     if let Some(index) = library.index().map_err(runtime)? {
         println!("  transformations:    {}", index.len());
         let populated = index
@@ -525,161 +475,6 @@ fn mutate(args: &[String]) -> Result<(), Failure> {
     )))
 }
 
-fn shard(args: &[String]) -> Result<(), Failure> {
-    let mut args = Args::new(args);
-    let input = args.required("--in")?.to_string();
-    let count = parse_number("--count", args.required("--count")?)?;
-    let prefix = args.required("--out-prefix")?.to_string();
-    args.finish()?;
-
-    let library = Library::load(&input).map_err(runtime)?;
-    let shards = shard_library(&library, count).map_err(runtime)?;
-    for (i, bytes) in shards.iter().enumerate() {
-        let path = format!("{prefix}.shard{i}.qtzl");
-        std::fs::write(&path, bytes).map_err(|e| runtime(format!("{path}: {e}")))?;
-        println!("{path}");
-    }
-    eprintln!(
-        "sharded {input} ({} classes) into {} artifacts",
-        library.header().num_eccs,
-        shards.len()
-    );
-    Ok(())
-}
-
-fn merge(args: &[String]) -> Result<(), Failure> {
-    let mut args = Args::new(args);
-    let out = args.required("--out")?.to_string();
-    let mut inputs = Vec::new();
-    while let Some(path) = args.positional() {
-        inputs.push(path.to_string());
-    }
-    args.finish()?;
-    if inputs.is_empty() {
-        return Err(usage("merge needs at least one shard artifact"));
-    }
-
-    let mut shards = Vec::with_capacity(inputs.len());
-    for path in &inputs {
-        shards.push(std::fs::read(path).map_err(|e| runtime(format!("{path}: {e}")))?);
-    }
-    let merged = merge_shards(&shards).map_err(runtime)?;
-    merged.save(&out).map_err(runtime)?;
-    eprintln!(
-        "merged {} shards -> {out} ({} classes, {} bytes, checksum {:#018x} matches the \
-         parent recorded in the group)",
-        inputs.len(),
-        merged.header().num_eccs,
-        merged.byte_len(),
-        merged.header().checksum
-    );
-    Ok(())
-}
-
-fn registry_command(args: &[String]) -> Result<(), Failure> {
-    let Some((sub, rest)) = args.split_first() else {
-        return Err(usage("registry needs a subcommand: add, get, list, or gc"));
-    };
-    match sub.as_str() {
-        "add" => registry_add(rest),
-        "get" => registry_get(rest),
-        "list" => registry_list(rest),
-        "gc" => registry_gc(rest),
-        other => Err(usage(format!(
-            "unknown registry subcommand {other:?} (expected add, get, list, or gc)"
-        ))),
-    }
-}
-
-fn registry_add(args: &[String]) -> Result<(), Failure> {
-    let mut args = Args::new(args);
-    let root = args.required("--root")?.to_string();
-    let mut paths: Vec<PathBuf> = Vec::new();
-    while let Some(path) = args.positional() {
-        paths.push(PathBuf::from(path));
-    }
-    args.finish()?;
-    if paths.is_empty() {
-        return Err(usage("registry add needs at least one artifact path"));
-    }
-
-    let registry = Registry::open(&root).map_err(runtime)?;
-    let key = registry.add(&paths).map_err(runtime)?;
-    eprintln!(
-        "published {} artifact(s) under key [{key}] in {root}",
-        paths.len()
-    );
-    Ok(())
-}
-
-fn registry_get(args: &[String]) -> Result<(), Failure> {
-    let mut args = Args::new(args);
-    let root = args.required("--root")?.to_string();
-    // Known gate-set names normalize to their header spelling, as `pack`
-    // does, so `--gate-set nam` finds artifacts recorded as "Nam".
-    let gate_set_raw = args.required("--gate-set")?;
-    let gate_set = gate_set_by_name(gate_set_raw)
-        .map(|g| g.name().to_string())
-        .unwrap_or_else(|_| gate_set_raw.to_string());
-    let n = parse_number("--n", args.required("--n")?)?;
-    let q = parse_number("--q", args.required("--q")?)?;
-    let key = RegistryKey {
-        max_gates: n as u32,
-        num_qubits: q as u32,
-        num_params: match args.value_of("--m")? {
-            Some(v) => parse_number("--m", v)? as u32,
-            None => default_params(&gate_set_by_name(gate_set_raw)?) as u32,
-        },
-        generator_version: match args.value_of("--generator-version")? {
-            Some(v) => parse_number("--generator-version", v)? as u32,
-            None => GENERATOR_VERSION,
-        },
-        gate_set,
-    };
-    args.finish()?;
-
-    let registry = Registry::open(&root).map_err(runtime)?;
-    let paths = registry.get(&key).map_err(runtime)?;
-    for path in &paths {
-        println!("{}", path.display());
-    }
-    eprintln!(
-        "key [{key}] resolves to {} verified artifact(s)",
-        paths.len()
-    );
-    Ok(())
-}
-
-fn registry_list(args: &[String]) -> Result<(), Failure> {
-    let mut args = Args::new(args);
-    let root = args.required("--root")?.to_string();
-    args.finish()?;
-
-    let registry = Registry::open(&root).map_err(runtime)?;
-    let entries = registry.list().map_err(runtime)?;
-    for entry in &entries {
-        println!(
-            "{}  {} artifact(s)  {}",
-            entry.key,
-            entry.shard_count,
-            entry.blobs.join(" ")
-        );
-    }
-    eprintln!("{} key(s) published in {root}", entries.len());
-    Ok(())
-}
-
-fn registry_gc(args: &[String]) -> Result<(), Failure> {
-    let mut args = Args::new(args);
-    let root = args.required("--root")?.to_string();
-    args.finish()?;
-
-    let registry = Registry::open(&root).map_err(runtime)?;
-    let removed = registry.gc().map_err(runtime)?;
-    eprintln!("removed {removed} unreferenced file(s) from {root}");
-    Ok(())
-}
-
 fn verify_checksum(args: &[String]) -> Result<(), Failure> {
     let mut args = Args::new(args);
     let deep = args.switch("--deep");
@@ -707,29 +502,15 @@ fn verify_checksum(args: &[String]) -> Result<(), Failure> {
     println!("{path}: checksum {:#018x} ok", header.checksum);
     if deep {
         let set = library.ecc_set().map_err(runtime)?;
-        library.index().map_err(runtime)?;
-        if library.class_table().is_shard() {
-            // A shard's index section is a slice of its parent's, so whole-
-            // artifact re-packing can't reproduce it. Decoding above already
-            // re-hashed every class payload and the index section against
-            // the digests sealed under the artifact checksum, which is the
-            // deep check for shards.
-            println!(
-                "{path}: deep verification ok ({} shard classes and index slice \
-                 digest-verified, payload decodes)",
-                set.eccs.len()
-            );
-        } else {
-            let bytes = std::fs::read(&path).map_err(|e| runtime(format!("{path}: {e}")))?;
-            let repacked = Library::new(header.gate_set.clone(), set, header.has_index());
-            if repacked.to_bytes() != bytes {
-                return Err(runtime(format!(
-                    "{path}: artifact is stale — re-packing its own payload with the current \
-                     pipeline produces different bytes (regenerate it)"
-                )));
-            }
-            println!("{path}: deep verification ok (payload decodes, re-pack is byte-identical)");
+        let bytes = std::fs::read(&path).map_err(|e| runtime(format!("{path}: {e}")))?;
+        let repacked = Library::new(header.gate_set.clone(), set, header.has_index());
+        if repacked.to_bytes() != bytes {
+            return Err(runtime(format!(
+                "{path}: artifact is stale — re-packing its own payload with the current \
+                 pipeline produces different bytes (regenerate it)"
+            )));
         }
+        println!("{path}: deep verification ok (payload decodes, re-pack is byte-identical)");
     }
     Ok(())
 }

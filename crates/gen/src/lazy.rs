@@ -1,5 +1,5 @@
-//! The one reader of library artifacts — lazy and file-backed — and the
-//! shard/merge machinery built on top of it (DESIGN.md §12).
+//! The one reader of library artifacts — lazy and file-backed (DESIGN.md
+//! §12).
 //!
 //! [`LazyLibrary`] validates only the header and the class table at open
 //! (O(header + table) work and memory), and each ECC class is decoded — and
@@ -8,17 +8,8 @@
 //! pays O(used classes), not O(library), in both startup latency and
 //! resident memory. Every other way of reading an artifact goes through
 //! it: [`Library::from_bytes`] decodes everything up front, and the
-//! optimizer's library cache, the registry, the auditor and `quartz-lib`
-//! open artifacts with it.
-//!
-//! The same class table powers **sharding**: [`shard_library`] splits one
-//! indexed artifact into `k` shards along whole anchor buckets, each
-//! carrying its slice of the parent's prebuilt index together with the
-//! parent transformation ids, so [`assemble_index`] can rebuild a dispatch
-//! index from any subset of shards — and exactly the parent's index when
-//! all of them are present. [`merge_shards`] is the inverse: it reassembles
-//! the parent artifact and proves byte-identity via the parent checksum
-//! recorded in every shard.
+//! optimizer's library cache, the auditor and `quartz-lib` open artifacts
+//! with it.
 //!
 //! Integrity model (the lazy-decode safety argument, DESIGN.md §12.2): the
 //! artifact checksum covers the header prefix and the class table; the
@@ -27,23 +18,18 @@
 //! latter before decoding. A flipped byte anywhere in the file is therefore
 //! caught at open or at first touch of the section it lives in — never
 //! silently decoded — and [`LazyLibrary::verify_all`] (run by the library
-//! cache before it caches an artifact, by registry `add`/`get`, and by
-//! `quartz-lib verify-checksum`) hashes every section without decoding for
-//! the classes a lazy reader never touched.
+//! cache before it caches an artifact and by `quartz-lib verify-checksum`)
+//! hashes every section without decoding for the classes a lazy reader
+//! never touched.
 
 use crate::ecc::{Ecc, EccSet};
 use crate::index::TransformationIndex;
 use crate::library::{
-    artifact_checksum, check_payload_totals, checksum64, class_payload_digest,
-    decode_class_payload, decode_index_section, encode_artifact, encode_ecc_class,
-    encode_index_section, path_io_error, verify_class_payload, verify_index_section, ClassEntry,
-    ClassTable, Cursor, Library, LibraryError, LibraryHeader, FORMAT_VERSION_V2, GENERATOR_VERSION,
-    HEADER_LEN,
+    artifact_checksum, check_payload_totals, decode_class_payload, decode_index_section,
+    path_io_error, verify_class_payload, verify_index_section, ClassTable, Library, LibraryError,
+    LibraryHeader, HEADER_LEN,
 };
-use crate::xform::transformations_with_provenance;
-use quartz_ir::Gate;
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -119,7 +105,7 @@ impl LazyLibrary {
     ///
     /// Any header, table, or checksum validation failure
     /// ([`LibraryError::UnsupportedVersion`] for any format version but
-    /// [`FORMAT_VERSION_V2`]); I/O errors name `path`.
+    /// [`crate::FORMAT_VERSION_V2`]); I/O errors name `path`.
     pub fn open(path: impl AsRef<Path>) -> Result<LazyLibrary, LibraryError> {
         let path = path.as_ref();
         let map = mmap::Mmap::open(path).map_err(|e| LibraryError::Io(path_io_error(path, e)))?;
@@ -134,7 +120,7 @@ impl LazyLibrary {
     /// is decoded (which checks its digest), then
     /// [`LazyLibrary::verify_all`] hashes the rest, so each byte of the
     /// file is hashed exactly once. Classes stay undecoded. This is how the
-    /// registry's `get` and the library cache open artifacts.
+    /// library cache opens artifacts.
     ///
     /// # Errors
     ///
@@ -160,29 +146,15 @@ impl LazyLibrary {
         let file_len = body.len();
         let head = body.read_range(0..file_len.min(HEADER_LEN))?;
         let header = LibraryHeader::decode(&head)?;
-        let preamble_end = HEADER_LEN + 32;
-        if file_len < preamble_end {
-            return Err(LibraryError::Truncated {
-                context: "class table",
-            });
-        }
-        let preamble = body.read_range(HEADER_LEN..preamble_end)?;
-        let xform_id_count =
-            u32::from_le_bytes([preamble[12], preamble[13], preamble[14], preamble[15]]) as usize;
-        let table_len = 32 + 16 * header.num_eccs as usize + 4 * xform_id_count + 8;
+        let table_len = ClassTable::len_for(header.num_eccs as usize);
         if file_len < HEADER_LEN + table_len {
             return Err(LibraryError::Truncated {
                 context: "class table",
             });
         }
+        // Integrity before structure: a corrupted table is a checksum
+        // mismatch; only a checksum-valid table is judged on its shape.
         let table_bytes = body.read_range(HEADER_LEN..HEADER_LEN + table_len)?;
-        let mut cur = Cursor::new(&table_bytes);
-        let table = ClassTable::decode(&mut cur, &header)?;
-        if !cur.finished() {
-            return Err(LibraryError::Malformed(
-                "class table shorter than its preamble claims".to_string(),
-            ));
-        }
         let found = artifact_checksum(&head[..HEADER_LEN - 8], &table_bytes);
         if found != header.checksum {
             return Err(LibraryError::ChecksumMismatch {
@@ -190,6 +162,7 @@ impl LazyLibrary {
                 found,
             });
         }
+        let table = ClassTable::decode(&table_bytes, &header)?;
         let expected_len = (HEADER_LEN + table_len)
             .checked_add(header.ecc_len as usize)
             .and_then(|l| l.checked_add(header.index_len as usize))
@@ -339,8 +312,8 @@ impl LazyLibrary {
         Ok(set)
     }
 
-    /// Decodes every class into an owned [`EccSet`] (merge, `quartz-lib
-    /// unpack`, index construction for artifacts without one).
+    /// Decodes every class into an owned [`EccSet`] (`quartz-lib unpack`,
+    /// index construction for artifacts without one).
     ///
     /// # Errors
     ///
@@ -368,8 +341,8 @@ impl LazyLibrary {
     /// sections are read once and each class payload and the index section
     /// are re-hashed against the table's digests. This is how a corrupted
     /// class a lazy reader never touched is still caught — the library
-    /// cache runs it before caching an artifact, and registry `add`/`get`
-    /// and `quartz-lib verify-checksum` run it too.
+    /// cache runs it before caching an artifact, and `quartz-lib
+    /// verify-checksum` runs it too.
     ///
     /// A class or index this handle has already decoded was verified when
     /// it was read and is served from memory from then on, so its bytes are
@@ -400,350 +373,6 @@ impl LazyLibrary {
         }
         Ok(())
     }
-}
-
-// ---------------------------------------------------------------------------
-// Sharding: split one indexed artifact along whole anchor buckets
-// ---------------------------------------------------------------------------
-
-/// Splits an indexed library into `shard_count` shard artifacts along
-/// whole anchor buckets: shard `j` owns every transformation anchored on a
-/// gate `g` with `g.index() % shard_count == j`, carries that slice of the
-/// parent's prebuilt index (with the parent transformation ids recorded in
-/// its class table), and holds every class whose first-emitted
-/// transformation it owns (classes that emitted none go to shard 0). Every
-/// class and every transformation lands in exactly one shard.
-///
-/// Splitting along whole buckets is what makes partial loading sound: a
-/// dispatch index assembled from a subset of shards ([`assemble_index`]) has
-/// either *all* of a gate's anchored transformations or none of them, so a
-/// server routing by anchor gate never sees a half-populated bucket.
-///
-/// Returns the encoded shard artifacts, `shard_seq` order.
-///
-/// # Errors
-///
-/// Fails when the parent has no prebuilt index (shards carry index slices,
-/// not re-extractions — the cross-class transformation dedup makes
-/// re-extraction from a shard's own classes produce *different* rules), or
-/// when `shard_count` is 0 or exceeds the number of anchor buckets.
-pub fn shard_library(parent: &Library, shard_count: usize) -> Result<Vec<Vec<u8>>, LibraryError> {
-    if shard_count == 0 || shard_count > Gate::COUNT {
-        return Err(LibraryError::Malformed(format!(
-            "shard count must be between 1 and {} (one per anchor bucket), got {shard_count}",
-            Gate::COUNT
-        )));
-    }
-    let Some(index) = parent.index() else {
-        return Err(LibraryError::Malformed(
-            "sharding requires an artifact with a prebuilt index section".to_string(),
-        ));
-    };
-    let set = parent.ecc_set();
-    let header = parent.header();
-
-    // Which shard owns each transformation: via its anchor gate's bucket.
-    let mut shard_of_xform = vec![0usize; index.len()];
-    for (gate_idx, bucket) in index.anchor_buckets().iter().enumerate() {
-        for &id in bucket {
-            shard_of_xform[id] = gate_idx % shard_count;
-        }
-    }
-
-    // Which shard owns each class: the shard of its first-emitted
-    // transformation. The provenance walk must reproduce the parent's
-    // transformation list exactly (same extraction, same dedup order).
-    let with_prov = transformations_with_provenance(set, true);
-    if with_prov.len() != index.len()
-        || with_prov
-            .iter()
-            .zip(index.transformations())
-            .any(|((a, _), b)| a != b)
-    {
-        return Err(LibraryError::Malformed(
-            "prebuilt index does not match this artifact's extracted transformations \
-             (stale index?)"
-                .to_string(),
-        ));
-    }
-    let mut shard_of_class = vec![0usize; set.eccs.len()];
-    let mut class_seen = vec![false; set.eccs.len()];
-    for (id, (_, class)) in with_prov.iter().enumerate() {
-        if !class_seen[*class] {
-            class_seen[*class] = true;
-            shard_of_class[*class] = shard_of_xform[id];
-        }
-    }
-
-    let mut shards = Vec::with_capacity(shard_count);
-    for j in 0..shard_count {
-        // This shard's transformations, ascending parent id.
-        let orig_ids: Vec<usize> = (0..index.len())
-            .filter(|&id| shard_of_xform[id] == j)
-            .collect();
-        let local_of: HashMap<usize, usize> =
-            orig_ids.iter().enumerate().map(|(l, &o)| (o, l)).collect();
-        let local_xforms: Vec<_> = orig_ids
-            .iter()
-            .map(|&o| index.transformations()[o].clone())
-            .collect();
-        let histograms = local_xforms
-            .iter()
-            .map(|x| *x.target.gate_histogram())
-            .collect();
-        let mut local_buckets = vec![Vec::new(); Gate::COUNT];
-        for (gate_idx, bucket) in index.anchor_buckets().iter().enumerate() {
-            if gate_idx % shard_count == j {
-                local_buckets[gate_idx] = bucket.iter().map(|id| local_of[id]).collect();
-            }
-        }
-        let local_index = TransformationIndex::from_parts(local_xforms, histograms, local_buckets)
-            .map_err(LibraryError::Malformed)?;
-        let index_section = encode_index_section(&local_index);
-
-        // This shard's classes, ascending parent class index.
-        let mut classes = Vec::new();
-        let mut payload = Vec::new();
-        let mut total_circuits = 0u32;
-        let mut total_instructions = 0u32;
-        for (c, ecc) in set.eccs.iter().enumerate() {
-            if shard_of_class[c] != j {
-                continue;
-            }
-            let start = payload.len();
-            encode_ecc_class(&mut payload, ecc);
-            classes.push(ClassEntry {
-                orig_class_index: c as u32,
-                len: (payload.len() - start) as u32,
-                digest: class_payload_digest(
-                    header.num_qubits,
-                    header.num_params,
-                    &payload[start..],
-                ),
-            });
-            total_circuits += ecc.len() as u32;
-            total_instructions += ecc
-                .circuits()
-                .iter()
-                .map(|circ| circ.gate_count() as u32)
-                .sum::<u32>();
-        }
-
-        let table = ClassTable {
-            shard_seq: j as u32,
-            shard_count: shard_count as u32,
-            parent_num_eccs: header.num_eccs,
-            parent_format_version: u32::from(header.format_version),
-            parent_num_xforms: index.len() as u32,
-            parent_checksum: header.checksum,
-            classes,
-            xform_ids: orig_ids.iter().map(|&o| o as u32).collect(),
-            index_digest: checksum64(&index_section),
-        };
-        let mut shard_header = LibraryHeader {
-            format_version: FORMAT_VERSION_V2,
-            gate_set: header.gate_set.clone(),
-            // (n, q, m) are the parent's: they describe the generation run,
-            // not this file's contents, and keeping them uniform across a
-            // group is what makes registry keys shard-agnostic.
-            max_gates: header.max_gates,
-            num_qubits: header.num_qubits,
-            num_params: header.num_params,
-            num_eccs: table.classes.len() as u32,
-            total_circuits,
-            total_instructions,
-            generator_version: GENERATOR_VERSION,
-            ecc_len: payload.len() as u64,
-            index_len: index_section.len() as u64,
-            checksum: 0,
-        };
-        shards.push(encode_artifact(
-            &mut shard_header,
-            &table,
-            &payload,
-            &index_section,
-        ));
-    }
-    Ok(shards)
-}
-
-/// Reassembles the parent artifact from a complete shard group and proves
-/// the reassembly: the merged artifact's checksum must equal the
-/// `parent_checksum` every shard recorded, which (since encoding is
-/// deterministic) makes the output byte-identical to the original.
-///
-/// # Errors
-///
-/// Fails when the shards are not one complete, mutually-consistent group
-/// (mixed parents, missing/duplicate sequence numbers), fail their own
-/// integrity checks, or do not reproduce the recorded parent checksum.
-pub fn merge_shards(shards: &[Vec<u8>]) -> Result<Library, LibraryError> {
-    if shards.is_empty() {
-        return Err(LibraryError::Malformed("no shards to merge".to_string()));
-    }
-    let mut group: Vec<(LibraryHeader, ClassTable, EccSet)> = Vec::with_capacity(shards.len());
-    for bytes in shards {
-        let shard = LazyLibrary::from_bytes(bytes.clone())?;
-        // A shard records its parent's checksum; a group of one (is_shard()
-        // false) is still a valid, mergeable group.
-        let table = shard.class_table();
-        if !table.is_shard() && table.parent_checksum == 0 {
-            return Err(LibraryError::Malformed(
-                "merge input is not a shard artifact".to_string(),
-            ));
-        }
-        let set = shard.ecc_set()?;
-        group.push((shard.header().clone(), table.clone(), set));
-    }
-    let first_header = group[0].0.clone();
-    let first_table = group[0].1.clone();
-    let shard_count = first_table.shard_count as usize;
-    if group.len() != shard_count {
-        return Err(LibraryError::Malformed(format!(
-            "shard group of {shard_count} merged from {} artifacts",
-            group.len()
-        )));
-    }
-    let mut seen_seq = vec![false; shard_count];
-    for (header, table, _) in &group {
-        if table.shard_count != first_table.shard_count
-            || table.parent_checksum != first_table.parent_checksum
-            || table.parent_num_eccs != first_table.parent_num_eccs
-            || table.parent_num_xforms != first_table.parent_num_xforms
-            || header.gate_set != first_header.gate_set
-            || header.num_qubits != first_header.num_qubits
-            || header.num_params != first_header.num_params
-            || header.has_index() != first_header.has_index()
-        {
-            return Err(LibraryError::Malformed(
-                "shards come from different parent artifacts".to_string(),
-            ));
-        }
-        let seq = table.shard_seq as usize;
-        if seen_seq[seq] {
-            return Err(LibraryError::Malformed(format!(
-                "duplicate shard sequence {seq}"
-            )));
-        }
-        seen_seq[seq] = true;
-    }
-    let parent_num_eccs = first_table.parent_num_eccs as usize;
-    let mut slots: Vec<Option<Ecc>> = vec![None; parent_num_eccs];
-    for (_, table, set) in group {
-        for (entry, ecc) in table.classes.iter().zip(set.eccs) {
-            let slot = slots
-                .get_mut(entry.orig_class_index as usize)
-                .ok_or_else(|| {
-                    LibraryError::Malformed(format!(
-                        "shard class points at parent slot {} of {parent_num_eccs}",
-                        entry.orig_class_index
-                    ))
-                })?;
-            if slot.is_some() {
-                return Err(LibraryError::Malformed(format!(
-                    "two shards both carry parent class {}",
-                    entry.orig_class_index
-                )));
-            }
-            *slot = Some(ecc);
-        }
-    }
-    let mut merged = EccSet::new(
-        first_header.num_qubits as usize,
-        first_header.num_params as usize,
-    );
-    for (i, slot) in slots.into_iter().enumerate() {
-        merged.eccs.push(slot.ok_or_else(|| {
-            LibraryError::Malformed(format!("no shard carries parent class {i}"))
-        })?);
-    }
-    let library = Library::new(
-        first_header.gate_set.clone(),
-        merged,
-        first_header.has_index(),
-    );
-    if library.header().checksum != first_table.parent_checksum {
-        return Err(LibraryError::Malformed(format!(
-            "merged artifact checksum {:#018x} does not reproduce the parent checksum {:#018x} \
-             recorded in the shards",
-            library.header().checksum,
-            first_table.parent_checksum
-        )));
-    }
-    Ok(library)
-}
-
-/// Builds a dispatch index from any subset of one shard group, by stitching
-/// the shards' index slices back together on their recorded parent
-/// transformation ids. With every shard of the group present the result is
-/// exactly the parent's prebuilt index (same transformations in the same
-/// order, same anchor assignment); with a subset, it is the parent's index
-/// restricted to the anchor buckets those shards own.
-///
-/// # Errors
-///
-/// Fails when the shards do not belong to one group, a shard has no index
-/// slice, two shards claim the same transformation, or the stitched parts
-/// fail [`TransformationIndex::from_parts`] validation.
-pub fn assemble_index(shards: &[&LazyLibrary]) -> Result<TransformationIndex, LibraryError> {
-    if shards.is_empty() {
-        return Err(LibraryError::Malformed(
-            "no shards to assemble an index from".to_string(),
-        ));
-    }
-    let first = shards[0].class_table();
-    // orig id → transformation, plus per-gate buckets in parent id order.
-    let mut by_orig: HashMap<u32, crate::xform::Transformation> = HashMap::new();
-    let mut buckets_orig: Vec<Vec<u32>> = vec![Vec::new(); Gate::COUNT];
-    for shard in shards {
-        let table = shard.class_table();
-        if table.parent_checksum != first.parent_checksum || table.shard_count != first.shard_count
-        {
-            return Err(LibraryError::Malformed(
-                "shards come from different parent artifacts".to_string(),
-            ));
-        }
-        let index = shard
-            .index()?
-            .ok_or_else(|| LibraryError::Malformed("shard carries no index slice".to_string()))?;
-        if table.xform_ids.len() != index.len() {
-            return Err(LibraryError::Malformed(format!(
-                "shard records {} parent transformation ids for {} transformations",
-                table.xform_ids.len(),
-                index.len()
-            )));
-        }
-        for (local, xform) in index.transformations().iter().enumerate() {
-            let orig = table.xform_ids[local];
-            if by_orig.insert(orig, xform.clone()).is_some() {
-                return Err(LibraryError::Malformed(format!(
-                    "two shards both carry parent transformation {orig}"
-                )));
-            }
-        }
-        for (gate_idx, bucket) in index.anchor_buckets().iter().enumerate() {
-            for &local in bucket {
-                buckets_orig[gate_idx].push(table.xform_ids[local]);
-            }
-        }
-    }
-    let mut orig_ids: Vec<u32> = by_orig.keys().copied().collect();
-    orig_ids.sort_unstable();
-    let dense_of: HashMap<u32, usize> = orig_ids.iter().enumerate().map(|(d, &o)| (o, d)).collect();
-    let transformations: Vec<_> = orig_ids
-        .iter()
-        .map(|o| by_orig.remove(o).expect("collected above"))
-        .collect();
-    let histograms = transformations
-        .iter()
-        .map(|x| *x.target.gate_histogram())
-        .collect();
-    let buckets = buckets_orig
-        .into_iter()
-        .map(|bucket| bucket.into_iter().map(|o| dense_of[&o]).collect())
-        .collect();
-    TransformationIndex::from_parts(transformations, histograms, buckets)
-        .map_err(LibraryError::Malformed)
 }
 
 #[cfg(test)]
@@ -803,50 +432,5 @@ mod tests {
         let index = lazy.index().unwrap().unwrap();
         assert_eq!(index.len(), library.index().unwrap().len());
         lazy.verify_all().unwrap();
-    }
-
-    #[test]
-    fn shard_merge_round_trips_byte_identically() {
-        let parent = Library::new("Nam", sample_set(), true);
-        for shard_count in [1usize, 2, 3] {
-            let shards = shard_library(&parent, shard_count).unwrap();
-            assert_eq!(shards.len(), shard_count);
-            let merged = merge_shards(&shards).unwrap();
-            assert_eq!(merged.to_bytes(), parent.to_bytes());
-        }
-    }
-
-    #[test]
-    fn assembled_index_from_all_shards_equals_the_parent_index() {
-        let set = sample_set();
-        let parent = Library::new("Nam", set, true);
-        let shards = shard_library(&parent, 3).unwrap();
-        let lazies: Vec<LazyLibrary> = shards
-            .into_iter()
-            .map(|b| LazyLibrary::from_bytes(b).unwrap())
-            .collect();
-        let refs: Vec<&LazyLibrary> = lazies.iter().collect();
-        let assembled = assemble_index(&refs).unwrap();
-        let parent_index = parent.index().unwrap();
-        assert_eq!(assembled.len(), parent_index.len());
-        assert_eq!(assembled.transformations(), parent_index.transformations());
-        assert_eq!(assembled.anchor_buckets(), parent_index.anchor_buckets());
-
-        // A subset assembles the restriction: whole buckets, never split.
-        let partial = assemble_index(&refs[..1]).unwrap();
-        assert!(partial.len() <= parent_index.len());
-        for (gate_idx, bucket) in partial.anchor_buckets().iter().enumerate() {
-            let parent_bucket = &parent_index.anchor_buckets()[gate_idx];
-            assert!(bucket.is_empty() || bucket.len() == parent_bucket.len());
-        }
-    }
-
-    #[test]
-    fn sharding_without_an_index_is_rejected() {
-        let parent = Library::new("Nam", sample_set(), false);
-        assert!(matches!(
-            shard_library(&parent, 2),
-            Err(LibraryError::Malformed(_))
-        ));
     }
 }

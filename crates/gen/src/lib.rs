@@ -19,6 +19,9 @@
 //!   loads in milliseconds; the `quartz-lib` CLI
 //!   (`cargo run -p quartz-gen --bin quartz-lib`) packs, inspects and
 //!   verifies artifacts.
+//! * [`LazyLibrary`] is the one reader of artifacts (DESIGN.md §12): it
+//!   validates the header and class table at open and decodes each class
+//!   on first touch. Every library is one whole artifact read through it.
 //! * [`count_possible_circuits`] computes the brute-force sequence counts the
 //!   paper compares against in Table 6.
 //!
@@ -57,7 +60,6 @@ mod json;
 mod lazy;
 mod library;
 mod prune;
-mod registry;
 mod repgen;
 mod xform;
 
@@ -69,12 +71,11 @@ pub use automaton::{AutomatonNode, MatchAutomaton, RuleLabels};
 pub use count::{count_possible_circuits, count_sequences_by_size};
 pub use ecc::{Ecc, EccSet};
 pub use index::{IndexScratch, TransformationIndex};
-pub use lazy::{assemble_index, merge_shards, shard_library, LazyLibrary};
+pub use lazy::LazyLibrary;
 pub use library::{
     artifact_checksum, checksum64, class_payload_digest, path_io_error, ClassEntry, ClassTable,
     Library, LibraryError, LibraryHeader, FORMAT_VERSION_V2, GENERATOR_VERSION, HEADER_LEN, MAGIC,
 };
 pub use prune::{prune, prune_common_subcircuits, simplify_eccs, PruneStats};
-pub use registry::{Registry, RegistryEntry, RegistryKey};
 pub use repgen::{GenConfig, GenStats, Generator};
-pub use xform::{transformations_from_ecc_set, transformations_with_provenance, Transformation};
+pub use xform::{transformations_from_ecc_set, Transformation};

@@ -12,10 +12,10 @@
 //!   version, section lengths, and an FNV-1a 64-bit checksum covering the
 //!   header prefix and the class table;
 //! * a **class offset table** ([`ClassTable`], DESIGN.md §12) — per-class
-//!   byte ranges and content digests, an index-section digest, and shard
-//!   provenance — so every body byte is covered by a digest the checksum
-//!   seals, and [`crate::LazyLibrary`] can decode classes on first touch
-//!   instead of at load;
+//!   byte ranges and content digests, plus an index-section digest — so
+//!   every body byte is covered by a digest the checksum seals, and
+//!   [`crate::LazyLibrary`] can decode classes on first touch instead of at
+//!   load;
 //! * an **ECC payload** section: the lossless binary encoding of the
 //!   [`EccSet`], one class after another;
 //! * an optional **prebuilt index** section: the extracted
@@ -85,9 +85,9 @@ pub const MAGIC: [u8; 4] = *b"QTZL";
 
 /// The artifact format version, and the only one readers accept: a header,
 /// then a [`ClassTable`] carrying per-class byte ranges, per-class content
-/// digests, an index-section digest, and shard provenance, then the
-/// sections. Any other version is refused with
-/// [`LibraryError::UnsupportedVersion`] (DESIGN.md §7.3).
+/// digests and an index-section digest, then the sections. Any other
+/// version is refused with [`LibraryError::UnsupportedVersion`]
+/// (DESIGN.md §7.3).
 pub const FORMAT_VERSION_V2: u16 = 2;
 
 /// Version of the generation pipeline (RepGen + pruning + transformation
@@ -285,7 +285,7 @@ impl LibraryHeader {
         self.index_len > 0
     }
 
-    pub(crate) fn encode(&self) -> [u8; HEADER_LEN] {
+    fn encode(&self) -> [u8; HEADER_LEN] {
         let mut out = [0u8; HEADER_LEN];
         out[0..4].copy_from_slice(&MAGIC);
         out[4..6].copy_from_slice(&self.format_version.to_le_bytes());
@@ -406,14 +406,14 @@ pub(crate) fn encode_circuit(out: &mut Vec<u8>, circuit: &Circuit) {
 /// payload section: a `u32` circuit count followed by the encoded circuits.
 /// The payload is the concatenation of these; the class table records
 /// where each one starts.
-pub(crate) fn encode_ecc_class(out: &mut Vec<u8>, ecc: &Ecc) {
+fn encode_ecc_class(out: &mut Vec<u8>, ecc: &Ecc) {
     put_u32(out, ecc.len() as u32);
     for circuit in ecc.circuits() {
         encode_circuit(out, circuit);
     }
 }
 
-pub(crate) fn encode_index_section(index: &TransformationIndex) -> Vec<u8> {
+fn encode_index_section(index: &TransformationIndex) -> Vec<u8> {
     let mut out = Vec::new();
     put_u32(&mut out, index.len() as u32);
     for xform in index.transformations() {
@@ -435,13 +435,13 @@ pub(crate) fn encode_index_section(index: &TransformationIndex) -> Vec<u8> {
 }
 
 /// A bounds-checked little-endian cursor over a body section.
-pub(crate) struct Cursor<'a> {
+struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+    fn new(bytes: &'a [u8]) -> Self {
         Cursor { bytes, pos: 0 }
     }
 
@@ -481,7 +481,7 @@ impl<'a> Cursor<'a> {
         Ok(self.u32(context)? as i32)
     }
 
-    pub(crate) fn finished(&self) -> bool {
+    fn finished(&self) -> bool {
         self.pos == self.bytes.len()
     }
 }
@@ -535,7 +535,7 @@ fn decode_circuit(cur: &mut Cursor<'_>) -> Result<Circuit, LibraryError> {
 }
 
 /// Decodes one equivalence class (the inverse of [`encode_ecc_class`]).
-pub(crate) fn decode_ecc_class(cur: &mut Cursor<'_>) -> Result<Ecc, LibraryError> {
+fn decode_ecc_class(cur: &mut Cursor<'_>) -> Result<Ecc, LibraryError> {
     let circuit_count = cur.u32("ECC circuit count")? as usize;
     if circuit_count == 0 {
         return Err(LibraryError::Malformed(
@@ -644,10 +644,6 @@ pub fn class_payload_digest(num_qubits: u32, num_params: u32, payload: &[u8]) ->
 /// must hash to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClassEntry {
-    /// Index of this class in the *parent* artifact (equal to its position
-    /// here for whole artifacts; the original position for shards, so a
-    /// merge can put every class back where it came from).
-    pub orig_class_index: u32,
     /// Byte length of the class's payload. Offsets are prefix sums; the
     /// lengths must sum exactly to the header's `ecc_len`.
     pub len: u32,
@@ -655,9 +651,8 @@ pub struct ClassEntry {
     pub digest: u64,
 }
 
-/// The class offset table (DESIGN.md §12): shard provenance preamble, one
-/// [`ClassEntry`] per class, the shard's original transformation ids, and a
-/// digest of the index section.
+/// The class offset table (DESIGN.md §12): a fixed preamble, one
+/// [`ClassEntry`] per class, and a digest of the index section.
 ///
 /// The artifact checksum covers the header prefix *and* the encoded table,
 /// so every byte of the table is validated at open; every byte of the
@@ -667,96 +662,68 @@ pub struct ClassEntry {
 /// §12 safety argument).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ClassTable {
-    /// This shard's position in its group (0 for whole artifacts).
-    pub shard_seq: u32,
-    /// Number of shards in the group (1 for whole artifacts).
-    pub shard_count: u32,
-    /// `num_eccs` of the parent artifact the group was split from (0 for
-    /// whole artifacts).
-    pub parent_num_eccs: u32,
-    /// Format version of the parent artifact (0 for whole artifacts,
-    /// [`FORMAT_VERSION_V2`] for shards). Kept for the layout; merges always
-    /// re-pack in the one format.
-    pub parent_format_version: u32,
-    /// Transformation count of the parent's prebuilt index (0 for whole
-    /// artifacts).
-    pub parent_num_xforms: u32,
-    /// Artifact checksum of the parent (0 for whole artifacts); a merge
-    /// verifies its output against this before declaring success.
-    pub parent_checksum: u64,
     /// One entry per class, in payload order.
     pub classes: Vec<ClassEntry>,
-    /// For shards: the *parent* transformation ids of this shard's index
-    /// section, ascending, one per local transformation. Empty for whole
-    /// artifacts.
-    pub xform_ids: Vec<u32>,
     /// `checksum64` of the index section bytes (0 when the section is
     /// absent).
     pub index_digest: u64,
 }
 
-/// Fixed byte length of the class-table preamble.
-const CLASS_TABLE_PREAMBLE_LEN: usize = 32;
+/// The 32-byte class-table preamble every artifact carries: the fixed
+/// "whole artifact" values (`u32` fields 0, 1, 0, 0, 0, 0 then a `u64` 0 —
+/// shard 0 of 1, no parent, no transformation ids), kept so the byte layout
+/// does not change. Any other preamble is refused.
+const CLASS_TABLE_PREAMBLE: [u8; 32] = {
+    let mut preamble = [0u8; 32];
+    preamble[4] = 1;
+    preamble
+};
 
 impl ClassTable {
-    /// True when this artifact is one shard of a split library rather than
-    /// a whole library.
-    pub fn is_shard(&self) -> bool {
-        self.shard_count > 1
-    }
-
     /// Encoded byte length of the table.
     pub fn encoded_len(&self) -> usize {
-        CLASS_TABLE_PREAMBLE_LEN + 16 * self.classes.len() + 4 * self.xform_ids.len() + 8
+        ClassTable::len_for(self.classes.len())
     }
 
-    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
-        put_u32(out, self.shard_seq);
-        put_u32(out, self.shard_count);
-        put_u32(out, self.parent_num_eccs);
-        put_u32(out, self.xform_ids.len() as u32);
-        put_u32(out, self.parent_format_version);
-        put_u32(out, self.parent_num_xforms);
-        out.extend_from_slice(&self.parent_checksum.to_le_bytes());
-        for entry in &self.classes {
-            put_u32(out, entry.orig_class_index);
+    /// Encoded byte length of the table of an artifact with `num_eccs`
+    /// classes: preamble, 16 bytes per class, index digest.
+    pub(crate) fn len_for(num_eccs: usize) -> usize {
+        CLASS_TABLE_PREAMBLE.len() + 16 * num_eccs + 8
+    }
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&CLASS_TABLE_PREAMBLE);
+        for (i, entry) in self.classes.iter().enumerate() {
+            // The per-class index field: always the class's own position.
+            put_u32(out, i as u32);
             put_u32(out, entry.len);
             out.extend_from_slice(&entry.digest.to_le_bytes());
-        }
-        for &id in &self.xform_ids {
-            put_u32(out, id);
         }
         out.extend_from_slice(&self.index_digest.to_le_bytes());
     }
 
-    pub(crate) fn decode(
-        cur: &mut Cursor<'_>,
-        header: &LibraryHeader,
-    ) -> Result<ClassTable, LibraryError> {
-        let shard_seq = cur.u32("class table shard sequence")?;
-        let shard_count = cur.u32("class table shard count")?;
-        let parent_num_eccs = cur.u32("class table parent ECC count")?;
-        let xform_id_count = cur.u32("class table transformation id count")? as usize;
-        let parent_format_version = cur.u32("class table parent format version")?;
-        let parent_num_xforms = cur.u32("class table parent transformation count")?;
-        let parent_checksum = cur.u64("class table parent checksum")?;
-        if shard_count == 0 || shard_seq >= shard_count {
+    /// Decodes a table of exactly [`ClassTable::len_for`] bytes.
+    pub(crate) fn decode(bytes: &[u8], header: &LibraryHeader) -> Result<ClassTable, LibraryError> {
+        let mut cur = Cursor::new(bytes);
+        let preamble = cur.take(CLASS_TABLE_PREAMBLE.len(), "class table preamble")?;
+        if preamble != CLASS_TABLE_PREAMBLE {
             return Err(LibraryError::Malformed(format!(
-                "class table claims shard {shard_seq} of {shard_count}"
+                "class table preamble {preamble:02x?} is not the whole-artifact preamble"
             )));
         }
         let mut classes = Vec::with_capacity((header.num_eccs as usize).min(65_536));
         let mut payload_len = 0u64;
-        for _ in 0..header.num_eccs {
-            let orig_class_index = cur.u32("class table entry index")?;
+        for i in 0..header.num_eccs {
+            let position = cur.u32("class table entry index")?;
+            if position != i {
+                return Err(LibraryError::Malformed(format!(
+                    "class table entry {i} records class index {position}"
+                )));
+            }
             let len = cur.u32("class table entry length")?;
             let digest = cur.u64("class table entry digest")?;
             payload_len += u64::from(len);
-            classes.push(ClassEntry {
-                orig_class_index,
-                len,
-                digest,
-            });
+            classes.push(ClassEntry { len, digest });
         }
         if payload_len != header.ecc_len {
             return Err(LibraryError::Malformed(format!(
@@ -765,26 +732,14 @@ impl ClassTable {
                 header.ecc_len
             )));
         }
-        let mut xform_ids = Vec::with_capacity(xform_id_count.min(65_536));
-        for _ in 0..xform_id_count {
-            let id = cur.u32("class table transformation id")?;
-            if xform_ids.last().is_some_and(|&last| last >= id) {
-                return Err(LibraryError::Malformed(
-                    "class table transformation ids are not strictly ascending".to_string(),
-                ));
-            }
-            xform_ids.push(id);
-        }
         let index_digest = cur.u64("class table index digest")?;
+        if !cur.finished() {
+            return Err(LibraryError::Malformed(
+                "trailing bytes after the class table".to_string(),
+            ));
+        }
         Ok(ClassTable {
-            shard_seq,
-            shard_count,
-            parent_num_eccs,
-            parent_format_version,
-            parent_num_xforms,
-            parent_checksum,
             classes,
-            xform_ids,
             index_digest,
         })
     }
@@ -884,24 +839,16 @@ impl Library {
         let index_section = index.as_ref().map(encode_index_section).unwrap_or_default();
         let mut classes = Vec::with_capacity(ecc_set.eccs.len());
         let mut payload = Vec::new();
-        for (i, ecc) in ecc_set.eccs.iter().enumerate() {
+        for ecc in &ecc_set.eccs {
             let start = payload.len();
             encode_ecc_class(&mut payload, ecc);
             classes.push(ClassEntry {
-                orig_class_index: count_u32("class index", i),
                 len: count_u32("class payload length", payload.len() - start),
                 digest: class_payload_digest(num_qubits, num_params, &payload[start..]),
             });
         }
         let table = ClassTable {
-            shard_seq: 0,
-            shard_count: 1,
-            parent_num_eccs: 0,
-            parent_format_version: 0,
-            parent_num_xforms: 0,
-            parent_checksum: 0,
             classes,
-            xform_ids: Vec::new(),
             index_digest: if index_section.is_empty() {
                 0
             } else {
@@ -936,7 +883,18 @@ impl Library {
             index_len: index_section.len() as u64,
             checksum: 0,
         };
-        let bytes = encode_artifact(&mut header, &table, &payload, &index_section);
+        // Seal the header (its checksum covers header prefix ‖ table), then
+        // lay out header, class table, ECC payload, index section.
+        let mut table_bytes = Vec::with_capacity(table.encoded_len());
+        table.encode(&mut table_bytes);
+        header.checksum = artifact_checksum(&header.encode()[..HEADER_LEN - 8], &table_bytes);
+        let mut bytes = Vec::with_capacity(
+            HEADER_LEN + table_bytes.len() + payload.len() + index_section.len(),
+        );
+        bytes.extend_from_slice(&header.encode());
+        bytes.extend_from_slice(&table_bytes);
+        bytes.extend_from_slice(&payload);
+        bytes.extend_from_slice(&index_section);
         Library {
             header,
             ecc_set,
@@ -1023,26 +981,6 @@ impl Library {
         let bytes = std::fs::read(path).map_err(|e| path_io_error(path, e))?;
         Library::from_bytes(&bytes)
     }
-}
-
-/// Seals `header` (its checksum over header prefix ‖ encoded table) and
-/// lays out the artifact: header, class table, ECC payload, index section.
-pub(crate) fn encode_artifact(
-    header: &mut LibraryHeader,
-    table: &ClassTable,
-    payload: &[u8],
-    index_section: &[u8],
-) -> Vec<u8> {
-    let mut table_bytes = Vec::with_capacity(table.encoded_len());
-    table.encode(&mut table_bytes);
-    header.checksum = artifact_checksum(&header.encode()[..HEADER_LEN - 8], &table_bytes);
-    let mut bytes =
-        Vec::with_capacity(HEADER_LEN + table_bytes.len() + payload.len() + index_section.len());
-    bytes.extend_from_slice(&header.encode());
-    bytes.extend_from_slice(&table_bytes);
-    bytes.extend_from_slice(payload);
-    bytes.extend_from_slice(index_section);
-    bytes
 }
 
 #[cfg(test)]

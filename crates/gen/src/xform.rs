@@ -49,38 +49,18 @@ pub fn transformations_from_ecc_set(
     set: &EccSet,
     prune_common_subcircuits: bool,
 ) -> Vec<Transformation> {
-    transformations_with_provenance(set, prune_common_subcircuits)
-        .into_iter()
-        .map(|(xform, _)| xform)
-        .collect()
-}
-
-/// [`transformations_from_ecc_set`] plus provenance: each transformation is
-/// paired with the index of the class that *first* emitted it. Because the
-/// cross-class dedup keeps the first occurrence, this is the only
-/// well-defined class↔transformation attribution — the shard builder
-/// ([`crate::shard_library`]) uses it to co-locate every class with the
-/// transformations it contributed to the parent index.
-pub fn transformations_with_provenance(
-    set: &EccSet,
-    prune_common_subcircuits: bool,
-) -> Vec<(Transformation, usize)> {
     let mut out = Vec::new();
     let mut emitted: std::collections::HashSet<(Circuit, Circuit)> =
         std::collections::HashSet::new();
-    let mut push_unique =
-        |out: &mut Vec<(Transformation, usize)>, target: &Circuit, rewrite: &Circuit, class| {
-            if emitted.insert((target.clone(), rewrite.clone())) {
-                out.push((
-                    Transformation {
-                        target: target.clone(),
-                        rewrite: rewrite.clone(),
-                    },
-                    class,
-                ));
-            }
-        };
-    for (class, ecc) in set.eccs.iter().enumerate() {
+    let mut push_unique = |out: &mut Vec<Transformation>, target: &Circuit, rewrite: &Circuit| {
+        if emitted.insert((target.clone(), rewrite.clone())) {
+            out.push(Transformation {
+                target: target.clone(),
+                rewrite: rewrite.clone(),
+            });
+        }
+    };
+    for ecc in &set.eccs {
         let rep = ecc.representative().clone();
         let rep_canon = canonicalize(&rep);
         for other in ecc.circuits().iter().skip(1) {
@@ -91,10 +71,10 @@ pub fn transformations_with_provenance(
                 continue;
             }
             if !other.is_empty() {
-                push_unique(&mut out, other, &rep, class);
+                push_unique(&mut out, other, &rep);
             }
             if !rep.is_empty() {
-                push_unique(&mut out, &rep, other, class);
+                push_unique(&mut out, &rep, other);
             }
         }
     }

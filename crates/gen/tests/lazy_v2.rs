@@ -4,7 +4,7 @@
 //! must still be caught by the digest sweep, and I/O failures must name the
 //! offending path.
 
-use quartz_gen::{Ecc, EccSet, LazyLibrary, Library, LibraryError, Registry, HEADER_LEN};
+use quartz_gen::{Ecc, EccSet, LazyLibrary, Library, LibraryError, HEADER_LEN};
 use quartz_ir::{Circuit, Gate, Instruction};
 
 fn pair(gate: Gate, qubits: &[usize]) -> Circuit {
@@ -96,8 +96,8 @@ fn corruption_in_an_untouched_class_is_caught_by_the_digest_sweep() {
     assert!(lazy.index().is_ok());
     assert_eq!(lazy.decoded_classes(), 2);
 
-    // ...which is exactly why `verify_all` (run by `registry get` and
-    // `verify-checksum --deep`) sweeps every digest without decoding:
+    // ...which is exactly why `verify_all` (run by the library cache and
+    // `verify-checksum`) sweeps every digest without decoding:
     match lazy.verify_all() {
         Err(LibraryError::ClassDigestMismatch { class, .. }) => assert_eq!(class, victim),
         other => panic!("digest sweep missed the untouched corrupt class: {other:?}"),
@@ -109,8 +109,10 @@ fn corruption_in_an_untouched_class_is_caught_by_the_digest_sweep() {
     ));
 }
 
-/// Both container versions get their version printed: version 2 in the
-/// header dump, version 1 in the refusal.
+/// `quartz-lib` as a binary: both container versions get their version
+/// printed — version 2 in the header dump, version 1 in the refusal — and
+/// a command that no longer exists (`shard`) exits through the usage
+/// error, whose text lists only the commands that do.
 #[test]
 fn inspect_prints_the_format_version_for_both_container_versions() {
     let dir = std::env::temp_dir().join(format!("quartz_inspect_fmt_{}", std::process::id()));
@@ -120,32 +122,64 @@ fn inspect_prints_the_format_version_for_both_container_versions() {
     let bytes = sample_v2().to_bytes();
     let mut v1 = bytes.clone();
     v1[4..6].copy_from_slice(&1u16.to_le_bytes());
-    for (name, bytes, expected) in [
-        ("v2.qtzl", bytes, Ok("format version:     2")),
-        ("v1.qtzl", v1, Err("unsupported library format version 1")),
-    ] {
-        let path = dir.join(name);
-        std::fs::write(&path, bytes).unwrap();
+    let v2_path = dir.join("v2.qtzl");
+    let v1_path = dir.join("v1.qtzl");
+    std::fs::write(&v2_path, bytes).unwrap();
+    std::fs::write(&v1_path, v1).unwrap();
+    let (v2_path, v1_path) = (v2_path.to_str().unwrap(), v1_path.to_str().unwrap());
+    let prefix = dir.join("split");
+    let prefix = prefix.to_str().unwrap();
+    // (arguments, exit code, text on stdout for 0 and on stderr otherwise)
+    let cases: [(&[&str], i32, &str); 3] = [
+        (&["inspect", v2_path], 0, "format version:     2"),
+        (
+            &["inspect", v1_path],
+            1,
+            "unsupported library format version 1",
+        ),
+        (
+            &[
+                "shard",
+                "--in",
+                v2_path,
+                "--count",
+                "2",
+                "--out-prefix",
+                prefix,
+            ],
+            2,
+            "unknown command \"shard\"",
+        ),
+    ];
+    for (args, code, text) in cases {
         let output = std::process::Command::new(env!("CARGO_BIN_EXE_quartz-lib"))
-            .args(["inspect", path.to_str().unwrap()])
+            .args(args)
             .output()
             .unwrap();
-        let (stream, text) = match expected {
-            Ok(text) => {
-                assert!(output.status.success(), "inspect failed: {output:?}");
-                (output.stdout, text)
-            }
-            Err(text) => {
-                assert_eq!(output.status.code(), Some(1), "{output:?}");
-                (output.stderr, text)
-            }
+        assert_eq!(output.status.code(), Some(code), "{args:?}: {output:?}");
+        let stream = if code == 0 {
+            output.stdout
+        } else {
+            output.stderr
         };
         let stream = String::from_utf8(stream).unwrap();
         assert!(
             stream.contains(text),
-            "inspect {name} output lacks '{text}':\n{stream}"
+            "{args:?} output lacks '{text}':\n{stream}"
         );
+        if code == 2 {
+            for gone in ["shard", "merge", "registry"] {
+                assert!(
+                    !stream.contains(&format!("quartz-lib {gone}")),
+                    "usage text still lists `{gone}`:\n{stream}"
+                );
+            }
+        }
     }
+    assert!(
+        !dir.join("split.shard0.qtzl").exists(),
+        "a refused command wrote output"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -163,17 +197,6 @@ fn io_errors_name_the_offending_path() {
     assert!(
         err.to_string().contains("not_there.qtzl"),
         "I/O error must name the offending path, got: {err}"
-    );
-
-    // A registry root that collides with an existing file: the layout
-    // creation fails with the path in the message.
-    let clobbered = dir.join("registry_root");
-    std::fs::write(&clobbered, b"in the way").unwrap();
-    let err = Registry::open(&clobbered).unwrap_err();
-    assert!(matches!(err, LibraryError::Io(_)), "{err:?}");
-    assert!(
-        err.to_string().contains("registry_root"),
-        "registry I/O error must name the offending path, got: {err}"
     );
 
     let _ = std::fs::remove_dir_all(&dir);

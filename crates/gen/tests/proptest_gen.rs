@@ -214,8 +214,8 @@ proptest! {
                         prop_assert!(lazy.class(i).is_ok());
                     }
                 }
-                // The digest-only sweep (what `registry get` and deep
-                // verification run) catches it regardless of which section.
+                // The digest-only sweep (what the library cache and
+                // `verify-checksum` run) catches it regardless of which section.
                 prop_assert!(lazy.verify_all().is_err());
             }
         }

@@ -736,52 +736,40 @@ proptest! {
     }
 }
 
-/// The same NAM (2, 2) library resolved through a sharded content-addressed
-/// registry (DESIGN.md §12.4): packed as an artifact, split into two
-/// shards, published, and loaded back through a registry-backed
-/// [`LibraryCache`]
-/// — so the returned index went through the whole lazy shard-routing path.
-fn registry_nam_index() -> Arc<quartz_opt::TransformationIndex> {
-    use quartz_gen::{shard_library, Registry, RegistryKey};
+/// The same NAM (2, 2) library saved as an artifact and loaded back
+/// through [`LibraryCache::get_or_load`](quartz_opt::LibraryCache) — so
+/// the returned index went through the one load path the daemon uses
+/// (lazy open, digest sweep, prebuilt index section).
+fn artifact_nam_index() -> Arc<quartz_opt::TransformationIndex> {
     use quartz_opt::LibraryCache;
     use std::sync::OnceLock;
     static INDEX: OnceLock<Arc<quartz_opt::TransformationIndex>> = OnceLock::new();
     Arc::clone(INDEX.get_or_init(|| {
         let (set, _) = Generator::new(GateSet::nam(), GenConfig::standard(2, 2, 1)).run();
-        let library = Library::new("Nam", set, true);
-        let key = RegistryKey::from_header(library.header());
         let dir =
-            std::env::temp_dir().join(format!("quartz_proptest_registry_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+            std::env::temp_dir().join(format!("quartz_proptest_artifact_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let paths: Vec<_> = shard_library(&library, 2)
+        let path = dir.join("nam_n2_q2.qtzl");
+        Library::new("Nam", set, true).save(&path).unwrap();
+        let index = LibraryCache::new()
+            .get_or_load(&path)
             .unwrap()
-            .iter()
-            .enumerate()
-            .map(|(i, bytes)| {
-                let path = dir.join(format!("nam.shard{i}.qtzl"));
-                std::fs::write(&path, bytes).unwrap();
-                path
-            })
-            .collect();
-        let registry = Registry::open(dir.join("registry")).unwrap();
-        registry.add(&paths).unwrap();
-        let cache = LibraryCache::open(Some(&dir.join("registry")), false).unwrap();
-        cache.get_for_key(&key).unwrap().shared_index()
+            .shared_index();
+        let _ = std::fs::remove_dir_all(&dir);
+        index
     }))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Registry routing under co-tenancy: the scheduler serves from an index
-    /// assembled out of registry shards while the standalone reference runs
+    /// Artifact loading under co-tenancy: the scheduler serves from an index
+    /// loaded out of a saved artifact while the standalone reference runs
     /// against the directly generated index — outcomes must still be
-    /// bit-identical. Where a library's bytes come from (committed path,
-    /// registry blob, shard group) may change *how* the index is built,
-    /// never what the search computes.
+    /// bit-identical. Loading a library from its artifact may change *how*
+    /// the index is built, never what the search computes.
     #[test]
-    fn registry_backed_cotenant_outcomes_are_bit_identical_to_direct_loads(
+    fn artifact_backed_cotenant_outcomes_are_bit_identical_to_direct_loads(
         mix in prop::collection::vec(
             (arb_clifford_t_circuit(2, 8), 4usize..24, 0u8..3, 0usize..4),
             2..5,
@@ -802,7 +790,7 @@ proptest! {
         };
 
         let mut scheduler = ServiceScheduler::new(
-            Optimizer::with_index(registry_nam_index(), config.clone()),
+            Optimizer::with_index(artifact_nam_index(), config.clone()),
             usize::MAX,
         );
         let mut ids = Vec::new();
@@ -832,7 +820,7 @@ proptest! {
             let (served, standalone) = (outcome_fields(served), outcome_fields(&standalone));
             prop_assert!(
                 served == standalone,
-                "request {i} diverged: registry-backed index != direct index: \
+                "request {i} diverged: artifact-loaded index != direct index: \
                  {served:?} != {standalone:?}"
             );
         }

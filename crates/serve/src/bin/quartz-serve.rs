@@ -2,18 +2,14 @@
 //!
 //! ```text
 //! quartz-serve [--addr HOST:PORT] [--capacity N] [--default-budget N]
-//!              [--no-libraries] [--require-audited] [--registry DIR]
+//!              [--no-libraries] [--require-audited]
 //! ```
 //!
 //! Boots against the committed `libraries/*.qtzl` artifacts
 //! (zero-generation startup) and serves the `/v1/*` protocol until
 //! killed. With `--require-audited`, artifacts must carry a live audit
 //! stamp (`quartz-lib audit FILE --write-stamp`, DESIGN.md §11) or the
-//! load is refused. With `--registry DIR`, gate sets resolve through the
-//! content-addressed registry at DIR (`quartz-lib registry add`,
-//! DESIGN.md §12.4) instead of the committed paths — whole artifacts or
-//! shard groups, lazily mapped on first request. See DESIGN.md §10 and
-//! the README quickstart.
+//! load is refused. See DESIGN.md §10 and the README quickstart.
 
 use quartz_serve::{Daemon, DaemonConfig, Server};
 
@@ -37,14 +33,10 @@ fn main() {
             }
             "--no-libraries" => config.route_libraries = false,
             "--require-audited" => config.require_audited = true,
-            "--registry" => {
-                config.registry_root = Some(expect_value(&mut args, "--registry").into())
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: quartz-serve [--addr HOST:PORT] [--capacity N] \
-                     [--default-budget N] [--no-libraries] [--require-audited] \
-                     [--registry DIR]"
+                     [--default-budget N] [--no-libraries] [--require-audited]"
                 );
                 return;
             }

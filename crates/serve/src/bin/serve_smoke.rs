@@ -15,13 +15,6 @@
 //!    artifacts — library routing changes *which index* serves a request,
 //!    never the result.
 //!
-//! With `--registry DIR`, the daemon resolves gate sets through the
-//! content-addressed registry at DIR (whole artifacts or shard groups)
-//! while the standalone reference runs keep loading the committed paths
-//! directly — so both checks become the registry-vs-direct bit-identity
-//! assertion (the CI `libraries` job drives this against a sharded
-//! registry).
-//!
 //! Exits non-zero with a diff on any mismatch.
 
 use quartz_bench::report::BenchReport;
@@ -33,34 +26,15 @@ use quartz_serve::{artifact_for, Client, Daemon, DaemonConfig, Server, SubmitReq
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut config = DaemonConfig::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--registry" => match args.next() {
-                Some(dir) => config.registry_root = Some(dir.into()),
-                None => {
-                    eprintln!("serve_smoke: --registry expects a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("serve_smoke: unknown flag '{other}' (supported: --registry DIR)");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(root) = &config.registry_root {
-        println!(
-            "serve_smoke: routing the daemon through registry {}",
-            root.display()
-        );
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("serve_smoke: unexpected argument '{arg}' (it takes none)");
+        return ExitCode::FAILURE;
     }
 
     let scale = Scale::quick(GateSetKind::Nam);
     let budget = scale.max_iterations;
 
-    let daemon = match Daemon::new(config) {
+    let daemon = match Daemon::new(DaemonConfig::default()) {
         Ok(daemon) => daemon,
         Err(e) => {
             eprintln!("serve_smoke: daemon failed to boot: {e}");

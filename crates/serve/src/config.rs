@@ -1,7 +1,6 @@
 //! Daemon configuration.
 
 use quartz_opt::SearchConfig;
-use std::path::PathBuf;
 use std::time::Duration;
 
 /// Configuration for a [`crate::Daemon`] / [`crate::Server`].
@@ -34,15 +33,7 @@ pub struct DaemonConfig {
     /// --write-stamp`, certifying the artifact's checksum under the default
     /// verifier configuration); unstamped artifacts are refused at load
     /// time. Off by default — `quartz-serve --require-audited` turns it on.
-    /// With a registry (`registry_root`), the gate applies to every blob —
-    /// each shard of a group individually.
     pub require_audited: bool,
-    /// When set, gate sets are routed through the content-addressed
-    /// registry at this root (DESIGN.md §12.4) instead of the committed
-    /// `libraries/*.qtzl` paths: each gate set's key resolves to a whole
-    /// artifact or a shard group, lazily mapped on first request.
-    /// `quartz-serve --registry DIR` sets it.
-    pub registry_root: Option<PathBuf>,
 }
 
 impl Default for DaemonConfig {
@@ -59,7 +50,6 @@ impl Default for DaemonConfig {
             },
             route_libraries: true,
             require_audited: false,
-            registry_root: None,
         }
     }
 }

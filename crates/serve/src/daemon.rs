@@ -26,7 +26,6 @@
 use crate::config::DaemonConfig;
 use crate::wire::{EventLine, Outcome, ResultResponse, StatusResponse, SubmitRequest, WireError};
 use quartz_bench::{library_artifact_path, GateSetKind};
-use quartz_gen::{RegistryKey, GENERATOR_VERSION};
 use quartz_opt::{
     AdmissionError, LibraryCache, LoadedLibrary, Optimizer, RequestId, RequestState,
     ServiceRequest, ServiceScheduler,
@@ -112,13 +111,9 @@ impl Daemon {
     /// Boots a daemon that routes requests to the committed gate-set
     /// library artifacts (zero-generation startup: the NAM library is
     /// loaded eagerly as the base index, the others lazily on first use).
-    /// With [`DaemonConfig::registry_root`] set, gate sets resolve through
-    /// the content-addressed registry instead — each key's blob or shard
-    /// group is mapped lazily on its first request.
     pub fn new(config: DaemonConfig) -> Result<Daemon, SubmitError> {
-        let cache = LibraryCache::open(config.registry_root.as_deref(), config.require_audited)
-            .map_err(|e| SubmitError::Library(e.to_string()))?;
-        let library = library_for(&cache, &config, GateSetKind::Nam)?;
+        let cache = LibraryCache::with_audit_required(config.require_audited);
+        let library = library_for(&cache, GateSetKind::Nam)?;
         let optimizer = Optimizer::with_index(library.shared_index(), config.search.clone());
         let mut daemon = Daemon::with_optimizer(optimizer, config);
         daemon.libraries = Some(cache);
@@ -170,7 +165,7 @@ impl Daemon {
         let preprocessed = kind.preprocess(&circuit);
         let index = match &self.libraries {
             Some(cache) if self.config.route_libraries => {
-                Some(library_for(cache, &self.config, kind)?.shared_index())
+                Some(library_for(cache, kind)?.shared_index())
             }
             _ => None,
         };
@@ -356,55 +351,24 @@ fn stepper_loop(shared: &Shared) {
     }
 }
 
-/// Resolves a gate set's library through `cache`: by registry key when
-/// the daemon is registry-routed, by committed artifact path otherwise.
-fn library_for(
-    cache: &LibraryCache,
-    config: &DaemonConfig,
-    kind: GateSetKind,
-) -> Result<Arc<LoadedLibrary>, SubmitError> {
-    if config.registry_root.is_some() {
-        let key = registry_key_for(kind);
-        cache
-            .get_for_key(&key)
-            .map_err(|e| SubmitError::Library(format!("registry key [{key}]: {e}")))
-    } else {
-        let path = artifact_for(kind);
-        cache
-            .get_or_load(&path)
-            .map_err(|e| SubmitError::Library(format!("{}: {e}", path.display())))
-    }
+/// Resolves a gate set's committed artifact through `cache`.
+fn library_for(cache: &LibraryCache, kind: GateSetKind) -> Result<Arc<LoadedLibrary>, SubmitError> {
+    let path = artifact_for(kind);
+    cache
+        .get_or_load(&path)
+        .map_err(|e| SubmitError::Library(format!("{}: {e}", path.display())))
 }
 
-/// The quick-scale `(n, q)` the committed artifacts are generated at —
+/// The committed artifact for a gate set at its quick-scale `(n, q)` —
 /// the same parameters `Scale::quick` uses, which is what `libraries/`
 /// commits.
-fn quick_scale_size(kind: GateSetKind) -> (usize, usize) {
-    match kind {
+pub fn artifact_for(kind: GateSetKind) -> std::path::PathBuf {
+    let (n, q) = match kind {
         GateSetKind::Nam => (3, 2),
         GateSetKind::Ibm => (2, 2),
         GateSetKind::Rigetti => (2, 2),
-    }
-}
-
-/// The committed artifact for a gate set at its quick-scale `(n, q)`.
-pub fn artifact_for(kind: GateSetKind) -> std::path::PathBuf {
-    let (n, q) = quick_scale_size(kind);
+    };
     library_artifact_path(kind, n, q)
-}
-
-/// The registry key for a gate set at its quick-scale `(n, q)` — the same
-/// library [`artifact_for`] points at, addressed by what it is instead of
-/// where it lives.
-pub fn registry_key_for(kind: GateSetKind) -> RegistryKey {
-    let (n, q) = quick_scale_size(kind);
-    RegistryKey {
-        gate_set: kind.name().to_string(),
-        max_gates: n as u32,
-        num_qubits: q as u32,
-        num_params: kind.num_params() as u32,
-        generator_version: GENERATOR_VERSION,
-    }
 }
 
 /// Parses a wire gate-set name.

@@ -17,7 +17,10 @@
 //! * [`wire`] — the typed protocol messages; [`wire::Outcome`] is the
 //!   full deterministic outcome field set of a search.
 //! * [`Daemon`] — scheduler + stepper thread + event logs; submissions,
-//!   cancels, and deadlines land on global step boundaries.
+//!   cancels, and deadlines land on global step boundaries. Each gate set
+//!   is served from its committed `libraries/*.qtzl` artifact
+//!   ([`artifact_for`]), loaded once through one
+//!   [`quartz_opt::LibraryCache`].
 //! * [`Server`]/[`Client`] — the TCP shell and its test client.
 //!
 //! # Determinism contract
@@ -60,6 +63,6 @@ pub use quartz_ir::json;
 
 pub use client::{Client, ClientError};
 pub use config::DaemonConfig;
-pub use daemon::{artifact_for, kind_for, registry_key_for, Daemon, ResultError, SubmitError};
+pub use daemon::{artifact_for, kind_for, Daemon, ResultError, SubmitError};
 pub use server::Server;
 pub use wire::{EventLine, Outcome, ResultResponse, StatusResponse, SubmitRequest};

@@ -468,7 +468,7 @@ fn committed_artifacts_load_lazily_with_identical_indexes_and_audits() {
 /// point that reads artifacts.
 #[test]
 fn version_1_artifacts_are_refused_by_every_entry_point() {
-    use quartz::gen::{LazyLibrary, Library, LibraryError, Registry};
+    use quartz::gen::{LazyLibrary, Library, LibraryError};
     use quartz::opt::LibraryCache;
 
     let committed =
@@ -495,19 +495,86 @@ fn version_1_artifacts_are_refused_by_every_entry_point() {
             "LibraryCache::get_or_load",
             Box::new(|| LibraryCache::new().get_or_load(&path).map(drop)),
         ),
-        (
-            "Registry::add",
-            Box::new(|| {
-                Registry::open(dir.join("registry"))?
-                    .add(std::slice::from_ref(&path))
-                    .map(drop)
-            }),
-        ),
     ];
     for (name, read) in entries {
         match read() {
             Err(LibraryError::UnsupportedVersion(1)) => {}
             other => panic!("{name} accepted or misreported a version-1 artifact: {other:?}"),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A class table is accepted only with the fixed whole-artifact preamble
+/// and entries that record their own position: a committed artifact whose
+/// table is patched to claim a shard, transformation ids, or a moved class
+/// — and whose checksum is resealed over the patch — is refused as
+/// `Malformed` by every entry point that reads artifacts.
+#[test]
+fn class_tables_other_than_the_whole_artifact_shape_are_refused_by_every_entry_point() {
+    use quartz::gen::{artifact_checksum, LazyLibrary, Library, LibraryError, HEADER_LEN};
+    use quartz::opt::LibraryCache;
+
+    let committed =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("libraries/nam_n3_q2.qtzl");
+    let original = std::fs::read(committed).unwrap();
+    let table_len = LazyLibrary::from_bytes(original.clone())
+        .unwrap()
+        .class_table()
+        .encoded_len();
+    let reseal = |mut bytes: Vec<u8>| {
+        let checksum = artifact_checksum(
+            &bytes[..HEADER_LEN - 8],
+            &bytes[HEADER_LEN..HEADER_LEN + table_len],
+        );
+        bytes[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
+        bytes
+    };
+    assert_eq!(
+        reseal(original.clone()),
+        original,
+        "resealing an unpatched artifact must reproduce it"
+    );
+
+    let dir = std::env::temp_dir().join(format!("quartz_table_refused_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    // (variant, table offset, little-endian u32 written there)
+    let patches: [(&str, &[(usize, u32)]); 3] = [
+        ("shard 1 of 2", &[(0, 1), (4, 2)]),
+        ("transformation id count 1", &[(12, 1)]),
+        ("class 0 records index 1", &[(32, 1)]),
+    ];
+    for (variant, writes) in patches {
+        let mut patched = original.clone();
+        for &(offset, value) in writes {
+            let at = HEADER_LEN + offset;
+            patched[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        }
+        let bytes = reseal(patched);
+        let path = dir.join(format!("{}.qtzl", variant.replace(' ', "_")));
+        std::fs::write(&path, &bytes).unwrap();
+
+        type Entry<'a> = (&'a str, Box<dyn Fn() -> Result<(), LibraryError> + 'a>);
+        let entries: Vec<Entry> = vec![
+            (
+                "Library::from_bytes",
+                Box::new(|| Library::from_bytes(&bytes).map(drop)),
+            ),
+            (
+                "LazyLibrary::from_bytes",
+                Box::new(|| LazyLibrary::from_bytes(bytes.clone()).map(drop)),
+            ),
+            (
+                "LibraryCache::get_or_load",
+                Box::new(|| LibraryCache::new().get_or_load(&path).map(drop)),
+            ),
+        ];
+        for (name, read) in entries {
+            match read() {
+                Err(LibraryError::Malformed(_)) => {}
+                other => panic!("{name} accepted or misreported a table with {variant}: {other:?}"),
+            }
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
