@@ -2,8 +2,8 @@
 //! cost of a single exact equivalence query for representative identities.
 //!
 //! The same query pairs ([`quartz_bench::verifier_bench_pairs`]) are timed
-//! by `service_throughput` into the `verifier` suite of
-//! `BENCH_search.json`, so the CI perf artifact carries these numbers too.
+//! by perfbench's `library-build` workload, and a `quartz-bench` unit test
+//! checks that each pair verifies as equivalent.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use quartz_bench::verifier_bench_pairs;

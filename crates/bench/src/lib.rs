@@ -14,8 +14,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod report;
-
 use quartz_circuits::suite;
 use quartz_gen::{prune, EccSet, GenConfig, GenStats, Generator};
 use quartz_ir::{Circuit, GateSet};
@@ -256,18 +254,11 @@ pub fn build_ecc_set(kind: GateSetKind, n: usize, q: usize) -> (EccSet, GenStats
     (pruned, stats)
 }
 
-/// The workspace's committed pre-generated library artifacts (`libraries/`
-/// at the repository root, produced by `quartz-lib generate` and verified in
-/// CI; see DESIGN.md §7).
-pub fn libraries_dir() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../libraries")
-}
-
-/// The representative verifier queries (paper §4) measured both by the
-/// criterion micro-benchmark (`benches/verifier.rs`) and by the `verifier`
-/// suite `service_throughput` records into `BENCH_search.json`: a
-/// parameter-free 2-qubit identity, a parametric rotation merge, and a
-/// 3-qubit Toffoli/CCZ identity. Each pair is equivalent, so the timing
+/// The representative verifier queries (paper §4) timed by the criterion
+/// micro-benchmark (`benches/verifier.rs`) and by perfbench's
+/// `library-build` workload: a parameter-free 2-qubit identity, a
+/// parametric rotation merge, and a 3-qubit Toffoli/CCZ identity. Each pair
+/// is equivalent (`verifier_bench_pairs_are_equivalent`), so the timing
 /// covers the full prefilter → phase-candidate → exact-polynomial path.
 pub fn verifier_bench_pairs() -> Vec<(&'static str, Circuit, Circuit)> {
     use quartz_ir::{Gate, Instruction, ParamExpr};
@@ -317,13 +308,6 @@ pub fn verifier_bench_pairs() -> Vec<(&'static str, Circuit, Circuit)> {
         ("rotation_merge_parametric", two, fused),
         ("toffoli_ccz_3q", hczh, toffoli),
     ]
-}
-
-/// Conventional artifact path for a gate set at `(n, q)`:
-/// `libraries/<gateset>_n<N>_q<Q>.qtzl` (the parameter count `m` is the
-/// paper's per-gate-set default, [`GateSetKind::num_params`]).
-pub fn library_artifact_path(kind: GateSetKind, n: usize, q: usize) -> std::path::PathBuf {
-    libraries_dir().join(format!("{}_n{n}_q{q}.qtzl", kind.name().to_lowercase()))
 }
 
 /// One row of a Table 2/3/4-style report.
@@ -651,6 +635,17 @@ mod tests {
         }];
         let red = geo_mean_reduction(&rows, |r| r.quartz);
         assert!((red - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn verifier_bench_pairs_are_equivalent() {
+        for (name, a, b) in verifier_bench_pairs() {
+            assert_eq!(
+                quartz_verify::Verifier::default().check(&a, &b),
+                Ok(true),
+                "{name}"
+            );
+        }
     }
 
     #[test]

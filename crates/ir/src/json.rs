@@ -3,9 +3,8 @@
 //!
 //! The workspace builds fully offline (no `serde_json`; DESIGN.md §4), and
 //! every JSON shape it speaks is small and fixed — ECC-set interchange
-//! (`quartz_gen::json`), audit sidecars and reports (`quartz_gen::audit`),
-//! bench reports (`quartz_bench::report`) and the daemon wire protocol
-//! (`quartz_serve::wire`). Each of those is a shape mapping over [`Json`];
+//! (`quartz_gen::json`), audit sidecars and reports (`quartz_gen::audit`)
+//! and the daemon wire protocol (`quartz_serve::wire`). Each of those is a shape mapping over [`Json`];
 //! this module is the only place JSON text is read or written. The parser
 //! is *generic over values* because request bodies arrive from untrusted
 //! clients: it must reject arbitrary garbage with a useful diagnostic, and

@@ -1,23 +1,16 @@
 //! CI smoke test for the daemon (the `serve-smoke` job).
 //!
 //! Boots `quartz-serve` against the committed `libraries/*.qtzl`
-//! artifacts, pushes a mixed-gate-set request batch through the HTTP test
-//! client, and diffs the responses against committed expectations:
-//!
-//! 1. The NAM quick suite (budget 40 — the same binding constraint the
-//!    throughput bench uses) must sum to `BENCH_baseline.json`'s
-//!    `throughput/t1/generated` → `total_best_cost`. The daemon
-//!    serves from the *loaded* artifact; agreement with the *generated*
-//!    baseline is exactly the loaded-vs-generated identity the bench
-//!    asserts, now checked across the wire.
-//! 2. IBM and Rigetti requests must produce outcomes bit-identical to
-//!    standalone `Optimizer::optimize_with_budget` runs against the same
-//!    artifacts — library routing changes *which index* serves a request,
-//!    never the result.
+//! artifacts, pushes a mixed-gate-set request batch — the whole NAM quick
+//! suite plus two IBM and two Rigetti circuits, all in flight together —
+//! through the HTTP test client, and requires every response's outcome to
+//! be bit-identical to a standalone `Optimizer::optimize_with_budget` run
+//! against the same artifact. Library routing and interleaving with other
+//! requests change *which index* serves a request and *when*, never the
+//! result.
 //!
 //! Exits non-zero with a diff on any mismatch.
 
-use quartz_bench::report::BenchReport;
 use quartz_bench::{GateSetKind, Scale};
 use quartz_ir::to_qasm;
 use quartz_opt::{LibraryCache, Optimizer};
@@ -52,26 +45,18 @@ fn main() -> ExitCode {
     println!("serve_smoke: daemon on http://{}", server.addr());
 
     // --- The mixed-gate-set batch: all submissions in flight together. ---
-    let mut nam_ids = Vec::new();
-    for (name, clifford_t) in &scale.suite {
-        let mut request = SubmitRequest::new(to_qasm(clifford_t));
-        request.budget = Some(budget);
-        match client.submit(&request) {
-            Ok(id) => nam_ids.push((*name, id)),
-            Err(e) => {
-                eprintln!("serve_smoke: submit {name} failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let mut routed_ids = Vec::new();
-    for kind in [GateSetKind::Ibm, GateSetKind::Rigetti] {
-        for (name, clifford_t) in scale.suite.iter().take(2) {
+    let mut submitted = Vec::new();
+    for (kind, count) in [
+        (GateSetKind::Nam, scale.suite.len()),
+        (GateSetKind::Ibm, 2),
+        (GateSetKind::Rigetti, 2),
+    ] {
+        for (name, clifford_t) in scale.suite.iter().take(count) {
             let mut request = SubmitRequest::new(to_qasm(clifford_t));
             request.gate_set = kind.name().to_lowercase();
             request.budget = Some(budget);
             match client.submit(&request) {
-                Ok(id) => routed_ids.push((kind, *name, id)),
+                Ok(id) => submitted.push((kind, *name, id)),
                 Err(e) => {
                     eprintln!("serve_smoke: submit {name} ({}) failed: {e}", kind.name());
                     return ExitCode::FAILURE;
@@ -80,59 +65,10 @@ fn main() -> ExitCode {
         }
     }
 
-    // --- Check 1: NAM totals against the committed bench baseline. ---
-    let mut total_best_cost = 0usize;
-    for &(name, id) in &nam_ids {
-        match client.wait_result(id) {
-            Ok(result) => total_best_cost += result.outcome.best_cost,
-            Err(e) => {
-                eprintln!("serve_smoke: result {name} failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let baseline_path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_baseline.json");
-    let baseline_text = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("serve_smoke: read {}: {e}", baseline_path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let baseline = match BenchReport::parse(&baseline_text) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("serve_smoke: parse baseline: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let expected = baseline
-        .get_suite("throughput/t1/generated")
-        .and_then(|suite| suite.get("total_best_cost"));
-    let Some(expected) = expected else {
-        eprintln!("serve_smoke: baseline lacks throughput/t1/generated total_best_cost");
-        return ExitCode::FAILURE;
-    };
-    if total_best_cost as f64 != expected {
-        eprintln!(
-            "serve_smoke: NAM quick-suite total diverged from the committed baseline:\n  \
-             daemon total_best_cost = {total_best_cost}\n  \
-             BENCH_baseline.json    = {expected}\n\
-             either a determinism regression in the serve path or a stale baseline"
-        );
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "serve_smoke: NAM quick suite ({} circuits) total_best_cost {} == baseline",
-        nam_ids.len(),
-        total_best_cost
-    );
-
-    // --- Check 2: routed gate sets against standalone runs. ---
+    // --- Every response against a standalone run over the same artifact. ---
     let cache = LibraryCache::new();
     let mut mismatches = 0usize;
-    for (kind, name, id) in routed_ids {
+    for &(kind, name, id) in &submitted {
         let served = match client.wait_result(id) {
             Ok(result) => result.outcome,
             Err(e) => {
@@ -182,7 +118,10 @@ fn main() -> ExitCode {
         }
     }
     if mismatches > 0 {
-        eprintln!("serve_smoke: {mismatches} routed outcome(s) diverged");
+        eprintln!(
+            "serve_smoke: {mismatches} of {} outcome(s) diverged",
+            submitted.len()
+        );
         return ExitCode::FAILURE;
     }
 

@@ -25,7 +25,7 @@
 
 use crate::config::DaemonConfig;
 use crate::wire::{EventLine, Outcome, ResultResponse, StatusResponse, SubmitRequest, WireError};
-use quartz_bench::{library_artifact_path, GateSetKind};
+use quartz_bench::GateSetKind;
 use quartz_opt::{
     AdmissionError, LibraryCache, LoadedLibrary, Optimizer, RequestId, RequestState,
     ServiceRequest, ServiceScheduler,
@@ -361,14 +361,17 @@ fn library_for(cache: &LibraryCache, kind: GateSetKind) -> Result<Arc<LoadedLibr
 
 /// The committed artifact for a gate set at its quick-scale `(n, q)` —
 /// the same parameters `Scale::quick` uses, which is what `libraries/`
-/// commits.
+/// commits: `libraries/<gateset>_n<N>_q<Q>.qtzl` at the repository root.
 pub fn artifact_for(kind: GateSetKind) -> std::path::PathBuf {
     let (n, q) = match kind {
         GateSetKind::Nam => (3, 2),
         GateSetKind::Ibm => (2, 2),
         GateSetKind::Rigetti => (2, 2),
     };
-    library_artifact_path(kind, n, q)
+    let name = format!("{}_n{n}_q{q}.qtzl", kind.name().to_lowercase());
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../libraries")
+        .join(name)
 }
 
 /// Parses a wire gate-set name.

@@ -2,22 +2,17 @@
 //! Clifford+T input → preprocessing (Toffoli decomposition + rotation
 //! merging) → superoptimizer search, for the Nam gate set.
 //!
-//! Also writes the run's engine counters to `BENCH_search.json`
-//! (machine-readable; see `quartz_bench::report`) so ad-hoc benchmark runs
-//! contribute to the recorded perf trajectory too.
-//!
 //! Run with
 //! `cargo run --release --example optimize_benchmark [-- <circuit_name>] [--profile]`.
 //! `--profile` adds a per-phase wall-time breakdown of the search (matching,
 //! delta, γ-precheck, preview, derive, fingerprint, dedup) to the console
-//! output and the report.
+//! output.
 
 use quartz::circuits::suite;
 use quartz::gen::{GenConfig, Generator};
 use quartz::ir::GateSet;
 use quartz::opt::{greedy_optimize, preprocess_nam, Optimizer, SearchConfig};
-use quartz_bench::report::{BenchReport, BENCH_SEARCH_FILE};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -72,9 +67,7 @@ fn main() {
             ..SearchConfig::default()
         },
     );
-    let search_start = Instant::now();
     let result = optimizer.optimize(&preprocessed);
-    let search_wall = search_start.elapsed();
     println!(
         "Quartz end-to-end: {} gates ({:.1}% reduction over the original, {} search iterations)",
         result.best_cost,
@@ -107,28 +100,5 @@ fn main() {
         for (phase, secs) in result.profile.phases() {
             println!("  {phase:>12}  {secs:>9.4}s");
         }
-    }
-
-    let mut report = BenchReport::new("optimize_benchmark");
-    report
-        .suite(&format!("optimize/{name}"))
-        .metric("wall_secs", search_wall.as_secs_f64())
-        .metric("iterations", result.iterations as f64)
-        .metric("best_cost", result.best_cost as f64)
-        .metric("match_attempts", result.match_attempts as f64)
-        .metric("dispatch_skip_rate", result.dispatch_skip_rate())
-        .metric("dedup_hits", result.dedup_hits as f64)
-        .metric("fp_fast_rejects", result.fp_fast_rejects as f64)
-        .metric("fp_confirm_mismatches", result.fp_confirm_mismatches as f64);
-    if profile {
-        let suite = report.suite(&format!("optimize/{name}/profile"));
-        for (phase, secs) in result.profile.phases() {
-            suite.metric(&format!("{phase}_secs"), secs);
-        }
-        suite.metric("total_secs", result.profile.total().as_secs_f64());
-    }
-    match report.write(BENCH_SEARCH_FILE) {
-        Ok(()) => println!("Wrote {BENCH_SEARCH_FILE}"),
-        Err(e) => println!("warning: could not write {BENCH_SEARCH_FILE}: {e}"),
     }
 }

@@ -255,6 +255,74 @@ fn service_batch_matches_the_oracle_on_the_nam_quick_suite() {
     }
 }
 
+/// The pinned outcome and effort lane of the NAM quick suite: one 2-thread
+/// batch over the committed `libraries/nam_n3_q2.qtzl` at 40 iterations per
+/// circuit must reproduce this table exactly. A 1-thread run gives the same
+/// table, so the pin also covers the thread axis. An intentional engine
+/// change re-pins by editing the table and saying why.
+#[test]
+fn nam_quick_suite_outcomes_are_pinned() {
+    /// Per circuit: best_cost, initial_cost, iterations, circuits_seen,
+    /// dedup_hits, match_attempts, match_skips, fp_fast_rejects.
+    const PINNED: [(&str, [usize; 8]); 8] = [
+        ("barenco_tof_3", [100, 100, 40, 242, 1555, 3040, 1280, 950]),
+        ("csla_mux_3", [112, 112, 40, 319, 2110, 3880, 440, 1147]),
+        ("mod5_4", [56, 57, 40, 197, 1534, 4320, 0, 850]),
+        ("mod_mult_55", [152, 154, 40, 504, 3015, 3040, 1280, 1438]),
+        ("rc_adder_6", [175, 175, 40, 588, 4447, 3040, 1280, 2246]),
+        ("tof_3", [40, 40, 40, 139, 1237, 3040, 1280, 834]),
+        ("tof_5", [90, 90, 40, 334, 2620, 3040, 1280, 1319]),
+        ("vbe_adder_3", [119, 119, 40, 340, 2427, 3040, 1280, 1335]),
+    ];
+
+    let artifact =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("libraries/nam_n3_q2.qtzl");
+    let library = quartz::opt::LibraryCache::new()
+        .get_or_load(&artifact)
+        .expect("committed artifact must load");
+    let service = OptimizationService::from_library(
+        &library,
+        SearchConfig {
+            timeout: Duration::from_secs(3600),
+            max_iterations: 40,
+            num_threads: 2,
+            ..SearchConfig::default()
+        },
+    );
+    let suite = quartz_bench::Scale::quick(quartz_bench::GateSetKind::Nam).suite;
+    let batch: Vec<Circuit> = suite.iter().map(|(_, c)| preprocess_nam(c)).collect();
+    let results = service.optimize_batch(&batch);
+
+    let measured: Vec<(&str, [usize; 8])> = suite
+        .iter()
+        .zip(&results)
+        .map(|((name, _), r)| {
+            assert_eq!(r.fp_confirm_mismatches, 0, "{name}: hash preview canary");
+            let counters = [
+                r.best_cost,
+                r.initial_cost,
+                r.iterations,
+                r.circuits_seen,
+                r.dedup_hits,
+                r.match_attempts,
+                r.match_skips,
+                r.fp_fast_rejects,
+            ];
+            (*name, counters)
+        })
+        .collect();
+    assert_eq!(measured, PINNED);
+
+    // The hash preview rejects at least half of all duplicates before any
+    // merge (DESIGN.md §13).
+    let dedup_hits: usize = results.iter().map(|r| r.dedup_hits).sum();
+    let fast_rejects: usize = results.iter().map(|r| r.fp_fast_rejects).sum();
+    assert!(
+        2 * fast_rejects >= dedup_hits,
+        "the preview rejected {fast_rejects} of {dedup_hits} duplicates"
+    );
+}
+
 /// Extraction drops every pair whose two circuits are one DAG, so no
 /// committed artifact may index a rule that rewrites a circuit into
 /// itself.
@@ -378,9 +446,8 @@ fn committed_artifact_is_bit_identical_to_generate_at_startup() {
         "stale artifact: its transformation list diverged from the generator"
     );
 
-    // A NAM-suite member plus a toy circuit — kept small so the debug-mode
-    // tier-1 run stays fast; the full suite comparison is what the
-    // `service_throughput` bench asserts at release scale.
+    // A NAM-suite member plus a toy circuit, kept small so the debug-mode
+    // tier-1 run stays fast.
     let mut toy = Circuit::new(2, 0);
     toy.push(Instruction::new(Gate::H, vec![0], vec![]));
     toy.push(Instruction::new(Gate::H, vec![0], vec![]));
