@@ -921,49 +921,24 @@ fn lint_transformation_overlap(set: &EccSet) -> Vec<Diagnostic> {
     out
 }
 
-/// The prebuilt index must describe exactly the transformation list the
-/// payload induces today: same transformations, same anchor buckets. A
-/// mismatch means the index was built by a different pipeline than the
-/// payload claims — dispatch would silently skip or misroute rules.
+/// The prebuilt index must hold exactly the transformation list the
+/// payload induces today. A mismatch means the index was built by a
+/// different pipeline than the payload claims — dispatch would silently
+/// skip or misroute rules.
 fn lint_prebuilt_index(index: &TransformationIndex, fresh: &[Transformation]) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    if index.transformations() != fresh {
-        out.push(Diagnostic::new(
-            RuleCode::StaleIndex,
-            Location::artifact(),
-            format!(
-                "prebuilt index stores {} transformation(s) but the ECC payload \
-                 induces {}; the index is stale relative to its own payload",
-                index.len(),
-                fresh.len()
-            ),
-        ));
-        // Bucket comparison against a rebuilt index would only restate the
-        // mismatch.
-        return out;
+    if index.transformations() == fresh {
+        return Vec::new();
     }
-    let rebuilt = TransformationIndex::new(fresh.to_vec());
-    for (gate_idx, (stored, expected)) in index
-        .anchor_buckets()
-        .iter()
-        .zip(rebuilt.anchor_buckets())
-        .enumerate()
-    {
-        if stored != expected {
-            out.push(Diagnostic::new(
-                RuleCode::StaleIndex,
-                Location::artifact(),
-                format!(
-                    "anchor bucket for {:?} disagrees with the bucket rebuilt from \
-                     the payload ({} vs {} entries)",
-                    quartz_ir::ALL_GATES[gate_idx],
-                    stored.len(),
-                    expected.len()
-                ),
-            ));
-        }
-    }
-    out
+    vec![Diagnostic::new(
+        RuleCode::StaleIndex,
+        Location::artifact(),
+        format!(
+            "prebuilt index stores {} transformation(s) but the ECC payload \
+             induces {}; the index is stale relative to its own payload",
+            index.len(),
+            fresh.len()
+        ),
+    )]
 }
 
 /// Dead-rule analysis (DESIGN.md §11): the search admits a candidate only

@@ -315,12 +315,6 @@ fn inspect(args: &[String]) -> Result<(), Failure> {
     );
     if let Some(index) = library.index().map_err(runtime)? {
         println!("  transformations:    {}", index.len());
-        let populated = index
-            .anchor_buckets()
-            .iter()
-            .filter(|b| !b.is_empty())
-            .count();
-        println!("  anchor buckets:     {populated} populated");
     }
     Ok(())
 }

@@ -33,15 +33,15 @@
 //!
 //! The index lives in `quartz-gen` (next to the ECC sets it is derived from)
 //! so that persisted library artifacts ([`crate::library`], DESIGN.md §7)
-//! can embed a *prebuilt* index section and services can skip both
-//! generation and index construction at startup; the optimizer crate
-//! re-exports it. The serialized form (per-pattern histograms + global
-//! anchor buckets) is unchanged since format version 1: the per-circuit
-//! metadata below is cheap and recomputed at load time.
+//! can embed the extracted transformation list and services skip
+//! generation at startup; the optimizer crate re-exports it. Only the
+//! transformation list is serialized: every piece of metadata below is
+//! derived from it by [`TransformationIndex::new`], at pack and at load
+//! alike.
 
 use crate::automaton::MatchAutomaton;
 use crate::xform::Transformation;
-use quartz_ir::{EpochSet, Gate, GateHistogram, ALL_GATES};
+use quartz_ir::{EpochSet, Gate, GateHistogram};
 use std::sync::OnceLock;
 
 /// Per-pattern metadata precomputed at index construction.
@@ -78,13 +78,8 @@ impl IndexScratch {
 pub struct TransformationIndex {
     transformations: Vec<Transformation>,
     metas: Vec<PatternMeta>,
-    /// Transformation ids bucketed by *global* anchor gate index; each id
-    /// appears in exactly one bucket. This is the assignment persisted in
-    /// library artifacts (format version 1); dispatch itself re-anchors per
-    /// circuit through `gate_buckets`.
-    buckets: Vec<Vec<usize>>,
     /// Transformation ids bucketed by every gate type their pattern uses
-    /// (multi-membership), each bucket ascending. Derived, never serialized.
+    /// (multi-membership), each bucket ascending.
     gate_buckets: Vec<Vec<usize>>,
     /// The target patterns compiled into one prefix tree, built on first
     /// use so loading a library or booting a daemon never pays for it.
@@ -92,55 +87,27 @@ pub struct TransformationIndex {
 }
 
 impl TransformationIndex {
-    /// Builds the index. Transformations with an empty target pattern are
-    /// rejected upstream (see [`crate::transformations_from_ecc_set`]); if
-    /// one slips through it is bucketed under an arbitrary anchor and always
-    /// attempted.
+    /// Builds the index: each pattern's gate histogram and qubit span, and
+    /// the per-gate-type buckets that candidate selection walks.
+    /// Transformations with an empty target pattern are rejected upstream
+    /// (see [`crate::transformations_from_ecc_set`]); if one slips through
+    /// it sits in no bucket and is never attempted.
     pub fn new(transformations: Vec<Transformation>) -> Self {
-        // Global frequency of each gate type across all target patterns,
-        // used to pick the most selective anchor per pattern.
-        let mut global_counts = [0usize; Gate::COUNT];
-        for xform in &transformations {
-            for instr in xform.target.instructions() {
-                global_counts[instr.gate.index()] += 1;
-            }
-        }
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); Gate::COUNT];
-        for (id, xform) in transformations.iter().enumerate() {
-            let anchor = xform
-                .target
-                .instructions()
-                .iter()
-                .map(|i| i.gate)
-                .min_by_key(|g| (global_counts[g.index()], g.index()))
-                .unwrap_or(Gate::H);
-            buckets[anchor.index()].push(id);
-        }
-        TransformationIndex::assemble(transformations, buckets)
-    }
-
-    /// Computes the derived per-pattern metadata and gate buckets shared by
-    /// every constructor (fresh build and artifact load alike).
-    fn assemble(transformations: Vec<Transformation>, buckets: Vec<Vec<usize>>) -> Self {
         let mut metas = Vec::with_capacity(transformations.len());
         let mut gate_buckets: Vec<Vec<usize>> = vec![Vec::new(); Gate::COUNT];
         for (id, xform) in transformations.iter().enumerate() {
             let target = &xform.target;
             let histogram = *target.gate_histogram();
-            let mut gate_mask = 0u32;
             let mut qubits_used: Vec<usize> = Vec::new();
             for instr in target.instructions() {
-                gate_mask |= 1 << instr.gate.index();
                 for &q in &instr.qubits {
                     if !qubits_used.contains(&q) {
                         qubits_used.push(q);
                     }
                 }
             }
-            for gate in ALL_GATES {
-                if gate_mask & (1 << gate.index()) != 0 {
-                    gate_buckets[gate.index()].push(id);
-                }
+            for gate in histogram.present_gates() {
+                gate_buckets[gate.index()].push(id);
             }
             metas.push(PatternMeta {
                 histogram,
@@ -150,89 +117,14 @@ impl TransformationIndex {
         TransformationIndex {
             transformations,
             metas,
-            buckets,
             gate_buckets,
             automaton: OnceLock::new(),
         }
     }
 
-    /// Reassembles an index from its serialized parts (the prebuilt-index
-    /// section of a library artifact, DESIGN.md §7) without re-deriving the
-    /// anchor assignment.
-    ///
-    /// The parts are validated structurally — per-transformation histograms
-    /// must match each target's gate multiset, and the buckets must form a
-    /// partition of the transformation ids — so a corrupted or stale section
-    /// is rejected instead of silently changing dispatch behavior.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first inconsistency found.
-    pub fn from_parts(
-        transformations: Vec<Transformation>,
-        histograms: Vec<GateHistogram>,
-        buckets: Vec<Vec<usize>>,
-    ) -> Result<Self, String> {
-        if histograms.len() != transformations.len() {
-            return Err(format!(
-                "index has {} transformations but {} pattern histograms",
-                transformations.len(),
-                histograms.len()
-            ));
-        }
-        if buckets.len() != Gate::COUNT {
-            return Err(format!(
-                "index has {} anchor buckets, expected one per gate type ({})",
-                buckets.len(),
-                Gate::COUNT
-            ));
-        }
-        for (id, (xform, histogram)) in transformations.iter().zip(&histograms).enumerate() {
-            if xform.target.gate_histogram() != histogram {
-                return Err(format!(
-                    "stored histogram of transformation {id} does not match its target pattern"
-                ));
-            }
-        }
-        let mut seen = vec![false; transformations.len()];
-        for bucket in &buckets {
-            for &id in bucket {
-                if id >= transformations.len() {
-                    return Err(format!(
-                        "bucket refers to transformation {id}, only {} exist",
-                        transformations.len()
-                    ));
-                }
-                if seen[id] {
-                    return Err(format!("transformation {id} appears in two anchor buckets"));
-                }
-                seen[id] = true;
-            }
-        }
-        if let Some(missing) = seen.iter().position(|&s| !s) {
-            return Err(format!(
-                "transformation {missing} is missing from every anchor bucket"
-            ));
-        }
-        Ok(TransformationIndex::assemble(transformations, buckets))
-    }
-
     /// The indexed transformations, in their original order.
     pub fn transformations(&self) -> &[Transformation] {
         &self.transformations
-    }
-
-    /// Per-transformation target-pattern histograms, in transformation order
-    /// (what the histogram-subsumption filter consults; serialized into the
-    /// prebuilt-index section).
-    pub fn pattern_histograms(&self) -> impl Iterator<Item = &GateHistogram> + '_ {
-        self.metas.iter().map(|m| &m.histogram)
-    }
-
-    /// The anchor buckets, one per [`Gate`] in [`quartz_ir::ALL_GATES`]
-    /// order: the transformation ids anchored on that gate type.
-    pub fn anchor_buckets(&self) -> &[Vec<usize>] {
-        &self.buckets
     }
 
     /// The transformations' target patterns as one prefix-sharing match
@@ -419,62 +311,5 @@ mod tests {
         // The scratch is reusable across calls (epoch reset, not realloc).
         index.candidates_into(c.gate_histogram(), 2, &mut scratch, &mut ids);
         assert_eq!(ids, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn from_parts_round_trips_and_rejects_inconsistencies() {
-        let xforms = vec![
-            xform(&[(Gate::H, 0), (Gate::H, 0)], &[]),
-            xform(&[(Gate::X, 0)], &[(Gate::H, 0)]),
-        ];
-        let built = TransformationIndex::new(xforms);
-        let histograms: Vec<GateHistogram> = built.pattern_histograms().copied().collect();
-        let buckets = built.anchor_buckets().to_vec();
-        let rebuilt = TransformationIndex::from_parts(
-            built.transformations().to_vec(),
-            histograms.clone(),
-            buckets.clone(),
-        )
-        .unwrap();
-        let mut c = Circuit::new(2, 0);
-        c.push(instruction(Gate::H, &[0]));
-        c.push(instruction(Gate::H, &[1]));
-        assert_eq!(
-            built.candidates_for(c.gate_histogram()),
-            rebuilt.candidates_for(c.gate_histogram())
-        );
-
-        // Histogram mismatch is rejected.
-        let mut bad_histograms = histograms.clone();
-        bad_histograms.swap(0, 1);
-        assert!(TransformationIndex::from_parts(
-            built.transformations().to_vec(),
-            bad_histograms,
-            buckets.clone(),
-        )
-        .is_err());
-
-        // A duplicated bucket id is rejected.
-        let mut dup = buckets.clone();
-        let id = dup.iter().position(|b| !b.is_empty()).unwrap();
-        let first = dup[id][0];
-        dup[id].push(first);
-        assert!(TransformationIndex::from_parts(
-            built.transformations().to_vec(),
-            histograms.clone(),
-            dup,
-        )
-        .is_err());
-
-        // A missing id is rejected.
-        let mut missing = buckets;
-        let id = missing.iter().position(|b| !b.is_empty()).unwrap();
-        missing[id].clear();
-        assert!(TransformationIndex::from_parts(
-            built.transformations().to_vec(),
-            histograms,
-            missing,
-        )
-        .is_err());
     }
 }

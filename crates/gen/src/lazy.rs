@@ -1,13 +1,12 @@
-//! The one reader of library artifacts — lazy and file-backed (DESIGN.md
-//! §12).
+//! The one reader of library artifacts (DESIGN.md §12).
 //!
-//! [`LazyLibrary`] validates only the header and the class table at open
-//! (O(header + table) work and memory), and each ECC class is decoded — and
-//! digest-verified — the first time it is touched. A server that routes
-//! traffic for a handful of gate sets over paper-scale artifacts therefore
-//! pays O(used classes), not O(library), in both startup latency and
-//! resident memory. Every other way of reading an artifact goes through
-//! it: [`Library::from_bytes`] decodes everything up front, and the
+//! [`LazyLibrary`] reads the artifact into memory in one read and validates
+//! only the header and the class table at open; each ECC class is decoded
+//! — and digest-verified — the first time it is touched. A server that
+//! routes traffic for a handful of gate sets therefore pays O(used
+//! classes), not O(library), in decode work and decoded memory. Every
+//! other way of reading an artifact goes through it:
+//! [`Library::from_bytes`] decodes everything up front, and the
 //! optimizer's library cache, the auditor and `quartz-lib` open artifacts
 //! with it.
 //!
@@ -29,54 +28,18 @@ use crate::library::{
     path_io_error, verify_class_payload, verify_index_section, ClassTable, Library, LibraryError,
     LibraryHeader, HEADER_LEN,
 };
-use std::borrow::Cow;
+use std::fs::File;
+use std::io::Read;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// The byte source behind a [`LazyLibrary`]: a positioned-read file "map"
-/// (the vendored `mmap` shim, DESIGN.md §4) or an owned in-memory buffer.
-#[derive(Debug)]
-enum MmapBody {
-    Mapped { map: mmap::Mmap, path: PathBuf },
-    Bytes(Vec<u8>),
-}
-
-impl MmapBody {
-    fn len(&self) -> usize {
-        match self {
-            MmapBody::Mapped { map, .. } => map.len(),
-            MmapBody::Bytes(bytes) => bytes.len(),
-        }
-    }
-
-    /// Reads `range` (absolute file offsets) — copied out of a mapped file,
-    /// borrowed from an in-memory buffer — failing with a path-annotated
-    /// [`LibraryError::Io`] when the source cannot serve it.
-    fn read_range(&self, range: Range<usize>) -> Result<Cow<'_, [u8]>, LibraryError> {
-        match self {
-            MmapBody::Mapped { map, path } => map
-                .read_range(range)
-                .map(Cow::Owned)
-                .map_err(|e| LibraryError::Io(path_io_error(path, e))),
-            MmapBody::Bytes(bytes) => {
-                bytes
-                    .get(range)
-                    .map(Cow::Borrowed)
-                    .ok_or(LibraryError::Truncated {
-                        context: "lazy byte range",
-                    })
-            }
-        }
-    }
-}
-
-/// A lazily-decoding handle over one library artifact: open reads and
-/// validates the header and class table only; [`LazyLibrary::class`]
+/// A lazily-decoding handle over one library artifact: open reads the
+/// file and validates the header and class table; [`LazyLibrary::class`]
 /// decodes (and digest-verifies) a class on first touch and caches the
-/// decoded form; [`LazyLibrary::index`] does the same for the prebuilt
-/// index section.
+/// decoded form; [`LazyLibrary::index`] does the same for the index
+/// section.
 ///
 /// All accessors are `&self` and thread-safe; concurrent first touches of
 /// the same class decode at most twice and cache once.
@@ -84,7 +47,8 @@ impl MmapBody {
 pub struct LazyLibrary {
     header: LibraryHeader,
     table: ClassTable,
-    body: MmapBody,
+    /// The whole artifact, exactly as many bytes as the sections claim.
+    bytes: Vec<u8>,
     /// Absolute file offset where the ECC payload section starts.
     ecc_start: usize,
     /// Prefix sums of class payload lengths: class `i` occupies
@@ -97,23 +61,30 @@ pub struct LazyLibrary {
 }
 
 impl LazyLibrary {
-    /// Opens an artifact file through the mmap shim, reading and verifying
-    /// O(header + class table) bytes; the payload and index sections stay
-    /// on disk until touched.
+    /// Opens an artifact file: reads as many bytes as the file holds at
+    /// open, in one read, then validates the header, class table and
+    /// checksum. The payload and index sections are checked against their
+    /// digests when first touched.
     ///
     /// # Errors
     ///
     /// Any header, table, or checksum validation failure
     /// ([`LibraryError::UnsupportedVersion`] for any format version but
-    /// [`crate::FORMAT_VERSION_V2`]); I/O errors name `path`.
+    /// [`crate::FORMAT_VERSION`]); I/O errors name `path`.
     pub fn open(path: impl AsRef<Path>) -> Result<LazyLibrary, LibraryError> {
         let path = path.as_ref();
-        let map = mmap::Mmap::open(path).map_err(|e| LibraryError::Io(path_io_error(path, e)))?;
-        let body = MmapBody::Mapped {
-            map,
-            path: path.to_path_buf(),
-        };
-        LazyLibrary::from_body(body, Some(path.to_path_buf()))
+        let io_error = |e| LibraryError::Io(path_io_error(path, e));
+        let mut file = File::open(path).map_err(io_error)?;
+        let len = file.metadata().map_err(io_error)?.len();
+        let len = usize::try_from(len).map_err(|_| {
+            LibraryError::Malformed(format!(
+                "{}: {len} bytes do not fit in memory",
+                path.display()
+            ))
+        })?;
+        let mut bytes = vec![0u8; len];
+        file.read_exact(&mut bytes).map_err(io_error)?;
+        LazyLibrary::decode(bytes, Some(path.to_path_buf()))
     }
 
     /// Opens an artifact and verifies every byte of it: the index section
@@ -139,13 +110,14 @@ impl LazyLibrary {
     ///
     /// Same as [`LazyLibrary::open`].
     pub fn from_bytes(bytes: Vec<u8>) -> Result<LazyLibrary, LibraryError> {
-        LazyLibrary::from_body(MmapBody::Bytes(bytes), None)
+        LazyLibrary::decode(bytes, None)
     }
 
-    fn from_body(body: MmapBody, path: Option<PathBuf>) -> Result<LazyLibrary, LibraryError> {
-        let file_len = body.len();
-        let head = body.read_range(0..file_len.min(HEADER_LEN))?;
-        let header = LibraryHeader::decode(&head)?;
+    /// Validates the header, the class table and the section lengths of a
+    /// whole artifact; decodes no class and not the index.
+    fn decode(bytes: Vec<u8>, path: Option<PathBuf>) -> Result<LazyLibrary, LibraryError> {
+        let file_len = bytes.len();
+        let header = LibraryHeader::decode(&bytes)?;
         let table_len = ClassTable::len_for(header.num_eccs as usize);
         if file_len < HEADER_LEN + table_len {
             return Err(LibraryError::Truncated {
@@ -154,15 +126,15 @@ impl LazyLibrary {
         }
         // Integrity before structure: a corrupted table is a checksum
         // mismatch; only a checksum-valid table is judged on its shape.
-        let table_bytes = body.read_range(HEADER_LEN..HEADER_LEN + table_len)?;
-        let found = artifact_checksum(&head[..HEADER_LEN - 8], &table_bytes);
+        let table_bytes = &bytes[HEADER_LEN..HEADER_LEN + table_len];
+        let found = artifact_checksum(&bytes[..HEADER_LEN - 8], table_bytes);
         if found != header.checksum {
             return Err(LibraryError::ChecksumMismatch {
                 expected: header.checksum,
                 found,
             });
         }
-        let table = ClassTable::decode(&table_bytes, &header)?;
+        let table = ClassTable::decode(table_bytes, &header)?;
         let expected_len = (HEADER_LEN + table_len)
             .checked_add(header.ecc_len as usize)
             .and_then(|l| l.checked_add(header.index_len as usize))
@@ -189,7 +161,7 @@ impl LazyLibrary {
         Ok(LazyLibrary {
             header,
             table,
-            body,
+            bytes,
             ecc_start: HEADER_LEN + table_len,
             class_offsets,
             classes,
@@ -220,7 +192,7 @@ impl LazyLibrary {
     }
 
     /// Number of *distinct* classes decoded so far — the O(used classes)
-    /// counter surfaced by the `startup/v2_lazy` bench suite; 0 after open.
+    /// counter a library-cache load leaves at 0.
     pub fn decoded_classes(&self) -> usize {
         self.decoded.load(Ordering::Relaxed)
     }
@@ -238,9 +210,9 @@ impl LazyLibrary {
 
     /// Reads, digest-verifies and decodes class `i`, without caching it.
     fn decode_class(&self, i: usize) -> Result<Ecc, LibraryError> {
-        let payload = self.body.read_range(self.class_range(i))?;
-        verify_class_payload(&self.header, i, &self.table.classes[i], &payload)?;
-        decode_class_payload(i, &payload)
+        let payload = &self.bytes[self.class_range(i)];
+        verify_class_payload(&self.header, i, &self.table.classes[i], payload)?;
+        decode_class_payload(i, payload)
     }
 
     /// Returns class `i`, decoding (and digest-verifying) it on first
@@ -249,7 +221,7 @@ impl LazyLibrary {
     /// # Errors
     ///
     /// [`LibraryError::ClassDigestMismatch`] when the payload bytes do not
-    /// hash to the table's digest, plus any decode or I/O failure.
+    /// hash to the table's digest, plus any decode failure.
     ///
     /// # Panics
     ///
@@ -275,9 +247,9 @@ impl LazyLibrary {
         if !self.header.has_index() {
             return Ok(None);
         }
-        let bytes = self.body.read_range(self.index_range())?;
-        verify_index_section(&self.table, &bytes)?;
-        decode_index_section(&bytes).map(Some)
+        let bytes = &self.bytes[self.index_range()];
+        verify_index_section(&self.table, bytes)?;
+        decode_index_section(bytes).map(Some)
     }
 
     /// The prebuilt dispatch index, decoded (and digest-verified) on first
@@ -286,7 +258,7 @@ impl LazyLibrary {
     /// # Errors
     ///
     /// [`LibraryError::IndexDigestMismatch`] when the section bytes do not
-    /// hash to the table's digest, plus any decode or I/O failure.
+    /// hash to the table's digest, plus any decode failure.
     pub fn index(&self) -> Result<Option<Arc<TransformationIndex>>, LibraryError> {
         if let Some(cached) = self.index_cache.get() {
             return Ok(cached.clone());
@@ -328,48 +300,36 @@ impl LazyLibrary {
     pub(crate) fn into_library(self) -> Result<Library, LibraryError> {
         let ecc_set = self.collect_set(|i| self.decode_class(i))?;
         let index = self.decode_index()?;
-        let bytes = match self.body {
-            MmapBody::Bytes(bytes) => bytes,
-            MmapBody::Mapped { map, path } => map
-                .read_range(0..map.len())
-                .map_err(|e| LibraryError::Io(path_io_error(&path, e)))?,
-        };
-        Ok(Library::from_decoded(self.header, ecc_set, index, bytes))
+        Ok(Library::from_decoded(
+            self.header,
+            ecc_set,
+            index,
+            self.bytes,
+        ))
     }
 
-    /// Verifies every byte of the artifact *without* decoding anything: the
-    /// sections are read once and each class payload and the index section
-    /// are re-hashed against the table's digests. This is how a corrupted
-    /// class a lazy reader never touched is still caught — the library
-    /// cache runs it before caching an artifact, and `quartz-lib
-    /// verify-checksum` runs it too.
+    /// Verifies every byte of the artifact *without* decoding anything:
+    /// each class payload and the index section are re-hashed against the
+    /// table's digests. This is how a corrupted class a lazy reader never
+    /// touched is still caught — the library cache runs it before caching
+    /// an artifact, and `quartz-lib verify-checksum` runs it too.
     ///
     /// A class or index this handle has already decoded was verified when
-    /// it was read and is served from memory from then on, so its bytes are
-    /// not hashed again: together with the check at open, a fresh handle
-    /// that decodes its index and then calls this has hashed every byte of
-    /// the file exactly once.
+    /// it was first touched, so its bytes are not hashed again: together
+    /// with the check at open, a fresh handle that decodes its index and
+    /// then calls this has hashed every byte of the file exactly once.
     ///
     /// # Errors
     ///
-    /// The first digest mismatch or I/O failure found.
+    /// The first digest mismatch found.
     pub fn verify_all(&self) -> Result<(), LibraryError> {
-        let index_range = self.index_range();
-        let index_pending = self.header.has_index() && self.index_cache.get().is_none();
-        let end = if index_pending {
-            index_range.end
-        } else {
-            index_range.start
-        };
-        let sections = self.body.read_range(self.ecc_start..end)?;
         for (i, entry) in self.table.classes.iter().enumerate() {
             if self.classes[i].get().is_none() {
-                let payload = &sections[self.class_offsets[i]..self.class_offsets[i + 1]];
-                verify_class_payload(&self.header, i, entry, payload)?;
+                verify_class_payload(&self.header, i, entry, &self.bytes[self.class_range(i)])?;
             }
         }
-        if index_pending {
-            verify_index_section(&self.table, &sections[self.header.ecc_len as usize..])?;
+        if self.header.has_index() && self.index_cache.get().is_none() {
+            verify_index_section(&self.table, &self.bytes[self.index_range()])?;
         }
         Ok(())
     }

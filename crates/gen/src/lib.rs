@@ -10,18 +10,19 @@
 //!   paper Tables 5, 6 and 8).
 //! * [`prune`] applies ECC simplification and common-subcircuit pruning.
 //! * [`transformations_from_ecc_set`] extracts the optimizer's rewrite-rule
-//!   list from a set, and [`TransformationIndex`] is the anchor-bucket +
+//!   list from a set, and [`TransformationIndex`] is the gate-bucket +
 //!   histogram dispatch index built over it (DESIGN.md §2.2); its
 //!   [`MatchAutomaton`] compiles the target patterns into one prefix tree
 //!   for library-wide matching (DESIGN.md §2.6).
-//! * [`Library`] persists a set — and optionally its prebuilt index — as a
+//! * [`Library`] persists a set — and optionally its rule list — as a
 //!   versioned, checksummed `QTZL` binary artifact (DESIGN.md §7) that
 //!   loads in milliseconds; the `quartz-lib` CLI
 //!   (`cargo run -p quartz-gen --bin quartz-lib`) packs, inspects and
 //!   verifies artifacts.
 //! * [`LazyLibrary`] is the one reader of artifacts (DESIGN.md §12): it
-//!   validates the header and class table at open and decodes each class
-//!   on first touch. Every library is one whole artifact read through it.
+//!   reads the file once, validates the header and class table at open and
+//!   decodes each class on first touch. Every library is one whole artifact
+//!   read through it.
 //! * [`count_possible_circuits`] computes the brute-force sequence counts the
 //!   paper compares against in Table 6.
 //!
@@ -74,7 +75,7 @@ pub use index::{IndexScratch, TransformationIndex};
 pub use lazy::LazyLibrary;
 pub use library::{
     artifact_checksum, checksum64, class_payload_digest, path_io_error, ClassEntry, ClassTable,
-    Library, LibraryError, LibraryHeader, FORMAT_VERSION_V2, GENERATOR_VERSION, HEADER_LEN, MAGIC,
+    Library, LibraryError, LibraryHeader, FORMAT_VERSION, GENERATOR_VERSION, HEADER_LEN, MAGIC,
 };
 pub use prune::{prune, prune_common_subcircuits, simplify_eccs, PruneStats};
 pub use repgen::{GenConfig, GenStats, Generator};

@@ -19,11 +19,11 @@
 //! * an **ECC payload** section: the lossless binary encoding of the
 //!   [`EccSet`], one class after another;
 //! * an optional **prebuilt index** section: the extracted
-//!   [`Transformation`] list plus the anchor buckets and pattern histograms
-//!   of its [`TransformationIndex`], so loaders skip both generation *and*
-//!   index construction.
+//!   [`Transformation`] list and nothing else, so loaders skip generation
+//!   and rule extraction; the [`TransformationIndex`] over it is derived at
+//!   load.
 //!
-//! There is one container format ([`FORMAT_VERSION_V2`]) and one reader,
+//! There is one container format ([`FORMAT_VERSION`]) and one reader,
 //! [`crate::LazyLibrary`]: [`Library::from_bytes`] is that reader decoding
 //! every class and the index up front. The `quartz-lib` CLI
 //! (`crates/gen/src/bin/quartz-lib.rs`) wraps this module for the
@@ -75,7 +75,7 @@
 use crate::ecc::{Ecc, EccSet};
 use crate::index::TransformationIndex;
 use crate::xform::{transformations_from_ecc_set, Transformation};
-use quartz_ir::{Circuit, Gate, Instruction, ParamExpr, ALL_GATES};
+use quartz_ir::{Circuit, Instruction, ParamExpr, ALL_GATES};
 use std::fmt;
 use std::io;
 use std::path::Path;
@@ -85,13 +85,13 @@ pub const MAGIC: [u8; 4] = *b"QTZL";
 
 /// The artifact format version, and the only one readers accept: a header,
 /// then a [`ClassTable`] carrying per-class byte ranges, per-class content
-/// digests and an index-section digest, then the sections. Any other
-/// version is refused with [`LibraryError::UnsupportedVersion`]
-/// (DESIGN.md §7.3).
-pub const FORMAT_VERSION_V2: u16 = 2;
+/// digests and an index-section digest, then the ECC payload and an index
+/// section holding the transformation list alone. Any other version is
+/// refused with [`LibraryError::UnsupportedVersion`] (DESIGN.md §7.3).
+pub const FORMAT_VERSION: u16 = 3;
 
 /// Version of the generation pipeline (RepGen + pruning + transformation
-/// extraction + anchor selection). Bumped whenever regenerating the same
+/// extraction). Bumped whenever regenerating the same
 /// `(gate set, n, q, m)` would produce a different artifact; `quartz-lib
 /// verify-checksum` fails artifacts whose recorded generator version is
 /// stale.
@@ -151,7 +151,7 @@ pub fn path_io_error(path: &Path, e: io::Error) -> io::Error {
 pub enum LibraryError {
     /// The buffer does not start with the `QTZL` magic.
     NotALibrary,
-    /// The artifact's format version is not [`FORMAT_VERSION_V2`].
+    /// The artifact's format version is not [`FORMAT_VERSION`].
     UnsupportedVersion(u16),
     /// The buffer ended before the structure it claims to contain.
     Truncated {
@@ -206,7 +206,7 @@ impl fmt::Display for LibraryError {
             LibraryError::UnsupportedVersion(v) => write!(
                 f,
                 "unsupported library format version {v} (this build reads version \
-                 {FORMAT_VERSION_V2} only)"
+                 {FORMAT_VERSION} only)"
             ),
             LibraryError::Truncated { context } => {
                 write!(f, "artifact truncated while reading {context}")
@@ -251,7 +251,7 @@ impl From<io::Error> for LibraryError {
 /// The decoded fixed-size header of a library artifact (DESIGN.md §7.1).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LibraryHeader {
-    /// Artifact format version (always [`FORMAT_VERSION_V2`]).
+    /// Artifact format version (always [`FORMAT_VERSION`]).
     pub format_version: u16,
     /// Name of the gate set the library was generated for (≤ 12 ASCII
     /// bytes; informational).
@@ -322,7 +322,7 @@ impl LibraryHeader {
             u64::from_le_bytes(b)
         };
         let format_version = u16_at(4);
-        if format_version != FORMAT_VERSION_V2 {
+        if format_version != FORMAT_VERSION {
             return Err(LibraryError::UnsupportedVersion(format_version));
         }
         let header_len = u16_at(6) as usize;
@@ -419,17 +419,6 @@ fn encode_index_section(index: &TransformationIndex) -> Vec<u8> {
     for xform in index.transformations() {
         encode_circuit(&mut out, &xform.target);
         encode_circuit(&mut out, &xform.rewrite);
-    }
-    for histogram in index.pattern_histograms() {
-        for g in ALL_GATES {
-            put_u32(&mut out, histogram.count(g) as u32);
-        }
-    }
-    for bucket in index.anchor_buckets() {
-        put_u32(&mut out, bucket.len() as u32);
-        for &id in bucket {
-            put_u32(&mut out, id as u32);
-        }
     }
     out
 }
@@ -585,42 +574,12 @@ pub(crate) fn decode_index_section(bytes: &[u8]) -> Result<TransformationIndex, 
         let rewrite = decode_circuit(&mut cur)?;
         transformations.push(Transformation { target, rewrite });
     }
-    let mut histograms = Vec::with_capacity(count.min(65_536));
-    for xform in &transformations {
-        // Compare the stored counts against the already-decoded target's
-        // histogram instead of materializing them one occurrence at a time —
-        // the section is valid only if they agree anyway (see
-        // `TransformationIndex::from_parts`), and this bounds the work by
-        // the real pattern size rather than by a u32 read from the file.
-        let expected = xform.target.gate_histogram();
-        for g in ALL_GATES {
-            let occurrences = cur.u32("histogram count")? as usize;
-            if occurrences != expected.count(g) {
-                return Err(LibraryError::Malformed(format!(
-                    "stored histogram count for {g} ({occurrences}) does not match the \
-                     target pattern ({})",
-                    expected.count(g)
-                )));
-            }
-        }
-        histograms.push(*expected);
-    }
-    let mut buckets = Vec::with_capacity(Gate::COUNT);
-    for _ in 0..Gate::COUNT {
-        let len = cur.u32("anchor bucket length")? as usize;
-        let mut bucket = Vec::with_capacity(len.min(65_536));
-        for _ in 0..len {
-            bucket.push(cur.u32("anchor bucket id")? as usize);
-        }
-        buckets.push(bucket);
-    }
     if !cur.finished() {
         return Err(LibraryError::Malformed(
-            "trailing bytes after the anchor buckets of the index section".to_string(),
+            "trailing bytes after the transformations of the index section".to_string(),
         ));
     }
-    TransformationIndex::from_parts(transformations, histograms, buckets)
-        .map_err(LibraryError::Malformed)
+    Ok(TransformationIndex::new(transformations))
 }
 
 // ---------------------------------------------------------------------------
@@ -856,7 +815,7 @@ impl Library {
             },
         };
         let mut header = LibraryHeader {
-            format_version: FORMAT_VERSION_V2,
+            format_version: FORMAT_VERSION,
             gate_set,
             max_gates: ecc_set
                 .eccs
@@ -1024,7 +983,6 @@ mod tests {
                 let fresh = TransformationIndex::new(transformations_from_ecc_set(&set, true));
                 assert_eq!(index.len(), fresh.len());
                 assert_eq!(index.transformations(), fresh.transformations());
-                assert_eq!(index.anchor_buckets(), fresh.anchor_buckets());
             }
             // Encoding is deterministic.
             assert_eq!(bytes, back.to_bytes());
@@ -1036,7 +994,7 @@ mod tests {
         let library = Library::new("Nam", sample_set(), true);
         let h = library.header();
         assert_eq!(h.gate_set, "Nam");
-        assert_eq!(h.format_version, FORMAT_VERSION_V2);
+        assert_eq!(h.format_version, FORMAT_VERSION);
         assert_eq!(h.generator_version, GENERATOR_VERSION);
         assert_eq!(h.max_gates, 2);
         assert_eq!(h.num_qubits, 2);

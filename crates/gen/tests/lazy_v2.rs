@@ -1,11 +1,14 @@
-//! Adversarial tests for the v2 lazy-loading path (DESIGN.md §12):
+//! Adversarial tests for the lazy-loading path (DESIGN.md §12):
 //! truncation at every section boundary must surface as a *typed*
 //! [`LibraryError`] at open, corruption in a class the reader never touches
-//! must still be caught by the digest sweep, and I/O failures must name the
-//! offending path.
+//! must still be caught by the digest sweep, an index section carrying more
+//! than the rule list is refused, and I/O failures must name the offending
+//! path.
 
-use quartz_gen::{Ecc, EccSet, LazyLibrary, Library, LibraryError, HEADER_LEN};
-use quartz_ir::{Circuit, Gate, Instruction};
+use quartz_gen::{
+    artifact_checksum, checksum64, Ecc, EccSet, LazyLibrary, Library, LibraryError, HEADER_LEN,
+};
+use quartz_ir::{Circuit, Gate, Instruction, ALL_GATES};
 
 fn pair(gate: Gate, qubits: &[usize]) -> Circuit {
     let mut c = Circuit::new(2, 0);
@@ -15,7 +18,7 @@ fn pair(gate: Gate, qubits: &[usize]) -> Circuit {
 }
 
 /// Three classes with distinct anchors, packed with a prebuilt index.
-fn sample_v2() -> Library {
+fn sample() -> Library {
     let mut set = EccSet::new(2, 0);
     set.eccs
         .push(Ecc::new(vec![pair(Gate::H, &[0]), Circuit::new(2, 0)]));
@@ -30,7 +33,7 @@ fn sample_v2() -> Library {
 
 #[test]
 fn truncation_at_every_section_boundary_is_a_typed_error() {
-    let library = sample_v2();
+    let library = sample();
     let bytes = library.to_bytes();
     let lazy = LazyLibrary::from_bytes(bytes.clone()).unwrap();
     let table = lazy.class_table();
@@ -57,7 +60,7 @@ fn truncation_at_every_section_boundary_is_a_typed_error() {
         let truncated = bytes[..cut].to_vec();
         // The lazy open validates lengths before trusting any offset: every
         // truncation is a typed Truncated error, never a panic, a silent
-        // partial library, or (on the mmap path) a fault at first touch.
+        // partial library, or a failure at first touch.
         match LazyLibrary::from_bytes(truncated.clone()) {
             Err(LibraryError::Truncated { .. }) => {}
             // Cuts inside the 4-byte magic can't even prove the file is ours.
@@ -75,7 +78,7 @@ fn truncation_at_every_section_boundary_is_a_typed_error() {
 
 #[test]
 fn corruption_in_an_untouched_class_is_caught_by_the_digest_sweep() {
-    let library = sample_v2();
+    let library = sample();
     let bytes = library.to_bytes();
     let lazy = LazyLibrary::from_bytes(bytes.clone()).unwrap();
     let table = lazy.class_table();
@@ -109,8 +112,61 @@ fn corruption_in_an_untouched_class_is_caught_by_the_digest_sweep() {
     ));
 }
 
+/// The index section holds the rule list and nothing else. A version-3
+/// artifact whose index section still carries the per-rule gate histograms
+/// and anchor buckets older versions stored after the rules — with the
+/// index digest and the artifact checksum resealed over them, so only the
+/// section's own length can tell — is refused by both decoders.
+#[test]
+fn an_index_section_with_a_histogram_and_bucket_tail_is_malformed() {
+    let library = sample();
+    let mut bytes = library.to_bytes();
+    let table_len = LazyLibrary::from_bytes(bytes.clone())
+        .unwrap()
+        .class_table()
+        .encoded_len();
+    let index_start = HEADER_LEN + table_len + library.header().ecc_len as usize;
+
+    let rules = library.index().unwrap().transformations();
+    let mut buckets = vec![Vec::new(); ALL_GATES.len()];
+    for (id, rule) in rules.iter().enumerate() {
+        let histogram = rule.target.gate_histogram();
+        for gate in ALL_GATES {
+            bytes.extend_from_slice(&(histogram.count(gate) as u32).to_le_bytes());
+        }
+        buckets[rule.target.instructions()[0].gate.index()].push(id as u32);
+    }
+    for bucket in &buckets {
+        bytes.extend_from_slice(&(bucket.len() as u32).to_le_bytes());
+        for id in bucket {
+            bytes.extend_from_slice(&id.to_le_bytes());
+        }
+    }
+
+    // Reseal: index length in the header, index digest at the end of the
+    // class table, then the checksum over header prefix and table.
+    let index_len = (bytes.len() - index_start) as u64;
+    bytes[56..64].copy_from_slice(&index_len.to_le_bytes());
+    let digest = checksum64(&bytes[index_start..]);
+    let table_end = HEADER_LEN + table_len;
+    bytes[table_end - 8..table_end].copy_from_slice(&digest.to_le_bytes());
+    let checksum = artifact_checksum(&bytes[..HEADER_LEN - 8], &bytes[HEADER_LEN..table_end]);
+    bytes[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
+
+    let lazy = LazyLibrary::from_bytes(bytes.clone()).expect("the resealed prefix is valid");
+    lazy.verify_all().expect("every digest matches");
+    assert!(
+        matches!(lazy.index(), Err(LibraryError::Malformed(_))),
+        "LazyLibrary::index accepted the tail"
+    );
+    assert!(
+        matches!(Library::from_bytes(&bytes), Err(LibraryError::Malformed(_))),
+        "Library::from_bytes accepted the tail"
+    );
+}
+
 /// `quartz-lib` as a binary: both container versions get their version
-/// printed — version 2 in the header dump, version 1 in the refusal — and
+/// printed — version 3 in the header dump, version 2 in the refusal — and
 /// a command that no longer exists (`shard`) exits through the usage
 /// error, whose text lists only the commands that do.
 #[test]
@@ -119,29 +175,29 @@ fn inspect_prints_the_format_version_for_both_container_versions() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
-    let bytes = sample_v2().to_bytes();
-    let mut v1 = bytes.clone();
-    v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+    let bytes = sample().to_bytes();
+    let mut v2 = bytes.clone();
+    v2[4..6].copy_from_slice(&2u16.to_le_bytes());
+    let v3_path = dir.join("v3.qtzl");
     let v2_path = dir.join("v2.qtzl");
-    let v1_path = dir.join("v1.qtzl");
-    std::fs::write(&v2_path, bytes).unwrap();
-    std::fs::write(&v1_path, v1).unwrap();
-    let (v2_path, v1_path) = (v2_path.to_str().unwrap(), v1_path.to_str().unwrap());
+    std::fs::write(&v3_path, bytes).unwrap();
+    std::fs::write(&v2_path, v2).unwrap();
+    let (v3_path, v2_path) = (v3_path.to_str().unwrap(), v2_path.to_str().unwrap());
     let prefix = dir.join("split");
     let prefix = prefix.to_str().unwrap();
     // (arguments, exit code, text on stdout for 0 and on stderr otherwise)
     let cases: [(&[&str], i32, &str); 3] = [
-        (&["inspect", v2_path], 0, "format version:     2"),
+        (&["inspect", v3_path], 0, "format version:     3"),
         (
-            &["inspect", v1_path],
+            &["inspect", v2_path],
             1,
-            "unsupported library format version 1",
+            "unsupported library format version 2",
         ),
         (
             &[
                 "shard",
                 "--in",
-                v2_path,
+                v3_path,
                 "--count",
                 "2",
                 "--out-prefix",
@@ -196,6 +252,22 @@ fn io_errors_name_the_offending_path() {
     assert!(matches!(err, LibraryError::Io(_)), "{err:?}");
     assert!(
         err.to_string().contains("not_there.qtzl"),
+        "I/O error must name the offending path, got: {err}"
+    );
+
+    // An empty file has no magic: it is not a library.
+    let empty = dir.join("empty.qtzl");
+    std::fs::write(&empty, b"").unwrap();
+    let err = LazyLibrary::open(&empty).unwrap_err();
+    assert!(matches!(err, LibraryError::NotALibrary), "{err:?}");
+
+    // A directory opens but cannot be read: an Io error naming it.
+    let subdir = dir.join("a_directory.qtzl");
+    std::fs::create_dir_all(&subdir).unwrap();
+    let err = LazyLibrary::open(&subdir).unwrap_err();
+    assert!(matches!(err, LibraryError::Io(_)), "{err:?}");
+    assert!(
+        err.to_string().contains("a_directory.qtzl"),
         "I/O error must name the offending path, got: {err}"
     );
 

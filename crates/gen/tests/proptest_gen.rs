@@ -100,7 +100,6 @@ proptest! {
         );
         prop_assert_eq!(loaded_index.len(), fresh.len());
         prop_assert_eq!(loaded_index.transformations(), fresh.transformations());
-        prop_assert_eq!(loaded_index.anchor_buckets(), fresh.anchor_buckets());
     }
 
     #[test]
@@ -139,7 +138,7 @@ proptest! {
         prop_assert_eq!(lazy.index().unwrap().is_some(), with_index);
     }
 
-    /// The v2 corruption matrix: every single-byte flip is caught either at
+    /// The corruption matrix: every single-byte flip is caught either at
     /// open (header/class-table region, sealed by the artifact checksum) or
     /// at the first lazy decode of exactly the section the flip landed in —
     /// the touched class, or the index. Untouched classes still decode.

@@ -73,16 +73,23 @@ impl CostModel {
     /// from its parent's cost and γ-reject it *before* materializing and
     /// canonicalizing the candidate circuit.
     pub fn instruction_cost(&self, instr: &crate::Instruction) -> Option<usize> {
+        self.gate_cost(instr.gate)
+    }
+
+    /// The cost of one `gate` under an additive model (`None` for depth):
+    /// the additive models price an instruction by its gate type alone.
+    fn gate_cost(&self, gate: Gate) -> Option<usize> {
         match self {
             CostModel::GateCount => Some(1),
-            CostModel::MultiQubitGateCount => Some(usize::from(instr.gate.num_qubits() >= 2)),
-            CostModel::TCount => Some(usize::from(matches!(instr.gate, Gate::T | Gate::Tdg))),
+            CostModel::MultiQubitGateCount => Some(usize::from(gate.num_qubits() >= 2)),
+            CostModel::TCount => Some(usize::from(matches!(gate, Gate::T | Gate::Tdg))),
             CostModel::Depth => None,
         }
     }
 
-    /// A [`DeltaCoster`] over `dag`: one O(circuit) preparation pass, then
-    /// exact [`DeltaCoster::cost_after`] answers per candidate splice. The
+    /// A [`DeltaCoster`] over `dag`: an O(gate types) preparation for the
+    /// additive models (an O(circuit) pass for depth), then exact
+    /// [`DeltaCoster::cost_after`] answers per candidate splice. The
     /// optimizer builds one per expanded frontier entry and prices every
     /// candidate rewrite of that entry through it.
     pub fn delta_coster<'a>(&self, dag: &'a CircuitDag) -> DeltaCoster<'a> {
@@ -172,10 +179,14 @@ pub struct DeltaCoster<'a> {
 
 impl<'a> DeltaCoster<'a> {
     fn new(model: CostModel, dag: &'a CircuitDag) -> Self {
-        let (parent_cost, depth) = if model.is_additive() {
-            let total = dag
-                .nodes()
-                .map(|(_, instr)| model.instruction_cost(instr).expect("additive"))
+        let (parent_cost, depth) = if model == CostModel::GateCount {
+            (dag.gate_count(), None)
+        } else if model.is_additive() {
+            // O(gate types) over the DAG's maintained histogram.
+            let histogram = dag.gate_histogram();
+            let total = histogram
+                .present_gates()
+                .map(|g| histogram.count(g) * model.gate_cost(g).expect("additive"))
                 .sum();
             (total, None)
         } else {

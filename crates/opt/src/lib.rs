@@ -56,12 +56,10 @@
 
 mod baseline;
 mod cache;
-mod cost;
 mod matcher;
 mod preprocess;
 mod search;
 mod service;
-mod xform;
 
 // The naive Algorithm 2 the unit tests compare the engine against; the
 // integration suites include the same file. It names this crate
@@ -74,16 +72,15 @@ mod oracle;
 
 pub use baseline::{greedy_optimize, BaselineStats};
 pub use cache::{LibraryCache, LoadedLibrary};
-pub use cost::{CostModel, DeltaCoster};
 pub use matcher::{DeltaScratch, Match, MatchContext, MatchScratch};
 pub use preprocess::{
     cancel_adjacent_inverses, clifford_t_to_nam, decompose_toffolis, merge_rotations, nam_to_ibm,
     nam_to_rigetti, preprocess_ibm, preprocess_nam, preprocess_rigetti, toffoli_decomposition,
 };
-pub use quartz_gen::TransformationIndex;
+pub use quartz_gen::{transformations_from_ecc_set, Transformation, TransformationIndex};
+pub use quartz_ir::{canonicalize, CostModel, DeltaCoster};
 pub use search::{Optimizer, SearchConfig, SearchProfile, SearchResult};
 pub use service::{
     AdmissionError, OptimizationService, Priority, RequestId, RequestState, RequestStatus,
     ServiceEvent, ServiceRequest, ServiceScheduler,
 };
-pub use xform::{canonicalize, transformations_from_ecc_set, Transformation};

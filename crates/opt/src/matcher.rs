@@ -581,8 +581,11 @@ fn bind_params(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::xform::{canonicalize, instruction};
-    use quartz_ir::{equivalent_up_to_phase, Gate};
+    use quartz_ir::{canonicalize, equivalent_up_to_phase, Gate};
+
+    fn instruction(gate: Gate, qubits: &[usize]) -> Instruction {
+        Instruction::new(gate, qubits.to_vec(), vec![])
+    }
 
     fn h(q: usize) -> Instruction {
         instruction(Gate::H, &[q])

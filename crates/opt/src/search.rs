@@ -51,12 +51,12 @@
 //! is a scheduler with one request.
 
 use crate::cache::LoadedLibrary;
-use crate::cost::CostModel;
 use crate::matcher::{DeltaScratch, MatchContext, MatchScratch};
 use crate::service::{ServiceRequest, ServiceScheduler};
-use crate::xform::{canonicalize, Transformation};
-use quartz_gen::{IndexScratch, TransformationIndex};
-use quartz_ir::{Circuit, CircuitDag, FxHashSet, SpliceDelta, StructuralHash};
+use quartz_gen::{IndexScratch, Transformation, TransformationIndex};
+use quartz_ir::{
+    canonicalize, Circuit, CircuitDag, CostModel, FxHashSet, SpliceDelta, StructuralHash,
+};
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -610,7 +610,7 @@ impl Optimizer {
     /// Creates an optimizer from an ECC set, extracting transformations with
     /// common-subcircuit pruning enabled (paper §5.2).
     pub fn from_ecc_set(set: &quartz_gen::EccSet, config: SearchConfig) -> Self {
-        let transformations = crate::xform::transformations_from_ecc_set(set, true);
+        let transformations = quartz_gen::transformations_from_ecc_set(set, true);
         Optimizer::new(transformations, config)
     }
 
@@ -848,9 +848,12 @@ impl Optimizer {
 mod tests {
     use super::*;
     use crate::oracle;
-    use crate::xform::instruction;
     use quartz_gen::{GenConfig, Generator};
     use quartz_ir::{equivalent_up_to_phase, Gate, GateSet, Instruction, ParamExpr};
+
+    fn instruction(gate: Gate, qubits: &[usize]) -> Instruction {
+        Instruction::new(gate, qubits.to_vec(), vec![])
+    }
 
     fn nam_optimizer(n: usize, q: usize, m: usize) -> Optimizer {
         let (set, _) = Generator::new(GateSet::nam(), GenConfig::standard(n, q, m)).run();

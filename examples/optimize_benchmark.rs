@@ -97,8 +97,14 @@ fn main() {
             "Search phase breakdown ({:.3}s profiled):",
             result.profile.total().as_secs_f64()
         );
-        for (phase, secs) in result.profile.phases() {
-            println!("  {phase:>12}  {secs:>9.4}s");
+        let phases = result.profile.phases();
+        let width = phases
+            .iter()
+            .map(|(phase, _)| phase.len())
+            .max()
+            .unwrap_or(0);
+        for (phase, secs) in phases {
+            println!("  {phase:>width$}  {secs:>9.4}s");
         }
     }
 }
