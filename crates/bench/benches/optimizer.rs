@@ -2,18 +2,34 @@
 //! the greedy baseline, one library-wide match walk per search root, the
 //! derive and hash-preview layers over those roots' matches, and
 //! short cost-based searches on a benchmark circuit and on QFT-8, where the
-//! dispatch index skips every X-bearing pattern (DESIGN.md §2.2).
+//! dispatch index skips every X-bearing pattern (DESIGN.md §2.2), and one
+//! multi-circuit batch timed at one and at two threads.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use quartz_bench::{build_ecc_set, GateSetKind};
 use quartz_circuits::{approximate_qft, suite};
 use quartz_gen::{IndexScratch, Library, TransformationIndex};
-use quartz_ir::{SpliceDelta, StructuralHash};
+use quartz_ir::{Circuit, SpliceDelta, StructuralHash};
 use quartz_opt::{
-    canonicalize, greedy_optimize, preprocess_nam, MatchContext, MatchScratch, Optimizer,
-    SearchConfig,
+    canonicalize, greedy_optimize, preprocess_nam, MatchContext, MatchScratch, OptimizationService,
+    Optimizer, SearchConfig,
 };
+use std::sync::Arc;
 use std::time::Duration;
+
+/// The committed NAM (3,2) library artifact.
+const NAM_LIBRARY: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../libraries/nam_n3_q2.qtzl"
+);
+
+/// The committed NAM library's dispatch index.
+fn nam_index() -> TransformationIndex {
+    let (_, index) = Library::load(NAM_LIBRARY)
+        .expect("committed NAM library")
+        .into_parts();
+    index.expect("the committed library embeds its index")
+}
 
 fn bench_preprocessing(c: &mut Criterion) {
     let mut group = c.benchmark_group("preprocess");
@@ -38,14 +54,7 @@ fn bench_greedy_baseline(c: &mut Criterion) {
 /// quick-suite search root (the canonicalized, preprocessed circuit a search
 /// starts from).
 fn nam_quick_roots() -> (TransformationIndex, Vec<MatchContext>) {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../libraries/nam_n3_q2.qtzl"
-    );
-    let (_, index) = Library::load(path)
-        .expect("committed NAM library")
-        .into_parts();
-    let index = index.expect("the committed library embeds its index");
+    let index = nam_index();
     let contexts = suite::quick_suite()
         .iter()
         .map(|(_, circuit)| MatchContext::new(&canonicalize(&preprocess_nam(circuit))))
@@ -203,6 +212,38 @@ fn bench_dispatch_qft8(c: &mut Criterion) {
     group.finish();
 }
 
+/// The four-circuit full-suite batch (NAM-preprocessed, ten iterations
+/// each, on the committed NAM library) that perfbench's `nam-large`
+/// workload runs, timed at one and at two threads: what a second thread
+/// buys a multi-frontier search step.
+fn bench_batch_threads(c: &mut Criterion) {
+    let index = Arc::new(nam_index());
+    let batch: Vec<Circuit> = ["barenco_tof_4", "barenco_tof_5", "gf2^4_mult", "gf2^5_mult"]
+        .iter()
+        .map(|name| preprocess_nam(&suite::build_clifford_t(name).unwrap()))
+        .collect();
+    let mut group = c.benchmark_group("batch_threads");
+    group.sample_size(50);
+    for threads in [1, 2] {
+        let service = OptimizationService::new(Optimizer::with_index(
+            Arc::clone(&index),
+            SearchConfig {
+                timeout: Duration::from_secs(3600),
+                max_iterations: 10,
+                num_threads: threads,
+                ..SearchConfig::default()
+            },
+        ));
+        group.bench_function(format!("nam_large_t{threads}"), |b| {
+            b.iter(|| {
+                let results = service.optimize_batch(&batch);
+                std::hint::black_box(results.iter().map(|r| r.best_cost).sum::<usize>())
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_preprocessing,
@@ -211,6 +252,7 @@ criterion_group!(
     bench_derive,
     bench_preview,
     bench_search_iterations,
-    bench_dispatch_qft8
+    bench_dispatch_qft8,
+    bench_batch_threads
 );
 criterion_main!(benches);

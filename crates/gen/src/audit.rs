@@ -656,7 +656,9 @@ impl Auditor {
         // Pass 1: semantic re-verification, parallel over classes. Results
         // come back in input order, so diagnostics are deterministic
         // regardless of thread count.
-        let work: Vec<(usize, &Ecc)> = set
+        // The work items own their class's circuits, so they can move into
+        // pool jobs.
+        let work: Vec<(usize, Vec<Circuit>)> = set
             .eccs
             .iter()
             .enumerate()
@@ -668,12 +670,13 @@ impl Auditor {
                 cache_hits += usize::from(hit);
                 !hit
             })
+            .map(|(i, ecc)| (i, ecc.circuits().to_vec()))
             .collect();
-        let verifier_config = &self.config.verifier;
+        let verifier_config = self.config.verifier.clone();
         let class_reports: Vec<(usize, quartz_verify::ClassReport)> =
-            quartz_ir::par::map_in_order(&work, self.config.threads, |(i, ecc)| {
+            quartz_ir::par::map_in_order(work, self.config.threads, move |(i, circuits)| {
                 let mut verifier = Verifier::new(verifier_config.clone());
-                (*i, verifier.verify_class(ecc.circuits()))
+                (i, verifier.verify_class(&circuits))
             });
         for (ecc_idx, class_report) in &class_reports {
             for (member, failure) in &class_report.failures {

@@ -368,7 +368,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_round_trips_and_lazy_decode_counts_used_classes() {
+    fn round_trips_and_lazy_decode_counts_used_classes() {
         let set = sample_set();
         let library = Library::new("Nam", set.clone(), true);
         let bytes = library.to_bytes();

@@ -143,7 +143,7 @@ proptest! {
     /// at the first lazy decode of exactly the section the flip landed in —
     /// the touched class, or the index. Untouched classes still decode.
     #[test]
-    fn every_v2_byte_flip_is_detected_at_open_or_first_touch(
+    fn every_byte_flip_is_detected_at_open_or_first_touch(
         set in arb_ecc_set(2, 1),
         seed in 0u64..u64::MAX,
     ) {

@@ -36,9 +36,9 @@
 //! * [`json`] — the workspace's one JSON codec (strict, depth-bounded,
 //!   position-carrying parser; compact and pretty writers), which the ECC,
 //!   audit, bench-report and daemon-wire shapes all map onto;
-//! * [`par`] — the order-preserving parallel map on scoped threads behind
-//!   the search step's per-frontier expansion and the auditor's class
-//!   re-verification;
+//! * [`par`] — the order-preserving parallel map on one persistent,
+//!   std-only worker pool, behind the search step's per-frontier expansion
+//!   and the auditor's class re-verification;
 //! * [`semantics`] — state-vector simulation, full unitaries, equivalence up
 //!   to global phase, and the fingerprinting of eq. (3);
 //! * [`qasm`] — an OpenQASM 2.0 subset parser and printer.

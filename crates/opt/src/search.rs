@@ -389,9 +389,10 @@ pub(crate) struct Frontier {
     /// Structural-hash values of every circuit ever enqueued — the
     /// deduplication identity. The hash is an exact invariant of the
     /// canonical form (DESIGN.md §13), so probing it is equivalent to
-    /// probing canonical forms. Workers probe it as frozen at the start of
-    /// a step; merges probe and extend it live.
-    seen: FxHashSet<u64>,
+    /// probing canonical forms. Expansion jobs probe it as frozen at the
+    /// start of a step through [`Frontier::share_seen`] handles; merges
+    /// probe and extend it live once every handle is dropped.
+    seen: Arc<FxHashSet<u64>>,
     best_circuit: Circuit,
     best_cost: usize,
     initial_cost: usize,
@@ -427,7 +428,7 @@ impl Frontier {
         Frontier {
             budget,
             queue,
-            seen,
+            seen: Arc::new(seen),
             best_circuit: canonical_input,
             best_cost: initial_cost,
             initial_cost,
@@ -463,9 +464,11 @@ impl Frontier {
         self.budget.saturating_sub(self.iterations)
     }
 
-    /// The structural-hash values of every circuit ever enqueued.
-    pub(crate) fn seen(&self) -> &FxHashSet<u64> {
-        &self.seen
+    /// A handle on the structural-hash values of every circuit ever
+    /// enqueued, for one expansion job. It must be dropped before the
+    /// job's [`Frontier::merge`].
+    pub(crate) fn share_seen(&self) -> Arc<FxHashSet<u64>> {
+        Arc::clone(&self.seen)
     }
 
     /// Improvement trace recorded so far (grows during [`Frontier::merge`]).
@@ -500,8 +503,12 @@ impl Frontier {
         self.fp_fast_rejects += expansion.fp_fast_rejects;
         self.fp_confirm_mismatches += expansion.fp_confirm_mismatches;
         self.profile.accumulate(&expansion.profile);
+        // `get_mut`, never `make_mut`: a handle still alive here is a bug,
+        // and silently copying the set would hide it.
+        let seen = Arc::get_mut(&mut self.seen)
+            .expect("expansion jobs drop their seen-set handle before the merge");
         for candidate in expansion.candidates {
-            if self.seen.contains(&candidate.shash.value()) {
+            if seen.contains(&candidate.shash.value()) {
                 // A merge-time duplicate: an earlier candidate of this
                 // expansion was just admitted.
                 self.dedup_hits += 1;
@@ -517,7 +524,7 @@ impl Frontier {
                         .push((start.elapsed(), self.best_cost));
                 }
                 self.order += 1;
-                self.seen.insert(candidate.shash.value());
+                seen.insert(candidate.shash.value());
                 self.queue.push(QueueEntry {
                     cost: candidate.cost,
                     order: self.order,

@@ -47,7 +47,7 @@
 
 use crate::search::{Frontier, Optimizer, QueueEntry, SearchConfig, SearchResult};
 use quartz_gen::TransformationIndex;
-use quartz_ir::Circuit;
+use quartz_ir::{Circuit, FxHashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -335,13 +335,18 @@ struct Slot {
     result: Option<SearchResult>,
 }
 
-/// One frontier's share of a scheduling step: the entry it popped, its best
-/// cost frozen at the pop, and its trace length before the step.
+/// One frontier's share of a scheduling step, owned so that it can move
+/// into a pool job: the entry it popped, its best cost and seen-set frozen
+/// at the pop, the request's engine, and its trace length before the step.
 struct Work {
     id: usize,
     trace_len_before: usize,
-    frozen_best: usize,
+    optimizer: Optimizer,
     entry: QueueEntry,
+    frozen_best: usize,
+    /// A handle on the frontier's seen-set. The job drops it before it
+    /// reports, so the merge gets the set back without a copy.
+    seen: Arc<FxHashSet<u64>>,
 }
 
 /// The status fields a frontier owns.
@@ -613,10 +618,8 @@ impl ServiceScheduler {
         let work: Vec<Work> = tops
             .iter()
             .map(|&(_, _, id, _)| {
-                let frontier = self.slots[id]
-                    .frontier
-                    .as_mut()
-                    .expect("selected slots are running");
+                let slot = &mut self.slots[id];
+                let frontier = slot.frontier.as_mut().expect("selected slots are running");
                 let trace_len_before = frontier.improvement_trace().len();
                 let entry = frontier
                     .pop()
@@ -624,39 +627,41 @@ impl ServiceScheduler {
                 Work {
                     id,
                     trace_len_before,
-                    frozen_best: frontier.best_cost(),
+                    optimizer: slot.optimizer.clone(),
                     entry,
+                    frozen_best: frontier.best_cost(),
+                    seen: frontier.share_seen(),
                 }
             })
             .collect();
 
-        // Expand the popped entries in parallel, one per selected frontier.
-        // Workers read only per-frontier state frozen before the step (each
-        // frontier's best cost and seen-set) through each request's own
-        // engine — which is how one step expands entries of different
-        // gate-set indexes side by side. The filters are exact, not
-        // heuristic: a candidate failing γ against the frozen best also
-        // fails against any (only ever lower) merge-time best, and a hash in
-        // the frozen seen-set is still in it at merge time.
-        let slots = &self.slots;
-        let expansions = quartz_ir::par::map_in_order(&work, threads, |w| {
-            let slot = &slots[w.id];
-            let frontier = slot.frontier.as_ref().expect("selected slots are running");
-            slot.optimizer
-                .expand_entry(&w.entry, w.frozen_best, frontier.seen())
+        // Expand the popped entries in parallel, one per selected frontier:
+        // each `Work` moves into a job on the persistent worker pool, and the
+        // calling thread expands the first itself. Jobs read only
+        // per-frontier state frozen before the step (each frontier's best
+        // cost and seen-set) through each request's own engine — which is
+        // how one step expands entries of different gate-set indexes side by
+        // side. The filters are exact, not heuristic: a candidate failing γ
+        // against the frozen best also fails against any (only ever lower)
+        // merge-time best, and a hash in the frozen seen-set is still in it
+        // at merge time. A job drops its `Work` before it reports, so every
+        // seen-set handle is gone by the merge.
+        let expansions = quartz_ir::par::map_in_order(work, threads, |w| {
+            let expansion = w.optimizer.expand_entry(&w.entry, w.frozen_best, &w.seen);
+            (w.id, w.trace_len_before, expansion)
         });
 
         // Merge in the global key order — fixed before expansion, so the
         // outcome is independent of thread scheduling.
         let step = self.step;
-        for (w, expansion) in work.iter().zip(expansions) {
-            let slot = &mut self.slots[w.id];
+        for (id, trace_len_before, expansion) in expansions {
+            let slot = &mut self.slots[id];
             let frontier = slot.frontier.as_mut().expect("selected slots are running");
             frontier.merge(expansion, config, slot.admitted_at);
             let iterations = frontier.iterations();
-            for &(_, best_cost) in &frontier.improvement_trace()[w.trace_len_before..] {
+            for &(_, best_cost) in &frontier.improvement_trace()[trace_len_before..] {
                 progress(ServiceEvent {
-                    request: RequestId(w.id as u64),
+                    request: RequestId(id as u64),
                     step,
                     best_cost,
                     iterations,
@@ -951,6 +956,60 @@ mod tests {
         // the merged stream (merges happen in ranked order per step).
         assert!(a.iter().all(|e| e.step > 0));
         assert!(a.windows(2).all(|w| w[0].step <= w[1].step));
+    }
+
+    /// Two batches stepped at the same time from two caller threads share
+    /// the one worker pool, and each result is bit-identical, field by
+    /// field, to a sequential 1-thread run of the same circuits.
+    #[test]
+    fn concurrent_callers_share_the_pool_and_keep_outcomes_exact() {
+        let two = nam_service(10, 2);
+        let one = OptimizationService::new(Optimizer::with_index(
+            two.optimizer().shared_index(),
+            SearchConfig {
+                num_threads: 1,
+                ..two.optimizer().config().clone()
+            },
+        ));
+        let batches = [
+            vec![h_ladder(6), cnot_pairs(4), h_ladder(3)],
+            vec![cnot_pairs(5), h_ladder(5), cnot_pairs(2)],
+        ];
+        let sequential: Vec<Vec<SearchResult>> =
+            batches.iter().map(|b| one.optimize_batch(b)).collect();
+        let start = std::sync::Barrier::new(batches.len());
+        let concurrent: Vec<Vec<SearchResult>> = std::thread::scope(|scope| {
+            let callers: Vec<_> = batches
+                .iter()
+                .map(|batch| {
+                    scope.spawn(|| {
+                        start.wait();
+                        two.optimize_batch(batch)
+                    })
+                })
+                .collect();
+            callers
+                .into_iter()
+                .map(|caller| caller.join().expect("caller thread panicked"))
+                .collect()
+        });
+        let costs = |r: &SearchResult| -> Vec<usize> {
+            r.improvement_trace.iter().map(|&(_, c)| c).collect()
+        };
+        assert_eq!(concurrent.iter().map(Vec::len).sum::<usize>(), 6);
+        for (got, want) in concurrent.iter().flatten().zip(sequential.iter().flatten()) {
+            assert_eq!(got.best_circuit, want.best_circuit);
+            assert_eq!(got.best_cost, want.best_cost);
+            assert_eq!(got.initial_cost, want.initial_cost);
+            assert_eq!(got.iterations, want.iterations);
+            assert_eq!(got.circuits_seen, want.circuits_seen);
+            assert_eq!(costs(got), costs(want));
+            assert_eq!(got.match_attempts, want.match_attempts);
+            assert_eq!(got.match_skips, want.match_skips);
+            assert_eq!(got.dedup_hits, want.dedup_hits);
+            assert_eq!(got.fp_fast_rejects, want.fp_fast_rejects);
+            assert_eq!(got.fp_confirm_mismatches, want.fp_confirm_mismatches);
+        }
     }
 
     #[test]
