@@ -115,10 +115,9 @@ impl Generator {
         let characteristic = instructions.len();
 
         // D: fingerprint key → ECC indices present in that bucket.
-        // All ECCs (including singletons) live in `classes`; `circuit_class`
-        // maps every stored circuit to its class index.
+        // All ECCs (including singletons) live in `classes`; a bucket lists
+        // the classes whose representative has that key.
         let mut classes: Vec<Ecc> = Vec::new();
-        let mut bucket_of_class: Vec<i64> = Vec::new();
         let mut buckets: HashMap<i64, Vec<usize>> = HashMap::new();
         let mut representatives: HashSet<Circuit> = HashSet::new();
         let mut verification_time = Duration::ZERO;
@@ -129,7 +128,6 @@ impl Generator {
         let empty = Circuit::new(cfg.num_qubits, cfg.num_params);
         let empty_key = self.fingerprint_key(&ctx, &empty);
         classes.push(Ecc::singleton(empty.clone()));
-        bucket_of_class.push(empty_key);
         buckets.entry(empty_key).or_default().push(0);
         representatives.insert(empty.clone());
         circuits_considered += 1;
@@ -169,9 +167,9 @@ impl Generator {
                 'outer: for candidate_key in [key, key - 1, key + 1] {
                     if let Some(class_indices) = buckets.get(&candidate_key) {
                         for &ci in class_indices {
-                            let rep = classes[ci].representative().clone();
+                            let rep = classes[ci].representative();
                             let t0 = Instant::now();
-                            let equal = verifier.check(&rep, &circuit).unwrap_or(false);
+                            let equal = verifier.check(rep, &circuit).unwrap_or(false);
                             verification_time += t0.elapsed();
                             if equal {
                                 classes[ci].insert(circuit.clone());
@@ -184,7 +182,6 @@ impl Generator {
                 if !assigned {
                     let ci = classes.len();
                     classes.push(Ecc::singleton(circuit.clone()));
-                    bucket_of_class.push(key);
                     buckets.entry(key).or_default().push(ci);
                     representatives.insert(circuit);
                 }
@@ -209,7 +206,6 @@ impl Generator {
             verifier_queries: verifier.stats().queries,
             eccs_per_round,
         };
-        let _ = bucket_of_class; // retained for symmetry with the paper's D
         (result, stats)
     }
 

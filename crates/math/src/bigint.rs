@@ -6,9 +6,12 @@
 //! multiplication, Euclidean division, GCD, comparison, parity, shifting and
 //! conversion to/from primitive integers and decimal strings.
 //!
-//! The implementation favours simplicity and correctness over raw speed: the
-//! coefficients that arise while verifying circuit transformations are small
-//! (a handful of limbs), so schoolbook algorithms are more than adequate.
+//! The implementation favours simplicity and correctness over raw speed. A
+//! [`Rational`](crate::Rational) keeps its parts in machine words whenever
+//! they fit, which covers every coefficient the verifier meets on the
+//! committed gate sets, so `BigInt` is only the representation of values
+//! that overflow an `i64`. Those are rare and a handful of limbs long, so
+//! schoolbook algorithms are adequate.
 
 use std::cmp::Ordering;
 use std::fmt;

@@ -346,13 +346,17 @@ forward_owned_binop_cyc!(Mul, mul);
 
 impl AddAssign<&Cyclotomic> for Cyclotomic {
     fn add_assign(&mut self, rhs: &Cyclotomic) {
-        *self = &*self + rhs;
+        for (a, b) in self.coeffs.iter_mut().zip(&rhs.coeffs) {
+            *a += b;
+        }
     }
 }
 
 impl SubAssign<&Cyclotomic> for Cyclotomic {
     fn sub_assign(&mut self, rhs: &Cyclotomic) {
-        *self = &*self - rhs;
+        for (a, b) in self.coeffs.iter_mut().zip(&rhs.coeffs) {
+            *a -= b;
+        }
     }
 }
 

@@ -7,14 +7,18 @@
 //! the workspace builds on:
 //!
 //! * [`BigInt`] — arbitrary-precision signed integers;
-//! * [`Rational`] — exact rationals in lowest terms;
+//! * [`Rational`] — exact rationals in lowest terms, held in two `i64`s and
+//!   computed in `i128` whenever the value fits, and in [`BigInt`]s only
+//!   when it overflows (a canonical form, so equal values compare and hash
+//!   equal);
 //! * [`Cyclotomic`] — the cyclotomic field ℚ(ζ₈) containing i, √2 and the
 //!   eighth roots of unity, which covers every constant appearing in the
 //!   gate sets of the Quartz paper;
 //! * [`Complex64`] — double-precision complex numbers for fast numeric
 //!   evaluation (fingerprints, phase-factor candidate search);
 //! * [`Matrix`] — dense matrices over any [`Ring`], used for both numeric
-//!   unitaries and symbolic (polynomial-valued) unitaries;
+//!   unitaries and symbolic (polynomial-valued) unitaries; products
+//!   accumulate in place through [`Ring::add_assign`];
 //! * [`Poly`] — multivariate polynomials over ℚ(ζ₈) with reduction modulo the
 //!   trigonometric ideal `cᵢ² + sᵢ² − 1`, which is the exact decision
 //!   procedure the verifier uses in place of an SMT solver.

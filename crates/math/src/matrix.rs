@@ -108,8 +108,7 @@ impl<R: Ring> Matrix<R> {
                     if b.is_zero() {
                         continue;
                     }
-                    let cur = out.get(i, j).add(&a.mul(b));
-                    out[(i, j)] = cur;
+                    out.get_mut(i, j).add_assign(&a.mul(b));
                 }
             }
         }

@@ -17,6 +17,7 @@ use crate::cyclotomic::Cyclotomic;
 use crate::rational::Rational;
 use crate::ring::Ring;
 use crate::Complex64;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -151,15 +152,31 @@ impl Poly {
         if c.is_zero() {
             return;
         }
-        match self.terms.get_mut(&m) {
+        match self.terms.entry(m) {
+            Entry::Occupied(mut existing) => {
+                *existing.get_mut() += &c;
+                if existing.get().is_zero() {
+                    existing.remove();
+                }
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(c);
+            }
+        }
+    }
+
+    /// Adds the term `c·m` (`c` nonzero), cloning the monomial and
+    /// coefficient only when the monomial is new.
+    fn add_term(&mut self, m: &Monomial, c: &Cyclotomic) {
+        match self.terms.get_mut(m) {
             Some(existing) => {
-                *existing += &c;
+                *existing += c;
                 if existing.is_zero() {
-                    self.terms.remove(&m);
+                    self.terms.remove(m);
                 }
             }
             None => {
-                self.terms.insert(m, c);
+                self.terms.insert(m.clone(), c.clone());
             }
         }
     }
@@ -167,18 +184,14 @@ impl Poly {
     /// Polynomial addition.
     pub fn add(&self, rhs: &Poly) -> Poly {
         let mut out = self.clone();
-        for (m, c) in &rhs.terms {
-            out.insert_term(m.clone(), c.clone());
-        }
+        out += rhs;
         out
     }
 
     /// Polynomial subtraction.
     pub fn sub(&self, rhs: &Poly) -> Poly {
         let mut out = self.clone();
-        for (m, c) in &rhs.terms {
-            out.insert_term(m.clone(), -c.clone());
-        }
+        out -= rhs;
         out
     }
 
@@ -269,10 +282,18 @@ impl Poly {
     /// Rewrites the polynomial into its normal form modulo the trig ideal
     /// generated by `c_i² + s_i² − 1`: every `s_i`-exponent is reduced below 2
     /// using `s_i² = 1 − c_i²`.
+    ///
+    /// Every term is added into one output map, so the cost is linear in the
+    /// number of terms produced. A monomial already in normal form passes
+    /// straight through.
     pub fn trig_normal_form(&self) -> Poly {
         let mut out = Poly::zero();
         for (m, coeff) in &self.terms {
-            out = out.add(&Self::reduce_monomial(m, coeff));
+            if m.0.iter().skip(1).step_by(2).all(|&e| e < 2) {
+                out.add_term(m, coeff);
+            } else {
+                out += &Self::reduce_monomial(m, coeff);
+            }
         }
         out
     }
@@ -346,6 +367,9 @@ impl Ring for Poly {
     fn add(&self, rhs: &Self) -> Self {
         Poly::add(self, rhs)
     }
+    fn add_assign(&mut self, rhs: &Self) {
+        *self += rhs;
+    }
     fn mul(&self, rhs: &Self) -> Self {
         Poly::mul(self, rhs)
     }
@@ -354,6 +378,22 @@ impl Ring for Poly {
     }
     fn is_zero(&self) -> bool {
         Poly::is_zero(self)
+    }
+}
+
+impl std::ops::AddAssign<&Poly> for Poly {
+    fn add_assign(&mut self, rhs: &Poly) {
+        for (m, c) in &rhs.terms {
+            self.add_term(m, c);
+        }
+    }
+}
+
+impl std::ops::SubAssign<&Poly> for Poly {
+    fn sub_assign(&mut self, rhs: &Poly) {
+        for (m, c) in &rhs.terms {
+            self.add_term(m, &-c);
+        }
     }
 }
 

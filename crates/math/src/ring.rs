@@ -16,6 +16,11 @@ pub trait Ring: Clone + PartialEq {
     fn one() -> Self;
     /// Addition.
     fn add(&self, rhs: &Self) -> Self;
+    /// In-place addition, `self ← self + rhs`. Types whose sums can reuse
+    /// the left operand's storage override it.
+    fn add_assign(&mut self, rhs: &Self) {
+        *self = self.add(rhs);
+    }
     /// Multiplication.
     fn mul(&self, rhs: &Self) -> Self;
     /// Additive inverse.
@@ -60,6 +65,9 @@ impl Ring for Rational {
     fn add(&self, rhs: &Self) -> Self {
         self + rhs
     }
+    fn add_assign(&mut self, rhs: &Self) {
+        *self += rhs;
+    }
     fn mul(&self, rhs: &Self) -> Self {
         self * rhs
     }
@@ -80,6 +88,9 @@ impl Ring for Cyclotomic {
     }
     fn add(&self, rhs: &Self) -> Self {
         self + rhs
+    }
+    fn add_assign(&mut self, rhs: &Self) {
+        *self += rhs;
     }
     fn mul(&self, rhs: &Self) -> Self {
         self * rhs

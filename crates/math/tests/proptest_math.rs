@@ -1,7 +1,10 @@
 //! Property-based tests for the exact arithmetic substrate.
 
 use proptest::prelude::*;
-use quartz_math::{BigInt, Cyclotomic, Poly, Rational};
+use quartz_math::{BigInt, Cyclotomic, Matrix, Monomial, Poly, Rational, Ring};
+use std::cmp::Ordering;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 
 fn arb_bigint() -> impl Strategy<Value = BigInt> {
     any::<i128>().prop_map(BigInt::from)
@@ -132,5 +135,295 @@ proptest! {
             .add(&Poly::cos_angle(&[k], r).pow(2))
             .sub(&Poly::one());
         prop_assert!(expr.is_zero_mod_trig());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Rational arithmetic at the edges of the machine-word representation.
+//
+// Every result is checked against a reference built from the operands'
+// integer parts with `BigInt` cross-multiplication (n·d′ = n′·d), never
+// through `Rational`'s own operators.
+
+/// Integers around ±2^31, ±2^62, `i64::MAX` and `i64::MIN + 1` (and
+/// `i64::MIN` itself), where products and sums leave the `i64` range.
+const ANCHORS: [i64; 21] = [
+    0,
+    1,
+    -1,
+    2,
+    3,
+    (1 << 31) - 1,
+    1 << 31,
+    -(1 << 31),
+    (1 << 31) + 1,
+    -(1 << 31) - 1,
+    1 << 62,
+    -(1 << 62),
+    (1 << 62) - 1,
+    (1 << 62) + 1,
+    -(1 << 62) - 1,
+    i64::MAX,
+    i64::MAX - 1,
+    -i64::MAX,
+    i64::MIN + 1,
+    i64::MIN + 2,
+    i64::MIN,
+];
+
+fn big(v: i64) -> BigInt {
+    BigInt::from(v)
+}
+
+fn rational_hash(r: &Rational) -> u64 {
+    let mut h = DefaultHasher::new();
+    r.hash(&mut h);
+    h.finish()
+}
+
+/// Asserts that `r` is in canonical form and equals `n / d`, using only
+/// `BigInt` arithmetic for the comparison.
+fn assert_equals_fraction(r: &Rational, n: &BigInt, d: &BigInt, what: &str) {
+    assert!(!d.is_zero(), "{what}: zero reference denominator");
+    let (rn, rd) = (r.numer(), r.denom());
+    assert!(rd.is_positive(), "{what}: denominator {rd} is not positive");
+    let g = rn.gcd(&rd);
+    assert!(g.is_one(), "{what}: {rn}/{rd} is not in lowest terms");
+    assert_eq!(&rn * d, n * &rd, "{what}: {r} != {n}/{d}");
+}
+
+/// Checks `+ − × ÷` and `cmp` of `n1/d1` and `n2/d2` against the `BigInt`
+/// reference.
+fn check_rational_pair(n1: i64, d1: i64, n2: i64, d2: i64) {
+    let (a, b) = (Rational::new(n1, d1), Rational::new(n2, d2));
+    let (bn1, bd1, bn2, bd2) = (big(n1), big(d1), big(n2), big(d2));
+    let what = |op: &str| format!("{n1}/{d1} {op} {n2}/{d2}");
+
+    assert_equals_fraction(&a, &bn1, &bd1, &format!("{n1}/{d1}"));
+    assert_equals_fraction(
+        &(&a + &b),
+        &(&(&bn1 * &bd2) + &(&bn2 * &bd1)),
+        &(&bd1 * &bd2),
+        &what("+"),
+    );
+    assert_equals_fraction(
+        &(&a - &b),
+        &(&(&bn1 * &bd2) - &(&bn2 * &bd1)),
+        &(&bd1 * &bd2),
+        &what("-"),
+    );
+    assert_equals_fraction(&(&a * &b), &(&bn1 * &bn2), &(&bd1 * &bd2), &what("*"));
+    if n2 != 0 {
+        assert_equals_fraction(&(&a / &b), &(&bn1 * &bd2), &(&bd1 * &bn2), &what("/"));
+    }
+
+    // n1/d1 vs n2/d2  <=>  n1·d2 vs n2·d1, reversed when d1·d2 < 0.
+    let mut expected = (&bn1 * &bd2).cmp(&(&bn2 * &bd1));
+    if (d1 < 0) != (d2 < 0) {
+        expected = expected.reverse();
+    }
+    assert_eq!(a.cmp(&b), expected, "{}", what("cmp"));
+    assert_eq!(a == b, expected == Ordering::Equal, "{}", what("=="));
+}
+
+#[test]
+fn rational_ops_at_word_boundaries_match_bigint_cross_multiplication() {
+    let denominators = ANCHORS.iter().copied().filter(|&d| d != 0);
+    let operands: Vec<(i64, i64)> = denominators
+        .flat_map(|d| {
+            [1, -1, 2, (1 << 31) + 1, i64::MAX, i64::MIN + 1]
+                .into_iter()
+                .map(move |n| (n, d))
+                .chain(ANCHORS.iter().map(move |&n| (n, d)).step_by(3))
+        })
+        .collect();
+    for &(n1, d1) in &operands {
+        for &(n2, d2) in operands.iter().step_by(7) {
+            check_rational_pair(n1, d1, n2, d2);
+        }
+    }
+}
+
+#[test]
+fn rational_products_that_overflow_i64_are_exact() {
+    let m = Rational::from(i64::MAX);
+    let square = &m * &m;
+    assert_equals_fraction(&square, &(&big(i64::MAX) * &big(i64::MAX)), &big(1), "MAX²");
+    let back = &square / &m;
+    assert_eq!(back, m);
+    assert_eq!(rational_hash(&back), rational_hash(&m));
+    // (2^62)·4 = 2^64 leaves i64; halving twice comes back.
+    let p = &Rational::from(1 << 62) * &Rational::from(4);
+    assert_equals_fraction(&p, &BigInt::from(1i128 << 64), &big(1), "2^64");
+    let q = &(&p * &Rational::new(1, 2)) * &Rational::new(1, 2);
+    assert_eq!(q, Rational::from(1 << 62));
+    // A denominator that overflows, and its reciprocal.
+    let tiny = &Rational::new(1, i64::MAX) * &Rational::new(1, i64::MAX - 1);
+    assert_equals_fraction(
+        &tiny,
+        &big(1),
+        &(&big(i64::MAX) * &big(i64::MAX - 1)),
+        "1/(MAX·(MAX−1))",
+    );
+    assert!(tiny > Rational::zero() && tiny < Rational::new(1, i64::MAX));
+    assert_equals_fraction(
+        &tiny.recip(),
+        &(&big(i64::MAX) * &big(i64::MAX - 1)),
+        &big(1),
+        "recip",
+    );
+    // i64::MIN is not a small numerator, but its values compare and negate.
+    let min = Rational::from(i64::MIN);
+    assert_equals_fraction(&-&min, &-big(i64::MIN), &big(1), "−MIN");
+    assert_eq!(&min + &Rational::one(), Rational::from(i64::MIN + 1));
+    assert!(min < Rational::from(i64::MIN + 1));
+    assert_eq!(min.abs(), -&min);
+}
+
+#[test]
+fn rational_values_reached_through_bigints_are_canonical() {
+    let huge = &Rational::from(i64::MAX) * &Rational::from(i64::MAX);
+    for &x in &ANCHORS {
+        for d in [1, 3, i64::MAX] {
+            let expected = Rational::new(x, d);
+            let via_sum = &(&expected + &huge) - &huge;
+            let via_product = &(&expected * &huge) / &huge;
+            let k = &big(i64::MAX) * &big(7);
+            let via_bigints = Rational::from_bigints(&big(x) * &k, &big(d) * &k);
+            for (how, r) in [
+                ("sum", via_sum),
+                ("product", via_product),
+                ("from_bigints", via_bigints),
+            ] {
+                assert_eq!(r, expected, "{x}/{d} via {how}");
+                assert_eq!(
+                    rational_hash(&r),
+                    rational_hash(&expected),
+                    "{x}/{d} via {how}"
+                );
+                assert_eq!(r.to_string(), expected.to_string());
+            }
+        }
+    }
+    let z = &huge - &huge;
+    assert!(z.is_zero());
+    assert_eq!(z, Rational::zero());
+    assert_eq!(rational_hash(&z), rational_hash(&Rational::zero()));
+}
+
+/// An integer near one of the anchors.
+fn arb_near_anchor() -> impl Strategy<Value = i64> {
+    (0..ANCHORS.len(), -3i64..4).prop_map(|(i, off)| ANCHORS[i].saturating_add(off))
+}
+
+// ---------------------------------------------------------------------------
+// Polynomial oracles.
+
+fn monomial(exps: &[u16]) -> Monomial {
+    let mut m = Monomial::unit();
+    for (idx, &e) in exps.iter().enumerate() {
+        for _ in 0..e {
+            m = m.mul(&Monomial::var(idx));
+        }
+    }
+    m
+}
+
+/// A polynomial in two half-parameters (four variables) whose terms have
+/// sᵢ-exponents up to 4, so both paths of the normal form are taken.
+fn arb_poly() -> impl Strategy<Value = Poly> {
+    let term = ((0u16..4, 0u16..5, 0u16..3, 0u16..5), -3i64..4, 0i64..8);
+    prop::collection::vec(term, 0..7).prop_map(|terms| {
+        let mut p = Poly::zero();
+        for ((c0, s0, c1, s1), k, r) in terms {
+            let coeff = Cyclotomic::root_of_unity(r).scale(&Rational::new(k, 2));
+            p = p.add(&Poly::from_monomial(monomial(&[c0, s0, c1, s1]), coeff));
+        }
+        p
+    })
+}
+
+/// The normal form as computed before it was made linear: every monomial is
+/// reduced to its own polynomial, and the results are summed out of place.
+fn quadratic_trig_normal_form(p: &Poly) -> Poly {
+    let mut out = Poly::zero();
+    for (m, coeff) in p.terms() {
+        let mut acc = Poly::constant(coeff.clone());
+        let mut residual = Vec::new();
+        for idx in 0..8 {
+            let e = m.exponent(idx);
+            if idx % 2 == 0 {
+                residual.push(e);
+            } else {
+                residual.push(e % 2);
+                let one_minus_c2 = Poly::one().sub(&Poly::var_cos(idx / 2).pow(2));
+                acc = acc.mul(&one_minus_c2.pow(u32::from(e / 2)));
+            }
+        }
+        let reduced = acc.mul(&Poly::from_monomial(monomial(&residual), Cyclotomic::one()));
+        out = out.add(&reduced);
+    }
+    out
+}
+
+fn arb_poly_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix<Poly>> {
+    prop::collection::vec(arb_poly(), rows * cols).prop_map(move |entries| {
+        let mut it = entries.into_iter();
+        Matrix::from_rows(
+            (0..rows)
+                .map(|_| it.by_ref().take(cols).collect())
+                .collect(),
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn rational_ops_near_word_boundaries(
+        n1 in arb_near_anchor(), d1 in arb_near_anchor(),
+        n2 in arb_near_anchor(), d2 in arb_near_anchor(),
+    ) {
+        prop_assume!(d1 != 0 && d2 != 0);
+        check_rational_pair(n1, d1, n2, d2);
+    }
+
+    #[test]
+    fn rational_ops_on_arbitrary_words(n1 in any::<i64>(), d1 in any::<i64>(), n2 in any::<i64>(), d2 in any::<i64>()) {
+        prop_assume!(d1 != 0 && d2 != 0);
+        check_rational_pair(n1, d1, n2, d2);
+    }
+
+    #[test]
+    fn trig_normal_form_matches_the_quadratic_oracle(p in arb_poly()) {
+        let nf = p.trig_normal_form();
+        prop_assert_eq!(&nf, &quadratic_trig_normal_form(&p));
+        prop_assert_eq!(nf.trig_normal_form(), nf);
+    }
+
+    #[test]
+    fn poly_matmul_matches_out_of_place_sums(a in arb_poly_matrix(2, 3), b in arb_poly_matrix(3, 2)) {
+        let got = a.matmul(&b);
+        for i in 0..2 {
+            for j in 0..2 {
+                let mut expected = Poly::zero();
+                for k in 0..3 {
+                    expected = expected.add(&a.get(i, k).mul(b.get(k, j)));
+                }
+                prop_assert_eq!(got.get(i, j), &expected);
+            }
+        }
+    }
+
+    #[test]
+    fn poly_add_assign_matches_add(a in arb_poly(), b in arb_poly()) {
+        let mut sum = a.clone();
+        Ring::add_assign(&mut sum, &b);
+        prop_assert_eq!(&sum, &a.add(&b));
+        let mut diff = a.clone();
+        diff -= &b;
+        prop_assert_eq!(&diff, &a.sub(&b));
+        prop_assert!(a.sub(&a).is_zero());
     }
 }

@@ -94,8 +94,9 @@ fn coefficient_vectors(num_params: usize, max: i64) -> Vec<Vec<i64>> {
 /// ⟨ψ₀|⟦C₁⟧(p⃗₀)|ψ₁⟩ ≈ e^{iβ(p⃗₀)}·⟨ψ₀|⟦C₂⟧(p⃗₀)|ψ₁⟩ (eq. 5).
 ///
 /// When the reference amplitude of `c2` is too small to determine the phase
-/// numerically, all constant phase factors are returned as candidates (the
-/// exact check then decides).
+/// numerically, every phase factor in the search space (a⃗ ∈
+/// {−max_coeff..=max_coeff}^num_params, b ∈ 0..8) is returned as a
+/// candidate, and the exact check decides.
 pub fn candidate_phases(
     c1: &Circuit,
     c2: &Circuit,
@@ -107,10 +108,18 @@ pub fn candidate_phases(
     let a1 = ctx.amplitude(c1);
     let a2 = ctx.amplitude(c2);
 
+    let phases = coefficient_vectors(num_params, max_coeff)
+        .into_iter()
+        .flat_map(|coeffs| {
+            (0..8i64).map(move |b| PhaseFactor {
+                param_coeffs: coeffs.clone(),
+                pi4_units: b,
+            })
+        });
     if a2.norm() < tolerance.max(1e-9) {
-        // The phase cannot be read off numerically; fall back to all constant
-        // candidates (and the trivial parameter-dependent ones if requested).
-        return (0..8).map(PhaseFactor::constant).collect();
+        // The phase cannot be read off numerically: the exact check tries
+        // the whole search space.
+        return phases.collect();
     }
 
     let ratio = a1 * a2.recip();
@@ -119,21 +128,11 @@ pub fn candidate_phases(
     }
     let target_angle = ratio.arg();
 
-    let mut out = Vec::new();
-    for coeffs in coefficient_vectors(num_params, max_coeff) {
-        for b in 0..8i64 {
-            let phase = PhaseFactor {
-                param_coeffs: coeffs.clone(),
-                pi4_units: b,
-            };
-            let beta = phase.eval(&ctx.param_values);
-            let diff = angle_distance(beta, target_angle);
-            if diff < 10.0 * tolerance {
-                out.push(phase);
-            }
-        }
-    }
-    out
+    phases
+        .filter(|phase| {
+            angle_distance(phase.eval(&ctx.param_values), target_angle) < 10.0 * tolerance
+        })
+        .collect()
 }
 
 /// Distance between two angles modulo 2π.
@@ -203,6 +202,30 @@ mod tests {
         let id = Circuit::new(1, 0);
         let candidates = candidate_phases(&h, &id, &ctx, 0, 2, 1e-7);
         assert!(candidates.is_empty());
+    }
+
+    #[test]
+    fn zero_amplitude_falls_back_to_the_whole_search_space() {
+        // ψ₀ = |0⟩ ⟂ ψ₁ = |1⟩, so the identity's amplitude is 0.
+        let mut ctx = FingerprintContext::new(1, 1, 5);
+        ctx.psi0 = quartz_ir::basis_state(1, 0);
+        ctx.psi1 = quartz_ir::basis_state(1, 1);
+        let id = Circuit::new(1, 1);
+        assert!(ctx.amplitude(&id).norm() < 1e-12);
+
+        let candidates = candidate_phases(&id, &id, &ctx, 1, 1, 1e-7);
+        assert_eq!(candidates.len(), 24);
+        assert!(candidates.iter().any(|p| !p.is_constant()));
+        assert!(candidates.contains(&PhaseFactor {
+            param_coeffs: vec![-1],
+            pi4_units: 7,
+        }));
+
+        let constants = candidate_phases(&id, &id, &ctx, 1, 0, 1e-7);
+        assert_eq!(constants.len(), 8);
+        assert!(constants.iter().all(PhaseFactor::is_constant));
+        let units: Vec<i64> = constants.iter().map(|p| p.pi4_units).collect();
+        assert_eq!(units, (0..8).collect::<Vec<_>>());
     }
 
     #[test]
