@@ -1,14 +1,13 @@
 //! Criterion micro-benchmarks for the optimizer (paper §6): preprocessing,
 //! the greedy baseline, one library-wide match walk per search root, the
-//! derive and hash-preview layers over those roots' matches, and
-//! short cost-based searches on a benchmark circuit and on QFT-8, where the
-//! dispatch index skips every X-bearing pattern (DESIGN.md §2.2), and one
-//! multi-circuit batch timed at one and at two threads.
+//! derive and hash-preview layers over those roots' matches, a short
+//! cost-based search on a benchmark circuit, and one multi-circuit batch
+//! timed at one and at two threads.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use quartz_bench::{build_ecc_set, GateSetKind};
-use quartz_circuits::{approximate_qft, suite};
-use quartz_gen::{IndexScratch, Library, TransformationIndex};
+use quartz_circuits::suite;
+use quartz_gen::{Library, TransformationIndex};
 use quartz_ir::{Circuit, SpliceDelta, StructuralHash};
 use quartz_opt::{
     canonicalize, greedy_optimize, preprocess_nam, MatchContext, MatchScratch, OptimizationService,
@@ -23,7 +22,7 @@ const NAM_LIBRARY: &str = concat!(
     "/../../libraries/nam_n3_q2.qtzl"
 );
 
-/// The committed NAM library's dispatch index.
+/// The committed NAM library's index.
 fn nam_index() -> TransformationIndex {
     let (_, index) = Library::load(NAM_LIBRARY)
         .expect("committed NAM library")
@@ -62,39 +61,25 @@ fn nam_quick_roots() -> (TransformationIndex, Vec<MatchContext>) {
     (index, contexts)
 }
 
-/// Every instantiable match of every dispatched rule on `ctx`, as deltas.
+/// Every instantiable match of every rule on `ctx`, as deltas.
 fn root_deltas(index: &TransformationIndex, ctx: &MatchContext) -> Vec<SpliceDelta> {
-    let ids = index.candidates_for(ctx.dag().gate_histogram());
     let mut deltas = Vec::new();
-    ctx.for_each_match(
-        index.automaton(),
-        &ids,
-        &mut MatchScratch::new(),
-        |id, m| {
-            deltas.extend(ctx.delta_for(&index.transformations()[id], m));
-        },
-    );
+    ctx.for_each_match(index.automaton(), &mut MatchScratch::new(), |id, m| {
+        deltas.extend(ctx.delta_for(&index.transformations()[id], m));
+    });
     deltas
 }
 
-/// The matcher layer alone: one dispatch and one library-wide automaton
-/// walk over the committed NAM library for each quick-suite search root,
-/// counting matches.
+/// The matcher layer alone: one walk of the whole automaton of the
+/// committed NAM library for each quick-suite search root, counting
+/// matches.
 fn bench_matcher(c: &mut Criterion) {
     let (index, contexts) = nam_quick_roots();
-    let (mut index_scratch, mut ids, mut scratch) =
-        (IndexScratch::new(), Vec::new(), MatchScratch::new());
+    let mut scratch = MatchScratch::new();
     let mut sweep = || {
         let mut matches = 0usize;
         for ctx in &contexts {
-            let dag = ctx.dag();
-            index.candidates_into(
-                dag.gate_histogram(),
-                dag.num_qubits(),
-                &mut index_scratch,
-                &mut ids,
-            );
-            ctx.for_each_match(index.automaton(), &ids, &mut scratch, |_, _| matches += 1);
+            ctx.for_each_match(index.automaton(), &mut scratch, |_, _| matches += 1);
         }
         matches
     };
@@ -180,38 +165,6 @@ fn bench_search_iterations(c: &mut Criterion) {
     group.finish();
 }
 
-/// An eight-iteration search on QFT-8, which contains no X gates: the
-/// dispatch index must skip transformations (reported alongside the
-/// timings).
-fn bench_dispatch_qft8(c: &mut Criterion) {
-    let (ecc_set, _) = build_ecc_set(GateSetKind::Nam, 2, 2);
-    let qft = approximate_qft(8);
-    let optimizer = Optimizer::from_ecc_set(
-        &ecc_set,
-        SearchConfig {
-            timeout: Duration::from_secs(120),
-            max_iterations: 8,
-            ..SearchConfig::default()
-        },
-    );
-    let result = optimizer.optimize(&qft);
-    println!(
-        "qft_8 dispatch: {} attempts (+{} skipped, {:.1}% skip rate); best cost {}",
-        result.match_attempts,
-        result.match_skips,
-        100.0 * result.dispatch_skip_rate(),
-        result.best_cost,
-    );
-    assert!(result.match_skips > 0);
-
-    let mut group = c.benchmark_group("dispatch_qft_8");
-    group.sample_size(10);
-    group.bench_function("indexed", |b| {
-        b.iter(|| std::hint::black_box(optimizer.optimize(&qft).match_attempts))
-    });
-    group.finish();
-}
-
 /// The four-circuit full-suite batch (NAM-preprocessed, ten iterations
 /// each, on the committed NAM library) that perfbench's `nam-large`
 /// workload runs, timed at one and at two threads: what a second thread
@@ -252,7 +205,6 @@ criterion_group!(
     bench_derive,
     bench_preview,
     bench_search_iterations,
-    bench_dispatch_qft8,
     bench_batch_threads
 );
 criterion_main!(benches);

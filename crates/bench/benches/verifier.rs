@@ -7,10 +7,14 @@
 //!
 //! The same query pairs ([`quartz_bench::verifier_bench_pairs`]) are timed
 //! by perfbench's `library-build` workload, and a `quartz-bench` unit test
-//! checks that each pair verifies as equivalent.
+//! checks that each pair verifies as equivalent. Their differences are
+//! syntactically zero, so the `arithmetic` group adds one pair of its own,
+//! `Ry(p0)·Ry(−p0)` against the empty circuit, whose difference vanishes
+//! only after `s₀² = 1 − c₀²`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use quartz_bench::verifier_bench_pairs;
+use quartz_ir::{Circuit, Gate, Instruction, ParamExpr};
 use quartz_verify::{symsem, PhaseFactor, Verifier};
 use std::hint::black_box;
 
@@ -28,6 +32,16 @@ fn bench_verifier(c: &mut Criterion) {
     group.finish();
 }
 
+/// `Ry(p0)·Ry(−p0)` and the empty circuit: equal only through the
+/// reducing branch of the trig normal form.
+fn ry_inverse_pair() -> (&'static str, Circuit, Circuit) {
+    let ry = |k: i32| Instruction::new(Gate::Ry, vec![0], vec![ParamExpr::scaled_var(0, k, 1)]);
+    let mut inverse = Circuit::new(1, 1);
+    inverse.push(ry(1));
+    inverse.push(ry(-1));
+    ("ry_inverse", inverse, Circuit::new(1, 1))
+}
+
 fn bench_arithmetic(c: &mut Criterion) {
     let mut group = c.benchmark_group("arithmetic");
     group.sample_size(20);
@@ -38,7 +52,10 @@ fn bench_arithmetic(c: &mut Criterion) {
         pi4_units: 0,
     }
     .to_poly();
-    for (name, a, b) in verifier_bench_pairs() {
+    for (name, a, b) in verifier_bench_pairs()
+        .into_iter()
+        .chain([ry_inverse_pair()])
+    {
         for (side, circuit) in [("lhs", &a), ("rhs", &b)] {
             group.bench_function(format!("circuit_unitary/{name}/{side}"), |bench| {
                 bench.iter(|| black_box(symsem::circuit_unitary(circuit).unwrap()));

@@ -926,8 +926,8 @@ fn lint_transformation_overlap(set: &EccSet) -> Vec<Diagnostic> {
 
 /// The prebuilt index must hold exactly the transformation list the
 /// payload induces today. A mismatch means the index was built by a
-/// different pipeline than the payload claims — dispatch would silently
-/// skip or misroute rules.
+/// different pipeline than the payload claims — the search would silently
+/// miss or misapply rules.
 fn lint_prebuilt_index(index: &TransformationIndex, fresh: &[Transformation]) -> Vec<Diagnostic> {
     if index.transformations() == fresh {
         return Vec::new();

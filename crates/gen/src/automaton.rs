@@ -40,7 +40,6 @@ pub struct AutomatonNode {
     /// of the predecessor on the shared qubit): the one wire edge whose
     /// circuit successor is the only possible match of this node.
     anchor: Option<(usize, usize)>,
-    parent: Option<usize>,
     children: Vec<usize>,
     rules: Vec<usize>,
 }
@@ -67,11 +66,6 @@ impl AutomatonNode {
         self.anchor
     }
 
-    /// The parent node, or `None` for a root (a first pattern instruction).
-    pub fn parent(&self) -> Option<usize> {
-        self.parent
-    }
-
     /// The nodes extending this one by one more pattern instruction.
     pub fn children(&self) -> &[usize] {
         &self.children
@@ -94,15 +88,6 @@ pub struct RuleLabels {
     pub qubits: Vec<Option<usize>>,
     /// Per rule parameter: its canonical parameter.
     pub params: Vec<Option<usize>>,
-}
-
-/// One compiled rule: where its target ends and how its labels map.
-#[derive(Debug, Clone)]
-struct Rule {
-    /// The node where the target ends; `None` for an empty target, which
-    /// never matches.
-    terminal: Option<usize>,
-    labels: RuleLabels,
 }
 
 /// A prefix tree over the canonically relabeled target patterns of a rule
@@ -135,7 +120,8 @@ struct Rule {
 pub struct MatchAutomaton {
     nodes: Vec<AutomatonNode>,
     roots: Vec<usize>,
-    rules: Vec<Rule>,
+    /// Per rule: how its labels map to the canonical ones.
+    rules: Vec<RuleLabels>,
     max_qubits: usize,
     max_params: usize,
 }
@@ -189,7 +175,6 @@ impl MatchAutomaton {
                         instr,
                         wire_preds: edges.iter().map(|e| e.map(|(d, _)| d)).collect(),
                         anchor: edges.iter().flatten().copied().next(),
-                        parent: at,
                         children: Vec::new(),
                         rules: Vec::new(),
                     });
@@ -205,13 +190,11 @@ impl MatchAutomaton {
             }
             at = Some(node);
         }
+        // An empty target ends at no node, so it never matches.
         if let Some(node) = at {
             self.nodes[node].rules.push(rule);
         }
-        self.rules.push(Rule {
-            terminal: at,
-            labels,
-        });
+        self.rules.push(labels);
     }
 
     /// The node with id `id`.
@@ -234,16 +217,10 @@ impl MatchAutomaton {
         self.rules.len()
     }
 
-    /// The node where rule `rule`'s target ends, or `None` for an empty
-    /// target.
-    pub fn terminal(&self, rule: usize) -> Option<usize> {
-        self.rules[rule].terminal
-    }
-
     /// How rule `rule`'s own qubit and parameter labels map to the
     /// canonical labels its path binds.
     pub fn rule_labels(&self, rule: usize) -> &RuleLabels {
-        &self.rules[rule].labels
+        &self.rules[rule]
     }
 
     /// The largest pattern qubit and parameter counts over every rule: the
@@ -305,6 +282,12 @@ mod tests {
     use super::*;
     use quartz_ir::Gate;
 
+    /// The node where `rule`'s target ends, found through `node.rules()`;
+    /// `None` for an empty target.
+    fn terminal(automaton: &MatchAutomaton, rule: usize) -> Option<usize> {
+        (0..automaton.num_nodes()).find(|&n| automaton.node(n).rules().contains(&rule))
+    }
+
     fn pattern(instrs: &[(Gate, &[usize])]) -> Circuit {
         let mut c = Circuit::new(3, 1);
         for &(gate, qubits) in instrs {
@@ -330,13 +313,13 @@ mod tests {
         assert_eq!(automaton.node(cx).wire_preds(), &[Some(0), None]);
         assert_eq!(automaton.node(cx).anchor(), Some((0, 0)));
         assert_eq!(automaton.node(cx).children().len(), 2);
-        let x = automaton.terminal(1).unwrap();
+        let x = terminal(&automaton, 1).unwrap();
         assert_eq!(automaton.node(x).wire_preds(), &[Some(1)]);
         assert_eq!(automaton.node(x).anchor(), Some((1, 1)));
-        assert_eq!(automaton.node(x).parent(), Some(cx));
+        assert!(automaton.node(cx).children().contains(&x));
         // In c the CNOT's control wire starts at the CNOT.
-        let c_cx = automaton.terminal(2).unwrap();
-        assert_eq!(automaton.node(c_cx).parent(), Some(root));
+        let c_cx = terminal(&automaton, 2).unwrap();
+        assert!(automaton.node(root).children().contains(&c_cx));
         assert_eq!(automaton.node(c_cx).instruction().qubits, [1, 0]);
         assert_eq!(automaton.node(c_cx).wire_preds(), &[None, Some(0)]);
         assert_eq!(automaton.node(c_cx).anchor(), Some((0, 0)));
@@ -361,9 +344,8 @@ mod tests {
         let automaton = MatchAutomaton::new([&a, &b]);
         assert_eq!(automaton.num_nodes(), 3);
         assert_eq!(automaton.roots().len(), 1);
-        assert_eq!(automaton.terminal(0), automaton.terminal(1));
         assert_eq!(
-            automaton.node(automaton.terminal(0).unwrap()).rules(),
+            automaton.node(terminal(&automaton, 0).unwrap()).rules(),
             &[0, 1]
         );
         // Coefficient vectors are padded to the widest rule's parameters.
@@ -410,10 +392,10 @@ mod tests {
         let empty = Circuit::new(1, 0);
         let automaton = MatchAutomaton::new([&hhh, &hh, &empty, &hh]);
         assert_eq!(automaton.num_nodes(), 3);
-        let interior = automaton.terminal(1).unwrap();
+        let interior = terminal(&automaton, 1).unwrap();
         assert_eq!(automaton.node(interior).rules(), &[1, 3]);
         assert_eq!(automaton.node(interior).children().len(), 1);
-        assert_eq!(automaton.terminal(2), None);
+        assert_eq!(terminal(&automaton, 2), None);
         assert_eq!(
             automaton.rule_labels(2),
             &RuleLabels {

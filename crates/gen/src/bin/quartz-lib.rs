@@ -5,7 +5,7 @@
 //! quartz-lib generate --gate-set nam|ibm|rigetti --n N --q Q [--m M]
 //!                     [--no-index] --out FILE
 //!     Run RepGen + pruning and pack the result (with its prebuilt
-//!     dispatch index unless --no-index) as a binary artifact.
+//!     transformation index unless --no-index) as a binary artifact.
 //!
 //! quartz-lib pack --in SET.json --out SET.qtzl [--gate-set NAME] [--no-index]
 //!     Convert an ECC-set JSON file to a binary artifact.

@@ -1,35 +1,20 @@
-//! Indexed transformation dispatch (DESIGN.md §2.2).
+//! The transformation index: a library's rule list and the match
+//! automaton compiled from it (DESIGN.md §2.6).
 //!
-//! The search dequeues a circuit and must decide which transformations to
-//! attempt. The naive approach — run the pattern matcher for *every*
-//! transformation — wastes most of its time on patterns that cannot possibly
-//! match. [`TransformationIndex`] prunes that set with cheap filters before
-//! any matching happens:
+//! [`TransformationIndex::automaton`] is what the search walks: every
+//! dequeue walks the whole automaton, which leaves a subtree as soon as its
+//! first gate has no candidate in the circuit.
 //!
-//! 1. **Per-circuit re-anchoring.** Every transformation is reachable
-//!    through a bucket for each gate type its target pattern uses. Candidate
-//!    selection walks the circuit's present gate types *rarest first* (by
-//!    this circuit's histogram, not a global frequency), so every
-//!    transformation is examined exactly once — through the pattern gate
-//!    that is most selective *for this circuit* — and a single count
-//!    comparison on that gate rejects most of them before the full
-//!    histogram check. Transformations none of whose pattern gates occur in
-//!    the circuit are never touched at all.
-//! 2. **Qubit-span filter.** A pattern using more distinct qubits than the
-//!    circuit has wires cannot match; one integer comparison.
-//! 3. **Histogram subsumption.** A pattern can only match a circuit when its
-//!    gate-type multiset is a subset of the circuit's
-//!    ([`quartz_ir::GateHistogram::is_subset_of`]). Candidates surviving the
-//!    cheaper filters are checked against the circuit's
-//!    incrementally-maintained histogram in O([`Gate::COUNT`]).
-//!
-//! All filters are *sound*: a skipped transformation is guaranteed to have
-//! zero matches, so the surviving candidate list — returned in original
-//! transformation order — produces exactly the same rewrites as the full
-//! linear scan, and the search explores an identical state space.
-//!
-//! The hot loop reuses an [`IndexScratch`] (an epoch-stamped visited set)
-//! across dequeues so candidate selection allocates nothing in steady state.
+//! The index also keeps a histogram dispatch,
+//! [`TransformationIndex::candidates_into`], that the search no longer
+//! calls (DESIGN.md §2.2 records why it was taken out of the search
+//! path). It names the rules whose target could
+//! match a circuit: those whose gate-type multiset is a subset of the
+//! circuit's and whose qubit span fits its wires, found through per-gate
+//! buckets walked rarest-in-this-circuit first. Every filter is sound, so a
+//! rule it skips has zero matches. It stays only because the benchmark
+//! harness's per-layer probe times it; it goes, with [`IndexScratch`] and
+//! its per-rule metadata, when that probe does.
 //!
 //! The index lives in `quartz-gen` (next to the ECC sets it is derived from)
 //! so that persisted library artifacts ([`crate::library`], DESIGN.md §7)
@@ -44,7 +29,8 @@ use crate::xform::Transformation;
 use quartz_ir::{EpochSet, Gate, GateHistogram};
 use std::sync::OnceLock;
 
-/// Per-pattern metadata precomputed at index construction.
+/// Per-pattern metadata for [`TransformationIndex::candidates_into`],
+/// which the search no longer calls.
 #[derive(Debug, Clone)]
 struct PatternMeta {
     /// Gate-type multiset of the target pattern.
@@ -54,9 +40,10 @@ struct PatternMeta {
 }
 
 /// Reusable scratch state for [`TransformationIndex::candidates_into`]: an
-/// epoch-stamped visited set plus a sort buffer, so the per-dequeue hot path allocates nothing
-/// once warm. One scratch per thread; any scratch works with any index of
-/// the same size (the visited stamps reset logically on every call).
+/// epoch-stamped visited set plus a sort buffer, so a call allocates
+/// nothing once warm. Any scratch works with any index (the visited stamps
+/// reset logically on every call). The search no longer uses it; only the
+/// benchmark harness's dispatch probe does.
 #[derive(Debug, Default)]
 pub struct IndexScratch {
     visited: EpochSet,
@@ -72,14 +59,16 @@ impl IndexScratch {
     }
 }
 
-/// An index over a transformation library, grouping transformations by
-/// pattern gate type and pattern gate-type multiset.
+/// An index over a transformation library: the rule list, its lazily
+/// built match automaton, and the histogram dispatch's per-rule metadata.
 #[derive(Debug, Clone)]
 pub struct TransformationIndex {
     transformations: Vec<Transformation>,
     metas: Vec<PatternMeta>,
     /// Transformation ids bucketed by every gate type their pattern uses
-    /// (multi-membership), each bucket ascending.
+    /// (multi-membership), each bucket ascending. Read only by
+    /// [`TransformationIndex::candidates_into`], which the search no longer
+    /// calls.
     gate_buckets: Vec<Vec<usize>>,
     /// The target patterns compiled into one prefix tree, built on first
     /// use so loading a library or booting a daemon never pays for it.
@@ -88,10 +77,12 @@ pub struct TransformationIndex {
 
 impl TransformationIndex {
     /// Builds the index: each pattern's gate histogram and qubit span, and
-    /// the per-gate-type buckets that candidate selection walks.
-    /// Transformations with an empty target pattern are rejected upstream
-    /// (see [`crate::transformations_from_ecc_set`]); if one slips through
-    /// it sits in no bucket and is never attempted.
+    /// the per-gate-type buckets that [`TransformationIndex::candidates_into`]
+    /// walks. The automaton is built on the first
+    /// [`TransformationIndex::automaton`] call. Transformations with an
+    /// empty target pattern are rejected upstream (see
+    /// [`crate::transformations_from_ecc_set`]); if one slips through it
+    /// ends at no automaton node and never matches.
     pub fn new(transformations: Vec<Transformation>) -> Self {
         let mut metas = Vec::with_capacity(transformations.len());
         let mut gate_buckets: Vec<Vec<usize>> = vec![Vec::new(); Gate::COUNT];
@@ -149,34 +140,18 @@ impl TransformationIndex {
         self.transformations.is_empty()
     }
 
-    /// Ids of the transformations that can possibly match a circuit with the
-    /// given gate histogram, in ascending (original) order — so dispatching
-    /// through the index visits the same transformations in the same order as
-    /// the linear scan, minus the provably-futile ones.
-    ///
-    /// Convenience wrapper over [`TransformationIndex::candidates_into`]
-    /// with a throwaway scratch and no qubit bound; the optimizer's hot loop
-    /// uses the scratch variant directly.
-    pub fn candidates_for(&self, circuit_histogram: &GateHistogram) -> Vec<usize> {
-        let mut ids = Vec::new();
-        self.candidates_into(
-            circuit_histogram,
-            usize::MAX,
-            &mut IndexScratch::new(),
-            &mut ids,
-        );
-        ids
-    }
-
     /// Fills `out` with the ids of every transformation that can possibly
     /// match a circuit with the given gate histogram over `num_qubits`
     /// wires, ascending. Alloc-free once `scratch`/`out` are warm.
     ///
     /// Present gate types are walked rarest-in-this-circuit first, so each
     /// transformation is examined exactly once, through its most selective
-    /// pattern gate *for this circuit* (the per-circuit re-anchoring pass of
-    /// DESIGN.md §2.2), and a single count comparison on that gate rejects
-    /// most non-candidates before the full histogram subsumption check.
+    /// pattern gate *for this circuit*, and a single count comparison on
+    /// that gate rejects most non-candidates before the full histogram
+    /// subsumption check.
+    ///
+    /// The search no longer calls this: it walks the whole automaton. It is
+    /// kept for the benchmark harness's per-layer dispatch probe.
     pub fn candidates_into(
         &self,
         circuit_histogram: &GateHistogram,
@@ -241,6 +216,18 @@ mod tests {
         }
     }
 
+    /// The dispatch's candidates for `c`, with no qubit bound.
+    fn candidates(index: &TransformationIndex, c: &Circuit) -> Vec<usize> {
+        let mut ids = Vec::new();
+        index.candidates_into(
+            c.gate_histogram(),
+            usize::MAX,
+            &mut IndexScratch::new(),
+            &mut ids,
+        );
+        ids
+    }
+
     #[test]
     fn candidates_are_filtered_and_ordered() {
         let xforms = vec![
@@ -258,18 +245,16 @@ mod tests {
         c.push(instruction(Gate::H, &[0]));
         c.push(instruction(Gate::H, &[1]));
         c.push(instruction(Gate::Cnot, &[0, 1]));
-        assert_eq!(index.candidates_for(c.gate_histogram()), vec![0, 2]);
+        assert_eq!(candidates(&index, &c), vec![0, 2]);
 
         // An all-X circuit only consults the X pattern.
         let mut xs = Circuit::new(2, 0);
         xs.push(instruction(Gate::X, &[0]));
         xs.push(instruction(Gate::X, &[0]));
-        assert_eq!(index.candidates_for(xs.gate_histogram()), vec![1]);
+        assert_eq!(candidates(&index, &xs), vec![1]);
 
         // The empty circuit matches nothing.
-        assert!(index
-            .candidates_for(Circuit::new(2, 0).gate_histogram())
-            .is_empty());
+        assert!(candidates(&index, &Circuit::new(2, 0)).is_empty());
     }
 
     #[test]
@@ -278,9 +263,9 @@ mod tests {
         let index = TransformationIndex::new(xforms);
         let mut one_h = Circuit::new(2, 0);
         one_h.push(instruction(Gate::H, &[0]));
-        assert!(index.candidates_for(one_h.gate_histogram()).is_empty());
+        assert!(candidates(&index, &one_h).is_empty());
         let two_h = one_h.appended(instruction(Gate::H, &[1]));
-        assert_eq!(index.candidates_for(two_h.gate_histogram()), vec![0]);
+        assert_eq!(candidates(&index, &two_h), vec![0]);
     }
 
     #[test]
@@ -300,7 +285,7 @@ mod tests {
         let mut scratch = IndexScratch::new();
         let mut ids = Vec::new();
         index.candidates_into(c.gate_histogram(), 2, &mut scratch, &mut ids);
-        assert_eq!(ids, index.candidates_for(c.gate_histogram()));
+        assert_eq!(ids, candidates(&index, &c));
         assert_eq!(ids, vec![0, 1, 2]);
 
         // On a 1-wire circuit the 2-qubit-span patterns are pruned by span

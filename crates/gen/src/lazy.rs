@@ -252,7 +252,7 @@ impl LazyLibrary {
         decode_index_section(bytes).map(Some)
     }
 
-    /// The prebuilt dispatch index, decoded (and digest-verified) on first
+    /// The prebuilt transformation index, decoded (and digest-verified) on first
     /// touch; `None` when the artifact carries no index section.
     ///
     /// # Errors

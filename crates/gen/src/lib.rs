@@ -10,10 +10,9 @@
 //!   paper Tables 5, 6 and 8).
 //! * [`prune`] applies ECC simplification and common-subcircuit pruning.
 //! * [`transformations_from_ecc_set`] extracts the optimizer's rewrite-rule
-//!   list from a set, and [`TransformationIndex`] is the gate-bucket +
-//!   histogram dispatch index built over it (DESIGN.md §2.2); its
-//!   [`MatchAutomaton`] compiles the target patterns into one prefix tree
-//!   for library-wide matching (DESIGN.md §2.6).
+//!   list from a set, and [`TransformationIndex`] holds that list and its
+//!   [`MatchAutomaton`], which compiles the target patterns into one prefix
+//!   tree that the search walks whole on every dequeue (DESIGN.md §2.6).
 //! * [`Library`] persists a set — and optionally its rule list — as a
 //!   versioned, checksummed `QTZL` binary artifact (DESIGN.md §7) that
 //!   loads in milliseconds; the `quartz-lib` CLI
@@ -41,7 +40,7 @@
 //! assert!(stats.circuits_considered > 0);
 //! assert!(prune_stats.circuits_before >= prune_stats.circuits_after_common_subcircuit);
 //!
-//! // Persist the pruned set (plus its prebuilt dispatch index) as a binary
+//! // Persist the pruned set (plus its rule list) as a binary
 //! // artifact and load it back without regenerating anything.
 //! let artifact = Library::new(GateSet::nam().name(), pruned.clone(), true).to_bytes();
 //! let loaded = Library::from_bytes(&artifact).unwrap();

@@ -753,7 +753,7 @@ pub(crate) fn verify_index_section(table: &ClassTable, bytes: &[u8]) -> Result<(
 }
 
 /// An owned, decoded library: header, ECC set, and (optionally) the
-/// prebuilt dispatch index. See the module-level docs for an example.
+/// prebuilt transformation index. See the module-level docs for an example.
 #[derive(Debug, Clone)]
 pub struct Library {
     header: LibraryHeader,
@@ -769,7 +769,7 @@ impl Library {
     /// Builds a library from an ECC set. With `with_index`, the
     /// transformation list is extracted (with common-subcircuit pruning, as
     /// [`crate::transformations_from_ecc_set`] does for the optimizer) and
-    /// its dispatch index is embedded so loaders skip index construction.
+    /// its transformation index is embedded so loaders skip index construction.
     ///
     /// `gate_set` is recorded in the header (truncated to 12 bytes).
     ///
@@ -888,7 +888,7 @@ impl Library {
         &self.ecc_set
     }
 
-    /// The prebuilt dispatch index, when the artifact carries one.
+    /// The prebuilt transformation index, when the artifact carries one.
     pub fn index(&self) -> Option<&TransformationIndex> {
         self.index.as_ref()
     }

@@ -5,7 +5,7 @@
 //! C₁→Cᵢ and Cᵢ→C₁. This module hosts the [`Transformation`] pair type and
 //! the extraction routine; it lives in `quartz-gen` (rather than the
 //! optimizer crate) so that persisted library artifacts
-//! ([`crate::library`]) can carry a ready-to-dispatch transformation list —
+//! ([`crate::library`]) can carry a ready-to-search transformation list —
 //! and its prebuilt index — without a dependency cycle.
 
 use crate::ecc::EccSet;

@@ -1,6 +1,6 @@
 //! An epoch-stamped set over dense ids, the reusable visited set of the
-//! optimizer's hot loops (index dispatch, the match walk, the convexity
-//! check): emptying it is O(1), so one set serves every call without
+//! optimizer's hot loops (the convexity check, the index's candidate
+//! filter): emptying it is O(1), so one set serves every call without
 //! allocating or zeroing once it has grown.
 
 /// A set of ids below some bound, emptied in O(1) by advancing an epoch: an

@@ -1,6 +1,6 @@
 //! A vendored, deterministic FxHash-style 64-bit hasher.
 //!
-//! The optimizer's seen-set and the transformation index's dispatch buckets
+//! The optimizer's seen-set and other interior tables
 //! hash small fixed-width keys (`u64` structural hashes, gate-pair tags) millions
 //! of times per search. `std`'s default SipHash is keyed per-process and
 //! DoS-resistant — properties those interior hash tables do not need — and

@@ -533,12 +533,10 @@ impl fmt::Display for Gate {
 
 /// A multiset of gate types: how many times each [`Gate`] occurs.
 ///
-/// The optimizer's dispatch layer uses histograms to skip transformations
-/// whose target pattern cannot possibly match a circuit — a pattern can only
-/// match when its histogram is a subset of the circuit's (every gate the
-/// pattern needs occurs at least as often in the circuit). Circuits maintain
-/// their histogram incrementally, so the subset test is O([`Gate::COUNT`])
-/// with no circuit traversal.
+/// A pattern can only match a circuit when its histogram is a subset of
+/// the circuit's (every gate the pattern needs occurs at least as often in
+/// the circuit). Circuits maintain their histogram incrementally, so the
+/// subset test is O([`Gate::COUNT`]) with no circuit traversal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct GateHistogram {
     counts: [u32; Gate::COUNT],

@@ -2,7 +2,7 @@
 //!
 //! Generation is offline; a service process should pay for a library at most
 //! once, as a cold file read. [`LibraryCache`] maps artifact paths to
-//! [`LoadedLibrary`] entries — the header plus the dispatch index behind an
+//! [`LoadedLibrary`] entries — the header plus the transformation index behind an
 //! [`Arc`] — so any number of
 //! [`crate::Optimizer`]s and [`crate::OptimizationService`]s share one
 //! in-memory index per artifact, exactly as batches already share one index
@@ -51,7 +51,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// A library artifact resident in memory: its header and its dispatch
+/// A library artifact resident in memory: its header and its transformation
 /// index, shareable across optimizers and services via [`Arc`].
 #[derive(Debug)]
 pub struct LoadedLibrary {
@@ -75,7 +75,7 @@ impl LoadedLibrary {
         &self.header
     }
 
-    /// The dispatch index, shared — cloning the `Arc` is the whole cost of
+    /// The transformation index, shared — cloning the `Arc` is the whole cost of
     /// handing the library to another optimizer or service.
     pub fn shared_index(&self) -> Arc<TransformationIndex> {
         Arc::clone(&self.index)

@@ -3,9 +3,9 @@
 //! The circuit optimizer of the Quartz superoptimizer reproduction
 //! (paper §6 and §7.1): transformation extraction from ECC sets, convex
 //! subcircuit matching, and the cost-based backtracking search of
-//! Algorithm 2. The search has one engine (DESIGN.md §2): a
-//! [`TransformationIndex`] dispatches only the transformations whose pattern
-//! gate multiset the circuit can cover; each dequeued circuit's
+//! Algorithm 2. The search has one engine (DESIGN.md §2): one walk of the
+//! [`TransformationIndex`]'s match automaton matches every transformation
+//! against a dequeued circuit at once (DESIGN.md §2.6); each dequeued circuit's
 //! [`MatchContext`] is derived from its parent's through the splice delta
 //! that created it ([`MatchContext::derive`], O(rewrite footprint),
 //! DESIGN.md §5); candidates are costed from the delta
@@ -25,7 +25,7 @@
 //!
 //! Startup is *zero-generation* when a persisted library artifact is
 //! available (DESIGN.md §7): [`LibraryCache`] loads a `QTZL` artifact once —
-//! prebuilt dispatch index included — and [`Optimizer::from_library`] /
+//! rule list and index included — and [`Optimizer::from_library`] /
 //! [`OptimizationService::from_library`] share it via [`std::sync::Arc`],
 //! turning seconds of ECC generation into a cold file read.
 //!

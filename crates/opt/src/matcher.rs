@@ -15,11 +15,11 @@
 //! There is one matcher: a backtracking walk of a [`MatchAutomaton`], the
 //! prefix tree of a whole library's target patterns under canonical labels
 //! (DESIGN.md §2.6). [`MatchContext::for_each_match`] walks it once for
-//! every dispatched rule, binding an instruction prefix that several rules
-//! share — up to a renaming of qubits and parameters — once for all of
-//! them, skipping subtrees that hold no dispatched rule, and streaming
-//! `(rule id, match)` to a callback. The walk binds canonical labels and
-//! relabels each emitted match through the rule's
+//! every rule, binding an instruction prefix that several rules share — up
+//! to a renaming of qubits and parameters — once for all of them, leaving a
+//! subtree as soon as its first gate has no candidate in the circuit, and
+//! streaming `(rule id, match)` to a callback. The walk binds canonical
+//! labels and relabels each emitted match through the rule's
 //! [`quartz_gen::RuleLabels`], so the callback sees it in the rule's own
 //! labels. [`MatchContext::find_matches`] is the same walk over a
 //! one-pattern automaton.
@@ -36,8 +36,8 @@
 
 use quartz_gen::{AutomatonNode, MatchAutomaton, Transformation};
 use quartz_ir::{
-    Circuit, CircuitDag, ConvexityScratch, EpochSet, Gate, Instruction, NodeId, ParamExpr,
-    SpliceDelta, SpliceFootprint,
+    Circuit, CircuitDag, ConvexityScratch, Gate, Instruction, NodeId, ParamExpr, SpliceDelta,
+    SpliceFootprint,
 };
 
 /// A successful match of a pattern against a circuit.
@@ -62,8 +62,7 @@ pub struct Match {
 /// *anchors* each pattern instruction: one that starts all of its pattern
 /// wires only tries nodes of the same gate type (instead of scanning the
 /// whole circuit), and any other only tries the one wire successor of its
-/// pattern predecessor's match. The indexed dispatch layer (DESIGN.md §2.2)
-/// names the rules to walk for.
+/// pattern predecessor's match.
 ///
 /// Contexts come from two places:
 ///
@@ -111,28 +110,26 @@ impl MatchContext {
     pub fn find_matches(&self, pattern: &Circuit) -> Vec<Match> {
         let automaton = MatchAutomaton::new([pattern]);
         let mut matches = Vec::new();
-        self.for_each_match(&automaton, &[0], &mut MatchScratch::new(), |_, m| {
+        self.for_each_match(&automaton, &mut MatchScratch::new(), |_, m| {
             matches.push(m.clone())
         });
         matches
     }
 
-    /// Streams every match of every rule in `rules` (ids into `automaton`)
-    /// to `emit` as `(rule id, match)`, in one walk over the automaton.
+    /// Streams every match of every rule of `automaton` to `emit` as
+    /// `(rule id, match)`, in one walk over the automaton.
     ///
-    /// An instruction prefix shared by several dispatched rules is bound
-    /// once for all of them; subtrees holding no rule of `rules` are never
-    /// entered, and a rule outside `rules` is never emitted. Each match
-    /// equals one that [`MatchContext::find_matches`] returns for the rule's
-    /// target; the order of the stream is unspecified.
+    /// An instruction prefix shared by several rules is bound once for all
+    /// of them. Each match equals one that [`MatchContext::find_matches`]
+    /// returns for the rule's target; the order of the stream is
+    /// unspecified.
     pub fn for_each_match(
         &self,
         automaton: &MatchAutomaton,
-        rules: &[usize],
         scratch: &mut MatchScratch,
         emit: impl FnMut(usize, &Match),
     ) {
-        scratch.begin(automaton, rules);
+        scratch.begin(automaton);
         Walk {
             ctx: self,
             automaton,
@@ -291,16 +288,13 @@ fn instantiate(
 }
 
 /// Reusable state for [`MatchContext::for_each_match`], one per thread:
-/// the epoch-stamped mask of dispatched rules and of the automaton nodes on
-/// their root paths, the partial match the walk binds in place (in the
-/// automaton's canonical labels), the match it reports to the callback (in
-/// the rule's own labels), and the convexity check's visited buffer. Any
-/// scratch works with any automaton and context; the walk allocates nothing
-/// once it is warm.
+/// the partial match the walk binds in place (in the automaton's canonical
+/// labels), the match it reports to the callback (in the rule's own
+/// labels), and the convexity check's visited buffer. Any scratch works
+/// with any automaton and context; the walk allocates nothing once it is
+/// warm.
 #[derive(Debug, Default)]
 pub struct MatchScratch {
-    live_nodes: EpochSet,
-    live_rules: EpochSet,
     partial: Match,
     emitted: Match,
     convexity: ConvexityScratch,
@@ -312,22 +306,9 @@ impl MatchScratch {
         MatchScratch::default()
     }
 
-    /// Starts a walk: marks the dispatched `rules` and every node on the
-    /// path from each one's terminal to the root, so the walk skips every
-    /// subtree that holds no dispatched rule, and empties the partial match.
-    fn begin(&mut self, automaton: &MatchAutomaton, rules: &[usize]) {
-        self.live_nodes.reset(automaton.num_nodes());
-        self.live_rules.reset(automaton.num_rules());
-        for &rule in rules {
-            self.live_rules.insert(rule);
-            let mut at = automaton.terminal(rule);
-            while let Some(node) = at {
-                if !self.live_nodes.insert(node) {
-                    break;
-                }
-                at = automaton.node(node).parent();
-            }
-        }
+    /// Starts a walk: empties the partial match, sized for the automaton's
+    /// widest rule.
+    fn begin(&mut self, automaton: &MatchAutomaton) {
         let (num_qubits, num_params) = automaton.max_shape();
         let partial = &mut self.partial;
         partial.instruction_map.clear();
@@ -388,16 +369,13 @@ struct Trail {
 }
 
 impl<'a, F: FnMut(usize, &Match)> Walk<'a, F> {
-    /// Tries every live node in `nodes` against its candidate circuit
-    /// gates. A node anchored on a wire edge has exactly one candidate: the
-    /// circuit successor, on that wire, of its pattern predecessor's match.
-    /// A node that starts all of its wires tries every gate of its type.
+    /// Tries every node in `nodes` against its candidate circuit gates. A
+    /// node anchored on a wire edge has exactly one candidate: the circuit
+    /// successor, on that wire, of its pattern predecessor's match. A node
+    /// that starts all of its wires tries every gate of its type.
     fn descend(&mut self, nodes: &'a [usize]) {
         let ctx: &'a MatchContext = self.ctx;
         for &id in nodes {
-            if !self.scratch.live_nodes.contains(id) {
-                continue;
-            }
             let node = self.automaton.node(id);
             match node.anchor() {
                 Some((depth, op)) => {
@@ -436,8 +414,8 @@ impl<'a, F: FnMut(usize, &Match)> Walk<'a, F> {
         }
     }
 
-    /// Emits the complete match to every dispatched rule ending at `node`,
-    /// after one convexity check shared by all of them. The walk binds
+    /// Emits the complete match to every rule ending at `node`, after one
+    /// convexity check shared by all of them. The walk binds
     /// canonical labels; each rule sees the match relabeled through its
     /// [`quartz_gen::RuleLabels`], with its own qubit and parameter map
     /// widths. The bindings are moved into the emitted match and back, so
@@ -446,9 +424,6 @@ impl<'a, F: FnMut(usize, &Match)> Walk<'a, F> {
         let mut convex = None;
         for &rule in node.rules() {
             let scratch = &mut *self.scratch;
-            if !scratch.live_rules.contains(rule) {
-                continue;
-            }
             let convex = *convex.get_or_insert_with(|| {
                 self.ctx
                     .dag
@@ -836,11 +811,11 @@ mod tests {
             .collect()
     }
 
-    /// The regions of every match the library walk emits over `rules`,
-    /// grouped by rule id, each group sorted.
-    fn walk(ctx: &MatchContext, automaton: &MatchAutomaton, rules: &[usize]) -> Vec<Vec<Match>> {
+    /// Every match the library walk emits, grouped by rule id, each group
+    /// sorted by region.
+    fn walk(ctx: &MatchContext, automaton: &MatchAutomaton) -> Vec<Vec<Match>> {
         let mut out = vec![Vec::new(); automaton.num_rules()];
-        ctx.for_each_match(automaton, rules, &mut MatchScratch::new(), |rule, m| {
+        ctx.for_each_match(automaton, &mut MatchScratch::new(), |rule, m| {
             out[rule].push(m.clone())
         });
         for matches in &mut out {
@@ -857,7 +832,7 @@ mod tests {
     fn a_target_that_prefixes_another_ends_at_an_interior_node() {
         let automaton = MatchAutomaton::new([&hs(3), &hs(2)]);
         let ctx = MatchContext::new(&hs(3));
-        let got = walk(&ctx, &automaton, &[0, 1]);
+        let got = walk(&ctx, &automaton);
         assert_eq!(regions(&got[0]), vec![nodes(&ctx, &[0, 1, 2])]);
         assert_eq!(
             regions(&got[1]),
@@ -869,7 +844,7 @@ mod tests {
     fn identical_targets_both_get_every_match() {
         let automaton = MatchAutomaton::new([&hs(2), &hs(2)]);
         let ctx = MatchContext::new(&hs(3));
-        let got = walk(&ctx, &automaton, &[0, 1]);
+        let got = walk(&ctx, &automaton);
         assert_eq!(
             regions(&got[0]),
             vec![nodes(&ctx, &[0, 1]), nodes(&ctx, &[1, 2])]
@@ -878,26 +853,10 @@ mod tests {
     }
 
     #[test]
-    fn an_undispatched_rule_on_a_dispatched_path_is_not_emitted() {
-        let hhx = hs(2).appended(instruction(Gate::X, &[0]));
-        let automaton = MatchAutomaton::new([&hs(2), &hhx]);
-        let ctx = MatchContext::new(&hhx);
-        // H H ends inside H H X's path, but only H H X is dispatched.
-        let got = walk(&ctx, &automaton, &[1]);
-        assert!(got[0].is_empty());
-        assert_eq!(regions(&got[1]), vec![nodes(&ctx, &[0, 1, 2])]);
-        // And the other way round: H H X's subtree is not entered.
-        let got = walk(&ctx, &automaton, &[0]);
-        assert_eq!(regions(&got[0]), vec![nodes(&ctx, &[0, 1])]);
-        assert!(got[1].is_empty());
-        assert!(walk(&ctx, &automaton, &[]).iter().all(Vec::is_empty));
-    }
-
-    #[test]
     fn a_target_longer_than_the_circuit_never_matches() {
         let automaton = MatchAutomaton::new([&hs(3), &hs(2)]);
         let ctx = MatchContext::new(&hs(2));
-        let got = walk(&ctx, &automaton, &[0, 1]);
+        let got = walk(&ctx, &automaton);
         assert!(got[0].is_empty());
         assert_eq!(regions(&got[1]), vec![nodes(&ctx, &[0, 1])]);
         assert!(ctx.find_matches(&hs(3)).is_empty());
@@ -931,7 +890,7 @@ mod tests {
         c.push(h(1));
         c.push(instruction(Gate::Cnot, &[0, 1]));
         let ctx = MatchContext::new(&c);
-        let got = walk(&ctx, &automaton, &[0, 1, 2]);
+        let got = walk(&ctx, &automaton);
         for (rule, pattern) in rules.iter().enumerate() {
             let mut single = ctx.find_matches(pattern);
             single.sort_by(|a, b| a.instruction_map.cmp(&b.instruction_map));
@@ -975,7 +934,8 @@ mod tests {
         let xform = Transformation { target, rewrite };
         let automaton = MatchAutomaton::new([&plain, &xform.target]);
         assert_eq!(automaton.num_nodes(), 3);
-        assert_eq!(automaton.terminal(0), automaton.terminal(1));
+        let last = (0..automaton.num_nodes()).find(|&n| automaton.node(n).children().is_empty());
+        assert_eq!(automaton.node(last.unwrap()).rules(), &[0, 1]);
 
         let angle = |quarters: i32| {
             Instruction::new(Gate::Rz, vec![2], vec![ParamExpr::constant_pi4(quarters)])
@@ -990,7 +950,7 @@ mod tests {
             vec![ParamExpr::constant_pi4(2)],
         ));
         let ctx = MatchContext::new(&c);
-        let got = walk(&ctx, &automaton, &[0, 1]);
+        let got = walk(&ctx, &automaton);
         assert_eq!(got[0].len(), 1);
         assert_eq!(got[0][0].qubit_map, vec![Some(2), Some(0)]);
         assert_eq!(

@@ -16,10 +16,10 @@
 //!    maintained wire hashes confirms the admission-time hash preview
 //!    ([`SearchResult::fp_confirm_mismatches`] counts disagreements; the
 //!    suites assert it 0).
-//! 2. **Dispatch and match.** The [`TransformationIndex`] names the
-//!    transformations whose pattern gate multiset the circuit can cover, and
-//!    one walk of the index's shared match automaton matches all of them,
-//!    binding each pattern prefix they share once (DESIGN.md §2.6).
+//! 2. **Match.** One walk of the [`TransformationIndex`]'s shared match
+//!    automaton matches every transformation, binding each pattern prefix
+//!    they share once and leaving a subtree as soon as its first gate has no
+//!    candidate in the circuit (DESIGN.md §2.6).
 //! 3. **Filter without materializing.** Every match's successor is costed
 //!    exactly from the delta ([`quartz_ir::DeltaCoster`], depth included) for
 //!    the γ filter, then its exact canonical-invariant [`StructuralHash`] is
@@ -53,7 +53,7 @@
 use crate::cache::LoadedLibrary;
 use crate::matcher::{DeltaScratch, MatchContext, MatchScratch};
 use crate::service::{ServiceRequest, ServiceScheduler};
-use quartz_gen::{IndexScratch, Transformation, TransformationIndex};
+use quartz_gen::{Transformation, TransformationIndex};
 use quartz_ir::{
     canonicalize, Circuit, CircuitDag, CostModel, FxHashSet, SpliceDelta, StructuralHash,
 };
@@ -87,8 +87,8 @@ pub struct SearchConfig {
     /// standalone run has one frontier, so this matters only to services
     /// with several requests running.
     pub num_threads: usize,
-    /// When `true`, per-phase wall-clock timings (context derivation, index
-    /// dispatch, matching, delta construction, γ-precheck, hash previews, the
+    /// When `true`, per-phase wall-clock timings (context derivation,
+    /// matching, delta construction, γ-precheck, hash previews, the
     /// dequeue-time hash confirmation, deduplication) are accumulated into
     /// [`SearchResult::profile`].
     /// Default `false`: the hot path then executes no timing calls at all.
@@ -133,17 +133,14 @@ impl SearchConfig {
 /// Per-phase wall-clock breakdown of one search run, accumulated only when
 /// [`SearchConfig::profile`] is on (all-zero otherwise). The phases cover
 /// the per-entry pipeline of `expand_entry`: deriving the entry's match
-/// context, the index dispatch, finding matches, building splice deltas,
-/// the exact γ-precheck, the O(footprint) structural-hash previews, the
-/// dequeue-time hash confirmation, and the seen-set probes.
+/// context, finding matches, building splice deltas, the exact γ-precheck,
+/// the O(footprint) structural-hash previews, the dequeue-time hash
+/// confirmation, and the seen-set probes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchProfile {
-    /// Naming the rules to match: the index's histogram dispatch
-    /// (`candidates_into`), plus the match automaton's build on the
-    /// index's first dispatch.
-    pub dispatch: Duration,
     /// Enumerating matches: the automaton walk, minus the finer phases
-    /// its callback runs (delta, γ-precheck, preview, dedup).
+    /// its callback runs (delta, γ-precheck, preview, dedup), plus the
+    /// match automaton's build on the index's first walk.
     pub matching: Duration,
     /// Building the instantiated [`SpliceDelta`] of each match.
     pub delta: Duration,
@@ -168,7 +165,6 @@ pub struct SearchProfile {
 impl SearchProfile {
     /// Adds another profile's phase times into this one.
     pub fn accumulate(&mut self, other: &SearchProfile) {
-        self.dispatch += other.dispatch;
         self.matching += other.matching;
         self.delta += other.delta;
         self.gamma_precheck += other.gamma_precheck;
@@ -180,8 +176,7 @@ impl SearchProfile {
 
     /// Sum of all phase times.
     pub fn total(&self) -> Duration {
-        self.dispatch
-            + self.matching
+        self.matching
             + self.delta
             + self.gamma_precheck
             + self.preview
@@ -192,9 +187,8 @@ impl SearchProfile {
 
     /// (name, seconds) pairs for every phase, in pipeline order — the shape
     /// benchmark reports emit.
-    pub fn phases(&self) -> [(&'static str, f64); 8] {
+    pub fn phases(&self) -> [(&'static str, f64); 7] {
         [
-            ("dispatch", self.dispatch.as_secs_f64()),
             ("matching", self.matching.as_secs_f64()),
             ("delta", self.delta.as_secs_f64()),
             ("gamma_precheck", self.gamma_precheck.as_secs_f64()),
@@ -224,11 +218,6 @@ pub struct SearchResult {
     /// Trace of (elapsed, best cost) pairs recorded whenever the best cost
     /// improved — used to reproduce the time-series plots (paper Figure 8).
     pub improvement_trace: Vec<(Duration, usize)>,
-    /// Transformations actually matched against dequeued circuits.
-    pub match_attempts: usize,
-    /// Transformations skipped by the index's histogram filter — each one a
-    /// pattern match the linear scan would have attempted and lost.
-    pub match_skips: usize,
     /// γ-admissible candidate circuits discarded because their exact
     /// canonical-invariant structural hash was already in the seen-set.
     /// (Candidates rejected by the γ threshold are dropped before the
@@ -261,17 +250,6 @@ impl SearchResult {
             0.0
         } else {
             1.0 - self.best_cost as f64 / self.initial_cost as f64
-        }
-    }
-
-    /// Fraction of pattern-match attempts the index dispatch avoided, in
-    /// [0, 1] (0 when nothing was skipped).
-    pub fn dispatch_skip_rate(&self) -> f64 {
-        let total = self.match_attempts + self.match_skips;
-        if total == 0 {
-            0.0
-        } else {
-            self.match_skips as f64 / total as f64
         }
     }
 
@@ -350,8 +328,6 @@ struct Candidate {
 /// One worker thread's reusable buffers for [`Optimizer::expand_entry`].
 #[derive(Default)]
 struct ExpandScratch {
-    index: IndexScratch,
-    ids: Vec<usize>,
     matches: MatchScratch,
     delta: DeltaScratch,
 }
@@ -362,8 +338,6 @@ pub(crate) struct Expansion {
     /// into the queue.
     ctx: Arc<MatchContext>,
     candidates: Vec<Candidate>,
-    attempts: usize,
-    skips: usize,
     fp_fast_rejects: usize,
     fp_confirm_mismatches: usize,
     profile: SearchProfile,
@@ -398,8 +372,6 @@ pub(crate) struct Frontier {
     initial_cost: usize,
     order: usize,
     iterations: usize,
-    match_attempts: usize,
-    match_skips: usize,
     dedup_hits: usize,
     fp_fast_rejects: usize,
     fp_confirm_mismatches: usize,
@@ -434,8 +406,6 @@ impl Frontier {
             initial_cost,
             order: 0,
             iterations: 0,
-            match_attempts: 0,
-            match_skips: 0,
             dedup_hits: 0,
             fp_fast_rejects: 0,
             fp_confirm_mismatches: 0,
@@ -497,8 +467,6 @@ impl Frontier {
     /// and enqueues every candidate that survives deduplication and the γ
     /// threshold against the *live* (merge-time) best cost.
     pub(crate) fn merge(&mut self, expansion: Expansion, config: &SearchConfig, start: Instant) {
-        self.match_attempts += expansion.attempts;
-        self.match_skips += expansion.skips;
         self.dedup_hits += expansion.fp_fast_rejects;
         self.fp_fast_rejects += expansion.fp_fast_rejects;
         self.fp_confirm_mismatches += expansion.fp_confirm_mismatches;
@@ -561,8 +529,6 @@ impl Frontier {
             circuits_seen: self.seen.len(),
             elapsed,
             improvement_trace: self.improvement_trace,
-            match_attempts: self.match_attempts,
-            match_skips: self.match_skips,
             dedup_hits: self.dedup_hits,
             fp_fast_rejects: self.fp_fast_rejects,
             fp_confirm_mismatches: self.fp_confirm_mismatches,
@@ -603,13 +569,13 @@ pub struct Optimizer {
 
 impl Optimizer {
     /// Creates an optimizer from an explicit transformation list, building
-    /// the dispatch index over it.
+    /// the index over it.
     pub fn new(transformations: Vec<Transformation>, config: SearchConfig) -> Self {
         Optimizer::with_index(Arc::new(TransformationIndex::new(transformations)), config)
     }
 
-    /// Creates an optimizer around an existing (possibly shared) dispatch
-    /// index — no extraction or construction work happens.
+    /// Creates an optimizer around an existing (possibly shared) index — no
+    /// extraction or construction work happens.
     pub fn with_index(index: Arc<TransformationIndex>, config: SearchConfig) -> Self {
         Optimizer { index, config }
     }
@@ -633,12 +599,12 @@ impl Optimizer {
         self.index.transformations()
     }
 
-    /// The dispatch index over the transformations.
+    /// The index over the transformations.
     pub fn index(&self) -> &TransformationIndex {
         &self.index
     }
 
-    /// The dispatch index as a shareable handle (what
+    /// The index as a shareable handle (what
     /// [`crate::OptimizationService`] clones instead of the index itself).
     pub fn shared_index(&self) -> Arc<TransformationIndex> {
         Arc::clone(&self.index)
@@ -681,9 +647,9 @@ impl Optimizer {
 
     /// Expands one dequeued circuit: builds its [`MatchContext`] (derived
     /// from the parent's, or from the sequence form at the root), confirms
-    /// its admission-time hash, dispatches through the index, matches every
-    /// surviving transformation in one automaton walk, and delta-costs and
-    /// previews every successor. Candidates are sorted by (cost, structural
+    /// its admission-time hash, matches every transformation in one
+    /// automaton walk, and delta-costs and previews every successor.
+    /// Candidates are sorted by (cost, structural
     /// hash) so the expansion's output is a function of the candidate set
     /// alone — independent of the circuit's sequence representation, of
     /// match enumeration order, and of wall-clock time (the timeout is checked
@@ -696,8 +662,7 @@ impl Optimizer {
         frozen_best: usize,
         seen: &FxHashSet<u64>,
     ) -> Expansion {
-        // Per-thread scratch: the index dispatch's visited set, the
-        // candidate-id buffer, the matcher's walk state and the per-match
+        // Per-thread scratch: the matcher's walk state and the per-match
         // splice delta, reused across dequeues so the per-match path
         // allocates nothing in steady state.
         thread_local! {
@@ -716,8 +681,6 @@ impl Optimizer {
         scratch: &mut ExpandScratch,
     ) -> Expansion {
         let ExpandScratch {
-            index: index_scratch,
-            ids,
             matches: match_scratch,
             delta: delta_scratch,
         } = scratch;
@@ -743,18 +706,6 @@ impl Optimizer {
             profile.fingerprint = t.elapsed();
         }
 
-        let t_dispatch = profiling.then(Instant::now);
-        self.index.candidates_into(
-            ctx.dag().gate_histogram(),
-            ctx.dag().num_qubits(),
-            index_scratch,
-            ids,
-        );
-        // Built on the index's first dispatch, then shared.
-        let automaton = self.index.automaton();
-        if let Some(t) = t_dispatch {
-            profile.dispatch = t.elapsed();
-        }
         let mut candidates: Vec<Candidate> = Vec::new();
         let mut fp_fast_rejects = 0usize;
         let cost_model = self.config.cost_model;
@@ -766,10 +717,13 @@ impl Optimizer {
         let coster = cost_model.delta_coster(ctx.dag());
         let coster_time = t_coster.map(|t| t.elapsed());
         let t_loop = profiling.then(Instant::now);
+        // Built on the index's first walk, then shared; the build counts as
+        // matching.
+        let automaton = self.index.automaton();
         // One walk over the library's shared match automaton binds every
-        // dispatched rule's matches, a shared pattern prefix once for all
-        // the rules that start with it (DESIGN.md §2.6).
-        ctx.for_each_match(automaton, ids, match_scratch, |id, m| {
+        // rule's matches, a shared pattern prefix once for all the rules
+        // that start with it (DESIGN.md §2.6).
+        ctx.for_each_match(automaton, match_scratch, |id, m| {
             let xform = &self.index.transformations()[id];
             let t_delta = profiling.then(Instant::now);
             let instantiated = ctx.delta_into(xform, m, delta_scratch);
@@ -842,8 +796,6 @@ impl Optimizer {
         Expansion {
             ctx: Arc::new(ctx),
             candidates,
-            attempts: ids.len(),
-            skips: self.index.len() - ids.len(),
             fp_fast_rejects,
             fp_confirm_mismatches,
             profile,
@@ -974,25 +926,16 @@ mod tests {
     }
 
     #[test]
-    fn indexed_and_linear_dispatch_agree_and_index_skips_work() {
+    fn automaton_walk_and_linear_scan_agree() {
         let opt = nam_optimizer(2, 2, 0);
         let mut c = Circuit::new(2, 0);
         c.push(instruction(Gate::H, &[0]));
         c.push(instruction(Gate::H, &[0]));
         c.push(instruction(Gate::Cnot, &[0, 1]));
-        let indexed = opt.optimize(&c);
-        // The oracle scans every transformation on every dequeue.
+        let walked = opt.optimize(&c);
+        // The oracle matches every transformation on its own, one by one.
         let linear = oracle::run(opt.transformations(), opt.config(), &c);
-        oracle::assert_agrees(&indexed, &linear, "H H CNOT");
-        // Same search outcome, strictly fewer pattern-match attempts: the
-        // circuit contains no X, so every X-bearing pattern is skipped.
-        assert_eq!(
-            indexed.match_attempts + indexed.match_skips,
-            linear.match_attempts
-        );
-        assert!(indexed.match_skips > 0, "index should skip X-only patterns");
-        assert!(indexed.match_attempts < linear.match_attempts);
-        assert!(indexed.dispatch_skip_rate() > 0.0);
+        oracle::assert_agrees(&walked, &linear, "H H CNOT");
     }
 
     #[test]
@@ -1068,19 +1011,17 @@ mod tests {
     }
 
     /// The rate accessors must return 0 (not NaN) when their denominators
-    /// are zero: `reduction` on a zero-cost input, `dispatch_skip_rate` /
-    /// `fp_fast_reject_rate` on a run that did no matching work at all (an
-    /// empty transformation library on an empty circuit).
+    /// are zero: `reduction` on a zero-cost input, `fp_fast_reject_rate` on
+    /// a run that did no matching work at all (an empty transformation
+    /// library on an empty circuit).
     #[test]
     fn rates_are_zero_not_nan_on_empty_runs() {
         let opt = Optimizer::new(Vec::new(), SearchConfig::default());
         let result = opt.optimize(&Circuit::new(2, 0));
         assert_eq!(result.initial_cost, 0);
         assert_eq!(result.best_cost, 0);
-        assert_eq!(result.match_attempts + result.match_skips, 0);
         assert_eq!(result.dedup_hits, 0);
         assert_eq!(result.reduction(), 0.0);
-        assert_eq!(result.dispatch_skip_rate(), 0.0);
         assert_eq!(result.fp_fast_reject_rate(), 0.0);
 
         // A populated optimizer on the empty circuit exercises the
@@ -1090,11 +1031,7 @@ mod tests {
         let empty = populated.optimize(&Circuit::new(2, 0));
         assert_eq!(empty.initial_cost, 0);
         assert_eq!(empty.reduction(), 0.0);
-        for rate in [
-            empty.reduction(),
-            empty.dispatch_skip_rate(),
-            empty.fp_fast_reject_rate(),
-        ] {
+        for rate in [empty.reduction(), empty.fp_fast_reject_rate()] {
             assert!(rate.is_finite());
             assert!((0.0..=1.0).contains(&rate));
         }
@@ -1184,7 +1121,6 @@ mod tests {
         assert_eq!(result.best_circuit, canonicalize(&c));
         assert_eq!(result.best_cost, result.initial_cost);
         assert_eq!(result.circuits_seen, 1);
-        assert_eq!(result.match_attempts + result.match_skips, 0);
         let costs: Vec<usize> = result.improvement_trace.iter().map(|&(_, c)| c).collect();
         assert_eq!(costs, vec![result.initial_cost]);
     }
@@ -1244,12 +1180,12 @@ mod tests {
             "profiling must record phase time"
         );
         let phases = profiled.profile.phases();
-        assert_eq!(phases.len(), 8);
+        assert_eq!(phases.len(), 7);
         assert!(phases.iter().all(|(_, secs)| *secs >= 0.0));
-        // Every dequeue derives a context and dispatches, and every
+        // Every dequeue derives a context and walks the automaton, and every
         // first-sight candidate is previewed.
         assert!(profiled.profile.derive > Duration::ZERO);
-        assert!(profiled.profile.dispatch > Duration::ZERO);
+        assert!(profiled.profile.matching > Duration::ZERO);
         assert!(profiled.profile.preview > Duration::ZERO);
     }
 }

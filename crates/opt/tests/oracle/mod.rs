@@ -2,7 +2,7 @@
 //! only: the search engine must reproduce its outcome field by field.
 //!
 //! It shares none of the engine's machinery. It scans every transformation
-//! (no dispatch index), matches on the sequence form with its own
+//! one by one (no match automaton), matches on the sequence form with its own
 //! brute-force `Apply(C, T)` (no DAG, no anchored backtracking, no derived
 //! contexts), applies every match to a new sequence circuit and
 //! canonicalizes it (no deferred materialization), costs it with
@@ -33,8 +33,6 @@ pub struct OracleResult {
     pub iterations: usize,
     pub circuits_seen: usize,
     pub dedup_hits: usize,
-    /// Pattern matches attempted: every transformation on every dequeue.
-    pub match_attempts: usize,
     /// The best cost after the start and after every improvement.
     pub trace: Vec<usize>,
 }
@@ -77,7 +75,6 @@ pub fn run_with_budget(
         iterations: 0,
         circuits_seen: 0,
         dedup_hits: 0,
-        match_attempts: 0,
         trace: vec![initial_cost],
     };
     let admits = |c: usize, best: usize| (c as f64) < config.gamma * best as f64;
@@ -92,7 +89,6 @@ pub fn run_with_budget(
         let circuit = circuits[order].take().expect("popped once");
         let mut successors: Vec<(usize, u64, Circuit)> = Vec::new();
         for xform in transformations {
-            out.match_attempts += 1;
             for next in apply(&circuit, xform) {
                 let next_cost = cost(&next);
                 if !admits(next_cost, out.best_cost) {

@@ -296,10 +296,6 @@ pub struct Outcome {
     /// Best-cost values at each improvement, in order (the cost component
     /// of `SearchResult::improvement_trace`).
     pub trace_costs: Vec<usize>,
-    /// Pattern-match attempts.
-    pub match_attempts: usize,
-    /// Matches skipped by the dispatch index.
-    pub match_skips: usize,
     /// Seen-set dedup hits.
     pub dedup_hits: usize,
     /// Dedup hits caught on the worker by the hash preview.
@@ -319,8 +315,6 @@ impl Outcome {
             iterations: result.iterations,
             circuits_seen: result.circuits_seen,
             trace_costs: result.improvement_trace.iter().map(|&(_, c)| c).collect(),
-            match_attempts: result.match_attempts,
-            match_skips: result.match_skips,
             dedup_hits: result.dedup_hits,
             fp_fast_rejects: result.fp_fast_rejects,
             fp_confirm_mismatches: result.fp_confirm_mismatches,
@@ -349,14 +343,6 @@ impl Outcome {
                         .map(|&c| Json::Int(c as i128))
                         .collect(),
                 ),
-            ),
-            (
-                "match_attempts".to_string(),
-                Json::Int(self.match_attempts as i128),
-            ),
-            (
-                "match_skips".to_string(),
-                Json::Int(self.match_skips as i128),
             ),
             ("dedup_hits".to_string(), Json::Int(self.dedup_hits as i128)),
             (
@@ -391,8 +377,6 @@ impl Outcome {
             iterations: require_usize(json, "iterations")?,
             circuits_seen: require_usize(json, "circuits_seen")?,
             trace_costs,
-            match_attempts: require_usize(json, "match_attempts")?,
-            match_skips: require_usize(json, "match_skips")?,
             dedup_hits: require_usize(json, "dedup_hits")?,
             fp_fast_rejects: require_usize(json, "fp_fast_rejects")?,
             fp_confirm_mismatches: require_usize(json, "fp_confirm_mismatches")?,

@@ -97,7 +97,7 @@ fn arb_outcome() -> impl Strategy<Value = Outcome> {
             any::<u32>(),
             prop::collection::vec(any::<u32>().prop_map(|c| c as usize), 0..6),
         ),
-        prop::collection::vec(any::<u32>().prop_map(|c| c as usize), 5),
+        prop::collection::vec(any::<u32>().prop_map(|c| c as usize), 3),
     )
         .prop_map(|((best_qasm, bc, ic, it, seen, trace), counters)| Outcome {
             best_qasm,
@@ -106,11 +106,9 @@ fn arb_outcome() -> impl Strategy<Value = Outcome> {
             iterations: it as usize,
             circuits_seen: seen as usize,
             trace_costs: trace,
-            match_attempts: counters[0],
-            match_skips: counters[1],
-            dedup_hits: counters[2],
-            fp_fast_rejects: counters[3],
-            fp_confirm_mismatches: counters[4],
+            dedup_hits: counters[0],
+            fp_fast_rejects: counters[1],
+            fp_confirm_mismatches: counters[2],
         })
 }
 

@@ -586,6 +586,32 @@ mod tests {
         assert!(v.check(&three, &swap).unwrap());
     }
 
+    /// `Ry(p0)·Ry(−p0)` has diagonal entries `c₀² + s₀²`, so its
+    /// difference from the identity is not syntactically zero: the query
+    /// holds only through the reducing branch of the trig normal form
+    /// (`s₀² = 1 − c₀²`). `Ry(p0)·Ry(p0)` is the near miss.
+    #[test]
+    fn ry_inverse_pair_equals_identity_only_after_trig_reduction() {
+        let ry = |k: i32| Instruction::new(Gate::Ry, vec![0], vec![ParamExpr::scaled_var(0, k, 1)]);
+        let mut inverse = Circuit::new(1, 1);
+        inverse.push(ry(1));
+        inverse.push(ry(-1));
+        let mut doubled = Circuit::new(1, 1);
+        doubled.push(ry(1));
+        doubled.push(ry(1));
+        let empty = Circuit::new(1, 1);
+
+        let difference = symsem::circuit_unitary(&inverse)
+            .unwrap()
+            .sub(&symsem::circuit_unitary(&empty).unwrap());
+        assert!(difference.entries().any(|(_, _, p)| !p.is_zero()));
+        assert!(difference.entries().all(|(_, _, p)| p.is_zero_mod_trig()));
+
+        let mut v = Verifier::default();
+        assert_eq!(v.check(&inverse, &empty), Ok(true));
+        assert_eq!(v.check(&doubled, &empty), Ok(false));
+    }
+
     #[test]
     fn rigetti_rx_pi_equals_x_up_to_phase() {
         let mut rx = Circuit::new(1, 0);

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 fn main() {
     // 1. Bring up the service from the committed NAM (n=3, q=2, m=2)
-    //    artifact: the ECC payload and the prebuilt dispatch index load as
+    //    artifact: the ECC payload and the prebuilt transformation index load as
     //    one cold file read, shared across every circuit of every batch
     //    (DESIGN.md §7). Fall back to generating the same library when the
     //    artifact is absent.

@@ -1,7 +1,7 @@
 //! Generate ECC sets for the three gate sets of the paper (Table 1), print
 //! the Table-5-style metrics, and save each set twice: as interchange JSON
 //! (what the original Quartz tooling reads) and as a binary `QTZL` library
-//! artifact with a prebuilt dispatch index (what services load at startup;
+//! artifact with a prebuilt transformation index (what services load at startup;
 //! DESIGN.md §7) — the in-code equivalent of `quartz-lib generate`.
 //!
 //! Run with `cargo run --release --example generate_ecc_sets [-- <max_n>]`.

@@ -54,8 +54,7 @@ fn main() {
         preprocessed.gate_count()
     );
 
-    // Quartz search with a small learned transformation library (dispatch
-    // goes through the transformation index).
+    // Quartz search with a small learned transformation library.
     println!("Generating a (3, 2)-complete ECC set for the Nam gate set...");
     let (ecc_set, _) = Generator::new(GateSet::nam(), GenConfig::standard(3, 2, 2)).run();
     let optimizer = Optimizer::from_ecc_set(
@@ -75,14 +74,9 @@ fn main() {
         result.iterations
     );
     println!(
-        "Search engine: {} pattern matches attempted, {} skipped by the index \
-         ({:.1}% skip rate), {} duplicate candidates dropped by fingerprint, \
+        "Search engine: {} duplicate candidates dropped by fingerprint, \
          {} distinct circuits seen",
-        result.match_attempts,
-        result.match_skips,
-        100.0 * result.dispatch_skip_rate(),
-        result.dedup_hits,
-        result.circuits_seen
+        result.dedup_hits, result.circuits_seen
     );
     println!(
         "Structural-hash dedup: {} of {} duplicates rejected by the preview \

@@ -14,7 +14,7 @@ fn main() {
     let config = SearchConfig::with_timeout(Duration::from_secs(5));
 
     // 1. Load the committed NAM (n=3, q=2) library artifact — ECC payload
-    //    plus prebuilt dispatch index, so startup is a cold file read
+    //    plus prebuilt transformation index, so startup is a cold file read
     //    (DESIGN.md §7). Fall back to generating when it is absent (e.g.
     //    when running from outside the repository).
     let artifact = Path::new(env!("CARGO_MANIFEST_DIR")).join("libraries/nam_n3_q2.qtzl");
@@ -72,10 +72,6 @@ fn main() {
         100.0 * result.reduction(),
         result.iterations,
         result.best_circuit
-    );
-    println!(
-        "Dispatch: {} pattern matches attempted, {} skipped by the index, {} dedup hits",
-        result.match_attempts, result.match_skips, result.dedup_hits
     );
     println!(
         "Structural-hash dedup: {} of {} duplicates rejected before any merge, \

@@ -190,8 +190,6 @@ fn service_batch_is_bit_identical_to_standalone_optimizer_runs() {
         assert_eq!(batched.initial_cost, solo.initial_cost, "circuit {id}");
         assert_eq!(batched.iterations, solo.iterations, "circuit {id}");
         assert_eq!(batched.circuits_seen, solo.circuits_seen, "circuit {id}");
-        assert_eq!(batched.match_attempts, solo.match_attempts, "circuit {id}");
-        assert_eq!(batched.match_skips, solo.match_skips, "circuit {id}");
         assert_eq!(batched.dedup_hits, solo.dedup_hits, "circuit {id}");
         assert_eq!(
             batched.fp_fast_rejects, solo.fp_fast_rejects,
@@ -263,16 +261,16 @@ fn service_batch_matches_the_oracle_on_the_nam_quick_suite() {
 #[test]
 fn nam_quick_suite_outcomes_are_pinned() {
     /// Per circuit: best_cost, initial_cost, iterations, circuits_seen,
-    /// dedup_hits, match_attempts, match_skips, fp_fast_rejects.
-    const PINNED: [(&str, [usize; 8]); 8] = [
-        ("barenco_tof_3", [100, 100, 40, 242, 1555, 3040, 1280, 950]),
-        ("csla_mux_3", [112, 112, 40, 319, 2110, 3880, 440, 1147]),
-        ("mod5_4", [56, 57, 40, 197, 1534, 4320, 0, 850]),
-        ("mod_mult_55", [152, 154, 40, 504, 3015, 3040, 1280, 1438]),
-        ("rc_adder_6", [175, 175, 40, 588, 4447, 3040, 1280, 2246]),
-        ("tof_3", [40, 40, 40, 139, 1237, 3040, 1280, 834]),
-        ("tof_5", [90, 90, 40, 334, 2620, 3040, 1280, 1319]),
-        ("vbe_adder_3", [119, 119, 40, 340, 2427, 3040, 1280, 1335]),
+    /// dedup_hits, fp_fast_rejects.
+    const PINNED: [(&str, [usize; 6]); 8] = [
+        ("barenco_tof_3", [100, 100, 40, 242, 1555, 950]),
+        ("csla_mux_3", [112, 112, 40, 319, 2110, 1147]),
+        ("mod5_4", [56, 57, 40, 197, 1534, 850]),
+        ("mod_mult_55", [152, 154, 40, 504, 3015, 1438]),
+        ("rc_adder_6", [175, 175, 40, 588, 4447, 2246]),
+        ("tof_3", [40, 40, 40, 139, 1237, 834]),
+        ("tof_5", [90, 90, 40, 334, 2620, 1319]),
+        ("vbe_adder_3", [119, 119, 40, 340, 2427, 1335]),
     ];
 
     let artifact =
@@ -293,7 +291,7 @@ fn nam_quick_suite_outcomes_are_pinned() {
     let batch: Vec<Circuit> = suite.iter().map(|(_, c)| preprocess_nam(c)).collect();
     let results = service.optimize_batch(&batch);
 
-    let measured: Vec<(&str, [usize; 8])> = suite
+    let measured: Vec<(&str, [usize; 6])> = suite
         .iter()
         .zip(&results)
         .map(|((name, _), r)| {
@@ -304,8 +302,6 @@ fn nam_quick_suite_outcomes_are_pinned() {
                 r.iterations,
                 r.circuits_seen,
                 r.dedup_hits,
-                r.match_attempts,
-                r.match_skips,
                 r.fp_fast_rejects,
             ];
             (*name, counters)
@@ -332,6 +328,7 @@ fn committed_libraries_index_no_self_rewriting_rules() {
         ("nam_n3_q2", 108),
         ("ibm_n2_q2", 228),
         ("rigetti_n2_q2", 41),
+        ("nam_n4_q3", 1836),
     ] {
         let path =
             std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("libraries/{name}.qtzl"));
@@ -464,8 +461,6 @@ fn committed_artifact_is_bit_identical_to_generate_at_startup() {
         assert_eq!(a.initial_cost, b.initial_cost);
         assert_eq!(a.iterations, b.iterations);
         assert_eq!(a.circuits_seen, b.circuits_seen);
-        assert_eq!(a.match_attempts, b.match_attempts);
-        assert_eq!(a.match_skips, b.match_skips);
         assert_eq!(a.dedup_hits, b.dedup_hits);
         assert_eq!(a.fp_fast_rejects, b.fp_fast_rejects);
         assert_eq!(a.fp_confirm_mismatches, b.fp_confirm_mismatches);
