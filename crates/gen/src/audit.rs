@@ -601,7 +601,7 @@ impl Auditor {
         let mut report = self.audit_set(
             &set,
             &library.header().gate_set,
-            index.as_deref(),
+            index.as_ref(),
             stamp.as_ref(),
         );
         if let Some(d) = index_diag {

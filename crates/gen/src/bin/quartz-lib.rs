@@ -2,23 +2,22 @@
 //! artifacts (the `QTZL` format of DESIGN.md §7).
 //!
 //! ```text
-//! quartz-lib generate --gate-set nam|ibm|rigetti --n N --q Q [--m M]
-//!                     [--no-index] --out FILE
-//!     Run RepGen + pruning and pack the result (with its prebuilt
-//!     transformation index unless --no-index) as a binary artifact.
+//! quartz-lib generate --gate-set nam|ibm|rigetti --n N --q Q [--m M] --out FILE
+//!     Run RepGen + pruning and pack the result, with its prebuilt
+//!     transformation index, as a binary artifact.
 //!
-//! quartz-lib pack --in SET.json --out SET.qtzl [--gate-set NAME] [--no-index]
-//!     Convert an ECC-set JSON file to a binary artifact.
+//! quartz-lib pack --in SET.json --out SET.qtzl [--gate-set NAME]
+//!     Convert an ECC-set JSON file to a binary artifact (with its index).
 //!
 //! quartz-lib unpack --in SET.qtzl --out SET.json
 //!     Convert a binary artifact back to interchange JSON.
 //!
 //! quartz-lib inspect FILE
-//!     Dump the header, class table and index statistics of an artifact.
+//!     Dump the header and index statistics of an artifact.
 //!
 //! quartz-lib verify-checksum FILE [--deep]
-//!     Validate the header, the artifact checksum (header and class table),
-//!     every class and index digest, and the generator version. With
+//!     Validate the header, the artifact checksum (every byte), that both
+//!     sections decode, and the generator version. With
 //!     --deep, additionally decode the payload, re-pack it with the current
 //!     generator pipeline, and require byte-identical output (catches a
 //!     stale prebuilt index or a stale encoder).
@@ -91,8 +90,8 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
-  quartz-lib generate --gate-set nam|ibm|rigetti --n N --q Q [--m M] [--no-index] --out FILE
-  quartz-lib pack --in SET.json --out SET.qtzl [--gate-set NAME] [--no-index]
+  quartz-lib generate --gate-set nam|ibm|rigetti --n N --q Q [--m M] --out FILE
+  quartz-lib pack --in SET.json --out SET.qtzl [--gate-set NAME]
   quartz-lib unpack --in SET.qtzl --out SET.json
   quartz-lib inspect FILE
   quartz-lib verify-checksum FILE [--deep]
@@ -212,7 +211,6 @@ fn generate(args: &[String]) -> Result<(), Failure> {
         Some(v) => parse_number("--m", v)?,
         None => default_params(&gate_set),
     };
-    let with_index = !args.switch("--no-index");
     let out = args.required("--out")?.to_string();
     args.finish()?;
 
@@ -225,7 +223,7 @@ fn generate(args: &[String]) -> Result<(), Failure> {
         pruned.num_transformations(),
         stats.total_time
     );
-    let library = Library::new(gate_set.name(), pruned, with_index);
+    let library = Library::new(gate_set.name(), pruned, true);
     library.save(&out).map_err(runtime)?;
     eprintln!("wrote {out} ({} bytes)", library.byte_len());
     Ok(())
@@ -241,21 +239,15 @@ fn pack(args: &[String]) -> Result<(), Failure> {
     let gate_set = gate_set_by_name(gate_set_raw)
         .map(|g| g.name().to_string())
         .unwrap_or_else(|_| gate_set_raw.to_string());
-    let with_index = !args.switch("--no-index");
     args.finish()?;
 
     let set = EccSet::load(&input).map_err(runtime)?;
-    let library = Library::new(gate_set, set, with_index);
+    let library = Library::new(gate_set, set, true);
     library.save(&out).map_err(runtime)?;
     eprintln!(
-        "packed {input} -> {out} ({} classes, {} bytes, index: {})",
+        "packed {input} -> {out} ({} classes, {} bytes)",
         library.header().num_eccs,
-        library.byte_len(),
-        if library.header().has_index() {
-            "prebuilt"
-        } else {
-            "absent"
-        }
+        library.byte_len()
     );
     Ok(())
 }
@@ -307,12 +299,6 @@ fn inspect(args: &[String]) -> Result<(), Failure> {
         }
     );
     println!("  checksum:           {:#018x}", h.checksum);
-    let table = library.class_table();
-    println!(
-        "  class table:        {} entries ({} bytes)",
-        table.classes.len(),
-        table.encoded_len()
-    );
     if let Some(index) = library.index().map_err(runtime)? {
         println!("  transformations:    {}", index.len());
     }
@@ -479,7 +465,9 @@ fn verify_checksum(args: &[String]) -> Result<(), Failure> {
     args.finish()?;
 
     let library = LazyLibrary::open(&path).map_err(runtime)?;
-    library.verify_all().map_err(runtime)?;
+    library
+        .verify_all()
+        .map_err(|e| runtime(format!("{path}: {e}")))?;
     let header = library.header();
     if header.generator_version != GENERATOR_VERSION {
         return Err(runtime(format!(

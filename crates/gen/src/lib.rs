@@ -19,9 +19,9 @@
 //!   (`cargo run -p quartz-gen --bin quartz-lib`) packs, inspects and
 //!   verifies artifacts.
 //! * [`LazyLibrary`] is the one reader of artifacts (DESIGN.md §12): it
-//!   reads the file once, validates the header and class table at open and
-//!   decodes each class on first touch. Every library is one whole artifact
-//!   read through it.
+//!   reads the file once, checks the one checksum over every byte at open,
+//!   and decodes the ECC payload or the index section only when asked.
+//!   Every library is one whole artifact read through it.
 //! * [`count_possible_circuits`] computes the brute-force sequence counts the
 //!   paper compares against in Table 6.
 //!
@@ -73,8 +73,8 @@ pub use ecc::{Ecc, EccSet};
 pub use index::{IndexScratch, TransformationIndex};
 pub use lazy::LazyLibrary;
 pub use library::{
-    artifact_checksum, checksum64, class_payload_digest, path_io_error, ClassEntry, ClassTable,
-    Library, LibraryError, LibraryHeader, FORMAT_VERSION, GENERATOR_VERSION, HEADER_LEN, MAGIC,
+    artifact_checksum, checksum64, path_io_error, Library, LibraryError, LibraryHeader,
+    FORMAT_VERSION, GENERATOR_VERSION, HEADER_LEN, MAGIC,
 };
 pub use prune::{prune, prune_common_subcircuits, simplify_eccs, PruneStats};
 pub use repgen::{GenConfig, GenStats, Generator};

@@ -10,12 +10,7 @@
 //! * a fixed 72-byte header ([`LibraryHeader`]) carrying the format version,
 //!   gate set, `(n, q, m)` parameters, payload counts, the generator
 //!   version, section lengths, and an FNV-1a 64-bit checksum covering the
-//!   header prefix and the class table;
-//! * a **class offset table** ([`ClassTable`], DESIGN.md §12) — per-class
-//!   byte ranges and content digests, plus an index-section digest — so
-//!   every body byte is covered by a digest the checksum seals, and
-//!   [`crate::LazyLibrary`] can decode classes on first touch instead of at
-//!   load;
+//!   header prefix and the whole body;
 //! * an **ECC payload** section: the lossless binary encoding of the
 //!   [`EccSet`], one class after another;
 //! * an optional **prebuilt index** section: the extracted
@@ -24,11 +19,11 @@
 //!   load.
 //!
 //! There is one container format ([`FORMAT_VERSION`]) and one reader,
-//! [`crate::LazyLibrary`]: [`Library::from_bytes`] is that reader decoding
-//! every class and the index up front. The `quartz-lib` CLI
-//! (`crates/gen/src/bin/quartz-lib.rs`) wraps this module for the
-//! generate → pack → inspect workflow; committed artifacts live under
-//! `libraries/` at the workspace root.
+//! [`crate::LazyLibrary`], which checks the one checksum at open:
+//! [`Library::from_bytes`] is that reader decoding both sections. The
+//! `quartz-lib` CLI (`crates/gen/src/bin/quartz-lib.rs`) wraps this module
+//! for the generate → pack → inspect workflow; committed artifacts live
+//! under `libraries/` at the workspace root.
 //!
 //! Every integer is little-endian. The byte-level layout, the versioning
 //! rules, and a worked hexdump of a tiny artifact are specified in
@@ -83,12 +78,11 @@ use std::path::Path;
 /// The four magic bytes every artifact starts with.
 pub const MAGIC: [u8; 4] = *b"QTZL";
 
-/// The artifact format version, and the only one readers accept: a header,
-/// then a [`ClassTable`] carrying per-class byte ranges, per-class content
-/// digests and an index-section digest, then the ECC payload and an index
-/// section holding the transformation list alone. Any other version is
-/// refused with [`LibraryError::UnsupportedVersion`] (DESIGN.md §7.3).
-pub const FORMAT_VERSION: u16 = 3;
+/// The artifact format version, and the only one readers accept: a header
+/// whose checksum covers every byte of the file, then the ECC payload and an
+/// index section holding the transformation list alone. Any other version
+/// is refused with [`LibraryError::UnsupportedVersion`] (DESIGN.md §7.3).
+pub const FORMAT_VERSION: u16 = 4;
 
 /// Version of the generation pipeline (RepGen + pruning + transformation
 /// extraction). Bumped whenever regenerating the same
@@ -115,10 +109,9 @@ fn fnv1a64(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-/// FNV-1a 64-bit checksum (DESIGN.md §7.3). The artifact's content checksum
-/// is this hash over the first 64 header bytes (the checksum field itself
-/// excluded) followed by the body, so every header field is
-/// integrity-checked too — see [`artifact_checksum`].
+/// FNV-1a 64-bit checksum (DESIGN.md §7.3). The artifact checksum is this
+/// hash over the first 64 header bytes (the checksum field itself excluded)
+/// followed by the body — see [`artifact_checksum`].
 ///
 /// # Examples
 ///
@@ -131,9 +124,9 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
 }
 
 /// The checksum recorded at header offset 64: FNV-1a 64 over the header
-/// prefix (bytes 0–63) chained into the body. Covering the header means a
-/// flipped `q`, `m`, gate-set byte, or section length is caught by
-/// validation, not just a flipped body byte.
+/// prefix (bytes 0–63) chained into the body (every byte after the
+/// header). Covering the header means a flipped `q`, `m`, gate-set byte, or
+/// section length is caught by validation, not just a flipped body byte.
 pub fn artifact_checksum(header_prefix: &[u8], body: &[u8]) -> u64 {
     fnv1a64(fnv1a64(FNV_OFFSET_BASIS, header_prefix), body)
 }
@@ -167,25 +160,6 @@ pub enum LibraryError {
     },
     /// The body decoded to something structurally invalid.
     Malformed(String),
-    /// A class payload's bytes do not hash to the digest recorded for it
-    /// in the artifact's class table — the class was corrupted after pack
-    /// (or the table entry was cooked to point at the wrong range).
-    ClassDigestMismatch {
-        /// Position of the class in this artifact's table.
-        class: usize,
-        /// Digest recorded in the class table.
-        expected: u64,
-        /// Digest recomputed over the class's payload bytes.
-        found: u64,
-    },
-    /// An index section's bytes do not hash to the digest recorded in the
-    /// class table.
-    IndexDigestMismatch {
-        /// Digest recorded in the class table.
-        expected: u64,
-        /// Digest recomputed over the index section bytes.
-        found: u64,
-    },
     /// The loader requires a live audit stamp
     /// ([`crate::AuditStamp::certifies`]) but the artifact has none — the
     /// sidecar is missing, stale, or records a failed audit.
@@ -216,20 +190,6 @@ impl fmt::Display for LibraryError {
                 "artifact checksum mismatch: header says {expected:#018x}, content hashes to {found:#018x}"
             ),
             LibraryError::Malformed(msg) => write!(f, "malformed library artifact: {msg}"),
-            LibraryError::ClassDigestMismatch {
-                class,
-                expected,
-                found,
-            } => write!(
-                f,
-                "class {class} digest mismatch: table says {expected:#018x}, payload hashes \
-                 to {found:#018x}"
-            ),
-            LibraryError::IndexDigestMismatch { expected, found } => write!(
-                f,
-                "index section digest mismatch: table says {expected:#018x}, section hashes \
-                 to {found:#018x}"
-            ),
             LibraryError::NotAudited { path } => write!(
                 f,
                 "{path}: no live audit stamp — run `quartz-lib audit {path} --write-stamp` \
@@ -275,7 +235,7 @@ pub struct LibraryHeader {
     /// Byte length of the prebuilt index section (0 = absent).
     pub index_len: u64,
     /// FNV-1a 64 checksum of the header prefix (bytes 0–63) followed by the
-    /// class table — see [`artifact_checksum`].
+    /// body — see [`artifact_checksum`].
     pub checksum: u64,
 }
 
@@ -402,25 +362,23 @@ pub(crate) fn encode_circuit(out: &mut Vec<u8>, circuit: &Circuit) {
     }
 }
 
-/// Encodes one equivalence class exactly as it appears inside the ECC
-/// payload section: a `u32` circuit count followed by the encoded circuits.
-/// The payload is the concatenation of these; the class table records
-/// where each one starts.
-fn encode_ecc_class(out: &mut Vec<u8>, ecc: &Ecc) {
-    put_u32(out, ecc.len() as u32);
-    for circuit in ecc.circuits() {
-        encode_circuit(out, circuit);
+/// Encodes the ECC payload section: for each class, a `u32` circuit count
+/// followed by the encoded circuits.
+fn encode_ecc_payload(out: &mut Vec<u8>, set: &EccSet) {
+    for ecc in &set.eccs {
+        put_u32(out, ecc.len() as u32);
+        for circuit in ecc.circuits() {
+            encode_circuit(out, circuit);
+        }
     }
 }
 
-fn encode_index_section(index: &TransformationIndex) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u32(&mut out, index.len() as u32);
+fn encode_index_section(out: &mut Vec<u8>, index: &TransformationIndex) {
+    put_u32(out, index.len() as u32);
     for xform in index.transformations() {
-        encode_circuit(&mut out, &xform.target);
-        encode_circuit(&mut out, &xform.rewrite);
+        encode_circuit(out, &xform.target);
+        encode_circuit(out, &xform.rewrite);
     }
-    out
 }
 
 /// A bounds-checked little-endian cursor over a body section.
@@ -457,13 +415,6 @@ impl<'a> Cursor<'a> {
     fn u32(&mut self, context: &'static str) -> Result<u32, LibraryError> {
         let b = self.take(4, context)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self, context: &'static str) -> Result<u64, LibraryError> {
-        let b = self.take(8, context)?;
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(b);
-        Ok(u64::from_le_bytes(buf))
     }
 
     fn i32(&mut self, context: &'static str) -> Result<i32, LibraryError> {
@@ -523,29 +474,35 @@ fn decode_circuit(cur: &mut Cursor<'_>) -> Result<Circuit, LibraryError> {
     Ok(circuit)
 }
 
-/// Decodes one equivalence class (the inverse of [`encode_ecc_class`]).
-fn decode_ecc_class(cur: &mut Cursor<'_>) -> Result<Ecc, LibraryError> {
-    let circuit_count = cur.u32("ECC circuit count")? as usize;
-    if circuit_count == 0 {
+/// Decodes the ECC payload section (the inverse of [`encode_ecc_payload`]):
+/// exactly the header's class count, consuming every byte, adding up to the
+/// header's circuit and instruction counts.
+pub(crate) fn decode_ecc_payload(
+    header: &LibraryHeader,
+    bytes: &[u8],
+) -> Result<EccSet, LibraryError> {
+    let mut cur = Cursor::new(bytes);
+    let mut set = EccSet::new(header.num_qubits as usize, header.num_params as usize);
+    for _ in 0..header.num_eccs {
+        let circuit_count = cur.u32("ECC circuit count")? as usize;
+        if circuit_count == 0 {
+            return Err(LibraryError::Malformed(
+                "an ECC must contain at least one circuit".to_string(),
+            ));
+        }
+        let mut circuits = Vec::with_capacity(circuit_count.min(1024));
+        for _ in 0..circuit_count {
+            circuits.push(decode_circuit(&mut cur)?);
+        }
+        // The payload stores circuits in representative-first (≺-sorted)
+        // order; Ecc::new's stable sort therefore reproduces it exactly.
+        set.eccs.push(Ecc::new(circuits));
+    }
+    if !cur.finished() {
         return Err(LibraryError::Malformed(
-            "an ECC must contain at least one circuit".to_string(),
+            "trailing bytes after the classes of the ECC payload".to_string(),
         ));
     }
-    let mut circuits = Vec::with_capacity(circuit_count.min(1024));
-    for _ in 0..circuit_count {
-        circuits.push(decode_circuit(cur)?);
-    }
-    // The payload stores circuits in representative-first (≺-sorted)
-    // order; Ecc::new's stable sort therefore reproduces it exactly.
-    Ok(Ecc::new(circuits))
-}
-
-/// Checks that the decoded classes add up to the header's circuit and
-/// instruction counts.
-pub(crate) fn check_payload_totals(
-    header: &LibraryHeader,
-    set: &EccSet,
-) -> Result<(), LibraryError> {
     let total_circuits = set.total_circuits();
     let total_instructions: usize = set
         .eccs
@@ -562,7 +519,7 @@ pub(crate) fn check_payload_totals(
             header.total_circuits, header.total_instructions
         )));
     }
-    Ok(())
+    Ok(set)
 }
 
 pub(crate) fn decode_index_section(bytes: &[u8]) -> Result<TransformationIndex, LibraryError> {
@@ -580,176 +537,6 @@ pub(crate) fn decode_index_section(bytes: &[u8]) -> Result<TransformationIndex, 
         ));
     }
     Ok(TransformationIndex::new(transformations))
-}
-
-// ---------------------------------------------------------------------------
-// The class offset table (DESIGN.md §12)
-// ---------------------------------------------------------------------------
-
-/// Content digest of one class's payload bytes, as recorded in the
-/// [`ClassTable`]. Same recipe as the audit sidecar's
-/// [`crate::audit::class_digest`] minus the verifier-configuration digest
-/// (integrity needs no verifier): [`GENERATOR_VERSION`] and the set shape
-/// are folded in so a digest can never validate a payload reinterpreted
-/// under different `(q, m)` or a different generation pipeline.
-pub fn class_payload_digest(num_qubits: u32, num_params: u32, payload: &[u8]) -> u64 {
-    let mut hash = fnv1a64(FNV_OFFSET_BASIS, &GENERATOR_VERSION.to_le_bytes());
-    hash = fnv1a64(hash, &u64::from(num_qubits).to_le_bytes());
-    hash = fnv1a64(hash, &u64::from(num_params).to_le_bytes());
-    fnv1a64(hash, payload)
-}
-
-/// One row of the class table: where a class's payload lives and what it
-/// must hash to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClassEntry {
-    /// Byte length of the class's payload. Offsets are prefix sums; the
-    /// lengths must sum exactly to the header's `ecc_len`.
-    pub len: u32,
-    /// [`class_payload_digest`] of the payload bytes.
-    pub digest: u64,
-}
-
-/// The class offset table (DESIGN.md §12): a fixed preamble, one
-/// [`ClassEntry`] per class, and a digest of the index section.
-///
-/// The artifact checksum covers the header prefix *and* the encoded table,
-/// so every byte of the table is validated at open; every byte of the
-/// payload and index sections is in turn covered by a digest stored in the
-/// table — integrity of the whole file is transitive without hashing the
-/// body at open, which is what makes lazy loading sound (see the DESIGN.md
-/// §12 safety argument).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ClassTable {
-    /// One entry per class, in payload order.
-    pub classes: Vec<ClassEntry>,
-    /// `checksum64` of the index section bytes (0 when the section is
-    /// absent).
-    pub index_digest: u64,
-}
-
-/// The 32-byte class-table preamble every artifact carries: the fixed
-/// "whole artifact" values (`u32` fields 0, 1, 0, 0, 0, 0 then a `u64` 0 —
-/// shard 0 of 1, no parent, no transformation ids), kept so the byte layout
-/// does not change. Any other preamble is refused.
-const CLASS_TABLE_PREAMBLE: [u8; 32] = {
-    let mut preamble = [0u8; 32];
-    preamble[4] = 1;
-    preamble
-};
-
-impl ClassTable {
-    /// Encoded byte length of the table.
-    pub fn encoded_len(&self) -> usize {
-        ClassTable::len_for(self.classes.len())
-    }
-
-    /// Encoded byte length of the table of an artifact with `num_eccs`
-    /// classes: preamble, 16 bytes per class, index digest.
-    pub(crate) fn len_for(num_eccs: usize) -> usize {
-        CLASS_TABLE_PREAMBLE.len() + 16 * num_eccs + 8
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&CLASS_TABLE_PREAMBLE);
-        for (i, entry) in self.classes.iter().enumerate() {
-            // The per-class index field: always the class's own position.
-            put_u32(out, i as u32);
-            put_u32(out, entry.len);
-            out.extend_from_slice(&entry.digest.to_le_bytes());
-        }
-        out.extend_from_slice(&self.index_digest.to_le_bytes());
-    }
-
-    /// Decodes a table of exactly [`ClassTable::len_for`] bytes.
-    pub(crate) fn decode(bytes: &[u8], header: &LibraryHeader) -> Result<ClassTable, LibraryError> {
-        let mut cur = Cursor::new(bytes);
-        let preamble = cur.take(CLASS_TABLE_PREAMBLE.len(), "class table preamble")?;
-        if preamble != CLASS_TABLE_PREAMBLE {
-            return Err(LibraryError::Malformed(format!(
-                "class table preamble {preamble:02x?} is not the whole-artifact preamble"
-            )));
-        }
-        let mut classes = Vec::with_capacity((header.num_eccs as usize).min(65_536));
-        let mut payload_len = 0u64;
-        for i in 0..header.num_eccs {
-            let position = cur.u32("class table entry index")?;
-            if position != i {
-                return Err(LibraryError::Malformed(format!(
-                    "class table entry {i} records class index {position}"
-                )));
-            }
-            let len = cur.u32("class table entry length")?;
-            let digest = cur.u64("class table entry digest")?;
-            payload_len += u64::from(len);
-            classes.push(ClassEntry { len, digest });
-        }
-        if payload_len != header.ecc_len {
-            return Err(LibraryError::Malformed(format!(
-                "class table lengths sum to {payload_len} bytes, header says the payload \
-                 is {} bytes",
-                header.ecc_len
-            )));
-        }
-        let index_digest = cur.u64("class table index digest")?;
-        if !cur.finished() {
-            return Err(LibraryError::Malformed(
-                "trailing bytes after the class table".to_string(),
-            ));
-        }
-        Ok(ClassTable {
-            classes,
-            index_digest,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Section checks and the owned library
-// ---------------------------------------------------------------------------
-
-/// Checks one class payload against its table entry.
-pub(crate) fn verify_class_payload(
-    header: &LibraryHeader,
-    class: usize,
-    entry: &ClassEntry,
-    payload: &[u8],
-) -> Result<(), LibraryError> {
-    let found = class_payload_digest(header.num_qubits, header.num_params, payload);
-    if found != entry.digest {
-        return Err(LibraryError::ClassDigestMismatch {
-            class,
-            expected: entry.digest,
-            found,
-        });
-    }
-    Ok(())
-}
-
-/// Decodes one class payload, requiring it to be exactly consumed (the
-/// class table makes every range explicit, so a short decode is a
-/// malformed class).
-pub(crate) fn decode_class_payload(class: usize, payload: &[u8]) -> Result<Ecc, LibraryError> {
-    let mut cur = Cursor::new(payload);
-    let ecc = decode_ecc_class(&mut cur)?;
-    if !cur.finished() {
-        return Err(LibraryError::Malformed(format!(
-            "trailing bytes after the circuits of class {class}"
-        )));
-    }
-    Ok(ecc)
-}
-
-/// Checks the index section bytes against the table's digest.
-pub(crate) fn verify_index_section(table: &ClassTable, bytes: &[u8]) -> Result<(), LibraryError> {
-    let found = checksum64(bytes);
-    if found != table.index_digest {
-        return Err(LibraryError::IndexDigestMismatch {
-            expected: table.index_digest,
-            found,
-        });
-    }
-    Ok(())
 }
 
 /// An owned, decoded library: header, ECC set, and (optionally) the
@@ -793,27 +580,13 @@ impl Library {
             u32::try_from(n)
                 .unwrap_or_else(|_| panic!("{what} ({n}) exceeds the format's u32 limit"))
         };
-        let num_qubits = count_u32("qubit count", ecc_set.num_qubits);
-        let num_params = count_u32("parameter count", ecc_set.num_params);
-        let index_section = index.as_ref().map(encode_index_section).unwrap_or_default();
-        let mut classes = Vec::with_capacity(ecc_set.eccs.len());
-        let mut payload = Vec::new();
-        for ecc in &ecc_set.eccs {
-            let start = payload.len();
-            encode_ecc_class(&mut payload, ecc);
-            classes.push(ClassEntry {
-                len: count_u32("class payload length", payload.len() - start),
-                digest: class_payload_digest(num_qubits, num_params, &payload[start..]),
-            });
+        // Lay out header (sealed last), ECC payload, index section.
+        let mut bytes = vec![0u8; HEADER_LEN];
+        encode_ecc_payload(&mut bytes, &ecc_set);
+        let ecc_len = (bytes.len() - HEADER_LEN) as u64;
+        if let Some(index) = &index {
+            encode_index_section(&mut bytes, index);
         }
-        let table = ClassTable {
-            classes,
-            index_digest: if index_section.is_empty() {
-                0
-            } else {
-                checksum64(&index_section)
-            },
-        };
         let mut header = LibraryHeader {
             format_version: FORMAT_VERSION,
             gate_set,
@@ -824,8 +597,8 @@ impl Library {
                 .map(|c| count_u32("circuit gate count", c.gate_count()))
                 .max()
                 .unwrap_or(0),
-            num_qubits,
-            num_params,
+            num_qubits: count_u32("qubit count", ecc_set.num_qubits),
+            num_params: count_u32("parameter count", ecc_set.num_params),
             num_eccs: count_u32("ECC count", ecc_set.eccs.len()),
             total_circuits: count_u32("total circuits", ecc_set.total_circuits()),
             total_instructions: count_u32(
@@ -838,22 +611,13 @@ impl Library {
                     .sum::<usize>(),
             ),
             generator_version: GENERATOR_VERSION,
-            ecc_len: payload.len() as u64,
-            index_len: index_section.len() as u64,
+            ecc_len,
+            index_len: (bytes.len() - HEADER_LEN) as u64 - ecc_len,
             checksum: 0,
         };
-        // Seal the header (its checksum covers header prefix ‖ table), then
-        // lay out header, class table, ECC payload, index section.
-        let mut table_bytes = Vec::with_capacity(table.encoded_len());
-        table.encode(&mut table_bytes);
-        header.checksum = artifact_checksum(&header.encode()[..HEADER_LEN - 8], &table_bytes);
-        let mut bytes = Vec::with_capacity(
-            HEADER_LEN + table_bytes.len() + payload.len() + index_section.len(),
-        );
-        bytes.extend_from_slice(&header.encode());
-        bytes.extend_from_slice(&table_bytes);
-        bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&index_section);
+        bytes[..HEADER_LEN].copy_from_slice(&header.encode());
+        header.checksum = artifact_checksum(&bytes[..HEADER_LEN - 8], &bytes[HEADER_LEN..]);
+        bytes[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&header.checksum.to_le_bytes());
         Library {
             header,
             ecc_set,
@@ -909,12 +673,12 @@ impl Library {
         self.bytes.clone()
     }
 
-    /// Validates and decodes an artifact: header, class table and checksum,
-    /// then every class and the index section, each against its digest.
+    /// Validates and decodes an artifact: header, section lengths and
+    /// checksum, then the ECC payload and the index section.
     ///
     /// # Errors
     ///
-    /// Any header, checksum, digest, or body validation failure.
+    /// Any header, checksum, or body validation failure.
     pub fn from_bytes(bytes: &[u8]) -> Result<Library, LibraryError> {
         crate::LazyLibrary::from_bytes(bytes.to_vec())?.into_library()
     }
@@ -1065,20 +829,23 @@ mod tests {
     #[test]
     fn reader_validates_header_without_decoding_the_body() {
         let library = Library::new("Rigetti", sample_set(), true);
-        let reader = crate::LazyLibrary::from_bytes(library.to_bytes()).unwrap();
-        assert_eq!(reader.header(), library.header());
-        assert_eq!(reader.decoded_classes(), 0);
-        let table = reader.class_table();
-        let class_bytes: u64 = table.classes.iter().map(|e| u64::from(e.len)).sum();
-        assert_eq!(class_bytes, reader.header().ecc_len);
-        assert_ne!(table.index_digest, 0);
-        reader.verify_all().unwrap();
+        let mut bytes = library.to_bytes();
+        // An unknown gate index in the payload (the first gate of class 0's
+        // H·H member, after the class's circuit count and the empty
+        // representative), resealed under a valid checksum: open checks
+        // integrity only, the decoders find it.
+        bytes[HEADER_LEN + 4 + 8 + 8] = 0xFF;
+        let checksum = artifact_checksum(&bytes[..HEADER_LEN - 8], &bytes[HEADER_LEN..]);
+        bytes[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
+        let reader = crate::LazyLibrary::from_bytes(bytes).unwrap();
+        assert_eq!(reader.header().num_eccs, library.header().num_eccs);
+        assert!(matches!(reader.ecc_set(), Err(LibraryError::Malformed(_))));
+        // The index section is intact and decodes on its own.
+        let index = reader.index().unwrap().unwrap();
         assert_eq!(
-            reader.decoded_classes(),
-            0,
-            "the digest sweep decodes nothing"
+            index.transformations(),
+            library.index().unwrap().transformations()
         );
-        assert_eq!(reader.ecc_set().unwrap(), *library.ecc_set());
     }
 
     #[test]

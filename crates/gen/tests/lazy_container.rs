@@ -1,13 +1,10 @@
-//! Adversarial tests for the lazy-loading path (DESIGN.md §12):
-//! truncation at every section boundary must surface as a *typed*
-//! [`LibraryError`] at open, corruption in a class the reader never touches
-//! must still be caught by the digest sweep, an index section carrying more
-//! than the rule list is refused, and I/O failures must name the offending
-//! path.
+//! Adversarial tests for the one reader (DESIGN.md §12): every flipped or
+//! truncated byte must surface as a *typed* [`LibraryError`] at open, a
+//! checksum-valid artifact whose sections do not decode is caught by
+//! `verify_all`, an index section carrying more than the rule list is
+//! refused, and I/O failures must name the offending path.
 
-use quartz_gen::{
-    artifact_checksum, checksum64, Ecc, EccSet, LazyLibrary, Library, LibraryError, HEADER_LEN,
-};
+use quartz_gen::{artifact_checksum, Ecc, EccSet, LazyLibrary, Library, LibraryError, HEADER_LEN};
 use quartz_ir::{Circuit, Gate, Instruction, ALL_GATES};
 
 fn pair(gate: Gate, qubits: &[usize]) -> Circuit {
@@ -31,13 +28,28 @@ fn sample() -> Library {
     Library::new("Nam", set, true)
 }
 
+/// Rewrites the checksum of `bytes` over its (edited) header prefix and body.
+fn reseal(bytes: &mut [u8]) {
+    let checksum = artifact_checksum(&bytes[..HEADER_LEN - 8], &bytes[HEADER_LEN..]);
+    bytes[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
+}
+
+/// Whether `result` is one of the errors a bad artifact buffer can give.
+fn is_format_error<T>(result: &Result<T, LibraryError>) -> bool {
+    matches!(
+        result,
+        Err(LibraryError::NotALibrary
+            | LibraryError::UnsupportedVersion(_)
+            | LibraryError::Truncated { .. }
+            | LibraryError::ChecksumMismatch { .. }
+            | LibraryError::Malformed(_))
+    )
+}
+
 #[test]
 fn truncation_at_every_section_boundary_is_a_typed_error() {
     let library = sample();
     let bytes = library.to_bytes();
-    let lazy = LazyLibrary::from_bytes(bytes.clone()).unwrap();
-    let table = lazy.class_table();
-    let sections_start = HEADER_LEN + table.encoded_len();
     let ecc_len = library.header().ecc_len as usize;
 
     let mut boundaries = vec![
@@ -45,12 +57,8 @@ fn truncation_at_every_section_boundary_is_a_typed_error() {
         1,
         HEADER_LEN - 1,
         HEADER_LEN,
-        HEADER_LEN + 31,
-        HEADER_LEN + 32,
-        sections_start - 1,
-        sections_start,
-        sections_start + ecc_len - 1,
-        sections_start + ecc_len,
+        HEADER_LEN + ecc_len - 1,
+        HEADER_LEN + ecc_len,
         bytes.len() - 1,
     ];
     boundaries.dedup();
@@ -58,9 +66,9 @@ fn truncation_at_every_section_boundary_is_a_typed_error() {
     for cut in boundaries {
         assert!(cut < bytes.len(), "test boundary {cut} is not a truncation");
         let truncated = bytes[..cut].to_vec();
-        // The lazy open validates lengths before trusting any offset: every
-        // truncation is a typed Truncated error, never a panic, a silent
-        // partial library, or a failure at first touch.
+        // Open checks lengths before trusting any offset: every truncation
+        // is a typed Truncated error, never a panic, a silent partial
+        // library, or a checksum mismatch.
         match LazyLibrary::from_bytes(truncated.clone()) {
             Err(LibraryError::Truncated { .. }) => {}
             // Cuts inside the 4-byte magic can't even prove the file is ours.
@@ -68,64 +76,87 @@ fn truncation_at_every_section_boundary_is_a_typed_error() {
             Err(other) => panic!("truncation at {cut} gave a non-truncation error: {other}"),
             Ok(_) => panic!("truncation at {cut} opened successfully"),
         }
-        // The eager decoder rejects it too.
         assert!(
             Library::from_bytes(&truncated).is_err(),
-            "eager decode accepted a truncation at {cut}"
+            "Library::from_bytes accepted a truncation at {cut}"
         );
     }
 }
 
+/// The committed NAM artifact, exhaustively: each of its bytes flipped, and
+/// each of its proper prefixes, is a typed error at open.
 #[test]
-fn corruption_in_an_untouched_class_is_caught_by_the_digest_sweep() {
-    let library = sample();
-    let bytes = library.to_bytes();
-    let lazy = LazyLibrary::from_bytes(bytes.clone()).unwrap();
-    let table = lazy.class_table();
-    let sections_start = HEADER_LEN + table.encoded_len();
-
-    // Flip the first byte of class 2's payload.
-    let victim = 2usize;
-    let victim_start: usize = table.classes[..victim].iter().map(|e| e.len as usize).sum();
-    let mut corrupt = bytes;
-    corrupt[sections_start + victim_start] ^= 0x01;
-
-    // Open succeeds (the flip is outside the checksum-sealed prefix), and a
-    // reader that only ever touches classes 0 and 1 — or the index — never
-    // trips over it...
-    let lazy = LazyLibrary::from_bytes(corrupt).unwrap();
-    assert!(lazy.class(0).is_ok());
-    assert!(lazy.class(1).is_ok());
-    assert!(lazy.index().is_ok());
-    assert_eq!(lazy.decoded_classes(), 2);
-
-    // ...which is exactly why `verify_all` (run by the library cache and
-    // `verify-checksum`) sweeps every digest without decoding:
-    match lazy.verify_all() {
-        Err(LibraryError::ClassDigestMismatch { class, .. }) => assert_eq!(class, victim),
-        other => panic!("digest sweep missed the untouched corrupt class: {other:?}"),
+fn every_flip_and_truncation_of_the_committed_nam_artifact_is_a_typed_error() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../libraries/nam_n3_q2.qtzl"
+    );
+    let bytes = std::fs::read(path).unwrap();
+    LazyLibrary::from_bytes(bytes.clone()).expect("the committed artifact opens");
+    for pos in 0..bytes.len() {
+        let mut corrupt = bytes.clone();
+        corrupt[pos] ^= 0x01;
+        let opened = LazyLibrary::from_bytes(corrupt);
+        assert!(is_format_error(&opened), "flip at byte {pos}: {opened:?}");
     }
-    // And a first touch of the victim class reports the same.
-    assert!(matches!(
-        lazy.class(victim),
-        Err(LibraryError::ClassDigestMismatch { class, .. }) if class == victim
-    ));
+    for cut in 0..bytes.len() {
+        let opened = LazyLibrary::from_bytes(bytes[..cut].to_vec());
+        assert!(is_format_error(&opened), "{cut}-byte prefix: {opened:?}");
+    }
 }
 
-/// The index section holds the rule list and nothing else. A version-3
-/// artifact whose index section still carries the per-rule gate histograms
-/// and anchor buckets older versions stored after the rules — with the
-/// index digest and the artifact checksum resealed over them, so only the
-/// section's own length can tell — is refused by both decoders.
+/// The checksum proves the bytes are the ones packed, not that they decode:
+/// an unknown gate index resealed into the payload opens, and `verify_all`
+/// — which decodes both sections — reports it, as `quartz-lib
+/// verify-checksum` does with the path in its message.
+#[test]
+fn verify_all_decodes_what_the_checksum_only_seals() {
+    let dir = std::env::temp_dir().join(format!("quartz_verify_all_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let mut bytes = sample().to_bytes();
+    // Class 0 is {∅, H·H}: after its circuit count and the empty
+    // representative's 8-byte circuit header comes H·H's circuit header,
+    // then its first gate index.
+    let gate_at = HEADER_LEN + 4 + 8 + 8;
+    assert_eq!(bytes[gate_at], Gate::H.index() as u8);
+    bytes[gate_at] = ALL_GATES.len() as u8;
+    reseal(&mut bytes);
+    let path = dir.join("unknown_gate.qtzl");
+    std::fs::write(&path, &bytes).unwrap();
+
+    let library = LazyLibrary::open(&path).expect("the resealed artifact opens");
+    assert!(
+        matches!(library.verify_all(), Err(LibraryError::Malformed(_))),
+        "verify_all accepted an unknown gate index"
+    );
+
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_quartz-lib"))
+        .arg("verify-checksum")
+        .arg(&path)
+        .output()
+        .unwrap();
+    assert_eq!(output.status.code(), Some(1), "{output:?}");
+    let stderr = String::from_utf8(output.stderr).unwrap();
+    assert!(
+        stderr.contains(path.to_str().unwrap()) && stderr.contains("unknown gate index"),
+        "verify-checksum must name the path and the fault:\n{stderr}"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The index section holds the rule list and nothing else. An artifact
+/// whose index section still carries the per-rule gate histograms and
+/// anchor buckets format version 2 stored after the rules — with the
+/// checksum resealed over them, so only the section's own length can tell
+/// — opens, and is refused by every decoder.
 #[test]
 fn an_index_section_with_a_histogram_and_bucket_tail_is_malformed() {
     let library = sample();
     let mut bytes = library.to_bytes();
-    let table_len = LazyLibrary::from_bytes(bytes.clone())
-        .unwrap()
-        .class_table()
-        .encoded_len();
-    let index_start = HEADER_LEN + table_len + library.header().ecc_len as usize;
+    let index_start = HEADER_LEN + library.header().ecc_len as usize;
 
     let rules = library.index().unwrap().transformations();
     let mut buckets = vec![Vec::new(); ALL_GATES.len()];
@@ -143,21 +174,19 @@ fn an_index_section_with_a_histogram_and_bucket_tail_is_malformed() {
         }
     }
 
-    // Reseal: index length in the header, index digest at the end of the
-    // class table, then the checksum over header prefix and table.
+    // Reseal: index length in the header, then the checksum.
     let index_len = (bytes.len() - index_start) as u64;
     bytes[56..64].copy_from_slice(&index_len.to_le_bytes());
-    let digest = checksum64(&bytes[index_start..]);
-    let table_end = HEADER_LEN + table_len;
-    bytes[table_end - 8..table_end].copy_from_slice(&digest.to_le_bytes());
-    let checksum = artifact_checksum(&bytes[..HEADER_LEN - 8], &bytes[HEADER_LEN..table_end]);
-    bytes[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
+    reseal(&mut bytes);
 
-    let lazy = LazyLibrary::from_bytes(bytes.clone()).expect("the resealed prefix is valid");
-    lazy.verify_all().expect("every digest matches");
+    let lazy = LazyLibrary::from_bytes(bytes.clone()).expect("the resealed artifact opens");
     assert!(
         matches!(lazy.index(), Err(LibraryError::Malformed(_))),
         "LazyLibrary::index accepted the tail"
+    );
+    assert!(
+        matches!(lazy.verify_all(), Err(LibraryError::Malformed(_))),
+        "LazyLibrary::verify_all accepted the tail"
     );
     assert!(
         matches!(Library::from_bytes(&bytes), Err(LibraryError::Malformed(_))),
@@ -166,7 +195,7 @@ fn an_index_section_with_a_histogram_and_bucket_tail_is_malformed() {
 }
 
 /// `quartz-lib` as a binary: both container versions get their version
-/// printed — version 3 in the header dump, version 2 in the refusal — and
+/// printed — version 4 in the header dump, version 3 in the refusal — and
 /// a command that no longer exists (`shard`) exits through the usage
 /// error, whose text lists only the commands that do.
 #[test]
@@ -176,28 +205,28 @@ fn inspect_prints_the_format_version_for_both_container_versions() {
     std::fs::create_dir_all(&dir).unwrap();
 
     let bytes = sample().to_bytes();
-    let mut v2 = bytes.clone();
-    v2[4..6].copy_from_slice(&2u16.to_le_bytes());
+    let mut v3 = bytes.clone();
+    v3[4..6].copy_from_slice(&3u16.to_le_bytes());
+    let v4_path = dir.join("v4.qtzl");
     let v3_path = dir.join("v3.qtzl");
-    let v2_path = dir.join("v2.qtzl");
-    std::fs::write(&v3_path, bytes).unwrap();
-    std::fs::write(&v2_path, v2).unwrap();
-    let (v3_path, v2_path) = (v3_path.to_str().unwrap(), v2_path.to_str().unwrap());
+    std::fs::write(&v4_path, bytes).unwrap();
+    std::fs::write(&v3_path, v3).unwrap();
+    let (v4_path, v3_path) = (v4_path.to_str().unwrap(), v3_path.to_str().unwrap());
     let prefix = dir.join("split");
     let prefix = prefix.to_str().unwrap();
     // (arguments, exit code, text on stdout for 0 and on stderr otherwise)
     let cases: [(&[&str], i32, &str); 3] = [
-        (&["inspect", v3_path], 0, "format version:     3"),
+        (&["inspect", v4_path], 0, "format version:     4"),
         (
-            &["inspect", v2_path],
+            &["inspect", v3_path],
             1,
-            "unsupported library format version 2",
+            "unsupported library format version 3",
         ),
         (
             &[
                 "shard",
                 "--in",
-                v3_path,
+                v4_path,
                 "--count",
                 "2",
                 "--out-prefix",
@@ -223,6 +252,9 @@ fn inspect_prints_the_format_version_for_both_container_versions() {
             stream.contains(text),
             "{args:?} output lacks '{text}':\n{stream}"
         );
+        if code == 0 {
+            assert!(!stream.contains("class table"), "{stream}");
+        }
         if code == 2 {
             for gone in ["shard", "merge", "registry"] {
                 assert!(

@@ -3,7 +3,7 @@
 //! and artifact validation must reject every corruption.
 
 use proptest::prelude::*;
-use quartz_gen::{checksum64, Ecc, EccSet, LazyLibrary, Library, TransformationIndex, HEADER_LEN};
+use quartz_gen::{checksum64, Ecc, EccSet, LazyLibrary, Library, TransformationIndex};
 use quartz_ir::{Circuit, Gate, Instruction, ParamExpr};
 
 /// Strategy producing a random instruction over `nq` qubits and `m ≥ 1`
@@ -106,8 +106,8 @@ proptest! {
     fn every_single_byte_flip_is_detected(set in arb_ecc_set(2, 1), seed in 0u64..u64::MAX) {
         // Any one-byte corruption — header *or* body — must be rejected:
         // the artifact checksum covers the header prefix chained into the
-        // class table, the table's digests cover every body byte, and a flip
-        // inside the checksum field itself mismatches the recomputation.
+        // whole body, and a flip inside the checksum field itself mismatches
+        // the recomputation.
         let bytes = Library::new("Nam", set, true).to_bytes();
         let pos = (seed % bytes.len() as u64) as usize;
         let mut corrupt = bytes.clone();
@@ -132,91 +132,27 @@ proptest! {
         prop_assert_eq!(back.ecc_set(), &set);
         prop_assert_eq!(back.header(), library.header());
         prop_assert_eq!(back.to_bytes(), bytes);
-        // ...and through the lazy handle, class by class.
+        // ...and through the reader's section decoders.
         let lazy = LazyLibrary::from_bytes(bytes).unwrap();
         prop_assert_eq!(&lazy.ecc_set().unwrap(), &set);
         prop_assert_eq!(lazy.index().unwrap().is_some(), with_index);
     }
 
-    /// The corruption matrix: every single-byte flip is caught either at
-    /// open (header/class-table region, sealed by the artifact checksum) or
-    /// at the first lazy decode of exactly the section the flip landed in —
-    /// the touched class, or the index. Untouched classes still decode.
+    /// The whole file is sealed by one checksum, so every single-byte flip
+    /// is a typed error when the artifact is opened, before any section is
+    /// decoded.
     #[test]
-    fn every_byte_flip_is_detected_at_open_or_first_touch(
+    fn every_byte_flip_is_detected_at_open(
         set in arb_ecc_set(2, 1),
         seed in 0u64..u64::MAX,
     ) {
-        let library = Library::new("Nam", set, true);
-        let bytes = library.to_bytes();
+        let bytes = Library::new("Nam", set, true).to_bytes();
         let pos = (seed % bytes.len() as u64) as usize;
-        let mut corrupt = bytes.clone();
+        let mut corrupt = bytes;
         corrupt[pos] ^= 0x01;
-
-        // The eager decoder verifies everything up front.
         prop_assert!(
-            Library::from_bytes(&corrupt).is_err(),
-            "flipping byte {pos} of {} went undetected eagerly",
-            bytes.len()
+            LazyLibrary::from_bytes(corrupt).is_err(),
+            "open accepted a flip at byte {pos}"
         );
-
-        // The lazy path: locate the section the flip landed in.
-        let table = LazyLibrary::from_bytes(bytes.clone())
-            .unwrap()
-            .class_table()
-            .clone();
-        let sections_start = HEADER_LEN + table.encoded_len();
-        let ecc_len: usize = table.classes.iter().map(|e| e.len as usize).sum();
-
-        match LazyLibrary::from_bytes(corrupt) {
-            Err(_) => prop_assert!(
-                pos < sections_start,
-                "open rejected a flip at {pos}, outside the checksum-sealed \
-                 prefix of {sections_start} bytes"
-            ),
-            Ok(lazy) => {
-                prop_assert!(
-                    pos >= sections_start,
-                    "open accepted a flip at {pos}, inside the checksum-sealed \
-                     prefix of {sections_start} bytes"
-                );
-                if pos < sections_start + ecc_len {
-                    let mut class_end = sections_start;
-                    let touched = table
-                        .classes
-                        .iter()
-                        .position(|entry| {
-                            class_end += entry.len as usize;
-                            pos < class_end
-                        })
-                        .expect("the flip is inside some class payload");
-                    for i in 0..table.classes.len() {
-                        if i == touched {
-                            prop_assert!(
-                                lazy.class(i).is_err(),
-                                "first decode of touched class {i} missed the flip at {pos}"
-                            );
-                        } else {
-                            prop_assert!(
-                                lazy.class(i).is_ok(),
-                                "untouched class {i} failed to decode"
-                            );
-                        }
-                    }
-                } else {
-                    prop_assert!(
-                        lazy.index().is_err(),
-                        "first index decode missed the flip at {pos}"
-                    );
-                    // Classes are untouched and still decode.
-                    for i in 0..table.classes.len() {
-                        prop_assert!(lazy.class(i).is_ok());
-                    }
-                }
-                // The digest-only sweep (what the library cache and
-                // `verify-checksum` run) catches it regardless of which section.
-                prop_assert!(lazy.verify_all().is_err());
-            }
-        }
     }
 }

@@ -8,14 +8,13 @@
 //! in-memory index per artifact, exactly as batches already share one index
 //! per service (DESIGN.md §6).
 //!
-//! A load opens the artifact lazily, decodes its prebuilt index section
-//! and verifies every other byte against the class-table digests
-//! ([`LazyLibrary::open_verified`]) before anything is cached, applies the
-//! audit gate, and serves the prebuilt index — or, when the artifact
-//! carries none, one built once from the ECC payload
-//! ([`LoadedLibrary::index_was_prebuilt`] records which happened). Every
-//! byte of the file is hashed once per load, and classes stay undecoded
-//! unless the index has to be built.
+//! A load opens the artifact ([`LazyLibrary::open`] checks the one
+//! checksum over every byte), applies the audit gate, and serves the
+//! decoded prebuilt index — or, when the artifact carries none, one built
+//! once from the ECC payload ([`LoadedLibrary::index_was_prebuilt`] records
+//! which happened). Nothing is cached on failure, the ECC payload is decoded
+//! only when the index has to be built, and the entry keeps the index alone,
+//! not the file's bytes.
 //!
 //! # Examples
 //!
@@ -35,7 +34,6 @@
 //! // The second request is served from memory: same Arc, no file read.
 //! assert!(Arc::ptr_eq(&first, &second));
 //! assert!(first.index_was_prebuilt());
-//! assert_eq!(first.decoded_classes(), 0);
 //!
 //! let optimizer = Optimizer::from_library(&first, SearchConfig::default());
 //! assert_eq!(optimizer.transformations().len(), 0);
@@ -60,8 +58,6 @@ pub struct LoadedLibrary {
     index: Arc<TransformationIndex>,
     index_was_prebuilt: bool,
     load_time: Duration,
-    /// The lazy handle behind this entry.
-    lazy: Arc<LazyLibrary>,
 }
 
 impl LoadedLibrary {
@@ -90,14 +86,6 @@ impl LoadedLibrary {
     /// Wall-clock time the open + verify + index decode took.
     pub fn load_time(&self) -> Duration {
         self.load_time
-    }
-
-    /// Equivalence classes decoded so far by the lazy handle — the entry's
-    /// memory footprint is proportional to this, not to the library size.
-    /// Zero for artifacts whose prebuilt index made class decoding
-    /// unnecessary.
-    pub fn decoded_classes(&self) -> usize {
-        self.lazy.decoded_classes()
     }
 }
 
@@ -178,7 +166,7 @@ impl LibraryCache {
     /// `key`, the canonical path it is cached under.
     fn load(&self, path: &Path, key: PathBuf) -> Result<LoadedLibrary, LibraryError> {
         let start = Instant::now();
-        let lazy = LazyLibrary::open_verified(path)?;
+        let lazy = LazyLibrary::open(path)?;
         if self.require_audit {
             let certified = AuditStamp::load_for(path).is_some_and(|stamp| {
                 stamp.certifies(lazy.header().checksum, VerifierConfig::default().digest())
@@ -193,17 +181,18 @@ impl LibraryCache {
             Some(index) => (index, true),
             None => {
                 let set = lazy.ecc_set()?;
-                let index = TransformationIndex::new(transformations_from_ecc_set(&set, true));
-                (Arc::new(index), false)
+                (
+                    TransformationIndex::new(transformations_from_ecc_set(&set, true)),
+                    false,
+                )
             }
         };
         Ok(LoadedLibrary {
             path: key,
             header: lazy.header().clone(),
-            index,
+            index: Arc::new(index),
             index_was_prebuilt,
             load_time: start.elapsed(),
-            lazy: Arc::new(lazy),
         })
     }
 }
@@ -264,11 +253,12 @@ mod tests {
         assert!(err.to_string().contains("definitely_missing.qtzl"));
         assert!(cache.is_empty());
 
-        // A corrupted class table is rejected by the checksum at open...
+        // A corrupted payload byte is rejected by the checksum at open,
+        // although the load never decodes the payload...
         let path = temp_artifact("corrupt.qtzl", true);
         let good = std::fs::read(&path).unwrap();
         let mut bytes = good.clone();
-        bytes[quartz_gen::HEADER_LEN + 40] ^= 0xFF;
+        bytes[quartz_gen::HEADER_LEN + 5] ^= 0xFF;
         std::fs::write(&path, bytes).unwrap();
         assert!(matches!(
             cache.get_or_load(&path),
@@ -276,15 +266,14 @@ mod tests {
         ));
         assert!(cache.is_empty());
 
-        // ...and a corrupted body byte by its section digest before
-        // anything is cached, even though the load decodes no class.
+        // ...and so is the last byte of the index section.
         let mut bytes = good;
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         std::fs::write(&path, bytes).unwrap();
         assert!(matches!(
             cache.get_or_load(&path),
-            Err(LibraryError::IndexDigestMismatch { .. })
+            Err(LibraryError::ChecksumMismatch { .. })
         ));
         assert!(cache.is_empty());
     }

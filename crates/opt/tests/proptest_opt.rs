@@ -761,7 +761,7 @@ proptest! {
 /// The same NAM (2, 2) library saved as an artifact and loaded back
 /// through [`LibraryCache::get_or_load`](quartz_opt::LibraryCache) — so
 /// the returned index went through the one load path the daemon uses
-/// (lazy open, digest sweep, prebuilt index section).
+/// (open with the whole-file checksum, prebuilt index section).
 fn artifact_nam_index() -> Arc<quartz_opt::TransformationIndex> {
     use quartz_opt::LibraryCache;
     use std::sync::OnceLock;
