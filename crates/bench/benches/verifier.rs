@@ -1,9 +1,12 @@
 //! Criterion micro-benchmarks for the equivalence verifier (paper §4): the
 //! cost of a single exact equivalence query for representative identities,
-//! and of the exact arithmetic it runs on (the `arithmetic` group: building
-//! each circuit's symbolic unitary, and reducing to trig normal form the
-//! entries of a pair's difference `U₁ − U₂` and of `U₁ − e^{i·p0}·U₂`, the
-//! check of a parameter-dependent phase candidate).
+//! on a fresh verifier per query (the `verifier` group) and on one verifier
+//! reused across the queries, as RepGen runs it (the `verifier_warm` group:
+//! every gate matrix comes from the verifier's memo), and of the exact
+//! arithmetic it runs on (the `arithmetic` group: building each circuit's
+//! symbolic unitary, a 3-gate NAM circuit's included, and reducing to trig
+//! normal form the entries of a pair's difference `U₁ − U₂` and of
+//! `U₁ − e^{i·p0}·U₂`, the check of a parameter-dependent phase candidate).
 //!
 //! The same query pairs ([`quartz_bench::verifier_bench_pairs`]) are timed
 //! by perfbench's `library-build` workload, and a `quartz-bench` unit test
@@ -32,6 +35,36 @@ fn bench_verifier(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_verifier_warm(c: &mut Criterion) {
+    let mut group = c.benchmark_group("verifier_warm");
+    group.sample_size(20);
+    let pairs = verifier_bench_pairs();
+    let mut verifier = Verifier::default();
+    for (_, a, b) in &pairs {
+        assert!(verifier.check(a, b).unwrap());
+    }
+    for (name, a, b) in &pairs {
+        group.bench_function(name, |bench| {
+            bench.iter(|| black_box(verifier.check(a, b).unwrap()));
+        });
+    }
+    group.finish();
+}
+
+/// `H(q0)·CNOT(q0, q1)·Rz(p0 + p1)(q1)`: the shape of a NAM (3, 2) query.
+fn nam_three_gates() -> Circuit {
+    let m = 2;
+    let mut circuit = Circuit::new(2, m);
+    circuit.push(Instruction::new(Gate::H, vec![0], vec![]));
+    circuit.push(Instruction::new(Gate::Cnot, vec![0, 1], vec![]));
+    circuit.push(Instruction::new(
+        Gate::Rz,
+        vec![1],
+        vec![ParamExpr::sum_vars(0, 1, m)],
+    ));
+    circuit
+}
+
 /// `Ry(p0)·Ry(−p0)` and the empty circuit: equal only through the
 /// reducing branch of the trig normal form.
 fn ry_inverse_pair() -> (&'static str, Circuit, Circuit) {
@@ -52,6 +85,10 @@ fn bench_arithmetic(c: &mut Criterion) {
         pi4_units: 0,
     }
     .to_poly();
+    let nam = nam_three_gates();
+    group.bench_function("circuit_unitary/nam_3_gates", |bench| {
+        bench.iter(|| black_box(symsem::circuit_unitary(&nam).unwrap()));
+    });
     for (name, a, b) in verifier_bench_pairs()
         .into_iter()
         .chain([ry_inverse_pair()])
@@ -80,5 +117,10 @@ fn bench_arithmetic(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_verifier, bench_arithmetic);
+criterion_group!(
+    benches,
+    bench_verifier,
+    bench_verifier_warm,
+    bench_arithmetic
+);
 criterion_main!(benches);

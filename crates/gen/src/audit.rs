@@ -929,18 +929,37 @@ fn lint_transformation_overlap(set: &EccSet) -> Vec<Diagnostic> {
 /// different pipeline than the payload claims — the search would silently
 /// miss or misapply rules.
 fn lint_prebuilt_index(index: &TransformationIndex, fresh: &[Transformation]) -> Vec<Diagnostic> {
-    if index.transformations() == fresh {
+    let stored = index.transformations();
+    if stored == fresh {
         return Vec::new();
     }
+    let difference = if stored.len() != fresh.len() {
+        format!(
+            "prebuilt index stores {} transformation(s) but the ECC payload induces {}",
+            stored.len(),
+            fresh.len()
+        )
+    } else {
+        let (rule, (was, now)) = stored
+            .iter()
+            .zip(fresh)
+            .enumerate()
+            .find(|(_, (was, now))| was != now)
+            .expect("equal-length rule lists that differ differ at some rule");
+        let sizes = |t: &Transformation| (t.target.gate_count(), t.rewrite.gate_count());
+        format!(
+            "prebuilt index and the ECC payload both hold {} transformation(s) but first \
+             differ at rule {rule}: (target, rewrite) gate counts {:?} in the index, {:?} \
+             induced by the payload",
+            stored.len(),
+            sizes(was),
+            sizes(now)
+        )
+    };
     vec![Diagnostic::new(
         RuleCode::StaleIndex,
         Location::artifact(),
-        format!(
-            "prebuilt index stores {} transformation(s) but the ECC payload \
-             induces {}; the index is stale relative to its own payload",
-            index.len(),
-            fresh.len()
-        ),
+        format!("{difference}; the index is stale relative to its own payload"),
     )]
 }
 

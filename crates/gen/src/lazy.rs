@@ -123,7 +123,7 @@ impl LazyLibrary {
             return Ok(None);
         }
         let start = HEADER_LEN + self.header.ecc_len as usize;
-        decode_index_section(&self.bytes[start..]).map(Some)
+        decode_index_section(&self.header, &self.bytes[start..]).map(Some)
     }
 
     /// Decodes both sections and discards them: the structural check on top

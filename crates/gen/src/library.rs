@@ -218,9 +218,9 @@ pub struct LibraryHeader {
     pub gate_set: String,
     /// `n`: the largest gate count of any member circuit.
     pub max_gates: u32,
-    /// `q`: number of qubits every member circuit is defined over.
+    /// `q`: number of qubits; no member circuit is defined over more.
     pub num_qubits: u32,
-    /// `m`: number of formal parameters.
+    /// `m`: number of formal parameters; no member circuit has more.
     pub num_params: u32,
     /// Number of equivalence classes in the ECC payload.
     pub num_eccs: u32,
@@ -426,9 +426,18 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn decode_circuit(cur: &mut Cursor<'_>) -> Result<Circuit, LibraryError> {
+/// Decodes one circuit. Its qubit and parameter counts may be narrower than
+/// the header's `(q, m)` but never wider.
+fn decode_circuit(cur: &mut Cursor<'_>, header: &LibraryHeader) -> Result<Circuit, LibraryError> {
     let num_qubits = cur.u16("circuit qubit count")? as usize;
     let num_params = cur.u16("circuit parameter count")? as usize;
+    if num_qubits > header.num_qubits as usize || num_params > header.num_params as usize {
+        return Err(LibraryError::Malformed(format!(
+            "circuit over {num_qubits} qubits and {num_params} parameters exceeds the \
+             header's q = {} and m = {}",
+            header.num_qubits, header.num_params
+        )));
+    }
     let gate_count = cur.u32("circuit gate count")? as usize;
     let mut circuit = Circuit::new(num_qubits, num_params);
     for _ in 0..gate_count {
@@ -492,7 +501,7 @@ pub(crate) fn decode_ecc_payload(
         }
         let mut circuits = Vec::with_capacity(circuit_count.min(1024));
         for _ in 0..circuit_count {
-            circuits.push(decode_circuit(&mut cur)?);
+            circuits.push(decode_circuit(&mut cur, header)?);
         }
         // The payload stores circuits in representative-first (≺-sorted)
         // order; Ecc::new's stable sort therefore reproduces it exactly.
@@ -522,13 +531,16 @@ pub(crate) fn decode_ecc_payload(
     Ok(set)
 }
 
-pub(crate) fn decode_index_section(bytes: &[u8]) -> Result<TransformationIndex, LibraryError> {
+pub(crate) fn decode_index_section(
+    header: &LibraryHeader,
+    bytes: &[u8],
+) -> Result<TransformationIndex, LibraryError> {
     let mut cur = Cursor::new(bytes);
     let count = cur.u32("transformation count")? as usize;
     let mut transformations = Vec::with_capacity(count.min(65_536));
     for _ in 0..count {
-        let target = decode_circuit(&mut cur)?;
-        let rewrite = decode_circuit(&mut cur)?;
+        let target = decode_circuit(&mut cur, header)?;
+        let rewrite = decode_circuit(&mut cur, header)?;
         transformations.push(Transformation { target, rewrite });
     }
     if !cur.finished() {

@@ -321,6 +321,34 @@ fn stale_prebuilt_index_is_flagged() {
     );
 }
 
+/// A stale index holding as many rules as the payload induces: `E006`
+/// names the first rule that differs and the gate counts of both sides.
+#[test]
+fn stale_index_of_equal_length_names_the_first_differing_rule() {
+    let set = clean_set();
+    let fresh = quartz_gen::transformations_from_ecc_set(&set, true);
+    assert_eq!(fresh.len(), 1, "HH → empty");
+    let mut xx = Circuit::new(2, 0);
+    xx.push(instr(Gate::X, &[1]));
+    xx.push(instr(Gate::X, &[1]));
+    let stale = quartz_gen::TransformationIndex::new(vec![quartz_gen::Transformation {
+        target: fresh[0].target.clone(),
+        rewrite: xx,
+    }]);
+    let report = Auditor::default().audit_set(&set, "Nam", Some(&stale), None);
+    let e006 = report
+        .diagnostics
+        .iter()
+        .find(|d| d.rule == RuleCode::StaleIndex)
+        .expect("stale index is flagged");
+    assert_eq!(
+        e006.message,
+        "prebuilt index and the ECC payload both hold 1 transformation(s) but first differ \
+         at rule 0: (target, rewrite) gate counts (2, 2) in the index, (2, 0) induced by \
+         the payload; the index is stale relative to its own payload"
+    );
+}
+
 #[test]
 fn artifact_audit_end_to_end_with_sidecar_cache() {
     let path = temp_path("roundtrip.qtzl");

@@ -147,6 +147,61 @@ fn verify_all_decodes_what_the_checksum_only_seals() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A member may be narrower than the header's `(q, m)`, never wider. The
+/// committed NAM artifact's first circuit, patched to claim one qubit more
+/// than the header's `q` and resealed, opens (the checksum holds) but does
+/// not decode, and `quartz-lib verify-checksum` exits 1 naming the fault.
+#[test]
+fn a_member_wider_than_the_header_is_malformed() {
+    let dir = std::env::temp_dir().join(format!("quartz_wide_member_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let committed = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../libraries/nam_n3_q2.qtzl"
+    );
+    let mut bytes = std::fs::read(committed).unwrap();
+    let header = LazyLibrary::from_bytes(bytes.clone())
+        .unwrap()
+        .header()
+        .clone();
+    assert_eq!(header.num_qubits, 2);
+    // The payload opens with class 0's circuit count, then its first
+    // circuit's qubit count.
+    let qubits_at = HEADER_LEN + 4;
+    let stored = u16::from_le_bytes([bytes[qubits_at], bytes[qubits_at + 1]]);
+    assert!(u32::from(stored) <= header.num_qubits);
+    bytes[qubits_at..qubits_at + 2].copy_from_slice(&3u16.to_le_bytes());
+    reseal(&mut bytes);
+    let path = dir.join("wide_member.qtzl");
+    std::fs::write(&path, &bytes).unwrap();
+
+    let library = LazyLibrary::open(&path).expect("the resealed artifact opens");
+    assert!(
+        matches!(library.verify_all(), Err(LibraryError::Malformed(_))),
+        "verify_all accepted a 3-qubit member under q = 2"
+    );
+    assert!(matches!(
+        Library::from_bytes(&bytes),
+        Err(LibraryError::Malformed(_))
+    ));
+
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_quartz-lib"))
+        .arg("verify-checksum")
+        .arg(&path)
+        .output()
+        .unwrap();
+    assert_eq!(output.status.code(), Some(1), "{output:?}");
+    let stderr = String::from_utf8(output.stderr).unwrap();
+    assert!(
+        stderr.contains("exceeds the header's q = 2"),
+        "verify-checksum must name the fault:\n{stderr}"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The index section holds the rule list and nothing else. An artifact
 /// whose index section still carries the per-rule gate histograms and
 /// anchor buckets format version 2 stored after the rules — with the

@@ -17,54 +17,124 @@ use crate::cyclotomic::Cyclotomic;
 use crate::rational::Rational;
 use crate::ring::Ring;
 use crate::Complex64;
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::fmt;
 
-/// A monomial: exponents of the variables, with trailing zeros trimmed.
+/// Exponents a [`Monomial`] holds without a heap allocation: the variables
+/// of four half-parameters.
+const INLINE_VARS: usize = 8;
+
+/// A monomial: the exponents of the variables.
 ///
 /// Variable `2i` is `c_i = cos(h_i)` and variable `2i+1` is `s_i = sin(h_i)`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Monomial(Vec<u16>);
+/// Monomials over the first [`INLINE_VARS`] variables keep their exponents
+/// inline (zero-padded); wider ones keep them on the heap with trailing
+/// zeros trimmed. Either way the order is the lexicographic order of the
+/// exponent lists with trailing zeros trimmed.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Monomial(Exps);
+
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Exps {
+    /// The first [`INLINE_VARS`] exponents; every later one is zero.
+    Inline([u16; INLINE_VARS]),
+    /// More than [`INLINE_VARS`] exponents, the last one nonzero.
+    Wide(Box<[u16]>),
+}
+
+impl Default for Monomial {
+    fn default() -> Self {
+        Monomial::unit()
+    }
+}
 
 impl Monomial {
     /// The empty (constant) monomial.
     pub fn unit() -> Self {
-        Monomial(Vec::new())
+        Monomial(Exps::Inline([0; INLINE_VARS]))
     }
 
     /// A single variable with exponent one.
     pub fn var(index: usize) -> Self {
         let mut exps = vec![0u16; index + 1];
         exps[index] = 1;
-        Monomial(exps)
+        Monomial::from_exponents(&exps)
     }
 
-    fn from_exps(mut exps: Vec<u16>) -> Self {
-        while exps.last() == Some(&0) {
-            exps.pop();
+    /// The monomial with exponent `exps[i]` on variable `i`.
+    pub fn from_exponents(exps: &[u16]) -> Self {
+        let len = exps.iter().rposition(|&e| e != 0).map_or(0, |i| i + 1);
+        if len <= INLINE_VARS {
+            let mut inline = [0; INLINE_VARS];
+            inline[..len].copy_from_slice(&exps[..len]);
+            Monomial(Exps::Inline(inline))
+        } else {
+            Monomial(Exps::Wide(exps[..len].into()))
         }
-        Monomial(exps)
+    }
+
+    /// The stored exponents: every exponent up to the last nonzero one,
+    /// possibly followed by zeros.
+    fn exps(&self) -> &[u16] {
+        match &self.0 {
+            Exps::Inline(exps) => exps,
+            Exps::Wide(exps) => exps,
+        }
     }
 
     /// Exponent of variable `index`.
     pub fn exponent(&self, index: usize) -> u16 {
-        self.0.get(index).copied().unwrap_or(0)
+        self.exps().get(index).copied().unwrap_or(0)
     }
 
     /// Total degree.
     pub fn degree(&self) -> u32 {
-        self.0.iter().map(|&e| e as u32).sum()
+        self.exps().iter().map(|&e| e as u32).sum()
+    }
+
+    /// Whether every `s_i`-exponent is below 2 (the trig normal form).
+    fn is_trig_normal(&self) -> bool {
+        self.exps().iter().skip(1).step_by(2).all(|&e| e < 2)
     }
 
     /// Product of two monomials (exponent-wise sum).
     pub fn mul(&self, other: &Monomial) -> Monomial {
-        let n = self.0.len().max(other.0.len());
-        let mut exps = vec![0u16; n];
-        for (i, e) in exps.iter_mut().enumerate() {
-            *e = self.exponent(i) + other.exponent(i);
+        match (&self.0, &other.0) {
+            (Exps::Inline(a), Exps::Inline(b)) => {
+                Monomial(Exps::Inline(std::array::from_fn(|i| a[i] + b[i])))
+            }
+            _ => {
+                let n = self.exps().len().max(other.exps().len());
+                let exps: Vec<u16> = (0..n)
+                    .map(|i| self.exponent(i) + other.exponent(i))
+                    .collect();
+                Monomial::from_exponents(&exps)
+            }
         }
-        Monomial::from_exps(exps)
+    }
+}
+
+impl Ord for Monomial {
+    fn cmp(&self, other: &Self) -> Ordering {
+        match (&self.0, &other.0) {
+            // Zero padding does not change the lexicographic order of
+            // trimmed lists: where one list ends, the other is either done
+            // too or continues with something nonzero.
+            (Exps::Inline(a), Exps::Inline(b)) => a.cmp(b),
+            _ => {
+                let n = self.exps().len().max(other.exps().len());
+                (0..n)
+                    .map(|i| self.exponent(i).cmp(&other.exponent(i)))
+                    .find(|o| o.is_ne())
+                    .unwrap_or(Ordering::Equal)
+            }
+        }
+    }
+}
+
+impl PartialOrd for Monomial {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
@@ -83,16 +153,15 @@ impl Monomial {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Poly {
-    /// Terms keyed by monomial; no zero coefficients are stored.
-    terms: BTreeMap<Monomial, Cyclotomic>,
+    /// Terms in strictly ascending monomial order; no zero coefficients are
+    /// stored.
+    terms: Vec<(Monomial, Cyclotomic)>,
 }
 
 impl Poly {
     /// The zero polynomial.
     pub fn zero() -> Self {
-        Poly {
-            terms: BTreeMap::new(),
-        }
+        Poly { terms: Vec::new() }
     }
 
     /// The constant polynomial one.
@@ -102,11 +171,7 @@ impl Poly {
 
     /// A constant polynomial.
     pub fn constant(c: Cyclotomic) -> Self {
-        let mut terms = BTreeMap::new();
-        if !c.is_zero() {
-            terms.insert(Monomial::unit(), c);
-        }
-        Poly { terms }
+        Poly::from_monomial(Monomial::unit(), c)
     }
 
     /// The variable `c_i = cos(h_i)` for half-parameter `i`.
@@ -121,10 +186,26 @@ impl Poly {
 
     /// A polynomial with a single term.
     pub fn from_monomial(m: Monomial, c: Cyclotomic) -> Self {
-        let mut terms = BTreeMap::new();
-        if !c.is_zero() {
-            terms.insert(m, c);
-        }
+        let terms = if c.is_zero() {
+            Vec::new()
+        } else {
+            vec![(m, c)]
+        };
+        Poly { terms }
+    }
+
+    /// Sorts `terms` by monomial, adds up the coefficients of equal
+    /// monomials and drops the zero sums.
+    fn from_unsorted(mut terms: Vec<(Monomial, Cyclotomic)>) -> Poly {
+        terms.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        terms.dedup_by(|(m, c), (kept_m, kept_c)| {
+            let same = m == kept_m;
+            if same {
+                *kept_c += c;
+            }
+            same
+        });
+        terms.retain(|(_, c)| !c.is_zero());
         Poly { terms }
     }
 
@@ -140,45 +221,54 @@ impl Poly {
 
     /// Total degree (0 for the zero polynomial).
     pub fn degree(&self) -> u32 {
-        self.terms.keys().map(Monomial::degree).max().unwrap_or(0)
+        self.terms
+            .iter()
+            .map(|(m, _)| m.degree())
+            .max()
+            .unwrap_or(0)
     }
 
-    /// Iterates over `(monomial, coefficient)` pairs.
+    /// Iterates over `(monomial, coefficient)` pairs in ascending monomial
+    /// order.
     pub fn terms(&self) -> impl Iterator<Item = (&Monomial, &Cyclotomic)> {
-        self.terms.iter()
+        self.terms.iter().map(|(m, c)| (m, c))
     }
 
-    fn insert_term(&mut self, m: Monomial, c: Cyclotomic) {
-        if c.is_zero() {
-            return;
-        }
-        match self.terms.entry(m) {
-            Entry::Occupied(mut existing) => {
-                *existing.get_mut() += &c;
-                if existing.get().is_zero() {
-                    existing.remove();
+    /// `self ← self + sign·rhs`, merging the two sorted term lists.
+    fn merge_assign(&mut self, rhs: &Poly, negate: bool) {
+        let signed = |c: &Cyclotomic| if negate { -c } else { c.clone() };
+        let lhs = std::mem::take(&mut self.terms);
+        let mut out = Vec::with_capacity(lhs.len() + rhs.terms.len());
+        let mut left = lhs.into_iter().peekable();
+        let mut right = rhs.terms.iter().peekable();
+        loop {
+            let order = match (left.peek(), right.peek()) {
+                (Some((ml, _)), Some((mr, _))) => ml.cmp(mr),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (None, None) => break,
+            };
+            match order {
+                Ordering::Less => out.extend(left.next()),
+                Ordering::Greater => {
+                    let (m, c) = right.next().expect("peeked");
+                    out.push((m.clone(), signed(c)));
+                }
+                Ordering::Equal => {
+                    let (m, mut c) = left.next().expect("peeked");
+                    let (_, cr) = right.next().expect("peeked");
+                    if negate {
+                        c -= cr;
+                    } else {
+                        c += cr;
+                    }
+                    if !c.is_zero() {
+                        out.push((m, c));
+                    }
                 }
             }
-            Entry::Vacant(slot) => {
-                slot.insert(c);
-            }
         }
-    }
-
-    /// Adds the term `c·m` (`c` nonzero), cloning the monomial and
-    /// coefficient only when the monomial is new.
-    fn add_term(&mut self, m: &Monomial, c: &Cyclotomic) {
-        match self.terms.get_mut(m) {
-            Some(existing) => {
-                *existing += c;
-                if existing.is_zero() {
-                    self.terms.remove(m);
-                }
-            }
-            None => {
-                self.terms.insert(m.clone(), c.clone());
-            }
-        }
+        self.terms = out;
     }
 
     /// Polynomial addition.
@@ -195,24 +285,21 @@ impl Poly {
         out
     }
 
-    /// Polynomial multiplication.
+    /// Polynomial multiplication: every product of two terms, sorted, with
+    /// equal monomials combined.
     pub fn mul(&self, rhs: &Poly) -> Poly {
-        let mut out = Poly::zero();
+        let mut products = Vec::with_capacity(self.terms.len() * rhs.terms.len());
         for (ma, ca) in &self.terms {
             for (mb, cb) in &rhs.terms {
-                out.insert_term(ma.mul(mb), ca * cb);
+                products.push((ma.mul(mb), ca * cb));
             }
         }
-        out
+        Poly::from_unsorted(products)
     }
 
     /// Additive inverse.
     pub fn neg(&self) -> Poly {
-        let terms = self
-            .terms
-            .iter()
-            .map(|(m, c)| (m.clone(), -c.clone()))
-            .collect();
+        let terms = self.terms.iter().map(|(m, c)| (m.clone(), -c)).collect();
         Poly { terms }
     }
 
@@ -283,46 +370,35 @@ impl Poly {
     /// generated by `c_i² + s_i² − 1`: every `s_i`-exponent is reduced below 2
     /// using `s_i² = 1 − c_i²`.
     ///
-    /// Every term is added into one output map, so the cost is linear in the
-    /// number of terms produced. A monomial already in normal form passes
-    /// straight through.
+    /// Every produced term is collected into one list, which is sorted and
+    /// combined once, so the cost is linear in the number of terms produced
+    /// (up to the sort).
     pub fn trig_normal_form(&self) -> Poly {
-        let mut out = Poly::zero();
+        let mut out = Vec::with_capacity(self.terms.len());
         for (m, coeff) in &self.terms {
-            if m.0.iter().skip(1).step_by(2).all(|&e| e < 2) {
-                out.add_term(m, coeff);
+            if m.is_trig_normal() {
+                out.push((m.clone(), coeff.clone()));
             } else {
-                out += &Self::reduce_monomial(m, coeff);
+                out.extend(Self::reduce_monomial(m, coeff).terms);
             }
         }
-        out
+        Poly::from_unsorted(out)
     }
 
     fn reduce_monomial(m: &Monomial, coeff: &Cyclotomic) -> Poly {
         // Split s_i^e into (1 − c_i²)^⌊e/2⌋ · s_i^{e mod 2} for every i.
         let mut acc = Poly::constant(coeff.clone());
-        let len = m.0.len();
-        let mut residual_exps: Vec<u16> = vec![0; len];
-        for (idx, residual) in residual_exps.iter_mut().enumerate() {
-            let e = m.exponent(idx);
-            if e == 0 {
-                continue;
-            }
-            if idx % 2 == 0 {
-                // cosine variable: left untouched
-                *residual = e;
-            } else {
-                let half = e / 2;
-                let rem = e % 2;
-                *residual = rem;
-                if half > 0 {
-                    let param = idx / 2;
-                    let one_minus_c2 = Poly::one().sub(&Poly::var_cos(param).pow(2));
-                    acc = acc.mul(&one_minus_c2.pow(half as u32));
-                }
+        let mut residual_exps = m.exps().to_vec();
+        for (idx, residual) in residual_exps.iter_mut().enumerate().skip(1).step_by(2) {
+            let half = *residual / 2;
+            *residual %= 2;
+            if half > 0 {
+                let param = idx / 2;
+                let one_minus_c2 = Poly::one().sub(&Poly::var_cos(param).pow(2));
+                acc = acc.mul(&one_minus_c2.pow(half as u32));
             }
         }
-        let residual = Monomial::from_exps(residual_exps);
+        let residual = Monomial::from_exponents(&residual_exps);
         acc.mul(&Poly::from_monomial(residual, Cyclotomic::one()))
     }
 
@@ -340,8 +416,7 @@ impl Poly {
         for (m, coeff) in &self.terms {
             let (re, im) = coeff.to_complex_f64();
             let mut val = Complex64::new(re, im);
-            for idx in 0..m.0.len() {
-                let e = m.exponent(idx);
+            for (idx, &e) in m.exps().iter().enumerate() {
                 if e == 0 {
                     continue;
                 }
@@ -383,17 +458,13 @@ impl Ring for Poly {
 
 impl std::ops::AddAssign<&Poly> for Poly {
     fn add_assign(&mut self, rhs: &Poly) {
-        for (m, c) in &rhs.terms {
-            self.add_term(m, c);
-        }
+        self.merge_assign(rhs, false);
     }
 }
 
 impl std::ops::SubAssign<&Poly> for Poly {
     fn sub_assign(&mut self, rhs: &Poly) {
-        for (m, c) in &rhs.terms {
-            self.add_term(m, &-c);
-        }
+        self.merge_assign(rhs, true);
     }
 }
 
@@ -436,8 +507,7 @@ impl fmt::Display for Poly {
                 write!(f, " + ")?;
             }
             write!(f, "({c})")?;
-            for idx in 0..m.0.len() {
-                let e = m.exponent(idx);
+            for (idx, &e) in m.exps().iter().enumerate() {
                 if e == 0 {
                     continue;
                 }

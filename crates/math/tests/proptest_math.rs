@@ -4,6 +4,7 @@ use proptest::prelude::*;
 use quartz_math::{BigInt, Cyclotomic, Matrix, Monomial, Poly, Rational, Ring};
 use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
+use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
 fn arb_bigint() -> impl Strategy<Value = BigInt> {
@@ -377,6 +378,119 @@ fn arb_poly_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix<Pol
     })
 }
 
+// ---------------------------------------------------------------------------
+// The flat term list against a map reference.
+
+/// Variables a reference term may use: six half-parameters, so that some
+/// monomials are wider than the inline exponent array.
+const REF_VARS: usize = 12;
+
+/// A reference polynomial: trimmed exponent lists to nonzero coefficients,
+/// iterated in the lexicographic order of the lists.
+type RefPoly = BTreeMap<Vec<u16>, Cyclotomic>;
+
+fn trimmed(exps: &[u16]) -> Vec<u16> {
+    let len = exps.iter().rposition(|&e| e != 0).map_or(0, |i| i + 1);
+    exps[..len].to_vec()
+}
+
+fn ref_add_term(p: &mut RefPoly, m: Vec<u16>, c: &Cyclotomic) {
+    let sum = p.remove(&m).map_or_else(|| c.clone(), |old| &old + c);
+    if !sum.is_zero() {
+        p.insert(m, sum);
+    }
+}
+
+fn ref_add(a: &RefPoly, b: &RefPoly, negate: bool) -> RefPoly {
+    let mut out = a.clone();
+    for (m, c) in b {
+        let c = if negate { -c } else { c.clone() };
+        ref_add_term(&mut out, m.clone(), &c);
+    }
+    out
+}
+
+fn ref_mul(a: &RefPoly, b: &RefPoly) -> RefPoly {
+    let mut out = RefPoly::new();
+    for (ma, ca) in a {
+        for (mb, cb) in b {
+            let n = ma.len().max(mb.len());
+            let m: Vec<u16> = (0..n)
+                .map(|i| ma.get(i).unwrap_or(&0) + mb.get(i).unwrap_or(&0))
+                .collect();
+            ref_add_term(&mut out, trimmed(&m), &(ca * cb));
+        }
+    }
+    out
+}
+
+/// `s_i² = 1 − c_i²` applied to every term until each `s_i`-exponent is
+/// below 2, with every product taken in the map representation.
+fn ref_trig_normal_form(p: &RefPoly) -> RefPoly {
+    let one = Cyclotomic::one();
+    let mut out = RefPoly::new();
+    for (m, c) in p {
+        let mut acc = RefPoly::from([(Vec::new(), c.clone())]);
+        let mut residual = m.clone();
+        for sin in (1..m.len()).step_by(2) {
+            let mut c_squared = vec![0; sin];
+            c_squared[sin - 1] = 2;
+            let one_minus_c_squared =
+                RefPoly::from([(Vec::new(), one.clone()), (c_squared, -&one)]);
+            for _ in 0..m[sin] / 2 {
+                acc = ref_mul(&acc, &one_minus_c_squared);
+            }
+            residual[sin] %= 2;
+        }
+        for (m, c) in ref_mul(&acc, &RefPoly::from([(trimmed(&residual), one.clone())])) {
+            ref_add_term(&mut out, m, &c);
+        }
+    }
+    out
+}
+
+/// A polynomial's terms in its own iteration order, each monomial as its
+/// trimmed exponent list.
+fn term_list(p: &Poly) -> Vec<(Vec<u16>, Cyclotomic)> {
+    p.terms()
+        .map(|(m, c)| {
+            let exps: Vec<u16> = (0..REF_VARS).map(|i| m.exponent(i)).collect();
+            (trimmed(&exps), c.clone())
+        })
+        .collect()
+}
+
+fn ref_term_list(p: &RefPoly) -> Vec<(Vec<u16>, Cyclotomic)> {
+    p.iter().map(|(m, c)| (m.clone(), c.clone())).collect()
+}
+
+/// Exponent lists drawn untrimmed: half of them over the first three
+/// variables, so that sums and products meet equal monomials, and half over
+/// up to [`REF_VARS`] variables, so that some monomials are wide.
+fn arb_exponents() -> impl Strategy<Value = Vec<u16>> {
+    prop_oneof![
+        prop::collection::vec(0u16..3, 0..4),
+        prop::collection::vec(0u16..3, 0..REF_VARS + 1),
+    ]
+}
+
+/// Up to four terms, built both ways.
+fn arb_poly_with_reference() -> impl Strategy<Value = (Poly, RefPoly)> {
+    let term = (arb_exponents(), -2i64..3, 0i64..8);
+    prop::collection::vec(term, 0..5).prop_map(|terms| {
+        let mut poly = Poly::zero();
+        let mut reference = RefPoly::new();
+        for (exps, k, r) in terms {
+            let coeff = Cyclotomic::root_of_unity(r).scale(&Rational::new(k, 2));
+            poly += &Poly::from_monomial(Monomial::from_exponents(&exps), coeff.clone());
+            if !coeff.is_zero() {
+                ref_add_term(&mut reference, trimmed(&exps), &coeff);
+            }
+        }
+        (poly, reference)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -425,5 +539,67 @@ proptest! {
         diff -= &b;
         prop_assert_eq!(&diff, &a.sub(&b));
         prop_assert!(a.sub(&a).is_zero());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn poly_arithmetic_matches_the_map_reference(
+        a in arb_poly_with_reference(),
+        b in arb_poly_with_reference(),
+    ) {
+        let ((a, ra), (b, rb)) = (a, b);
+        prop_assert_eq!(term_list(&a), ref_term_list(&ra));
+        prop_assert_eq!(term_list(&a.add(&b)), ref_term_list(&ref_add(&ra, &rb, false)));
+        prop_assert_eq!(term_list(&a.sub(&b)), ref_term_list(&ref_add(&ra, &rb, true)));
+        let mut in_place = a.clone();
+        in_place -= &b;
+        prop_assert_eq!(term_list(&in_place), ref_term_list(&ref_add(&ra, &rb, true)));
+        let product = a.mul(&b);
+        let ref_product = ref_mul(&ra, &rb);
+        prop_assert_eq!(term_list(&product), ref_term_list(&ref_product));
+        prop_assert_eq!(
+            term_list(&a.trig_normal_form()),
+            ref_term_list(&ref_trig_normal_form(&ra))
+        );
+        prop_assert_eq!(
+            term_list(&product.trig_normal_form()),
+            ref_term_list(&ref_trig_normal_form(&ref_product))
+        );
+    }
+
+    #[test]
+    fn monomial_order_is_trimmed_vec_order(a in arb_exponents(), b in arb_exponents()) {
+        // `a` extended past the inline width: a wide monomial with `a` as a
+        // prefix.
+        let mut a_wide = a.clone();
+        a_wide.resize(REF_VARS, 0);
+        a_wide[REF_VARS - 1] += 1;
+        let hash = |m: &Monomial| {
+            let mut h = DefaultHasher::new();
+            m.hash(&mut h);
+            h.finish()
+        };
+        for x in [&a, &b, &a_wide] {
+            for y in [&a, &b, &a_wide] {
+                let (mx, my) = (Monomial::from_exponents(x), Monomial::from_exponents(y));
+                let (tx, ty) = (trimmed(x), trimmed(y));
+                prop_assert_eq!(mx.cmp(&my), tx.cmp(&ty));
+                prop_assert_eq!(mx == my, tx == ty);
+                if mx == my {
+                    prop_assert_eq!(hash(&mx), hash(&my));
+                }
+            }
+        }
+        let (ma, mb) = (Monomial::from_exponents(&a), Monomial::from_exponents(&b));
+        // Built from variables, the same monomial in the same place.
+        prop_assert_eq!(&monomial(&a), &ma);
+        let product = ma.mul(&mb);
+        for i in 0..REF_VARS {
+            prop_assert_eq!(product.exponent(i), ma.exponent(i) + mb.exponent(i));
+        }
+        prop_assert_eq!(product.degree(), ma.degree() + mb.degree());
     }
 }

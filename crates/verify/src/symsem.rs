@@ -3,6 +3,40 @@
 
 use quartz_ir::{Circuit, Instruction, UnsupportedAngleError};
 use quartz_math::{Matrix, Poly};
+use std::collections::HashMap;
+use std::fmt;
+
+/// The embedded symbolic matrix of every instruction seen so far, one map
+/// per circuit width. A [`crate::Verifier`] keeps one for its lifetime, so
+/// its size is bounded by the distinct instructions the verifier has
+/// seen: during generation, the gate set's instruction alphabet.
+#[derive(Clone, Default)]
+pub(crate) struct GateMemo {
+    by_width: HashMap<usize, HashMap<Instruction, Matrix<Poly>>>,
+}
+
+impl GateMemo {
+    /// The embedding of `instr` into `num_qubits` qubits, built on first
+    /// use.
+    fn embedded(
+        &mut self,
+        instr: &Instruction,
+        num_qubits: usize,
+    ) -> Result<&Matrix<Poly>, UnsupportedAngleError> {
+        let memo = self.by_width.entry(num_qubits).or_default();
+        if !memo.contains_key(instr) {
+            memo.insert(instr.clone(), instruction_unitary(instr, num_qubits)?);
+        }
+        Ok(&memo[instr])
+    }
+}
+
+impl fmt::Debug for GateMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let entries: usize = self.by_width.values().map(HashMap::len).sum();
+        write!(f, "GateMemo({entries} matrices)")
+    }
+}
 
 /// Computes the full 2ⁿ×2ⁿ symbolic unitary of a single instruction embedded
 /// into a circuit over `num_qubits` qubits.
@@ -60,14 +94,25 @@ pub fn instruction_unitary(
 /// Returns an error if any instruction's parameters cannot be represented
 /// exactly.
 pub fn circuit_unitary(circuit: &Circuit) -> Result<Matrix<Poly>, UnsupportedAngleError> {
-    let dim = 1usize << circuit.num_qubits();
-    let mut total: Matrix<Poly> = Matrix::identity(dim);
+    circuit_unitary_memoized(circuit, &mut GateMemo::default())
+}
+
+/// [`circuit_unitary`], taking each instruction's embedded matrix from
+/// `memo`.
+pub(crate) fn circuit_unitary_memoized(
+    circuit: &Circuit,
+    memo: &mut GateMemo,
+) -> Result<Matrix<Poly>, UnsupportedAngleError> {
+    let mut total: Option<Matrix<Poly>> = None;
     for instr in circuit.instructions() {
-        let u = instruction_unitary(instr, circuit.num_qubits())?;
+        let u = memo.embedded(instr, circuit.num_qubits())?;
         // The instruction acts after everything already accumulated.
-        total = u.matmul(&total);
+        total = Some(match total {
+            None => u.clone(),
+            Some(acc) => u.matmul(&acc),
+        });
     }
-    Ok(total)
+    Ok(total.unwrap_or_else(|| Matrix::identity(1usize << circuit.num_qubits())))
 }
 
 #[cfg(test)]
@@ -138,6 +183,29 @@ mod tests {
             };
             assert!(p.eval_f64(&[]).approx_eq(expected, 1e-12));
         }
+    }
+
+    #[test]
+    fn the_memo_holds_one_matrix_per_instruction_and_width() {
+        let entries = |memo: &GateMemo| memo.by_width.values().map(HashMap::len).sum::<usize>();
+        let h = Instruction::new(Gate::H, vec![0], vec![]);
+        let mut two = Circuit::new(2, 0);
+        for instr in [&h, &Instruction::new(Gate::Cnot, vec![0, 1], vec![]), &h] {
+            two.push(instr.clone());
+        }
+        let mut three = Circuit::new(3, 0);
+        three.push(h);
+
+        let mut memo = GateMemo::default();
+        for _ in 0..2 {
+            let warm = circuit_unitary_memoized(&two, &mut memo).unwrap();
+            assert_eq!(warm, circuit_unitary(&two).unwrap());
+            assert_eq!(entries(&memo), 2);
+        }
+        // The same gate on a wider circuit is embedded anew.
+        let warm = circuit_unitary_memoized(&three, &mut memo).unwrap();
+        assert_eq!(warm, circuit_unitary(&three).unwrap());
+        assert_eq!(entries(&memo), 3);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! procedure for the same class of formulas (see `quartz_math::Poly`).
 
 use crate::phase::{candidate_phases, PhaseFactor};
-use crate::symsem;
+use crate::symsem::{self, GateMemo};
 use quartz_ir::{Circuit, FingerprintContext, UnsupportedAngleError};
 use quartz_math::{Matrix, Poly};
 use std::fmt;
@@ -189,6 +189,9 @@ pub struct VerifierStats {
 pub struct Verifier {
     config: VerifierConfig,
     stats: VerifierStats,
+    /// Embedded gate matrices reused across queries; bounded by the
+    /// distinct instructions this verifier has seen.
+    memo: GateMemo,
 }
 
 impl Default for Verifier {
@@ -203,6 +206,7 @@ impl Verifier {
         Verifier {
             config,
             stats: VerifierStats::default(),
+            memo: GateMemo::default(),
         }
     }
 
@@ -279,8 +283,8 @@ impl Verifier {
         }
 
         // Exact check of eq. (6) for each candidate.
-        let u1 = symsem::circuit_unitary(c1)?;
-        let u2 = symsem::circuit_unitary(c2)?;
+        let u1 = symsem::circuit_unitary_memoized(c1, &mut self.memo)?;
+        let u2 = symsem::circuit_unitary_memoized(c2, &mut self.memo)?;
         for phase in candidates {
             self.stats.symbolic_checks += 1;
             if Self::matrices_equal_with_phase(&u1, &u2, &phase) {
