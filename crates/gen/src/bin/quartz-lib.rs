@@ -22,15 +22,12 @@
 //!     generator pipeline, and require byte-identical output (catches a
 //!     stale prebuilt index or a stale encoder).
 //!
-//! quartz-lib audit FILE [--json] [--no-cache] [--write-stamp]
-//!                  [--expect-full-cache] [--threads N]
+//! quartz-lib audit FILE [--json] [--write-stamp] [--threads N]
 //!     Run the static analyzer (DESIGN.md §11) over an artifact: re-verify
-//!     every equivalence class semantically (parallel, with the
-//!     FILE.audit sidecar as verified-cache unless --no-cache) and apply
-//!     the structural lints. Errors exit 1, warnings don't. --write-stamp
-//!     records a clean audit in the sidecar; --expect-full-cache fails
-//!     unless every class was served from the cache (CI uses it to prove
-//!     the sidecar is live); --json prints the machine-readable report.
+//!     every equivalence class semantically (parallel) and apply the
+//!     structural lints. Errors exit 1, warnings don't. --write-stamp
+//!     certifies a clean audit of the whole file in the FILE.audit
+//!     sidecar; --json prints the machine-readable report.
 //!
 //! quartz-lib mutate --in FILE --out FILE
 //!     Corrupt one transformation semantically — replace a single
@@ -95,7 +92,7 @@ const USAGE: &str = "usage:
   quartz-lib unpack --in SET.qtzl --out SET.json
   quartz-lib inspect FILE
   quartz-lib verify-checksum FILE [--deep]
-  quartz-lib audit FILE [--json] [--no-cache] [--write-stamp] [--expect-full-cache] [--threads N]
+  quartz-lib audit FILE [--json] [--write-stamp] [--threads N]
   quartz-lib mutate --in FILE --out FILE";
 
 enum Failure {
@@ -217,13 +214,13 @@ fn generate(args: &[String]) -> Result<(), Failure> {
     eprintln!("generating {} (n={n}, q={q}, m={m}) ...", gate_set.name());
     let (raw, stats) = Generator::new(gate_set.clone(), GenConfig::standard(n, q, m)).run();
     let (pruned, _) = prune(&raw);
+    let classes = pruned.len();
+    let library = Library::new(gate_set.name(), pruned, true);
     eprintln!(
-        "  {} classes, {} transformations after pruning, generated in {:.2?}",
-        pruned.len(),
-        pruned.num_transformations(),
+        "  {classes} classes, {} transformations indexed, generated in {:.2?}",
+        library.index().map_or(0, |index| index.len()),
         stats.total_time
     );
-    let library = Library::new(gate_set.name(), pruned, true);
     library.save(&out).map_err(runtime)?;
     eprintln!("wrote {out} ({} bytes)", library.byte_len());
     Ok(())
@@ -308,9 +305,7 @@ fn inspect(args: &[String]) -> Result<(), Failure> {
 fn audit(args: &[String]) -> Result<(), Failure> {
     let mut args = Args::new(args);
     let json = args.switch("--json");
-    let no_cache = args.switch("--no-cache");
     let write_stamp = args.switch("--write-stamp");
-    let expect_full_cache = args.switch("--expect-full-cache");
     let threads = match args.value_of("--threads")? {
         Some(v) => parse_number("--threads", v)?,
         None => 0,
@@ -325,20 +320,11 @@ fn audit(args: &[String]) -> Result<(), Failure> {
         threads,
         ..AuditConfig::default()
     });
-    let report = auditor
-        .audit_artifact(Path::new(&path), !no_cache)
-        .map_err(runtime)?;
+    let report = auditor.audit_artifact(Path::new(&path)).map_err(runtime)?;
     if json {
         print!("{}", report.to_json());
     } else {
         println!("{report}");
-    }
-    if expect_full_cache && report.cache_hits < report.classes {
-        return Err(runtime(format!(
-            "{path}: expected every class to hit the verified-cache, but only {}/{} did \
-             (stale or missing {path}.audit sidecar?)",
-            report.cache_hits, report.classes
-        )));
     }
     if let Some(stamp) = report.stamp() {
         if write_stamp {
@@ -346,9 +332,8 @@ fn audit(args: &[String]) -> Result<(), Failure> {
                 .save_for(Path::new(&path))
                 .map_err(|e| runtime(format!("writing sidecar: {e}")))?;
             eprintln!(
-                "wrote {} ({} class digests)",
-                AuditStamp::sidecar_path(Path::new(&path)).display(),
-                stamp.class_digests.len()
+                "wrote {}",
+                AuditStamp::sidecar_path(Path::new(&path)).display()
             );
         }
         Ok(())

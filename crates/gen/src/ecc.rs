@@ -292,7 +292,9 @@ mod tests {
         let dir = std::env::temp_dir().join("quartz_ecc_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("set.json");
-        let mut set = EccSet::new(1, 0);
+        // The set's (q, m) must cover its members' (2, 0): the decoder
+        // refuses a wider member.
+        let mut set = EccSet::new(2, 0);
         set.eccs.push(Ecc::new(vec![single(Gate::H, 0)]));
         set.save(&path).unwrap();
         let back = EccSet::load(&path).unwrap();

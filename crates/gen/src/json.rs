@@ -120,7 +120,7 @@ fn decode_set(set: Node<'_>) -> Result<EccSet, ShapeError> {
         let circuits = ecc
             .field("circuits")?
             .items("circuits")?
-            .map(|c| decode_circuit(&c))
+            .map(|c| decode_circuit(&c, num_qubits, num_params))
             .collect::<Result<Vec<_>, _>>()?;
         if circuits.is_empty() {
             return Err(ecc.error("an ECC must contain at least one circuit"));
@@ -130,10 +130,22 @@ fn decode_set(set: Node<'_>) -> Result<EccSet, ShapeError> {
     Ok(out)
 }
 
-fn decode_circuit(node: &Node<'_>) -> Result<Circuit, ShapeError> {
+/// Decodes one member circuit. Like the artifact decoder, it admits a
+/// member narrower than the set's `(q, m)`, never a wider one.
+fn decode_circuit(
+    node: &Node<'_>,
+    set_qubits: usize,
+    set_params: usize,
+) -> Result<Circuit, ShapeError> {
     node.object("circuit")?;
     let num_qubits = node.field("num_qubits")?.usize("num_qubits")?;
     let num_params = node.field("num_params")?.usize("num_params")?;
+    if num_qubits > set_qubits || num_params > set_params {
+        return Err(node.error(format!(
+            "circuit over {num_qubits} qubits and {num_params} parameters exceeds the set's \
+             q = {set_qubits} and m = {set_params}"
+        )));
+    }
     let mut circuit = Circuit::new(num_qubits, num_params);
     for instr in node.field("instructions")?.items("instructions")? {
         circuit.push(decode_instruction(&instr, num_qubits, num_params)?);
@@ -356,6 +368,17 @@ mod tests {
         assert!(ecc_set_from_json(bad_arity)
             .unwrap_err()
             .contains("qubit operands"));
+        // A member wider than its set: the artifact decoder would refuse it,
+        // so `quartz-lib pack` must not write it. The error points at the
+        // circuit (line 2, past the 12 spaces of indentation).
+        let wide_member = r#"{"num_qubits":1,"num_params":0,"eccs":[{"circuits":[
+            {"num_qubits":1,"num_params":1,"instructions":[{"gate":"rz","qubits":[0],"params":[{"coeffs":[1],"const_pi4":0}]}]}
+        ]}]}"#;
+        let err = ecc_set_from_json(wide_member).unwrap_err();
+        assert!(
+            err.contains("exceeds the set's q = 1 and m = 0") && err.contains("line 2, column 13"),
+            "{err}"
+        );
     }
 
     #[test]

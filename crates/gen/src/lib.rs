@@ -64,8 +64,7 @@ mod repgen;
 mod xform;
 
 pub use audit::{
-    class_digest, AuditConfig, AuditReport, AuditStamp, Auditor, Diagnostic, Location, RuleCode,
-    Severity,
+    AuditConfig, AuditReport, AuditStamp, Auditor, Diagnostic, Location, RuleCode, Severity,
 };
 pub use automaton::{AutomatonNode, MatchAutomaton, RuleLabels};
 pub use count::{count_possible_circuits, count_sequences_by_size};

@@ -337,7 +337,7 @@ fn cast_u16(what: &str, n: usize) -> u16 {
     u16::try_from(n).unwrap_or_else(|_| panic!("{what} ({n}) exceeds the format's u16 limit"))
 }
 
-pub(crate) fn encode_circuit(out: &mut Vec<u8>, circuit: &Circuit) {
+fn encode_circuit(out: &mut Vec<u8>, circuit: &Circuit) {
     put_u16(out, cast_u16("circuit qubit count", circuit.num_qubits()));
     put_u16(
         out,

@@ -1,13 +1,11 @@
 //! Integration tests for the `quartz-audit` static analyzer (DESIGN.md
-//! §11): semantic re-verification, the structural lints, the
-//! content-addressed verified-cache, and the sidecar stamp format.
+//! §11): semantic re-verification, the structural lints, and the sidecar
+//! stamp that certifies a clean audit of a whole artifact.
 
 use quartz_gen::{
-    audit::class_digest, AuditConfig, AuditStamp, Auditor, Ecc, EccSet, Library, RuleCode,
-    Severity, GENERATOR_VERSION,
+    AuditConfig, AuditStamp, Auditor, Ecc, EccSet, Library, RuleCode, Severity, GENERATOR_VERSION,
 };
-use quartz_ir::{Circuit, Gate, Instruction, ParamExpr};
-use quartz_verify::VerifierConfig;
+use quartz_ir::{Circuit, Gate, Instruction};
 use std::path::PathBuf;
 
 fn instr(gate: Gate, qubits: &[usize]) -> Instruction {
@@ -37,51 +35,19 @@ fn temp_path(name: &str) -> PathBuf {
 
 #[test]
 fn clean_set_audits_clean() {
-    let report = Auditor::default().audit_set(&clean_set(), "Nam", None, None);
+    let report = Auditor::default().audit_set(&clean_set(), "Nam", None);
     assert_eq!(report.classes, 1);
-    assert_eq!(report.cache_hits, 0);
     assert!(report.is_clean(), "unexpected findings: {report}");
     assert_eq!(report.warnings(), 0);
-    assert_eq!(report.class_digests.len(), 1);
 }
 
 #[test]
 fn stamp_json_round_trips() {
-    let report = Auditor::default().audit_set(&clean_set(), "Nam", None, None);
+    let report = Auditor::default().audit_set(&clean_set(), "Nam", None);
     let stamp = report.stamp().expect("clean audit produces a stamp");
     let back = AuditStamp::parse(&stamp.to_json()).expect("stamp JSON parses");
     assert_eq!(back, stamp);
     assert!(back.certifies(report.artifact_checksum, report.verifier_digest));
-}
-
-#[test]
-fn second_audit_hits_the_verified_cache_for_every_class() {
-    let set = clean_set();
-    let auditor = Auditor::default();
-    let first = auditor.audit_set(&set, "Nam", None, None);
-    let stamp = first.stamp().unwrap();
-    let second = auditor.audit_set(&set, "Nam", None, Some(&stamp));
-    assert_eq!(second.cache_hits, second.classes);
-    assert!(second.is_clean());
-    // The cached run certifies the same classes the full run did.
-    assert_eq!(second.class_digests, first.class_digests);
-}
-
-#[test]
-fn class_digest_is_keyed_on_verifier_configuration() {
-    let set = clean_set();
-    let default_digest = VerifierConfig::default().digest();
-    let other_digest = VerifierConfig {
-        max_phase_coeff: 2,
-        ..VerifierConfig::default()
-    }
-    .digest();
-    assert_ne!(default_digest, other_digest);
-    assert_ne!(
-        class_digest(&set.eccs[0], set.num_qubits, set.num_params, default_digest),
-        class_digest(&set.eccs[0], set.num_qubits, set.num_params, other_digest),
-        "a stamp written under one verifier configuration must miss under another"
-    );
 }
 
 #[test]
@@ -100,7 +66,7 @@ fn semantic_corruption_is_caught_with_a_located_diagnostic() {
             c
         },
     ]));
-    let report = Auditor::default().audit_set(&set, "Nam", None, None);
+    let report = Auditor::default().audit_set(&set, "Nam", None);
     assert!(!report.is_clean());
     let e001 = report
         .diagnostics
@@ -111,7 +77,6 @@ fn semantic_corruption_is_caught_with_a_located_diagnostic() {
     assert_eq!(e001.location.to_string(), "ecc 0 / circuit 1");
     // An unsound class never certifies into a stamp.
     assert!(report.stamp().is_none());
-    assert!(report.class_digests.is_empty());
     // The machine-readable report names the rule.
     assert!(report.to_json().contains("\"E001\""));
 }
@@ -125,7 +90,7 @@ fn gate_set_violation_is_flagged_per_instruction() {
     ccxccx.push(instr(Gate::Ccx, &[0, 1, 2]));
     let mut set = EccSet::new(3, 0);
     set.eccs.push(Ecc::new(vec![ccxccx, Circuit::new(3, 0)]));
-    let report = Auditor::default().audit_set(&set, "Nam", None, None);
+    let report = Auditor::default().audit_set(&set, "Nam", None);
     let violations: Vec<_> = report
         .diagnostics
         .iter()
@@ -145,55 +110,9 @@ fn gate_set_violation_is_flagged_per_instruction() {
 
 #[test]
 fn unknown_gate_set_name_downgrades_membership_lint_to_a_warning() {
-    let report = Auditor::default().audit_set(&clean_set(), "frobnicate", None, None);
+    let report = Auditor::default().audit_set(&clean_set(), "frobnicate", None);
     assert!(report.is_clean());
     assert_eq!(codes(&report), vec!["W105"]);
-}
-
-#[test]
-fn malformed_instruction_is_flagged_and_skips_semantic_verification() {
-    // An H with two qubit operands cannot be simulated; the shape lint must
-    // catch it *and* fence the verifier off the class (no panic, no E002).
-    let mut bad = Circuit::new(2, 0);
-    bad.push(Instruction {
-        gate: Gate::H,
-        qubits: vec![0, 1],
-        params: vec![],
-    });
-    let mut set = EccSet::new(2, 0);
-    set.eccs.push(Ecc::new(vec![bad, Circuit::new(2, 0)]));
-    let report = Auditor::default().audit_set(&set, "Nam", None, None);
-    let e004 = report
-        .diagnostics
-        .iter()
-        .find(|d| d.rule == RuleCode::MalformedInstruction)
-        .expect("shape violation is flagged");
-    assert!(e004.location.to_string().starts_with("ecc 0 / circuit"));
-    assert!(!report.diagnostics.iter().any(|d| matches!(
-        d.rule,
-        RuleCode::SemanticNotEquivalent | RuleCode::SemanticQueryError
-    )));
-    // A class the verifier never saw must not certify.
-    assert!(report.class_digests.is_empty());
-}
-
-#[test]
-fn dangling_parameter_slot_is_flagged() {
-    // The expression references formal slot p2 in a 2-parameter set.
-    let mut c = Circuit::new(1, 2);
-    c.push(Instruction {
-        gate: Gate::Rz,
-        qubits: vec![0],
-        params: vec![ParamExpr::from_parts(vec![0, 0, 5], 0)],
-    });
-    let mut set = EccSet::new(1, 2);
-    set.eccs.push(Ecc::new(vec![c, Circuit::new(1, 2)]));
-    let report = Auditor::default().audit_set(&set, "Nam", None, None);
-    assert!(report
-        .diagnostics
-        .iter()
-        .any(|d| d.rule == RuleCode::DanglingParamIndex));
-    assert!(report.class_digests.is_empty());
 }
 
 #[test]
@@ -220,7 +139,7 @@ fn duplicate_and_noop_and_noncanonical_lints_fire() {
         .push(Ecc::new(vec![hh.clone(), Circuit::new(2, 0)]));
     set.eccs.push(Ecc::new(vec![hh, Circuit::new(2, 0)]));
 
-    let report = Auditor::default().audit_set(&set, "Nam", None, None);
+    let report = Auditor::default().audit_set(&set, "Nam", None);
     assert!(report.is_clean(), "only warnings expected: {report}");
     let fired: std::collections::HashSet<&str> = codes(&report).into_iter().collect();
     assert!(fired.contains("W101"), "{report}");
@@ -256,7 +175,7 @@ fn dead_rules_under_every_additive_model_are_flagged() {
     let mut set = EccSet::new(2, 0);
     set.eccs.push(Ecc::new(vec![rep, member]));
 
-    let report = Auditor::default().audit_set(&set, "CliffordT", None, None);
+    let report = Auditor::default().audit_set(&set, "CliffordT", None);
     assert!(
         !report
             .diagnostics
@@ -285,7 +204,7 @@ fn stale_prebuilt_index_is_flagged() {
     let stale = quartz_gen::TransformationIndex::new(quartz_gen::transformations_from_ecc_set(
         &other, true,
     ));
-    let report = Auditor::default().audit_set(&set, "Nam", Some(&stale), None);
+    let report = Auditor::default().audit_set(&set, "Nam", Some(&stale));
     let e006 = report
         .diagnostics
         .iter()
@@ -311,7 +230,7 @@ fn stale_prebuilt_index_is_flagged() {
         old_rules.push(quartz_gen::Transformation { target, rewrite });
     }
     let stale = quartz_gen::TransformationIndex::new(old_rules);
-    let report = Auditor::default().audit_set(&set, "Nam", Some(&stale), None);
+    let report = Auditor::default().audit_set(&set, "Nam", Some(&stale));
     assert!(
         report
             .diagnostics
@@ -335,7 +254,7 @@ fn stale_index_of_equal_length_names_the_first_differing_rule() {
         target: fresh[0].target.clone(),
         rewrite: xx,
     }]);
-    let report = Auditor::default().audit_set(&set, "Nam", Some(&stale), None);
+    let report = Auditor::default().audit_set(&set, "Nam", Some(&stale));
     let e006 = report
         .diagnostics
         .iter()
@@ -349,6 +268,8 @@ fn stale_index_of_equal_length_names_the_first_differing_rule() {
     );
 }
 
+/// Every audit re-verifies every class; the sidecar a clean audit writes
+/// certifies exactly the bytes it ran over.
 #[test]
 fn artifact_audit_end_to_end_with_sidecar_cache() {
     let path = temp_path("roundtrip.qtzl");
@@ -356,35 +277,36 @@ fn artifact_audit_end_to_end_with_sidecar_cache() {
     let _ = std::fs::remove_file(AuditStamp::sidecar_path(&path));
 
     let auditor = Auditor::new(AuditConfig::default());
-    let first = auditor.audit_artifact(&path, true).unwrap();
+    let first = auditor.audit_artifact(&path).unwrap();
     assert!(first.is_clean(), "{first}");
-    assert_eq!(first.cache_hits, 0);
     assert_eq!(first.generator_version, GENERATOR_VERSION);
 
     first.stamp().unwrap().save_for(&path).unwrap();
-    let second = auditor.audit_artifact(&path, true).unwrap();
-    assert_eq!(second.cache_hits, second.classes);
+    let stamp = AuditStamp::load_for(&path).expect("the sidecar just written loads");
+    assert!(stamp.certifies(first.artifact_checksum, first.verifier_digest));
 
     // Re-packing different content under the same path makes the stamp
-    // stale: it certifies the old checksum, so the cache is not consulted.
+    // stale: it certifies the old checksum only.
     let mut grown = clean_set();
     let mut xx = Circuit::new(2, 0);
     xx.push(instr(Gate::X, &[0]));
     xx.push(instr(Gate::X, &[0]));
     grown.eccs.push(Ecc::new(vec![xx, Circuit::new(2, 0)]));
     Library::new("Nam", grown, true).save(&path).unwrap();
-    let third = auditor.audit_artifact(&path, true).unwrap();
-    assert_eq!(third.cache_hits, 0);
-    assert!(third.is_clean(), "{third}");
-    assert_eq!(third.classes, 2);
+    let second = auditor.audit_artifact(&path).unwrap();
+    assert!(second.is_clean(), "{second}");
+    assert_eq!(second.classes, 2);
+    assert!(!stamp.certifies(second.artifact_checksum, second.verifier_digest));
 }
 
+/// The audit never reads the sidecar, so a garbled one changes nothing; it
+/// certifies nothing either.
 #[test]
 fn loading_a_garbled_sidecar_is_a_cache_miss_not_an_error() {
     let path = temp_path("garbled.qtzl");
     Library::new("Nam", clean_set(), true).save(&path).unwrap();
     std::fs::write(AuditStamp::sidecar_path(&path), b"{ not json ]").unwrap();
-    let report = Auditor::default().audit_artifact(&path, true).unwrap();
-    assert_eq!(report.cache_hits, 0);
+    assert!(AuditStamp::load_for(&path).is_none());
+    let report = Auditor::default().audit_artifact(&path).unwrap();
     assert!(report.is_clean());
 }

@@ -1,11 +1,14 @@
 //! Adversarial tests for the one reader (DESIGN.md §12): every flipped or
 //! truncated byte must surface as a *typed* [`LibraryError`] at open, a
 //! checksum-valid artifact whose sections do not decode is caught by
-//! `verify_all`, an index section carrying more than the rule list is
-//! refused, and I/O failures must name the offending path.
+//! `verify_all` (and refused by the audit), an index section carrying more
+//! than the rule list is refused, and I/O failures must name the offending
+//! path.
 
-use quartz_gen::{artifact_checksum, Ecc, EccSet, LazyLibrary, Library, LibraryError, HEADER_LEN};
-use quartz_ir::{Circuit, Gate, Instruction, ALL_GATES};
+use quartz_gen::{
+    artifact_checksum, Auditor, Ecc, EccSet, LazyLibrary, Library, LibraryError, HEADER_LEN,
+};
+use quartz_ir::{Circuit, Gate, Instruction, ParamExpr, ALL_GATES};
 
 fn pair(gate: Gate, qubits: &[usize]) -> Circuit {
     let mut c = Circuit::new(2, 0);
@@ -202,6 +205,74 @@ fn a_member_wider_than_the_header_is_malformed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every malformed operand shape is the decoder's to refuse, so the audit
+/// has no shape lint: a payload circuit with an out-of-range qubit, a
+/// repeated qubit, a coefficient count other than the circuit's `m`, or
+/// more qubits than the header's `q`, resealed so the checksum holds,
+/// opens, fails `verify_all` as `Malformed`, and `audit_artifact` returns
+/// that same error instead of a report.
+#[test]
+fn resealed_shape_faults_are_refused_by_the_decoder_before_the_audit() {
+    let dir = std::env::temp_dir().join(format!("quartz_shape_faults_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+
+    // One class {∅, Rz(p0)·CNOT} over (q, m) = (2, 1).
+    let mut member = Circuit::new(2, 1);
+    member.push(Instruction::new(
+        Gate::Rz,
+        vec![0],
+        vec![ParamExpr::from_parts(vec![1], 0)],
+    ));
+    member.push(Instruction::new(Gate::Cnot, vec![0, 1], vec![]));
+    let mut set = EccSet::new(2, 1);
+    set.eccs.push(Ecc::new(vec![Circuit::new(2, 1), member]));
+    let bytes = Library::new("Nam", set, true).to_bytes();
+
+    // Payload layout: the class's circuit count (4 bytes), the empty
+    // representative's circuit header (qubits u16, params u16, gates u32),
+    // the member's circuit header, then Rz (gate u8, qubit u16, coefficient
+    // count u16, coefficient i32, constant i32) and CNOT (gate u8, two
+    // qubit u16s).
+    let member_at = HEADER_LEN + 4 + 8;
+    let rz_at = member_at + 8;
+    let cnot_at = rz_at + 1 + 2 + 2 + 4 + 4;
+    assert_eq!(bytes[rz_at], Gate::Rz.index() as u8);
+    assert_eq!(bytes[cnot_at], Gate::Cnot.index() as u8);
+    // (what, offset of a u16 field, its stored value, the patched value)
+    let faults = [
+        ("out-of-range qubit", rz_at + 1, 0, 2),
+        ("repeated qubit", cnot_at + 3, 1, 0),
+        ("coefficient count other than m", rz_at + 3, 1, 2),
+        ("member wider than the header", member_at, 2, 3),
+    ];
+    for (what, at, stored, patched) in faults {
+        let mut corrupt = bytes.clone();
+        assert_eq!(
+            u16::from_le_bytes([corrupt[at], corrupt[at + 1]]),
+            stored,
+            "{what}: layout moved"
+        );
+        corrupt[at..at + 2].copy_from_slice(&u16::to_le_bytes(patched));
+        reseal(&mut corrupt);
+        let path = dir.join("shape_fault.qtzl");
+        std::fs::write(&path, &corrupt).unwrap();
+
+        let library = LazyLibrary::open(&path).expect("the resealed artifact opens");
+        let decoded = match library.verify_all() {
+            Err(e @ LibraryError::Malformed(_)) => e.to_string(),
+            other => panic!("{what}: verify_all gave {other:?}"),
+        };
+        match Auditor::default().audit_artifact(&path) {
+            Err(e @ LibraryError::Malformed(_)) => assert_eq!(e.to_string(), decoded, "{what}"),
+            Err(e) => panic!("{what}: the audit failed with {e}"),
+            Ok(report) => panic!("{what}: the audit produced a report:\n{report}"),
+        }
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The index section holds the rule list and nothing else. An artifact
 /// whose index section still carries the per-rule gate histograms and
 /// anchor buckets format version 2 stored after the rules — with the
@@ -250,9 +321,10 @@ fn an_index_section_with_a_histogram_and_bucket_tail_is_malformed() {
 }
 
 /// `quartz-lib` as a binary: both container versions get their version
-/// printed — version 4 in the header dump, version 3 in the refusal — and
-/// a command that no longer exists (`shard`) exits through the usage
-/// error, whose text lists only the commands that do.
+/// printed — version 4 in the header dump, version 3 in the refusal — a
+/// command that no longer exists (`shard`) exits through the usage error,
+/// whose text lists only the commands that do, and `generate` reports the
+/// rule count that `inspect` prints for its output.
 #[test]
 fn inspect_prints_the_format_version_for_both_container_versions() {
     let dir = std::env::temp_dir().join(format!("quartz_inspect_fmt_{}", std::process::id()));
@@ -322,6 +394,43 @@ fn inspect_prints_the_format_version_for_both_container_versions() {
     assert!(
         !dir.join("split.shard0.qtzl").exists(),
         "a refused command wrote output"
+    );
+
+    // `generate` reports the rule count of the index it writes, which is
+    // the count `inspect` prints for that file.
+    let generated = dir.join("generated.qtzl");
+    let quartz_lib = |args: &[&str]| {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_quartz-lib"))
+            .args(args)
+            .output()
+            .unwrap();
+        assert_eq!(output.status.code(), Some(0), "{args:?}: {output:?}");
+        output
+    };
+    let generate = quartz_lib(&[
+        "generate",
+        "--gate-set",
+        "nam",
+        "--n",
+        "2",
+        "--q",
+        "1",
+        "--m",
+        "1",
+        "--out",
+        generated.to_str().unwrap(),
+    ]);
+    let inspect =
+        String::from_utf8(quartz_lib(&["inspect", generated.to_str().unwrap()]).stdout).unwrap();
+    let indexed = inspect
+        .lines()
+        .find_map(|line| line.trim().strip_prefix("transformations:"))
+        .expect("inspect prints the indexed rule count")
+        .trim();
+    let stderr = String::from_utf8(generate.stderr).unwrap();
+    assert!(
+        stderr.contains(&format!(" {indexed} transformations indexed")),
+        "generate must report the {indexed} rules inspect counts:\n{stderr}"
     );
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -123,7 +123,7 @@ proptest! {
     }
 
     #[test]
-    fn v2_artifacts_round_trip_losslessly(set in arb_ecc_set(2, 1), with_index_raw in 0u32..2) {
+    fn artifacts_round_trip_losslessly_through_the_lazy_reader(set in arb_ecc_set(2, 1), with_index_raw in 0u32..2) {
         let with_index = with_index_raw == 1;
         let library = Library::new("Nam", set.clone(), with_index);
         let bytes = library.to_bytes();

@@ -27,10 +27,10 @@ const INLINE_VARS: usize = 8;
 /// A monomial: the exponents of the variables.
 ///
 /// Variable `2i` is `c_i = cos(h_i)` and variable `2i+1` is `s_i = sin(h_i)`.
-/// Monomials over the first [`INLINE_VARS`] variables keep their exponents
-/// inline (zero-padded); wider ones keep them on the heap with trailing
-/// zeros trimmed. Either way the order is the lexicographic order of the
-/// exponent lists with trailing zeros trimmed.
+/// Monomials over the first eight variables (`INLINE_VARS`) keep their
+/// exponents inline (zero-padded); wider ones keep them on the heap with
+/// trailing zeros trimmed. Either way the order is the lexicographic order
+/// of the exponent lists with trailing zeros trimmed.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Monomial(Exps);
 

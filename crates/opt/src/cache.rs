@@ -297,7 +297,7 @@ mod tests {
 
         let path = temp_artifact("stamped.qtzl", true);
         let report = Auditor::new(AuditConfig::default())
-            .audit_artifact(&path, false)
+            .audit_artifact(&path)
             .unwrap();
         let stamp = report.stamp().expect("the sample set audits clean");
         stamp.save_for(&path).unwrap();
@@ -305,6 +305,18 @@ mod tests {
         let cache = LibraryCache::with_audit_required(true);
         let loaded = cache.get_or_load(&path).unwrap();
         assert_eq!(loaded.header().gate_set, "Nam");
+
+        // The same certificate under sidecar schema 1 certifies nothing.
+        let schema_1 = stamp
+            .to_json()
+            .replace("\"schema_version\": 2", "\"schema_version\": 1");
+        assert!(schema_1.contains("\"schema_version\": 1"), "{schema_1}");
+        std::fs::write(AuditStamp::sidecar_path(&path), schema_1).unwrap();
+        assert!(matches!(
+            LibraryCache::with_audit_required(true).get_or_load(&path),
+            Err(LibraryError::NotAudited { .. })
+        ));
+        stamp.save_for(&path).unwrap();
 
         // Re-packing different content under the same path invalidates the
         // stamp: the sidecar certifies the old checksum only.

@@ -49,10 +49,9 @@ impl VerifierConfig {
     /// A content digest of the configuration (FNV-1a over the field bytes).
     ///
     /// Two configurations with equal digests decide equivalence queries
-    /// identically, so the digest is a sound cache key component for
-    /// results derived from verifier verdicts — the library auditor keys
-    /// its verified-cache on it (DESIGN.md §11): a sidecar produced under
-    /// one configuration never short-circuits a re-audit under another.
+    /// identically. The library auditor records the digest in the audit
+    /// stamp it writes (DESIGN.md §11.2), and a stamp certifies an artifact
+    /// only under the configuration with the same digest.
     pub fn digest(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
         let mut eat = |bytes: &[u8]| {

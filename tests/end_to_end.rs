@@ -471,11 +471,11 @@ fn committed_artifact_is_bit_identical_to_generate_at_startup() {
 }
 
 /// Every committed artifact loads through the library cache, serves exactly
-/// the index a full decode produces, and its decoded classes hash to the
-/// per-class digests the committed audit sidecar certifies.
+/// the index a full decode produces, and is certified by its committed
+/// audit sidecar.
 #[test]
 fn committed_artifacts_load_lazily_with_identical_indexes_and_audits() {
-    use quartz::gen::{class_digest, AuditStamp, LazyLibrary, Library};
+    use quartz::gen::{AuditStamp, Library};
     use quartz::opt::LibraryCache;
 
     let libraries = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("libraries");
@@ -494,27 +494,10 @@ fn committed_artifacts_load_lazily_with_identical_indexes_and_audits() {
 
         let stamp = AuditStamp::load_for(&path)
             .expect("committed artifacts carry audit sidecars (quartz-lib audit --write-stamp)");
-        let header = eager.header();
         assert!(
-            stamp.certifies(header.checksum, stamp.verifier_digest),
+            stamp.certifies(eager.header().checksum, stamp.verifier_digest),
             "{file}: stale committed sidecar"
         );
-        let digests: Vec<u64> = LazyLibrary::open(&path)
-            .unwrap()
-            .ecc_set()
-            .unwrap()
-            .eccs
-            .iter()
-            .map(|ecc| {
-                class_digest(
-                    ecc,
-                    header.num_qubits as usize,
-                    header.num_params as usize,
-                    stamp.verifier_digest,
-                )
-            })
-            .collect();
-        assert_eq!(digests, stamp.class_digests, "{file}");
     }
 }
 
